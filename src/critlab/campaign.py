@@ -5,7 +5,8 @@ types, ego initial states and grid shape.  For every (autopilot, scenario
 type) pair the runner classifies one grid per initial state, persists the raw
 per-grid JSON (so summaries can be regenerated without re-simulating), and
 aggregates a result matrix whose cells read like ``TF (9.0%) IS (4.2%)`` or
-``OF-PD (2/4)``.
+``OF-PD (2/4)``.  Grids of a built-in autopilot that differ only in scenario
+type are simulated once and written under every type.
 """
 
 from __future__ import annotations
@@ -309,8 +310,19 @@ def _grid_values(boundary, spec: dict) -> tuple[list[float], list[float]]:
     return xa, xf
 
 
+def _task_key(pilot_index: int, static: StaticPart, x_e: float, v_e: float) -> tuple:
+    # A built-in policy never reads the scenario type or the light, and the
+    # type reaches a simulation only through the light and the red-light goal,
+    # which cannot fire without a red phase.  So grids that differ in type
+    # alone are one grid: key them by pilot, start and the schedule in effect.
+    light = static.light_schedule
+    if static.scenario_type is not ScenarioType.INTERSECTION_LIGHT:
+        light = None
+    return (pilot_index, x_e, v_e, light)
+
+
 def _one_grid(args) -> dict:
-    spec, scenario_value, static, x_e, v_e, grid_spec, sim_cfg = args
+    spec, static, x_e, v_e, grid_spec, sim_cfg = args
     boundary = most_critical(x_e, v_e, spec.profile, static)
     xa, xf = _grid_values(boundary, grid_spec)
     grid = run_grid(spec, x_e, v_e, static, xa, xf, sim_cfg)
@@ -318,6 +330,19 @@ def _one_grid(args) -> dict:
     report = grid_report_dict(grid, cls)
     report["autopilot"] = spec.name
     return report
+
+
+def _accumulate(cell: CampaignCell, report: dict) -> None:
+    """Add one grid report (one ego start) into its campaign cell."""
+    cell.m_states += 1
+    cell.n_cells += len(report["grid"])
+    for point in report["grid"]:
+        cell.counts[point["label"]] = cell.counts.get(point["label"], 0) + 1
+    for zone, n in report["zone_counts"].items():
+        cell.zone_counts[zone] = cell.zone_counts.get(zone, 0) + n
+    kind = report["of"]["kind"]
+    if kind:
+        cell.of_counts[kind] = cell.of_counts.get(kind, 0) + 1
 
 
 def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> CampaignReport:
@@ -332,16 +357,17 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
     out_path = Path(out_dir) if out_dir is not None else None
 
     builtin_tasks = []
-    task_index: dict[tuple[str, str, float, float], int] = {}
-    for pilot in pilots:
+    task_index: dict[tuple, int] = {}
+    for i, pilot in enumerate(pilots):
         if isinstance(pilot, ExternalAutopilot):
             continue
         for sc in scenario_types:
             static = config.static_for(sc)
             for x_e, v_e in states:
-                key = (pilot.name, sc.value, x_e, v_e)
-                task_index[key] = len(builtin_tasks)
-                builtin_tasks.append((pilot, sc.value, static, x_e, v_e, grid_spec, sim_cfg))
+                key = _task_key(i, static, x_e, v_e)
+                if key not in task_index:
+                    task_index[key] = len(builtin_tasks)
+                    builtin_tasks.append((pilot, static, x_e, v_e, grid_spec, sim_cfg))
 
     if workers > 1 and builtin_tasks:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -350,31 +376,21 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
         results = [_one_grid(t) for t in builtin_tasks]
 
     cells: dict[tuple[str, str], CampaignCell] = {}
-    for pilot in pilots:
+    for i, pilot in enumerate(pilots):
         for sc in scenario_types:
             cell = CampaignCell(autopilot=pilot.name, scenario_type=sc.value)
             static = config.static_for(sc)
             for x_e, v_e in states:
                 if isinstance(pilot, ExternalAutopilot):
                     try:
-                        report = _one_grid(
-                            (pilot, sc.value, static, x_e, v_e, grid_spec, sim_cfg)
-                        )
+                        report = _one_grid((pilot, static, x_e, v_e, grid_spec, sim_cfg))
                     except ProtocolError:
                         cell.protocol_error = True
                         break
                 else:
-                    report = results[task_index[(pilot.name, sc.value, x_e, v_e)]]
-                cell.m_states += 1
-                cell.n_cells += len(report["grid"])
-                for point in report["grid"]:
-                    lab = point["label"]
-                    cell.counts[lab] = cell.counts.get(lab, 0) + 1
-                for zone, n in report["zone_counts"].items():
-                    cell.zone_counts[zone] = cell.zone_counts.get(zone, 0) + n
-                of_kind = report["of"]["kind"]
-                if of_kind:
-                    cell.of_counts[of_kind] = cell.of_counts.get(of_kind, 0) + 1
+                    report = {**results[task_index[_task_key(i, static, x_e, v_e)]],
+                              "scenario_type": sc.value}
+                _accumulate(cell, report)
                 if out_path is not None:
                     raw_dir = out_path / "raw" / pilot.name / sc.value
                     raw_dir.mkdir(parents=True, exist_ok=True)
@@ -424,7 +440,7 @@ def _determinacy_summaries(config, pilots, scenario_type, state, sim_cfg) -> lis
         probe = TestCase(
             static=static, x_e=x_e, v_e=v_e,
             x_a=boundary.x_hat_a + max(2.0 * static.vl * sim_cfg.dt, 1.0),
-            x_f=boundary.x_hat_f + 1.0,
+            x_f=boundary.x_hat_f + 1.0, dt=sim_cfg.dt,
         )
         row = {"autopilot": pilot.name, "maneuver": "progress", "x_e": x_e, "v_e": v_e}
         try:
@@ -561,15 +577,7 @@ def report_from_raw(raw_dir: str | Path) -> CampaignReport:
         cell = cells.setdefault(
             (sc, ap), CampaignCell(autopilot=ap, scenario_type=sc)
         )
-        cell.m_states += 1
-        cell.n_cells += len(data["grid"])
-        for point in data["grid"]:
-            cell.counts[point["label"]] = cell.counts.get(point["label"], 0) + 1
-        for zone, n in data["zone_counts"].items():
-            cell.zone_counts[zone] = cell.zone_counts.get(zone, 0) + n
-        if data["of"]["kind"]:
-            kind = data["of"]["kind"]
-            cell.of_counts[kind] = cell.of_counts.get(kind, 0) + 1
+        _accumulate(cell, data)
     if not cells:
         raise ConfigError(f"no raw grid files under {raw}")
     scenario_types = sorted({sc for sc, _ in cells})

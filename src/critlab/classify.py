@@ -90,7 +90,7 @@ def run_grid(
     cells: dict[tuple[float, float], CellResult] = {}
     for x_a in x_a_values:
         for x_f in x_f_values:
-            tc = TestCase(static=static, x_e=x_e, v_e=v_e, x_a=x_a, x_f=x_f)
+            tc = TestCase(static=static, x_e=x_e, v_e=v_e, x_a=x_a, x_f=x_f, dt=cfg.dt)
             zone = classify_zone(tc, boundary)
             out = simulate(autopilot, tc, cfg, record=False)
             cells[(x_a, x_f)] = CellResult(zone=zone, verdict=verdict(out, goal))
@@ -340,7 +340,8 @@ def determinacy_check_progress(
         if x_a_i <= 0.0:
             continue  # arriving vehicle already past: the race is decided
         x_e_i = -frame.ego.x
-        tci = TestCase(static=tc.static, x_e=x_e_i, v_e=frame.ego.v, x_a=x_a_i, x_f=tc.x_f)
+        tci = TestCase(static=tc.static, x_e=x_e_i, v_e=frame.ego.v, x_a=x_a_i, x_f=tc.x_f,
+                       dt=cfg.dt)
         out = simulate(autopilot, tci, cfg, record=True)
         vd = verdict(out, goal)
         passed = vd.kind is VerdictKind.PROGRESS_PASS

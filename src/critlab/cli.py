@@ -157,7 +157,7 @@ def main(argv=None) -> int:
     if args.command == "simulate":
         profile = _parse_profile(args.profile)
         pilot = _build_autopilot(args.autopilot, profile, None)
-        tc = test_case_from_dict(json.loads(Path(args.testcase).read_text()))
+        tc = test_case_from_dict(json.loads(Path(args.testcase).read_text()), dt=args.dt)
         cfg = SimConfig(dt=args.dt, zone_epsilon=args.zone_epsilon)
         outcome = simulate(pilot, tc, cfg)
         vd = verdict(outcome)
@@ -214,6 +214,7 @@ def main(argv=None) -> int:
         probe = TestCase(
             static=static, x_e=args.x_e, v_e=args.v_e,
             x_a=b.x_hat_a + max(2.0 * args.vl * args.dt, 1.0), x_f=b.x_hat_f + 1.0,
+            dt=args.dt,
         )
         try:
             rep = determinacy_check_progress(

@@ -39,6 +39,7 @@ __all__ = [
     "DEFAULT_DT",
     "DEFAULT_D",
     "CAUTIOUS_MARGIN",
+    "env_at",
     "expand",
     "equivalence_mutations",
     "collision_window",
@@ -159,9 +160,9 @@ class Scenario:
 class TestCase:
     """Compact stimulus: initial ego state plus environment geometry.
 
-    ``horizon`` is the environment step count ``n`` (so a run spans ``n + 1``
-    scenes); when omitted it is sized so the arriving vehicle clears the zone
-    with time to spare at the default step size.
+    ``horizon`` is the environment step count ``n`` at step size ``dt`` (so a
+    run spans ``n + 1`` scenes); when omitted it is sized so the arriving
+    vehicle clears the zone with time to spare at that step size.
     """
 
     __test__ = False  # not a pytest class, despite the name
@@ -173,23 +174,32 @@ class TestCase:
     x_f: float  # m, front vehicle distance beyond the point (> 0)
     horizon: Optional[int] = None
     mutations: tuple[ExtraVehicle, ...] = ()
+    dt: float = DEFAULT_DT  # s, the step size ``horizon`` counts
 
     def __post_init__(self) -> None:
         if self.x_e <= 0 or self.x_a <= 0 or self.x_f <= 0:
             raise ValueError("x_e, x_a and x_f must all be positive")
         if self.v_e < 0:
             raise ValueError("v_e must be non-negative")
+        if self.dt <= 0:
+            raise ValueError("dt must be positive")
         if self.horizon is None:
-            object.__setattr__(self, "horizon", self.min_horizon(DEFAULT_DT, slack=_EXTRA_HORIZON))
-        elif self.horizon < self.min_horizon(DEFAULT_DT):
-            raise HorizonError(
-                f"horizon {self.horizon} too short; minimum n is {self.min_horizon(DEFAULT_DT)}"
-            )
+            object.__setattr__(self, "horizon", self.min_horizon(self.dt, slack=_EXTRA_HORIZON))
+        else:
+            self.check_horizon(self.dt)
 
     def min_horizon(self, dt: float, slack: float = 0.0) -> int:
         """Smallest step count letting the arriving vehicle traverse the zone."""
         span = (self.x_a + 2.0 * self.static.d) / self.static.vl + slack
         return math.ceil(span / dt)
+
+    def check_horizon(self, dt: float) -> None:
+        """Raise ``HorizonError`` unless the horizon covers the zone at step ``dt``."""
+        needed = self.min_horizon(dt)
+        if self.horizon < needed:
+            raise HorizonError(
+                f"horizon {self.horizon} too short at dt={dt}; minimum n is {needed}"
+            )
 
     def initial_ego(self) -> EgoState:
         return EgoState(x=-self.x_e, v=self.v_e)
@@ -236,9 +246,7 @@ def expand(tc: TestCase, dt: float = DEFAULT_DT) -> list[EnvState]:
     """Expand a compact test case into its environment sequence (n + 1 states)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    needed = tc.min_horizon(dt)
-    if tc.horizon < needed:
-        raise HorizonError(f"horizon {tc.horizon} too short at dt={dt}; minimum n is {needed}")
+    tc.check_horizon(dt)
     return [env_at(tc, i * dt) for i in range(tc.horizon + 1)]
 
 
@@ -357,7 +365,8 @@ def test_case_to_dict(tc: TestCase) -> dict:
     }
 
 
-def test_case_from_dict(data: dict) -> TestCase:
+def test_case_from_dict(data: dict, dt: float = DEFAULT_DT) -> TestCase:
+    """Inverse of ``test_case_to_dict``; a null horizon is sized for step ``dt``."""
     return TestCase(
         static=_static_from_dict(data["static"]),
         x_e=data["x_e"],
@@ -366,6 +375,7 @@ def test_case_from_dict(data: dict) -> TestCase:
         x_f=data["x_f"],
         horizon=data.get("horizon"),
         mutations=tuple(ExtraVehicle(m["kind"], m["x"]) for m in data.get("mutations", [])),
+        dt=dt,
     )
 
 

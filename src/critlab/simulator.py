@@ -29,7 +29,8 @@ from .scenario import (
     Scene,
     TestCase,
     default_goal,
-    expand,
+    env_at,
+    expand,  # noqa: F401  re-exported: callers look it up on this module
 )
 
 __all__ = [
@@ -144,23 +145,24 @@ def simulate(
 
     The run ends early once the ego is stopped clear of the conflict (either
     before the zone or past the point) and the arriving vehicle has left the
-    zone; nothing can change after that.
+    zone; nothing can change after that.  Environment states are built only
+    for the steps the run takes.
     """
     if cfg.max_steps is not None and cfg.max_steps < tc.horizon:
         raise ValueError(f"max_steps {cfg.max_steps} below horizon {tc.horizon}")
     dt = cfg.dt
+    tc.check_horizon(dt)
     static = tc.static
     d = static.d
     vl = static.vl
     v_max = autopilot.profile.v_max
-    envs = expand(tc, dt)
     n = tc.horizon
 
     t_arrive = tc.x_a / vl
     race_grace = cfg.zone_epsilon / vl
 
     ego = tc.initial_ego()
-    frames = [Scene(t=0.0, ego=ego, env=envs[0])]
+    frames = [Scene(t=0.0, ego=ego, env=env_at(tc, 0.0))]
     events: list[Event] = []
     memory: dict = {}
 
@@ -175,7 +177,9 @@ def simulate(
 
     p, v = ego.x, ego.v
     for i in range(n):
-        scene = frames[-1] if record else Scene(t=i * dt, ego=EgoState(p, v), env=envs[i])
+        scene = frames[-1] if record else Scene(
+            t=i * dt, ego=EgoState(p, v), env=env_at(tc, i * dt)
+        )
         decision, memory = autopilot.step(scene, static, memory, dt)
         a = decision.accel
         if not math.isfinite(a):
@@ -188,7 +192,7 @@ def simulate(
         t1 = (i + 1) * dt
         steps = i + 1
         if record or i == n - 1:
-            frames.append(Scene(t=t1, ego=EgoState(p, v), env=envs[i + 1]))
+            frames.append(Scene(t=t1, ego=EgoState(p, v), env=env_at(tc, t1)))
 
         if not crossed and p >= 0.0:
             crossed = True
@@ -215,7 +219,7 @@ def simulate(
                 break
 
         if p >= -d and p0 < -d:
-            light = envs[i + 1].light
+            light = static.light_at(t1)
             if light is not None and light.value == "red":
                 events.append(Event(EventKind.RED_LIGHT_ENTRY, t1))
 

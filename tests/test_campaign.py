@@ -1,9 +1,11 @@
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import critlab.campaign
 from critlab.campaign import (
     CampaignCell,
     CampaignConfig,
@@ -268,3 +270,82 @@ class TestWorkers:
         a, b = serial.to_dict(), parallel.to_dict()
         a.pop("meta"), b.pop("meta")  # meta echoes the differing worker count
         assert a == b
+
+
+def four_type_config(**overrides):
+    """Two built-in autopilots over all four scenario types, 5x5 cells."""
+    raw = json.loads(json.dumps(DEFAULT_CONFIG))
+    raw["autopilots"] = [
+        {"name": "reference", "variant": "reference"},
+        {"name": "transition_flawed", "variant": "transition_flawed", "optimism": 1.3},
+    ]
+    raw["grid"] = {**raw["grid"], "n_a": 5, "n_f": 5}
+    raw["partition"] = {"speeds": [10.0, 5.0], "x_f_cap": None, "steps": 20}
+    raw.update(overrides)
+    return CampaignConfig(raw=raw)
+
+
+def with_light(schedule):
+    return {**DEFAULT_CONFIG["static"], "light_schedule": schedule}
+
+
+class TestGridDedup:
+    """Grids that differ only in scenario type are simulated once."""
+
+    def _grid_runs(self, monkeypatch, config):
+        calls = Counter()
+        real = critlab.campaign.run_grid
+
+        def counting(spec, x_e, v_e, *args, **kwargs):
+            calls[(spec.name, x_e, v_e)] += 1
+            return real(spec, x_e, v_e, *args, **kwargs)
+
+        monkeypatch.setattr(critlab.campaign, "run_grid", counting)
+        return run_campaign(config), calls
+
+    def test_one_grid_per_pilot_and_start_without_light(self, monkeypatch):
+        report, calls = self._grid_runs(monkeypatch, four_type_config())
+        assert len(calls) == 2 * 4
+        assert set(calls.values()) == {1}
+        texts = {cell_text(report.cells[(sc, "reference")]) for sc in report.scenario_types}
+        assert len(texts) == 1
+
+    def test_light_schedule_splits_off_the_light_type(self, monkeypatch):
+        config = four_type_config(static=with_light([2.0, 2.0]))
+        report, calls = self._grid_runs(monkeypatch, config)
+        assert len(calls) == 2 * 4
+        assert set(calls.values()) == {2}
+        light = report.cells[("intersection_light", "reference")]
+        assert cell_text(light) == "OF-PD (4/4)"
+        assert cell_text(report.cells[("merge_yield", "reference")]) != cell_text(light)
+
+    def test_raw_files_match_per_type_runs(self, tmp_path):
+        joint = tmp_path / "joint"
+        run_campaign(four_type_config(static=with_light([2.0, 2.0])), out_dir=joint)
+        joint_files = sorted((joint / "raw").glob("*/*/*.json"))
+        assert len(joint_files) == 2 * 4 * 4
+        for sc in DEFAULT_CONFIG["scenario_types"]:
+            alone = tmp_path / sc
+            config = four_type_config(static=with_light([2.0, 2.0]), scenario_types=[sc])
+            run_campaign(config, out_dir=alone)
+            alone_files = sorted((alone / "raw").glob("*/*/*.json"))
+            assert len(alone_files) == 2 * 4
+            for path in alone_files:
+                rel = path.relative_to(alone)
+                assert json.loads(path.read_text())["scenario_type"] == sc
+                assert (joint / rel).read_bytes() == path.read_bytes()
+
+
+class TestStepSize:
+    @pytest.mark.parametrize("dt", [0.05, 0.02])
+    def test_finer_step_campaign_runs_clean(self, dt):
+        raw = json.loads(json.dumps(DEFAULT_CONFIG))
+        raw["scenario_types"] = ["merge_yield"]
+        raw["grid"] = {**raw["grid"], "n_a": 3, "n_f": 3}
+        raw["partition"] = {"speeds": [10.0, 5.0], "x_f_cap": None, "steps": 20}
+        raw["sim"] = {**raw["sim"], "dt": dt}
+        report = run_campaign(CampaignConfig(raw=raw))
+        assert report.meta["dt"] == dt
+        assert sum(c.n_cells for c in report.cells.values()) == 8 * 4 * 9
+        assert report.determinacy
+        assert not any(c.protocol_error for c in report.cells.values())

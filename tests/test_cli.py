@@ -46,6 +46,15 @@ class TestSimulateCommand:
         assert data["verdict"] == "progress_pass"
         assert trace.read_text().splitlines()[0] == "t,x_e,v_e,x_a,v_a,x_f,light"
 
+    def test_null_horizon_sized_for_the_step_in_use(self, tmp_path, capsys):
+        tc_path = _write_testcase(tmp_path)
+        data = json.loads(tc_path.read_text())
+        data["horizon"] = None
+        tc_path.write_text(json.dumps(data))
+        rc = main(["simulate", "--testcase", str(tc_path), "--dt", "0.02"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "progress_pass"
+
     def test_external_autopilot(self, tmp_path, capsys):
         tc_path = _write_testcase(tmp_path)
         rc = main([

@@ -72,6 +72,18 @@ class TestExpand:
         with pytest.raises(HorizonError):
             expand(tc, dt=0.001)
 
+    def test_auto_horizon_sized_for_the_case_dt(self, merge_static):
+        tc = TestCase(static=merge_static, x_e=20, v_e=5, x_a=30, x_f=15, dt=0.02)
+        assert tc.horizon == tc.min_horizon(0.02, slack=10.0)
+        assert len(expand(tc, dt=0.02)) == tc.horizon + 1
+
+    def test_explicit_horizon_checked_at_the_case_dt(self, merge_static):
+        # 30 steps of 0.2 s cover the 5 s traversal, 30 steps of 0.1 s do not
+        tc = TestCase(static=merge_static, x_e=20, v_e=5, x_a=40, x_f=15, horizon=30, dt=0.2)
+        assert len(expand(tc, dt=0.2)) == 31
+        with pytest.raises(HorizonError):
+            TestCase(static=merge_static, x_e=20, v_e=5, x_a=40, x_f=15, horizon=30)
+
     def test_light_schedule_sampled(self):
         static = StaticPart(
             ScenarioType.INTERSECTION_LIGHT, vl=10.0, d=5.0, light_schedule=(2.0, 3.0)

@@ -10,10 +10,14 @@ from critlab.autopilots import (
 )
 from critlab.scenario import (
     Goal,
+    HorizonError,
+    Light,
     Property,
     ScenarioType,
     StaticPart,
     TestCase,
+    equivalence_mutations,
+    expand,
     scenario_to_json,
 )
 from critlab.simulator import (
@@ -206,3 +210,39 @@ class TestVerdicts:
         )
         out = simulate(transition_flawed(std_profile, 1.2), tc, SimConfig())
         assert out.has(EventKind.COLLISION_ARRIVING)
+
+
+class TestPerStepEnvironments:
+    """``simulate`` builds each step's environment itself; it must match ``expand``."""
+
+    LIGHT = StaticPart(
+        ScenarioType.INTERSECTION_LIGHT, vl=10.0, d=5.0, light_schedule=(2.0, 3.0)
+    )
+
+    @pytest.mark.parametrize("dt", [0.1, 0.05])
+    @pytest.mark.parametrize("pilot", [reference, always_cautious, constant_speed])
+    def test_recorded_frames_match_expand(self, std_profile, pilot, dt):
+        base = TestCase(static=self.LIGHT, x_e=20.0, v_e=5.0, x_a=30.0, x_f=15.0, dt=dt)
+        saw_red = False
+        for tc in [base, *equivalence_mutations(base, headway=10.0)]:
+            out = simulate(pilot(std_profile), tc, SimConfig(dt=dt), record=True)
+            envs = expand(tc, dt)
+            frames = out.scenario.frames
+            assert len(frames) == out.steps + 1
+            assert [f.env for f in frames] == envs[: len(frames)]
+            saw_red = saw_red or any(f.env.light is Light.RED for f in frames)
+        assert saw_red
+
+    def test_unrecorded_endpoints_match_expand(self, std_profile):
+        tc = TestCase(static=self.LIGHT, x_e=20.0, v_e=5.0, x_a=100.0, x_f=500.0,
+                      horizon=110)
+        out = simulate(constant_speed(std_profile), tc, SimConfig(), record=False)
+        envs = expand(tc, 0.1)
+        assert out.steps == tc.horizon
+        assert [f.env for f in out.scenario.frames] == [envs[0], envs[-1]]
+
+    def test_simulate_rechecks_horizon_for_dt(self, std_profile, merge_static):
+        tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=30.0, x_f=15.0)
+        with pytest.raises(HorizonError) as err:
+            simulate(reference(std_profile), tc, SimConfig(dt=0.001))
+        assert "minimum n is" in str(err.value)
