@@ -21,9 +21,9 @@ import math
 import shlex
 import subprocess
 from dataclasses import dataclass
-from typing import Optional
+from typing import Mapping, Optional, Sequence, Union
 
-from .kinematics import ADProfile
+from .kinematics import ADProfile, advance
 from .scenario import (
     CAUTIOUS_MARGIN,
     DEFAULT_DT,
@@ -31,7 +31,7 @@ from .scenario import (
     Scene,
     StaticPart,
     TestCase,
-    expand,
+    env_at,
 )
 
 __all__ = [
@@ -47,6 +47,7 @@ __all__ = [
     "non_determinate_accel",
     "always_cautious",
     "constant_speed",
+    "FACTORIES",
     "step",
     "run_policy",
     "non_monotone_brake_profile",
@@ -54,16 +55,7 @@ __all__ = [
 
 _EPS = 1e-9
 
-VARIANTS = (
-    "reference",
-    "transition_flawed",
-    "irrational",
-    "overcautious",
-    "non_determinate_brake",
-    "non_determinate_accel",
-    "always_cautious",
-    "constant_speed",
-)
+RateMap = Union[Mapping[float, float], Sequence[tuple[float, float]]]  # v0 -> rate
 
 
 class ProtocolError(RuntimeError):
@@ -89,7 +81,7 @@ class AutopilotSpec:
     rate_by_initial_speed: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
+        if self.variant not in FACTORIES:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.variant == "transition_flawed" and self.optimism <= 1.0:
             raise ValueError("transition_flawed needs optimism > 1")
@@ -143,40 +135,44 @@ def transition_flawed(
 
 def irrational(
     profile: ADProfile,
-    fail_region: tuple[tuple[float, float], tuple[float, float]],
+    fail_region: Sequence[Sequence[float]] = ((29.0, 35.0), (16.0, 24.0)),
     name: str = "irrational",
 ) -> AutopilotSpec:
-    return AutopilotSpec(name=name, profile=profile, variant="irrational", fail_region=fail_region)
+    """``fail_region`` is ``((x_a lo, x_a hi), (x_f lo, x_f hi))``; lists do too."""
+    (a_lo, a_hi), (f_lo, f_hi) = fail_region
+    region = ((float(a_lo), float(a_hi)), (float(f_lo), float(f_hi)))
+    return AutopilotSpec(name=name, profile=profile, variant="irrational", fail_region=region)
 
 
 def overcautious(
-    profile: ADProfile, margin_inflation: float = 1.4, name: str = "overcautious"
+    profile: ADProfile, margin_inflation: float = 1.15, name: str = "overcautious"
 ) -> AutopilotSpec:
     return AutopilotSpec(
         name=name, profile=profile, variant="overcautious", margin_inflation=margin_inflation
     )
 
 
+def _rate_table(rates: RateMap) -> tuple[tuple[float, float], ...]:
+    """Sorted ``(v0, rate)`` pairs from a mapping (JSON: string keys) or pairs."""
+    return tuple(sorted((float(v0), float(rate)) for v0, rate in dict(rates).items()))
+
+
 def non_determinate_brake(
-    profile: ADProfile, rates: dict[float, float], name: str = "non_determinate_brake"
+    profile: ADProfile,
+    rates: RateMap = ((5.0, 5.0), (27.5, 3.0), (30.0, 5.0)),
+    name: str = "non_determinate_brake",
 ) -> AutopilotSpec:
-    return AutopilotSpec(
-        name=name,
-        profile=profile,
-        variant="non_determinate_brake",
-        rate_by_initial_speed=tuple(sorted(rates.items())),
-    )
+    return AutopilotSpec(name=name, profile=profile, variant="non_determinate_brake",
+                         rate_by_initial_speed=_rate_table(rates))
 
 
 def non_determinate_accel(
-    profile: ADProfile, rates: dict[float, float], name: str = "non_determinate_accel"
+    profile: ADProfile,
+    rates: RateMap = ((5.0, 2.0), (7.5, 1.0)),
+    name: str = "non_determinate_accel",
 ) -> AutopilotSpec:
-    return AutopilotSpec(
-        name=name,
-        profile=profile,
-        variant="non_determinate_accel",
-        rate_by_initial_speed=tuple(sorted(rates.items())),
-    )
+    return AutopilotSpec(name=name, profile=profile, variant="non_determinate_accel",
+                         rate_by_initial_speed=_rate_table(rates))
 
 
 def always_cautious(profile: ADProfile, name: str = "always_cautious") -> AutopilotSpec:
@@ -185,6 +181,14 @@ def always_cautious(profile: ADProfile, name: str = "always_cautious") -> Autopi
 
 def constant_speed(profile: ADProfile, name: str = "constant_speed") -> AutopilotSpec:
     return AutopilotSpec(name=name, profile=profile, variant="constant_speed")
+
+
+# The variant table.  A factory's parameters after ``profile`` are the keys a
+# config entry of that variant may carry, and their defaults are the only ones.
+FACTORIES = {f.__name__: f for f in (
+    reference, transition_flawed, irrational, overcautious,
+    non_determinate_brake, non_determinate_accel, always_cautious, constant_speed,
+)}
 
 
 # -- decision logic -------------------------------------------------------------
@@ -207,8 +211,7 @@ def _progress_accel(
     brake_rate: float, dt: float,
 ) -> float:
     """Full throttle while one more accelerated step still leaves braking room."""
-    v1 = min(v + accel_rate * dt, profile.v_max)
-    p1 = p + 0.5 * (v + v1) * dt
+    p1, v1 = advance(p, v, accel_rate, dt, profile.v_max)
     room = budget - max(p1, 0.0)
     if v1 * v1 / (2.0 * profile.b_max) <= room + _EPS:
         return accel_rate
@@ -286,22 +289,20 @@ def step(
 
 
 def run_policy(spec: AutopilotSpec, tc: TestCase, dt: float = DEFAULT_DT) -> list[EgoState]:
-    """Iterate the autopilot against the expanded environment; no oracle.
+    """Iterate the autopilot against the test case's environment; no oracle.
 
-    Returns the full ego state sequence (``horizon + 1`` entries) under the
-    same integration rule the simulator uses.
+    Returns the full ego state sequence (``horizon + 1`` entries), integrated
+    with ``advance`` as in the simulator.
     """
-    envs = expand(tc, dt)
-    v_max = spec.profile.v_max
+    tc.check_horizon(dt)
     states = [tc.initial_ego()]
     memory: dict = {}
     for i in range(tc.horizon):
-        scene = Scene(t=i * dt, ego=states[-1], env=envs[i])
+        ego = states[-1]
+        scene = Scene(t=i * dt, ego=ego, env=env_at(tc, i * dt))
         decision, memory = step(spec, scene, tc.static, memory, dt)
-        v0 = states[-1].v
-        v1 = min(max(v0 + decision.accel * dt, 0.0), v_max)
-        x1 = states[-1].x + 0.5 * (v0 + v1) * dt
-        states.append(EgoState(x=x1, v=v1))
+        x, v = advance(ego.x, ego.v, decision.accel, dt, spec.profile.v_max)
+        states.append(EgoState(x=x, v=v))
     return states
 
 

@@ -19,20 +19,20 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import autopilots as ap_mod
-from .autopilots import AutopilotSpec, ExternalAutopilot, ProtocolError
+from .autopilots import FACTORIES, AutopilotSpec, ExternalAutopilot, ProtocolError
 from .classify import (
     CheckAbortedError,
     classify_grid,
     determinacy_check_braking,
     determinacy_check_progress,
     grid_report_dict,
+    progress_probe,
     run_grid,
 )
 from .criticality import most_critical
 from .kinematics import ADProfile
 from .partition import build_partition, coverage_ratio
-from .scenario import ScenarioType, StaticPart, TestCase
+from .scenario import ScenarioType, StaticPart, static_from_dict
 from .simulator import SimConfig
 
 __all__ = [
@@ -100,15 +100,10 @@ DEFAULT_CONFIG: dict = {
 }
 
 _TOP_KEYS = set(DEFAULT_CONFIG)
-_AUTOPILOT_KEYS = {
-    "name", "variant", "optimism", "margin_inflation", "fail_region", "rates",
-    "profile", "braking_check_v0", "command",
-}
-_GRID_KEYS = {"n_a", "n_f", "a_lo", "a_hi_tilde", "f_lo", "f_hi"}
-_SIM_KEYS = {"dt", "zone_epsilon"}
-_PROFILE_KEYS = {"a_max", "b_max", "v_max"}
-_STATIC_KEYS = {"d", "vl", "light_schedule"}
-_PARTITION_KEYS = {"speeds", "x_f_cap", "steps"}
+# The object-valued sections and the keys each may carry.
+_SECTION_KEYS = {k: set(v) for k, v in DEFAULT_CONFIG.items() if isinstance(v, dict)}
+# Autopilot entry keys read by ``build_autopilot``; the rest go to the factory.
+_ENTRY_KEYS = {"name", "variant", "profile", "command", "braking_check_v0"}
 
 
 def _check_keys(section: dict, allowed: set[str], where: str) -> None:
@@ -119,103 +114,115 @@ def _check_keys(section: dict, allowed: set[str], where: str) -> None:
 
 @dataclass
 class CampaignConfig:
+    """A campaign config (``raw``, the JSON as given), checked and built once.
+
+    Everything a run uses is built here, so a config either runs or is
+    refused with a ``ConfigError`` before anything is simulated.
+    """
+
     raw: dict
 
     def __post_init__(self) -> None:
+        try:
+            self._build()
+        except ConfigError:
+            raise
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"invalid config: {type(exc).__name__}: {exc}") from exc
+
+    def _section(self, key: str) -> dict:
+        return {**DEFAULT_CONFIG[key], **self.raw.get(key, {})}
+
+    def _build(self) -> None:
         cfg = self.raw
+        if not isinstance(cfg, dict):
+            raise ConfigError("config must be a JSON object")
         _check_keys(cfg, _TOP_KEYS, "config")
         for required in ("scenario_types", "autopilots", "initial_states"):
             if not cfg.get(required):
                 raise ConfigError(f"config needs a non-empty {required!r} list")
-        _check_keys(cfg.get("grid", {}), _GRID_KEYS, "grid")
-        _check_keys(cfg.get("sim", {}), _SIM_KEYS, "sim")
-        _check_keys(cfg.get("profile", {}), _PROFILE_KEYS, "profile")
-        _check_keys(cfg.get("static", {}), _STATIC_KEYS, "static")
-        _check_keys(cfg.get("partition", {}), _PARTITION_KEYS, "partition")
-        for entry in cfg["autopilots"]:
-            if isinstance(entry, dict):
-                _check_keys(entry, _AUTOPILOT_KEYS, f"autopilot {entry.get('name')}")
-        try:
-            [ScenarioType(s) for s in cfg["scenario_types"]]
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        profile = self.base_profile()
-        for x_e, v_e in cfg["initial_states"]:
-            if v_e <= 0 or v_e > profile.v_max:
+        for section, allowed in _SECTION_KEYS.items():
+            _check_keys(cfg.get(section, {}), allowed, section)
+
+        self.scenario_types = [ScenarioType(s) for s in cfg["scenario_types"]]
+        p = self._section("profile")
+        self.profile = ADProfile.constant(p["a_max"], p["b_max"], p["v_max"])
+        s = self._section("static")
+        self._statics = {sc: static_from_dict({**s, "scenario_type": sc}) for sc in ScenarioType}
+        s = self._section("sim")
+        self._sim = SimConfig(dt=s["dt"], zone_epsilon=s["zone_epsilon"])
+        g = self.grid = self._section("grid")
+        if not all(type(g[k]) is int and g[k] >= 2 for k in ("n_a", "n_f")):
+            raise ConfigError(f"grid n_a and n_f must be integers >= 2: {g['n_a']!r}, {g['n_f']!r}")
+        bounds = [g[k] for k in ("a_lo", "a_hi_tilde", "f_lo", "f_hi")]
+        if not all(isinstance(b, (int, float)) for b in bounds) or min(bounds[:2]) <= 0:
+            raise ConfigError("grid bounds must be numbers, a_lo and a_hi_tilde positive")
+        self.partition = self._section("partition")
+
+        self.initial_states = [(x_e, v_e) for x_e, v_e in cfg["initial_states"]]
+        for x_e, v_e in self.initial_states:
+            if v_e <= 0 or v_e > self.profile.v_max:
                 raise ConfigError(f"initial speed {v_e} outside (0, v_max]")
-            if profile.braking_distance(v_e) > x_e:
+            if self.profile.braking_distance(v_e) > x_e:
                 raise ConfigError(
                     f"initial state ({x_e}, {v_e}) admits no cautious stop: "
                     "every generated case would be unwinnable"
                 )
 
-    def base_profile(self) -> ADProfile:
-        p = {**DEFAULT_CONFIG["profile"], **self.raw.get("profile", {})}
-        return ADProfile.constant(p["a_max"], p["b_max"], p["v_max"])
+        self.pilots = [self.build_autopilot(e) for e in cfg["autopilots"]]
+        names = [pilot.name for pilot in self.pilots]
+        dupes = sorted({n for n in names if names.count(n) > 1})
+        if dupes:
+            raise ConfigError(f"duplicate autopilot name(s) {dupes}")
+        self.braking_v0 = []  # start speed of each pilot's braking determinacy check
+        for pilot, entry in zip(self.pilots, cfg["autopilots"]):
+            v0 = entry.get("braking_check_v0") if isinstance(entry, dict) else None
+            v0 = 0.8 * pilot.profile.v_max if v0 is None else v0
+            if not 0 < v0 <= pilot.profile.v_max:
+                raise ConfigError(f"braking_check_v0 {v0} of {pilot.name!r} outside (0, v_max]")
+            self.braking_v0.append(v0)
 
     def static_for(self, scenario_type: ScenarioType) -> StaticPart:
-        s = {**DEFAULT_CONFIG["static"], **self.raw.get("static", {})}
-        sched = s.get("light_schedule")
-        return StaticPart(
-            scenario_type=scenario_type,
-            vl=s["vl"],
-            d=s["d"],
-            light_schedule=tuple(sched) if sched else None,
-        )
+        return self._statics[scenario_type]
 
     def sim_config(self) -> SimConfig:
-        s = {**DEFAULT_CONFIG["sim"], **self.raw.get("sim", {})}
-        return SimConfig(dt=s["dt"], zone_epsilon=s["zone_epsilon"])
-
-    def grid_spec(self) -> dict:
-        return {**DEFAULT_CONFIG["grid"], **self.raw.get("grid", {})}
-
-    def partition_spec(self) -> dict:
-        return {**DEFAULT_CONFIG["partition"], **self.raw.get("partition", {})}
+        return self._sim
 
     def build_autopilot(self, entry) -> AutopilotSpec | ExternalAutopilot:
-        return build_autopilot(entry, self.base_profile())
+        return build_autopilot(entry, self.profile)
 
 
 def build_autopilot(entry, default_profile: ADProfile) -> AutopilotSpec | ExternalAutopilot:
-    """Instantiate one autopilot from a config entry (dict, name, or exec:cmd)."""
-    if isinstance(entry, str):
-        if entry.startswith("exec:"):
-            return ExternalAutopilot(entry[len("exec:"):], default_profile)
+    """Instantiate one autopilot from a config entry (dict, name, or exec:cmd).
+
+    A built-in entry's keys outside ``_ENTRY_KEYS`` are keyword arguments of
+    its variant's factory, so a key the factory does not take is refused.
+    """
+    if isinstance(entry, str) and entry.startswith("exec:"):
+        entry = {"command": entry[len("exec:"):]}
+    elif isinstance(entry, str):
         entry = {"name": entry, "variant": entry}
-    profile = default_profile
-    if entry.get("profile"):
-        p = entry["profile"]
-        _check_keys(p, _PROFILE_KEYS, f"autopilot {entry.get('name')} profile")
-        profile = ADProfile.constant(p["a_max"], p["b_max"], p["v_max"])
-    if entry.get("command"):
-        return ExternalAutopilot(entry["command"], profile, name=entry.get("name"))
-    variant = entry.get("variant", "reference")
-    name = entry.get("name", variant)
+    if not isinstance(entry, dict):
+        raise ConfigError(f"autopilot entry {entry!r} is neither a name nor an object")
+    name = entry.get("name")
+    params = {k: v for k, v in entry.items() if k not in _ENTRY_KEYS}
     try:
-        if variant == "reference":
-            return ap_mod.reference(profile, name)
-        if variant == "transition_flawed":
-            return ap_mod.transition_flawed(profile, entry.get("optimism", 1.3), name)
-        if variant == "irrational":
-            region = entry["fail_region"]
-            fr = ((region[0][0], region[0][1]), (region[1][0], region[1][1]))
-            return ap_mod.irrational(profile, fr, name)
-        if variant == "overcautious":
-            return ap_mod.overcautious(profile, entry.get("margin_inflation", 1.15), name)
-        if variant == "non_determinate_brake":
-            rates = {float(k): float(v) for k, v in entry["rates"].items()}
-            return ap_mod.non_determinate_brake(profile, rates, name)
-        if variant == "non_determinate_accel":
-            rates = {float(k): float(v) for k, v in entry["rates"].items()}
-            return ap_mod.non_determinate_accel(profile, rates, name)
-        if variant == "always_cautious":
-            return ap_mod.always_cautious(profile, name)
-        if variant == "constant_speed":
-            return ap_mod.constant_speed(profile, name)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad autopilot entry {entry.get('name')!r}: {exc}") from exc
-    raise ConfigError(f"unknown autopilot variant {variant!r}")
+        profile = default_profile
+        if entry.get("profile"):
+            p = entry["profile"]
+            _check_keys(p, _SECTION_KEYS["profile"], f"autopilot {name!r} profile")
+            profile = ADProfile.constant(p["a_max"], p["b_max"], p["v_max"])
+        if entry.get("command"):
+            _check_keys(params, set(), f"external autopilot {name!r}")
+            return ExternalAutopilot(entry["command"], profile, name=name)
+        variant = entry.get("variant", "reference")
+        if variant not in FACTORIES:
+            raise ConfigError(f"unknown autopilot variant {variant!r}")
+        return FACTORIES[variant](profile, name=entry.get("name", variant), **params)
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad autopilot entry {name!r}: {type(exc).__name__}: {exc}") from exc
 
 
 def load_config(path: str | Path | None = None) -> CampaignConfig:
@@ -348,10 +355,10 @@ def _accumulate(cell: CampaignCell, report: dict) -> None:
 def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> CampaignReport:
     """Run the full pipeline and (optionally) persist raw grid reports."""
     cfg = config.raw
-    scenario_types = [ScenarioType(s) for s in cfg["scenario_types"]]
-    pilots = [config.build_autopilot(e) for e in cfg["autopilots"]]
-    states = [tuple(s) for s in cfg["initial_states"]]
-    grid_spec = config.grid_spec()
+    scenario_types = config.scenario_types
+    pilots = config.pilots
+    states = config.initial_states
+    grid_spec = config.grid
     sim_cfg = config.sim_config()
     workers = int(cfg.get("workers", 1))
     out_path = Path(out_dir) if out_dir is not None else None
@@ -398,7 +405,7 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
                     raw_file.write_text(json.dumps(report, sort_keys=True, indent=1))
             cells[(sc.value, pilot.name)] = cell
 
-    determinacy = _determinacy_summaries(config, pilots, scenario_types[0], states[0], sim_cfg)
+    determinacy = _determinacy_summaries(config, scenario_types[0], states[0], sim_cfg)
     coverage = _coverage_summaries(config, scenario_types)
 
     report = CampaignReport(
@@ -415,16 +422,13 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
     return report
 
 
-def _determinacy_summaries(config, pilots, scenario_type, state, sim_cfg) -> list[dict]:
+def _determinacy_summaries(config, scenario_type, state, sim_cfg) -> list[dict]:
     rows = []
     static = config.static_for(scenario_type)
     x_e, v_e = state
-    for pilot, entry in zip(pilots, config.raw["autopilots"]):
+    for pilot, v0 in zip(config.pilots, config.braking_v0):
         if isinstance(pilot, ExternalAutopilot):
             continue
-        v0 = (entry.get("braking_check_v0") if isinstance(entry, dict) else None) or (
-            0.8 * pilot.profile.v_max
-        )
         rates = [r for _, r in pilot.rate_by_initial_speed] or [pilot.profile.b_max]
         guard = 1.5 * v0 * v0 / (2.0 * min(rates)) + v0 * sim_cfg.dt
         row = {"autopilot": pilot.name, "maneuver": "braking", "v0": v0}
@@ -436,12 +440,7 @@ def _determinacy_summaries(config, pilots, scenario_type, state, sim_cfg) -> lis
             row.update(status="aborted", detail=str(exc))
         rows.append(row)
 
-        boundary = most_critical(x_e, v_e, pilot.profile, static)
-        probe = TestCase(
-            static=static, x_e=x_e, v_e=v_e,
-            x_a=boundary.x_hat_a + max(2.0 * static.vl * sim_cfg.dt, 1.0),
-            x_f=boundary.x_hat_f + 1.0, dt=sim_cfg.dt,
-        )
+        probe = progress_probe(static, x_e, v_e, pilot.profile, sim_cfg.dt)
         row = {"autopilot": pilot.name, "maneuver": "progress", "x_e": x_e, "v_e": v_e}
         try:
             rep = determinacy_check_progress(pilot, probe, cfg=sim_cfg)
@@ -454,9 +453,9 @@ def _determinacy_summaries(config, pilots, scenario_type, state, sim_cfg) -> lis
 
 
 def _coverage_summaries(config, scenario_types) -> list[dict]:
-    spec = config.partition_spec()
-    profile = config.base_profile()
-    x_e = config.raw["initial_states"][0][0]
+    spec = config.partition
+    profile = config.profile
+    x_e = config.initial_states[0][0]
     rows = []
     for sc in scenario_types:
         static = config.static_for(sc)

@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 
 from .autopilots import AutopilotSpec
 from .criticality import CriticalBoundary, Zone, classify_zone, most_critical
+from .kinematics import ADProfile, advance
 from .scenario import (
     DEFAULT_DT,
     Goal,
@@ -43,6 +44,7 @@ __all__ = [
     "rationality_check",
     "determinacy_check_braking",
     "determinacy_check_progress",
+    "progress_probe",
     "equivalence_check",
     "grid_report_dict",
 ]
@@ -241,14 +243,12 @@ class DeterminacyReport:
         return self.verdict_flips == 0 and self.max_deviation <= self.tol
 
 
-def _brake_trace(v0: float, rate: float, dt: float) -> list[tuple[float, float]]:
+def _brake_trace(v0: float, rate: float, dt: float, v_max: float) -> list[tuple[float, float]]:
     """States ``(travelled, speed)`` braking to a stop at a constant rate."""
     states = [(0.0, v0)]
     x, v = 0.0, v0
     while v > 0.0:
-        v1 = max(v - rate * dt, 0.0)
-        x += 0.5 * (v + v1) * dt
-        v = v1
+        x, v = advance(x, v, -rate, dt, v_max)
         states.append((x, v))
     return states
 
@@ -269,9 +269,12 @@ def determinacy_check_braking(
     """
     if restart_every < 1:
         raise ValueError("restart_every must be at least 1")
+    v_max = autopilot.profile.v_max
+    if v0 > v_max:
+        raise CheckAbortedError(f"braking check speed {v0} above v_max {v_max}")
     if tol is None:
         tol = v0 * dt + 0.25
-    base = _brake_trace(v0, autopilot.brake_rate_for(v0), dt)
+    base = _brake_trace(v0, autopilot.brake_rate_for(v0), dt, v_max)
     stop = base[-1][0]
     if stop > x_f:
         raise CheckAbortedError(
@@ -282,7 +285,7 @@ def determinacy_check_braking(
         x_i, v_i = base[i]
         if v_i <= 0.0:
             continue
-        fresh = _brake_trace(v_i, autopilot.brake_rate_for(v_i), dt)
+        fresh = _brake_trace(v_i, autopilot.brake_rate_for(v_i), dt, v_max)
         deviation = abs(x_i + fresh[-1][0] - stop)
         restarts.append(RestartRecord(t=i * dt, x=x_i, v=v_i, deviation=deviation))
     max_dev = max((r.deviation for r in restarts), default=0.0)
@@ -302,6 +305,19 @@ def _speed_at_conflict(outcome) -> Optional[float]:
             return prev.ego.v + w * (frame.ego.v - prev.ego.v)
         prev = frame
     return None
+
+
+def progress_probe(
+    static: StaticPart, x_e: float, v_e: float, profile: ADProfile, dt: float = DEFAULT_DT
+) -> TestCase:
+    """The crossing case a progress determinacy check starts from: just past
+    the safe-progress boundary, by two arriving-vehicle steps (at least 1 m)
+    in ``x_a`` and by 1 m in ``x_f``."""
+    b = most_critical(x_e, v_e, profile, static)
+    return TestCase(
+        static=static, x_e=x_e, v_e=v_e,
+        x_a=b.x_hat_a + max(2.0 * static.vl * dt, 1.0), x_f=b.x_hat_f + 1.0, dt=dt,
+    )
 
 
 def determinacy_check_progress(

@@ -19,7 +19,6 @@ from pathlib import Path
 
 from .autopilots import ExternalAutopilot
 from .campaign import (
-    DEFAULT_CONFIG,
     ConfigError,
     build_autopilot,
     load_config,
@@ -32,14 +31,15 @@ from .classify import (
     CheckAbortedError,
     determinacy_check_braking,
     determinacy_check_progress,
+    progress_probe,
 )
 from .criticality import most_critical
 from .kinematics import ADProfile
 from .partition import build_partition, coverage_ratio, envelope_samples
 from .scenario import (
+    HorizonError,
     ScenarioType,
     StaticPart,
-    TestCase,
     scenario_to_csv,
     scenario_to_json,
     test_case_from_dict,
@@ -57,25 +57,10 @@ def _parse_profile(text: str) -> ADProfile:
     return ADProfile.constant(a, b, vmax)
 
 
-def _parse_rates(text: str) -> dict[float, float]:
-    rates = {}
-    for part in text.split(","):
-        key, _, value = part.partition(":")
-        rates[float(key)] = float(value)
-    return rates
-
-
-def _build_autopilot(name: str, profile: ADProfile, rates: dict[float, float] | None):
-    if name.startswith("exec:"):
-        return ExternalAutopilot(name[len("exec:"):], profile)
-    for entry in DEFAULT_CONFIG["autopilots"]:
-        if entry["name"] == name:
-            entry = dict(entry)
-            if rates:
-                entry["rates"] = {str(k): v for k, v in rates.items()}
-            entry.pop("profile", None)  # the --profile flag wins
-            return build_autopilot(entry, profile)
-    raise SystemExit(f"unknown autopilot {name!r}")
+def _build_autopilot(name: str, profile: ADProfile, rates: dict[str, str] | None):
+    """A variant at its factory defaults (``rates`` aside), or ``exec:<cmd>``."""
+    entry = {"name": name, "variant": name, "rates": rates} if rates else name
+    return build_autopilot(entry, profile)
 
 
 def _default_out() -> str:
@@ -109,7 +94,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("campaign", help="run the full campaign pipeline")
     p.add_argument("--config", help="campaign config JSON (defaults built in)")
-    p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--workers", type=int, help="override the config worker count")
     p.add_argument("--out", default=None, help=f"output directory (default ${OUT_ENV})")
     p.add_argument("--format", default="markdown", choices=["markdown", "csv", "json"])
@@ -141,7 +125,14 @@ def main(argv=None) -> int:
     p.add_argument("--format", default="markdown", choices=["markdown", "csv", "json"])
 
     args = parser.parse_args(argv)
+    try:
+        return _run(args)
+    except (ConfigError, HorizonError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
+
+def _run(args: argparse.Namespace) -> int:
     if args.command == "critical":
         profile = _parse_profile(args.profile)
         static = StaticPart(ScenarioType(args.scenario_type), vl=args.vl, d=args.d)
@@ -155,9 +146,8 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "simulate":
-        profile = _parse_profile(args.profile)
-        pilot = _build_autopilot(args.autopilot, profile, None)
         tc = test_case_from_dict(json.loads(Path(args.testcase).read_text()), dt=args.dt)
+        pilot = _build_autopilot(args.autopilot, _parse_profile(args.profile), None)
         cfg = SimConfig(dt=args.dt, zone_epsilon=args.zone_epsilon)
         outcome = simulate(pilot, tc, cfg)
         vd = verdict(outcome)
@@ -178,24 +168,19 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "campaign":
-        try:
-            config = load_config(args.config)
-            if args.seed is not None:
-                config.raw["seed"] = args.seed
-            if args.workers is not None:
-                config.raw["workers"] = args.workers
-            out_dir = args.out or _default_out()
-            report = run_campaign(config, out_dir=out_dir)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 1
+        config = load_config(args.config)
+        if args.workers is not None:
+            config.raw["workers"] = args.workers
+        out_dir = args.out or _default_out()
+        report = run_campaign(config, out_dir=out_dir)
         write_outputs(report, out_dir)
         print(render_report(report, args.format))
         return 2 if report.any_failure else 0
 
     if args.command == "determinacy":
         profile = _parse_profile(args.profile)
-        rates = _parse_rates(args.rates) if args.rates else None
+        # JSON-shaped, as in a config entry: the factory converts the numbers.
+        rates = args.rates and dict(part.split(":", 1) for part in args.rates.split(","))
         pilot = _build_autopilot(args.autopilot, profile, rates)
         static = StaticPart(ScenarioType(args.scenario_type), vl=args.vl, d=args.d)
         result: dict = {"autopilot": pilot.name}
@@ -210,12 +195,7 @@ def main(argv=None) -> int:
             }
         except CheckAbortedError as exc:
             result["braking"] = {"status": "aborted", "detail": str(exc)}
-        b = most_critical(args.x_e, args.v_e, pilot.profile, static)
-        probe = TestCase(
-            static=static, x_e=args.x_e, v_e=args.v_e,
-            x_a=b.x_hat_a + max(2.0 * args.vl * args.dt, 1.0), x_f=b.x_hat_f + 1.0,
-            dt=args.dt,
-        )
+        probe = progress_probe(static, args.x_e, args.v_e, pilot.profile, args.dt)
         try:
             rep = determinacy_check_progress(
                 pilot, probe, restart_every=args.restart_every, cfg=SimConfig(dt=args.dt)
@@ -257,11 +237,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "report":
-        try:
-            report = report_from_raw(args.raw)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        report = report_from_raw(args.raw)
         text = render_report(report, args.format)
         if args.out:
             out = Path(args.out)

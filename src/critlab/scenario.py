@@ -48,6 +48,7 @@ __all__ = [
     "default_goal",
     "test_case_to_dict",
     "test_case_from_dict",
+    "static_from_dict",
     "scenario_to_dict",
     "scenario_to_csv",
 ]
@@ -343,7 +344,7 @@ def _static_to_dict(static: StaticPart) -> dict:
     }
 
 
-def _static_from_dict(data: dict) -> StaticPart:
+def static_from_dict(data: dict) -> StaticPart:
     sched = data.get("light_schedule")
     return StaticPart(
         scenario_type=ScenarioType(data["scenario_type"]),
@@ -368,7 +369,7 @@ def test_case_to_dict(tc: TestCase) -> dict:
 def test_case_from_dict(data: dict, dt: float = DEFAULT_DT) -> TestCase:
     """Inverse of ``test_case_to_dict``; a null horizon is sized for step ``dt``."""
     return TestCase(
-        static=_static_from_dict(data["static"]),
+        static=static_from_dict(data["static"]),
         x_e=data["x_e"],
         v_e=data["v_e"],
         x_a=data["x_a"],

@@ -1,9 +1,6 @@
 """Discrete-time closed-loop engine and per-run verdict.
 
-Integration per step (semi-implicit, trapezoidal position update):
-``v' = clamp(v + a*dt, 0, v_max)`` then ``x' = x + (v + v')/2 * dt``; the
-trapezoid removes forward Euler's first-order position bias, so closed-form
-boundary predictions hold to within one step at dt = 0.1 s.
+Each step integrates the ego with ``kinematics.advance``.
 
 Collision with the arriving vehicle is a crossing-order event: it fires when
 the ego has not cleared the conflict point by the time the arriving vehicle
@@ -20,6 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Protocol
 
+from .kinematics import advance
 from .scenario import (
     DEFAULT_DT,
     EgoState,
@@ -172,7 +170,6 @@ def simulate(
     overlap_after_arrival = False
     saw_cooccupancy = False
     saw_stop_before_zone = False
-    aborted = False
     steps = 0
 
     p, v = ego.x, ego.v
@@ -184,11 +181,9 @@ def simulate(
         a = decision.accel
         if not math.isfinite(a):
             events.append(Event(EventKind.ABORTED, i * dt))
-            aborted = True
             break
-        p0, v0 = p, v
-        v = min(max(v0 + a * dt, 0.0), v_max)
-        p = p0 + 0.5 * (v0 + v) * dt
+        p0 = p
+        p, v = advance(p, v, a, dt, v_max)
         t1 = (i + 1) * dt
         steps = i + 1
         if record or i == n - 1:
@@ -234,14 +229,7 @@ def simulate(
         if v <= _EPS and (p < -d or crossed) and arr < -d:
             break
     else:
-        if not aborted:
-            events.append(Event(EventKind.HORIZON_EXHAUSTED, n * dt))
-
-    if not record:
-        keep = [frames[0]]
-        if len(frames) > 1:
-            keep.append(frames[-1])
-        frames = keep
+        events.append(Event(EventKind.HORIZON_EXHAUSTED, n * dt))
 
     events.sort(key=lambda e: e.t)
     return SimOutcome(

@@ -119,6 +119,13 @@ class TestRunPolicy:
             assert abs(s1.v - s0.v) <= max_rate * 0.1 + 1e-9
             assert s1.x - s0.x == pytest.approx(0.5 * (s0.v + s1.v) * 0.1, abs=1e-9)
 
+    @pytest.mark.parametrize("x_a, x_f", [(30.0, 14.0), (22.0, 14.0), (30.0, 9.0)])
+    def test_matches_the_simulator_trace(self, std_profile, merge_static, x_a, x_f):
+        tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=x_a, x_f=x_f)
+        for spec in (reference(std_profile), transition_flawed(std_profile)):
+            frames = simulate(spec, tc, SimConfig(), record=True).scenario.frames
+            assert run_policy(spec, tc)[:len(frames)] == [f.ego for f in frames]
+
     def test_reproducible(self, std_profile, merge_static):
         tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=30.0, x_f=14.0)
         a = run_policy(reference(std_profile), tc)

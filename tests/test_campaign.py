@@ -349,3 +349,58 @@ class TestStepSize:
         assert sum(c.n_cells for c in report.cells.values()) == 8 * 4 * 9
         assert report.determinacy
         assert not any(c.protocol_error for c in report.cells.values())
+
+
+def one_type_raw(**overrides):
+    """A 1-type, 3x3 config as JSON, with top-level keys replaced."""
+    raw = json.loads(json.dumps(DEFAULT_CONFIG))
+    raw["scenario_types"] = ["merge_yield"]
+    raw["grid"] = {**raw["grid"], "n_a": 3, "n_f": 3}
+    raw.update(overrides)
+    return raw
+
+
+def _pilot(**entry):
+    return {"autopilots": [{"name": "p", "variant": "reference", **entry}]}
+
+
+class TestLoadTimeRejection:
+    """A config the schema accepts runs, or is refused at load with a ConfigError."""
+
+    @pytest.mark.parametrize("overrides", [
+        _pilot(profile={"a_max": 2.0, "v_max": 15.0}),
+        _pilot(profile={"a_max": -2.0, "b_max": 4.0, "v_max": 15.0}),
+        {"profile": {"a_max": -1.0, "b_max": 4.0, "v_max": 15.0}},
+        {"static": {"d": -1.0, "vl": 10.0, "light_schedule": None}},
+        {"static": {"d": 5.0, "vl": 10.0, "light_schedule": [0, 1]}},
+        {"sim": {"dt": 0, "zone_epsilon": 0.1}},
+        {"grid": {"n_a": 1}},
+        {"autopilots": [3]},
+        _pilot(optimism=5),
+        {"autopilots": [{"name": "ext", "command": "true", "optimism": 2}]},
+        _pilot(variant="irrational", fail_region=[[29.0, 35.0]]),
+        _pilot(variant="non_determinate_accel", rates=[1.0, 2.0]),
+        _pilot(braking_check_v0=40.0),
+        _pilot(braking_check_v0=0.0),
+    ], ids=[
+        "pilot-profile-missing-b_max", "pilot-profile-negative-a_max",
+        "base-profile-negative-a_max", "negative-d", "light-phase-zero", "dt-zero",
+        "one-cell-axis", "entry-not-an-object", "key-the-variant-does-not-take",
+        "key-an-external-pilot-does-not-take", "fail-region-one-axis", "rates-not-a-map",
+        "braking-check-above-v_max", "braking-check-zero",
+    ])
+    def test_refused_before_any_simulation(self, overrides, monkeypatch, tmp_path):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("simulated a grid")
+
+        monkeypatch.setattr(critlab.campaign, "run_grid", no_grid)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(one_type_raw(**overrides)))
+        with pytest.raises(ConfigError):
+            load_config(path)
+
+    def test_duplicate_autopilot_names(self):
+        pilots = [{"name": "a", "variant": "constant_speed"},
+                  {"name": "a", "variant": "always_cautious"}]
+        with pytest.raises(ConfigError, match="duplicate autopilot name"):
+            CampaignConfig(raw=one_type_raw(autopilots=pilots))

@@ -197,6 +197,11 @@ class TestBrakingDeterminacy:
         with pytest.raises(CheckAbortedError):
             determinacy_check_braking(pilot, 30.0, 50.0)
 
+    def test_start_above_v_max_aborts(self):
+        pilot = reference(ADProfile.constant(2.0, 4.0, 15.0))
+        with pytest.raises(CheckAbortedError, match="above v_max"):
+            determinacy_check_braking(pilot, 16.0, 150.0)
+
 
 class TestProgressDeterminacy:
     def _probe(self, profile, static, x_e=20.0, v_e=5.0):

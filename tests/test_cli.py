@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from critlab.cli import main
+from critlab.campaign import DEFAULT_CONFIG, build_autopilot, load_config
+from critlab.cli import _build_autopilot, main
+from critlab.kinematics import ADProfile
 from critlab.scenario import ScenarioType, StaticPart, TestCase
 from critlab.scenario import test_case_to_dict as tc_to_dict
 
@@ -156,3 +158,36 @@ class TestReportCommand:
 
     def test_missing_raw_dir(self, tmp_path):
         assert main(["report", "--raw", str(tmp_path / "nothing")]) == 1
+
+
+class TestErrorExits:
+    def test_simulate_horizon_too_short_for_dt(self, tmp_path, capsys):
+        tc_path = _write_testcase(tmp_path)
+        data = json.loads(tc_path.read_text())
+        data["horizon"] = 40
+        tc_path.write_text(json.dumps(data))
+        rc = main(["simulate", "--testcase", str(tc_path), "--dt", "0.05"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "horizon 40 too short" in err
+
+    def test_determinacy_rates_outside_the_profile(self, capsys):
+        rc = main(["determinacy", "--autopilot", "non_determinate_brake"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "maneuver rate 5.0" in err
+
+    def test_unknown_autopilot(self, tmp_path, capsys):
+        tc_path = _write_testcase(tmp_path)
+        assert main(["simulate", "--autopilot", "nope", "--testcase", str(tc_path)]) == 1
+        assert "unknown autopilot variant 'nope'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", DEFAULT_CONFIG["autopilots"], ids=lambda e: e["name"])
+def test_cli_variant_matches_the_default_config_entry(entry):
+    """``--autopilot NAME`` builds the spec the default config's entry NAME builds."""
+    base = load_config(None).profile
+    profile = ADProfile.constant(**entry["profile"]) if "profile" in entry else base
+    assert _build_autopilot(entry["name"], profile, None) == build_autopilot(entry, base)

@@ -10,6 +10,7 @@ from critlab.kinematics import (
     ADProfile,
     DomainError,
     TraceError,
+    advance,
     check_monotonicity,
     estimate_profile,
     load_table,
@@ -26,6 +27,15 @@ from _oracles import (
 @pytest.fixture(scope="module")
 def profile():
     return ADProfile.constant(2.0, 4.0, 15.0)
+
+
+class TestAdvance:
+    def test_trapezoidal_position_update(self):
+        assert advance(-10.0, 5.0, 2.0, 0.5, 15.0) == (-10.0 + 0.5 * (5.0 + 6.0) * 0.5, 6.0)
+
+    def test_speed_clamped_to_zero_and_v_max(self):
+        assert advance(0.0, 1.0, -4.0, 0.5, 15.0) == (0.25, 0.0)
+        assert advance(0.0, 14.5, 2.0, 0.5, 15.0) == (0.5 * (14.5 + 15.0) * 0.5, 15.0)
 
 
 class TestClosedForms:
