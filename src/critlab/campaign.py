@@ -31,8 +31,8 @@ from .classify import (
 )
 from .criticality import most_critical
 from .kinematics import ADProfile
-from .partition import build_partition, coverage_ratio
-from .scenario import ScenarioType, StaticPart, static_from_dict
+from .partition import build_partition, coverage_cap, coverage_ratio
+from .scenario import ScenarioType, StaticPart, TestCase, static_from_dict
 from .simulator import SimConfig
 
 __all__ = [
@@ -44,6 +44,7 @@ __all__ = [
     "load_config",
     "run_campaign",
     "build_autopilot",
+    "determinacy_rows",
     "render_report",
     "write_outputs",
     "cell_text",
@@ -157,7 +158,6 @@ class CampaignConfig:
         bounds = [g[k] for k in ("a_lo", "a_hi_tilde", "f_lo", "f_hi")]
         if not all(isinstance(b, (int, float)) for b in bounds) or min(bounds[:2]) <= 0:
             raise ConfigError("grid bounds must be numbers, a_lo and a_hi_tilde positive")
-        self.partition = self._section("partition")
 
         self.initial_states = [(x_e, v_e) for x_e, v_e in cfg["initial_states"]]
         for x_e, v_e in self.initial_states:
@@ -169,8 +169,22 @@ class CampaignConfig:
                     "every generated case would be unwinnable"
                 )
 
+        # The partition reads only the speed limit, which every scenario type
+        # shares, so one partition serves the coverage row of every type.
+        p = self._section("partition")
+        self.partition = build_partition(
+            self.initial_states[0][0], p["speeds"], self.profile,
+            self.static_for(self.scenario_types[0]),
+        )
+        self.coverage_steps = p["steps"]
+        self.x_f_cap = coverage_cap(self.partition, p["x_f_cap"], self.coverage_steps)
+
         self.pilots = [self.build_autopilot(e) for e in cfg["autopilots"]]
         names = [pilot.name for pilot in self.pilots]
+        for name in names:
+            # Each name is a directory under raw/: one path component.
+            if not isinstance(name, str) or name in ("", ".", "..") or "/" in name:
+                raise ConfigError(f"autopilot name {name!r} is not one non-empty path component")
         dupes = sorted({n for n in names if names.count(n) > 1})
         if dupes:
             raise ConfigError(f"duplicate autopilot name(s) {dupes}")
@@ -405,8 +419,8 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
                     raw_file.write_text(json.dumps(report, sort_keys=True, indent=1))
             cells[(sc.value, pilot.name)] = cell
 
-    determinacy = _determinacy_summaries(config, scenario_types[0], states[0], sim_cfg)
-    coverage = _coverage_summaries(config, scenario_types)
+    determinacy = _determinacy_summaries(config)
+    coverage = _coverage_summaries(config)
 
     report = CampaignReport(
         scenario_types=[s.value for s in scenario_types],
@@ -422,57 +436,71 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
     return report
 
 
-def _determinacy_summaries(config, scenario_type, state, sim_cfg) -> list[dict]:
+def determinacy_rows(
+    pilot: AutopilotSpec,
+    v0: float,
+    x_f: float,
+    probe: TestCase,
+    sim_cfg: SimConfig,
+    restart_every: int = 5,
+) -> tuple[dict, dict]:
+    """The braking row (from ``v0``, obstacle at ``x_f``) and the progress row
+    (restarts of ``probe``) of one built-in autopilot's determinacy checks.
+
+    A check whose baseline run is unusable gives a row with status
+    ``aborted`` (braking) or ``inapplicable`` (progress) and its ``detail``.
+    """
+    braking = {"autopilot": pilot.name, "maneuver": "braking", "v0": v0}
+    try:
+        rep = determinacy_check_braking(pilot, v0, x_f, restart_every=restart_every,
+                                        dt=sim_cfg.dt)
+        braking.update(status="ok", max_deviation=rep.max_deviation,
+                       tol=rep.tol, determinate=rep.determinate)
+    except CheckAbortedError as exc:
+        braking.update(status="aborted", detail=str(exc))
+
+    progress = {"autopilot": pilot.name, "maneuver": "progress",
+                "x_e": probe.x_e, "v_e": probe.v_e}
+    try:
+        rep = determinacy_check_progress(pilot, probe, restart_every=restart_every,
+                                         cfg=sim_cfg)
+        progress.update(status="ok", max_deviation=rep.max_deviation, tol=rep.tol,
+                        verdict_flips=rep.verdict_flips, determinate=rep.determinate)
+    except CheckAbortedError as exc:
+        progress.update(status="inapplicable", detail=str(exc))
+    return braking, progress
+
+
+def _determinacy_summaries(config) -> list[dict]:
+    """Both checks of every built-in autopilot, from the first type and start."""
     rows = []
-    static = config.static_for(scenario_type)
-    x_e, v_e = state
+    static = config.static_for(config.scenario_types[0])
+    x_e, v_e = config.initial_states[0]
+    sim_cfg = config.sim_config()
     for pilot, v0 in zip(config.pilots, config.braking_v0):
         if isinstance(pilot, ExternalAutopilot):
             continue
         rates = [r for _, r in pilot.rate_by_initial_speed] or [pilot.profile.b_max]
         guard = 1.5 * v0 * v0 / (2.0 * min(rates)) + v0 * sim_cfg.dt
-        row = {"autopilot": pilot.name, "maneuver": "braking", "v0": v0}
-        try:
-            rep = determinacy_check_braking(pilot, v0, guard, dt=sim_cfg.dt)
-            row.update(status="ok", max_deviation=rep.max_deviation,
-                       tol=rep.tol, determinate=rep.determinate)
-        except CheckAbortedError as exc:
-            row.update(status="aborted", detail=str(exc))
-        rows.append(row)
-
         probe = progress_probe(static, x_e, v_e, pilot.profile, sim_cfg.dt)
-        row = {"autopilot": pilot.name, "maneuver": "progress", "x_e": x_e, "v_e": v_e}
-        try:
-            rep = determinacy_check_progress(pilot, probe, cfg=sim_cfg)
-            row.update(status="ok", max_deviation=rep.max_deviation, tol=rep.tol,
-                       verdict_flips=rep.verdict_flips, determinate=rep.determinate)
-        except CheckAbortedError as exc:
-            row.update(status="inapplicable", detail=str(exc))
-        rows.append(row)
+        rows.extend(determinacy_rows(pilot, v0, guard, probe, sim_cfg))
     return rows
 
 
-def _coverage_summaries(config, scenario_types) -> list[dict]:
-    spec = config.partition
-    profile = config.profile
-    x_e = config.initial_states[0][0]
-    rows = []
-    for sc in scenario_types:
-        static = config.static_for(sc)
-        part = build_partition(x_e, spec["speeds"], profile, static)
-        cap = spec.get("x_f_cap") or 2.0 * profile.braking_distance(profile.v_max)
-        result = coverage_ratio(part, cap, spec.get("steps", 100))
-        rows.append(
-            {
-                "scenario_type": sc.value,
-                "x_e": x_e,
-                "speeds": list(spec["speeds"]),
-                "ratio": result.ratio,
-                "covered_volume": result.covered_volume,
-                "safe_volume": result.safe_volume,
-            }
-        )
-    return rows
+def _coverage_summaries(config) -> list[dict]:
+    part = config.partition
+    result = coverage_ratio(part, config.x_f_cap, config.coverage_steps)
+    return [
+        {
+            "scenario_type": sc.value,
+            "x_e": part.x_e,
+            "speeds": list(part.speeds),
+            "ratio": result.ratio,
+            "covered_volume": result.covered_volume,
+            "safe_volume": result.safe_volume,
+        }
+        for sc in config.scenario_types
+    ]
 
 
 # -- rendering -------------------------------------------------------------------

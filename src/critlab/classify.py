@@ -150,19 +150,16 @@ def _dominating_passes(grid: GridResult) -> dict[tuple[float, float], tuple[floa
     return out
 
 
-def classify_grid(
-    grid: GridResult, delta_margin: Optional[float] = None
-) -> GridClassification:
+def classify_grid(grid: GridResult) -> GridClassification:
     """Label every cell of a completed grid.
 
-    ``delta_margin`` sets how far beyond the critical corner a cautious pass
-    must sit before it counts as overcaution; the default is two environment
-    steps, the finest distinction the discretisation supports.
+    A cautious pass counts as overcaution only beyond the critical corner by
+    more than two environment steps, the finest distinction the
+    discretisation supports.
     """
     if not grid.cells:
         raise ValueError("grid is empty")
-    if delta_margin is None:
-        delta_margin = 2.0 * grid.static.vl * grid.dt
+    delta_margin = 2.0 * grid.static.vl * grid.dt
     b = grid.boundary
     labels: dict[tuple[float, float], str] = {}
     dominated = _dominating_passes(grid)
@@ -258,22 +255,21 @@ def determinacy_check_braking(
     v0: float,
     x_f: float,
     restart_every: int = 5,
-    tol: Optional[float] = None,
     dt: float = DEFAULT_DT,
 ) -> DeterminacyReport:
     """Compare a full braking run against fresh runs started mid-curve.
 
     The baseline brakes from ``v0`` to a stop; every ``restart_every``-th state
     of that curve seeds a fresh braking run whose rate the autopilot picks for
-    the restart speed.  Deviation is the gap between stopping positions.
+    the restart speed.  Deviation is the gap between stopping positions; the
+    tolerance is one step of travel at ``v0`` plus 0.25 m.
     """
     if restart_every < 1:
         raise ValueError("restart_every must be at least 1")
     v_max = autopilot.profile.v_max
     if v0 > v_max:
         raise CheckAbortedError(f"braking check speed {v0} above v_max {v_max}")
-    if tol is None:
-        tol = v0 * dt + 0.25
+    tol = v0 * dt + 0.25
     base = _brake_trace(v0, autopilot.brake_rate_for(v0), dt, v_max)
     stop = base[-1][0]
     if stop > x_f:
@@ -324,7 +320,6 @@ def determinacy_check_progress(
     autopilot: AutopilotSpec,
     tc: TestCase,
     restart_every: int = 5,
-    tol_v: float = 0.2,
     cfg: SimConfig = SimConfig(),
     goal: Optional[Goal] = None,
 ) -> DeterminacyReport:
@@ -332,7 +327,8 @@ def determinacy_check_progress(
 
     Each restart becomes a fresh test case: the ego resumes at the visited
     state while the environment is shifted to its state at that time.  The
-    report records verdict flips and the spread of conflict-point speeds.
+    report records verdict flips and the spread of conflict-point speeds,
+    tolerated up to 0.2 m/s.
     """
     if restart_every < 1:
         raise ValueError("restart_every must be at least 1")
@@ -375,7 +371,7 @@ def determinacy_check_progress(
     return DeterminacyReport(
         maneuver="progress",
         restarts=restarts,
-        tol=tol_v,
+        tol=0.2,
         max_deviation=max_dev,
         verdict_flips=flips,
     )
@@ -410,17 +406,11 @@ def equivalence_check(
 
 def grid_report_dict(grid: GridResult, cls: GridClassification) -> dict:
     """JSON-able report for one (autopilot, scenario, ego start) grid."""
-    b = grid.boundary
     return {
         "scenario_type": grid.static.scenario_type.value,
         "x_e": grid.x_e,
         "v_e": grid.v_e,
-        "boundary": {
-            "x_hat_a": b.x_hat_a,
-            "x_hat_f": b.x_hat_f,
-            "x_tilde_a": None if math.isinf(b.x_tilde_a) else b.x_tilde_a,
-            "cautious_feasible": b.cautious_feasible,
-        },
+        "boundary": grid.boundary.to_dict(),
         "grid": [
             {
                 "x_a": x_a,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -21,23 +20,18 @@ from .autopilots import ExternalAutopilot
 from .campaign import (
     ConfigError,
     build_autopilot,
+    determinacy_rows,
     load_config,
     render_report,
     report_from_raw,
     run_campaign,
     write_outputs,
 )
-from .classify import (
-    CheckAbortedError,
-    determinacy_check_braking,
-    determinacy_check_progress,
-    progress_probe,
-)
+from .classify import progress_probe
 from .criticality import most_critical
 from .kinematics import ADProfile
 from .partition import build_partition, coverage_ratio, envelope_samples
 from .scenario import (
-    HorizonError,
     ScenarioType,
     StaticPart,
     scenario_to_csv,
@@ -53,7 +47,7 @@ def _parse_profile(text: str) -> ADProfile:
     try:
         a, b, vmax = (float(p) for p in text.split(","))
     except ValueError as exc:
-        raise SystemExit(f"--profile expects 'a_max,b_max,v_max', got {text!r}") from exc
+        raise ConfigError(f"--profile expects 'a_max,b_max,v_max', got {text!r}") from exc
     return ADProfile.constant(a, b, vmax)
 
 
@@ -72,6 +66,10 @@ def _add_static_args(p: argparse.ArgumentParser) -> None:
                    choices=[s.value for s in ScenarioType])
     p.add_argument("--vl", type=float, default=10.0, help="speed limit, m/s")
     p.add_argument("--d", type=float, default=5.0, help="critical zone half-length, m")
+
+
+def _static(args: argparse.Namespace) -> StaticPart:
+    return StaticPart(ScenarioType(args.scenario_type), vl=args.vl, d=args.d)
 
 
 def main(argv=None) -> int:
@@ -127,22 +125,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except (ConfigError, HorizonError) as exc:
+    except ValueError as exc:  # a refused input: ConfigError, HorizonError, DomainError, ...
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
 def _run(args: argparse.Namespace) -> int:
     if args.command == "critical":
-        profile = _parse_profile(args.profile)
-        static = StaticPart(ScenarioType(args.scenario_type), vl=args.vl, d=args.d)
-        b = most_critical(args.x_e, args.v_e, profile, static)
-        print(json.dumps({
-            "x_hat_a": b.x_hat_a,
-            "x_hat_f": b.x_hat_f,
-            "x_tilde_a": None if math.isinf(b.x_tilde_a) else b.x_tilde_a,
-            "cautious_feasible": b.cautious_feasible,
-        }))
+        b = most_critical(args.x_e, args.v_e, _parse_profile(args.profile), _static(args))
+        print(json.dumps(b.to_dict()))
         return 0
 
     if args.command == "simulate":
@@ -178,46 +169,22 @@ def _run(args: argparse.Namespace) -> int:
         return 2 if report.any_failure else 0
 
     if args.command == "determinacy":
-        profile = _parse_profile(args.profile)
+        if args.autopilot.startswith("exec:"):
+            raise ConfigError(f"determinacy needs a built-in autopilot, got {args.autopilot!r}")
         # JSON-shaped, as in a config entry: the factory converts the numbers.
         rates = args.rates and dict(part.split(":", 1) for part in args.rates.split(","))
-        pilot = _build_autopilot(args.autopilot, profile, rates)
-        static = StaticPart(ScenarioType(args.scenario_type), vl=args.vl, d=args.d)
-        result: dict = {"autopilot": pilot.name}
-        try:
-            rep = determinacy_check_braking(
-                pilot, args.v0, args.x_f, restart_every=args.restart_every, dt=args.dt
-            )
-            result["braking"] = {
-                "max_deviation": rep.max_deviation,
-                "tol": rep.tol,
-                "determinate": rep.determinate,
-            }
-        except CheckAbortedError as exc:
-            result["braking"] = {"status": "aborted", "detail": str(exc)}
-        probe = progress_probe(static, args.x_e, args.v_e, pilot.profile, args.dt)
-        try:
-            rep = determinacy_check_progress(
-                pilot, probe, restart_every=args.restart_every, cfg=SimConfig(dt=args.dt)
-            )
-            result["progress"] = {
-                "max_deviation": rep.max_deviation,
-                "tol": rep.tol,
-                "verdict_flips": rep.verdict_flips,
-                "determinate": rep.determinate,
-            }
-        except CheckAbortedError as exc:
-            result["progress"] = {"status": "inapplicable", "detail": str(exc)}
-        print(json.dumps(result))
+        pilot = _build_autopilot(args.autopilot, _parse_profile(args.profile), rates)
+        probe = progress_probe(_static(args), args.x_e, args.v_e, pilot.profile, args.dt)
+        braking, progress = determinacy_rows(
+            pilot, args.v0, args.x_f, probe, SimConfig(dt=args.dt), args.restart_every
+        )
+        print(json.dumps({"autopilot": pilot.name, "braking": braking, "progress": progress}))
         return 0
 
     if args.command == "partition":
-        profile = _parse_profile(args.profile)
-        static = StaticPart(ScenarioType(args.scenario_type), vl=args.vl, d=args.d)
         speeds = [float(s) for s in args.speeds.split(",")]
-        part = build_partition(args.x_e, speeds, profile, static)
-        cap = args.x_f_cap or 2.0 * profile.braking_distance(profile.v_max)
-        result = coverage_ratio(part, cap, args.steps)
+        part = build_partition(args.x_e, speeds, _parse_profile(args.profile), _static(args))
+        result = coverage_ratio(part, args.x_f_cap, args.steps)
         print(json.dumps({
             "ratio": result.ratio,
             "covered_volume": result.covered_volume,

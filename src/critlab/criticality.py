@@ -53,6 +53,15 @@ class CriticalBoundary:
         if self.x_hat_a > self.x_tilde_a + 1e-9:
             raise ValueError("x_hat_a cannot exceed x_tilde_a")
 
+    def to_dict(self) -> dict:
+        """JSON form; an infinite ``x_tilde_a`` (stationary ego) becomes null."""
+        return {
+            "x_hat_a": self.x_hat_a,
+            "x_hat_f": self.x_hat_f,
+            "x_tilde_a": None if math.isinf(self.x_tilde_a) else self.x_tilde_a,
+            "cautious_feasible": self.cautious_feasible,
+        }
+
 
 class Zone(enum.Enum):
     CAUTIOUS_ONLY = "cautious_only"

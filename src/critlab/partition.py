@@ -24,6 +24,7 @@ __all__ = [
     "SpeedPartition",
     "CoverageResult",
     "build_partition",
+    "coverage_cap",
     "coverage_ratio",
     "envelope_samples",
 ]
@@ -84,20 +85,30 @@ def _interval_index(part: SpeedPartition, v: float) -> int:
     raise ValueError(f"speed {v} outside the partition range")
 
 
-def coverage_ratio(
-    part: SpeedPartition,
-    x_f_cap: float,
-    integration_steps: int | tuple[int, int, int] = 200,
-) -> CoverageResult:
-    """Midpoint-rule volume of staircase-covered versus exactly-safe space."""
-    if isinstance(integration_steps, int):
-        nv = na = nf = integration_steps
-    else:
-        nv, na, nf = integration_steps
+def coverage_cap(part: SpeedPartition, x_f_cap: float | None, steps: int) -> float:
+    """The ``x_f`` cap of a coverage integral over ``steps`` cells per axis.
+
+    A null cap means twice the braking distance from ``v_max``.  A cap below
+    the largest front corner, or a ``steps`` that is not a positive integer,
+    is refused.
+    """
+    if type(steps) is not int or steps < 1:
+        raise ValueError(f"integration steps must be an integer >= 1, got {steps!r}")
+    if x_f_cap is None:
+        x_f_cap = 2.0 * part.profile.braking_distance(part.profile.v_max)
     max_corner_f = max(f for _, f in part.corners)
     if x_f_cap < max_corner_f:
         raise ValueError(f"x_f_cap {x_f_cap} below the largest corner {max_corner_f:.3f}")
+    return x_f_cap
 
+
+def coverage_ratio(
+    part: SpeedPartition, x_f_cap: float | None, integration_steps: int = 200
+) -> CoverageResult:
+    """Midpoint-rule volume of staircase-covered versus exactly-safe space,
+    with ``integration_steps`` cells on each of the ``(v, x_a, x_f)`` axes."""
+    x_f_cap = coverage_cap(part, x_f_cap, integration_steps)
+    nv = na = nf = integration_steps
     v_hi, v_lo = part.speeds[0], part.speeds[-1]
     vl = part.static.vl
     x_a_cap = (part.x_e / v_lo) * vl  # largest undiscriminating threshold in range

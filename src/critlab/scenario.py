@@ -208,10 +208,9 @@ class TestCase:
 
 @dataclass(frozen=True)
 class Goal:
-    """Tested properties plus the acceptable terminal behaviours."""
+    """Tested properties; a run that stops short of the zone passes cautiously."""
 
     properties: frozenset[Property]
-    allow_cautious_stop: bool = True  # stopping before the zone counts as success
 
     def __post_init__(self) -> None:
         if not self.properties:

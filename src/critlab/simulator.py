@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Protocol
+from typing import Optional
 
 from .kinematics import advance
 from .scenario import (
@@ -62,18 +62,9 @@ class Event:
     t: float  # s
 
 
-class SteppingPolicy(Protocol):
-    """Anything with the autopilot per-step interface (built-in or external)."""
-
-    profile: object
-
-    def step(self, scene, static, memory, dt): ...
-
-
 @dataclass(frozen=True)
 class SimConfig:
     dt: float = DEFAULT_DT  # s
-    max_steps: Optional[int] = None  # defaults to the test case horizon
     zone_epsilon: float = 0.1  # m, boundary tolerance for crossing-order ties
 
     def __post_init__(self) -> None:
@@ -146,8 +137,6 @@ def simulate(
     zone; nothing can change after that.  Environment states are built only
     for the steps the run takes.
     """
-    if cfg.max_steps is not None and cfg.max_steps < tc.horizon:
-        raise ValueError(f"max_steps {cfg.max_steps} below horizon {tc.horizon}")
     dt = cfg.dt
     tc.check_horizon(dt)
     static = tc.static
@@ -271,6 +260,6 @@ def verdict(outcome: SimOutcome, goal: Optional[Goal] = None) -> Verdict:
             # a yield-then-go maneuver, safe but not a demonstrated crossing
             return Verdict(VerdictKind.CAUTIOUS_PASS)
         return Verdict(VerdictKind.FAIL, reason="no_stable_state_after_crossing")
-    if goal.allow_cautious_stop and stopped and final.x < -outcome.tc.static.d:
+    if stopped and final.x < -outcome.tc.static.d:
         return Verdict(VerdictKind.CAUTIOUS_PASS)
     return Verdict(VerdictKind.FAIL, reason="target_not_reached")

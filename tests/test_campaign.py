@@ -319,6 +319,20 @@ class TestGridDedup:
         assert cell_text(light) == "OF-PD (4/4)"
         assert cell_text(report.cells[("merge_yield", "reference")]) != cell_text(light)
 
+    def test_one_coverage_integral_for_all_types(self, monkeypatch):
+        calls = []
+        real = critlab.campaign.coverage_ratio
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(critlab.campaign, "coverage_ratio", counting)
+        report = run_campaign(four_type_config())
+        assert len(calls) == 1
+        assert [row.pop("scenario_type") for row in report.coverage] == report.scenario_types
+        assert all(row == report.coverage[0] for row in report.coverage)
+
     def test_raw_files_match_per_type_runs(self, tmp_path):
         joint = tmp_path / "joint"
         run_campaign(four_type_config(static=with_light([2.0, 2.0])), out_dir=joint)
@@ -382,12 +396,25 @@ class TestLoadTimeRejection:
         _pilot(variant="non_determinate_accel", rates=[1.0, 2.0]),
         _pilot(braking_check_v0=40.0),
         _pilot(braking_check_v0=0.0),
+        {"partition": {"speeds": [5.0, 10.0]}},
+        {"partition": {"speeds": [10.0]}},
+        {"partition": {"speeds": [20.0, 5.0]}},
+        {"partition": {"x_f_cap": 1.0}},
+        {"partition": {"steps": 0}},
+        {"partition": {"steps": "x"}},
+        _pilot(name=5),
+        _pilot(name="a/b"),
+        _pilot(name=""),
+        _pilot(name=".."),
     ], ids=[
         "pilot-profile-missing-b_max", "pilot-profile-negative-a_max",
         "base-profile-negative-a_max", "negative-d", "light-phase-zero", "dt-zero",
         "one-cell-axis", "entry-not-an-object", "key-the-variant-does-not-take",
         "key-an-external-pilot-does-not-take", "fail-region-one-axis", "rates-not-a-map",
         "braking-check-above-v_max", "braking-check-zero",
+        "partition-speeds-increasing", "partition-one-speed", "partition-speed-above-v_max",
+        "partition-cap-below-corner", "partition-zero-steps", "partition-steps-not-int",
+        "name-not-a-string", "name-with-slash", "name-empty", "name-dot-dot",
     ])
     def test_refused_before_any_simulation(self, overrides, monkeypatch, tmp_path):
         def no_grid(*args, **kwargs):

@@ -4,7 +4,13 @@ from pathlib import Path
 
 import pytest
 
-from critlab.campaign import DEFAULT_CONFIG, build_autopilot, load_config
+from critlab.campaign import (
+    DEFAULT_CONFIG,
+    CampaignConfig,
+    build_autopilot,
+    load_config,
+    run_campaign,
+)
 from critlab.cli import _build_autopilot, main
 from critlab.kinematics import ADProfile
 from critlab.scenario import ScenarioType, StaticPart, TestCase
@@ -124,6 +130,27 @@ class TestDeterminacyCommand:
         assert data["braking"]["determinate"] is False
         assert data["braking"]["max_deviation"] >= 20.0
 
+    @pytest.mark.parametrize("name", ["reference", "non_determinate_brake"])
+    def test_rows_match_the_campaign(self, name, capsys):
+        """``critlab determinacy`` prints the rows a campaign reports for the
+        same pilot, braking speed, obstacle and start."""
+        entry = next(e for e in DEFAULT_CONFIG["autopilots"] if e["name"] == name)
+        raw = json.loads(json.dumps(DEFAULT_CONFIG))
+        raw.update(scenario_types=["merge_yield"], autopilots=[entry],
+                   initial_states=[[25.0, 7.5]], grid={"n_a": 2, "n_f": 2})
+        report = run_campaign(CampaignConfig(raw=raw))
+        p = {**DEFAULT_CONFIG["profile"], **entry.get("profile", {})}
+        v0 = entry.get("braking_check_v0", 0.8 * p["v_max"])
+        rates = [float(r) for r in entry.get("rates", {}).values()] or [p["b_max"]]
+        guard = 1.5 * v0 * v0 / (2.0 * min(rates)) + v0 * 0.1  # the campaign's obstacle
+        rc = main([
+            "determinacy", "--autopilot", name, "--profile", "{a_max},{b_max},{v_max}".format(**p),
+            "--v0", repr(v0), "--x-f", repr(guard), "--x-e", "25", "--v-e", "7.5",
+        ])
+        assert rc == 0
+        data = json.loads(capsys.readouterr().out)
+        assert [data["braking"], data["progress"]] == report.determinacy
+
     def test_reference_clean(self, capsys):
         rc = main(["determinacy", "--autopilot", "reference", "--v0", "12"])
         assert rc == 0
@@ -178,6 +205,25 @@ class TestErrorExits:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert "maneuver rate 5.0" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["determinacy", "--autopilot", f"exec:{EXTERNAL} cautious"],
+        ["partition", "--x-e", "20", "--speeds", "5,10"],
+        ["partition", "--x-e", "20", "--speeds", "10,5", "--x-f-cap", "1"],
+        ["partition", "--x-e", "20", "--speeds", "10,5", "--steps", "0"],
+        ["critical", "--x-e", "0", "--v-e", "5"],
+        ["critical", "--x-e", "20", "--v-e", "5", "--profile", "2,-4,15"],
+        ["critical", "--x-e", "20", "--v-e", "5", "--vl", "0"],
+    ], ids=[
+        "determinacy-external", "partition-speeds-increasing", "partition-cap-below-corner",
+        "partition-zero-steps", "critical-zero-x_e", "critical-negative-b_max",
+        "critical-zero-vl",
+    ])
+    def test_bad_flags(self, argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error: ")
 
     def test_unknown_autopilot(self, tmp_path, capsys):
         tc_path = _write_testcase(tmp_path)

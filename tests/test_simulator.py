@@ -114,11 +114,6 @@ class TestEvents:
         assert out.has(EventKind.ABORTED)
         assert verdict(out).kind is VerdictKind.FAIL
 
-    def test_max_steps_below_horizon_rejected(self, std_profile, merge_static):
-        tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=30.0, x_f=14.0)
-        with pytest.raises(ValueError):
-            simulate(reference(std_profile), tc, SimConfig(max_steps=3))
-
 
 class TestDeterminismAndConsistency:
     def test_byte_identical_repeat(self, std_profile, merge_static, std_boundary):
