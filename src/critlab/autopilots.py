@@ -23,7 +23,9 @@ import subprocess
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
-from .kinematics import ADProfile, advance
+import numpy as np
+
+from .kinematics import ADProfile, advance, advance_arrays
 from .scenario import (
     CAUTIOUS_MARGIN,
     DEFAULT_DT,
@@ -49,6 +51,7 @@ __all__ = [
     "constant_speed",
     "FACTORIES",
     "step",
+    "step_arrays",
     "run_policy",
     "non_monotone_brake_profile",
 ]
@@ -286,6 +289,97 @@ def step(
         return Decision(mode="progress", accel=accel), memory
     accel = _cautious_accel(v, p, -(d + CAUTIOUS_MARGIN), brake_rate, dt)
     return Decision(mode="cautious", accel=accel), memory
+
+
+# -- decision logic over arrays of cells -------------------------------------------
+#
+# ``step_arrays`` decides for many cells of one ego start at once.  Each helper
+# is its scalar counterpart with ``np.where`` for the branches, performing the
+# same floating-point operations in the same order, so every entry equals what
+# ``step`` returns for that cell bit for bit; the closed forms are those of a
+# constant ``ADProfile`` on speeds already in ``[0, v_max]``.
+
+
+def _accel_time_arrays(profile: ADProfile, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    to_cap = (profile.v_max * profile.v_max - v * v) / (2.0 * profile.a_max)
+    ramp = (-v + np.sqrt(v * v + 2.0 * profile.a_max * x)) / profile.a_max
+    capped = (profile.v_max - v) / profile.a_max + (x - to_cap) / profile.v_max
+    return np.where(x <= to_cap, ramp, capped)
+
+
+def _accel_speed_arrays(profile: ADProfile, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return np.minimum(profile.v_max, np.sqrt(v * v + 2.0 * profile.a_max * x))
+
+
+def _progress_accel_arrays(
+    profile: ADProfile, p: np.ndarray, v: np.ndarray, budget: np.ndarray, accel_rate: float,
+    brake_rate: float, dt: float,
+) -> np.ndarray:
+    p1, v1 = advance_arrays(p, v, accel_rate, dt, profile.v_max)
+    room = budget - np.maximum(p1, 0.0)
+    return np.where(v1 * v1 / (2.0 * profile.b_max) <= room + _EPS, accel_rate, -brake_rate)
+
+
+def _cautious_accel_arrays(
+    v: np.ndarray, p: np.ndarray, target: float, brake_rate: float, dt: float
+) -> np.ndarray:
+    avail = target - p
+    brake = (avail <= 0.0) | (v * v / (2.0 * brake_rate) + v * dt >= avail)
+    return np.where(v <= _EPS, 0.0, np.where(brake, -brake_rate, 0.0))
+
+
+def step_arrays(
+    spec: AutopilotSpec,
+    p: np.ndarray,
+    v: np.ndarray,
+    arr_x: np.ndarray,
+    x_a0: np.ndarray,
+    x_f: np.ndarray,
+    v0: float,
+    static: StaticPart,
+    dt: float = DEFAULT_DT,
+) -> np.ndarray:
+    """``step`` for many cells at once: the commanded acceleration of each.
+
+    Every cell is a run of ``spec`` (constant profile) without extra vehicles.
+    ``p``, ``v`` (ego), ``arr_x`` (arriving vehicle now), ``x_a0`` (arriving
+    vehicle at t = 0) and ``x_f`` hold one entry per cell, and ``v0`` is the
+    ego speed at t = 0, which the cells share: ``x_a0``, ``x_f`` and ``v0``
+    are what a run's memory holds after its first step.  Speeds must lie in
+    ``[0, v_max]``.  Out-of-zone capability terms are computed for every cell
+    and discarded where unused, so callers silence numpy's invalid-value
+    warnings.
+    """
+    if spec.variant == "constant_speed":
+        return np.zeros_like(p)
+    profile = spec.profile
+    d = static.d
+    accel_rate = spec.accel_rate_for(v0)
+    brake_rate = spec.brake_rate_for(v0)
+
+    committed = p > -d
+    if spec.variant != "always_cautious":
+        x_now = -p
+        deadline = arr_x / static.vl
+        ta = _accel_time_arrays(profile, x_now, v)
+        need_front = _accel_speed_arrays(profile, x_now, v)
+        need_front = need_front * need_front / (2.0 * profile.b_max)  # braking_distance
+        if spec.variant == "transition_flawed":
+            deadline = deadline * spec.optimism
+        if spec.variant == "overcautious":
+            ta = ta * spec.margin_inflation
+            need_front = need_front * spec.margin_inflation
+        committed |= (ta <= deadline + _EPS) & (need_front <= x_f + _EPS)
+    accel = np.where(
+        committed,
+        _progress_accel_arrays(profile, p, v, x_f, accel_rate, brake_rate, dt),
+        _cautious_accel_arrays(v, p, -(d + CAUTIOUS_MARGIN), brake_rate, dt),
+    )
+    if spec.variant == "irrational" and spec.fail_region is not None:
+        (a_lo, a_hi), (f_lo, f_hi) = spec.fail_region
+        late = (a_lo <= x_a0) & (x_a0 <= a_hi) & (f_lo <= x_f) & (x_f <= f_hi)
+        accel = np.where(late, _cautious_accel_arrays(v, p, -d / 2.0, brake_rate, dt), accel)
+    return accel
 
 
 def run_policy(spec: AutopilotSpec, tc: TestCase, dt: float = DEFAULT_DT) -> list[EgoState]:

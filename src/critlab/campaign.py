@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -284,6 +285,9 @@ class CampaignReport:
     determinacy: list[dict]
     coverage: list[dict]
     meta: dict
+    # What the run did and how long each stage took; never part of the report
+    # files, which stay byte-identical from run to run.
+    metrics: dict = field(default_factory=dict)
 
     @property
     def any_failure(self) -> bool:
@@ -342,7 +346,8 @@ def _task_key(pilot_index: int, static: StaticPart, x_e: float, v_e: float) -> t
     return (pilot_index, x_e, v_e, light)
 
 
-def _one_grid(args) -> dict:
+def _one_grid(args) -> tuple[dict, dict]:
+    """The raw report of one grid, and its work counters (``GridResult.stats``)."""
     spec, static, x_e, v_e, grid_spec, sim_cfg = args
     boundary = most_critical(x_e, v_e, spec.profile, static)
     xa, xf = _grid_values(boundary, grid_spec)
@@ -350,7 +355,7 @@ def _one_grid(args) -> dict:
     cls = classify_grid(grid)
     report = grid_report_dict(grid, cls)
     report["autopilot"] = spec.name
-    return report
+    return report, grid.stats
 
 
 def _accumulate(cell: CampaignCell, report: dict) -> None:
@@ -390,12 +395,17 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
                     task_index[key] = len(builtin_tasks)
                     builtin_tasks.append((pilot, static, x_e, v_e, grid_spec, sim_cfg))
 
+    stage_s: dict[str, float] = {}
+    start = time.perf_counter()
     if workers > 1 and builtin_tasks:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_one_grid, builtin_tasks))
     else:
         results = [_one_grid(t) for t in builtin_tasks]
+    grid_stats = [stats for _, stats in results]
+    stage_s["builtin_grids"] = time.perf_counter() - start
 
+    start, external_s = time.perf_counter(), 0.0
     cells: dict[tuple[str, str], CampaignCell] = {}
     for i, pilot in enumerate(pilots):
         for sc in scenario_types:
@@ -403,13 +413,17 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
             static = config.static_for(sc)
             for x_e, v_e in states:
                 if isinstance(pilot, ExternalAutopilot):
+                    grid_start = time.perf_counter()
                     try:
-                        report = _one_grid((pilot, static, x_e, v_e, grid_spec, sim_cfg))
+                        report, stats = _one_grid((pilot, static, x_e, v_e, grid_spec, sim_cfg))
                     except ProtocolError:
                         cell.protocol_error = True
                         break
+                    finally:
+                        external_s += time.perf_counter() - grid_start
+                    grid_stats.append(stats)
                 else:
-                    report = {**results[task_index[_task_key(i, static, x_e, v_e)]],
+                    report = {**results[task_index[_task_key(i, static, x_e, v_e)]][0],
                               "scenario_type": sc.value}
                 _accumulate(cell, report)
                 if out_path is not None:
@@ -418,9 +432,15 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
                     raw_file = raw_dir / f"xe{x_e:g}_ve{v_e:g}.json"
                     raw_file.write_text(json.dumps(report, sort_keys=True, indent=1))
             cells[(sc.value, pilot.name)] = cell
+    stage_s["external_grids"] = external_s
+    stage_s["raw_files"] = time.perf_counter() - start - external_s
 
+    start = time.perf_counter()
     determinacy = _determinacy_summaries(config)
+    stage_s["determinacy"] = time.perf_counter() - start
+    start = time.perf_counter()
     coverage = _coverage_summaries(config)
+    stage_s["coverage"] = time.perf_counter() - start
 
     report = CampaignReport(
         scenario_types=[s.value for s in scenario_types],
@@ -429,11 +449,24 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
         determinacy=determinacy,
         coverage=coverage,
         meta={"seed": cfg.get("seed", 0), "dt": sim_cfg.dt, "workers": workers},
+        metrics=_run_metrics(grid_stats, stage_s),
     )
     for pilot in pilots:
         if isinstance(pilot, ExternalAutopilot):
             pilot.close()
     return report
+
+
+def _run_metrics(grid_stats: list[dict], stage_s: dict[str, float]) -> dict:
+    """``metrics.json``: the summed work counters of the grids simulated
+    (each distinct grid once) and the wall time of each stage, in seconds."""
+    grids = {"simulated": len(grid_stats)}
+    for stats in grid_stats:
+        for key, n in stats.items():
+            grids[key] = grids.get(key, 0) + n
+    cells = grids.get("cells", 0)
+    grids["early_exit_frac"] = grids.get("early_exits", 0) / cells if cells else 0.0
+    return {"grids": grids, "stage_s": stage_s}
 
 
 def determinacy_rows(

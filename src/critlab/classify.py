@@ -16,7 +16,7 @@ what remains is exactly the transition band along the critical frontier.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .autopilots import AutopilotSpec
@@ -30,7 +30,15 @@ from .scenario import (
     default_goal,
     equivalence_mutations,
 )
-from .simulator import SimConfig, VerdictKind, Verdict, simulate, verdict
+from .simulator import (
+    SimConfig,
+    VerdictKind,
+    Verdict,
+    lockstep_applies,
+    simulate,
+    simulate_lockstep,
+    verdict,
+)
 
 __all__ = [
     "CellResult",
@@ -74,6 +82,10 @@ class GridResult:
     x_f_values: tuple[float, ...]
     cells: dict[tuple[float, float], CellResult]
     dt: float = DEFAULT_DT
+    # Work counters: ``cells``, ``cell_steps`` (policy steps over all cells),
+    # ``early_exits`` (cells ended before their horizon), ``lockstep_steps``
+    # (array steps; 0 when simulated cell by cell) and ``scalar_simulate_calls``.
+    stats: dict[str, int] = field(default_factory=dict)
 
 
 def run_grid(
@@ -86,16 +98,35 @@ def run_grid(
     cfg: SimConfig = SimConfig(),
     goal: Optional[Goal] = None,
 ) -> GridResult:
-    """Simulate every geometry of the lattice under one autopilot."""
+    """Simulate every geometry of the lattice under one autopilot.
+
+    A built-in autopilot on a constant profile steps all cells together
+    (``simulate_lockstep``); any other runs ``simulate`` cell by cell.
+    """
     boundary = most_critical(x_e, v_e, autopilot.profile, static)
     goal = goal if goal is not None else default_goal(static)
-    cells: dict[tuple[float, float], CellResult] = {}
-    for x_a in x_a_values:
-        for x_f in x_f_values:
-            tc = TestCase(static=static, x_e=x_e, v_e=v_e, x_a=x_a, x_f=x_f, dt=cfg.dt)
-            zone = classify_zone(tc, boundary)
-            out = simulate(autopilot, tc, cfg, record=False)
-            cells[(x_a, x_f)] = CellResult(zone=zone, verdict=verdict(out, goal))
+    cases = [
+        TestCase(static=static, x_e=x_e, v_e=v_e, x_a=x_a, x_f=x_f, dt=cfg.dt)
+        for x_a in x_a_values
+        for x_f in x_f_values
+    ]
+    lockstep = lockstep_applies(autopilot, v_e)
+    if lockstep:
+        outcomes = simulate_lockstep(autopilot, cases, cfg)
+    else:
+        outcomes = [simulate(autopilot, tc, cfg, record=False) for tc in cases]
+    cells = {
+        (tc.x_a, tc.x_f): CellResult(zone=classify_zone(tc, boundary), verdict=verdict(out, goal))
+        for tc, out in zip(cases, outcomes)
+    }
+    steps = [out.steps for out in outcomes]
+    stats = {
+        "cells": len(outcomes),
+        "cell_steps": sum(steps),
+        "early_exits": sum(out.steps < out.tc.horizon for out in outcomes),
+        "lockstep_steps": max(steps, default=0) if lockstep else 0,
+        "scalar_simulate_calls": 0 if lockstep else len(outcomes),
+    }
     return GridResult(
         static=static,
         x_e=x_e,
@@ -105,6 +136,7 @@ def run_grid(
         x_f_values=tuple(x_f_values),
         cells=cells,
         dt=cfg.dt,
+        stats=stats,
     )
 
 

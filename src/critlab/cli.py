@@ -16,7 +16,7 @@ import os
 import sys
 from pathlib import Path
 
-from .autopilots import ExternalAutopilot
+from .autopilots import ExternalAutopilot, ProtocolError
 from .campaign import (
     ConfigError,
     build_autopilot,
@@ -125,7 +125,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except ValueError as exc:  # a refused input: ConfigError, HorizonError, DomainError, ...
+    # a refused input (ConfigError, HorizonError, DomainError, ...) or an
+    # external autopilot that broke the stdio protocol
+    except (ValueError, ProtocolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -140,7 +142,11 @@ def _run(args: argparse.Namespace) -> int:
         tc = test_case_from_dict(json.loads(Path(args.testcase).read_text()), dt=args.dt)
         pilot = _build_autopilot(args.autopilot, _parse_profile(args.profile), None)
         cfg = SimConfig(dt=args.dt, zone_epsilon=args.zone_epsilon)
-        outcome = simulate(pilot, tc, cfg)
+        try:
+            outcome = simulate(pilot, tc, cfg)
+        finally:
+            if isinstance(pilot, ExternalAutopilot):
+                pilot.close()
         vd = verdict(outcome)
         print(json.dumps({
             "verdict": vd.kind.value,
@@ -154,8 +160,6 @@ def _run(args: argparse.Namespace) -> int:
                 path.write_text(scenario_to_json(outcome.scenario))
             else:
                 path.write_text(scenario_to_csv(outcome.scenario))
-        if isinstance(pilot, ExternalAutopilot):
-            pilot.close()
         return 0
 
     if args.command == "campaign":
@@ -165,6 +169,8 @@ def _run(args: argparse.Namespace) -> int:
         out_dir = args.out or _default_out()
         report = run_campaign(config, out_dir=out_dir)
         write_outputs(report, out_dir)
+        metrics = json.dumps(report.metrics, sort_keys=True, indent=1)
+        (Path(out_dir) / "metrics.json").write_text(metrics + "\n")
         print(render_report(report, args.format))
         return 2 if report.any_failure else 0
 

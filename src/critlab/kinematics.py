@@ -23,9 +23,12 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 __all__ = [
     "ADProfile",
     "advance",
+    "advance_arrays",
     "DomainError",
     "TraceError",
     "MonotonicityViolation",
@@ -87,8 +90,8 @@ class ADProfile:
     table: tuple[tuple[float, float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.a_max <= 0 or self.b_max <= 0 or self.v_max <= 0:
-            raise DomainError("a_max, b_max and v_max must all be positive")
+        if not all(0.0 < c < math.inf for c in (self.a_max, self.b_max, self.v_max)):
+            raise DomainError("a_max, b_max and v_max must all be positive and finite")
         if self.kind not in ("constant", "tabulated"):
             raise DomainError(f"unknown profile kind {self.kind!r}")
         if self.kind == "tabulated":
@@ -273,6 +276,15 @@ def advance(x: float, v: float, a: float, dt: float, v_max: float) -> tuple[floa
     boundary predictions hold to within one step at dt = 0.1 s.
     """
     v1 = min(max(v + a * dt, 0.0), v_max)
+    return x + 0.5 * (v + v1) * dt, v1
+
+
+def advance_arrays(
+    x: np.ndarray, v: np.ndarray, a, dt: float, v_max: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``advance`` for arrays of states: the same operations in the same order,
+    so every entry equals the scalar step bit for bit."""
+    v1 = np.minimum(np.maximum(v + a * dt, 0.0), v_max)
     return x + 0.5 * (v + v1) * dt, v1
 
 

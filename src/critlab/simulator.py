@@ -8,6 +8,11 @@ reaches it (within a small boundary tolerance) while both are inside the
 critical zone.  An ego that crosses first is out of the arriving vehicle's
 way; mere co-occupancy of the zone is recorded as its own event and can be
 failed through the stricter ``NO_ZONE_COOCCUPANCY`` property.
+
+``simulate`` runs one case with any autopilot and is the reference.
+``simulate_lockstep`` runs the cells of a grid together, one numpy array step
+per time step, for the built-in autopilots on a constant profile; it gives
+every cell the outcome ``simulate`` gives it, without the recorded frames.
 """
 
 from __future__ import annotations
@@ -15,9 +20,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
-from .kinematics import advance
+import numpy as np
+
+from .autopilots import AutopilotSpec, step_arrays
+from .kinematics import advance, advance_arrays
 from .scenario import (
     DEFAULT_DT,
     EgoState,
@@ -39,6 +47,8 @@ __all__ = [
     "VerdictKind",
     "Verdict",
     "simulate",
+    "lockstep_applies",
+    "simulate_lockstep",
     "verdict",
 ]
 
@@ -232,6 +242,157 @@ def simulate(
         race_won=race_exempt,
         zone_epsilon=cfg.zone_epsilon,
     )
+
+
+def lockstep_applies(autopilot, v_e: float) -> bool:
+    """Whether ``simulate_lockstep`` can run this autopilot from speed ``v_e``:
+    a built-in variant on a constant profile, started no faster than its cap."""
+    return (
+        isinstance(autopilot, AutopilotSpec)
+        and autopilot.profile.kind == "constant"
+        and v_e <= autopilot.profile.v_max
+    )
+
+
+# Events that fire at the end of a step, in the order ``simulate`` appends
+# them within one step; a crossing comes before all of them.
+_STEP_EVENTS = (
+    EventKind.ZONE_COOCCUPANCY,
+    EventKind.COLLISION_ARRIVING,
+    EventKind.RED_LIGHT_ENTRY,
+    EventKind.COLLISION_FRONT,
+    EventKind.STOPPED_BEFORE_ZONE,
+    EventKind.HORIZON_EXHAUSTED,
+)
+_COOC, _COLL_A, _RED, _COLL_F, _STOP, _HORIZON = range(len(_STEP_EVENTS))
+
+
+def simulate_lockstep(
+    autopilot: AutopilotSpec,
+    cases: Sequence[TestCase],
+    cfg: SimConfig = SimConfig(),
+) -> list[SimOutcome]:
+    """``simulate(autopilot, tc, cfg, record=False)`` for every case at once.
+
+    The cases share their static part and ego start and carry no extra
+    vehicles, and ``lockstep_applies(autopilot, v_e)`` holds.  All cells take
+    each step together as numpy arrays, the environment in closed form; a
+    cell leaves the batch when its run would end, at the latest at its own
+    horizon.  Each outcome equals the scalar one in its events, final state,
+    step count, crossing and race, and carries no frames.
+    """
+    if not cases:
+        return []
+    first = cases[0]
+    static, x_e, v_e = first.static, first.x_e, first.v_e
+    if not lockstep_applies(autopilot, v_e):
+        raise ValueError(f"no lockstep engine for {autopilot!r} from v_e={v_e}")
+    for tc in cases:
+        if (tc.static, tc.x_e, tc.v_e) != (static, x_e, v_e) or tc.mutations:
+            raise ValueError("lockstep cases must share one start and carry no extra vehicles")
+        tc.check_horizon(cfg.dt)
+    dt = cfg.dt
+    d, vl, v_max = static.d, static.vl, autopilot.profile.v_max
+    race_grace = cfg.zone_epsilon / vl
+    n = len(cases)
+
+    x_a = np.array([tc.x_a for tc in cases])
+    x_f = np.array([tc.x_f for tc in cases])
+    t_arrive = x_a / vl
+    # Per-cell columns of the active cells; a finished cell is dropped from all.
+    cols = [
+        np.arange(n),  # index of the cell in ``cases``
+        np.full(n, -x_e), np.full(n, v_e),  # p, v
+        x_a, x_f, x_f - _EPS,
+        np.array([tc.horizon for tc in cases]),
+        t_arrive - _EPS, t_arrive + race_grace,
+    ] + [np.zeros(n, dtype=bool) for _ in range(5)]
+
+    # Results by cell: the step of each end-of-step event (-1: none), and so on.
+    event_step = np.full((len(_STEP_EVENTS), n), -1)
+    cross_step = np.full(n, -1)
+    t_cross = np.zeros(n)
+    final_p, final_v = np.zeros(n), np.zeros(n)
+    steps = np.zeros(n, dtype=int)
+    race_won = np.zeros(n, dtype=bool)
+
+    i = 0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        while cols[0].size:
+            (idx, p, v, xa, xf, xf_front, horizon, t_late, t_grace,
+             crossed, exempt, overlap, saw_cooc, saw_stop) = cols
+            a = step_arrays(autopilot, p, v, xa - vl * (i * dt), xa, xf, v_e, static, dt)
+            p0 = p
+            p, v = advance_arrays(p, v, a, dt, v_max)
+            t1 = (i + 1) * dt
+
+            new = ~crossed & (p >= 0.0)
+            if new.any():
+                pn, p0n = p[new], p0[new]
+                tc_new = np.where(pn <= p0n, t1, i * dt + dt * (0.0 - p0n) / (pn - p0n))
+                crossed[new] = True
+                exempt[new] = tc_new <= t_grace[new]
+                t_cross[idx[new]] = tc_new
+                cross_step[idx[new]] = i
+
+            arr = xa - vl * t1
+            both = (np.abs(p) <= d) & (np.abs(arr) <= d)
+            event_step[_COOC, idx[both & ~saw_cooc]] = i
+            saw_cooc |= both
+            overlap |= both & (t1 >= t_late)
+            hit = overlap & ~exempt & (crossed | (t1 > t_grace))
+            event_step[_COLL_A, idx[hit]] = i
+            going = ~hit
+
+            entered = going & (p >= -d) & (p0 < -d)
+            if entered.any():
+                light = static.light_at(t1)
+                if light is not None and light.value == "red":
+                    event_step[_RED, idx[entered]] = i
+            hit = going & (p >= xf_front) & (v > _EPS)
+            event_step[_COLL_F, idx[hit]] = i
+            going &= ~hit
+            stopped, short = v <= _EPS, p < -d
+            stop = going & ~saw_stop & stopped & short
+            event_step[_STOP, idx[stop]] = i
+            saw_stop |= stop
+            going &= ~(stopped & (short | crossed) & (arr < -d))
+            hit = going & (horizon == i + 1)
+            event_step[_HORIZON, idx[hit]] = i
+            going &= ~hit
+
+            cols = [idx, p, v, xa, xf, xf_front, horizon, t_late, t_grace,
+                    crossed, exempt, overlap, saw_cooc, saw_stop]
+            if not going.all():
+                done = idx[~going]
+                final_p[done], final_v[done] = p[~going], v[~going]
+                steps[done] = i + 1
+                race_won[done] = exempt[~going]
+                cols = [col[going] for col in cols]
+            i += 1
+
+    outcomes = []
+    columns = zip(cases, event_step.T.tolist(), cross_step.tolist(), t_cross.tolist(),
+                  final_p.tolist(), final_v.tolist(), steps.tolist(), race_won.tolist())
+    for tc, ev_steps, c_step, t_c, p_end, v_end, n_steps, won in columns:
+        # ``simulate`` sorts its events stably by time: by (time, step, order in step).
+        keyed = [((s + 1) * dt, s, k, kind)
+                 for k, (s, kind) in enumerate(zip(ev_steps, _STEP_EVENTS), 1) if s >= 0]
+        if c_step >= 0:
+            keyed.append((t_c, c_step, 0, EventKind.CROSSED_CONFLICT))
+        keyed.sort()
+        outcomes.append(SimOutcome(
+            tc=tc,
+            scenario=Scenario(static=static),
+            events=[Event(kind, t) for t, _, _, kind in keyed],
+            final=EgoState(p_end, v_end),
+            steps=n_steps,
+            t_cross=t_c if c_step >= 0 else None,
+            t_arrive=tc.x_a / vl,
+            race_won=won,
+            zone_epsilon=cfg.zone_epsilon,
+        ))
+    return outcomes
 
 
 def verdict(outcome: SimOutcome, goal: Optional[Goal] = None) -> Verdict:

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import critlab.campaign
+import critlab.classify
 from critlab.campaign import (
     CampaignCell,
     CampaignConfig,
@@ -260,6 +261,7 @@ class TestExternalInCampaign:
         cell = report.cells[("merge_yield", "ext_cautious")]
         assert not cell.protocol_error
         assert cell.n_cells == 16
+        assert report.metrics["grids"]["scalar_simulate_calls"] == 16
 
 
 class TestWorkers:
@@ -348,6 +350,35 @@ class TestGridDedup:
                 rel = path.relative_to(alone)
                 assert json.loads(path.read_text())["scenario_type"] == sc
                 assert (joint / rel).read_bytes() == path.read_bytes()
+
+
+class TestLockstepCampaign:
+    """The lockstep engine leaves every campaign output as the scalar path writes it."""
+
+    def _outputs(self, out):
+        files = {p.relative_to(out): p.read_bytes() for p in sorted((out / "raw").rglob("*.json"))}
+        for name in ("report.json", "report.md", "summary.csv"):
+            files[Path(name)] = (out / name).read_bytes()
+        return files
+
+    def test_outputs_match_the_scalar_path(self, tmp_path, monkeypatch):
+        raw = json.loads(json.dumps(DEFAULT_CONFIG))
+        raw["grid"] = {**raw["grid"], "n_a": 3, "n_f": 3}
+        raw["static"] = with_light([2.0, 2.0])
+        raw["partition"] = {"speeds": [10.0, 5.0], "x_f_cap": None, "steps": 20}
+        for path in ("lockstep", "scalar"):
+            if path == "scalar":
+                monkeypatch.setattr(critlab.classify, "lockstep_applies", lambda *args: False)
+            report = run_campaign(CampaignConfig(raw=raw), out_dir=tmp_path / path)
+            write_outputs(report, tmp_path / path)
+            stats = report.metrics["grids"]
+            assert stats["simulated"] == 8 * 4 * 2  # the light type is its own grid
+            assert stats["cells"] == stats["simulated"] * 9
+            assert stats["scalar_simulate_calls"] == (stats["cells"] if path == "scalar" else 0)
+            assert (stats["lockstep_steps"] > 0) == (path == "lockstep")
+        lockstep, scalar = self._outputs(tmp_path / "lockstep"), self._outputs(tmp_path / "scalar")
+        assert len(lockstep) == 8 * 4 * 4 + 3
+        assert lockstep == scalar
 
 
 class TestStepSize:

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from critlab.autopilots import ExternalAutopilot
 from critlab.campaign import (
     DEFAULT_CONFIG,
     CampaignConfig,
@@ -72,6 +73,25 @@ class TestSimulateCommand:
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["verdict"] == "cautious_pass"
 
+    def test_external_protocol_error_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        stopped = []
+        close = ExternalAutopilot.close
+
+        def recording_close(pilot):
+            proc = pilot._proc
+            close(pilot)
+            stopped.append(proc.poll() is not None)
+
+        monkeypatch.setattr(ExternalAutopilot, "close", recording_close)
+        rc = main([
+            "simulate", "--autopilot", f"exec:{EXTERNAL} garbage",
+            "--testcase", str(_write_testcase(tmp_path)),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: malformed decision line") and err.count("\n") == 1
+        assert stopped == [True]
+
     def test_json_trace_output(self, tmp_path, capsys):
         tc_path = _write_testcase(tmp_path)
         trace = tmp_path / "trace.json"
@@ -105,6 +125,20 @@ class TestCampaignCommand:
         ) or any(c["of"] for c in report["cells"])
         assert rc == (2 if any_fail else 0)
         assert "| Scenario type |" in out
+
+    def test_metrics_file_stays_out_of_the_report(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        main(["campaign", "--config", str(self._config_file(tmp_path)), "--out", str(out)])
+        metrics = json.loads((out / "metrics.json").read_text())
+        grids = metrics["grids"]
+        assert (grids["simulated"], grids["cells"], grids["scalar_simulate_calls"]) == (1, 25, 0)
+        assert 0 < grids["lockstep_steps"] <= grids["cell_steps"]
+        assert grids["early_exit_frac"] == grids["early_exits"] / 25
+        assert set(metrics["stage_s"]) == {
+            "builtin_grids", "external_grids", "raw_files", "determinacy", "coverage"
+        }
+        for name in ("report.json", "report.md", "summary.csv"):
+            assert "stage_s" not in (out / name).read_text()
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

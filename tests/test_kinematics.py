@@ -92,6 +92,9 @@ class TestClosedForms:
             profile.accel_time(-2.0, 5.0)
         with pytest.raises(DomainError):
             ADProfile.constant(0.0, 4.0, 15.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(DomainError):
+                ADProfile.constant(bad, 4.0, 15.0)
 
     def test_integration_oracle_grid(self, profile):
         """Closed forms agree with a dt=0.001 integration oracle on a 20x20 grid."""
