@@ -54,6 +54,7 @@ from .classify import (
     equivalence_check,
     rationality_check,
     run_grid,
+    run_grids,
 )
 from .partition import SpeedPartition, build_partition, coverage_ratio
 from .campaign import CampaignConfig, CampaignReport, load_config, render_report, run_campaign

@@ -222,11 +222,17 @@ def _progress_accel(
 
 
 def _cautious_accel(v: float, p: float, target: float, brake_rate: float, dt: float) -> float:
-    """Hold speed until the stop target requires braking, then brake fully."""
+    """Hold speed until the stop target requires braking, then brake fully.
+
+    Braking comes in whole steps of ``brake_rate * dt``, so it can leave a
+    residual speed below one step's worth.  That speed is braked off at once:
+    held, it would creep toward the target a fraction of a millimetre a step,
+    and the ego would still be rolling, short of the zone, at the horizon.
+    """
     if v <= _EPS:
         return 0.0
     avail = target - p
-    if avail <= 0.0:
+    if avail <= 0.0 or v <= brake_rate * dt:
         return -brake_rate
     if v * v / (2.0 * brake_rate) + v * dt >= avail:
         return -brake_rate
@@ -293,7 +299,7 @@ def step(
 
 # -- decision logic over arrays of cells -------------------------------------------
 #
-# ``step_arrays`` decides for many cells of one ego start at once.  Each helper
+# ``step_arrays`` decides for many cells, from any ego starts, at once.  Each helper
 # is its scalar counterpart with ``np.where`` for the branches, performing the
 # same floating-point operations in the same order, so every entry equals what
 # ``step`` returns for that cell bit for bit; the closed forms are those of a
@@ -312,8 +318,8 @@ def _accel_speed_arrays(profile: ADProfile, x: np.ndarray, v: np.ndarray) -> np.
 
 
 def _progress_accel_arrays(
-    profile: ADProfile, p: np.ndarray, v: np.ndarray, budget: np.ndarray, accel_rate: float,
-    brake_rate: float, dt: float,
+    profile: ADProfile, p: np.ndarray, v: np.ndarray, budget: np.ndarray,
+    accel_rate: np.ndarray, brake_rate: np.ndarray, dt: float,
 ) -> np.ndarray:
     p1, v1 = advance_arrays(p, v, accel_rate, dt, profile.v_max)
     room = budget - np.maximum(p1, 0.0)
@@ -321,10 +327,11 @@ def _progress_accel_arrays(
 
 
 def _cautious_accel_arrays(
-    v: np.ndarray, p: np.ndarray, target: float, brake_rate: float, dt: float
+    v: np.ndarray, p: np.ndarray, target: float, brake_rate: np.ndarray, dt: float
 ) -> np.ndarray:
     avail = target - p
-    brake = (avail <= 0.0) | (v * v / (2.0 * brake_rate) + v * dt >= avail)
+    brake = ((avail <= 0.0) | (v <= brake_rate * dt)
+             | (v * v / (2.0 * brake_rate) + v * dt >= avail))
     return np.where(v <= _EPS, 0.0, np.where(brake, -brake_rate, 0.0))
 
 
@@ -335,27 +342,27 @@ def step_arrays(
     arr_x: np.ndarray,
     x_a0: np.ndarray,
     x_f: np.ndarray,
-    v0: float,
+    accel_rate: np.ndarray,
+    brake_rate: np.ndarray,
     static: StaticPart,
     dt: float = DEFAULT_DT,
 ) -> np.ndarray:
     """``step`` for many cells at once: the commanded acceleration of each.
 
-    Every cell is a run of ``spec`` (constant profile) without extra vehicles.
-    ``p``, ``v`` (ego), ``arr_x`` (arriving vehicle now), ``x_a0`` (arriving
-    vehicle at t = 0) and ``x_f`` hold one entry per cell, and ``v0`` is the
-    ego speed at t = 0, which the cells share: ``x_a0``, ``x_f`` and ``v0``
-    are what a run's memory holds after its first step.  Speeds must lie in
-    ``[0, v_max]``.  Out-of-zone capability terms are computed for every cell
-    and discarded where unused, so callers silence numpy's invalid-value
-    warnings.
+    Every cell is a run of ``spec`` (constant profile) without extra vehicles,
+    from its own ego start.  ``p``, ``v`` (ego), ``arr_x`` (arriving vehicle
+    now), ``x_a0`` (arriving vehicle at t = 0), ``x_f`` and the maneuver rates
+    ``accel_rate`` and ``brake_rate`` hold one entry per cell; the rates are
+    ``spec.accel_rate_for(v_e)`` and ``spec.brake_rate_for(v_e)`` of the
+    cell's start speed, and ``x_a0``, ``x_f`` and ``v_e`` are what a run's
+    memory holds after its first step.  Speeds must lie in ``[0, v_max]``.
+    Out-of-zone capability terms are computed for every cell and discarded
+    where unused, so callers silence numpy's invalid-value warnings.
     """
     if spec.variant == "constant_speed":
         return np.zeros_like(p)
     profile = spec.profile
     d = static.d
-    accel_rate = spec.accel_rate_for(v0)
-    brake_rate = spec.brake_rate_for(v0)
 
     committed = p > -d
     if spec.variant != "always_cautious":

@@ -6,7 +6,8 @@ type) pair the runner classifies one grid per initial state, persists the raw
 per-grid JSON (so summaries can be regenerated without re-simulating), and
 aggregates a result matrix whose cells read like ``TF (9.0%) IS (4.2%)`` or
 ``OF-PD (2/4)``.  Grids of a built-in autopilot that differ only in scenario
-type are simulated once and written under every type.
+type are simulated and serialised once and written under every type, and all
+of its grids over one static part are simulated in one batch.
 """
 
 from __future__ import annotations
@@ -23,12 +24,14 @@ from pathlib import Path
 from .autopilots import FACTORIES, AutopilotSpec, ExternalAutopilot, ProtocolError
 from .classify import (
     CheckAbortedError,
+    GridResult,
     classify_grid,
     determinacy_check_braking,
     determinacy_check_progress,
     grid_report_dict,
     progress_probe,
-    run_grid,
+    run_grid,  # noqa: F401  re-exported: callers look it up on this module
+    run_grids,
 )
 from .criticality import most_critical
 from .kinematics import ADProfile
@@ -335,27 +338,60 @@ def _grid_values(boundary, spec: dict) -> tuple[list[float], list[float]]:
     return xa, xf
 
 
-def _task_key(pilot_index: int, static: StaticPart, x_e: float, v_e: float) -> tuple:
+def _task_key(pilot_index: int, static: StaticPart) -> tuple:
     # A built-in policy never reads the scenario type or the light, and the
     # type reaches a simulation only through the light and the red-light goal,
     # which cannot fire without a red phase.  So grids that differ in type
-    # alone are one grid: key them by pilot, start and the schedule in effect.
+    # alone are one grid: key a pilot's grids by the schedule in effect.
     light = static.light_schedule
     if static.scenario_type is not ScenarioType.INTERSECTION_LIGHT:
         light = None
-    return (pilot_index, x_e, v_e, light)
+    return (pilot_index, light)
 
 
-def _one_grid(args) -> tuple[dict, dict]:
-    """The raw report of one grid, and its work counters (``GridResult.stats``)."""
-    spec, static, x_e, v_e, grid_spec, sim_cfg = args
-    boundary = most_critical(x_e, v_e, spec.profile, static)
-    xa, xf = _grid_values(boundary, grid_spec)
-    grid = run_grid(spec, x_e, v_e, static, xa, xf, sim_cfg)
-    cls = classify_grid(grid)
-    report = grid_report_dict(grid, cls)
-    report["autopilot"] = spec.name
-    return report, grid.stats
+def _pilot_grids(args) -> tuple[list[dict], dict]:
+    """The raw reports of one pilot's grids over one static part, one per
+    start, and the work they took (``_work``)."""
+    spec, static, starts, grid_spec, sim_cfg = args
+    grids = []
+    for x_e, v_e in starts:
+        boundary = most_critical(x_e, v_e, spec.profile, static)
+        grids.append((x_e, v_e, *_grid_values(boundary, grid_spec)))
+    results = run_grids(spec, static, grids, sim_cfg)
+    reports = []
+    for grid in results:
+        report = grid_report_dict(grid, classify_grid(grid))
+        report["autopilot"] = spec.name
+        reports.append(report)
+    return reports, _work(results)
+
+
+def _work(grids: list[GridResult]) -> dict:
+    """The work counters of one ``run_grids`` call: its grids' ``stats``
+    summed, except the lockstep steps.  Its lockstep grids take one engine
+    call together, which steps as long as the longest of them."""
+    work = {"simulated": len(grids)}
+    for grid in grids:
+        for key, n in grid.stats.items():
+            work[key] = work.get(key, 0) + n
+    work["lockstep_steps"] = max(grid.stats["lockstep_steps"] for grid in grids)
+    work["lockstep_batches"] = int(work["lockstep_steps"] > 0)
+    return work
+
+
+# Stands in for the scenario type while a grid report is serialised, so that
+# one dump serves the raw file of every type.
+_TYPE_SLOT = "\0"
+
+
+def _raw_text_parts(report: dict) -> tuple[str, str]:
+    """``(head, tail)`` of a grid report's raw file text around its scenario
+    type: ``head + json.dumps(type) + tail`` is the file under that type.
+    Every key that sorts after ``scenario_type`` holds numbers or zone names,
+    so the last slot is the type's."""
+    text = json.dumps({**report, "scenario_type": _TYPE_SLOT}, sort_keys=True, indent=1)
+    head, _, tail = text.rpartition(json.dumps(_TYPE_SLOT))
+    return head, tail
 
 
 def _accumulate(cell: CampaignCell, report: dict) -> None:
@@ -382,32 +418,33 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
     workers = int(cfg.get("workers", 1))
     out_path = Path(out_dir) if out_dir is not None else None
 
-    builtin_tasks = []
-    task_index: dict[tuple, int] = {}
+    # One task per built-in pilot and schedule in effect, over the distinct starts.
+    starts = list(dict.fromkeys(states))
+    tasks: dict[tuple, tuple] = {}
     for i, pilot in enumerate(pilots):
         if isinstance(pilot, ExternalAutopilot):
             continue
         for sc in scenario_types:
             static = config.static_for(sc)
-            for x_e, v_e in states:
-                key = _task_key(i, static, x_e, v_e)
-                if key not in task_index:
-                    task_index[key] = len(builtin_tasks)
-                    builtin_tasks.append((pilot, static, x_e, v_e, grid_spec, sim_cfg))
+            tasks.setdefault(_task_key(i, static), (pilot, static, starts, grid_spec, sim_cfg))
 
     stage_s: dict[str, float] = {}
     start = time.perf_counter()
-    if workers > 1 and builtin_tasks:
+    if workers > 1 and tasks:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_one_grid, builtin_tasks))
+            results = list(pool.map(_pilot_grids, tasks.values()))
     else:
-        results = [_one_grid(t) for t in builtin_tasks]
-    grid_stats = [stats for _, stats in results]
+        results = [_pilot_grids(t) for t in tasks.values()]
+    builtin: dict[tuple, dict] = {}  # (task key, x_e, v_e) -> report
+    for key, (reports, _) in zip(tasks, results):
+        builtin.update({(key, x_e, v_e): report for (x_e, v_e), report in zip(starts, reports)})
+    work = [w for _, w in results]
     stage_s["builtin_grids"] = time.perf_counter() - start
 
     start, external_s = time.perf_counter(), 0.0
     cells: dict[tuple[str, str], CampaignCell] = {}
     for i, pilot in enumerate(pilots):
+        raw_parts: dict = {}  # grid key -> raw text parts, for this pilot's grids
         for sc in scenario_types:
             cell = CampaignCell(autopilot=pilot.name, scenario_type=sc.value)
             static = config.static_for(sc)
@@ -415,22 +452,27 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
                 if isinstance(pilot, ExternalAutopilot):
                     grid_start = time.perf_counter()
                     try:
-                        report, stats = _one_grid((pilot, static, x_e, v_e, grid_spec, sim_cfg))
+                        (report,), grid_work = _pilot_grids(
+                            (pilot, static, [(x_e, v_e)], grid_spec, sim_cfg))
                     except ProtocolError:
                         cell.protocol_error = True
                         break
                     finally:
                         external_s += time.perf_counter() - grid_start
-                    grid_stats.append(stats)
+                    work.append(grid_work)
+                    grid_key = None  # an external grid is its own: no other type shares it
                 else:
-                    report = {**results[task_index[_task_key(i, static, x_e, v_e)]][0],
-                              "scenario_type": sc.value}
+                    grid_key = (_task_key(i, static), x_e, v_e)
+                    report = builtin[grid_key]
                 _accumulate(cell, report)
                 if out_path is not None:
+                    if grid_key is None or grid_key not in raw_parts:
+                        raw_parts[grid_key] = _raw_text_parts(report)
+                    head, tail = raw_parts[grid_key]
                     raw_dir = out_path / "raw" / pilot.name / sc.value
                     raw_dir.mkdir(parents=True, exist_ok=True)
                     raw_file = raw_dir / f"xe{x_e:g}_ve{v_e:g}.json"
-                    raw_file.write_text(json.dumps(report, sort_keys=True, indent=1))
+                    raw_file.write_text(head + json.dumps(sc.value) + tail)
             cells[(sc.value, pilot.name)] = cell
     stage_s["external_grids"] = external_s
     stage_s["raw_files"] = time.perf_counter() - start - external_s
@@ -449,7 +491,7 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
         determinacy=determinacy,
         coverage=coverage,
         meta={"seed": cfg.get("seed", 0), "dt": sim_cfg.dt, "workers": workers},
-        metrics=_run_metrics(grid_stats, stage_s),
+        metrics=_run_metrics(work, stage_s),
     )
     for pilot in pilots:
         if isinstance(pilot, ExternalAutopilot):
@@ -457,12 +499,13 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
     return report
 
 
-def _run_metrics(grid_stats: list[dict], stage_s: dict[str, float]) -> dict:
-    """``metrics.json``: the summed work counters of the grids simulated
-    (each distinct grid once) and the wall time of each stage, in seconds."""
-    grids = {"simulated": len(grid_stats)}
-    for stats in grid_stats:
-        for key, n in stats.items():
+def _run_metrics(work: list[dict], stage_s: dict[str, float]) -> dict:
+    """``metrics.json``: the summed work counters (``_work``) of the grids
+    simulated (each distinct grid once) and the wall time of each stage, in
+    seconds."""
+    grids: dict = {}
+    for counters in work:
+        for key, n in counters.items():
             grids[key] = grids.get(key, 0) + n
     cells = grids.get("cells", 0)
     grids["early_exit_frac"] = grids.get("early_exits", 0) / cells if cells else 0.0

@@ -47,6 +47,7 @@ __all__ = [
     "RestartRecord",
     "DeterminacyReport",
     "CheckAbortedError",
+    "run_grids",
     "run_grid",
     "classify_grid",
     "rationality_check",
@@ -84,8 +85,67 @@ class GridResult:
     dt: float = DEFAULT_DT
     # Work counters: ``cells``, ``cell_steps`` (policy steps over all cells),
     # ``early_exits`` (cells ended before their horizon), ``lockstep_steps``
-    # (array steps; 0 when simulated cell by cell) and ``scalar_simulate_calls``.
+    # (the array steps this grid's cells were in the engine for: its longest
+    # run; 0 when simulated cell by cell) and ``scalar_simulate_calls``.
     stats: dict[str, int] = field(default_factory=dict)
+
+
+def run_grids(
+    autopilot: AutopilotSpec,
+    static: StaticPart,
+    grids: Sequence[tuple[float, float, Sequence[float], Sequence[float]]],
+    cfg: SimConfig = SimConfig(),
+    goal: Optional[Goal] = None,
+) -> list[GridResult]:
+    """Simulate every geometry of each lattice under one autopilot.
+
+    ``grids`` holds one ``(x_e, v_e, x_a_values, x_f_values)`` per grid, and
+    one ``GridResult`` comes back for each.  The cells of every grid that the
+    lockstep engine can run (``lockstep_applies``: a built-in autopilot on a
+    constant profile) take one ``simulate_lockstep`` call together; any other
+    grid runs ``simulate`` cell by cell.
+    """
+    goal = goal if goal is not None else default_goal(static)
+    grid_cases = [
+        [TestCase(static=static, x_e=x_e, v_e=v_e, x_a=x_a, x_f=x_f, dt=cfg.dt)
+         for x_a in x_a_values for x_f in x_f_values]
+        for x_e, v_e, x_a_values, x_f_values in grids
+    ]
+    batched = [lockstep_applies(autopilot, v_e) for _, v_e, _, _ in grids]
+    batch = [tc for cases, lockstep in zip(grid_cases, batched) if lockstep for tc in cases]
+    engine = iter(simulate_lockstep(autopilot, batch, cfg) if batch else [])
+    results = []
+    for (x_e, v_e, x_a_values, x_f_values), cases, lockstep in zip(grids, grid_cases, batched):
+        if lockstep:
+            outcomes = [next(engine) for _ in cases]
+        else:
+            outcomes = [simulate(autopilot, tc, cfg, record=False) for tc in cases]
+        boundary = most_critical(x_e, v_e, autopilot.profile, static)
+        cells = {
+            (tc.x_a, tc.x_f): CellResult(zone=classify_zone(tc, boundary),
+                                         verdict=verdict(out, goal))
+            for tc, out in zip(cases, outcomes)
+        }
+        steps = [out.steps for out in outcomes]
+        stats = {
+            "cells": len(outcomes),
+            "cell_steps": sum(steps),
+            "early_exits": sum(out.steps < out.tc.horizon for out in outcomes),
+            "lockstep_steps": max(steps, default=0) if lockstep else 0,
+            "scalar_simulate_calls": 0 if lockstep else len(outcomes),
+        }
+        results.append(GridResult(
+            static=static,
+            x_e=x_e,
+            v_e=v_e,
+            boundary=boundary,
+            x_a_values=tuple(x_a_values),
+            x_f_values=tuple(x_f_values),
+            cells=cells,
+            dt=cfg.dt,
+            stats=stats,
+        ))
+    return results
 
 
 def run_grid(
@@ -98,46 +158,8 @@ def run_grid(
     cfg: SimConfig = SimConfig(),
     goal: Optional[Goal] = None,
 ) -> GridResult:
-    """Simulate every geometry of the lattice under one autopilot.
-
-    A built-in autopilot on a constant profile steps all cells together
-    (``simulate_lockstep``); any other runs ``simulate`` cell by cell.
-    """
-    boundary = most_critical(x_e, v_e, autopilot.profile, static)
-    goal = goal if goal is not None else default_goal(static)
-    cases = [
-        TestCase(static=static, x_e=x_e, v_e=v_e, x_a=x_a, x_f=x_f, dt=cfg.dt)
-        for x_a in x_a_values
-        for x_f in x_f_values
-    ]
-    lockstep = lockstep_applies(autopilot, v_e)
-    if lockstep:
-        outcomes = simulate_lockstep(autopilot, cases, cfg)
-    else:
-        outcomes = [simulate(autopilot, tc, cfg, record=False) for tc in cases]
-    cells = {
-        (tc.x_a, tc.x_f): CellResult(zone=classify_zone(tc, boundary), verdict=verdict(out, goal))
-        for tc, out in zip(cases, outcomes)
-    }
-    steps = [out.steps for out in outcomes]
-    stats = {
-        "cells": len(outcomes),
-        "cell_steps": sum(steps),
-        "early_exits": sum(out.steps < out.tc.horizon for out in outcomes),
-        "lockstep_steps": max(steps, default=0) if lockstep else 0,
-        "scalar_simulate_calls": 0 if lockstep else len(outcomes),
-    }
-    return GridResult(
-        static=static,
-        x_e=x_e,
-        v_e=v_e,
-        boundary=boundary,
-        x_a_values=tuple(x_a_values),
-        x_f_values=tuple(x_f_values),
-        cells=cells,
-        dt=cfg.dt,
-        stats=stats,
-    )
+    """``run_grids`` of the one grid from ego start ``(x_e, v_e)``."""
+    return run_grids(autopilot, static, [(x_e, v_e, x_a_values, x_f_values)], cfg, goal)[0]
 
 
 @dataclass

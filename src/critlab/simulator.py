@@ -10,9 +10,10 @@ way; mere co-occupancy of the zone is recorded as its own event and can be
 failed through the stricter ``NO_ZONE_COOCCUPANCY`` property.
 
 ``simulate`` runs one case with any autopilot and is the reference.
-``simulate_lockstep`` runs the cells of a grid together, one numpy array step
-per time step, for the built-in autopilots on a constant profile; it gives
-every cell the outcome ``simulate`` gives it, without the recorded frames.
+``simulate_lockstep`` runs many cases over one static part together, one numpy
+array step per time step, for the built-in autopilots on a constant profile;
+it gives every case the outcome ``simulate`` gives it, without the recorded
+frames.
 """
 
 from __future__ import annotations
@@ -274,27 +275,31 @@ def simulate_lockstep(
 ) -> list[SimOutcome]:
     """``simulate(autopilot, tc, cfg, record=False)`` for every case at once.
 
-    The cases share their static part and ego start and carry no extra
-    vehicles, and ``lockstep_applies(autopilot, v_e)`` holds.  All cells take
-    each step together as numpy arrays, the environment in closed form; a
-    cell leaves the batch when its run would end, at the latest at its own
-    horizon.  Each outcome equals the scalar one in its events, final state,
-    step count, crossing and race, and carries no frames.
+    The cases share their static part and carry no extra vehicles; each has
+    its own ego start, and ``lockstep_applies(autopilot, tc.v_e)`` holds for
+    every one.  All cells take each step together as numpy arrays, the
+    environment in closed form; a cell leaves the batch when its run would
+    end, at the latest at its own horizon, so the batch takes as many array
+    steps as its longest run.  Each outcome equals the scalar one in its
+    events, final state, step count, crossing and race, and carries no frames.
     """
     if not cases:
         return []
-    first = cases[0]
-    static, x_e, v_e = first.static, first.x_e, first.v_e
-    if not lockstep_applies(autopilot, v_e):
-        raise ValueError(f"no lockstep engine for {autopilot!r} from v_e={v_e}")
+    static = cases[0].static
     for tc in cases:
-        if (tc.static, tc.x_e, tc.v_e) != (static, x_e, v_e) or tc.mutations:
-            raise ValueError("lockstep cases must share one start and carry no extra vehicles")
+        if not lockstep_applies(autopilot, tc.v_e):
+            raise ValueError(f"no lockstep engine for {autopilot!r} from v_e={tc.v_e}")
+        if tc.static != static or tc.mutations:
+            raise ValueError(
+                "lockstep cases must share one static part and carry no extra vehicles")
         tc.check_horizon(cfg.dt)
     dt = cfg.dt
     d, vl, v_max = static.d, static.vl, autopilot.profile.v_max
     race_grace = cfg.zone_epsilon / vl
     n = len(cases)
+    # A run's maneuver rates are fixed by its start speed.
+    rates = {v_e: (autopilot.accel_rate_for(v_e), autopilot.brake_rate_for(v_e))
+             for v_e in {tc.v_e for tc in cases}}
 
     x_a = np.array([tc.x_a for tc in cases])
     x_f = np.array([tc.x_f for tc in cases])
@@ -302,10 +307,12 @@ def simulate_lockstep(
     # Per-cell columns of the active cells; a finished cell is dropped from all.
     cols = [
         np.arange(n),  # index of the cell in ``cases``
-        np.full(n, -x_e), np.full(n, v_e),  # p, v
+        np.array([-tc.x_e for tc in cases]), np.array([tc.v_e for tc in cases]),  # p, v
         x_a, x_f, x_f - _EPS,
         np.array([tc.horizon for tc in cases]),
         t_arrive - _EPS, t_arrive + race_grace,
+        np.array([rates[tc.v_e][0] for tc in cases]),  # accel_rate
+        np.array([rates[tc.v_e][1] for tc in cases]),  # brake_rate
     ] + [np.zeros(n, dtype=bool) for _ in range(5)]
 
     # Results by cell: the step of each end-of-step event (-1: none), and so on.
@@ -319,9 +326,10 @@ def simulate_lockstep(
     i = 0
     with np.errstate(invalid="ignore", divide="ignore"):
         while cols[0].size:
-            (idx, p, v, xa, xf, xf_front, horizon, t_late, t_grace,
+            (idx, p, v, xa, xf, xf_front, horizon, t_late, t_grace, accel_rate, brake_rate,
              crossed, exempt, overlap, saw_cooc, saw_stop) = cols
-            a = step_arrays(autopilot, p, v, xa - vl * (i * dt), xa, xf, v_e, static, dt)
+            a = step_arrays(autopilot, p, v, xa - vl * (i * dt), xa, xf, accel_rate, brake_rate,
+                            static, dt)
             p0 = p
             p, v = advance_arrays(p, v, a, dt, v_max)
             t1 = (i + 1) * dt
@@ -361,7 +369,7 @@ def simulate_lockstep(
             event_step[_HORIZON, idx[hit]] = i
             going &= ~hit
 
-            cols = [idx, p, v, xa, xf, xf_front, horizon, t_late, t_grace,
+            cols = [idx, p, v, xa, xf, xf_front, horizon, t_late, t_grace, accel_rate, brake_rate,
                     crossed, exempt, overlap, saw_cooc, saw_stop]
             if not going.all():
                 done = idx[~going]

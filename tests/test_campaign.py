@@ -296,13 +296,14 @@ class TestGridDedup:
 
     def _grid_runs(self, monkeypatch, config):
         calls = Counter()
-        real = critlab.campaign.run_grid
+        real = critlab.campaign.run_grids
 
-        def counting(spec, x_e, v_e, *args, **kwargs):
-            calls[(spec.name, x_e, v_e)] += 1
-            return real(spec, x_e, v_e, *args, **kwargs)
+        def counting(spec, static, grids, *args, **kwargs):
+            for x_e, v_e, *_ in grids:
+                calls[(spec.name, x_e, v_e)] += 1
+            return real(spec, static, grids, *args, **kwargs)
 
-        monkeypatch.setattr(critlab.campaign, "run_grid", counting)
+        monkeypatch.setattr(critlab.campaign, "run_grids", counting)
         return run_campaign(config), calls
 
     def test_one_grid_per_pilot_and_start_without_light(self, monkeypatch):
@@ -320,6 +321,22 @@ class TestGridDedup:
         light = report.cells[("intersection_light", "reference")]
         assert cell_text(light) == "OF-PD (4/4)"
         assert cell_text(report.cells[("merge_yield", "reference")]) != cell_text(light)
+
+    @pytest.mark.parametrize("schedule, batches", [(None, 2), ([2.0, 2.0], 4)])
+    def test_one_engine_call_per_pilot_and_schedule(self, monkeypatch, schedule, batches):
+        calls = []
+        real = critlab.classify.simulate_lockstep
+
+        def counting(spec, cases, *args, **kwargs):
+            calls.append((spec.name, {(tc.x_e, tc.v_e) for tc in cases}))
+            return real(spec, cases, *args, **kwargs)
+
+        monkeypatch.setattr(critlab.classify, "simulate_lockstep", counting)
+        report = run_campaign(four_type_config(static=with_light(schedule)))
+        assert len(calls) == batches
+        starts = set(map(tuple, DEFAULT_CONFIG["initial_states"]))
+        assert all(batch_starts == starts for _, batch_starts in calls)
+        assert report.metrics["grids"]["lockstep_batches"] == batches
 
     def test_one_coverage_integral_for_all_types(self, monkeypatch):
         calls = []

@@ -1,5 +1,6 @@
 """The lockstep grid engine against the scalar reference ``simulate``."""
 
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -18,11 +19,12 @@ from critlab.autopilots import (
 from critlab.classify import run_grid
 from critlab.kinematics import ADProfile
 from critlab.scenario import ScenarioType, StaticPart, TestCase, equivalence_mutations
-from critlab.simulator import SimConfig, simulate, simulate_lockstep, verdict
+from critlab.simulator import SimConfig, VerdictKind, simulate, simulate_lockstep, verdict
 
 EXTERNAL = f"{sys.executable} {Path(__file__).parent / 'external_pilot.py'}"
 STD = ADProfile.constant(2.0, 4.0, 15.0)
 MERGE = StaticPart(ScenarioType.MERGE_YIELD, vl=10.0, d=5.0)
+LANE = StaticPart(ScenarioType.LANE_CHANGE, vl=10.0, d=5.0)
 
 
 def _distances(lo, hi):
@@ -38,7 +40,7 @@ def _bounds(draw, values):
 
 @st.composite
 def grids(draw, variant):
-    """A ``variant`` pilot, a static part, a start, unsorted axes and a run config."""
+    """A ``variant`` pilot, a static part, 1-3 starts, unsorted axes and a run config."""
     profile = ADProfile.constant(
         draw(st.floats(0.5, 5.0)), draw(st.floats(1.0, 10.0)), draw(st.floats(5.0, 40.0))
     )
@@ -46,8 +48,8 @@ def grids(draw, variant):
     schedule = draw(st.none() | st.tuples(st.floats(0.5, 5.0), st.floats(0.5, 5.0)))
     static = StaticPart(scenario_type, vl=draw(st.floats(5.0, 20.0)),
                         d=draw(st.floats(1.0, 8.0)), light_schedule=schedule)
-    x_e = draw(_distances(1.0, 80.0))
-    v_e = draw(st.floats(0.0, profile.v_max))
+    starts = draw(st.lists(st.tuples(_distances(1.0, 80.0), st.floats(0.0, profile.v_max)),
+                           min_size=1, max_size=3))
     x_as = draw(st.lists(_distances(1.0, 80.0), min_size=1, max_size=3))
     x_fs = draw(st.lists(_distances(0.5, 60.0), min_size=1, max_size=3))
     cfg = SimConfig(dt=draw(st.sampled_from([0.1, 0.05, 0.02])),
@@ -64,7 +66,7 @@ def grids(draw, variant):
         params["rates"] = draw(st.dictionaries(
             st.floats(0.0, profile.v_max), st.floats(0.1, limit), min_size=1, max_size=3))
     pilot = FACTORIES[variant](profile, **params)
-    return pilot, static, x_e, v_e, x_as, x_fs, cfg
+    return pilot, static, starts, x_as, x_fs, cfg
 
 
 def _observed(out):
@@ -74,18 +76,20 @@ def _observed(out):
 
 
 def _check_every_cell(grid):
-    pilot, static, x_e, v_e, x_as, x_fs, cfg = grid
+    """Every cell of one batch over all the starts equals its scalar run."""
+    pilot, static, starts, x_as, x_fs, cfg = grid
     cases = [TestCase(static=static, x_e=x_e, v_e=v_e, x_a=x_a, x_f=x_f, dt=cfg.dt)
-             for x_a in x_as for x_f in x_fs]
+             for x_e, v_e in starts for x_a in x_as for x_f in x_fs]
     for tc, out in zip(cases, simulate_lockstep(pilot, cases, cfg), strict=True):
         assert out.tc is tc
         assert _observed(out) == _observed(simulate(pilot, tc, cfg, record=False))
 
 
-# A creeping start: the cautious stop from 12.001 m/s leaves 0.001 m/s, 5.503 m
-# short of the conflict point, so the run goes to its horizon and fails
-# target_not_reached.
-CREEPING = (always_cautious(STD), MERGE, 35.0, 12.001, [60.0], [20.0], SimConfig())
+# A start whose cautious stop brakes in whole steps down to a residual
+# 0.001 m/s short of the zone; the rule brakes that speed off, so the run ends
+# stopped at x = -5.516, a cautious pass.  Batched with two default starts.
+CREEPING = (always_cautious(STD), MERGE, [(35.0, 12.001), (20.0, 5.0), (30.0, 10.0)],
+            [60.0], [20.0], SimConfig())
 
 
 @pytest.mark.parametrize("variant", sorted(FACTORIES))
@@ -96,11 +100,23 @@ def test_every_cell_equals_scalar_simulate(variant):
     settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])(test)()
 
 
+def test_a_cautious_stop_brakes_off_its_residual_speed():
+    tc = TestCase(static=MERGE, x_e=35.0, v_e=12.001, x_a=60.0, x_f=20.0)
+    pilot = always_cautious(STD)
+    for out in (simulate(pilot, tc), simulate_lockstep(pilot, [tc])[0]):
+        assert out.steps == 66
+        assert out.final.v == 0.0
+        assert out.final.x == pytest.approx(-5.516, abs=1e-3)
+        assert verdict(out).kind is VerdictKind.CAUTIOUS_PASS
+
+
 def test_refuses_cases_it_cannot_batch():
     cases = [TestCase(static=MERGE, x_e=20.0, v_e=5.0, x_a=30.0, x_f=15.0),
-             TestCase(static=MERGE, x_e=25.0, v_e=5.0, x_a=30.0, x_f=15.0)]
+             TestCase(static=LANE, x_e=20.0, v_e=5.0, x_a=30.0, x_f=15.0)]
     with pytest.raises(ValueError):
-        simulate_lockstep(reference(STD), cases)  # two starts
+        simulate_lockstep(reference(STD), cases)  # two static parts
+    with pytest.raises(ValueError):  # one start of several above v_max
+        simulate_lockstep(reference(STD), [cases[0], dataclasses.replace(cases[0], v_e=16.0)])
     with pytest.raises(ValueError):
         simulate_lockstep(reference(STD), equivalence_mutations(cases[0], 10.0))
     with pytest.raises(ValueError):
