@@ -18,8 +18,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import selectors
 import shlex
 import subprocess
+import time
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
@@ -41,6 +44,8 @@ __all__ = [
     "AutopilotSpec",
     "ProtocolError",
     "ExternalAutopilot",
+    "STEP_DEADLINE_S",
+    "STDERR_TAIL_BYTES",
     "reference",
     "transition_flawed",
     "irrational",
@@ -409,6 +414,24 @@ def run_policy(spec: AutopilotSpec, tc: TestCase, dt: float = DEFAULT_DT) -> lis
 
 # -- external autopilot bridge ----------------------------------------------------
 
+# Seconds an external autopilot has to take one scene and answer it.  A pilot
+# that misses it is killed, and the next case starts a fresh process.
+STEP_DEADLINE_S = 10.0
+# The last bytes of a pilot's stderr, appended to every ``ProtocolError``.
+STDERR_TAIL_BYTES = 2048
+_READ_SIZE = 65536
+
+
+def _number(x) -> str:
+    """``json.dumps(x)`` of a scene number, at the cost of one ``repr``.
+
+    ``float.__repr__`` is what ``json`` writes for a finite float, numpy
+    floats included, where ``repr`` would write ``np.float64(...)``.
+    """
+    if isinstance(x, float) and math.isfinite(x):
+        return float.__repr__(x)
+    return json.dumps(x)
+
 
 class ExternalAutopilot:
     """Drives an external process over a line-delimited JSON stdio protocol.
@@ -421,25 +444,151 @@ class ExternalAutopilot:
          "static": {"scenario_type": ..., "d": ..., "vl": ...}}
 
     and reads one decision per line: ``{"mode": "progress"|"cautious",
-    "accel": <float>}``.
+    "accel": <float>}``.  Every test case starts with a ``t == 0.0`` scene.
+    One process serves case after case; whether it is still alive is checked
+    when a case starts, and it must take and answer each scene within
+    ``STEP_DEADLINE_S``.  Its stderr is kept in a bounded tail, drained while
+    the bridge waits for a reply.
     """
 
     def __init__(self, command: str, profile: ADProfile, name: Optional[str] = None):
         self.name = name or f"exec:{command}"
         self.profile = profile
-        self._command = command
+        self._argv = shlex.split(command)
+        if not self._argv:
+            raise ValueError("external autopilot command is empty")
         self._proc: Optional[subprocess.Popen] = None
+        self._static: Optional[StaticPart] = None
+        self._dt = ""
+        self._template = ""
 
-    def _ensure_started(self) -> subprocess.Popen:
-        if self._proc is None or self._proc.poll() is not None:
-            self._proc = subprocess.Popen(
-                shlex.split(self._command),
+    def _start(self) -> None:
+        self._stop()
+        try:
+            proc = subprocess.Popen(
+                self._argv,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
-                text=True,
-                bufsize=1,
+                stderr=subprocess.PIPE,
+                bufsize=0,
             )
-        return self._proc
+        except OSError as exc:  # no such program, not executable, ...
+            raise ProtocolError(f"external autopilot did not start: {exc}") from exc
+        streams = (proc.stdin, proc.stdout, proc.stderr)
+        self._in, self._out, self._err = (s.fileno() for s in streams)  # type: ignore[union-attr]
+        for fd in (self._in, self._out, self._err):
+            os.set_blocking(fd, False)
+        self._sel = selectors.DefaultSelector()
+        self._sel.register(self._out, selectors.EVENT_READ)
+        self._sel.register(self._err, selectors.EVENT_READ)
+        self._stderr_open = True
+        self._stderr = b""
+        self._buf = b""
+        self._proc = proc
+
+    def _stop(self) -> None:
+        """End the process, if any, and release its pipes and the selector."""
+        proc, self._proc = self._proc, None
+        if proc is None:
+            return
+        self._sel.close()
+        if proc.poll() is None:
+            proc.stdin.close()  # type: ignore[union-attr]
+            proc.terminate()
+            try:
+                proc.wait(timeout=5)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+        for pipe in (proc.stdin, proc.stdout, proc.stderr):
+            pipe.close()  # type: ignore[union-attr]
+
+    def _encode(self, scene: Scene, static: StaticPart, dt: float) -> bytes:
+        """The scene's protocol line: ``json.dumps`` of the payload in the
+        class docstring and a newline, byte for byte.  Everything but the
+        seven numbers that move, the extras and the light is a template
+        built once per static part and ``dt``."""
+        dt_text = _number(dt)
+        if static is not self._static or dt_text != self._dt:
+            tail = json.dumps({
+                "scenario_type": static.scenario_type.value, "d": static.d, "vl": static.vl,
+            })
+            self._static, self._dt = static, dt_text
+            self._template = (
+                '{"t": %s, "dt": ' + dt_text + ', "ego": {"x": %s, "v": %s}, '
+                '"arriving": {"x": %s, "v": %s}, "front": {"x": %s, "v": %s}, '
+                '"extra": %s, "light": %s, "static": ' + tail.replace("%", "%%") + "}\n"
+            )
+        env = scene.env
+        extra = "[]"
+        if env.extra_vehicles:
+            extra = json.dumps([{"kind": e.kind, "x": e.x} for e in env.extra_vehicles])
+        light = "null" if env.light is None else json.dumps(env.light.value)
+        return (self._template % (
+            _number(scene.t), _number(scene.ego.x), _number(scene.ego.v),
+            _number(env.arriving.x), _number(env.arriving.v),
+            _number(env.front.x), _number(env.front.v), extra, light,
+        )).encode()
+
+    def _error(self, detail: str) -> ProtocolError:
+        """``detail`` with the tail of the pilot's stderr, if it wrote any."""
+        self._drain_stderr()
+        tail = self._stderr.decode("utf-8", "replace")
+        return ProtocolError(f"{detail}; stderr tail: {tail!r}" if tail else detail)
+
+    def _drain_stderr(self) -> None:
+        if not self._stderr_open:
+            return
+        try:
+            chunk = os.read(self._err, _READ_SIZE)
+        except BlockingIOError:
+            return
+        if chunk:
+            self._stderr = (self._stderr + chunk)[-STDERR_TAIL_BYTES:]
+        else:  # closed: stop watching it
+            self._sel.unregister(self._err)
+            self._stderr_open = False
+
+    def _wait(self, deadline: float) -> None:
+        """Block until a watched pipe is ready, keeping up with stderr;
+        ``TimeoutError`` once ``deadline`` has passed."""
+        timeout = deadline - time.monotonic()
+        ready = self._sel.select(timeout) if timeout > 0 else []
+        if not ready:
+            raise TimeoutError
+        if any(key.fd == self._err for key, _ in ready):
+            self._drain_stderr()
+
+    def _send(self, line: bytes, deadline: float) -> None:
+        sent = 0
+        while sent < len(line):
+            try:
+                sent += os.write(self._in, line[sent:])
+            except BlockingIOError:  # the pilot is not reading: wait for room
+                self._sel.unregister(self._out)
+                self._sel.register(self._in, selectors.EVENT_WRITE)
+                try:
+                    self._wait(deadline)
+                finally:
+                    self._sel.unregister(self._in)
+                    self._sel.register(self._out, selectors.EVENT_READ)
+
+    def _receive(self, deadline: float) -> bytes:
+        """The next reply line; at EOF a last unterminated line, as
+        ``readline`` gives it, then ``b""``."""
+        buf = self._buf
+        while (end := buf.find(b"\n") + 1) == 0:
+            try:
+                chunk = os.read(self._out, _READ_SIZE)
+            except BlockingIOError:  # no reply yet
+                self._wait(deadline)
+                continue
+            if not chunk:
+                end = len(buf)
+                break
+            buf += chunk
+        self._buf = buf[end:]
+        return buf[:end]
 
     def step(
         self,
@@ -448,46 +597,34 @@ class ExternalAutopilot:
         memory: Optional[dict] = None,
         dt: float = DEFAULT_DT,
     ) -> tuple[Decision, dict]:
-        proc = self._ensure_started()
-        payload = {
-            "t": scene.t,
-            "dt": dt,
-            "ego": {"x": scene.ego.x, "v": scene.ego.v},
-            "arriving": {"x": scene.env.arriving.x, "v": scene.env.arriving.v},
-            "front": {"x": scene.env.front.x, "v": scene.env.front.v},
-            "extra": [{"kind": e.kind, "x": e.x} for e in scene.env.extra_vehicles],
-            "light": scene.env.light.value if scene.env.light else None,
-            "static": {
-                "scenario_type": static.scenario_type.value,
-                "d": static.d,
-                "vl": static.vl,
-            },
-        }
+        if self._proc is None or (scene.t == 0.0 and self._proc.poll() is not None):
+            self._start()
+        line = self._encode(scene, static, dt)
+        deadline = time.monotonic() + STEP_DEADLINE_S
         try:
-            assert proc.stdin is not None and proc.stdout is not None
-            proc.stdin.write(json.dumps(payload) + "\n")
-            proc.stdin.flush()
-            line = proc.stdout.readline()
-        except (BrokenPipeError, OSError) as exc:
-            raise ProtocolError(f"external autopilot pipe failed: {exc}") from exc
-        if not line:
-            raise ProtocolError("external autopilot closed its output")
+            self._send(line, deadline)
+            raw = self._receive(deadline)
+        except TimeoutError:
+            exc = self._error(f"external autopilot missed its deadline of {STEP_DEADLINE_S:g} s")
+            self._stop()
+            raise exc from None
+        except OSError as exc:  # BrokenPipeError: the process is gone
+            raise self._error(f"external autopilot pipe failed: {exc}") from exc
+        if not raw:
+            raise self._error("external autopilot closed its output")
+        text = raw.decode("utf-8", "replace")
         try:
-            reply = json.loads(line)
+            reply = json.loads(text)
             mode = reply["mode"]
             accel = float(reply["accel"])
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise ProtocolError(f"malformed decision line: {line!r}") from exc
+            raise self._error(f"malformed decision line: {text!r}") from exc
         if mode not in ("progress", "cautious") or not math.isfinite(accel):
-            raise ProtocolError(f"invalid decision: {line!r}")
+            raise self._error(f"invalid decision: {text!r}")
         return Decision(mode=mode, accel=accel), (memory if memory is not None else {})
 
     def close(self) -> None:
-        if self._proc is not None and self._proc.poll() is None:
-            self._proc.stdin.close()  # type: ignore[union-attr]
-            self._proc.terminate()
-            self._proc.wait(timeout=5)
-        self._proc = None
+        self._stop()
 
     def __enter__(self) -> "ExternalAutopilot":
         return self

@@ -230,8 +230,10 @@ def build_autopilot(entry, default_profile: ADProfile) -> AutopilotSpec | Extern
             p = entry["profile"]
             _check_keys(p, _SECTION_KEYS["profile"], f"autopilot {name!r} profile")
             profile = ADProfile.constant(p["a_max"], p["b_max"], p["v_max"])
-        if entry.get("command"):
+        if "command" in entry:
             _check_keys(params, set(), f"external autopilot {name!r}")
+            if not isinstance(entry["command"], str):
+                raise ConfigError(f"external autopilot {name!r}: command is not a string")
             return ExternalAutopilot(entry["command"], profile, name=name)
         variant = entry.get("variant", "reference")
         if variant not in FACTORIES:
@@ -266,7 +268,7 @@ class CampaignCell:
     of_counts: dict[str, int] = field(default_factory=dict)  # kind -> states hit
     m_states: int = 0
     zone_counts: dict[str, int] = field(default_factory=dict)
-    protocol_error: bool = False
+    protocol_error: str = ""  # the ProtocolError that ended the cell, if one did
 
     def frequency(self, label: str) -> float:
         return self.counts.get(label, 0) / self.n_cells if self.n_cells else 0.0
@@ -313,7 +315,8 @@ class CampaignReport:
                     "of": dict(sorted(c.of_counts.items())),
                     "m_states": c.m_states,
                     "zone_counts": dict(sorted(c.zone_counts.items())),
-                    "protocol_error": c.protocol_error,
+                    "protocol_error": bool(c.protocol_error),
+                    **({"protocol_error_detail": c.protocol_error} if c.protocol_error else {}),
                 }
                 for c in (self.cells[(sc, ap)] for sc in self.scenario_types
                           for ap in self.autopilot_names)
@@ -454,8 +457,8 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
                     try:
                         (report,), grid_work = _pilot_grids(
                             (pilot, static, [(x_e, v_e)], grid_spec, sim_cfg))
-                    except ProtocolError:
-                        cell.protocol_error = True
+                    except ProtocolError as exc:
+                        cell.protocol_error = str(exc)
                         break
                     finally:
                         external_s += time.perf_counter() - grid_start
@@ -628,6 +631,11 @@ def render_report(report: CampaignReport, fmt: str = "markdown") -> str:
             row = [cell_text(report.cells[(sc, ap)]) for ap in report.autopilot_names]
             lines.append("| " + sc + " | " + " | ".join(row) + " |")
         lines.append("")
+        errors = [c for c in report.cells.values() if c.protocol_error]
+        if errors:
+            lines += ["## Protocol errors", ""]
+            lines += [f"- {c.autopilot} on {c.scenario_type}: {c.protocol_error}" for c in errors]
+            lines.append("")
         lines.append("## Determinacy")
         lines.append("")
         lines.append("| autopilot | maneuver | status | max deviation | determinate |")

@@ -7,6 +7,8 @@ these can sit on the other side of an equality check.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 
@@ -69,3 +71,23 @@ def brake_trace_stop(v0, rate, dt=0.1):
         x += 0.5 * (v + v1) * dt
         v = v1
     return x
+
+
+def scene_line(scene, static, dt) -> bytes:
+    """One scene of the external-autopilot protocol as it goes down the pipe:
+    the payload as a dict, through ``json.dumps``."""
+    payload = {
+        "t": scene.t,
+        "dt": dt,
+        "ego": {"x": scene.ego.x, "v": scene.ego.v},
+        "arriving": {"x": scene.env.arriving.x, "v": scene.env.arriving.v},
+        "front": {"x": scene.env.front.x, "v": scene.env.front.v},
+        "extra": [{"kind": e.kind, "x": e.x} for e in scene.env.extra_vehicles],
+        "light": scene.env.light.value if scene.env.light else None,
+        "static": {
+            "scenario_type": static.scenario_type.value,
+            "d": static.d,
+            "vl": static.vl,
+        },
+    }
+    return (json.dumps(payload) + "\n").encode()

@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import pytest
 
 from critlab import ADProfile, ScenarioType, StaticPart
@@ -35,3 +38,25 @@ def fitted_restart_geometry():
 @pytest.fixture(scope="session")
 def restart_geometry():
     return fitted_restart_geometry()
+
+
+@pytest.fixture
+def hang_guard():
+    """``with hang_guard(s):`` fails the test once its body has run ``s``
+    seconds, interrupting a call blocked on a pipe, instead of hanging; it
+    interrupts again every ``s`` seconds, should clean-up block too."""
+
+    @contextlib.contextmanager
+    def guard(seconds: float):
+        def expire(signum, frame):
+            pytest.fail(f"still blocked after {seconds} s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return guard

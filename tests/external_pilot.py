@@ -1,20 +1,36 @@
 """Minimal external autopilot speaking the line-delimited JSON protocol.
 
 Modes (argv[1]): "hold" emits zero acceleration forever; "cautious" brakes to
-a stop before the zone; "garbage" violates the protocol on the second line.
+a stop before the zone; "garbage" violates the protocol on the second line;
+"sleep" reads one scene and then stalls without answering; "stderr" reads one
+scene, writes more than a pipe holds to stderr, ending with the line
+``STDERR_LAST``, and then answers with garbage; "deaf" writes decisions
+without ever reading a scene.
 """
 
 import json
 import sys
+import time
+
+STDERR_LAST = "last words before the garbage"
 
 
 def main() -> None:
     mode = sys.argv[1] if len(sys.argv) > 1 else "hold"
     count = 0
+    while mode == "deaf":
+        print(json.dumps({"mode": "progress", "accel": 0.0}), flush=True)
     for line in sys.stdin:
         scene = json.loads(line)
         count += 1
-        if mode == "garbage" and count > 1:
+        if mode == "sleep":
+            time.sleep(60.0)
+        if mode == "stderr":
+            for i in range(2000):  # 2000 lines of 50 bytes: 100 KB
+                sys.stderr.write(f"chatter {i:06d} " + "." * 34 + "\n")
+            sys.stderr.write(STDERR_LAST + "\n")
+            sys.stderr.flush()
+        if mode == "stderr" or (mode == "garbage" and count > 1):
             print("not json at all")
             sys.stdout.flush()
             continue

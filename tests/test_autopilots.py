@@ -1,11 +1,18 @@
+import gc
 import math
 import sys
+import time
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import critlab.autopilots
+from _oracles import scene_line
+from external_pilot import STDERR_LAST
 from critlab.autopilots import (
     AutopilotSpec,
     ExternalAutopilot,
@@ -21,7 +28,18 @@ from critlab.autopilots import (
     step,
     transition_flawed,
 )
-from critlab.scenario import EgoState, Scene, TestCase, env_at
+from critlab.scenario import (
+    EgoState,
+    EnvState,
+    ExtraVehicle,
+    Light,
+    Scene,
+    ScenarioType,
+    StaticPart,
+    TestCase,
+    VehicleState,
+    env_at,
+)
 from critlab.simulator import SimConfig, VerdictKind, simulate, verdict
 
 EXTERNAL = f"{sys.executable} {Path(__file__).parent / 'external_pilot.py'}"
@@ -211,3 +229,102 @@ class TestExternalAutopilot:
         with ExternalAutopilot(EXTERNAL + " garbage", std_profile) as pilot:
             with pytest.raises(ProtocolError):
                 simulate(pilot, tc, SimConfig())
+
+    def test_stalled_pilot_misses_its_deadline(
+        self, std_profile, merge_static, monkeypatch, hang_guard
+    ):
+        monkeypatch.setattr(critlab.autopilots, "STEP_DEADLINE_S", 0.3, raising=False)
+        tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=30.0, x_f=14.0)
+        with ExternalAutopilot(EXTERNAL + " sleep", std_profile) as pilot, hang_guard(5.0):
+            start = time.monotonic()
+            with pytest.raises(ProtocolError, match="missed its deadline"):
+                pilot.step(_scene(tc), merge_static, {}, 0.1)
+            assert time.monotonic() - start < 0.3 + 2.0
+            assert pilot._proc is None  # killed: the next case starts a fresh one
+
+    def test_pilot_that_stops_reading_misses_its_deadline(
+        self, std_profile, merge_static, monkeypatch, hang_guard
+    ):
+        # It answers every scene, but once the scenes fill the pipe, a write blocks.
+        monkeypatch.setattr(critlab.autopilots, "STEP_DEADLINE_S", 0.3, raising=False)
+        tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=30.0, x_f=14.0)
+        with hang_guard(5.0), ExternalAutopilot(EXTERNAL + " deaf", std_profile) as pilot:
+            with pytest.raises(ProtocolError, match="missed its deadline"):
+                for _ in range(10_000):  # 2.5 MB of scenes
+                    pilot.step(_scene(tc), merge_static, {}, 0.1)
+
+    def test_chatty_stderr_neither_deadlocks_nor_loses_its_tail(
+        self, std_profile, merge_static, hang_guard
+    ):
+        tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=30.0, x_f=14.0)
+        with ExternalAutopilot(EXTERNAL + " stderr", std_profile) as pilot, hang_guard(10.0):
+            with pytest.raises(ProtocolError, match="malformed decision line") as info:
+                pilot.step(_scene(tc), merge_static, {}, 0.1)
+        detail = str(info.value)
+        assert STDERR_LAST in detail
+        assert "chatter 001999" in detail and "chatter 000000" not in detail
+        assert len(detail) < critlab.autopilots.STDERR_TAIL_BYTES + 200
+
+    def test_close_and_restart_leave_nothing_open(self, std_profile, merge_static):
+        tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=30.0, x_f=14.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            pilot = ExternalAutopilot(EXTERNAL + " hold", std_profile)
+            pilot.step(_scene(tc), merge_static, {}, 0.1)
+            first = pilot._proc
+            first.kill()  # dies between two cases
+            first.wait()
+            pilot.step(_scene(tc), merge_static, {}, 0.1)  # t == 0: a fresh process
+            assert pilot._proc is not first
+            pilot.close()
+            del pilot, first
+            gc.collect()
+        assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+# -- the wire format against the json.dumps oracle ----------------------------------
+
+_COORD = st.one_of(
+    st.floats(),
+    st.integers(-10**6, 10**6),
+    st.floats(width=32).map(float),
+    st.floats().map(np.float64),
+)
+_SPEED = st.one_of(
+    st.floats(min_value=0.0), st.integers(0, 100), st.floats(0.0, 50.0).map(np.float64)
+)
+_POSITIVE = st.one_of(st.floats(0.1, 100.0), st.integers(1, 100))
+_STATIC = st.builds(StaticPart, st.sampled_from(list(ScenarioType)), vl=_POSITIVE, d=_POSITIVE)
+_SCENE = st.builds(
+    Scene,
+    t=st.one_of(st.just(0.0), st.floats(0.0, 100.0), st.integers(0, 100)),
+    ego=st.builds(EgoState, _COORD, _SPEED),
+    env=st.builds(
+        EnvState,
+        arriving=st.builds(VehicleState, _COORD, _COORD),
+        front=st.builds(VehicleState, _COORD, _COORD),
+        extra_vehicles=st.lists(
+            st.builds(ExtraVehicle, st.sampled_from(["arriving", "static"]), _COORD), max_size=3
+        ).map(tuple),
+        light=st.sampled_from([None, Light.RED, Light.GREEN]),
+    ),
+)
+_DT = st.sampled_from([0.1, 0.05, 0.2, 1, 1.0, np.float64(0.1)])
+
+
+@st.composite
+def _pilot_life(draw):
+    """Scenes in the order one pilot sees them, over a few static parts and steps."""
+    statics = draw(st.lists(_STATIC, min_size=1, max_size=3))
+    dts = draw(st.lists(_DT, min_size=1, max_size=3))
+    return draw(st.lists(
+        st.tuples(_SCENE, st.sampled_from(statics), st.sampled_from(dts)), min_size=1, max_size=12
+    ))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pilot_life())
+def test_scene_lines_match_the_json_oracle(life):
+    pilot = ExternalAutopilot("unused", None)  # encoding starts no process
+    for scene, static, dt in life:
+        assert pilot._encode(scene, static, dt) == scene_line(scene, static, dt)

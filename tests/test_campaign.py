@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import critlab.autopilots
 import critlab.campaign
 import critlab.classify
 from critlab.campaign import (
@@ -252,6 +253,28 @@ class TestExternalInCampaign:
         assert cell_text(report.cells[("merge_yield", "broken")]) == "protocol-error"
         assert not report.cells[("merge_yield", "reference")].protocol_error
 
+    def test_stalled_pilot_marks_its_cell_and_the_campaign_ends(
+        self, tmp_path, monkeypatch, hang_guard
+    ):
+        monkeypatch.setattr(critlab.autopilots, "STEP_DEADLINE_S", 0.3, raising=False)
+        config = CampaignConfig(raw=one_type_raw(
+            autopilots=[{"name": "stalled", "command": EXTERNAL + " sleep"}]))
+        with hang_guard(10.0):
+            report = run_campaign(config, out_dir=tmp_path)
+        cell = report.cells[("merge_yield", "stalled")]
+        assert cell_text(cell) == "protocol-error"
+        assert "missed its deadline" in cell.protocol_error
+        assert "missed its deadline" in render_report(report, "markdown")
+        (row,) = report.to_dict()["cells"]
+        assert row["protocol_error"] is True
+        assert row["protocol_error_detail"] == cell.protocol_error
+
+    def test_missing_program_marks_its_cell(self, tmp_path):
+        config = CampaignConfig(raw=one_type_raw(
+            autopilots=[{"name": "missing", "command": str(tmp_path / "no-such-pilot")}]))
+        report = run_campaign(config, out_dir=tmp_path)
+        assert "did not start" in report.cells[("merge_yield", "missing")].protocol_error
+
     def test_external_pilot_runs_a_campaign_cell(self, tmp_path):
         config = small_config(
             autopilots=[{"name": "ext_cautious", "command": EXTERNAL + " cautious"}],
@@ -440,6 +463,9 @@ class TestLoadTimeRejection:
         {"autopilots": [3]},
         _pilot(optimism=5),
         {"autopilots": [{"name": "ext", "command": "true", "optimism": 2}]},
+        {"autopilots": [{"name": "ext", "command": ""}]},
+        {"autopilots": [{"name": "ext", "command": "'unclosed"}]},
+        {"autopilots": [{"name": "ext", "command": ["python3", "pilot.py"]}]},
         _pilot(variant="irrational", fail_region=[[29.0, 35.0]]),
         _pilot(variant="non_determinate_accel", rates=[1.0, 2.0]),
         _pilot(braking_check_v0=40.0),
@@ -458,7 +484,8 @@ class TestLoadTimeRejection:
         "pilot-profile-missing-b_max", "pilot-profile-negative-a_max",
         "base-profile-negative-a_max", "negative-d", "light-phase-zero", "dt-zero",
         "one-cell-axis", "entry-not-an-object", "key-the-variant-does-not-take",
-        "key-an-external-pilot-does-not-take", "fail-region-one-axis", "rates-not-a-map",
+        "key-an-external-pilot-does-not-take", "empty-command", "command-unclosed-quote",
+        "command-not-a-string", "fail-region-one-axis", "rates-not-a-map",
         "braking-check-above-v_max", "braking-check-zero",
         "partition-speeds-increasing", "partition-one-speed", "partition-speed-above-v_max",
         "partition-cap-below-corner", "partition-zero-steps", "partition-steps-not-int",
@@ -468,7 +495,8 @@ class TestLoadTimeRejection:
         def no_grid(*args, **kwargs):
             raise AssertionError("simulated a grid")
 
-        monkeypatch.setattr(critlab.campaign, "run_grid", no_grid)
+        monkeypatch.setattr(critlab.campaign, "run_grids", no_grid)
+        monkeypatch.setattr(critlab.classify, "simulate", no_grid)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(one_type_raw(**overrides)))
         with pytest.raises(ConfigError):

@@ -1,9 +1,11 @@
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import critlab.autopilots
 from critlab.autopilots import ExternalAutopilot
 from critlab.campaign import (
     DEFAULT_CONFIG,
@@ -91,6 +93,31 @@ class TestSimulateCommand:
         assert rc == 1
         assert err.startswith("error: malformed decision line") and err.count("\n") == 1
         assert stopped == [True]
+
+    def test_stalled_external_pilot_exits_within_the_deadline(
+        self, tmp_path, capsys, monkeypatch, hang_guard
+    ):
+        monkeypatch.setattr(critlab.autopilots, "STEP_DEADLINE_S", 0.3, raising=False)
+        start = time.monotonic()
+        with hang_guard(5.0):
+            rc = main([
+                "simulate", "--autopilot", f"exec:{EXTERNAL} sleep",
+                "--testcase", str(_write_testcase(tmp_path)),
+            ])
+        assert rc == 1
+        assert time.monotonic() - start < 0.3 + 2.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: external autopilot missed its deadline")
+        assert err.count("\n") == 1
+
+    def test_missing_external_program_is_one_error_line(self, tmp_path, capsys):
+        rc = main([
+            "simulate", "--autopilot", f"exec:{tmp_path / 'no-such-pilot'}",
+            "--testcase", str(_write_testcase(tmp_path)),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: external autopilot did not start") and err.count("\n") == 1
 
     def test_json_trace_output(self, tmp_path, capsys):
         tc_path = _write_testcase(tmp_path)
