@@ -24,7 +24,7 @@ import shlex
 import subprocess
 import time
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -56,6 +56,7 @@ __all__ = [
     "constant_speed",
     "FACTORIES",
     "step",
+    "PolicyColumns",
     "step_arrays",
     "run_policy",
     "non_monotone_brake_profile",
@@ -304,31 +305,88 @@ def step(
 
 # -- decision logic over arrays of cells -------------------------------------------
 #
-# ``step_arrays`` decides for many cells, from any ego starts, at once.  Each helper
-# is its scalar counterpart with ``np.where`` for the branches, performing the
-# same floating-point operations in the same order, so every entry equals what
-# ``step`` returns for that cell bit for bit; the closed forms are those of a
-# constant ``ADProfile`` on speeds already in ``[0, v_max]``.
+# ``step_arrays`` decides for many cells at once, each with its own pilot and ego
+# start.  Each helper is its scalar counterpart with ``np.where`` for the
+# branches, performing the same floating-point operations in the same order, so
+# every entry equals what ``step`` returns for that cell bit for bit; the closed
+# forms are those of a constant ``ADProfile`` on speeds already in ``[0, v_max]``.
 
 
-def _accel_time_arrays(profile: ADProfile, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    to_cap = (profile.v_max * profile.v_max - v * v) / (2.0 * profile.a_max)
-    ramp = (-v + np.sqrt(v * v + 2.0 * profile.a_max * x)) / profile.a_max
-    capped = (profile.v_max - v) / profile.a_max + (x - to_cap) / profile.v_max
+class PolicyColumns(NamedTuple):
+    """The policy of every cell of a lockstep batch, one entry per cell.
+
+    The profile's ``a_max``, ``b_max`` and ``v_max``; the maneuver rates the
+    pilot picks for the cell's start speed; the factors ``optimism`` and
+    ``margin_inflation``, 1.0 for every variant but the one each belongs to
+    (a product with 1.0 is exact); and three masks: ``cautious`` for
+    ``always_cautious``, ``constant`` for ``constant_speed``, and ``late``
+    for an ``irrational`` cell whose geometry at t = 0 lies in its fail
+    region.
+    """
+
+    a_max: np.ndarray
+    b_max: np.ndarray
+    v_max: np.ndarray
+    accel_rate: np.ndarray
+    brake_rate: np.ndarray
+    optimism: np.ndarray
+    margin_inflation: np.ndarray
+    cautious: np.ndarray
+    constant: np.ndarray
+    late: np.ndarray
+
+    @classmethod
+    def build(cls, pilots: Sequence[AutopilotSpec], v_e: Sequence[float], x_a0: np.ndarray,
+              x_f: np.ndarray) -> "PolicyColumns":
+        """The columns of cells run by ``pilots`` from start speeds ``v_e``,
+        with the arriving vehicle at ``x_a0`` at t = 0 and the front vehicle
+        at ``x_f``; one entry of each per cell."""
+        specs = dict(zip(map(id, pilots), pilots))
+        keys = list(zip(map(id, pilots), v_e))
+        rows = {key: row for row, key in enumerate(dict.fromkeys(keys))}  # (pilot, v_e) -> row
+        table = []
+        for key, v in rows:
+            spec = specs[key]
+            table.append((
+                spec.profile.a_max, spec.profile.b_max, spec.profile.v_max,
+                spec.accel_rate_for(v), spec.brake_rate_for(v),
+                spec.optimism if spec.variant == "transition_flawed" else 1.0,
+                spec.margin_inflation if spec.variant == "overcautious" else 1.0,
+                spec.variant == "always_cautious", spec.variant == "constant_speed",
+            ))
+        cell_row = np.fromiter(map(rows.__getitem__, keys), dtype=np.intp, count=len(keys))
+        columns = np.array(table, dtype=float).reshape(-1, 9)[cell_row].T
+        cell_spec = np.array([key for key, _ in rows], dtype=np.int64)[cell_row]
+        late = np.zeros(len(keys), dtype=bool)
+        for key, spec in specs.items():
+            if spec.variant == "irrational" and spec.fail_region is not None:
+                (a_lo, a_hi), (f_lo, f_hi) = spec.fail_region
+                late |= ((cell_spec == key) & (a_lo <= x_a0) & (x_a0 <= a_hi)
+                         & (f_lo <= x_f) & (x_f <= f_hi))
+        return cls(*columns[:7], *(columns[7:] != 0.0), late)
+
+    def select(self, keep: np.ndarray) -> "PolicyColumns":
+        """The columns of the cells where ``keep`` holds."""
+        return PolicyColumns(*(col[keep] for col in self))
+
+
+def _accel_time_arrays(pc: PolicyColumns, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    to_cap = (pc.v_max * pc.v_max - v * v) / (2.0 * pc.a_max)
+    ramp = (-v + np.sqrt(v * v + 2.0 * pc.a_max * x)) / pc.a_max
+    capped = (pc.v_max - v) / pc.a_max + (x - to_cap) / pc.v_max
     return np.where(x <= to_cap, ramp, capped)
 
 
-def _accel_speed_arrays(profile: ADProfile, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.minimum(profile.v_max, np.sqrt(v * v + 2.0 * profile.a_max * x))
+def _accel_speed_arrays(pc: PolicyColumns, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return np.minimum(pc.v_max, np.sqrt(v * v + 2.0 * pc.a_max * x))
 
 
 def _progress_accel_arrays(
-    profile: ADProfile, p: np.ndarray, v: np.ndarray, budget: np.ndarray,
-    accel_rate: np.ndarray, brake_rate: np.ndarray, dt: float,
+    pc: PolicyColumns, p: np.ndarray, v: np.ndarray, budget: np.ndarray, dt: float,
 ) -> np.ndarray:
-    p1, v1 = advance_arrays(p, v, accel_rate, dt, profile.v_max)
+    p1, v1 = advance_arrays(p, v, pc.accel_rate, dt, pc.v_max)
     room = budget - np.maximum(p1, 0.0)
-    return np.where(v1 * v1 / (2.0 * profile.b_max) <= room + _EPS, accel_rate, -brake_rate)
+    return np.where(v1 * v1 / (2.0 * pc.b_max) <= room + _EPS, pc.accel_rate, -pc.brake_rate)
 
 
 def _cautious_accel_arrays(
@@ -341,57 +399,39 @@ def _cautious_accel_arrays(
 
 
 def step_arrays(
-    spec: AutopilotSpec,
+    pc: PolicyColumns,
     p: np.ndarray,
     v: np.ndarray,
     arr_x: np.ndarray,
-    x_a0: np.ndarray,
     x_f: np.ndarray,
-    accel_rate: np.ndarray,
-    brake_rate: np.ndarray,
     static: StaticPart,
     dt: float = DEFAULT_DT,
 ) -> np.ndarray:
     """``step`` for many cells at once: the commanded acceleration of each.
 
-    Every cell is a run of ``spec`` (constant profile) without extra vehicles,
-    from its own ego start.  ``p``, ``v`` (ego), ``arr_x`` (arriving vehicle
-    now), ``x_a0`` (arriving vehicle at t = 0), ``x_f`` and the maneuver rates
-    ``accel_rate`` and ``brake_rate`` hold one entry per cell; the rates are
-    ``spec.accel_rate_for(v_e)`` and ``spec.brake_rate_for(v_e)`` of the
-    cell's start speed, and ``x_a0``, ``x_f`` and ``v_e`` are what a run's
-    memory holds after its first step.  Speeds must lie in ``[0, v_max]``.
-    Out-of-zone capability terms are computed for every cell and discarded
-    where unused, so callers silence numpy's invalid-value warnings.
+    Every cell is a run of a built-in pilot (constant profile) without extra
+    vehicles, from its own ego start; ``pc`` holds each cell's policy, and
+    ``p``, ``v`` (ego), ``arr_x`` (arriving vehicle now) and ``x_f`` one
+    entry per cell.  Speeds must lie in ``[0, v_max]``.  Terms a cell's
+    variant does not use are computed for it and discarded, so callers
+    silence numpy's invalid-value warnings.
     """
-    if spec.variant == "constant_speed":
-        return np.zeros_like(p)
-    profile = spec.profile
     d = static.d
-
-    committed = p > -d
-    if spec.variant != "always_cautious":
-        x_now = -p
-        deadline = arr_x / static.vl
-        ta = _accel_time_arrays(profile, x_now, v)
-        need_front = _accel_speed_arrays(profile, x_now, v)
-        need_front = need_front * need_front / (2.0 * profile.b_max)  # braking_distance
-        if spec.variant == "transition_flawed":
-            deadline = deadline * spec.optimism
-        if spec.variant == "overcautious":
-            ta = ta * spec.margin_inflation
-            need_front = need_front * spec.margin_inflation
-        committed |= (ta <= deadline + _EPS) & (need_front <= x_f + _EPS)
+    x_now = -p
+    deadline = arr_x / static.vl * pc.optimism
+    ta = _accel_time_arrays(pc, x_now, v) * pc.margin_inflation
+    need_front = _accel_speed_arrays(pc, x_now, v)
+    need_front = need_front * need_front / (2.0 * pc.b_max) * pc.margin_inflation
+    committed = (p > -d) | (~pc.cautious & (ta <= deadline + _EPS) & (need_front <= x_f + _EPS))
     accel = np.where(
         committed,
-        _progress_accel_arrays(profile, p, v, x_f, accel_rate, brake_rate, dt),
-        _cautious_accel_arrays(v, p, -(d + CAUTIOUS_MARGIN), brake_rate, dt),
+        _progress_accel_arrays(pc, p, v, x_f, dt),
+        _cautious_accel_arrays(v, p, -(d + CAUTIOUS_MARGIN), pc.brake_rate, dt),
     )
-    if spec.variant == "irrational" and spec.fail_region is not None:
-        (a_lo, a_hi), (f_lo, f_hi) = spec.fail_region
-        late = (a_lo <= x_a0) & (x_a0 <= a_hi) & (f_lo <= x_f) & (x_f <= f_hi)
-        accel = np.where(late, _cautious_accel_arrays(v, p, -d / 2.0, brake_rate, dt), accel)
-    return accel
+    if pc.late.any():  # goes cautious far too late: aims the stop inside the zone
+        accel = np.where(pc.late, _cautious_accel_arrays(v, p, -d / 2.0, pc.brake_rate, dt),
+                         accel)
+    return np.where(pc.constant, 0.0, accel)
 
 
 def run_policy(spec: AutopilotSpec, tc: TestCase, dt: float = DEFAULT_DT) -> list[EgoState]:

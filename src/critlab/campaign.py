@@ -6,8 +6,9 @@ type) pair the runner classifies one grid per initial state, persists the raw
 per-grid JSON (so summaries can be regenerated without re-simulating), and
 aggregates a result matrix whose cells read like ``TF (9.0%) IS (4.2%)`` or
 ``OF-PD (2/4)``.  Grids of a built-in autopilot that differ only in scenario
-type are simulated and serialised once and written under every type, and all
-of its grids over one static part are simulated in one batch.
+type are simulated and serialised once and written under every type, and the
+grids of all built-in autopilots over one static part are simulated
+together: one batch per worker, of at most ``classify.BATCH_CELLS`` cells.
 """
 
 from __future__ import annotations
@@ -341,44 +342,60 @@ def _grid_values(boundary, spec: dict) -> tuple[list[float], list[float]]:
     return xa, xf
 
 
-def _task_key(pilot_index: int, static: StaticPart) -> tuple:
-    # A built-in policy never reads the scenario type or the light, and the
-    # type reaches a simulation only through the light and the red-light goal,
-    # which cannot fire without a red phase.  So grids that differ in type
-    # alone are one grid: key a pilot's grids by the schedule in effect.
-    light = static.light_schedule
+def _part_key(static: StaticPart) -> object:
+    """The static part in effect for a built-in pilot: its light schedule.
+
+    A built-in policy never reads the scenario type or the light, and the
+    type reaches a simulation only through the light and the red-light goal,
+    which cannot fire without a red phase.  So grids that differ in type
+    alone are one grid: key them by the schedule in effect.
+    """
     if static.scenario_type is not ScenarioType.INTERSECTION_LIGHT:
-        light = None
-    return (pilot_index, light)
+        return None
+    return static.light_schedule
 
 
-def _pilot_grids(args) -> tuple[list[dict], dict]:
-    """The raw reports of one pilot's grids over one static part, one per
-    start, and the work they took (``_work``)."""
-    spec, static, starts, grid_spec, sim_cfg = args
-    grids = []
-    for x_e, v_e in starts:
-        boundary = most_critical(x_e, v_e, spec.profile, static)
-        grids.append((x_e, v_e, *_grid_values(boundary, grid_spec)))
-    results = run_grids(spec, static, grids, sim_cfg)
+def _groups(items: list, n: int) -> list[list]:
+    """``items`` in at most ``n`` contiguous groups, of sizes that differ by
+    at most one."""
+    n = min(n, len(items))
+    if n < 1:
+        return []
+    size, extra = divmod(len(items), n)
+    bounds = [k * size + min(k, extra) for k in range(n + 1)]
+    return [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _pilot_grids(args) -> tuple[list[list[dict]], dict]:
+    """The raw reports of some pilots' grids over one static part, a list
+    per pilot with one report per start, and the work they took (``_work``)."""
+    specs, static, starts, grid_spec, sim_cfg = args
+    pilot_grids = []
+    for spec in specs:
+        grids = []
+        for x_e, v_e in starts:
+            boundary = most_critical(x_e, v_e, spec.profile, static)
+            grids.append((x_e, v_e, *_grid_values(boundary, grid_spec)))
+        pilot_grids.append((spec, grids))
+    results = run_grids(static, pilot_grids, sim_cfg)
+    work = _work([grid for grids in results for grid in grids])
     reports = []
-    for grid in results:
-        report = grid_report_dict(grid, classify_grid(grid))
-        report["autopilot"] = spec.name
-        reports.append(report)
-    return reports, _work(results)
+    for spec, grids in zip(specs, results):
+        reports.append([])
+        while grids:  # drop each grid once it is reported: fine grids take much memory
+            grid = grids.pop(0)
+            report = grid_report_dict(grid, classify_grid(grid))
+            report["autopilot"] = spec.name
+            reports[-1].append(report)
+    return reports, work
 
 
 def _work(grids: list[GridResult]) -> dict:
-    """The work counters of one ``run_grids`` call: its grids' ``stats``
-    summed, except the lockstep steps.  Its lockstep grids take one engine
-    call together, which steps as long as the longest of them."""
+    """The work counters of some grids: their ``stats`` summed."""
     work = {"simulated": len(grids)}
     for grid in grids:
         for key, n in grid.stats.items():
             work[key] = work.get(key, 0) + n
-    work["lockstep_steps"] = max(grid.stats["lockstep_steps"] for grid in grids)
-    work["lockstep_batches"] = int(work["lockstep_steps"] > 0)
     return work
 
 
@@ -421,26 +438,30 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
     workers = int(cfg.get("workers", 1))
     out_path = Path(out_dir) if out_dir is not None else None
 
-    # One task per built-in pilot and schedule in effect, over the distinct starts.
+    # One task per static part in effect and group of built-in pilots (one
+    # group per worker), over the distinct starts.
     starts = list(dict.fromkeys(states))
-    tasks: dict[tuple, tuple] = {}
-    for i, pilot in enumerate(pilots):
-        if isinstance(pilot, ExternalAutopilot):
-            continue
-        for sc in scenario_types:
-            static = config.static_for(sc)
-            tasks.setdefault(_task_key(i, static), (pilot, static, starts, grid_spec, sim_cfg))
+    parts = {}
+    for sc in scenario_types:
+        static = config.static_for(sc)
+        parts.setdefault(_part_key(static), static)
+    builtin_ix = [i for i, pilot in enumerate(pilots) if not isinstance(pilot, ExternalAutopilot)]
+    tasks = [(key, group) for key in parts for group in _groups(builtin_ix, workers)]
+    args = [([pilots[i] for i in group], parts[key], starts, grid_spec, sim_cfg)
+            for key, group in tasks]
 
     stage_s: dict[str, float] = {}
     start = time.perf_counter()
-    if workers > 1 and tasks:
+    if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_pilot_grids, tasks.values()))
+            results = list(pool.map(_pilot_grids, args))
     else:
-        results = [_pilot_grids(t) for t in tasks.values()]
-    builtin: dict[tuple, dict] = {}  # (task key, x_e, v_e) -> report
-    for key, (reports, _) in zip(tasks, results):
-        builtin.update({(key, x_e, v_e): report for (x_e, v_e), report in zip(starts, reports)})
+        results = [_pilot_grids(a) for a in args]
+    builtin: dict[tuple, dict] = {}  # (pilot index, part key, x_e, v_e) -> report
+    for (key, group), (reports, _) in zip(tasks, results):
+        for i, pilot_reports in zip(group, reports):
+            builtin.update({(i, key, x_e, v_e): report
+                            for (x_e, v_e), report in zip(starts, pilot_reports)})
     work = [w for _, w in results]
     stage_s["builtin_grids"] = time.perf_counter() - start
 
@@ -455,8 +476,8 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
                 if isinstance(pilot, ExternalAutopilot):
                     grid_start = time.perf_counter()
                     try:
-                        (report,), grid_work = _pilot_grids(
-                            (pilot, static, [(x_e, v_e)], grid_spec, sim_cfg))
+                        ((report,),), grid_work = _pilot_grids(
+                            ([pilot], static, [(x_e, v_e)], grid_spec, sim_cfg))
                     except ProtocolError as exc:
                         cell.protocol_error = str(exc)
                         break
@@ -465,7 +486,7 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
                     work.append(grid_work)
                     grid_key = None  # an external grid is its own: no other type shares it
                 else:
-                    grid_key = (_task_key(i, static), x_e, v_e)
+                    grid_key = (i, _part_key(static), x_e, v_e)
                     report = builtin[grid_key]
                 _accumulate(cell, report)
                 if out_path is not None:
@@ -481,7 +502,7 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
     stage_s["raw_files"] = time.perf_counter() - start - external_s
 
     start = time.perf_counter()
-    determinacy = _determinacy_summaries(config)
+    determinacy, determinacy_sims = _determinacy_summaries(config)
     stage_s["determinacy"] = time.perf_counter() - start
     start = time.perf_counter()
     coverage = _coverage_summaries(config)
@@ -494,7 +515,7 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
         determinacy=determinacy,
         coverage=coverage,
         meta={"seed": cfg.get("seed", 0), "dt": sim_cfg.dt, "workers": workers},
-        metrics=_run_metrics(work, stage_s),
+        metrics=_run_metrics(work, determinacy_sims, stage_s),
     )
     for pilot in pilots:
         if isinstance(pilot, ExternalAutopilot):
@@ -502,17 +523,18 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
     return report
 
 
-def _run_metrics(work: list[dict], stage_s: dict[str, float]) -> dict:
+def _run_metrics(work: list[dict], determinacy_sims: int, stage_s: dict[str, float]) -> dict:
     """``metrics.json``: the summed work counters (``_work``) of the grids
-    simulated (each distinct grid once) and the wall time of each stage, in
-    seconds."""
+    simulated (each distinct grid once), the ``simulate`` calls of the
+    determinacy checks, and the wall time of each stage, in seconds."""
     grids: dict = {}
     for counters in work:
         for key, n in counters.items():
             grids[key] = grids.get(key, 0) + n
     cells = grids.get("cells", 0)
     grids["early_exit_frac"] = grids.get("early_exits", 0) / cells if cells else 0.0
-    return {"grids": grids, "stage_s": stage_s}
+    return {"grids": grids, "determinacy": {"simulate_calls": determinacy_sims},
+            "stage_s": stage_s}
 
 
 def determinacy_rows(
@@ -522,9 +544,10 @@ def determinacy_rows(
     probe: TestCase,
     sim_cfg: SimConfig,
     restart_every: int = 5,
-) -> tuple[dict, dict]:
+) -> tuple[dict, dict, int]:
     """The braking row (from ``v0``, obstacle at ``x_f``) and the progress row
-    (restarts of ``probe``) of one built-in autopilot's determinacy checks.
+    (restarts of ``probe``) of one built-in autopilot's determinacy checks,
+    and the ``simulate`` calls they made.
 
     A check whose baseline run is unusable gives a row with status
     ``aborted`` (braking) or ``inapplicable`` (progress) and its ``detail``.
@@ -540,19 +563,22 @@ def determinacy_rows(
 
     progress = {"autopilot": pilot.name, "maneuver": "progress",
                 "x_e": probe.x_e, "v_e": probe.v_e}
+    simulations = 1  # the baseline run, which an inapplicable check ends after
     try:
         rep = determinacy_check_progress(pilot, probe, restart_every=restart_every,
                                          cfg=sim_cfg)
         progress.update(status="ok", max_deviation=rep.max_deviation, tol=rep.tol,
                         verdict_flips=rep.verdict_flips, determinate=rep.determinate)
+        simulations = rep.simulations
     except CheckAbortedError as exc:
         progress.update(status="inapplicable", detail=str(exc))
-    return braking, progress
+    return braking, progress, simulations
 
 
-def _determinacy_summaries(config) -> list[dict]:
-    """Both checks of every built-in autopilot, from the first type and start."""
-    rows = []
+def _determinacy_summaries(config) -> tuple[list[dict], int]:
+    """Both checks of every built-in autopilot, from the first type and start,
+    and the ``simulate`` calls they made."""
+    rows, simulations = [], 0
     static = config.static_for(config.scenario_types[0])
     x_e, v_e = config.initial_states[0]
     sim_cfg = config.sim_config()
@@ -562,8 +588,10 @@ def _determinacy_summaries(config) -> list[dict]:
         rates = [r for _, r in pilot.rate_by_initial_speed] or [pilot.profile.b_max]
         guard = 1.5 * v0 * v0 / (2.0 * min(rates)) + v0 * sim_cfg.dt
         probe = progress_probe(static, x_e, v_e, pilot.profile, sim_cfg.dt)
-        rows.extend(determinacy_rows(pilot, v0, guard, probe, sim_cfg))
-    return rows
+        braking, progress, n = determinacy_rows(pilot, v0, guard, probe, sim_cfg)
+        rows += [braking, progress]
+        simulations += n
+    return rows, simulations
 
 
 def _coverage_summaries(config) -> list[dict]:

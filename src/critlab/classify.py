@@ -15,6 +15,8 @@ what remains is exactly the transition band along the critical frontier.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -31,6 +33,8 @@ from .scenario import (
     equivalence_mutations,
 )
 from .simulator import (
+    VERDICT_CODES,
+    VERDICTS,
     SimConfig,
     VerdictKind,
     Verdict,
@@ -38,6 +42,7 @@ from .simulator import (
     simulate,
     simulate_lockstep,
     verdict,
+    verdict_arrays,
 )
 
 __all__ = [
@@ -84,67 +89,108 @@ class GridResult:
     cells: dict[tuple[float, float], CellResult]
     dt: float = DEFAULT_DT
     # Work counters: ``cells``, ``cell_steps`` (policy steps over all cells),
-    # ``early_exits`` (cells ended before their horizon), ``lockstep_steps``
-    # (the array steps this grid's cells were in the engine for: its longest
-    # run; 0 when simulated cell by cell) and ``scalar_simulate_calls``.
+    # ``early_exits`` (cells ended before their horizon), ``lockstep_batches``
+    # and ``lockstep_steps`` (the engine calls and their array steps, each
+    # counted on the first grid of its call), and ``scalar_simulate_calls``;
+    # summed over grids, each counts the work once.
     stats: dict[str, int] = field(default_factory=dict)
 
 
+# One grid to run: ``(x_e, v_e, x_a_values, x_f_values)``.
+Grid = tuple[float, float, Sequence[float], Sequence[float]]
+
+# The most cells one ``simulate_lockstep`` call takes, unless one grid alone
+# has more: a static part's grids share calls up to it, which keeps the
+# engine's arrays, and the test cases alive at once, small on fine grids.
+BATCH_CELLS = 1 << 16
+
+
+def _batches(jobs: list) -> list[list]:
+    """Consecutive lockstep jobs ``(pair, grid index, pilot, grid)`` in
+    batches of at most ``BATCH_CELLS`` cells, or of one grid."""
+    batches: list[list] = []
+    room = 0
+    for job in jobs:
+        _, _, _, (_, _, x_a_values, x_f_values) = job
+        n = len(x_a_values) * len(x_f_values)
+        if not batches or n > room:
+            batches.append([])
+            room = BATCH_CELLS
+        batches[-1].append(job)
+        room -= n
+    return batches
+
+
 def run_grids(
-    autopilot: AutopilotSpec,
     static: StaticPart,
-    grids: Sequence[tuple[float, float, Sequence[float], Sequence[float]]],
+    pilot_grids: Sequence[tuple[AutopilotSpec, Sequence[Grid]]],
     cfg: SimConfig = SimConfig(),
     goal: Optional[Goal] = None,
-) -> list[GridResult]:
-    """Simulate every geometry of each lattice under one autopilot.
+) -> list[list[GridResult]]:
+    """Simulate every geometry of each pilot's lattices over one static part.
 
-    ``grids`` holds one ``(x_e, v_e, x_a_values, x_f_values)`` per grid, and
-    one ``GridResult`` comes back for each.  The cells of every grid that the
+    ``pilot_grids`` pairs each pilot with its grids; one list comes back per
+    pair, with a ``GridResult`` per grid.  The cells of the grids that the
     lockstep engine can run (``lockstep_applies``: a built-in autopilot on a
-    constant profile) take one ``simulate_lockstep`` call together; any other
-    grid runs ``simulate`` cell by cell.
+    constant profile), whatever their pilot, take ``simulate_lockstep`` calls
+    together, one per ``BATCH_CELLS`` cells, and are graded by
+    ``verdict_arrays``; any other grid runs ``simulate`` and ``verdict`` cell
+    by cell.  Cells with the same zone and verdict share one ``CellResult``.
     """
     goal = goal if goal is not None else default_goal(static)
-    grid_cases = [
-        [TestCase(static=static, x_e=x_e, v_e=v_e, x_a=x_a, x_f=x_f, dt=cfg.dt)
-         for x_a in x_a_values for x_f in x_f_values]
-        for x_e, v_e, x_a_values, x_f_values in grids
-    ]
-    batched = [lockstep_applies(autopilot, v_e) for _, v_e, _, _ in grids]
-    batch = [tc for cases, lockstep in zip(grid_cases, batched) if lockstep for tc in cases]
-    engine = iter(simulate_lockstep(autopilot, batch, cfg) if batch else [])
-    results = []
-    for (x_e, v_e, x_a_values, x_f_values), cases, lockstep in zip(grids, grid_cases, batched):
-        if lockstep:
-            outcomes = [next(engine) for _ in cases]
-        else:
-            outcomes = [simulate(autopilot, tc, cfg, record=False) for tc in cases]
-        boundary = most_critical(x_e, v_e, autopilot.profile, static)
-        cells = {
-            (tc.x_a, tc.x_f): CellResult(zone=classify_zone(tc, boundary),
-                                         verdict=verdict(out, goal))
-            for tc, out in zip(cases, outcomes)
-        }
-        steps = [out.steps for out in outcomes]
-        stats = {
-            "cells": len(outcomes),
-            "cell_steps": sum(steps),
-            "early_exits": sum(out.steps < out.tc.horizon for out in outcomes),
-            "lockstep_steps": max(steps, default=0) if lockstep else 0,
-            "scalar_simulate_calls": 0 if lockstep else len(outcomes),
-        }
-        results.append(GridResult(
-            static=static,
-            x_e=x_e,
-            v_e=v_e,
-            boundary=boundary,
-            x_a_values=tuple(x_a_values),
-            x_f_values=tuple(x_f_values),
-            cells=cells,
-            dt=cfg.dt,
-            stats=stats,
-        ))
+    results: list[list] = [[None] * len(grids) for _, grids in pilot_grids]
+    shared: dict[tuple[Zone, int], CellResult] = {}
+
+    def cases_of(grid: Grid) -> list[TestCase]:
+        x_e, v_e, x_a_values, x_f_values = grid
+        return [TestCase(static=static, x_e=x_e, v_e=v_e, x_a=x_a, x_f=x_f, dt=cfg.dt)
+                for x_a in x_a_values for x_f in x_f_values]
+
+    def store(k: int, j: int, pilot, grid: Grid, cases, codes, stats: dict) -> None:
+        x_e, v_e, x_a_values, x_f_values = grid
+        boundary = most_critical(x_e, v_e, pilot.profile, static)
+        cells = {}
+        for tc, code in zip(cases, codes):
+            key = (classify_zone(tc, boundary), code)
+            cell = shared.get(key)
+            if cell is None:
+                cell = shared[key] = CellResult(zone=key[0], verdict=VERDICTS[code])
+            cells[tc.x_a, tc.x_f] = cell
+        results[k][j] = GridResult(
+            static=static, x_e=x_e, v_e=v_e, boundary=boundary,
+            x_a_values=tuple(x_a_values), x_f_values=tuple(x_f_values),
+            cells=cells, dt=cfg.dt, stats=stats,
+        )
+
+    jobs = [(k, j, pilot, grid) for k, (pilot, grids) in enumerate(pilot_grids)
+            for j, grid in enumerate(grids)]
+    batched = [(k, j, pilot, grid) for k, j, pilot, grid in jobs
+               if lockstep_applies(pilot, grid[1])]
+    for batch in _batches(batched):
+        grid_cases = [cases_of(grid) for _, _, _, grid in batch]
+        pilots = [pilot for (_, _, pilot, _), cases in zip(batch, grid_cases) for _ in cases]
+        runs = simulate_lockstep(pilots, [tc for cases in grid_cases for tc in cases], cfg)
+        codes, steps = verdict_arrays(runs, goal), runs.steps
+        early = steps < runs.horizon
+        end = 0
+        for first, ((k, j, pilot, grid), cases) in enumerate(zip(batch, grid_cases)):
+            start, end = end, end + len(cases)
+            stats = {"cells": len(cases), "cell_steps": int(steps[start:end].sum()),
+                     "early_exits": int(early[start:end].sum()),
+                     "lockstep_batches": int(first == 0),
+                     "lockstep_steps": int(steps.max(initial=0)) if first == 0 else 0,
+                     "scalar_simulate_calls": 0}
+            store(k, j, pilot, grid, cases, codes[start:end].tolist(), stats)
+    for k, j, pilot, grid in jobs:
+        if results[k][j] is None:
+            cases = cases_of(grid)
+            outcomes = [simulate(pilot, tc, cfg, record=False) for tc in cases]
+            stats = {"cells": len(cases), "cell_steps": sum(out.steps for out in outcomes),
+                     "early_exits": sum(out.steps < out.tc.horizon for out in outcomes),
+                     "lockstep_batches": 0, "lockstep_steps": 0,
+                     "scalar_simulate_calls": len(cases)}
+            store(k, j, pilot, grid, cases, [VERDICT_CODES[verdict(out, goal)] for out in outcomes],
+                  stats)
     return results
 
 
@@ -159,7 +205,7 @@ def run_grid(
     goal: Optional[Goal] = None,
 ) -> GridResult:
     """``run_grids`` of the one grid from ego start ``(x_e, v_e)``."""
-    return run_grids(autopilot, static, [(x_e, v_e, x_a_values, x_f_values)], cfg, goal)[0]
+    return run_grids(static, [(autopilot, [(x_e, v_e, x_a_values, x_f_values)])], cfg, goal)[0][0]
 
 
 @dataclass
@@ -188,19 +234,27 @@ def _dominating_passes(grid: GridResult) -> dict[tuple[float, float], tuple[floa
     geometry demonstrates nothing about crossing ability, so it cannot indict
     a crossing failure as irrational.  Frontier failures below the critical
     corner therefore stay in the transition class.
+
+    The witness of a failed cell is, of the progress passes at ``x_a`` and
+    ``x_f`` no larger than its own, the one smallest in ``(x_a, x_f)``.  A
+    staircase sweep finds it in O(cells log cells): the lowest passing
+    ``x_f`` of each ``x_a`` column, its running minimum over ascending
+    ``x_a``, and a binary search of that staircase for each failed cell.
     """
-    passes = [
-        key for key, cell in grid.cells.items()
-        if cell.verdict.kind is VerdictKind.PROGRESS_PASS
-    ]
+    lowest: dict[float, float] = {}  # x_a -> lowest x_f of a progress pass there
+    for (x_a, x_f), cell in grid.cells.items():
+        if cell.verdict.kind is VerdictKind.PROGRESS_PASS and x_f < lowest.get(x_a, math.inf):
+            lowest[x_a] = x_f
+    columns = sorted(lowest)
+    # Negated running minimum: ascending, the first entry at or above -x_f
+    # is the first column with a pass at or below x_f.
+    stair = [-f for f in itertools.accumulate((lowest[x_a] for x_a in columns), min)]
     out: dict[tuple[float, float], tuple[float, float]] = {}
     for key, cell in grid.cells.items():
-        if cell.verdict.kind is not VerdictKind.FAIL:
-            continue
-        for p in passes:
-            if p[0] <= key[0] and p[1] <= key[1] and p != key:
-                out[key] = p
-                break
+        if cell.verdict.kind is VerdictKind.FAIL:
+            j = bisect.bisect_left(stair, -key[1])
+            if j < len(columns) and columns[j] <= key[0]:
+                out[key] = (columns[j], lowest[columns[j]])
     return out
 
 
@@ -260,11 +314,12 @@ def classify_grid(grid: GridResult) -> GridClassification:
 
 
 def rationality_check(grid: GridResult) -> list[tuple[tuple[float, float], tuple[float, float]]]:
-    """Witness pairs ``(passing cell, dominated failing cell)``.
+    """Witness pairs ``(passing cell, dominated failing cell)``, by failing cell.
 
     Empty iff the verdict is monotone along the criticality order; each
     witness shows a pass at a harder geometry together with a failure at an
-    easier one.
+    easier one.  The pass is the dominating progress pass smallest in
+    ``(x_a, x_f)``.
     """
     return [(p, key) for key, p in sorted(_dominating_passes(grid).items())]
 
@@ -288,6 +343,7 @@ class DeterminacyReport:
     tol: float
     max_deviation: float = 0.0
     verdict_flips: int = 0
+    simulations: int = 0  # scalar ``simulate`` runs the check made
 
     @property
     def determinate(self) -> bool:
@@ -428,6 +484,7 @@ def determinacy_check_progress(
         tol=0.2,
         max_deviation=max_dev,
         verdict_flips=flips,
+        simulations=1 + len(restarts),
     )
 
 

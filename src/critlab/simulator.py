@@ -11,21 +11,23 @@ failed through the stricter ``NO_ZONE_COOCCUPANCY`` property.
 
 ``simulate`` runs one case with any autopilot and is the reference.
 ``simulate_lockstep`` runs many cases over one static part together, one numpy
-array step per time step, for the built-in autopilots on a constant profile;
-it gives every case the outcome ``simulate`` gives it, without the recorded
-frames.
+array step per time step, for any mix of built-in autopilots on constant
+profiles; it gives every case the outcome ``simulate`` gives it, without the
+recorded frames, as arrays that ``verdict_arrays`` grades as ``verdict``
+grades one outcome.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections import abc
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .autopilots import AutopilotSpec, step_arrays
+from .autopilots import AutopilotSpec, PolicyColumns, step_arrays
 from .kinematics import advance, advance_arrays
 from .scenario import (
     DEFAULT_DT,
@@ -49,8 +51,12 @@ __all__ = [
     "Verdict",
     "simulate",
     "lockstep_applies",
+    "LockstepRuns",
     "simulate_lockstep",
+    "VERDICTS",
+    "VERDICT_CODES",
     "verdict",
+    "verdict_arrays",
 ]
 
 _EPS = 1e-9
@@ -268,53 +274,90 @@ _STEP_EVENTS = (
 _COOC, _COLL_A, _RED, _COLL_F, _STOP, _HORIZON = range(len(_STEP_EVENTS))
 
 
+@dataclass(eq=False)
+class LockstepRuns(abc.Sequence):
+    """The outcomes of one ``simulate_lockstep`` call, as arrays by cell.
+
+    ``x_f`` and ``horizon`` are the cases' own.  ``event_step[k]`` holds the
+    step in which ``_STEP_EVENTS[k]`` first fired (-1: never), and
+    ``cross_step`` that of the crossing, which happened at ``t_cross``;
+    ``final_p``, ``final_v``, ``steps`` and ``race_won`` are ``SimOutcome``'s
+    ``final``, ``steps`` and ``race_won``.  Indexing builds a cell's
+    ``SimOutcome``.
+    """
+
+    cases: Sequence[TestCase]
+    cfg: SimConfig
+    x_f: np.ndarray
+    horizon: np.ndarray
+    event_step: np.ndarray
+    cross_step: np.ndarray
+    t_cross: np.ndarray
+    final_p: np.ndarray
+    final_v: np.ndarray
+    steps: np.ndarray
+    race_won: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.cases)
+
+    def __getitem__(self, i: int) -> SimOutcome:  # type: ignore[override]
+        tc, dt = self.cases[i], self.cfg.dt
+        # ``simulate`` sorts its events stably by time: by (time, step, order in step).
+        keyed = [((s + 1) * dt, s, k, kind)
+                 for k, (s, kind) in enumerate(zip(self.event_step[:, i].tolist(), _STEP_EVENTS), 1)
+                 if s >= 0]
+        crossed = self.cross_step[i] >= 0
+        if crossed:
+            keyed.append((float(self.t_cross[i]), int(self.cross_step[i]), 0,
+                          EventKind.CROSSED_CONFLICT))
+        keyed.sort()
+        return SimOutcome(
+            tc=tc,
+            scenario=Scenario(static=tc.static),
+            events=[Event(kind, t) for t, _, _, kind in keyed],
+            final=EgoState(float(self.final_p[i]), float(self.final_v[i])),
+            steps=int(self.steps[i]),
+            t_cross=float(self.t_cross[i]) if crossed else None,
+            t_arrive=tc.x_a / tc.static.vl,
+            race_won=bool(self.race_won[i]),
+            zone_epsilon=self.cfg.zone_epsilon,
+        )
+
+
 def simulate_lockstep(
-    autopilot: AutopilotSpec,
+    autopilots: AutopilotSpec | Sequence[AutopilotSpec],
     cases: Sequence[TestCase],
     cfg: SimConfig = SimConfig(),
-) -> list[SimOutcome]:
+) -> LockstepRuns:
     """``simulate(autopilot, tc, cfg, record=False)`` for every case at once.
 
-    The cases share their static part and carry no extra vehicles; each has
-    its own ego start, and ``lockstep_applies(autopilot, tc.v_e)`` holds for
-    every one.  All cells take each step together as numpy arrays, the
-    environment in closed form; a cell leaves the batch when its run would
-    end, at the latest at its own horizon, so the batch takes as many array
-    steps as its longest run.  Each outcome equals the scalar one in its
-    events, final state, step count, crossing and race, and carries no frames.
+    ``autopilots`` is one pilot for every case or one per case.  The cases
+    share their static part and carry no extra vehicles; each has its own ego
+    start, and ``lockstep_applies(autopilot, tc.v_e)`` holds for every one.
+    All cells take each step together as numpy arrays, the environment in
+    closed form and each cell's policy from ``PolicyColumns``; a cell leaves
+    the batch when its run would end, at the latest at its own horizon, so
+    the batch takes as many array steps as its longest run.  Each outcome
+    equals the scalar one in its events, final state, step count, crossing
+    and race, and carries no frames.
     """
-    if not cases:
-        return []
-    static = cases[0].static
-    for tc in cases:
-        if not lockstep_applies(autopilot, tc.v_e):
-            raise ValueError(f"no lockstep engine for {autopilot!r} from v_e={tc.v_e}")
+    n = len(cases)
+    pilots = [autopilots] * n if isinstance(autopilots, AutopilotSpec) else list(autopilots)
+    if len(pilots) != n:
+        raise ValueError(f"{len(pilots)} autopilots for {n} lockstep cases")
+    static = cases[0].static if cases else None
+    for pilot, tc in zip(pilots, cases):
+        if not lockstep_applies(pilot, tc.v_e):
+            raise ValueError(f"no lockstep engine for {pilot!r} from v_e={tc.v_e}")
         if tc.static != static or tc.mutations:
             raise ValueError(
                 "lockstep cases must share one static part and carry no extra vehicles")
         tc.check_horizon(cfg.dt)
     dt = cfg.dt
-    d, vl, v_max = static.d, static.vl, autopilot.profile.v_max
-    race_grace = cfg.zone_epsilon / vl
-    n = len(cases)
-    # A run's maneuver rates are fixed by its start speed.
-    rates = {v_e: (autopilot.accel_rate_for(v_e), autopilot.brake_rate_for(v_e))
-             for v_e in {tc.v_e for tc in cases}}
-
-    x_a = np.array([tc.x_a for tc in cases])
-    x_f = np.array([tc.x_f for tc in cases])
-    t_arrive = x_a / vl
-    # Per-cell columns of the active cells; a finished cell is dropped from all.
-    cols = [
-        np.arange(n),  # index of the cell in ``cases``
-        np.array([-tc.x_e for tc in cases]), np.array([tc.v_e for tc in cases]),  # p, v
-        x_a, x_f, x_f - _EPS,
-        np.array([tc.horizon for tc in cases]),
-        t_arrive - _EPS, t_arrive + race_grace,
-        np.array([rates[tc.v_e][0] for tc in cases]),  # accel_rate
-        np.array([rates[tc.v_e][1] for tc in cases]),  # brake_rate
-    ] + [np.zeros(n, dtype=bool) for _ in range(5)]
-
+    x_a = np.array([tc.x_a for tc in cases], dtype=float)
+    x_f = np.array([tc.x_f for tc in cases], dtype=float)
+    horizons = np.array([tc.horizon for tc in cases], dtype=int)
     # Results by cell: the step of each end-of-step event (-1: none), and so on.
     event_step = np.full((len(_STEP_EVENTS), n), -1)
     cross_step = np.full(n, -1)
@@ -322,16 +365,31 @@ def simulate_lockstep(
     final_p, final_v = np.zeros(n), np.zeros(n)
     steps = np.zeros(n, dtype=int)
     race_won = np.zeros(n, dtype=bool)
+    runs = LockstepRuns(cases, cfg, x_f, horizons, event_step, cross_step, t_cross,
+                        final_p, final_v, steps, race_won)
+    if not n:
+        return runs
+
+    d, vl = static.d, static.vl
+    race_grace = cfg.zone_epsilon / vl
+    v_e = [tc.v_e for tc in cases]
+    pc = PolicyColumns.build(pilots, v_e, x_a, x_f)
+    t_arrive = x_a / vl
+    # Per-cell columns of the active cells; a finished cell is dropped from all.
+    cols = [
+        np.arange(n),  # index of the cell in ``cases``
+        np.array([-tc.x_e for tc in cases], dtype=float), np.array(v_e, dtype=float),  # p, v
+        x_a, x_f, x_f - _EPS, horizons, t_arrive - _EPS, t_arrive + race_grace,
+    ] + [np.zeros(n, dtype=bool) for _ in range(5)]
 
     i = 0
     with np.errstate(invalid="ignore", divide="ignore"):
         while cols[0].size:
-            (idx, p, v, xa, xf, xf_front, horizon, t_late, t_grace, accel_rate, brake_rate,
+            (idx, p, v, xa, xf, xf_front, horizon, t_late, t_grace,
              crossed, exempt, overlap, saw_cooc, saw_stop) = cols
-            a = step_arrays(autopilot, p, v, xa - vl * (i * dt), xa, xf, accel_rate, brake_rate,
-                            static, dt)
+            a = step_arrays(pc, p, v, xa - vl * (i * dt), xf, static, dt)
             p0 = p
-            p, v = advance_arrays(p, v, a, dt, v_max)
+            p, v = advance_arrays(p, v, a, dt, pc.v_max)
             t1 = (i + 1) * dt
 
             new = ~crossed & (p >= 0.0)
@@ -369,7 +427,7 @@ def simulate_lockstep(
             event_step[_HORIZON, idx[hit]] = i
             going &= ~hit
 
-            cols = [idx, p, v, xa, xf, xf_front, horizon, t_late, t_grace, accel_rate, brake_rate,
+            cols = [idx, p, v, xa, xf, xf_front, horizon, t_late, t_grace,
                     crossed, exempt, overlap, saw_cooc, saw_stop]
             if not going.all():
                 done = idx[~going]
@@ -377,30 +435,50 @@ def simulate_lockstep(
                 steps[done] = i + 1
                 race_won[done] = exempt[~going]
                 cols = [col[going] for col in cols]
+                pc = pc.select(going)
             i += 1
+    return runs
 
-    outcomes = []
-    columns = zip(cases, event_step.T.tolist(), cross_step.tolist(), t_cross.tolist(),
-                  final_p.tolist(), final_v.tolist(), steps.tolist(), race_won.tolist())
-    for tc, ev_steps, c_step, t_c, p_end, v_end, n_steps, won in columns:
-        # ``simulate`` sorts its events stably by time: by (time, step, order in step).
-        keyed = [((s + 1) * dt, s, k, kind)
-                 for k, (s, kind) in enumerate(zip(ev_steps, _STEP_EVENTS), 1) if s >= 0]
-        if c_step >= 0:
-            keyed.append((t_c, c_step, 0, EventKind.CROSSED_CONFLICT))
-        keyed.sort()
-        outcomes.append(SimOutcome(
-            tc=tc,
-            scenario=Scenario(static=static),
-            events=[Event(kind, t) for t, _, _, kind in keyed],
-            final=EgoState(p_end, v_end),
-            steps=n_steps,
-            t_cross=t_c if c_step >= 0 else None,
-            t_arrive=tc.x_a / vl,
-            race_won=won,
-            zone_epsilon=cfg.zone_epsilon,
-        ))
-    return outcomes
+
+# Every verdict ``verdict`` can give, once each; ``verdict_arrays`` grades
+# with their indices.
+VERDICTS = (
+    Verdict(VerdictKind.PROGRESS_PASS),
+    Verdict(VerdictKind.CAUTIOUS_PASS),
+    Verdict(VerdictKind.FAIL, reason="no_stable_state_after_crossing"),
+    Verdict(VerdictKind.FAIL, reason="target_not_reached"),
+    Verdict(VerdictKind.FAIL, reason="aborted"),
+    *(Verdict(VerdictKind.FAIL, reason=prop.value) for prop in Property),
+)
+VERDICT_CODES = {vd: code for code, vd in enumerate(VERDICTS)}
+_PROGRESS, _CAUTIOUS, _UNSTABLE, _SHORT = range(4)
+
+
+def verdict_arrays(runs: LockstepRuns, goal: Optional[Goal] = None) -> np.ndarray:
+    """``verdict`` of every cell of a lockstep batch, as its index in
+    ``VERDICTS``.
+
+    The rules are ``verdict``'s, and the first that applies decides: the
+    goal's properties in sorted order, then crossed, then stopped.  A
+    lockstep run never aborts (a built-in pilot commands finite
+    accelerations), so ``verdict``'s aborted rule has nothing to grade.
+    """
+    if not len(runs):
+        return np.zeros(0, dtype=int)
+    static = runs.cases[0].static
+    goal = goal if goal is not None else default_goal(static)
+    stopped = runs.final_v <= _EPS
+    code = np.where(
+        runs.cross_step >= 0,
+        np.where(stopped & (runs.final_p <= runs.x_f + runs.cfg.zone_epsilon),
+                 np.where(runs.race_won, _PROGRESS, _CAUTIOUS), _UNSTABLE),
+        np.where(stopped & (runs.final_p < -static.d), _CAUTIOUS, _SHORT),
+    )
+    # Last property first, so that the first that applies is the one left.
+    for prop in sorted(goal.properties, key=lambda pr: pr.value, reverse=True):
+        fired = runs.event_step[_STEP_EVENTS.index(_PROPERTY_EVENTS[prop])] >= 0
+        code = np.where(fired, VERDICT_CODES[Verdict(VerdictKind.FAIL, prop.value)], code)
+    return code
 
 
 def verdict(outcome: SimOutcome, goal: Optional[Goal] = None) -> Verdict:

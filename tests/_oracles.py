@@ -91,3 +91,19 @@ def scene_line(scene, static, dt) -> bytes:
         },
     }
     return (json.dumps(payload) + "\n").encode()
+
+
+def dominating_passes_scan(cells):
+    """For each failed cell of a grid's ``cells``, the first progress pass, in
+    the dict's order, at coordinatewise smaller-or-equal ``(x_a, x_f)``: the
+    O(fails x passes) scan."""
+    passes = [key for key, cell in cells.items() if cell.verdict.kind.value == "progress_pass"]
+    out = {}
+    for key, cell in cells.items():
+        if cell.verdict.kind.value != "fail":
+            continue
+        for p in passes:
+            if p[0] <= key[0] and p[1] <= key[1] and p != key:
+                out[key] = p
+                break
+    return out

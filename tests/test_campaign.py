@@ -8,6 +8,7 @@ import pytest
 import critlab.autopilots
 import critlab.campaign
 import critlab.classify
+import critlab.simulator
 from critlab.campaign import (
     CampaignCell,
     CampaignConfig,
@@ -296,6 +297,21 @@ class TestWorkers:
         a.pop("meta"), b.pop("meta")  # meta echoes the differing worker count
         assert a == b
 
+    def test_raw_tree_and_reports_match_byte_for_byte(self, tmp_path):
+        """Each worker batches its own group of pilots; no file can tell."""
+        trees = []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            config = four_type_config(static=with_light([2.0, 2.0]), workers=workers)
+            report = run_campaign(config, out_dir=out)
+            report.meta.pop("workers")  # the one field that echoes the worker count
+            write_outputs(report, out)
+            assert report.metrics["grids"]["lockstep_batches"] == 2 * workers
+            trees.append({p.relative_to(out): p.read_bytes()
+                          for p in sorted(out.rglob("*")) if p.is_file()})
+        assert len(trees[0]) == 2 * 4 * 4 + 3
+        assert trees[0] == trees[1]
+
 
 def four_type_config(**overrides):
     """Two built-in autopilots over all four scenario types, 5x5 cells."""
@@ -321,10 +337,11 @@ class TestGridDedup:
         calls = Counter()
         real = critlab.campaign.run_grids
 
-        def counting(spec, static, grids, *args, **kwargs):
-            for x_e, v_e, *_ in grids:
-                calls[(spec.name, x_e, v_e)] += 1
-            return real(spec, static, grids, *args, **kwargs)
+        def counting(static, pilot_grids, *args, **kwargs):
+            for spec, grids in pilot_grids:
+                for x_e, v_e, *_ in grids:
+                    calls[(spec.name, x_e, v_e)] += 1
+            return real(static, pilot_grids, *args, **kwargs)
 
         monkeypatch.setattr(critlab.campaign, "run_grids", counting)
         return run_campaign(config), calls
@@ -345,20 +362,21 @@ class TestGridDedup:
         assert cell_text(light) == "OF-PD (4/4)"
         assert cell_text(report.cells[("merge_yield", "reference")]) != cell_text(light)
 
-    @pytest.mark.parametrize("schedule, batches", [(None, 2), ([2.0, 2.0], 4)])
-    def test_one_engine_call_per_pilot_and_schedule(self, monkeypatch, schedule, batches):
+    @pytest.mark.parametrize("schedule, batches", [(None, 1), ([2.0, 2.0], 2)])
+    def test_one_engine_call_per_schedule(self, monkeypatch, schedule, batches):
         calls = []
         real = critlab.classify.simulate_lockstep
 
-        def counting(spec, cases, *args, **kwargs):
-            calls.append((spec.name, {(tc.x_e, tc.v_e) for tc in cases}))
-            return real(spec, cases, *args, **kwargs)
+        def counting(specs, cases, *args, **kwargs):
+            calls.append({(spec.name, tc.x_e, tc.v_e) for spec, tc in zip(specs, cases)})
+            return real(specs, cases, *args, **kwargs)
 
         monkeypatch.setattr(critlab.classify, "simulate_lockstep", counting)
         report = run_campaign(four_type_config(static=with_light(schedule)))
         assert len(calls) == batches
         starts = set(map(tuple, DEFAULT_CONFIG["initial_states"]))
-        assert all(batch_starts == starts for _, batch_starts in calls)
+        every = {(name, *start) for name in ("reference", "transition_flawed") for start in starts}
+        assert all(batch == every for batch in calls)
         assert report.metrics["grids"]["lockstep_batches"] == batches
 
     def test_one_coverage_integral_for_all_types(self, monkeypatch):
@@ -419,6 +437,49 @@ class TestLockstepCampaign:
         lockstep, scalar = self._outputs(tmp_path / "lockstep"), self._outputs(tmp_path / "scalar")
         assert len(lockstep) == 8 * 4 * 4 + 3
         assert lockstep == scalar
+
+
+class TestRunMetrics:
+    """``metrics.json`` counts the scalar work as it happens."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Calls of ``simulate`` and ``verdict`` and ``SimOutcome``s built."""
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        class CountedOutcome(critlab.simulator.SimOutcome):
+            def __init__(self, *args, **kwargs):
+                calls["SimOutcome"] += 1
+                super().__init__(*args, **kwargs)
+
+        for name in ("simulate", "verdict"):
+            monkeypatch.setattr(critlab.classify, name,
+                                counting(name, getattr(critlab.classify, name)))
+        monkeypatch.setattr(critlab.simulator, "SimOutcome", CountedOutcome)
+        return calls
+
+    def test_default_config_at_6x6(self, calls):
+        """One engine call for all 8 pilots, and 38 determinacy runs."""
+        raw = json.loads(json.dumps(DEFAULT_CONFIG))
+        raw["grid"] = {**raw["grid"], "n_a": 6, "n_f": 6}
+        report = run_campaign(CampaignConfig(raw=raw))
+        grids = report.metrics["grids"]
+        assert (grids["lockstep_batches"], grids["lockstep_steps"]) == (1, 117)
+        assert report.metrics["determinacy"] == {"simulate_calls": 38}
+        assert calls["simulate"] == 38
+
+    def test_lockstep_grids_build_no_outcome_and_call_no_verdict(self, calls):
+        """Only the determinacy checks simulate, grade and build outcomes."""
+        report = run_campaign(four_type_config(static=with_light([2.0, 2.0])))
+        n = report.metrics["determinacy"]["simulate_calls"]
+        assert report.metrics["grids"]["cells"] == 2 * 2 * 4 * 25
+        assert dict(calls) == {"simulate": n, "verdict": n, "SimOutcome": n}
 
 
 class TestStepSize:

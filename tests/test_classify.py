@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from critlab.autopilots import (
     irrational,
@@ -18,12 +20,12 @@ from critlab.classify import (
     rationality_check,
     run_grid,
 )
-from critlab.criticality import most_critical
+from critlab.criticality import Zone, most_critical
 from critlab.kinematics import ADProfile
 from critlab.scenario import TestCase
 from critlab.simulator import Verdict, VerdictKind
 
-from _oracles import brake_trace_stop
+from _oracles import brake_trace_stop, dominating_passes_scan
 
 PASS = Verdict(VerdictKind.PROGRESS_PASS)
 CPASS = Verdict(VerdictKind.CAUTIOUS_PASS)
@@ -120,6 +122,43 @@ class TestPriorityRules:
     def test_single_point_grid_has_no_witnesses(self, merge_static, std_profile):
         grid = synthetic_grid(merge_static, std_profile, {(30.0, 15.0): FAIL})
         assert rationality_check(grid) == []
+
+
+@st.composite
+def verdict_grids(draw):
+    """A grid of random verdicts on axes in ascending or in any order, with
+    the flag that says which; half the coordinates sit on a coarse lattice,
+    where a pass and a failure share a column or a row."""
+    coord = st.integers(1, 12).map(float) | st.floats(1.0, 12.0)
+    xa = draw(st.lists(coord, min_size=1, max_size=8, unique=True))
+    xf = draw(st.lists(coord, min_size=1, max_size=8, unique=True))
+    ascending = draw(st.booleans())
+    if ascending:
+        xa, xf = sorted(xa), sorted(xf)
+    verdict = st.sampled_from([PASS, CPASS, FAIL])
+    cells = {(a, f): CellResult(zone=Zone.SAFE_PROGRESS, verdict=draw(verdict))
+             for a in xa for f in xf}
+    grid = GridResult(static=None, x_e=20.0, v_e=5.0, boundary=None,
+                      x_a_values=tuple(xa), x_f_values=tuple(xf), cells=cells)
+    return grid, ascending
+
+
+class TestDominanceSweep:
+    @settings(max_examples=300, deadline=None)
+    @given(verdict_grids())
+    def test_witnesses_match_the_scan_and_the_stated_rule(self, drawn):
+        grid, ascending = drawn
+        witnesses = rationality_check(grid)
+        if ascending:
+            scan = dominating_passes_scan(grid.cells)
+            assert witnesses == [(p, key) for key, p in sorted(scan.items())]
+        passes = [k for k, c in grid.cells.items() if c.verdict is PASS]
+        rule = {}
+        for key, cell in grid.cells.items():
+            dominating = [p for p in passes if p[0] <= key[0] and p[1] <= key[1]]
+            if cell.verdict is FAIL and dominating:
+                rule[key] = min(dominating)
+        assert witnesses == [(p, key) for key, p in sorted(rule.items())]
 
 
 def _grid_axes(boundary, n=12):

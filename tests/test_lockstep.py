@@ -13,13 +13,23 @@ from critlab.autopilots import (
     FACTORIES,
     ExternalAutopilot,
     always_cautious,
+    constant_speed,
+    irrational,
     non_monotone_brake_profile,
     reference,
 )
 from critlab.classify import run_grid
 from critlab.kinematics import ADProfile
 from critlab.scenario import ScenarioType, StaticPart, TestCase, equivalence_mutations
-from critlab.simulator import SimConfig, VerdictKind, simulate, simulate_lockstep, verdict
+from critlab.simulator import (
+    VERDICTS,
+    SimConfig,
+    VerdictKind,
+    simulate,
+    simulate_lockstep,
+    verdict,
+    verdict_arrays,
+)
 
 EXTERNAL = f"{sys.executable} {Path(__file__).parent / 'external_pilot.py'}"
 STD = ADProfile.constant(2.0, 4.0, 15.0)
@@ -38,22 +48,26 @@ def _bounds(draw, values):
     return tuple(sorted((draw(st.sampled_from(values)), draw(st.sampled_from(values)))))
 
 
-@st.composite
-def grids(draw, variant):
-    """A ``variant`` pilot, a static part, 1-3 starts, unsorted axes and a run config."""
-    profile = ADProfile.constant(
-        draw(st.floats(0.5, 5.0)), draw(st.floats(1.0, 10.0)), draw(st.floats(5.0, 40.0))
-    )
+def _static(draw):
     scenario_type = draw(st.sampled_from(list(ScenarioType)))
     schedule = draw(st.none() | st.tuples(st.floats(0.5, 5.0), st.floats(0.5, 5.0)))
-    static = StaticPart(scenario_type, vl=draw(st.floats(5.0, 20.0)),
-                        d=draw(st.floats(1.0, 8.0)), light_schedule=schedule)
-    starts = draw(st.lists(st.tuples(_distances(1.0, 80.0), st.floats(0.0, profile.v_max)),
-                           min_size=1, max_size=3))
-    x_as = draw(st.lists(_distances(1.0, 80.0), min_size=1, max_size=3))
-    x_fs = draw(st.lists(_distances(0.5, 60.0), min_size=1, max_size=3))
-    cfg = SimConfig(dt=draw(st.sampled_from([0.1, 0.05, 0.02])),
-                    zone_epsilon=draw(st.floats(0.0, 0.5)))
+    return StaticPart(scenario_type, vl=draw(st.floats(5.0, 20.0)),
+                      d=draw(st.floats(1.0, 8.0)), light_schedule=schedule)
+
+
+def _sim_config(draw):
+    return SimConfig(dt=draw(st.sampled_from([0.1, 0.05, 0.02])),
+                     zone_epsilon=draw(st.floats(0.0, 0.5)))
+
+
+def _starts(draw, profile):
+    return draw(st.lists(st.tuples(_distances(1.0, 80.0), st.floats(0.0, profile.v_max)),
+                         min_size=1, max_size=3))
+
+
+def _pilot(draw, variant, profile, x_as, x_fs):
+    """A ``variant`` pilot on ``profile`` with drawn parameters; an irrational
+    one's fail region has its ends on the axes."""
     params = {}
     if variant == "transition_flawed":
         params["optimism"] = draw(st.floats(1.01, 3.0))
@@ -65,8 +79,46 @@ def grids(draw, variant):
         limit = max(profile.a_max, profile.b_max)
         params["rates"] = draw(st.dictionaries(
             st.floats(0.0, profile.v_max), st.floats(0.1, limit), min_size=1, max_size=3))
-    pilot = FACTORIES[variant](profile, **params)
-    return pilot, static, starts, x_as, x_fs, cfg
+    return FACTORIES[variant](profile, **params)
+
+
+@st.composite
+def grids(draw, variant):
+    """A ``variant`` pilot, a static part, 1-3 starts, unsorted axes and a run config."""
+    profile = ADProfile.constant(
+        draw(st.floats(0.5, 5.0)), draw(st.floats(1.0, 10.0)), draw(st.floats(5.0, 40.0))
+    )
+    static = _static(draw)
+    starts = _starts(draw, profile)
+    x_as = draw(st.lists(_distances(1.0, 80.0), min_size=1, max_size=3))
+    x_fs = draw(st.lists(_distances(0.5, 60.0), min_size=1, max_size=3))
+    cfg = _sim_config(draw)
+    return _pilot(draw, variant, profile, x_as, x_fs), static, starts, x_as, x_fs, cfg
+
+
+# The profile the default config gives non_determinate_brake (``STD`` is the default).
+FAST = ADProfile.constant(2.0, 5.0, 30.0)
+
+
+@st.composite
+def mixed_batches(draw):
+    """One batch of 2-4 pilots of any variants, each on the default profile,
+    ``FAST`` or a drawn one and from its own 1-3 starts, over shared axes:
+    ``(pilot of each cell, cases, run config)``, the cells in drawn order."""
+    static = _static(draw)
+    x_as = draw(st.lists(_distances(1.0, 80.0), min_size=1, max_size=3))
+    x_fs = draw(st.lists(_distances(0.5, 60.0), min_size=1, max_size=3))
+    cfg = _sim_config(draw)
+    drawn_profile = st.builds(ADProfile.constant, st.floats(0.5, 5.0), st.floats(1.0, 10.0),
+                              st.floats(5.0, 40.0))
+    cells = []
+    for variant in draw(st.lists(st.sampled_from(sorted(FACTORIES)), min_size=2, max_size=4)):
+        profile = draw(st.sampled_from([STD, FAST]) | drawn_profile)
+        pilot = _pilot(draw, variant, profile, x_as, x_fs)
+        cells += [(pilot, TestCase(static=static, x_e=x_e, v_e=v_e, x_a=x_a, x_f=x_f, dt=cfg.dt))
+                  for x_e, v_e in _starts(draw, profile) for x_a in x_as for x_f in x_fs]
+    cells = draw(st.permutations(cells))
+    return [pilot for pilot, _ in cells], [tc for _, tc in cells], cfg
 
 
 def _observed(out):
@@ -75,14 +127,23 @@ def _observed(out):
             out.t_arrive, out.race_won, vd.kind, vd.reason)
 
 
+def _check_batch(pilots, cases, cfg):
+    """Every cell of one engine call, and its array verdict, equals its scalar run."""
+    runs = simulate_lockstep(pilots, cases, cfg)
+    codes = verdict_arrays(runs).tolist()
+    for pilot, tc, out, code in zip(pilots, cases, runs, codes, strict=True):
+        assert out.tc is tc
+        scalar = simulate(pilot, tc, cfg, record=False)
+        assert _observed(out) == _observed(scalar)
+        assert VERDICTS[code] == verdict(scalar)
+
+
 def _check_every_cell(grid):
     """Every cell of one batch over all the starts equals its scalar run."""
     pilot, static, starts, x_as, x_fs, cfg = grid
     cases = [TestCase(static=static, x_e=x_e, v_e=v_e, x_a=x_a, x_f=x_f, dt=cfg.dt)
              for x_e, v_e in starts for x_a in x_as for x_f in x_fs]
-    for tc, out in zip(cases, simulate_lockstep(pilot, cases, cfg), strict=True):
-        assert out.tc is tc
-        assert _observed(out) == _observed(simulate(pilot, tc, cfg, record=False))
+    _check_batch([pilot] * len(cases), cases, cfg)
 
 
 # A start whose cautious stop brakes in whole steps down to a residual
@@ -98,6 +159,27 @@ def test_every_cell_equals_scalar_simulate(variant):
     if variant == "always_cautious":
         test = example(CREEPING)(test)
     settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])(test)()
+
+
+def _case(x_e, v_e, x_a, x_f):
+    return TestCase(static=MERGE, x_e=x_e, v_e=v_e, x_a=x_a, x_f=x_f)
+
+
+# A constant-speed pilot, an irrational one late inside its fail region and
+# the CREEPING start of an always-cautious one, in one batch.
+LATE = irrational(STD, ((29.0, 35.0), (16.0, 24.0)))
+MIXED = ([constant_speed(STD)] * 2 + [LATE] * 2 + [always_cautious(STD)],
+         [_case(20.0, 5.0, 30.0, 20.0), _case(35.0, 12.0, 60.0, 20.0),
+          _case(20.0, 5.0, 30.0, 20.0), _case(25.0, 7.5, 40.0, 30.0),
+          _case(35.0, 12.001, 60.0, 20.0)],
+         SimConfig())
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mixed_batches())
+@example(MIXED)
+def test_every_cell_of_a_mixed_batch_equals_scalar_simulate(batch):
+    _check_batch(*batch)
 
 
 def test_a_cautious_stop_brakes_off_its_residual_speed():
@@ -121,7 +203,9 @@ def test_refuses_cases_it_cannot_batch():
         simulate_lockstep(reference(STD), equivalence_mutations(cases[0], 10.0))
     with pytest.raises(ValueError):
         simulate_lockstep(reference(non_monotone_brake_profile()), cases[:1])
-    assert simulate_lockstep(reference(STD), []) == []
+    with pytest.raises(ValueError):  # one pilot for two cases
+        simulate_lockstep([reference(STD)], [cases[0], cases[0]])
+    assert len(simulate_lockstep(reference(STD), [])) == 0
 
 
 class TestRouting:
