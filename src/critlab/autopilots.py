@@ -102,8 +102,9 @@ class AutopilotSpec:
             raise ValueError(f"{self.variant} needs a rate_by_initial_speed map")
         limit = max(self.profile.a_max, self.profile.b_max) + _EPS
         for v0, rate in self.rate_by_initial_speed:
-            if rate <= 0 or rate > limit:
-                raise ValueError(f"maneuver rate {rate} for v0={v0} outside (0, {limit}]")
+            if not (0 < rate <= limit and math.isfinite(v0)):
+                raise ValueError(f"maneuver rate {rate} for v0={v0}: needs a rate in (0, {limit}] "
+                                 "and a finite v0")
 
     def rate_for(self, v0: float, default: float) -> float:
         """Maneuver rate keyed on the speed observed when the run started."""

@@ -6,9 +6,11 @@ type) pair the runner classifies one grid per initial state, persists the raw
 per-grid JSON (so summaries can be regenerated without re-simulating), and
 aggregates a result matrix whose cells read like ``TF (9.0%) IS (4.2%)`` or
 ``OF-PD (2/4)``.  Grids of a built-in autopilot that differ only in scenario
-type are simulated and serialised once and written under every type, and the
-grids of all built-in autopilots over one static part are simulated
-together: one batch per worker, of at most ``classify.BATCH_CELLS`` cells.
+type are simulated and serialised once and written under every type.  The
+built-in grids, one per (pilot, start) job, are split once into tasks of
+whole grids (``_groups``): one per worker, or more to keep each within
+``BATCH_CELLS`` cells; each task over a static part is one ``run_grids``
+call, which steps all its grids together.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from pathlib import Path
 from .autopilots import FACTORIES, AutopilotSpec, ExternalAutopilot, ProtocolError
 from .classify import (
     CheckAbortedError,
-    GridResult,
     classify_grid,
     determinacy_check_braking,
     determinacy_check_progress,
@@ -118,6 +119,16 @@ def _check_keys(section: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
+def _check_finite(value, where: str) -> None:
+    """Refuse a NaN or infinite number anywhere in ``value``: Python's JSON
+    parser reads ``NaN`` and ``Infinity``."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"non-finite number {value} in {where}")
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            _check_finite(item, f"{where}[{key!r}]")
+
+
 @dataclass
 class CampaignConfig:
     """A campaign config (``raw``, the JSON as given), checked and built once.
@@ -144,6 +155,7 @@ class CampaignConfig:
         if not isinstance(cfg, dict):
             raise ConfigError("config must be a JSON object")
         _check_keys(cfg, _TOP_KEYS, "config")
+        _check_finite(cfg, "config")
         for required in ("scenario_types", "autopilots", "initial_states"):
             if not cfg.get(required):
                 raise ConfigError(f"config needs a non-empty {required!r} list")
@@ -163,6 +175,9 @@ class CampaignConfig:
         bounds = [g[k] for k in ("a_lo", "a_hi_tilde", "f_lo", "f_hi")]
         if not all(isinstance(b, (int, float)) for b in bounds) or min(bounds[:2]) <= 0:
             raise ConfigError("grid bounds must be numbers, a_lo and a_hi_tilde positive")
+        self.workers = cfg.get("workers", DEFAULT_CONFIG["workers"])
+        if type(self.workers) is not int or self.workers < 1:
+            raise ConfigError(f"workers must be an integer >= 1: {self.workers!r}")
 
         self.initial_states = [(x_e, v_e) for x_e, v_e in cfg["initial_states"]]
         for x_e, v_e in self.initial_states:
@@ -355,48 +370,35 @@ def _part_key(static: StaticPart) -> object:
     return static.light_schedule
 
 
-def _groups(items: list, n: int) -> list[list]:
-    """``items`` in at most ``n`` contiguous groups, of sizes that differ by
-    at most one."""
-    n = min(n, len(items))
-    if n < 1:
-        return []
-    size, extra = divmod(len(items), n)
-    bounds = [k * size + min(k, extra) for k in range(n + 1)]
-    return [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+# The most cells one task simulates, unless one grid alone has more: a task
+# makes one ``simulate_lockstep`` call, and this keeps its arrays, and the
+# test cases alive at once, small on fine grids.
+BATCH_CELLS = 1 << 16
 
 
-def _pilot_grids(args) -> tuple[list[list[dict]], dict]:
-    """The raw reports of some pilots' grids over one static part, a list
-    per pilot with one report per start, and the work they took (``_work``)."""
-    specs, static, starts, grid_spec, sim_cfg = args
-    pilot_grids = []
-    for spec in specs:
-        grids = []
-        for x_e, v_e in starts:
-            boundary = most_critical(x_e, v_e, spec.profile, static)
-            grids.append((x_e, v_e, *_grid_values(boundary, grid_spec)))
-        pilot_grids.append((spec, grids))
-    results = run_grids(static, pilot_grids, sim_cfg)
-    work = _work([grid for grids in results for grid in grids])
-    reports = []
-    for spec, grids in zip(specs, results):
-        reports.append([])
-        while grids:  # drop each grid once it is reported: fine grids take much memory
-            grid = grids.pop(0)
-            report = grid_report_dict(grid, classify_grid(grid))
-            report["autopilot"] = spec.name
-            reports[-1].append(report)
-    return reports, work
+def _groups(jobs: list, grid_cells: int, workers: int) -> list[list]:
+    """``jobs``, each a grid of ``grid_cells`` cells, in contiguous tasks of
+    sizes that differ by at most one: ``workers`` tasks, or as many more as
+    keep each within ``BATCH_CELLS`` cells, but never an empty one."""
+    per_task = max(1, BATCH_CELLS // grid_cells)
+    n = min(len(jobs), max(workers, -(-len(jobs) // per_task)))
+    return [jobs[k * len(jobs) // n:(k + 1) * len(jobs) // n] for k in range(n)]
 
 
-def _work(grids: list[GridResult]) -> dict:
-    """The work counters of some grids: their ``stats`` summed."""
-    work = {"simulated": len(grids)}
-    for grid in grids:
-        for key, n in grid.stats.items():
-            work[key] = work.get(key, 0) + n
-    return work
+def _grid_reports(args) -> tuple[list[dict], list[dict]]:
+    """The raw reports of some ``(pilot, x_e, v_e)`` jobs' grids over one
+    static part, one per job, and each grid's work counters (``stats``)."""
+    jobs, static, grid_spec, sim_cfg = args
+    grids = []
+    for spec, x_e, v_e in jobs:
+        boundary = most_critical(x_e, v_e, spec.profile, static)
+        grids.append((spec, (x_e, v_e, *_grid_values(boundary, grid_spec))))
+    results = run_grids(static, grids, sim_cfg)
+    stats, reports = [grid.stats for grid in results], []
+    for spec, _, _ in jobs:
+        grid = results.pop(0)  # drop each grid once it is reported: fine grids take much memory
+        reports.append({**grid_report_dict(grid, classify_grid(grid)), "autopilot": spec.name})
+    return reports, stats
 
 
 # Stands in for the scenario type while a grid report is serialised, so that
@@ -435,39 +437,40 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
     states = config.initial_states
     grid_spec = config.grid
     sim_cfg = config.sim_config()
-    workers = int(cfg.get("workers", 1))
+    workers = config.workers
     out_path = Path(out_dir) if out_dir is not None else None
 
-    # One task per static part in effect and group of built-in pilots (one
-    # group per worker), over the distinct starts.
-    starts = list(dict.fromkeys(states))
+    # The (pilot, start) jobs of the built-in pilots, over the distinct
+    # starts, split into tasks once, the same way for every static part in
+    # effect.
     parts = {}
     for sc in scenario_types:
         static = config.static_for(sc)
         parts.setdefault(_part_key(static), static)
-    builtin_ix = [i for i, pilot in enumerate(pilots) if not isinstance(pilot, ExternalAutopilot)]
-    tasks = [(key, group) for key in parts for group in _groups(builtin_ix, workers)]
-    args = [([pilots[i] for i in group], parts[key], starts, grid_spec, sim_cfg)
-            for key, group in tasks]
+    jobs = [(pilot, x_e, v_e) for pilot in pilots if not isinstance(pilot, ExternalAutopilot)
+            for x_e, v_e in dict.fromkeys(states)]
+    groups = _groups(jobs, grid_spec["n_a"] * grid_spec["n_f"], workers)
+    tasks = [(key, group) for key in parts for group in groups]
+    args = [(group, parts[key], grid_spec, sim_cfg) for key, group in tasks]
 
     stage_s: dict[str, float] = {}
     start = time.perf_counter()
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_pilot_grids, args))
+            results = list(pool.map(_grid_reports, args))
     else:
-        results = [_pilot_grids(a) for a in args]
-    builtin: dict[tuple, dict] = {}  # (pilot index, part key, x_e, v_e) -> report
-    for (key, group), (reports, _) in zip(tasks, results):
-        for i, pilot_reports in zip(group, reports):
-            builtin.update({(i, key, x_e, v_e): report
-                            for (x_e, v_e), report in zip(starts, pilot_reports)})
-    work = [w for _, w in results]
+        results = [_grid_reports(a) for a in args]
+    builtin: dict[tuple, dict] = {}  # (pilot name, part key, x_e, v_e) -> report
+    stats: list[dict] = []  # the work counters of every grid simulated
+    for (key, group), (reports, grid_stats) in zip(tasks, results):
+        builtin.update({(pilot.name, key, x_e, v_e): report
+                        for (pilot, x_e, v_e), report in zip(group, reports)})
+        stats += grid_stats
     stage_s["builtin_grids"] = time.perf_counter() - start
 
     start, external_s = time.perf_counter(), 0.0
     cells: dict[tuple[str, str], CampaignCell] = {}
-    for i, pilot in enumerate(pilots):
+    for pilot in pilots:
         raw_parts: dict = {}  # grid key -> raw text parts, for this pilot's grids
         for sc in scenario_types:
             cell = CampaignCell(autopilot=pilot.name, scenario_type=sc.value)
@@ -476,17 +479,17 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
                 if isinstance(pilot, ExternalAutopilot):
                     grid_start = time.perf_counter()
                     try:
-                        ((report,),), grid_work = _pilot_grids(
-                            ([pilot], static, [(x_e, v_e)], grid_spec, sim_cfg))
+                        (report,), grid_stats = _grid_reports(
+                            ([(pilot, x_e, v_e)], static, grid_spec, sim_cfg))
                     except ProtocolError as exc:
                         cell.protocol_error = str(exc)
                         break
                     finally:
                         external_s += time.perf_counter() - grid_start
-                    work.append(grid_work)
+                    stats += grid_stats
                     grid_key = None  # an external grid is its own: no other type shares it
                 else:
-                    grid_key = (i, _part_key(static), x_e, v_e)
+                    grid_key = (pilot.name, _part_key(static), x_e, v_e)
                     report = builtin[grid_key]
                 _accumulate(cell, report)
                 if out_path is not None:
@@ -515,7 +518,7 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
         determinacy=determinacy,
         coverage=coverage,
         meta={"seed": cfg.get("seed", 0), "dt": sim_cfg.dt, "workers": workers},
-        metrics=_run_metrics(work, determinacy_sims, stage_s),
+        metrics=_run_metrics(stats, determinacy_sims, stage_s),
     )
     for pilot in pilots:
         if isinstance(pilot, ExternalAutopilot):
@@ -523,12 +526,12 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
     return report
 
 
-def _run_metrics(work: list[dict], determinacy_sims: int, stage_s: dict[str, float]) -> dict:
-    """``metrics.json``: the summed work counters (``_work``) of the grids
-    simulated (each distinct grid once), the ``simulate`` calls of the
+def _run_metrics(stats: list[dict], determinacy_sims: int, stage_s: dict[str, float]) -> dict:
+    """``metrics.json``: the work counters (``GridResult.stats``) of the grids
+    simulated (each distinct grid once), summed, the ``simulate`` calls of the
     determinacy checks, and the wall time of each stage, in seconds."""
-    grids: dict = {}
-    for counters in work:
+    grids = {"simulated": len(stats)}
+    for counters in stats:
         for key, n in counters.items():
             grids[key] = grids.get(key, 0) + n
     cells = grids.get("cells", 0)

@@ -99,55 +99,50 @@ class GridResult:
 # One grid to run: ``(x_e, v_e, x_a_values, x_f_values)``.
 Grid = tuple[float, float, Sequence[float], Sequence[float]]
 
-# The most cells one ``simulate_lockstep`` call takes, unless one grid alone
-# has more: a static part's grids share calls up to it, which keeps the
-# engine's arrays, and the test cases alive at once, small on fine grids.
-BATCH_CELLS = 1 << 16
-
-
-def _batches(jobs: list) -> list[list]:
-    """Consecutive lockstep jobs ``(pair, grid index, pilot, grid)`` in
-    batches of at most ``BATCH_CELLS`` cells, or of one grid."""
-    batches: list[list] = []
-    room = 0
-    for job in jobs:
-        _, _, _, (_, _, x_a_values, x_f_values) = job
-        n = len(x_a_values) * len(x_f_values)
-        if not batches or n > room:
-            batches.append([])
-            room = BATCH_CELLS
-        batches[-1].append(job)
-        room -= n
-    return batches
-
 
 def run_grids(
     static: StaticPart,
-    pilot_grids: Sequence[tuple[AutopilotSpec, Sequence[Grid]]],
+    jobs: Sequence[tuple[AutopilotSpec, Grid]],
     cfg: SimConfig = SimConfig(),
     goal: Optional[Goal] = None,
-) -> list[list[GridResult]]:
-    """Simulate every geometry of each pilot's lattices over one static part.
+) -> list[GridResult]:
+    """Simulate every geometry of each job's grid over one static part.
 
-    ``pilot_grids`` pairs each pilot with its grids; one list comes back per
-    pair, with a ``GridResult`` per grid.  The cells of the grids that the
-    lockstep engine can run (``lockstep_applies``: a built-in autopilot on a
-    constant profile), whatever their pilot, take ``simulate_lockstep`` calls
-    together, one per ``BATCH_CELLS`` cells, and are graded by
-    ``verdict_arrays``; any other grid runs ``simulate`` and ``verdict`` cell
-    by cell.  Cells with the same zone and verdict share one ``CellResult``.
+    ``jobs`` pairs a pilot with a grid; a ``GridResult`` comes back per job,
+    in order.  The cells of the grids that the lockstep engine can run
+    (``lockstep_applies``: a built-in autopilot on a constant profile),
+    whatever their pilot, take one ``simulate_lockstep`` call together and
+    are graded by ``verdict_arrays``; any other grid runs ``simulate`` and
+    ``verdict`` cell by cell.  The caller bounds the cells of one call.
+    Cells with the same zone and verdict share one ``CellResult``.
     """
     goal = goal if goal is not None else default_goal(static)
-    results: list[list] = [[None] * len(grids) for _, grids in pilot_grids]
+    grid_cases = [[TestCase(static=static, x_e=x_e, v_e=v_e, x_a=x_a, x_f=x_f, dt=cfg.dt)
+                   for x_a in x_a_values for x_f in x_f_values]
+                  for _, (x_e, v_e, x_a_values, x_f_values) in jobs]
+    # Per job: each cell's verdict code, steps and horizon, and the scalar
+    # ``simulate`` calls they took.
+    runs: list = [None] * len(jobs)
+    engine = {}  # the engine call's counters, kept on the first grid it ran
+    batched = [i for i, (pilot, grid) in enumerate(jobs) if lockstep_applies(pilot, grid[1])]
+    if batched:
+        lockstep = simulate_lockstep([jobs[i][0] for i in batched for _ in grid_cases[i]],
+                                     [tc for i in batched for tc in grid_cases[i]], cfg)
+        codes, steps = verdict_arrays(lockstep, goal).tolist(), lockstep.steps.tolist()
+        horizons, end = lockstep.horizon.tolist(), 0
+        for i in batched:
+            start, end = end, end + len(grid_cases[i])
+            runs[i] = codes[start:end], steps[start:end], horizons[start:end], 0
+        engine[batched[0]] = {"lockstep_batches": 1, "lockstep_steps": max(steps, default=0)}
+
     shared: dict[tuple[Zone, int], CellResult] = {}
-
-    def cases_of(grid: Grid) -> list[TestCase]:
-        x_e, v_e, x_a_values, x_f_values = grid
-        return [TestCase(static=static, x_e=x_e, v_e=v_e, x_a=x_a, x_f=x_f, dt=cfg.dt)
-                for x_a in x_a_values for x_f in x_f_values]
-
-    def store(k: int, j: int, pilot, grid: Grid, cases, codes, stats: dict) -> None:
-        x_e, v_e, x_a_values, x_f_values = grid
+    results = []
+    for i, ((pilot, (x_e, v_e, x_a_values, x_f_values)), cases) in enumerate(zip(jobs, grid_cases)):
+        if runs[i] is None:
+            outcomes = [simulate(pilot, tc, cfg, record=False) for tc in cases]
+            runs[i] = ([VERDICT_CODES[verdict(out, goal)] for out in outcomes],
+                       [out.steps for out in outcomes], [tc.horizon for tc in cases], len(cases))
+        codes, steps, horizons, scalar_calls = runs[i]
         boundary = most_critical(x_e, v_e, pilot.profile, static)
         cells = {}
         for tc, code in zip(cases, codes):
@@ -156,41 +151,15 @@ def run_grids(
             if cell is None:
                 cell = shared[key] = CellResult(zone=key[0], verdict=VERDICTS[code])
             cells[tc.x_a, tc.x_f] = cell
-        results[k][j] = GridResult(
+        stats = {"cells": len(codes), "cell_steps": sum(steps),
+                 "early_exits": sum(n < h for n, h in zip(steps, horizons)),
+                 "lockstep_batches": 0, "lockstep_steps": 0,
+                 "scalar_simulate_calls": scalar_calls, **engine.get(i, {})}
+        results.append(GridResult(
             static=static, x_e=x_e, v_e=v_e, boundary=boundary,
             x_a_values=tuple(x_a_values), x_f_values=tuple(x_f_values),
             cells=cells, dt=cfg.dt, stats=stats,
-        )
-
-    jobs = [(k, j, pilot, grid) for k, (pilot, grids) in enumerate(pilot_grids)
-            for j, grid in enumerate(grids)]
-    batched = [(k, j, pilot, grid) for k, j, pilot, grid in jobs
-               if lockstep_applies(pilot, grid[1])]
-    for batch in _batches(batched):
-        grid_cases = [cases_of(grid) for _, _, _, grid in batch]
-        pilots = [pilot for (_, _, pilot, _), cases in zip(batch, grid_cases) for _ in cases]
-        runs = simulate_lockstep(pilots, [tc for cases in grid_cases for tc in cases], cfg)
-        codes, steps = verdict_arrays(runs, goal), runs.steps
-        early = steps < runs.horizon
-        end = 0
-        for first, ((k, j, pilot, grid), cases) in enumerate(zip(batch, grid_cases)):
-            start, end = end, end + len(cases)
-            stats = {"cells": len(cases), "cell_steps": int(steps[start:end].sum()),
-                     "early_exits": int(early[start:end].sum()),
-                     "lockstep_batches": int(first == 0),
-                     "lockstep_steps": int(steps.max(initial=0)) if first == 0 else 0,
-                     "scalar_simulate_calls": 0}
-            store(k, j, pilot, grid, cases, codes[start:end].tolist(), stats)
-    for k, j, pilot, grid in jobs:
-        if results[k][j] is None:
-            cases = cases_of(grid)
-            outcomes = [simulate(pilot, tc, cfg, record=False) for tc in cases]
-            stats = {"cells": len(cases), "cell_steps": sum(out.steps for out in outcomes),
-                     "early_exits": sum(out.steps < out.tc.horizon for out in outcomes),
-                     "lockstep_batches": 0, "lockstep_steps": 0,
-                     "scalar_simulate_calls": len(cases)}
-            store(k, j, pilot, grid, cases, [VERDICT_CODES[verdict(out, goal)] for out in outcomes],
-                  stats)
+        ))
     return results
 
 
@@ -205,7 +174,7 @@ def run_grid(
     goal: Optional[Goal] = None,
 ) -> GridResult:
     """``run_grids`` of the one grid from ego start ``(x_e, v_e)``."""
-    return run_grids(static, [(autopilot, [(x_e, v_e, x_a_values, x_f_values)])], cfg, goal)[0][0]
+    return run_grids(static, [(autopilot, (x_e, v_e, x_a_values, x_f_values))], cfg, goal)[0]
 
 
 @dataclass

@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .autopilots import ExternalAutopilot, ProtocolError
 from .campaign import (
+    CampaignConfig,
     ConfigError,
     build_autopilot,
     determinacy_rows,
@@ -164,8 +165,8 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.command == "campaign":
         config = load_config(args.config)
-        if args.workers is not None:
-            config.raw["workers"] = args.workers
+        if args.workers is not None:  # checked as the config's own value would be
+            config = CampaignConfig(raw={**config.raw, "workers": args.workers})
         out_dir = args.out or _default_out()
         report = run_campaign(config, out_dir=out_dir)
         write_outputs(report, out_dir)

@@ -182,8 +182,8 @@ class TestCase:
             raise ValueError("x_e, x_a and x_f must all be positive")
         if self.v_e < 0:
             raise ValueError("v_e must be non-negative")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite: {self.dt}")
         if self.horizon is None:
             object.__setattr__(self, "horizon", self.min_horizon(self.dt, slack=_EXTRA_HORIZON))
         else:

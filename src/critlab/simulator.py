@@ -85,10 +85,10 @@ class SimConfig:
     zone_epsilon: float = 0.1  # m, boundary tolerance for crossing-order ties
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.zone_epsilon < 0:
-            raise ValueError("zone_epsilon must be non-negative")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite: {self.dt}")
+        if not 0 <= self.zone_epsilon < math.inf:
+            raise ValueError(f"zone_epsilon must be non-negative and finite: {self.zone_epsilon}")
 
 
 @dataclass

@@ -1,9 +1,12 @@
 import json
+import math
 import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import critlab.autopilots
 import critlab.campaign
@@ -337,11 +340,10 @@ class TestGridDedup:
         calls = Counter()
         real = critlab.campaign.run_grids
 
-        def counting(static, pilot_grids, *args, **kwargs):
-            for spec, grids in pilot_grids:
-                for x_e, v_e, *_ in grids:
-                    calls[(spec.name, x_e, v_e)] += 1
-            return real(static, pilot_grids, *args, **kwargs)
+        def counting(static, jobs, *args, **kwargs):
+            for spec, (x_e, v_e, *_) in jobs:
+                calls[(spec.name, x_e, v_e)] += 1
+            return real(static, jobs, *args, **kwargs)
 
         monkeypatch.setattr(critlab.campaign, "run_grids", counting)
         return run_campaign(config), calls
@@ -437,6 +439,41 @@ class TestLockstepCampaign:
         lockstep, scalar = self._outputs(tmp_path / "lockstep"), self._outputs(tmp_path / "scalar")
         assert len(lockstep) == 8 * 4 * 4 + 3
         assert lockstep == scalar
+
+    @pytest.mark.parametrize("batch_cells, tasks", [(75, 3), (60, 4), (10, 8)])
+    def test_tasks_cut_at_batch_cells_match_one_task_per_part(
+        self, tmp_path, monkeypatch, batch_cells, tasks
+    ):
+        """Two pilots x four starts of 5x5 cells per static part, cut into
+        ``tasks`` engine calls per part (one grid each if a grid alone
+        exceeds the bound), or one per worker if that is more."""
+        outputs = []
+        for workers, cut in ((1, False), (1, True), (2, True)):
+            if cut:
+                monkeypatch.setattr(critlab.campaign, "BATCH_CELLS", batch_cells)
+            out = tmp_path / f"w{workers}-{cut}"
+            config = four_type_config(static=with_light([2.0, 2.0]), workers=workers)
+            report = run_campaign(config, out_dir=out)
+            report.meta.pop("workers")  # the one field that echoes the worker count
+            write_outputs(report, out)
+            calls = max(workers, tasks) if cut else 1
+            assert report.metrics["grids"]["lockstep_batches"] == 2 * calls
+            outputs.append(self._outputs(out))
+        assert len(outputs[0]) == 2 * 4 * 4 + 3
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 300), st.integers(1, 1 << 18), st.integers(1, 8))
+@example(32, 100 * 100, 1)
+@example(7, (1 << 16) + 1, 2)
+def test_split_keeps_whole_grids_in_order_within_the_cell_bound(n_jobs, grid_cells, workers):
+    jobs = list(range(n_jobs))
+    tasks = critlab.campaign._groups(jobs, grid_cells, workers)
+    bound = critlab.campaign.BATCH_CELLS
+    assert [job for task in tasks for job in task] == jobs
+    assert all(len(task) * grid_cells <= bound or len(task) == 1 for task in tasks)
+    assert all(tasks) and len(tasks) >= min(workers, n_jobs)
 
 
 class TestRunMetrics:
@@ -541,6 +578,24 @@ class TestLoadTimeRejection:
         _pilot(name="a/b"),
         _pilot(name=""),
         _pilot(name=".."),
+        {"grid": {"a_lo": math.nan}},
+        {"grid": {"a_hi_tilde": math.inf}},
+        {"grid": {"f_lo": math.nan}},
+        {"static": {"d": math.nan}},
+        {"static": {"vl": math.inf}},
+        {"static": {"light_schedule": [math.nan, 2.0]}},
+        {"sim": {"dt": math.nan}},
+        {"sim": {"dt": math.inf}},
+        {"sim": {"zone_epsilon": math.nan}},
+        {"partition": {"x_f_cap": math.nan}},
+        _pilot(variant="transition_flawed", optimism=math.inf),
+        _pilot(variant="non_determinate_accel", rates={"nan": 1.0}),
+        {"workers": 0},
+        {"workers": -1},
+        {"workers": "x"},
+        {"workers": None},
+        {"workers": [2]},
+        {"workers": 2.0},
     ], ids=[
         "pilot-profile-missing-b_max", "pilot-profile-negative-a_max",
         "base-profile-negative-a_max", "negative-d", "light-phase-zero", "dt-zero",
@@ -551,6 +606,10 @@ class TestLoadTimeRejection:
         "partition-speeds-increasing", "partition-one-speed", "partition-speed-above-v_max",
         "partition-cap-below-corner", "partition-zero-steps", "partition-steps-not-int",
         "name-not-a-string", "name-with-slash", "name-empty", "name-dot-dot",
+        "grid-a_lo-nan", "grid-a_hi_tilde-inf", "grid-f_lo-nan", "static-d-nan",
+        "static-vl-inf", "light-phase-nan", "dt-nan", "dt-inf", "zone-epsilon-nan",
+        "partition-cap-nan", "pilot-parameter-inf", "rate-speed-nan", "workers-zero",
+        "workers-negative", "workers-string", "workers-null", "workers-list", "workers-float",
     ])
     def test_refused_before_any_simulation(self, overrides, monkeypatch, tmp_path):
         def no_grid(*args, **kwargs):

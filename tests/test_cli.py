@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -172,6 +173,16 @@ class TestCampaignCommand:
         bad.write_text(json.dumps({"typo": 1, "scenario_types": ["merge_yield"]}))
         assert main(["campaign", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_flag_checked_as_the_config_key(self, tmp_path, capsys, workers):
+        out = tmp_path / "out"
+        rc = main(["campaign", "--config", str(self._config_file(tmp_path)),
+                   "--workers", workers, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: workers must be an integer >= 1") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_out_env_var(self, tmp_path, monkeypatch, capsys):
         cfg = self._config_file(tmp_path)
         monkeypatch.setenv("CRITLAB_OUT", str(tmp_path / "env-out"))
@@ -275,16 +286,34 @@ class TestErrorExits:
         ["critical", "--x-e", "0", "--v-e", "5"],
         ["critical", "--x-e", "20", "--v-e", "5", "--profile", "2,-4,15"],
         ["critical", "--x-e", "20", "--v-e", "5", "--vl", "0"],
+        ["determinacy", "--autopilot", "non_determinate_brake", "--profile", "2,5,30",
+         "--rates", "30:nan,27.5:3.0"],
     ], ids=[
         "determinacy-external", "partition-speeds-increasing", "partition-cap-below-corner",
         "partition-zero-steps", "critical-zero-x_e", "critical-negative-b_max",
-        "critical-zero-vl",
+        "critical-zero-vl", "determinacy-nan-rate",
     ])
     def test_bad_flags(self, argv, capsys):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["simulate", "campaign"])
+    def test_infinite_step_is_refused(self, tmp_path, capsys, hang_guard, command):
+        """A step of ``inf`` once printed ``"t": NaN`` (``simulate``) or never
+        ended (``campaign``: every cell's horizon was 0 steps)."""
+        if command == "simulate":
+            argv = ["simulate", "--testcase", str(_write_testcase(tmp_path)), "--dt", "inf"]
+        else:
+            cfg = tmp_path / "config.json"
+            cfg.write_text(json.dumps({**DEFAULT_CONFIG, "scenario_types": ["merge_yield"],
+                                       "grid": {"n_a": 3, "n_f": 3}, "sim": {"dt": math.inf}}))
+            argv = ["campaign", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        with hang_guard(10.0):
+            assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite" in err and err.count("\n") == 1
 
     def test_unknown_autopilot(self, tmp_path, capsys):
         tc_path = _write_testcase(tmp_path)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -191,6 +192,12 @@ class TestSerialization:
             TestCase(static=merge_static, x_e=-1.0, v_e=5.0, x_a=30.0, x_f=15.0)
         with pytest.raises(ValueError):
             TestCase(static=merge_static, x_e=20.0, v_e=-1.0, x_a=30.0, x_f=15.0)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_non_finite_step_rejected(self, merge_static, dt):
+        """An infinite step sized every horizon to 0 steps."""
+        with pytest.raises(ValueError, match="finite"):
+            TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=30.0, x_f=15.0, dt=dt)
 
 
 @settings(max_examples=40, deadline=None)

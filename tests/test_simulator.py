@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -113,6 +114,13 @@ class TestEvents:
         out = simulate(BrokenPilot(), tc, SimConfig())
         assert out.has(EventKind.ABORTED)
         assert verdict(out).kind is VerdictKind.FAIL
+
+
+@pytest.mark.parametrize("field", ["dt", "zone_epsilon"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_sim_config_refuses_non_finite_numbers(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        SimConfig(**{field: value})
 
 
 class TestDeterminismAndConsistency:
