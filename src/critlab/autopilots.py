@@ -92,6 +92,9 @@ class AutopilotSpec:
     def __post_init__(self) -> None:
         if self.variant not in FACTORIES:
             raise ValueError(f"unknown variant {self.variant!r}")
+        for name in ("optimism", "margin_inflation"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite: {getattr(self, name)}")
         if self.variant == "transition_flawed" and self.optimism <= 1.0:
             raise ValueError("transition_flawed needs optimism > 1")
         if self.variant == "overcautious" and self.margin_inflation <= 1.0:

@@ -10,7 +10,9 @@ type are simulated and serialised once and written under every type.  The
 built-in grids, one per (pilot, start) job, are split once into tasks of
 whole grids (``_groups``): one per worker, or more to keep each within
 ``BATCH_CELLS`` cells; each task over a static part is one ``run_grids``
-call, which steps all its grids together.
+call, which steps all its grids together.  Each grid report, built-in or
+external, is recorded as its task finishes: added to its cells, serialised
+once, written under each of its types, and dropped.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -180,6 +183,7 @@ class CampaignConfig:
             raise ConfigError(f"workers must be an integer >= 1: {self.workers!r}")
 
         self.initial_states = [(x_e, v_e) for x_e, v_e in cfg["initial_states"]]
+        raw_files = set()
         for x_e, v_e in self.initial_states:
             if v_e <= 0 or v_e > self.profile.v_max:
                 raise ConfigError(f"initial speed {v_e} outside (0, v_max]")
@@ -188,6 +192,10 @@ class CampaignConfig:
                     f"initial state ({x_e}, {v_e}) admits no cautious stop: "
                     "every generated case would be unwinnable"
                 )
+            name = _raw_name(x_e, v_e)
+            if name in raw_files:
+                raise ConfigError(f"repeated initial state ({x_e}, {v_e}) (raw file {name})")
+            raw_files.add(name)
 
         # The partition reads only the speed limit, which every scenario type
         # shares, so one partition serves the coverage row of every type.
@@ -215,6 +223,10 @@ class CampaignConfig:
             if not 0 < v0 <= pilot.profile.v_max:
                 raise ConfigError(f"braking_check_v0 {v0} of {pilot.name!r} outside (0, v_max]")
             self.braking_v0.append(v0)
+            v_e = max(v_e for _, v_e in self.initial_states)
+            if v_e > pilot.profile.v_max:
+                raise ConfigError(
+                    f"initial speed {v_e} above the v_max {pilot.profile.v_max} of {pilot.name!r}")
 
     def static_for(self, scenario_type: ScenarioType) -> StaticPart:
         return self._statics[scenario_type]
@@ -401,6 +413,11 @@ def _grid_reports(args) -> tuple[list[dict], list[dict]]:
     return reports, stats
 
 
+def _raw_name(x_e: float, v_e: float) -> str:
+    """The name of the raw file of the grid from ego start ``(x_e, v_e)``."""
+    return f"xe{x_e:g}_ve{v_e:g}.json"
+
+
 # Stands in for the scenario type while a grid report is serialised, so that
 # one dump serves the raw file of every type.
 _TYPE_SLOT = "\0"
@@ -431,78 +448,72 @@ def _accumulate(cell: CampaignCell, report: dict) -> None:
 
 def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> CampaignReport:
     """Run the full pipeline and (optionally) persist raw grid reports."""
-    cfg = config.raw
     scenario_types = config.scenario_types
     pilots = config.pilots
-    states = config.initial_states
     grid_spec = config.grid
     sim_cfg = config.sim_config()
     workers = config.workers
     out_path = Path(out_dir) if out_dir is not None else None
 
-    # The (pilot, start) jobs of the built-in pilots, over the distinct
-    # starts, split into tasks once, the same way for every static part in
-    # effect.
-    parts = {}
-    for sc in scenario_types:
-        static = config.static_for(sc)
-        parts.setdefault(_part_key(static), static)
-    jobs = [(pilot, x_e, v_e) for pilot in pilots if not isinstance(pilot, ExternalAutopilot)
-            for x_e, v_e in dict.fromkeys(states)]
-    groups = _groups(jobs, grid_spec["n_a"] * grid_spec["n_f"], workers)
-    tasks = [(key, group) for key in parts for group in groups]
-    args = [(group, parts[key], grid_spec, sim_cfg) for key, group in tasks]
-
-    stage_s: dict[str, float] = {}
-    start = time.perf_counter()
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_grid_reports, args))
-    else:
-        results = [_grid_reports(a) for a in args]
-    builtin: dict[tuple, dict] = {}  # (pilot name, part key, x_e, v_e) -> report
+    # In pilot x type order, the order ``report.md`` lists protocol errors in.
+    cells = {(sc.value, pilot.name): CampaignCell(autopilot=pilot.name, scenario_type=sc.value)
+             for pilot in pilots for sc in scenario_types}
     stats: list[dict] = []  # the work counters of every grid simulated
-    for (key, group), (reports, grid_stats) in zip(tasks, results):
-        builtin.update({(pilot.name, key, x_e, v_e): report
-                        for (pilot, x_e, v_e), report in zip(group, reports)})
-        stats += grid_stats
-    stage_s["builtin_grids"] = time.perf_counter() - start
+    stage_s = {"builtin_grids": 0.0, "external_grids": 0.0, "raw_files": 0.0}
 
-    start, external_s = time.perf_counter(), 0.0
-    cells: dict[tuple[str, str], CampaignCell] = {}
-    for pilot in pilots:
-        raw_parts: dict = {}  # grid key -> raw text parts, for this pilot's grids
+    def record(pilot, types: list[ScenarioType], report: dict) -> None:
+        """Add one grid report to its pilot's cell of each of ``types`` and
+        write its raw file under each, serialised once."""
+        for sc in types:
+            _accumulate(cells[(sc.value, pilot.name)], report)
+        if out_path is None:
+            return
+        start = time.perf_counter()
+        head, tail = _raw_text_parts(report)
+        for sc in types:
+            raw_dir = out_path / "raw" / pilot.name / sc.value
+            raw_dir.mkdir(parents=True, exist_ok=True)
+            (raw_dir / _raw_name(report["x_e"], report["v_e"])).write_text(
+                head + json.dumps(sc.value) + tail)
+        stage_s["raw_files"] += time.perf_counter() - start
+
+    # The (pilot, start) jobs of the built-in pilots, split into tasks once,
+    # the same way for every static part in effect; a task's reports go to
+    # every type that shares its part.
+    parts: dict[object, list[ScenarioType]] = {}
+    for sc in scenario_types:
+        parts.setdefault(_part_key(config.static_for(sc)), []).append(sc)
+    jobs = [(pilot, x_e, v_e) for pilot in pilots if not isinstance(pilot, ExternalAutopilot)
+            for x_e, v_e in config.initial_states]
+    groups = _groups(jobs, grid_spec["n_a"] * grid_spec["n_f"], workers)
+    tasks = [(types, group) for types in parts.values() for group in groups]
+    args = [(group, config.static_for(types[0]), grid_spec, sim_cfg) for types, group in tasks]
+
+    start = time.perf_counter()
+    parallel = workers > 1 and len(tasks) > 1
+    with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
+        results = (pool.map if parallel else map)(_grid_reports, args)
+        for (types, group), (reports, grid_stats) in zip(tasks, results):
+            stats += grid_stats
+            for (pilot, _, _), report in zip(group, reports):
+                record(pilot, types, report)
+    stage_s["builtin_grids"] = time.perf_counter() - start - stage_s["raw_files"]
+
+    # External grids one by one; a ProtocolError ends its pilot's type.
+    start, raw_s = time.perf_counter(), stage_s["raw_files"]
+    for pilot in [p for p in pilots if isinstance(p, ExternalAutopilot)]:
         for sc in scenario_types:
-            cell = CampaignCell(autopilot=pilot.name, scenario_type=sc.value)
-            static = config.static_for(sc)
-            for x_e, v_e in states:
-                if isinstance(pilot, ExternalAutopilot):
-                    grid_start = time.perf_counter()
-                    try:
-                        (report,), grid_stats = _grid_reports(
-                            ([(pilot, x_e, v_e)], static, grid_spec, sim_cfg))
-                    except ProtocolError as exc:
-                        cell.protocol_error = str(exc)
-                        break
-                    finally:
-                        external_s += time.perf_counter() - grid_start
-                    stats += grid_stats
-                    grid_key = None  # an external grid is its own: no other type shares it
-                else:
-                    grid_key = (pilot.name, _part_key(static), x_e, v_e)
-                    report = builtin[grid_key]
-                _accumulate(cell, report)
-                if out_path is not None:
-                    if grid_key is None or grid_key not in raw_parts:
-                        raw_parts[grid_key] = _raw_text_parts(report)
-                    head, tail = raw_parts[grid_key]
-                    raw_dir = out_path / "raw" / pilot.name / sc.value
-                    raw_dir.mkdir(parents=True, exist_ok=True)
-                    raw_file = raw_dir / f"xe{x_e:g}_ve{v_e:g}.json"
-                    raw_file.write_text(head + json.dumps(sc.value) + tail)
-            cells[(sc.value, pilot.name)] = cell
-    stage_s["external_grids"] = external_s
-    stage_s["raw_files"] = time.perf_counter() - start - external_s
+            for x_e, v_e in config.initial_states:
+                try:
+                    (report,), grid_stats = _grid_reports(
+                        ([(pilot, x_e, v_e)], config.static_for(sc), grid_spec, sim_cfg))
+                except ProtocolError as exc:
+                    cells[(sc.value, pilot.name)].protocol_error = str(exc)
+                    break
+                stats += grid_stats
+                record(pilot, [sc], report)
+        pilot.close()
+    stage_s["external_grids"] = time.perf_counter() - start - (stage_s["raw_files"] - raw_s)
 
     start = time.perf_counter()
     determinacy, determinacy_sims = _determinacy_summaries(config)
@@ -511,19 +522,15 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
     coverage = _coverage_summaries(config)
     stage_s["coverage"] = time.perf_counter() - start
 
-    report = CampaignReport(
+    return CampaignReport(
         scenario_types=[s.value for s in scenario_types],
         autopilot_names=[p.name for p in pilots],
         cells=cells,
         determinacy=determinacy,
         coverage=coverage,
-        meta={"seed": cfg.get("seed", 0), "dt": sim_cfg.dt, "workers": workers},
+        meta={"seed": config.raw.get("seed", 0), "dt": sim_cfg.dt, "workers": workers},
         metrics=_run_metrics(stats, determinacy_sims, stage_s),
     )
-    for pilot in pilots:
-        if isinstance(pilot, ExternalAutopilot):
-            pilot.close()
-    return report
 
 
 def _run_metrics(stats: list[dict], determinacy_sims: int, stage_s: dict[str, float]) -> dict:

@@ -26,10 +26,8 @@ from .criticality import CriticalBoundary, Zone, classify_zone, most_critical
 from .kinematics import ADProfile, advance
 from .scenario import (
     DEFAULT_DT,
-    Goal,
     StaticPart,
     TestCase,
-    default_goal,
     equivalence_mutations,
 )
 from .simulator import (
@@ -104,7 +102,6 @@ def run_grids(
     static: StaticPart,
     jobs: Sequence[tuple[AutopilotSpec, Grid]],
     cfg: SimConfig = SimConfig(),
-    goal: Optional[Goal] = None,
 ) -> list[GridResult]:
     """Simulate every geometry of each job's grid over one static part.
 
@@ -116,7 +113,6 @@ def run_grids(
     ``verdict`` cell by cell.  The caller bounds the cells of one call.
     Cells with the same zone and verdict share one ``CellResult``.
     """
-    goal = goal if goal is not None else default_goal(static)
     grid_cases = [[TestCase(static=static, x_e=x_e, v_e=v_e, x_a=x_a, x_f=x_f, dt=cfg.dt)
                    for x_a in x_a_values for x_f in x_f_values]
                   for _, (x_e, v_e, x_a_values, x_f_values) in jobs]
@@ -128,7 +124,7 @@ def run_grids(
     if batched:
         lockstep = simulate_lockstep([jobs[i][0] for i in batched for _ in grid_cases[i]],
                                      [tc for i in batched for tc in grid_cases[i]], cfg)
-        codes, steps = verdict_arrays(lockstep, goal).tolist(), lockstep.steps.tolist()
+        codes, steps = verdict_arrays(lockstep).tolist(), lockstep.steps.tolist()
         horizons, end = lockstep.horizon.tolist(), 0
         for i in batched:
             start, end = end, end + len(grid_cases[i])
@@ -140,7 +136,7 @@ def run_grids(
     for i, ((pilot, (x_e, v_e, x_a_values, x_f_values)), cases) in enumerate(zip(jobs, grid_cases)):
         if runs[i] is None:
             outcomes = [simulate(pilot, tc, cfg, record=False) for tc in cases]
-            runs[i] = ([VERDICT_CODES[verdict(out, goal)] for out in outcomes],
+            runs[i] = ([VERDICT_CODES[verdict(out)] for out in outcomes],
                        [out.steps for out in outcomes], [tc.horizon for tc in cases], len(cases))
         codes, steps, horizons, scalar_calls = runs[i]
         boundary = most_critical(x_e, v_e, pilot.profile, static)
@@ -171,10 +167,9 @@ def run_grid(
     x_a_values: Sequence[float],
     x_f_values: Sequence[float],
     cfg: SimConfig = SimConfig(),
-    goal: Optional[Goal] = None,
 ) -> GridResult:
     """``run_grids`` of the one grid from ego start ``(x_e, v_e)``."""
-    return run_grids(static, [(autopilot, (x_e, v_e, x_a_values, x_f_values))], cfg, goal)[0]
+    return run_grids(static, [(autopilot, (x_e, v_e, x_a_values, x_f_values))], cfg)[0]
 
 
 @dataclass
@@ -400,7 +395,6 @@ def determinacy_check_progress(
     tc: TestCase,
     restart_every: int = 5,
     cfg: SimConfig = SimConfig(),
-    goal: Optional[Goal] = None,
 ) -> DeterminacyReport:
     """Restart a passing crossing maneuver from states of its own trace.
 
@@ -411,9 +405,8 @@ def determinacy_check_progress(
     """
     if restart_every < 1:
         raise ValueError("restart_every must be at least 1")
-    goal = goal if goal is not None else default_goal(tc.static)
     base = simulate(autopilot, tc, cfg, record=True)
-    base_verdict = verdict(base, goal)
+    base_verdict = verdict(base)
     if base_verdict.kind is not VerdictKind.PROGRESS_PASS:
         raise CheckAbortedError(
             f"baseline run did not cross and pass (verdict {base_verdict.kind.value})"
@@ -434,7 +427,7 @@ def determinacy_check_progress(
         tci = TestCase(static=tc.static, x_e=x_e_i, v_e=frame.ego.v, x_a=x_a_i, x_f=tc.x_f,
                        dt=cfg.dt)
         out = simulate(autopilot, tci, cfg, record=True)
-        vd = verdict(out, goal)
+        vd = verdict(out)
         passed = vd.kind is VerdictKind.PROGRESS_PASS
         if not passed:
             flips += 1
@@ -465,17 +458,15 @@ def equivalence_check(
     tc: TestCase,
     mutants: Optional[Sequence[TestCase]] = None,
     cfg: SimConfig = SimConfig(),
-    goal: Optional[Goal] = None,
     headway: float = 10.0,
 ) -> list[tuple[int, str, str]]:
     """Verdict mismatches between a test case and its padded equivalents."""
-    goal = goal if goal is not None else default_goal(tc.static)
     if mutants is None:
         mutants = equivalence_mutations(tc, headway)
-    base = verdict(simulate(autopilot, tc, cfg, record=False), goal)
+    base = verdict(simulate(autopilot, tc, cfg, record=False))
     mismatches = []
     for i, m in enumerate(mutants):
-        vd = verdict(simulate(autopilot, m, cfg, record=False), goal)
+        vd = verdict(simulate(autopilot, m, cfg, record=False))
         if vd.kind is not base.kind:
             mismatches.append((i, base.kind.value, vd.kind.value))
     return mismatches

@@ -88,17 +88,18 @@ def _interval_index(part: SpeedPartition, v: float) -> int:
 def coverage_cap(part: SpeedPartition, x_f_cap: float | None, steps: int) -> float:
     """The ``x_f`` cap of a coverage integral over ``steps`` cells per axis.
 
-    A null cap means twice the braking distance from ``v_max``.  A cap below
-    the largest front corner, or a ``steps`` that is not a positive integer,
-    is refused.
+    A null cap means twice the braking distance from ``v_max``.  A cap that
+    is not finite or lies below the largest front corner, or a ``steps`` that
+    is not a positive integer, is refused.
     """
     if type(steps) is not int or steps < 1:
         raise ValueError(f"integration steps must be an integer >= 1, got {steps!r}")
     if x_f_cap is None:
         x_f_cap = 2.0 * part.profile.braking_distance(part.profile.v_max)
     max_corner_f = max(f for _, f in part.corners)
-    if x_f_cap < max_corner_f:
-        raise ValueError(f"x_f_cap {x_f_cap} below the largest corner {max_corner_f:.3f}")
+    if not max_corner_f <= x_f_cap < np.inf:
+        raise ValueError(f"x_f_cap {x_f_cap} is not finite or below the largest corner "
+                         f"{max_corner_f:.3f}")
     return x_f_cap
 
 

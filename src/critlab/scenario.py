@@ -178,6 +178,9 @@ class TestCase:
     dt: float = DEFAULT_DT  # s, the step size ``horizon`` counts
 
     def __post_init__(self) -> None:
+        for name in ("x_e", "v_e", "x_a", "x_f"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite: {getattr(self, name)}")
         if self.x_e <= 0 or self.x_a <= 0 or self.x_f <= 0:
             raise ValueError("x_e, x_a and x_f must all be positive")
         if self.v_e < 0:

@@ -454,19 +454,18 @@ VERDICT_CODES = {vd: code for code, vd in enumerate(VERDICTS)}
 _PROGRESS, _CAUTIOUS, _UNSTABLE, _SHORT = range(4)
 
 
-def verdict_arrays(runs: LockstepRuns, goal: Optional[Goal] = None) -> np.ndarray:
+def verdict_arrays(runs: LockstepRuns) -> np.ndarray:
     """``verdict`` of every cell of a lockstep batch, as its index in
     ``VERDICTS``.
 
-    The rules are ``verdict``'s, and the first that applies decides: the
-    goal's properties in sorted order, then crossed, then stopped.  A
-    lockstep run never aborts (a built-in pilot commands finite
-    accelerations), so ``verdict``'s aborted rule has nothing to grade.
+    The rules are ``verdict``'s under ``default_goal``, and the first that
+    applies decides: the goal's properties in sorted order, then crossed,
+    then stopped.  A lockstep run never aborts (a built-in pilot commands
+    finite accelerations), so ``verdict``'s aborted rule has nothing to grade.
     """
     if not len(runs):
         return np.zeros(0, dtype=int)
     static = runs.cases[0].static
-    goal = goal if goal is not None else default_goal(static)
     stopped = runs.final_v <= _EPS
     code = np.where(
         runs.cross_step >= 0,
@@ -475,7 +474,7 @@ def verdict_arrays(runs: LockstepRuns, goal: Optional[Goal] = None) -> np.ndarra
         np.where(stopped & (runs.final_p < -static.d), _CAUTIOUS, _SHORT),
     )
     # Last property first, so that the first that applies is the one left.
-    for prop in sorted(goal.properties, key=lambda pr: pr.value, reverse=True):
+    for prop in sorted(default_goal(static).properties, key=lambda pr: pr.value, reverse=True):
         fired = runs.event_step[_STEP_EVENTS.index(_PROPERTY_EVENTS[prop])] >= 0
         code = np.where(fired, VERDICT_CODES[Verdict(VerdictKind.FAIL, prop.value)], code)
     return code

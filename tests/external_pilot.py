@@ -1,7 +1,8 @@
 """Minimal external autopilot speaking the line-delimited JSON protocol.
 
 Modes (argv[1]): "hold" emits zero acceleration forever; "cautious" brakes to
-a stop before the zone; "garbage" violates the protocol on the second line;
+a stop before the zone; "garbage" answers argv[2] scenes (1 if not given) as
+"hold" does and violates the protocol on every line after them;
 "sleep" reads one scene and then stalls without answering; "stderr" reads one
 scene, writes more than a pipe holds to stderr, ending with the line
 ``STDERR_LAST``, and then answers with garbage; "deaf" writes decisions
@@ -17,6 +18,7 @@ STDERR_LAST = "last words before the garbage"
 
 def main() -> None:
     mode = sys.argv[1] if len(sys.argv) > 1 else "hold"
+    answered = int(sys.argv[2]) if len(sys.argv) > 2 else 1
     count = 0
     while mode == "deaf":
         print(json.dumps({"mode": "progress", "accel": 0.0}), flush=True)
@@ -30,7 +32,7 @@ def main() -> None:
                 sys.stderr.write(f"chatter {i:06d} " + "." * 34 + "\n")
             sys.stderr.write(STDERR_LAST + "\n")
             sys.stderr.flush()
-        if mode == "stderr" or (mode == "garbage" and count > 1):
+        if mode == "stderr" or (mode == "garbage" and count > answered):
             print("not json at all")
             sys.stdout.flush()
             continue

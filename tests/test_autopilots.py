@@ -95,6 +95,16 @@ class TestVariants:
         with pytest.raises(ValueError):
             non_determinate_brake(std_profile, {10.0: 99.0})  # above max(a, b)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_factors_rejected(self, std_profile, value):
+        """``optimism=nan`` passed the ``<= 1.0`` check and built."""
+        with pytest.raises(ValueError, match="optimism must be finite"):
+            transition_flawed(std_profile, optimism=value)
+        with pytest.raises(ValueError, match="margin_inflation must be finite"):
+            overcautious(std_profile, margin_inflation=value)
+        with pytest.raises(ValueError, match="optimism must be finite"):
+            AutopilotSpec(name="x", profile=std_profile, optimism=value)
+
     def test_rate_lookup_uses_nearest_key(self):
         from critlab.kinematics import ADProfile
 

@@ -279,6 +279,54 @@ class TestExternalInCampaign:
         report = run_campaign(config, out_dir=tmp_path)
         assert "did not start" in report.cells[("merge_yield", "missing")].protocol_error
 
+    def test_pilot_broken_mid_campaign_keeps_its_finished_grids(self, tmp_path):
+        """Beside a built-in pilot, a pilot that breaks after its first grid
+        keeps that grid, loses the rest of the type and every later type, and
+        leaves the built-in cells and files as a run without it has them."""
+        raw = one_type_raw(
+            scenario_types=["merge_yield", "lane_change"],
+            initial_states=[[20.0, 5.0], [30.0, 10.0]],
+            # The first grid (merge_yield from (20, 5)) takes 570 scenes;
+            # the pilot breaks 30 scenes into the second and stays broken.
+            autopilots=[{"name": "reference", "variant": "reference"},
+                        {"name": "broken", "command": EXTERNAL + " garbage 600"}],
+        )
+        runs = {
+            "mixed": raw,
+            "alone": {**raw, "autopilots": raw["autopilots"][:1]},
+            "hold": {**raw, "scenario_types": ["merge_yield"], "initial_states": [[20.0, 5.0]],
+                     "autopilots": [{"name": "broken", "command": EXTERNAL + " hold"}]},
+        }
+        reports, files = {}, {}
+        for name, run_raw in runs.items():
+            reports[name] = run_campaign(CampaignConfig(raw=run_raw), out_dir=tmp_path / name)
+            raw_dir = tmp_path / name / "raw"
+            files[name] = {p.relative_to(raw_dir).as_posix(): p.read_bytes()
+                           for p in sorted(raw_dir.rglob("*.json"))}
+        report = reports["mixed"]
+
+        broken = report.cells[("merge_yield", "broken")]
+        assert "malformed decision line" in broken.protocol_error
+        assert (broken.counts, broken.of_counts, broken.m_states, broken.n_cells) == (
+            {"TF": 9}, {"OF-SF": 1}, 1, 9)
+        assert broken.zone_counts == {"cautious_only": 4, "safe_progress": 2, "irrelevant": 3,
+                                      "non_nominal": 0}
+        after = report.cells[("lane_change", "broken")]
+        assert "malformed decision line" in after.protocol_error
+        assert (after.counts, after.m_states, after.n_cells) == ({}, 0, 0)
+        assert list(files["hold"]) == ["broken/merge_yield/xe20_ve5.json"]
+        assert {k: v for k, v in files["mixed"].items() if k.startswith("broken/")} == \
+            files["hold"]
+
+        errors = render_report(report, "markdown").split("## Protocol errors\n\n")[1]
+        assert [line.split(":")[0] for line in errors.split("\n\n")[0].splitlines()] == [
+            "- broken on merge_yield", "- broken on lane_change"]
+
+        for sc in ("merge_yield", "lane_change"):
+            assert report.cells[(sc, "reference")] == reports["alone"].cells[(sc, "reference")]
+        assert {k: v for k, v in files["mixed"].items() if k.startswith("reference/")} == \
+            files["alone"]
+
     def test_external_pilot_runs_a_campaign_cell(self, tmp_path):
         config = small_config(
             autopilots=[{"name": "ext_cautious", "command": EXTERNAL + " cautious"}],
@@ -596,6 +644,14 @@ class TestLoadTimeRejection:
         {"workers": None},
         {"workers": [2]},
         {"workers": 2.0},
+        {"initial_states": [[20.0, 5.0], [20, 5]]},
+        {"initial_states": [[20.0, 5.0], [20.000001, 5.0]]},
+        _pilot(profile={"a_max": 2.0, "b_max": 4.0, "v_max": 10.0}),
+        {"autopilots": [{"name": "reference", "variant": "reference"},
+                        {"name": "cautious", "command": EXTERNAL + " cautious",
+                         "profile": {"a_max": 2.0, "b_max": 4.0, "v_max": 10.0}}],
+         "initial_states": [[20, 5], [35, 12]],
+         "scenario_types": ["merge_yield", "lane_change"]},
     ], ids=[
         "pilot-profile-missing-b_max", "pilot-profile-negative-a_max",
         "base-profile-negative-a_max", "negative-d", "light-phase-zero", "dt-zero",
@@ -610,6 +666,8 @@ class TestLoadTimeRejection:
         "static-vl-inf", "light-phase-nan", "dt-nan", "dt-inf", "zone-epsilon-nan",
         "partition-cap-nan", "pilot-parameter-inf", "rate-speed-nan", "workers-zero",
         "workers-negative", "workers-string", "workers-null", "workers-list", "workers-float",
+        "start-repeated", "start-sharing-a-raw-file", "start-above-builtin-pilot-v_max",
+        "start-above-external-pilot-v_max",
     ])
     def test_refused_before_any_simulation(self, overrides, monkeypatch, tmp_path):
         def no_grid(*args, **kwargs):

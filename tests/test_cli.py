@@ -288,16 +288,28 @@ class TestErrorExits:
         ["critical", "--x-e", "20", "--v-e", "5", "--vl", "0"],
         ["determinacy", "--autopilot", "non_determinate_brake", "--profile", "2,5,30",
          "--rates", "30:nan,27.5:3.0"],
+        ["partition", "--x-e", "20", "--speeds", "10,7.5,5", "--x-f-cap", "inf"],
+        ["partition", "--x-e", "20", "--speeds", "10,7.5,5", "--x-f-cap", "nan"],
     ], ids=[
         "determinacy-external", "partition-speeds-increasing", "partition-cap-below-corner",
         "partition-zero-steps", "critical-zero-x_e", "critical-negative-b_max",
-        "critical-zero-vl", "determinacy-nan-rate",
+        "critical-zero-vl", "determinacy-nan-rate", "partition-cap-inf", "partition-cap-nan",
     ])
     def test_bad_flags(self, argv, capsys):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("field, value", [("x_a", math.nan), ("x_f", math.inf)])
+    def test_non_finite_test_case_is_refused(self, tmp_path, capsys, field, value):
+        """A NaN ``x_a`` once failed with an error that named no field, and
+        an infinite ``x_f`` was graded a failure with exit status 0."""
+        path = _write_testcase(tmp_path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), field: value}))
+        assert main(["simulate", "--testcase", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must be finite") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["simulate", "campaign"])
     def test_infinite_step_is_refused(self, tmp_path, capsys, hang_guard, command):

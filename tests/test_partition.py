@@ -3,7 +3,7 @@ import pytest
 
 from critlab.autopilots import reference
 from critlab.criticality import most_critical
-from critlab.partition import build_partition, coverage_ratio, envelope_samples
+from critlab.partition import build_partition, coverage_cap, coverage_ratio, envelope_samples
 from critlab.scenario import TestCase
 from critlab.simulator import SimConfig, VerdictKind, simulate, verdict
 
@@ -70,6 +70,12 @@ class TestCoverageRatio:
     def test_cap_below_corner_rejected(self, std_partition):
         with pytest.raises(ValueError):
             coverage_ratio(std_partition, x_f_cap=10.0)
+
+    @pytest.mark.parametrize("cap", [np.nan, np.inf])
+    def test_non_finite_cap_rejected(self, std_partition, cap):
+        """Both once gave a NaN ratio and volumes."""
+        with pytest.raises(ValueError, match="not finite"):
+            coverage_cap(std_partition, cap, 50)
 
     def test_covered_never_exceeds_safe(self, std_partition):
         result = coverage_ratio(std_partition, 60.0, 150)

@@ -193,6 +193,15 @@ class TestSerialization:
         with pytest.raises(ValueError):
             TestCase(static=merge_static, x_e=20.0, v_e=-1.0, x_a=30.0, x_f=15.0)
 
+    @pytest.mark.parametrize("field", ["x_e", "v_e", "x_a", "x_f"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_geometry_rejected(self, merge_static, field, value):
+        """NaN slipped past the sign checks into horizon sizing, and an
+        infinite ``x_f`` was graded a failure."""
+        geometry = {"x_e": 20.0, "v_e": 5.0, "x_a": 30.0, "x_f": 15.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TestCase(static=merge_static, **geometry)
+
     @pytest.mark.parametrize("dt", [math.nan, math.inf])
     def test_non_finite_step_rejected(self, merge_static, dt):
         """An infinite step sized every horizon to 0 steps."""
