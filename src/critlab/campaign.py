@@ -22,6 +22,7 @@ import io
 import json
 import math
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -29,8 +30,10 @@ from pathlib import Path
 
 from .autopilots import FACTORIES, AutopilotSpec, ExternalAutopilot, ProtocolError
 from .classify import (
+    LABELS,
     CheckAbortedError,
-    classify_grid,
+    classify_grid,  # noqa: F401  re-exported: callers look it up on this module
+    classify_grids,
     determinacy_check_braking,
     determinacy_check_progress,
     grid_report_dict,
@@ -38,11 +41,11 @@ from .classify import (
     run_grid,  # noqa: F401  re-exported: callers look it up on this module
     run_grids,
 )
-from .criticality import most_critical
+from .criticality import ZONES, most_critical
 from .kinematics import ADProfile
 from .partition import build_partition, coverage_cap, coverage_ratio
 from .scenario import ScenarioType, StaticPart, TestCase, static_from_dict
-from .simulator import SimConfig
+from .simulator import VERDICTS, SimConfig
 
 __all__ = [
     "ConfigError",
@@ -69,12 +72,7 @@ class ConfigError(ValueError):
 
 
 DEFAULT_CONFIG: dict = {
-    "scenario_types": [
-        "merge_yield",
-        "lane_change",
-        "intersection_yield",
-        "intersection_light",
-    ],
+    "scenario_types": ["merge_yield", "lane_change", "intersection_yield", "intersection_light"],
     "autopilots": [
         {"name": "reference", "variant": "reference"},
         {"name": "transition_flawed", "variant": "transition_flawed", "optimism": 1.3},
@@ -185,17 +183,13 @@ class CampaignConfig:
         self.initial_states = [(x_e, v_e) for x_e, v_e in cfg["initial_states"]]
         raw_files = set()
         for x_e, v_e in self.initial_states:
-            if v_e <= 0 or v_e > self.profile.v_max:
+            if v_e <= 0:
                 raise ConfigError(f"initial speed {v_e} outside (0, v_max]")
-            if self.profile.braking_distance(v_e) > x_e:
-                raise ConfigError(
-                    f"initial state ({x_e}, {v_e}) admits no cautious stop: "
-                    "every generated case would be unwinnable"
-                )
             name = _raw_name(x_e, v_e)
             if name in raw_files:
                 raise ConfigError(f"repeated initial state ({x_e}, {v_e}) (raw file {name})")
             raw_files.add(name)
+        self._check_starts(self.profile, "the default profile")
 
         # The partition reads only the speed limit, which every scenario type
         # shares, so one partition serves the coverage row of every type.
@@ -223,10 +217,16 @@ class CampaignConfig:
             if not 0 < v0 <= pilot.profile.v_max:
                 raise ConfigError(f"braking_check_v0 {v0} of {pilot.name!r} outside (0, v_max]")
             self.braking_v0.append(v0)
-            v_e = max(v_e for _, v_e in self.initial_states)
-            if v_e > pilot.profile.v_max:
-                raise ConfigError(
-                    f"initial speed {v_e} above the v_max {pilot.profile.v_max} of {pilot.name!r}")
+            self._check_starts(pilot.profile, repr(pilot.name))
+
+    def _check_starts(self, profile: ADProfile, whose: str) -> None:
+        """Refuse a start above ``profile``'s ``v_max``, or one it cannot brake
+        to a stop from within ``x_e``: every case from it would be unwinnable."""
+        for x_e, v_e in self.initial_states:
+            if v_e > profile.v_max:
+                raise ConfigError(f"initial speed {v_e} above the v_max {profile.v_max} of {whose}")
+            if profile.braking_distance(v_e) > x_e:
+                raise ConfigError(f"initial state ({x_e}, {v_e}) admits no cautious stop for {whose}")
 
     def static_for(self, scenario_type: ScenarioType) -> StaticPart:
         return self._statics[scenario_type]
@@ -398,19 +398,18 @@ def _groups(jobs: list, grid_cells: int, workers: int) -> list[list]:
 
 
 def _grid_reports(args) -> tuple[list[dict], list[dict]]:
-    """The raw reports of some ``(pilot, x_e, v_e)`` jobs' grids over one
-    static part, one per job, and each grid's work counters (``stats``)."""
+    """The reports of some ``(pilot, x_e, v_e)`` jobs' grids over one static
+    part, one per job, and each grid's work counters (``stats``).  The grids
+    share one shape, and are classified together."""
     jobs, static, grid_spec, sim_cfg = args
     grids = []
     for spec, x_e, v_e in jobs:
         boundary = most_critical(x_e, v_e, spec.profile, static)
-        grids.append((spec, (x_e, v_e, *_grid_values(boundary, grid_spec))))
+        grids.append((spec, (x_e, v_e, *_grid_values(boundary, grid_spec), boundary)))
     results = run_grids(static, grids, sim_cfg)
-    stats, reports = [grid.stats for grid in results], []
-    for spec, _, _ in jobs:
-        grid = results.pop(0)  # drop each grid once it is reported: fine grids take much memory
-        reports.append({**grid_report_dict(grid, classify_grid(grid)), "autopilot": spec.name})
-    return reports, stats
+    reports = [{**grid_report_dict(grid, cls), "autopilot": spec.name}
+               for (spec, _, _), grid, cls in zip(jobs, results, classify_grids(results))]
+    return reports, [grid.stats for grid in results]
 
 
 def _raw_name(x_e: float, v_e: float) -> str:
@@ -418,27 +417,53 @@ def _raw_name(x_e: float, v_e: float) -> str:
     return f"xe{x_e:g}_ve{v_e:g}.json"
 
 
-# Stands in for the scenario type while a grid report is serialised, so that
-# one dump serves the raw file of every type.
-_TYPE_SLOT = "\0"
+# Stand in for the scenario type and the point list while a grid report is
+# serialised, so that one dump serves the raw file of every type.
+_TYPE_SLOT, _GRID_SLOT = "\0", "\1"
+# A point as ``json.dumps(..., indent=1)`` writes it in a report, in pieces:
+# up to ``x_a`` by label and verdict code, then ``x_a`` and ``x_f``, then the
+# rest by zone code.
+_POINT_HEADS = [f'  {{\n   "label": {json.dumps(label)},\n   "verdict": '
+                f'{json.dumps(vd.kind.value)},\n   "x_a": ' for label in LABELS for vd in VERDICTS]
+_POINT_TAILS = [f',\n   "zone": {json.dumps(zone.value)}\n  }},\n' for zone in ZONES]
+
+
+def _points_text(points: tuple) -> str:
+    """The JSON text of a report's point list from its columns, as
+    ``json.dumps`` writes it in the report: each axis value, a float, is
+    encoded once, by ``float.__repr__`` as ``json`` does."""
+    x_a_values, x_f_values, labels, verdicts, zones = points
+    x_a_text = [float.__repr__(x_a) + ',\n   "x_f": ' for x_a in x_a_values]
+    pieces = [""] * (4 * labels.size)
+    heads = (labels * len(VERDICTS) + verdicts).ravel().tolist()
+    pieces[0::4] = map(_POINT_HEADS.__getitem__, heads)
+    pieces[1::4] = [text for text in x_a_text for _ in x_f_values]
+    pieces[2::4] = list(map(float.__repr__, x_f_values)) * len(x_a_values)
+    pieces[3::4] = map(_POINT_TAILS.__getitem__, zones.ravel().tolist())
+    return "[\n" + "".join(pieces)[:-2] + "\n ]"
 
 
 def _raw_text_parts(report: dict) -> tuple[str, str]:
     """``(head, tail)`` of a grid report's raw file text around its scenario
-    type: ``head + json.dumps(type) + tail`` is the file under that type.
-    Every key that sorts after ``scenario_type`` holds numbers or zone names,
-    so the last slot is the type's."""
-    text = json.dumps({**report, "scenario_type": _TYPE_SLOT}, sort_keys=True, indent=1)
+    type: ``head + json.dumps(type) + tail`` is ``json.dumps(..., sort_keys=True,
+    indent=1)`` of the report, without ``counts``, under that type.  Every key
+    after ``scenario_type`` holds numbers or zone names, and only ``of`` lies
+    between ``grid`` and it, so each slot is the last of its kind."""
+    fields = {k: v for k, v in report.items() if k != "counts"}
+    text = json.dumps({**fields, "grid": _GRID_SLOT, "scenario_type": _TYPE_SLOT},
+                      sort_keys=True, indent=1)
     head, _, tail = text.rpartition(json.dumps(_TYPE_SLOT))
-    return head, tail
+    before, _, after = head.rpartition(json.dumps(_GRID_SLOT))
+    return before + _points_text(report["grid"]) + after, tail
 
 
 def _accumulate(cell: CampaignCell, report: dict) -> None:
-    """Add one grid report (one ego start) into its campaign cell."""
+    """Add one grid report (one ego start) into its campaign cell: its label
+    counts (``counts``), zone counts and overall failure."""
     cell.m_states += 1
-    cell.n_cells += len(report["grid"])
-    for point in report["grid"]:
-        cell.counts[point["label"]] = cell.counts.get(point["label"], 0) + 1
+    for label, n in report["counts"].items():
+        cell.counts[label] = cell.counts.get(label, 0) + n
+        cell.n_cells += n
     for zone, n in report["zone_counts"].items():
         cell.zone_counts[zone] = cell.zone_counts.get(zone, 0) + n
     kind = report["of"]["kind"]
@@ -460,6 +485,7 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
              for pilot in pilots for sc in scenario_types}
     stats: list[dict] = []  # the work counters of every grid simulated
     stage_s = {"builtin_grids": 0.0, "external_grids": 0.0, "raw_files": 0.0}
+    made: set[Path] = set()  # the raw directories made so far
 
     def record(pilot, types: list[ScenarioType], report: dict) -> None:
         """Add one grid report to its pilot's cell of each of ``types`` and
@@ -472,7 +498,9 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
         head, tail = _raw_text_parts(report)
         for sc in types:
             raw_dir = out_path / "raw" / pilot.name / sc.value
-            raw_dir.mkdir(parents=True, exist_ok=True)
+            if raw_dir not in made:
+                raw_dir.mkdir(parents=True, exist_ok=True)
+                made.add(raw_dir)
             (raw_dir / _raw_name(report["x_e"], report["v_e"])).write_text(
                 head + json.dumps(sc.value) + tail)
         stage_s["raw_files"] += time.perf_counter() - start
@@ -523,14 +551,10 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
     stage_s["coverage"] = time.perf_counter() - start
 
     return CampaignReport(
-        scenario_types=[s.value for s in scenario_types],
-        autopilot_names=[p.name for p in pilots],
-        cells=cells,
-        determinacy=determinacy,
-        coverage=coverage,
+        scenario_types=[s.value for s in scenario_types], autopilot_names=[p.name for p in pilots],
+        cells=cells, determinacy=determinacy, coverage=coverage,
         meta={"seed": config.raw.get("seed", 0), "dt": sim_cfg.dt, "workers": workers},
-        metrics=_run_metrics(stats, determinacy_sims, stage_s),
-    )
+        metrics=_run_metrics(stats, determinacy_sims, stage_s))
 
 
 def _run_metrics(stats: list[dict], determinacy_sims: int, stage_s: dict[str, float]) -> dict:
@@ -659,12 +683,10 @@ def render_report(report: CampaignReport, fmt: str = "markdown") -> str:
             )
         return buf.getvalue()
     if fmt == "markdown":
-        lines = ["# Campaign report", ""]
-        lines.append(f"Seed {report.meta.get('seed')}, dt {report.meta.get('dt')} s.")
-        lines.append("")
-        header = "| Scenario type | " + " | ".join(report.autopilot_names) + " |"
-        lines.append(header)
-        lines.append("|" + " --- |" * (len(report.autopilot_names) + 1))
+        lines = ["# Campaign report", "",
+                 f"Seed {report.meta.get('seed')}, dt {report.meta.get('dt')} s.", "",
+                 "| Scenario type | " + " | ".join(report.autopilot_names) + " |",
+                 "|" + " --- |" * (len(report.autopilot_names) + 1)]
         for sc in report.scenario_types:
             row = [cell_text(report.cells[(sc, ap)]) for ap in report.autopilot_names]
             lines.append("| " + sc + " | " + " | ".join(row) + " |")
@@ -674,10 +696,8 @@ def render_report(report: CampaignReport, fmt: str = "markdown") -> str:
             lines += ["## Protocol errors", ""]
             lines += [f"- {c.autopilot} on {c.scenario_type}: {c.protocol_error}" for c in errors]
             lines.append("")
-        lines.append("## Determinacy")
-        lines.append("")
-        lines.append("| autopilot | maneuver | status | max deviation | determinate |")
-        lines.append("| --- | --- | --- | --- | --- |")
+        lines += ["## Determinacy", "", "| autopilot | maneuver | status | max deviation | "
+                  "determinate |", "| --- | --- | --- | --- | --- |"]
         for row in report.determinacy:
             dev = row.get("max_deviation")
             dev_s = f"{dev:.3f}" if isinstance(dev, float) and math.isfinite(dev) else "-"
@@ -687,11 +707,7 @@ def render_report(report: CampaignReport, fmt: str = "markdown") -> str:
                 f"| {row['autopilot']} | {row['maneuver']} | {row.get('status')} "
                 f"| {dev_s} | {det_s} |"
             )
-        lines.append("")
-        lines.append("## Coverage")
-        lines.append("")
-        lines.append("| scenario type | speeds | ratio |")
-        lines.append("| --- | --- | --- |")
+        lines += ["", "## Coverage", "", "| scenario type | speeds | ratio |", "| --- | --- | --- |"]
         for row in report.coverage:
             speeds = ", ".join(f"{v:g}" for v in row["speeds"])
             lines.append(f"| {row['scenario_type']} | {speeds} | {row['ratio']:.4f} |")
@@ -714,19 +730,21 @@ def write_outputs(report: CampaignReport, out_dir: str | Path) -> dict[str, Path
 def report_from_raw(raw_dir: str | Path) -> CampaignReport:
     """Rebuild the summary matrix from persisted per-grid JSON files.
 
-    Orders rows and columns alphabetically; determinacy and coverage sections
-    are not persisted per grid and come back empty.
+    Each file's label counts come from its point list.  Orders rows and
+    columns alphabetically; determinacy and coverage sections are not
+    persisted per grid and come back empty.  A file that is not a grid report
+    is refused with a ``ConfigError`` that names it.
     """
     raw = Path(raw_dir)
     cells: dict[tuple[str, str], CampaignCell] = {}
     for grid_file in sorted(raw.glob("*/*/*.json")):
-        data = json.loads(grid_file.read_text())
-        ap = grid_file.parent.parent.name
-        sc = grid_file.parent.name
-        cell = cells.setdefault(
-            (sc, ap), CampaignCell(autopilot=ap, scenario_type=sc)
-        )
-        _accumulate(cell, data)
+        ap, sc = grid_file.parent.parent.name, grid_file.parent.name
+        cell = cells.setdefault((sc, ap), CampaignCell(autopilot=ap, scenario_type=sc))
+        try:
+            data = json.loads(grid_file.read_text())
+            _accumulate(cell, {**data, "counts": Counter(p["label"] for p in data["grid"])})
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ConfigError(f"{grid_file} is not a raw grid report: {exc!r}") from exc
     if not cells:
         raise ConfigError(f"no raw grid files under {raw}")
     scenario_types = sorted({sc for sc, _ in cells})
@@ -734,11 +752,6 @@ def report_from_raw(raw_dir: str | Path) -> CampaignReport:
     for sc in scenario_types:
         for ap in autopilot_names:
             cells.setdefault((sc, ap), CampaignCell(autopilot=ap, scenario_type=sc))
-    return CampaignReport(
-        scenario_types=scenario_types,
-        autopilot_names=autopilot_names,
-        cells=cells,
-        determinacy=[],
-        coverage=[],
-        meta={"regenerated_from": str(raw)},
-    )
+    return CampaignReport(scenario_types=scenario_types, autopilot_names=autopilot_names,
+                          cells=cells, determinacy=[], coverage=[],
+                          meta={"regenerated_from": str(raw)})

@@ -15,20 +15,29 @@ what remains is exactly the transition band along the critical frontier.
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .autopilots import AutopilotSpec
-from .criticality import CriticalBoundary, Zone, classify_zone, most_critical
+from .criticality import (
+    ZONES,
+    CriticalBoundary,
+    Zone,
+    classify_zone,  # noqa: F401  re-exported: callers look it up on this module
+    most_critical,
+    zone_codes,
+)
 from .kinematics import ADProfile, advance
 from .scenario import (
     DEFAULT_DT,
+    HORIZON_SLACK,
     StaticPart,
     TestCase,
     equivalence_mutations,
+    horizon_steps,
 )
 from .simulator import (
     VERDICT_CODES,
@@ -44,7 +53,7 @@ from .simulator import (
 )
 
 __all__ = [
-    "CellResult",
+    "LABELS",
     "GridResult",
     "GridClassification",
     "RestartRecord",
@@ -52,6 +61,7 @@ __all__ = [
     "CheckAbortedError",
     "run_grids",
     "run_grid",
+    "classify_grids",
     "classify_grid",
     "rationality_check",
     "determinacy_check_braking",
@@ -64,27 +74,32 @@ __all__ = [
 LABEL_PASS = "pass"
 LABEL_CAUTIOUS = "cautious_pass"
 FAILURE_LABELS = ("TF", "IS", "IO")
+# Every label once; a classification gives labels as indices into it.
+LABELS = (LABEL_PASS, LABEL_CAUTIOUS, *FAILURE_LABELS)
+_PASS, _CAUTIOUS, _TF, _IS, _IO = range(len(LABELS))
+# The verdict kind of each entry of ``VERDICTS``, as its index in ``_KINDS``.
+_KINDS = (VerdictKind.PROGRESS_PASS, VerdictKind.CAUTIOUS_PASS, VerdictKind.FAIL)
+_KIND_OF_VERDICT = np.array([_KINDS.index(vd.kind) for vd in VERDICTS])
+_PROGRESS, _FAIL = _KINDS.index(VerdictKind.PROGRESS_PASS), _KINDS.index(VerdictKind.FAIL)
 
 
 class CheckAbortedError(RuntimeError):
     """Raised when a determinacy check's baseline run is unusable."""
 
 
-@dataclass(frozen=True)
-class CellResult:
-    zone: Zone
-    verdict: Verdict
-
-
 @dataclass
 class GridResult:
+    """A completed grid: each cell's verdict and zone, as indices in
+    ``VERDICTS`` and ``ZONES``, in arrays over the ``(x_a, x_f)`` axes."""
+
     static: StaticPart
     x_e: float
     v_e: float
     boundary: CriticalBoundary
     x_a_values: tuple[float, ...]
     x_f_values: tuple[float, ...]
-    cells: dict[tuple[float, float], CellResult]
+    verdicts: np.ndarray
+    zones: np.ndarray
     dt: float = DEFAULT_DT
     # Work counters: ``cells``, ``cell_steps`` (policy steps over all cells),
     # ``early_exits`` (cells ended before their horizon), ``lockstep_batches``
@@ -94,8 +109,9 @@ class GridResult:
     stats: dict[str, int] = field(default_factory=dict)
 
 
-# One grid to run: ``(x_e, v_e, x_a_values, x_f_values)``.
-Grid = tuple[float, float, Sequence[float], Sequence[float]]
+# One grid to run: ``(x_e, v_e, x_a_values, x_f_values, boundary)``, the
+# boundary being ``most_critical`` of the start for the grid's pilot.
+Grid = tuple[float, float, Sequence[float], Sequence[float], CriticalBoundary]
 
 
 def run_grids(
@@ -108,53 +124,53 @@ def run_grids(
     ``jobs`` pairs a pilot with a grid; a ``GridResult`` comes back per job,
     in order.  The cells of the grids that the lockstep engine can run
     (``lockstep_applies``: a built-in autopilot on a constant profile),
-    whatever their pilot, take one ``simulate_lockstep`` call together and
-    are graded by ``verdict_arrays``; any other grid runs ``simulate`` and
-    ``verdict`` cell by cell.  The caller bounds the cells of one call.
-    Cells with the same zone and verdict share one ``CellResult``.
+    whatever their pilot, take one ``simulate_lockstep`` call together as
+    columns and are graded by ``verdict_arrays``, with no ``TestCase``; any
+    other grid runs ``simulate`` and ``verdict`` on a ``TestCase`` per cell.
+    The caller bounds the cells of one call.
     """
-    grid_cases = [[TestCase(static=static, x_e=x_e, v_e=v_e, x_a=x_a, x_f=x_f, dt=cfg.dt)
-                   for x_a in x_a_values for x_f in x_f_values]
-                  for _, (x_e, v_e, x_a_values, x_f_values) in jobs]
     # Per job: each cell's verdict code, steps and horizon, and the scalar
     # ``simulate`` calls they took.
     runs: list = [None] * len(jobs)
     engine = {}  # the engine call's counters, kept on the first grid it ran
     batched = [i for i, (pilot, grid) in enumerate(jobs) if lockstep_applies(pilot, grid[1])]
     if batched:
-        lockstep = simulate_lockstep([jobs[i][0] for i in batched for _ in grid_cases[i]],
-                                     [tc for i in batched for tc in grid_cases[i]], cfg)
-        codes, steps = verdict_arrays(lockstep).tolist(), lockstep.steps.tolist()
-        horizons, end = lockstep.horizon.tolist(), 0
-        for i in batched:
-            start, end = end, end + len(grid_cases[i])
-            runs[i] = codes[start:end], steps[start:end], horizons[start:end], 0
-        engine[batched[0]] = {"lockstep_batches": 1, "lockstep_steps": max(steps, default=0)}
+        # Every cell of those grids as columns, x_a-major within a grid; the
+        # horizon is the one ``TestCase`` gives by default.
+        grids = [jobs[i][1] for i in batched]
+        cells = [np.meshgrid(x_a, x_f, indexing="ij") for _, _, x_a, x_f, _ in grids]
+        sizes = [x_a.size for x_a, _ in cells]
+        x_a, x_f = (np.concatenate([axis.ravel() for axis in axes]) for axes in zip(*cells))
+        x_e, v_e = (np.repeat([grid[k] for grid in grids], sizes) for k in (0, 1))
+        pilots = [pilot for i, size in zip(batched, sizes) for pilot in [jobs[i][0]] * size]
+        horizon = horizon_steps(static, x_a, cfg.dt, HORIZON_SLACK).astype(int)
+        lockstep = simulate_lockstep(pilots, static, x_e, v_e, x_a, x_f, horizon, cfg)
+        ends = np.cumsum(sizes)[:-1]
+        for i, *run in zip(batched, *(np.split(col, ends) for col in (
+                verdict_arrays(lockstep), lockstep.steps, lockstep.horizon))):
+            runs[i] = *run, 0
+        engine[batched[0]] = {"lockstep_batches": 1,
+                              "lockstep_steps": int(lockstep.steps.max(initial=0))}
 
-    shared: dict[tuple[Zone, int], CellResult] = {}
     results = []
-    for i, ((pilot, (x_e, v_e, x_a_values, x_f_values)), cases) in enumerate(zip(jobs, grid_cases)):
+    for i, (pilot, (x_e, v_e, x_a_values, x_f_values, boundary)) in enumerate(jobs):
         if runs[i] is None:
+            cases = [TestCase(static=static, x_e=x_e, v_e=v_e, x_a=x_a, x_f=x_f, dt=cfg.dt)
+                     for x_a in x_a_values for x_f in x_f_values]
             outcomes = [simulate(pilot, tc, cfg, record=False) for tc in cases]
-            runs[i] = ([VERDICT_CODES[verdict(out)] for out in outcomes],
-                       [out.steps for out in outcomes], [tc.horizon for tc in cases], len(cases))
+            runs[i] = (np.array([VERDICT_CODES[verdict(out)] for out in outcomes], dtype=int),
+                       np.array([out.steps for out in outcomes], dtype=int),
+                       np.array([tc.horizon for tc in cases], dtype=int), len(cases))
         codes, steps, horizons, scalar_calls = runs[i]
-        boundary = most_critical(x_e, v_e, pilot.profile, static)
-        cells = {}
-        for tc, code in zip(cases, codes):
-            key = (classify_zone(tc, boundary), code)
-            cell = shared.get(key)
-            if cell is None:
-                cell = shared[key] = CellResult(zone=key[0], verdict=VERDICTS[code])
-            cells[tc.x_a, tc.x_f] = cell
-        stats = {"cells": len(codes), "cell_steps": sum(steps),
-                 "early_exits": sum(n < h for n, h in zip(steps, horizons)),
+        stats = {"cells": codes.size, "cell_steps": int(steps.sum()),
+                 "early_exits": int((steps < horizons).sum()),
                  "lockstep_batches": 0, "lockstep_steps": 0,
                  "scalar_simulate_calls": scalar_calls, **engine.get(i, {})}
         results.append(GridResult(
             static=static, x_e=x_e, v_e=v_e, boundary=boundary,
             x_a_values=tuple(x_a_values), x_f_values=tuple(x_f_values),
-            cells=cells, dt=cfg.dt, stats=stats,
+            verdicts=codes.reshape(len(x_a_values), len(x_f_values)),
+            zones=zone_codes(boundary, x_a_values, x_f_values), dt=cfg.dt, stats=stats,
         ))
     return results
 
@@ -169,14 +185,16 @@ def run_grid(
     cfg: SimConfig = SimConfig(),
 ) -> GridResult:
     """``run_grids`` of the one grid from ego start ``(x_e, v_e)``."""
-    return run_grids(static, [(autopilot, (x_e, v_e, x_a_values, x_f_values))], cfg)[0]
+    boundary = most_critical(x_e, v_e, autopilot.profile, static)
+    return run_grids(static, [(autopilot, (x_e, v_e, x_a_values, x_f_values, boundary))],
+                     cfg)[0]
 
 
 @dataclass
 class GridClassification:
-    labels: dict[tuple[float, float], str]
+    labels: np.ndarray  # each cell's label, as its index in ``LABELS``, shaped as the grid
     of_kind: Optional[str]  # "OF-SF" | "OF-PD" | None
-    counts: dict[str, int]
+    counts: dict[str, int]  # cells per label, of the labels given
     n_cells: int
     n_relevant: int  # cells outside the undiscriminating region
 
@@ -191,8 +209,10 @@ class GridClassification:
         return {k: self.counts.get(k, 0) / self.n_relevant for k in FAILURE_LABELS}
 
 
-def _dominating_passes(grid: GridResult) -> dict[tuple[float, float], tuple[float, float]]:
-    """For each failed cell, a crossing pass at coordinatewise-smaller geometry.
+def _dominated(x_a: np.ndarray, x_f: np.ndarray, kinds: np.ndarray):
+    """The failed cells that a progress pass dominates, and the witness of
+    each ``x_f`` column as ``(x_a, x_f)`` arrays, for grids stacked on the
+    first axis; ``kinds`` indexes ``_KINDS`` per cell.
 
     Only progress passes count as dominators: a cautious stop at a harder
     geometry demonstrates nothing about crossing ability, so it cannot indict
@@ -201,80 +221,61 @@ def _dominating_passes(grid: GridResult) -> dict[tuple[float, float], tuple[floa
 
     The witness of a failed cell is, of the progress passes at ``x_a`` and
     ``x_f`` no larger than its own, the one smallest in ``(x_a, x_f)``.  A
-    staircase sweep finds it in O(cells log cells): the lowest passing
-    ``x_f`` of each ``x_a`` column, its running minimum over ascending
-    ``x_a``, and a binary search of that staircase for each failed cell.
+    staircase sweep finds it: each ``x_a`` column's lowest pass, and for each
+    ``x_f`` the first column in ``(x_a, lowest)`` order whose lowest pass is
+    at or below it, a witness from that column's ``x_a`` on.
     """
-    lowest: dict[float, float] = {}  # x_a -> lowest x_f of a progress pass there
-    for (x_a, x_f), cell in grid.cells.items():
-        if cell.verdict.kind is VerdictKind.PROGRESS_PASS and x_f < lowest.get(x_a, math.inf):
-            lowest[x_a] = x_f
-    columns = sorted(lowest)
-    # Negated running minimum: ascending, the first entry at or above -x_f
-    # is the first column with a pass at or below x_f.
-    stair = [-f for f in itertools.accumulate((lowest[x_a] for x_a in columns), min)]
-    out: dict[tuple[float, float], tuple[float, float]] = {}
-    for key, cell in grid.cells.items():
-        if cell.verdict.kind is VerdictKind.FAIL:
-            j = bisect.bisect_left(stair, -key[1])
-            if j < len(columns) and columns[j] <= key[0]:
-                out[key] = (columns[j], lowest[columns[j]])
-    return out
+    lowest = np.where(kinds == _PROGRESS, x_f[:, None, :], np.inf).min(axis=2)
+    order = np.lexsort((lowest, x_a), axis=-1)
+    col_a, col_f = (np.take_along_axis(a, order, -1) for a in (x_a, lowest))
+    below = col_f[:, :, None] <= x_f[:, None, :]
+    first = below.argmax(axis=1)
+    wit_a, wit_f = (np.take_along_axis(a, first, 1) for a in (col_a, col_f))
+    dominated = ((kinds == _FAIL) & below.any(axis=1)[:, None, :]
+                 & (wit_a[:, None, :] <= x_a[:, :, None]))
+    return dominated, wit_a, wit_f
 
 
-def classify_grid(grid: GridResult) -> GridClassification:
-    """Label every cell of a completed grid.
+def classify_grids(grids: Sequence[GridResult]) -> list[GridClassification]:
+    """Label every cell of completed grids of one shape, all grids at once.
 
     A cautious pass counts as overcaution only beyond the critical corner by
     more than two environment steps, the finest distinction the
-    discretisation supports.
+    discretisation supports.  The grids are stacked into arrays, and each
+    rule is an array comparison over all their cells.
     """
-    if not grid.cells:
+    if not grids or not grids[0].verdicts.size:
         raise ValueError("grid is empty")
-    delta_margin = 2.0 * grid.static.vl * grid.dt
-    b = grid.boundary
-    labels: dict[tuple[float, float], str] = {}
-    dominated = _dominating_passes(grid)
+    verdicts = np.stack([g.verdicts for g in grids])
+    zones = np.stack([g.zones for g in grids])
+    x_a = np.array([g.x_a_values for g in grids], dtype=float)
+    x_f = np.array([g.x_f_values for g in grids], dtype=float)
+    margin, x_hat_a, x_hat_f = (np.array(col)[:, None, None] for col in zip(*(
+        (2.0 * g.static.vl * g.dt, g.boundary.x_hat_a, g.boundary.x_hat_f) for g in grids)))
+    kinds = _KIND_OF_VERDICT[verdicts]
+    dominated, _, _ = _dominated(x_a, x_f, kinds)
+    progress, cautious, fail = (kinds == k for k in range(len(_KINDS)))  # by ``_KINDS``
+    safe_progress = zones == ZONES.index(Zone.SAFE_PROGRESS)
+    overcautious = (cautious & safe_progress & (x_a[:, :, None] - x_hat_a > margin)
+                    & (x_f[:, None, :] - x_hat_f > margin))
+    labels = np.select([dominated, fail, overcautious, cautious], [_IS, _TF, _IO, _CAUTIOUS],
+                       _PASS)
 
-    n_fail = sum(1 for c in grid.cells.values() if c.verdict.kind is VerdictKind.FAIL)
-    sp_cells = [k for k, c in grid.cells.items() if c.zone is Zone.SAFE_PROGRESS]
-    sp_progress = sum(
-        1
-        for k in sp_cells
-        if grid.cells[k].verdict.kind is VerdictKind.PROGRESS_PASS
-    )
-    of_kind: Optional[str] = None
-    if n_fail == len(grid.cells):
-        of_kind = "OF-SF"
-    elif sp_cells and sp_progress == 0:
-        of_kind = "OF-PD"
+    cells = (1, 2)
+    counts = np.stack([(labels == k).sum(axis=cells) for k in range(len(LABELS))], 1).tolist()
+    no_progress = safe_progress.any(axis=cells) & ~(safe_progress & progress).any(axis=cells)
+    of_kinds = np.where(fail.all(axis=cells), "OF-SF", np.where(no_progress, "OF-PD", None))
+    n_relevant = (zones != ZONES.index(Zone.IRRELEVANT)).sum(axis=cells).tolist()
+    return [GridClassification(labels=grid_labels, of_kind=of_kind, n_cells=verdicts[0].size,
+                               counts={LABELS[k]: n for k, n in enumerate(grid_counts) if n},
+                               n_relevant=relevant)
+            for grid_labels, of_kind, grid_counts, relevant
+            in zip(labels, of_kinds.tolist(), counts, n_relevant)]
 
-    for key, cell in grid.cells.items():
-        if cell.verdict.kind is VerdictKind.FAIL:
-            labels[key] = "IS" if key in dominated else "TF"
-        elif (
-            cell.verdict.kind is VerdictKind.CAUTIOUS_PASS
-            and cell.zone is Zone.SAFE_PROGRESS
-            and key[0] - b.x_hat_a > delta_margin
-            and key[1] - b.x_hat_f > delta_margin
-        ):
-            labels[key] = "IO"
-        elif cell.verdict.kind is VerdictKind.CAUTIOUS_PASS:
-            labels[key] = LABEL_CAUTIOUS
-        else:
-            labels[key] = LABEL_PASS
 
-    counts: dict[str, int] = {}
-    for lab in labels.values():
-        counts[lab] = counts.get(lab, 0) + 1
-    n_relevant = sum(1 for c in grid.cells.values() if c.zone is not Zone.IRRELEVANT)
-    return GridClassification(
-        labels=labels,
-        of_kind=of_kind,
-        counts=counts,
-        n_cells=len(grid.cells),
-        n_relevant=n_relevant,
-    )
+def classify_grid(grid: GridResult) -> GridClassification:
+    """``classify_grids`` of the one grid."""
+    return classify_grids([grid])[0]
 
 
 def rationality_check(grid: GridResult) -> list[tuple[tuple[float, float], tuple[float, float]]]:
@@ -285,7 +286,13 @@ def rationality_check(grid: GridResult) -> list[tuple[tuple[float, float], tuple
     easier one.  The pass is the dominating progress pass smallest in
     ``(x_a, x_f)``.
     """
-    return [(p, key) for key, p in sorted(_dominating_passes(grid).items())]
+    if not grid.verdicts.size:
+        return []
+    x_a, x_f = np.array([grid.x_a_values], dtype=float), np.array([grid.x_f_values], dtype=float)
+    dominated, wit_a, wit_f = _dominated(x_a, x_f, _KIND_OF_VERDICT[grid.verdicts][None])
+    pairs = [((wit_a[0, j].item(), wit_f[0, j].item()), (grid.x_a_values[i], grid.x_f_values[j]))
+             for i, j in np.argwhere(dominated[0]).tolist()]
+    return sorted(pairs, key=lambda pair: pair[::-1])
 
 
 # -- determinacy ---------------------------------------------------------------
@@ -359,9 +366,7 @@ def determinacy_check_braking(
         deviation = abs(x_i + fresh[-1][0] - stop)
         restarts.append(RestartRecord(t=i * dt, x=x_i, v=v_i, deviation=deviation))
     max_dev = max((r.deviation for r in restarts), default=0.0)
-    return DeterminacyReport(
-        maneuver="braking", restarts=restarts, tol=tol, max_deviation=max_dev
-    )
+    return DeterminacyReport(maneuver="braking", restarts=restarts, tol=tol, max_deviation=max_dev)
 
 
 def _speed_at_conflict(outcome) -> Optional[float]:
@@ -440,14 +445,8 @@ def determinacy_check_progress(
                           passed=passed)
         )
     max_dev = max((r.deviation for r in restarts if r.passed), default=0.0)
-    return DeterminacyReport(
-        maneuver="progress",
-        restarts=restarts,
-        tol=0.2,
-        max_deviation=max_dev,
-        verdict_flips=flips,
-        simulations=1 + len(restarts),
-    )
+    return DeterminacyReport(maneuver="progress", restarts=restarts, tol=0.2, max_deviation=max_dev,
+                             verdict_flips=flips, simulations=1 + len(restarts))
 
 
 # -- logical equivalence ---------------------------------------------------------
@@ -476,28 +475,21 @@ def equivalence_check(
 
 
 def grid_report_dict(grid: GridResult, cls: GridClassification) -> dict:
-    """JSON-able report for one (autopilot, scenario, ego start) grid."""
+    """Report for one (autopilot, scenario, ego start) grid: its raw file's
+    fields, but with the point list as columns ``(x_a_values, x_f_values,
+    labels, verdicts, zones)`` (codes indexing ``LABELS``, ``VERDICTS`` and
+    ``ZONES``), and the cells per label, ``counts``, which the file leaves out.
+    """
+    zone_counts = np.bincount(grid.zones.ravel(), minlength=len(ZONES)).tolist()
     return {
         "scenario_type": grid.static.scenario_type.value,
         "x_e": grid.x_e,
         "v_e": grid.v_e,
         "boundary": grid.boundary.to_dict(),
-        "grid": [
-            {
-                "x_a": x_a,
-                "x_f": x_f,
-                "zone": grid.cells[(x_a, x_f)].zone.value,
-                "verdict": grid.cells[(x_a, x_f)].verdict.kind.value,
-                "label": cls.labels[(x_a, x_f)],
-            }
-            for x_a in grid.x_a_values
-            for x_f in grid.x_f_values
-        ],
+        "grid": (grid.x_a_values, grid.x_f_values, cls.labels, grid.verdicts, grid.zones),
+        "counts": cls.counts,
         "frequencies": cls.frequencies,
         "frequencies_relevant": cls.frequencies_relevant,
         "of": {"kind": cls.of_kind},
-        "zone_counts": {
-            zone.value: sum(1 for c in grid.cells.values() if c.zone is zone)
-            for zone in Zone
-        },
+        "zone_counts": {zone.value: n for zone, n in zip(ZONES, zone_counts)},
     }

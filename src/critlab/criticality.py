@@ -19,17 +19,21 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .kinematics import ADProfile
 from .scenario import StaticPart, TestCase
 
 __all__ = [
     "CriticalBoundary",
     "Zone",
+    "ZONES",
     "Dominance",
     "IncomparableError",
     "most_critical",
     "dominates",
     "classify_zone",
+    "zone_codes",
     "boundary_probe",
 ]
 
@@ -68,6 +72,11 @@ class Zone(enum.Enum):
     SAFE_PROGRESS = "safe_progress"
     IRRELEVANT = "irrelevant"
     NON_NOMINAL = "non_nominal"
+
+
+# Every zone once; ``zone_codes`` gives zones as indices into it.
+ZONES = tuple(Zone)
+_CAUTIOUS_ONLY, _SAFE_PROGRESS, _IRRELEVANT, _NON_NOMINAL = map(ZONES.index, Zone)
 
 
 class Dominance(enum.Enum):
@@ -119,15 +128,20 @@ def dominates(tc: TestCase, tc2: TestCase) -> Dominance:
     return Dominance.INCOMPARABLE
 
 
+def zone_codes(boundary: CriticalBoundary, x_a_values, x_f_values) -> np.ndarray:
+    """``classify_zone`` of every geometry of the grid ``x_a_values`` x
+    ``x_f_values``, as its index in ``ZONES``, in an array of that shape."""
+    x_a = np.asarray(x_a_values, dtype=float)[:, None]
+    x_f = np.asarray(x_f_values, dtype=float)[None, :]
+    fallback = _CAUTIOUS_ONLY if boundary.cautious_feasible else _NON_NOMINAL
+    return np.where(x_a >= boundary.x_tilde_a, _IRRELEVANT,
+                    np.where((x_a >= boundary.x_hat_a) & (x_f >= boundary.x_hat_f),
+                             _SAFE_PROGRESS, fallback))
+
+
 def classify_zone(tc: TestCase, boundary: CriticalBoundary) -> Zone:
     """Place one geometry in the theoretical decomposition of the test space."""
-    if tc.x_a >= boundary.x_tilde_a:
-        return Zone.IRRELEVANT
-    if tc.x_a >= boundary.x_hat_a and tc.x_f >= boundary.x_hat_f:
-        return Zone.SAFE_PROGRESS
-    if boundary.cautious_feasible:
-        return Zone.CAUTIOUS_ONLY
-    return Zone.NON_NOMINAL
+    return ZONES[zone_codes(boundary, [tc.x_a], [tc.x_f])[0, 0]]
 
 
 def boundary_probe(

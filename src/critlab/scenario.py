@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+import numpy as np
+
 __all__ = [
     "ScenarioType",
     "Light",
@@ -38,6 +40,8 @@ __all__ = [
     "WindowUndefinedError",
     "DEFAULT_DT",
     "DEFAULT_D",
+    "HORIZON_SLACK",
+    "horizon_steps",
     "CAUTIOUS_MARGIN",
     "env_at",
     "expand",
@@ -56,7 +60,7 @@ __all__ = [
 DEFAULT_DT = 0.1  # s
 DEFAULT_D = 5.0  # m, critical-zone half-length
 CAUTIOUS_MARGIN = 0.5  # m, stop at least this far before the zone
-_EXTRA_HORIZON = 10.0  # s of slack after the arriving vehicle clears the zone
+HORIZON_SLACK = 10.0  # s of slack after the arriving vehicle clears the zone, by default
 
 
 class HorizonError(ValueError):
@@ -188,18 +192,14 @@ class TestCase:
         if not 0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite: {self.dt}")
         if self.horizon is None:
-            object.__setattr__(self, "horizon", self.min_horizon(self.dt, slack=_EXTRA_HORIZON))
+            object.__setattr__(self, "horizon",
+                               int(horizon_steps(self.static, self.x_a, self.dt, HORIZON_SLACK)))
         else:
             self.check_horizon(self.dt)
 
-    def min_horizon(self, dt: float, slack: float = 0.0) -> int:
-        """Smallest step count letting the arriving vehicle traverse the zone."""
-        span = (self.x_a + 2.0 * self.static.d) / self.static.vl + slack
-        return math.ceil(span / dt)
-
     def check_horizon(self, dt: float) -> None:
         """Raise ``HorizonError`` unless the horizon covers the zone at step ``dt``."""
-        needed = self.min_horizon(dt)
+        needed = int(horizon_steps(self.static, self.x_a, dt))
         if self.horizon < needed:
             raise HorizonError(
                 f"horizon {self.horizon} too short at dt={dt}; minimum n is {needed}"
@@ -225,6 +225,12 @@ def default_goal(static: StaticPart) -> Goal:
     if static.scenario_type is ScenarioType.INTERSECTION_LIGHT:
         props.add(Property.NO_RED_LIGHT_ENTRY)
     return Goal(properties=frozenset(props))
+
+
+def horizon_steps(static: StaticPart, x_a, dt: float, slack: float = 0.0):
+    """Smallest step count (a whole float, or an array of them for an array
+    of ``x_a``) letting the arriving vehicle traverse the zone, plus ``slack`` s."""
+    return np.ceil(((x_a + 2.0 * static.d) / static.vl + slack) / dt)
 
 
 # -- environment expansion ----------------------------------------------------

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import abc
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -33,13 +32,16 @@ from .scenario import (
     DEFAULT_DT,
     EgoState,
     Goal,
+    HorizonError,
     Property,
     Scenario,
     Scene,
+    StaticPart,
     TestCase,
     default_goal,
     env_at,
     expand,  # noqa: F401  re-exported: callers look it up on this module
+    horizon_steps,
 )
 
 __all__ = [
@@ -238,17 +240,9 @@ def simulate(
         events.append(Event(EventKind.HORIZON_EXHAUSTED, n * dt))
 
     events.sort(key=lambda e: e.t)
-    return SimOutcome(
-        tc=tc,
-        scenario=Scenario(static=static, frames=frames),
-        events=events,
-        final=EgoState(p, v),
-        steps=steps,
-        t_cross=t_cross,
-        t_arrive=t_arrive,
-        race_won=race_exempt,
-        zone_epsilon=cfg.zone_epsilon,
-    )
+    return SimOutcome(tc=tc, scenario=Scenario(static=static, frames=frames), events=events,
+                      final=EgoState(p, v), steps=steps, t_cross=t_cross, t_arrive=t_arrive,
+                      race_won=race_exempt, zone_epsilon=cfg.zone_epsilon)
 
 
 def lockstep_applies(autopilot, v_e: float) -> bool:
@@ -275,18 +269,17 @@ _COOC, _COLL_A, _RED, _COLL_F, _STOP, _HORIZON = range(len(_STEP_EVENTS))
 
 
 @dataclass(eq=False)
-class LockstepRuns(abc.Sequence):
+class LockstepRuns:
     """The outcomes of one ``simulate_lockstep`` call, as arrays by cell.
 
-    ``x_f`` and ``horizon`` are the cases' own.  ``event_step[k]`` holds the
+    ``x_f`` and ``horizon`` are the cells' own.  ``event_step[k]`` holds the
     step in which ``_STEP_EVENTS[k]`` first fired (-1: never), and
     ``cross_step`` that of the crossing, which happened at ``t_cross``;
     ``final_p``, ``final_v``, ``steps`` and ``race_won`` are ``SimOutcome``'s
-    ``final``, ``steps`` and ``race_won``.  Indexing builds a cell's
-    ``SimOutcome``.
+    ``final``, ``steps`` and ``race_won``.
     """
 
-    cases: Sequence[TestCase]
+    static: StaticPart
     cfg: SimConfig
     x_f: np.ndarray
     horizon: np.ndarray
@@ -298,43 +291,23 @@ class LockstepRuns(abc.Sequence):
     steps: np.ndarray
     race_won: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.cases)
-
-    def __getitem__(self, i: int) -> SimOutcome:  # type: ignore[override]
-        tc, dt = self.cases[i], self.cfg.dt
-        # ``simulate`` sorts its events stably by time: by (time, step, order in step).
-        keyed = [((s + 1) * dt, s, k, kind)
-                 for k, (s, kind) in enumerate(zip(self.event_step[:, i].tolist(), _STEP_EVENTS), 1)
-                 if s >= 0]
-        crossed = self.cross_step[i] >= 0
-        if crossed:
-            keyed.append((float(self.t_cross[i]), int(self.cross_step[i]), 0,
-                          EventKind.CROSSED_CONFLICT))
-        keyed.sort()
-        return SimOutcome(
-            tc=tc,
-            scenario=Scenario(static=tc.static),
-            events=[Event(kind, t) for t, _, _, kind in keyed],
-            final=EgoState(float(self.final_p[i]), float(self.final_v[i])),
-            steps=int(self.steps[i]),
-            t_cross=float(self.t_cross[i]) if crossed else None,
-            t_arrive=tc.x_a / tc.static.vl,
-            race_won=bool(self.race_won[i]),
-            zone_epsilon=self.cfg.zone_epsilon,
-        )
-
 
 def simulate_lockstep(
     autopilots: AutopilotSpec | Sequence[AutopilotSpec],
-    cases: Sequence[TestCase],
+    static: StaticPart,
+    x_e,
+    v_e,
+    x_a,
+    x_f,
+    horizon,
     cfg: SimConfig = SimConfig(),
 ) -> LockstepRuns:
-    """``simulate(autopilot, tc, cfg, record=False)`` for every case at once.
+    """``simulate(autopilot, tc, cfg, record=False)`` for every cell at once.
 
-    ``autopilots`` is one pilot for every case or one per case.  The cases
-    share their static part and carry no extra vehicles; each has its own ego
-    start, and ``lockstep_applies(autopilot, tc.v_e)`` holds for every one.
+    Each column holds, per cell, what its ``TestCase`` over ``static`` (with
+    no extra vehicles) would: the columns are checked as arrays, and no
+    ``TestCase`` is built.  ``autopilots`` is one pilot for every cell or one
+    per cell; ``lockstep_applies(autopilot, v_e)`` holds for every cell.
     All cells take each step together as numpy arrays, the environment in
     closed form and each cell's policy from ``PolicyColumns``; a cell leaves
     the batch when its run would end, at the latest at its own horizon, so
@@ -342,22 +315,21 @@ def simulate_lockstep(
     equals the scalar one in its events, final state, step count, crossing
     and race, and carries no frames.
     """
-    n = len(cases)
+    x_e, v_e, x_a, x_f = (np.asarray(col, dtype=float) for col in (x_e, v_e, x_a, x_f))
+    horizons = np.asarray(horizon, dtype=int)
+    n = len(x_e)
     pilots = [autopilots] * n if isinstance(autopilots, AutopilotSpec) else list(autopilots)
-    if len(pilots) != n:
-        raise ValueError(f"{len(pilots)} autopilots for {n} lockstep cases")
-    static = cases[0].static if cases else None
-    for pilot, tc in zip(pilots, cases):
-        if not lockstep_applies(pilot, tc.v_e):
-            raise ValueError(f"no lockstep engine for {pilot!r} from v_e={tc.v_e}")
-        if tc.static != static or tc.mutations:
-            raise ValueError(
-                "lockstep cases must share one static part and carry no extra vehicles")
-        tc.check_horizon(cfg.dt)
+    if len(pilots) != n or any(col.shape != (n,) for col in (v_e, x_a, x_f, horizons)):
+        raise ValueError(f"lockstep columns of unequal lengths for {len(pilots)} autopilots")
+    if not (np.isfinite([x_e, v_e, x_a, x_f]).all() and (np.array([x_e, x_a, x_f]) > 0).all()
+            and (v_e >= 0).all()):
+        raise ValueError("lockstep x_e, x_a and x_f must be positive, v_e non-negative, all finite")
+    for pilot in dict(zip(map(id, pilots), pilots)).values():
+        if not lockstep_applies(pilot, 0.0):
+            raise ValueError(f"no lockstep engine for {pilot!r}")
     dt = cfg.dt
-    x_a = np.array([tc.x_a for tc in cases], dtype=float)
-    x_f = np.array([tc.x_f for tc in cases], dtype=float)
-    horizons = np.array([tc.horizon for tc in cases], dtype=int)
+    if n and (horizons < horizon_steps(static, x_a, dt)).any():
+        raise HorizonError(f"a lockstep horizon is too short for its x_a at dt={dt}")
     # Results by cell: the step of each end-of-step event (-1: none), and so on.
     event_step = np.full((len(_STEP_EVENTS), n), -1)
     cross_step = np.full(n, -1)
@@ -365,20 +337,21 @@ def simulate_lockstep(
     final_p, final_v = np.zeros(n), np.zeros(n)
     steps = np.zeros(n, dtype=int)
     race_won = np.zeros(n, dtype=bool)
-    runs = LockstepRuns(cases, cfg, x_f, horizons, event_step, cross_step, t_cross,
+    runs = LockstepRuns(static, cfg, x_f, horizons, event_step, cross_step, t_cross,
                         final_p, final_v, steps, race_won)
     if not n:
         return runs
 
+    pc = PolicyColumns.build(pilots, v_e.tolist(), x_a, x_f)
+    if (v_e > pc.v_max).any():
+        raise ValueError("no lockstep engine for a start above its pilot's v_max")
     d, vl = static.d, static.vl
     race_grace = cfg.zone_epsilon / vl
-    v_e = [tc.v_e for tc in cases]
-    pc = PolicyColumns.build(pilots, v_e, x_a, x_f)
     t_arrive = x_a / vl
     # Per-cell columns of the active cells; a finished cell is dropped from all.
     cols = [
-        np.arange(n),  # index of the cell in ``cases``
-        np.array([-tc.x_e for tc in cases], dtype=float), np.array(v_e, dtype=float),  # p, v
+        np.arange(n),  # index of the cell in the columns
+        -x_e, v_e,  # p, v
         x_a, x_f, x_f - _EPS, horizons, t_arrive - _EPS, t_arrive + race_grace,
     ] + [np.zeros(n, dtype=bool) for _ in range(5)]
 
@@ -463,9 +436,9 @@ def verdict_arrays(runs: LockstepRuns) -> np.ndarray:
     then stopped.  A lockstep run never aborts (a built-in pilot commands
     finite accelerations), so ``verdict``'s aborted rule has nothing to grade.
     """
-    if not len(runs):
+    if not runs.steps.size:
         return np.zeros(0, dtype=int)
-    static = runs.cases[0].static
+    static = runs.static
     stopped = runs.final_v <= _EPS
     code = np.where(
         runs.cross_step >= 0,

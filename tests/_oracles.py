@@ -93,17 +93,25 @@ def scene_line(scene, static, dt) -> bytes:
     return (json.dumps(payload) + "\n").encode()
 
 
-def dominating_passes_scan(cells):
-    """For each failed cell of a grid's ``cells``, the first progress pass, in
-    the dict's order, at coordinatewise smaller-or-equal ``(x_a, x_f)``: the
+def dominating_passes_scan(verdicts):
+    """For each failed cell of a grid's ``verdicts``, a dict from ``(x_a,
+    x_f)`` to the cell's ``Verdict``, the first progress pass, in the dict's
+    order, at coordinatewise smaller-or-equal ``(x_a, x_f)``: the
     O(fails x passes) scan."""
-    passes = [key for key, cell in cells.items() if cell.verdict.kind.value == "progress_pass"]
+    passes = [key for key, vd in verdicts.items() if vd.kind.value == "progress_pass"]
     out = {}
-    for key, cell in cells.items():
-        if cell.verdict.kind.value != "fail":
+    for key, vd in verdicts.items():
+        if vd.kind.value != "fail":
             continue
         for p in passes:
             if p[0] <= key[0] and p[1] <= key[1] and p != key:
                 out[key] = p
                 break
     return out
+
+
+def by_point(x_a_values, x_f_values, codes, names):
+    """A grid's code array (one code per cell, ``x_a``-major) as the dict
+    from ``(x_a, x_f)`` to the name each code indexes in ``names``."""
+    cells = [(x_a, x_f) for x_a in x_a_values for x_f in x_f_values]
+    return {cell: names[code] for cell, code in zip(cells, np.ravel(codes).tolist(), strict=True)}

@@ -26,7 +26,7 @@ from critlab.campaign import (
     run_campaign,
     write_outputs,
 )
-from critlab.classify import classify_grid, determinacy_check_braking, run_grid
+from critlab.classify import LABELS, classify_grid, determinacy_check_braking, run_grid
 from critlab.criticality import most_critical
 from critlab.kinematics import ADProfile
 from critlab.partition import build_partition, coverage_ratio
@@ -35,6 +35,7 @@ from critlab.simulator import EventKind, SimConfig, VerdictKind, simulate, verdi
 
 from _oracles import (
     brake_trace_stop,
+    by_point,
     euler_accel_run,
     euler_braking_distance,
     euler_braking_speed,
@@ -185,8 +186,8 @@ def test_criterion_4_rationality(std_profile, std_boundary):
     grid = run_grid(
         irrational(std_profile, region), 20.0, 5.0, static, *_grid_axes(std_boundary)
     )
-    cls = classify_grid(grid)
-    is_cells = [k for k, lab in cls.labels.items() if lab == "IS"]
+    labels = by_point(grid.x_a_values, grid.x_f_values, classify_grid(grid).labels, LABELS)
+    is_cells = [k for k, lab in labels.items() if lab == "IS"]
     in_region = all(
         region[0][0] <= a <= region[0][1] and region[1][0] <= f <= region[1][1]
         for a, f in is_cells
@@ -196,7 +197,7 @@ def test_criterion_4_rationality(std_profile, std_boundary):
     band_f = (xf[1] - xf[0]) + 10.0 * 0.1
     stray = [
         k
-        for k, lab in cls.labels.items()
+        for k, lab in labels.items()
         if lab == "TF"
         and not (
             abs(k[0] - std_boundary.x_hat_a) <= band_a

@@ -4,6 +4,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import critlab.autopilots
 import critlab.campaign
 import critlab.classify
+import critlab.criticality
 import critlab.simulator
 from critlab.campaign import (
     CampaignCell,
@@ -201,6 +203,8 @@ class TestRunCampaign:
         for key, cell in report.cells.items():
             other = rebuilt.cells[key]
             assert cell_text(other) == cell_text(cell)
+            assert (other.counts, other.n_cells, other.zone_counts, other.of_counts) == (
+                cell.counts, cell.n_cells, cell.zone_counts, cell.of_counts)
 
     def test_zone_bookkeeping(self, small_run):
         _, report, _ = small_run
@@ -208,6 +212,16 @@ class TestRunCampaign:
         assert set(cell.zone_counts) >= {"safe_progress", "cautious_only", "irrelevant"}
         assert sum(cell.zone_counts.values()) == cell.n_cells
         assert cell.zone_counts.get("non_nominal", 0) == 0
+
+    def test_zone_counts_cover_repeated_axis_values(self):
+        """From a start at ``v_max``, ``x_hat_a == x_tilde_a``, so ``a_lo`` and
+        ``a_hi_tilde`` of 1 give one ``x_a`` value three times: every point
+        counts, in the zones as in the labels."""
+        grid = {**DEFAULT_CONFIG["grid"], "n_a": 3, "n_f": 3, "a_lo": 1.0, "a_hi_tilde": 1.0}
+        raw = one_type_raw(autopilots=[{"name": "reference", "variant": "reference"}],
+                           initial_states=[[35.0, 15.0]], grid=grid)
+        cell = run_campaign(CampaignConfig(raw=raw)).cells[("merge_yield", "reference")]
+        assert cell.n_cells == sum(cell.counts.values()) == sum(cell.zone_counts.values()) == 9
 
     def test_determinacy_and_coverage_sections(self, small_run):
         _, report, _ = small_run
@@ -229,6 +243,62 @@ class TestRunCampaign:
         assert paths["csv"].read_text().startswith("scenario_type,")
         assert paths["markdown"].read_text().startswith("# Campaign report")
         json.loads(paths["json"].read_text())
+
+
+# Axis values whose text ``json.dumps`` writes in each of its forms.
+_AXIS_VALUE = st.sampled_from([1e-05, 1e+16, 44.0, 0.1, -0.0, 5e-324]) | st.floats(
+    allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def grid_reports(draw):
+    """A grid report as ``grid_report_dict`` gives it, with random fields,
+    axes (repeated values, ``x_a`` descending in half) and cell codes."""
+    x_a = draw(st.lists(_AXIS_VALUE, min_size=1, max_size=6))
+    x_f = draw(st.lists(_AXIS_VALUE, min_size=1, max_size=6))
+    if draw(st.booleans()):
+        x_a = sorted(x_a, reverse=True)
+    n = len(x_a) * len(x_f)
+    labels, verdicts, zones = (
+        np.array(draw(st.lists(st.integers(0, len(names) - 1), min_size=n, max_size=n)),
+                 dtype=int).reshape(len(x_a), len(x_f))
+        for names in (critlab.classify.LABELS, critlab.simulator.VERDICTS,
+                      critlab.criticality.ZONES))
+    number = st.floats(allow_nan=False, allow_infinity=False)
+    return {
+        "autopilot": draw(st.text()),
+        "scenario_type": "merge_yield",
+        "x_e": draw(number), "v_e": draw(number),
+        "boundary": {"x_hat_a": draw(number), "x_hat_f": draw(number),
+                     "x_tilde_a": draw(st.none() | number), "cautious_feasible": draw(st.booleans())},
+        "grid": (tuple(x_a), tuple(x_f), labels, verdicts, zones),
+        "counts": {"TF": draw(st.integers(0, n))},
+        "frequencies": {k: draw(number) for k in ("TF", "IS", "IO")},
+        "frequencies_relevant": {k: draw(number) for k in ("TF", "IS", "IO")},
+        "of": {"kind": draw(st.sampled_from([None, "OF-SF", "OF-PD"]))},
+        "zone_counts": {z.value: draw(st.integers(0, n)) for z in critlab.criticality.ZONES},
+    }
+
+
+class TestRawWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(grid_reports(), st.sampled_from(DEFAULT_CONFIG["scenario_types"]))
+    def test_text_is_json_dumps_of_the_point_list(self, report, scenario_type):
+        """The raw file is the report with its point list, as ``json.dumps``
+        writes it, under the given type."""
+        x_a, x_f, labels, verdicts, zones = report["grid"]
+        points = [
+            {"x_a": a, "x_f": f, "zone": critlab.criticality.ZONES[z].value,
+             "verdict": critlab.simulator.VERDICTS[v].kind.value,
+             "label": critlab.classify.LABELS[lab]}
+            for (a, f), lab, v, z in zip(((a, f) for a in x_a for f in x_f), labels.ravel(),
+                                         verdicts.ravel(), zones.ravel(), strict=True)
+        ]
+        fields = {k: v for k, v in report.items() if k != "counts"}
+        expected = json.dumps({**fields, "grid": points, "scenario_type": scenario_type},
+                              sort_keys=True, indent=1)
+        head, tail = critlab.campaign._raw_text_parts(report)
+        assert head + json.dumps(scenario_type) + tail == expected
 
 
 class TestGoldenFile:
@@ -417,9 +487,9 @@ class TestGridDedup:
         calls = []
         real = critlab.classify.simulate_lockstep
 
-        def counting(specs, cases, *args, **kwargs):
-            calls.append({(spec.name, tc.x_e, tc.v_e) for spec, tc in zip(specs, cases)})
-            return real(specs, cases, *args, **kwargs)
+        def counting(specs, static, x_e, v_e, *args, **kwargs):
+            calls.append({(spec.name, *start) for spec, start in zip(specs, zip(x_e, v_e))})
+            return real(specs, static, x_e, v_e, *args, **kwargs)
 
         monkeypatch.setattr(critlab.classify, "simulate_lockstep", counting)
         report = run_campaign(four_type_config(static=with_light(schedule)))
@@ -428,6 +498,20 @@ class TestGridDedup:
         every = {(name, *start) for name in ("reference", "transition_flawed") for start in starts}
         assert all(batch == every for batch in calls)
         assert report.metrics["grids"]["lockstep_batches"] == batches
+
+    def test_one_boundary_per_grid(self, monkeypatch):
+        """``most_critical`` runs once per grid, where the grid is sized, and
+        once per built-in pilot for its progress probe."""
+        calls = Counter()
+        for module in (critlab.campaign, critlab.classify):
+            def counting(*args, real=module.most_critical, name=module.__name__):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, "most_critical", counting)
+        report = run_campaign(four_type_config(static=with_light([2.0, 2.0])))
+        assert calls["critlab.campaign"] == report.metrics["grids"]["simulated"] == 2 * 4 * 2
+        assert calls["critlab.classify"] == 2
 
     def test_one_coverage_integral_for_all_types(self, monkeypatch):
         calls = []
@@ -652,6 +736,8 @@ class TestLoadTimeRejection:
                          "profile": {"a_max": 2.0, "b_max": 4.0, "v_max": 10.0}}],
          "initial_states": [[20, 5], [35, 12]],
          "scenario_types": ["merge_yield", "lane_change"]},
+        {**_pilot(profile={"a_max": 2.0, "b_max": 1.0, "v_max": 15.0}),
+         "initial_states": [[20.0, 12.0]]},
     ], ids=[
         "pilot-profile-missing-b_max", "pilot-profile-negative-a_max",
         "base-profile-negative-a_max", "negative-d", "light-phase-zero", "dt-zero",
@@ -667,7 +753,7 @@ class TestLoadTimeRejection:
         "partition-cap-nan", "pilot-parameter-inf", "rate-speed-nan", "workers-zero",
         "workers-negative", "workers-string", "workers-null", "workers-list", "workers-float",
         "start-repeated", "start-sharing-a-raw-file", "start-above-builtin-pilot-v_max",
-        "start-above-external-pilot-v_max",
+        "start-above-external-pilot-v_max", "start-unstoppable-for-pilot-profile",
     ])
     def test_refused_before_any_simulation(self, overrides, monkeypatch, tmp_path):
         def no_grid(*args, **kwargs):

@@ -1,3 +1,6 @@
+import json
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,8 +11,9 @@ from critlab.autopilots import (
     non_determinate_brake,
     reference,
 )
+from critlab.campaign import _raw_text_parts
 from critlab.classify import (
-    CellResult,
+    LABELS,
     CheckAbortedError,
     GridResult,
     classify_grid,
@@ -20,33 +24,37 @@ from critlab.classify import (
     rationality_check,
     run_grid,
 )
-from critlab.criticality import Zone, most_critical
+from critlab.criticality import ZONES, Zone, most_critical, zone_codes
 from critlab.kinematics import ADProfile
 from critlab.scenario import TestCase
-from critlab.simulator import Verdict, VerdictKind
+from critlab.simulator import VERDICT_CODES, Verdict, VerdictKind
 
-from _oracles import brake_trace_stop, dominating_passes_scan
+from _oracles import brake_trace_stop, by_point, dominating_passes_scan
 
 PASS = Verdict(VerdictKind.PROGRESS_PASS)
 CPASS = Verdict(VerdictKind.CAUTIOUS_PASS)
 FAIL = Verdict(VerdictKind.FAIL, reason="no_collision_arriving")
 
 
-def synthetic_grid(merge_static, std_profile, verdicts):
-    """Build a GridResult from {(x_a, x_f): Verdict} with real zone labels."""
-    boundary = most_critical(20.0, 5.0, std_profile, merge_static)
-    cells = {}
-    for (x_a, x_f), vd in verdicts.items():
-        tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=x_a, x_f=x_f)
-        from critlab.criticality import classify_zone
+def synthetic_grid(merge_static, std_profile, verdicts, fill=PASS):
+    """Build a GridResult from {(x_a, x_f): Verdict} with real zone labels.
 
-        cells[(x_a, x_f)] = CellResult(zone=classify_zone(tc, boundary), verdict=vd)
-    xa = tuple(sorted({k[0] for k in verdicts}))
-    xf = tuple(sorted({k[1] for k in verdicts}))
+    Its axes hold the coordinates in the order they first appear, and a
+    cell that ``verdicts`` does not name gets ``fill``."""
+    boundary = most_critical(20.0, 5.0, std_profile, merge_static)
+    xa = tuple(dict.fromkeys(k[0] for k in verdicts))
+    xf = tuple(dict.fromkeys(k[1] for k in verdicts))
+    codes = [VERDICT_CODES[verdicts.get((a, f), fill)] for a in xa for f in xf]
     return GridResult(
         static=merge_static, x_e=20.0, v_e=5.0, boundary=boundary,
-        x_a_values=xa, x_f_values=xf, cells=cells,
+        x_a_values=xa, x_f_values=xf,
+        verdicts=np.array(codes, dtype=int).reshape(len(xa), len(xf)),
+        zones=zone_codes(boundary, xa, xf),
     )
+
+
+def labels_of(grid, cls):
+    return by_point(grid.x_a_values, grid.x_f_values, cls.labels, LABELS)
 
 
 class TestPriorityRules:
@@ -56,7 +64,7 @@ class TestPriorityRules:
             {(26.3, 13.2): PASS, (30.0, 15.0): FAIL, (35.0, 20.0): PASS, (27.0, 14.0): PASS},
         )
         cls = classify_grid(grid)
-        assert cls.labels[(30.0, 15.0)] == "IS"
+        assert labels_of(grid, cls)[(30.0, 15.0)] == "IS"
         assert cls.counts["IS"] == 1
 
     def test_undominated_failure_is_transition(self, merge_static, std_profile):
@@ -65,19 +73,19 @@ class TestPriorityRules:
             {(26.3, 13.2): FAIL, (30.0, 15.0): PASS, (35.0, 20.0): PASS},
         )
         cls = classify_grid(grid)
-        assert cls.labels[(26.3, 13.2)] == "TF"
+        assert labels_of(grid, cls)[(26.3, 13.2)] == "TF"
 
     def test_all_fail_is_overall_safety(self, merge_static, std_profile):
         grid = synthetic_grid(
             merge_static, std_profile,
-            {(26.3, 13.2): FAIL, (30.0, 15.0): FAIL, (35.0, 20.0): FAIL},
+            {(26.3, 13.2): FAIL, (30.0, 15.0): FAIL, (35.0, 20.0): FAIL}, fill=FAIL,
         )
         assert classify_grid(grid).of_kind == "OF-SF"
 
     def test_no_progress_is_performance_degradation(self, merge_static, std_profile):
         grid = synthetic_grid(
             merge_static, std_profile,
-            {(26.3, 13.2): CPASS, (30.0, 15.0): CPASS, (20.0, 13.2): CPASS},
+            {(26.3, 13.2): CPASS, (30.0, 15.0): CPASS, (20.0, 13.2): CPASS}, fill=CPASS,
         )
         assert classify_grid(grid).of_kind == "OF-PD"
 
@@ -87,13 +95,12 @@ class TestPriorityRules:
             merge_static, std_profile,
             {(26.5, 13.3): CPASS, (32.0, 20.0): CPASS, (33.0, 21.0): PASS},
         )
-        cls = classify_grid(grid)
-        assert cls.labels[(26.5, 13.3)] == "cautious_pass"
-        assert cls.labels[(32.0, 20.0)] == "IO"
+        labels = labels_of(grid, classify_grid(grid))
+        assert labels[(26.5, 13.3)] == "cautious_pass"
+        assert labels[(32.0, 20.0)] == "IO"
 
     def test_empty_grid_rejected(self, merge_static, std_profile):
         grid = synthetic_grid(merge_static, std_profile, {})
-        grid.cells = {}
         with pytest.raises(ValueError):
             classify_grid(grid)
 
@@ -105,7 +112,8 @@ class TestPriorityRules:
         shuffled = synthetic_grid(
             merge_static, std_profile, dict(reversed(list(verdicts.items())))
         )
-        assert classify_grid(grid).labels == classify_grid(shuffled).labels
+        assert shuffled.x_a_values == grid.x_a_values[::-1]
+        assert labels_of(grid, classify_grid(grid)) == labels_of(shuffled, classify_grid(shuffled))
 
     def test_rationality_matches_is_labels(self, merge_static, std_profile):
         grid = synthetic_grid(
@@ -116,7 +124,7 @@ class TestPriorityRules:
         witnesses = rationality_check(grid)
         assert bool(witnesses) == (cls.counts.get("IS", 0) > 0)
         assert {w[1] for w in witnesses} == {
-            k for k, lab in cls.labels.items() if lab == "IS"
+            k for k, lab in labels_of(grid, cls).items() if lab == "IS"
         }
 
     def test_single_point_grid_has_no_witnesses(self, merge_static, std_profile):
@@ -136,27 +144,29 @@ def verdict_grids(draw):
     if ascending:
         xa, xf = sorted(xa), sorted(xf)
     verdict = st.sampled_from([PASS, CPASS, FAIL])
-    cells = {(a, f): CellResult(zone=Zone.SAFE_PROGRESS, verdict=draw(verdict))
-             for a in xa for f in xf}
+    verdicts = {(a, f): draw(verdict) for a in xa for f in xf}
+    codes = [VERDICT_CODES[vd] for vd in verdicts.values()]
     grid = GridResult(static=None, x_e=20.0, v_e=5.0, boundary=None,
-                      x_a_values=tuple(xa), x_f_values=tuple(xf), cells=cells)
-    return grid, ascending
+                      x_a_values=tuple(xa), x_f_values=tuple(xf),
+                      verdicts=np.array(codes).reshape(len(xa), len(xf)),
+                      zones=np.full((len(xa), len(xf)), ZONES.index(Zone.SAFE_PROGRESS)))
+    return grid, verdicts, ascending
 
 
 class TestDominanceSweep:
     @settings(max_examples=300, deadline=None)
     @given(verdict_grids())
     def test_witnesses_match_the_scan_and_the_stated_rule(self, drawn):
-        grid, ascending = drawn
+        grid, verdicts, ascending = drawn
         witnesses = rationality_check(grid)
         if ascending:
-            scan = dominating_passes_scan(grid.cells)
+            scan = dominating_passes_scan(verdicts)
             assert witnesses == [(p, key) for key, p in sorted(scan.items())]
-        passes = [k for k, c in grid.cells.items() if c.verdict is PASS]
+        passes = [k for k, vd in verdicts.items() if vd is PASS]
         rule = {}
-        for key, cell in grid.cells.items():
+        for key, vd in verdicts.items():
             dominating = [p for p in passes if p[0] <= key[0] and p[1] <= key[1]]
-            if cell.verdict is FAIL and dominating:
+            if vd is FAIL and dominating:
                 rule[key] = min(dominating)
         assert witnesses == [(p, key) for key, p in sorted(rule.items())]
 
@@ -185,7 +195,7 @@ class TestLiveGrids:
         xa, xf = _grid_axes(std_boundary)
         grid = run_grid(pilot, 20.0, 5.0, merge_static, xa, xf)
         cls = classify_grid(grid)
-        is_points = [k for k, lab in cls.labels.items() if lab == "IS"]
+        is_points = [k for k, lab in labels_of(grid, cls).items() if lab == "IS"]
         assert is_points
         for x_a, x_f in is_points:
             assert region[0][0] <= x_a <= region[0][1]
@@ -196,13 +206,16 @@ class TestLiveGrids:
         xa, xf = _grid_axes(std_boundary, n=4)
         grid = run_grid(reference(std_profile), 20.0, 5.0, merge_static, xa, xf)
         report = grid_report_dict(grid, classify_grid(grid))
-        assert set(report) == {
+        assert sum(report["counts"].values()) == 16
+        head, tail = _raw_text_parts(report)
+        raw = json.loads(head + json.dumps("merge_yield") + tail)
+        assert set(raw) == {
             "scenario_type", "x_e", "v_e", "boundary", "grid",
             "frequencies", "frequencies_relevant", "of", "zone_counts", "autopilot",
         } - {"autopilot"}
-        assert len(report["grid"]) == 16
-        assert set(report["grid"][0]) == {"x_a", "x_f", "zone", "verdict", "label"}
-        assert report["boundary"]["x_tilde_a"] == pytest.approx(40.0)
+        assert len(raw["grid"]) == 16
+        assert set(raw["grid"][0]) == {"x_a", "x_f", "zone", "verdict", "label"}
+        assert raw["boundary"]["x_tilde_a"] == pytest.approx(40.0)
 
 
 class TestBrakingDeterminacy:

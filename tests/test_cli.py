@@ -258,6 +258,22 @@ class TestReportCommand:
     def test_missing_raw_dir(self, tmp_path):
         assert main(["report", "--raw", str(tmp_path / "nothing")]) == 1
 
+    @pytest.mark.parametrize("text", [
+        "{}",
+        "[1]",
+        json.dumps({"grid": [{"x_a": 1.0, "x_f": 1.0, "zone": "safe_progress",
+                              "verdict": "fail"}],
+                    "zone_counts": {"safe_progress": 1}, "of": {"kind": None}}),
+    ], ids=["empty-object", "list", "point-without-label"])
+    def test_malformed_raw_file_is_one_error_line(self, tmp_path, capsys, text):
+        grid_file = tmp_path / "raw" / "reference" / "merge_yield" / "xe20_ve5.json"
+        grid_file.parent.mkdir(parents=True)
+        grid_file.write_text(text)
+        assert main(["report", "--raw", str(tmp_path / "raw")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert str(grid_file) in err
+
 
 class TestErrorExits:
     def test_simulate_horizon_too_short_for_dt(self, tmp_path, capsys):

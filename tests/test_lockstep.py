@@ -1,6 +1,5 @@
 """The lockstep grid engine against the scalar reference ``simulate``."""
 
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -20,10 +19,15 @@ from critlab.autopilots import (
 )
 from critlab.classify import run_grid
 from critlab.kinematics import ADProfile
-from critlab.scenario import ScenarioType, StaticPart, TestCase, equivalence_mutations
+from critlab.scenario import HorizonError, ScenarioType, StaticPart, TestCase
+from critlab.scenario import EgoState, Scenario
 from critlab.simulator import (
+    _STEP_EVENTS,
     VERDICTS,
+    Event,
+    EventKind,
     SimConfig,
+    SimOutcome,
     VerdictKind,
     simulate,
     simulate_lockstep,
@@ -121,6 +125,36 @@ def mixed_batches(draw):
     return [pilot for pilot, _ in cells], [tc for _, tc in cells], cfg
 
 
+def lockstep(pilots, cases, cfg=SimConfig()):
+    """``simulate_lockstep`` of test cases over one static part, without
+    extra vehicles, given as their columns."""
+    columns = [[getattr(tc, name) for tc in cases] for name in ("x_e", "v_e", "x_a", "x_f", "horizon")]
+    return simulate_lockstep(pilots, cases[0].static if cases else MERGE, *columns, cfg)
+
+
+def outcome(runs, tc, i):
+    """Cell ``i`` of a lockstep batch, the case ``tc``, as the ``SimOutcome``
+    that ``simulate`` gives, without frames.  ``simulate`` sorts its events
+    stably by time: by (time, step, order in step)."""
+    dt = runs.cfg.dt
+    keyed = [((s + 1) * dt, s, k, kind)
+             for k, (s, kind) in enumerate(zip(runs.event_step[:, i].tolist(), _STEP_EVENTS), 1)
+             if s >= 0]
+    crossed = runs.cross_step[i] >= 0
+    if crossed:
+        keyed.append((float(runs.t_cross[i]), int(runs.cross_step[i]), 0,
+                      EventKind.CROSSED_CONFLICT))
+    keyed.sort()
+    return SimOutcome(
+        tc=tc, scenario=Scenario(static=tc.static),
+        events=[Event(kind, t) for t, _, _, kind in keyed],
+        final=EgoState(float(runs.final_p[i]), float(runs.final_v[i])),
+        steps=int(runs.steps[i]), t_cross=float(runs.t_cross[i]) if crossed else None,
+        t_arrive=tc.x_a / tc.static.vl, race_won=bool(runs.race_won[i]),
+        zone_epsilon=runs.cfg.zone_epsilon,
+    )
+
+
 def _observed(out):
     vd = verdict(out)
     return ([(e.kind, e.t) for e in out.events], out.final, out.steps, out.t_cross,
@@ -129,9 +163,11 @@ def _observed(out):
 
 def _check_batch(pilots, cases, cfg):
     """Every cell of one engine call, and its array verdict, equals its scalar run."""
-    runs = simulate_lockstep(pilots, cases, cfg)
+    runs = lockstep(pilots, cases, cfg)
     codes = verdict_arrays(runs).tolist()
-    for pilot, tc, out, code in zip(pilots, cases, runs, codes, strict=True):
+    assert runs.steps.size == len(cases)
+    for i, (pilot, tc, code) in enumerate(zip(pilots, cases, codes, strict=True)):
+        out = outcome(runs, tc, i)
         assert out.tc is tc
         scalar = simulate(pilot, tc, cfg, record=False)
         assert _observed(out) == _observed(scalar)
@@ -185,7 +221,7 @@ def test_every_cell_of_a_mixed_batch_equals_scalar_simulate(batch):
 def test_a_cautious_stop_brakes_off_its_residual_speed():
     tc = TestCase(static=MERGE, x_e=35.0, v_e=12.001, x_a=60.0, x_f=20.0)
     pilot = always_cautious(STD)
-    for out in (simulate(pilot, tc), simulate_lockstep(pilot, [tc])[0]):
+    for out in (simulate(pilot, tc), outcome(lockstep(pilot, [tc]), tc, 0)):
         assert out.steps == 66
         assert out.final.v == 0.0
         assert out.final.x == pytest.approx(-5.516, abs=1e-3)
@@ -193,19 +229,26 @@ def test_a_cautious_stop_brakes_off_its_residual_speed():
 
 
 def test_refuses_cases_it_cannot_batch():
-    cases = [TestCase(static=MERGE, x_e=20.0, v_e=5.0, x_a=30.0, x_f=15.0),
-             TestCase(static=LANE, x_e=20.0, v_e=5.0, x_a=30.0, x_f=15.0)]
-    with pytest.raises(ValueError):
-        simulate_lockstep(reference(STD), cases)  # two static parts
-    with pytest.raises(ValueError):  # one start of several above v_max
-        simulate_lockstep(reference(STD), [cases[0], dataclasses.replace(cases[0], v_e=16.0)])
-    with pytest.raises(ValueError):
-        simulate_lockstep(reference(STD), equivalence_mutations(cases[0], 10.0))
-    with pytest.raises(ValueError):
-        simulate_lockstep(reference(non_monotone_brake_profile()), cases[:1])
-    with pytest.raises(ValueError):  # one pilot for two cases
-        simulate_lockstep([reference(STD)], [cases[0], cases[0]])
-    assert len(simulate_lockstep(reference(STD), [])) == 0
+    columns = [[20.0, 20.0], [5.0, 5.0], [30.0, 30.0], [15.0, 15.0], [70, 70]]
+
+    def refused(pilots, *replaced, error=ValueError):
+        cols = [list(col) for col in columns]
+        for k, i, value in replaced:
+            cols[k][i] = value
+        with pytest.raises(error):
+            simulate_lockstep(pilots, MERGE, *cols)
+
+    refused(reference(STD), (1, 1, 16.0))  # one start of several above v_max
+    refused(reference(non_monotone_brake_profile()))
+    refused([reference(STD)])  # one pilot for two cells
+    refused(reference(STD), (2, 0, 0.0))  # x_a not positive
+    refused(reference(STD), (3, 1, float("nan")))
+    refused(reference(STD), (1, 0, -1.0))
+    refused(reference(STD), (4, 1, 39), error=HorizonError)  # x_a needs 40 steps to clear
+    with pytest.raises(ValueError):  # columns of unequal lengths
+        simulate_lockstep(reference(STD), MERGE, *columns[:4], [70])
+    simulate_lockstep(reference(STD), MERGE, *columns)
+    assert lockstep(reference(STD), []).steps.size == 0
 
 
 class TestRouting:

@@ -17,6 +17,7 @@ from critlab.scenario import (
     constant_speed_outcome,
     equivalence_mutations,
     expand,
+    horizon_steps,
     is_relevant,
     scenario_to_csv,
 )
@@ -75,7 +76,7 @@ class TestExpand:
 
     def test_auto_horizon_sized_for_the_case_dt(self, merge_static):
         tc = TestCase(static=merge_static, x_e=20, v_e=5, x_a=30, x_f=15, dt=0.02)
-        assert tc.horizon == tc.min_horizon(0.02, slack=10.0)
+        assert tc.horizon == horizon_steps(merge_static, 30, 0.02, slack=10.0)
         assert len(expand(tc, dt=0.02)) == tc.horizon + 1
 
     def test_explicit_horizon_checked_at_the_case_dt(self, merge_static):
