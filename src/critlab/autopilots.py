@@ -320,12 +320,12 @@ class PolicyColumns(NamedTuple):
     """The policy of every cell of a lockstep batch, one entry per cell.
 
     The profile's ``a_max``, ``b_max`` and ``v_max``; the maneuver rates the
-    pilot picks for the cell's start speed; the factors ``optimism`` and
-    ``margin_inflation``, 1.0 for every variant but the one each belongs to
-    (a product with 1.0 is exact); and three masks: ``cautious`` for
-    ``always_cautious``, ``constant`` for ``constant_speed``, and ``late``
-    for an ``irrational`` cell whose geometry at t = 0 lies in its fail
-    region.
+    pilot picks for the start speed of the cell's run; the factors
+    ``optimism`` and ``margin_inflation``, 1.0 for every variant but the one
+    each belongs to (a product with 1.0 is exact); and three masks:
+    ``cautious`` for ``always_cautious``, ``constant`` for ``constant_speed``,
+    and ``late`` for an ``irrational`` cell whose geometry at t = 0 lies in
+    its fail region.
     """
 
     a_max: np.ndarray
@@ -340,34 +340,28 @@ class PolicyColumns(NamedTuple):
     late: np.ndarray
 
     @classmethod
-    def build(cls, pilots: Sequence[AutopilotSpec], v_e: Sequence[float], x_a0: np.ndarray,
-              x_f: np.ndarray) -> "PolicyColumns":
-        """The columns of cells run by ``pilots`` from start speeds ``v_e``,
-        with the arriving vehicle at ``x_a0`` at t = 0 and the front vehicle
-        at ``x_f``; one entry of each per cell."""
-        specs = dict(zip(map(id, pilots), pilots))
-        keys = list(zip(map(id, pilots), v_e))
-        rows = {key: row for row, key in enumerate(dict.fromkeys(keys))}  # (pilot, v_e) -> row
+    def build(cls, pilots: Sequence[AutopilotSpec], v_e: Sequence[float], run: np.ndarray,
+              x_a0: np.ndarray, x_f: np.ndarray) -> "PolicyColumns":
+        """The columns of the cells of the runs of ``pilots`` from start
+        speeds ``v_e`` (one entry each per run): one row per run, gathered to
+        each cell by its ``run``, whose arriving vehicle is at ``x_a0`` at
+        t = 0 and front vehicle at ``x_f``.  The fail region is NaN but for
+        ``irrational``, so no other cell is ``late``."""
         table = []
-        for key, v in rows:
-            spec = specs[key]
+        for spec, v in zip(pilots, v_e):
+            region = spec.fail_region if spec.variant == "irrational" else ((math.nan,) * 2,) * 2
             table.append((
                 spec.profile.a_max, spec.profile.b_max, spec.profile.v_max,
                 spec.accel_rate_for(v), spec.brake_rate_for(v),
                 spec.optimism if spec.variant == "transition_flawed" else 1.0,
                 spec.margin_inflation if spec.variant == "overcautious" else 1.0,
                 spec.variant == "always_cautious", spec.variant == "constant_speed",
+                *region[0], *region[1],
             ))
-        cell_row = np.fromiter(map(rows.__getitem__, keys), dtype=np.intp, count=len(keys))
-        columns = np.array(table, dtype=float).reshape(-1, 9)[cell_row].T
-        cell_spec = np.array([key for key, _ in rows], dtype=np.int64)[cell_row]
-        late = np.zeros(len(keys), dtype=bool)
-        for key, spec in specs.items():
-            if spec.variant == "irrational" and spec.fail_region is not None:
-                (a_lo, a_hi), (f_lo, f_hi) = spec.fail_region
-                late |= ((cell_spec == key) & (a_lo <= x_a0) & (x_a0 <= a_hi)
-                         & (f_lo <= x_f) & (x_f <= f_hi))
-        return cls(*columns[:7], *(columns[7:] != 0.0), late)
+        columns = np.array(table, dtype=float).reshape(-1, 13).T[:, run]
+        a_lo, a_hi, f_lo, f_hi = columns[9:]
+        late = (a_lo <= x_a0) & (x_a0 <= a_hi) & (f_lo <= x_f) & (x_f <= f_hi)
+        return cls(*columns[:7], *(columns[7:9] != 0.0), late)
 
     def select(self, keep: np.ndarray) -> "PolicyColumns":
         """The columns of the cells where ``keep`` holds."""

@@ -122,9 +122,10 @@ def _check_keys(section: dict, allowed: set[str], where: str) -> None:
 
 def _check_finite(value, where: str) -> None:
     """Refuse a NaN or infinite number anywhere in ``value``: Python's JSON
-    parser reads ``NaN`` and ``Infinity``."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"non-finite number {value} in {where}")
+    parser reads ``NaN`` and ``Infinity``; and a boolean, which no key takes
+    and Python would read as the number 0 or 1."""
+    if isinstance(value, bool) or isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{json.dumps(value)} in {where}: a boolean or non-finite number")
     if isinstance(value, (dict, list)):
         for key, item in value.items() if isinstance(value, dict) else enumerate(value):
             _check_finite(item, f"{where}[{key!r}]")
@@ -164,6 +165,8 @@ class CampaignConfig:
             _check_keys(cfg.get(section, {}), allowed, section)
 
         self.scenario_types = [ScenarioType(s) for s in cfg["scenario_types"]]
+        if len(set(self.scenario_types)) < len(self.scenario_types):
+            raise ConfigError(f"repeated scenario type in {cfg['scenario_types']}")
         p = self._section("profile")
         self.profile = ADProfile.constant(p["a_max"], p["b_max"], p["v_max"])
         s = self._section("static")
@@ -205,7 +208,7 @@ class CampaignConfig:
         names = [pilot.name for pilot in self.pilots]
         for name in names:
             # Each name is a directory under raw/: one path component.
-            if not isinstance(name, str) or name in ("", ".", "..") or "/" in name:
+            if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\0" in name:
                 raise ConfigError(f"autopilot name {name!r} is not one non-empty path component")
         dupes = sorted({n for n in names if names.count(n) > 1})
         if dupes:

@@ -122,18 +122,18 @@ def run_grids(
     """Simulate every geometry of each job's grid over one static part.
 
     ``jobs`` pairs a pilot with a grid; a ``GridResult`` comes back per job,
-    in order.  The cells of the grids that the lockstep engine can run
+    in order.  The grids that the lockstep engine can run
     (``lockstep_applies``: a built-in autopilot on a constant profile),
-    whatever their pilot, take one ``simulate_lockstep`` call together as
-    columns and are graded by ``verdict_arrays``, with no ``TestCase``; any
-    other grid runs ``simulate`` and ``verdict`` on a ``TestCase`` per cell.
-    The caller bounds the cells of one call.
+    whatever their pilot, are the runs of one ``simulate_lockstep`` call,
+    their cells its columns, graded by ``verdict_arrays`` with no
+    ``TestCase``; any other grid runs ``simulate`` and ``verdict`` on a
+    ``TestCase`` per cell.  The caller bounds the cells of one call.
     """
     # Per job: each cell's verdict code, steps and horizon, and the scalar
     # ``simulate`` calls they took.
     runs: list = [None] * len(jobs)
     engine = {}  # the engine call's counters, kept on the first grid it ran
-    batched = [i for i, (pilot, grid) in enumerate(jobs) if lockstep_applies(pilot, grid[1])]
+    batched = [i for i, (pilot, _) in enumerate(jobs) if lockstep_applies(pilot)]
     if batched:
         # Every cell of those grids as columns, x_a-major within a grid; the
         # horizon is the one ``TestCase`` gives by default.
@@ -141,10 +141,11 @@ def run_grids(
         cells = [np.meshgrid(x_a, x_f, indexing="ij") for _, _, x_a, x_f, _ in grids]
         sizes = [x_a.size for x_a, _ in cells]
         x_a, x_f = (np.concatenate([axis.ravel() for axis in axes]) for axes in zip(*cells))
-        x_e, v_e = (np.repeat([grid[k] for grid in grids], sizes) for k in (0, 1))
-        pilots = [pilot for i, size in zip(batched, sizes) for pilot in [jobs[i][0]] * size]
         horizon = horizon_steps(static, x_a, cfg.dt, HORIZON_SLACK).astype(int)
-        lockstep = simulate_lockstep(pilots, static, x_e, v_e, x_a, x_f, horizon, cfg)
+        run = np.repeat(np.arange(len(grids)), sizes)  # each cell's grid, its run
+        x_e, v_e = zip(*(grid[:2] for grid in grids))
+        lockstep = simulate_lockstep([jobs[i][0] for i in batched], static, x_e, v_e, run,
+                                     x_a, x_f, horizon, cfg)
         ends = np.cumsum(sizes)[:-1]
         for i, *run in zip(batched, *(np.split(col, ends) for col in (
                 verdict_arrays(lockstep), lockstep.steps, lockstep.horizon))):

@@ -245,14 +245,10 @@ def simulate(
                       race_won=race_exempt, zone_epsilon=cfg.zone_epsilon)
 
 
-def lockstep_applies(autopilot, v_e: float) -> bool:
-    """Whether ``simulate_lockstep`` can run this autopilot from speed ``v_e``:
-    a built-in variant on a constant profile, started no faster than its cap."""
-    return (
-        isinstance(autopilot, AutopilotSpec)
-        and autopilot.profile.kind == "constant"
-        and v_e <= autopilot.profile.v_max
-    )
+def lockstep_applies(autopilot) -> bool:
+    """Whether ``simulate_lockstep`` can run this autopilot: a built-in
+    variant on a constant profile."""
+    return isinstance(autopilot, AutopilotSpec) and autopilot.profile.kind == "constant"
 
 
 # Events that fire at the end of a step, in the order ``simulate`` appends
@@ -293,10 +289,11 @@ class LockstepRuns:
 
 
 def simulate_lockstep(
-    autopilots: AutopilotSpec | Sequence[AutopilotSpec],
+    pilots: Sequence[AutopilotSpec],
     static: StaticPart,
     x_e,
     v_e,
+    run,
     x_a,
     x_f,
     horizon,
@@ -304,29 +301,32 @@ def simulate_lockstep(
 ) -> LockstepRuns:
     """``simulate(autopilot, tc, cfg, record=False)`` for every cell at once.
 
-    Each column holds, per cell, what its ``TestCase`` over ``static`` (with
-    no extra vehicles) would: the columns are checked as arrays, and no
-    ``TestCase`` is built.  ``autopilots`` is one pilot for every cell or one
-    per cell; ``lockstep_applies(autopilot, v_e)`` holds for every cell.
-    All cells take each step together as numpy arrays, the environment in
-    closed form and each cell's policy from ``PolicyColumns``; a cell leaves
-    the batch when its run would end, at the latest at its own horizon, so
-    the batch takes as many array steps as its longest run.  Each outcome
+    A run is a pilot from an ego start: ``pilots``, ``x_e`` and ``v_e`` hold
+    one entry per run, each pilot one that ``lockstep_applies`` to, started
+    at most at its ``v_max``.  A cell is a geometry of a run: ``run`` (the
+    index of its run), ``x_a``, ``x_f`` and ``horizon`` hold one entry per
+    cell.  The columns are checked as arrays, as ``TestCase`` checks a case
+    over ``static`` with no extra vehicles.  All cells take each step
+    together, the environment in closed form and each cell's policy from its
+    run's row of ``PolicyColumns``; a cell leaves the batch when its
+    simulation would end, at the latest at its own horizon.  Each outcome
     equals the scalar one in its events, final state, step count, crossing
     and race, and carries no frames.
     """
     x_e, v_e, x_a, x_f = (np.asarray(col, dtype=float) for col in (x_e, v_e, x_a, x_f))
-    horizons = np.asarray(horizon, dtype=int)
-    n = len(x_e)
-    pilots = [autopilots] * n if isinstance(autopilots, AutopilotSpec) else list(autopilots)
-    if len(pilots) != n or any(col.shape != (n,) for col in (v_e, x_a, x_f, horizons)):
-        raise ValueError(f"lockstep columns of unequal lengths for {len(pilots)} autopilots")
-    if not (np.isfinite([x_e, v_e, x_a, x_f]).all() and (np.array([x_e, x_a, x_f]) > 0).all()
-            and (v_e >= 0).all()):
+    run, horizons = np.asarray(run, dtype=np.intp), np.asarray(horizon, dtype=int)
+    n_runs, n = len(pilots), len(run)
+    if (any(col.shape != (n_runs,) for col in (x_e, v_e))
+            or any(col.shape != (n,) for col in (x_a, x_f, horizons))):
+        raise ValueError(f"lockstep columns of unequal lengths for {n_runs} runs of {n} cells")
+    if not (np.isfinite([x_e, v_e]).all() and np.isfinite([x_a, x_f]).all() and (x_e > 0).all()
+            and (np.array([x_a, x_f]) > 0).all() and (v_e >= 0).all()):
         raise ValueError("lockstep x_e, x_a and x_f must be positive, v_e non-negative, all finite")
-    for pilot in dict(zip(map(id, pilots), pilots)).values():
-        if not lockstep_applies(pilot, 0.0):
-            raise ValueError(f"no lockstep engine for {pilot!r}")
+    if n and not (0 <= run.min() and run.max() < n_runs):
+        raise ValueError(f"lockstep run index outside [0, {n_runs})")
+    for pilot, v in zip(pilots, v_e.tolist()):
+        if not lockstep_applies(pilot) or v > pilot.profile.v_max:
+            raise ValueError(f"no lockstep engine for {pilot!r} from v_e={v}")
     dt = cfg.dt
     if n and (horizons < horizon_steps(static, x_a, dt)).any():
         raise HorizonError(f"a lockstep horizon is too short for its x_a at dt={dt}")
@@ -342,16 +342,14 @@ def simulate_lockstep(
     if not n:
         return runs
 
-    pc = PolicyColumns.build(pilots, v_e.tolist(), x_a, x_f)
-    if (v_e > pc.v_max).any():
-        raise ValueError("no lockstep engine for a start above its pilot's v_max")
+    pc = PolicyColumns.build(pilots, v_e.tolist(), run, x_a, x_f)
     d, vl = static.d, static.vl
     race_grace = cfg.zone_epsilon / vl
     t_arrive = x_a / vl
     # Per-cell columns of the active cells; a finished cell is dropped from all.
     cols = [
         np.arange(n),  # index of the cell in the columns
-        -x_e, v_e,  # p, v
+        -x_e[run], v_e[run],  # p, v
         x_a, x_f, x_f - _EPS, horizons, t_arrive - _EPS, t_arrive + race_grace,
     ] + [np.zeros(n, dtype=bool) for _ in range(5)]
 

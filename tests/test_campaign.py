@@ -738,6 +738,10 @@ class TestLoadTimeRejection:
          "scenario_types": ["merge_yield", "lane_change"]},
         {**_pilot(profile={"a_max": 2.0, "b_max": 1.0, "v_max": 15.0}),
          "initial_states": [[20.0, 12.0]]},
+        {"scenario_types": ["merge_yield", "merge_yield"]},
+        _pilot(name="ref\0x"),
+        {"initial_states": [[20.0, True]]},
+        {"grid": {"a_lo": True}},
     ], ids=[
         "pilot-profile-missing-b_max", "pilot-profile-negative-a_max",
         "base-profile-negative-a_max", "negative-d", "light-phase-zero", "dt-zero",
@@ -754,6 +758,7 @@ class TestLoadTimeRejection:
         "workers-negative", "workers-string", "workers-null", "workers-list", "workers-float",
         "start-repeated", "start-sharing-a-raw-file", "start-above-builtin-pilot-v_max",
         "start-above-external-pilot-v_max", "start-unstoppable-for-pilot-profile",
+        "scenario-type-repeated", "name-with-nul", "start-speed-true", "grid-a_lo-true",
     ])
     def test_refused_before_any_simulation(self, overrides, monkeypatch, tmp_path):
         def no_grid(*args, **kwargs):

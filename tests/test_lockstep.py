@@ -127,9 +127,16 @@ def mixed_batches(draw):
 
 def lockstep(pilots, cases, cfg=SimConfig()):
     """``simulate_lockstep`` of test cases over one static part, without
-    extra vehicles, given as their columns."""
-    columns = [[getattr(tc, name) for tc in cases] for name in ("x_e", "v_e", "x_a", "x_f", "horizon")]
-    return simulate_lockstep(pilots, cases[0].static if cases else MERGE, *columns, cfg)
+    extra vehicles, each run by its entry of ``pilots``, given as columns:
+    one run per distinct pilot and start, in order of first appearance."""
+    keys = [(id(pilot), tc.x_e, tc.v_e) for pilot, tc in zip(pilots, cases, strict=True)]
+    run_of = {key: run for run, key in enumerate(dict.fromkeys(keys))}
+    heads = [keys.index(key) for key in run_of]  # the first cell of each run
+    cells = [[getattr(tc, name) for tc in cases] for name in ("x_a", "x_f", "horizon")]
+    return simulate_lockstep(
+        [pilots[i] for i in heads], cases[0].static if cases else MERGE,
+        [cases[i].x_e for i in heads], [cases[i].v_e for i in heads],
+        [run_of[key] for key in keys], *cells, cfg)
 
 
 def outcome(runs, tc, i):
@@ -221,7 +228,7 @@ def test_every_cell_of_a_mixed_batch_equals_scalar_simulate(batch):
 def test_a_cautious_stop_brakes_off_its_residual_speed():
     tc = TestCase(static=MERGE, x_e=35.0, v_e=12.001, x_a=60.0, x_f=20.0)
     pilot = always_cautious(STD)
-    for out in (simulate(pilot, tc), outcome(lockstep(pilot, [tc]), tc, 0)):
+    for out in (simulate(pilot, tc), outcome(lockstep([pilot], [tc]), tc, 0)):
         assert out.steps == 66
         assert out.final.v == 0.0
         assert out.final.x == pytest.approx(-5.516, abs=1e-3)
@@ -229,26 +236,34 @@ def test_a_cautious_stop_brakes_off_its_residual_speed():
 
 
 def test_refuses_cases_it_cannot_batch():
-    columns = [[20.0, 20.0], [5.0, 5.0], [30.0, 30.0], [15.0, 15.0], [70, 70]]
+    # Per run: pilot, x_e, v_e; per cell: run, x_a, x_f, horizon.
+    columns = [[reference(STD)] * 2, [20.0, 20.0], [5.0, 5.0],
+               [0, 1], [30.0, 30.0], [15.0, 15.0], [70, 70]]
 
-    def refused(pilots, *replaced, error=ValueError):
+    def refused(*replaced, error=ValueError):
+        """``replaced`` holds ``(column, entry, value)``; entry None replaces the column."""
         cols = [list(col) for col in columns]
         for k, i, value in replaced:
-            cols[k][i] = value
+            if i is None:
+                cols[k] = value
+            else:
+                cols[k][i] = value
         with pytest.raises(error):
-            simulate_lockstep(pilots, MERGE, *cols)
+            simulate_lockstep(cols[0], MERGE, *cols[1:])
 
-    refused(reference(STD), (1, 1, 16.0))  # one start of several above v_max
-    refused(reference(non_monotone_brake_profile()))
-    refused([reference(STD)])  # one pilot for two cells
-    refused(reference(STD), (2, 0, 0.0))  # x_a not positive
-    refused(reference(STD), (3, 1, float("nan")))
-    refused(reference(STD), (1, 0, -1.0))
-    refused(reference(STD), (4, 1, 39), error=HorizonError)  # x_a needs 40 steps to clear
-    with pytest.raises(ValueError):  # columns of unequal lengths
-        simulate_lockstep(reference(STD), MERGE, *columns[:4], [70])
-    simulate_lockstep(reference(STD), MERGE, *columns)
-    assert lockstep(reference(STD), []).steps.size == 0
+    refused((2, 1, 16.0))  # one start of several above v_max
+    refused((0, 1, reference(non_monotone_brake_profile())))
+    refused((3, 1, 2))  # a run index past the last run
+    refused((3, 0, -1))  # a negative run index, which numpy would wrap
+    refused((4, 0, 0.0))  # x_a not positive
+    refused((5, 1, float("nan")))
+    refused((2, 0, -1.0))
+    refused((6, 1, 39), error=HorizonError)  # x_a needs 40 steps to clear
+    refused((6, None, [70]))  # cell columns of unequal lengths
+    refused((2, None, [5.0]))  # run columns of unequal lengths
+    refused((0, None, [reference(STD)]), (3, None, [0, 0]))  # ... for the pilots too
+    simulate_lockstep(columns[0], MERGE, *columns[1:])
+    assert lockstep([], []).steps.size == 0
 
 
 class TestRouting:
