@@ -40,7 +40,6 @@ from .autopilots import (
     non_determinate_brake,
     overcautious,
     reference,
-    run_policy,
     step,
     transition_flawed,
 )

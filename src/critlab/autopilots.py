@@ -29,15 +29,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .kinematics import ADProfile, advance, advance_arrays
-from .scenario import (
-    CAUTIOUS_MARGIN,
-    DEFAULT_DT,
-    EgoState,
-    Scene,
-    StaticPart,
-    TestCase,
-    env_at,
-)
+from .scenario import CAUTIOUS_MARGIN, DEFAULT_DT, Scene, StaticPart
 
 __all__ = [
     "Decision",
@@ -58,7 +50,6 @@ __all__ = [
     "step",
     "PolicyColumns",
     "step_arrays",
-    "run_policy",
     "non_monotone_brake_profile",
 ]
 
@@ -430,24 +421,6 @@ def step_arrays(
         accel = np.where(pc.late, _cautious_accel_arrays(v, p, -d / 2.0, pc.brake_rate, dt),
                          accel)
     return np.where(pc.constant, 0.0, accel)
-
-
-def run_policy(spec: AutopilotSpec, tc: TestCase, dt: float = DEFAULT_DT) -> list[EgoState]:
-    """Iterate the autopilot against the test case's environment; no oracle.
-
-    Returns the full ego state sequence (``horizon + 1`` entries), integrated
-    with ``advance`` as in the simulator.
-    """
-    tc.check_horizon(dt)
-    states = [tc.initial_ego()]
-    memory: dict = {}
-    for i in range(tc.horizon):
-        ego = states[-1]
-        scene = Scene(t=i * dt, ego=ego, env=env_at(tc, i * dt))
-        decision, memory = step(spec, scene, tc.static, memory, dt)
-        x, v = advance(ego.x, ego.v, decision.accel, dt, spec.profile.v_max)
-        states.append(EgoState(x=x, v=v))
-    return states
 
 
 # -- external autopilot bridge ----------------------------------------------------

@@ -262,7 +262,8 @@ def build_autopilot(entry, default_profile: ADProfile) -> AutopilotSpec | Extern
             _check_keys(p, _SECTION_KEYS["profile"], f"autopilot {name!r} profile")
             profile = ADProfile.constant(p["a_max"], p["b_max"], p["v_max"])
         if "command" in entry:
-            _check_keys(params, set(), f"external autopilot {name!r}")
+            # braking_check_v0 too: the determinacy checks run built-in pilots only
+            _check_keys(entry, _ENTRY_KEYS - {"braking_check_v0"}, f"external autopilot {name!r}")
             if not isinstance(entry["command"], str):
                 raise ConfigError(f"external autopilot {name!r}: command is not a string")
             return ExternalAutopilot(entry["command"], profile, name=name)

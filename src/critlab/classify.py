@@ -44,7 +44,6 @@ from .simulator import (
     VERDICTS,
     SimConfig,
     VerdictKind,
-    Verdict,
     lockstep_applies,
     simulate,
     simulate_lockstep,
@@ -127,7 +126,8 @@ def run_grids(
     whatever their pilot, are the runs of one ``simulate_lockstep`` call,
     their cells its columns, graded by ``verdict_arrays`` with no
     ``TestCase``; any other grid runs ``simulate`` and ``verdict`` on a
-    ``TestCase`` per cell.  The caller bounds the cells of one call.
+    ``TestCase`` per cell, one cell at a time, keeping only its verdict code,
+    steps and horizon.  The caller bounds the cells of one call.
     """
     # Per job: each cell's verdict code, steps and horizon, and the scalar
     # ``simulate`` calls they took.
@@ -156,12 +156,14 @@ def run_grids(
     results = []
     for i, (pilot, (x_e, v_e, x_a_values, x_f_values, boundary)) in enumerate(jobs):
         if runs[i] is None:
-            cases = [TestCase(static=static, x_e=x_e, v_e=v_e, x_a=x_a, x_f=x_f, dt=cfg.dt)
-                     for x_a in x_a_values for x_f in x_f_values]
-            outcomes = [simulate(pilot, tc, cfg, record=False) for tc in cases]
-            runs[i] = (np.array([VERDICT_CODES[verdict(out)] for out in outcomes], dtype=int),
-                       np.array([out.steps for out in outcomes], dtype=int),
-                       np.array([tc.horizon for tc in cases], dtype=int), len(cases))
+            rows = []
+            for x_a in x_a_values:
+                for x_f in x_f_values:
+                    tc = TestCase(static=static, x_e=x_e, v_e=v_e, x_a=x_a, x_f=x_f, dt=cfg.dt)
+                    out = simulate(pilot, tc, cfg)
+                    rows.append((VERDICT_CODES[verdict(out)], out.steps, tc.horizon))
+            codes, steps, horizons = np.array(rows, dtype=int).reshape(-1, 3).T
+            runs[i] = codes, steps, horizons, len(rows)
         codes, steps, horizons, scalar_calls = runs[i]
         stats = {"cells": codes.size, "cell_steps": int(steps.sum()),
                  "early_exits": int((steps < horizons).sum()),
@@ -348,6 +350,8 @@ def determinacy_check_braking(
     """
     if restart_every < 1:
         raise ValueError("restart_every must be at least 1")
+    if not (0 < v0 < math.inf and 0 < x_f < math.inf):
+        raise ValueError(f"braking check v0 {v0} and x_f {x_f} must be positive and finite")
     v_max = autopilot.profile.v_max
     if v0 > v_max:
         raise CheckAbortedError(f"braking check speed {v0} above v_max {v_max}")
@@ -368,19 +372,6 @@ def determinacy_check_braking(
         restarts.append(RestartRecord(t=i * dt, x=x_i, v=v_i, deviation=deviation))
     max_dev = max((r.deviation for r in restarts), default=0.0)
     return DeterminacyReport(maneuver="braking", restarts=restarts, tol=tol, max_deviation=max_dev)
-
-
-def _speed_at_conflict(outcome) -> Optional[float]:
-    prev = None
-    for frame in outcome.scenario.frames:
-        if frame.ego.x >= 0.0 and prev is not None:
-            span = frame.ego.x - prev.ego.x
-            if span <= 0.0:
-                return frame.ego.v
-            w = (0.0 - prev.ego.x) / span
-            return prev.ego.v + w * (frame.ego.v - prev.ego.v)
-        prev = frame
-    return None
 
 
 def progress_probe(
@@ -411,13 +402,12 @@ def determinacy_check_progress(
     """
     if restart_every < 1:
         raise ValueError("restart_every must be at least 1")
-    base = simulate(autopilot, tc, cfg, record=True)
+    base = simulate(autopilot, tc, cfg)
     base_verdict = verdict(base)
     if base_verdict.kind is not VerdictKind.PROGRESS_PASS:
         raise CheckAbortedError(
             f"baseline run did not cross and pass (verdict {base_verdict.kind.value})"
         )
-    v_ref = _speed_at_conflict(base)
     restarts = []
     flips = 0
     vl = tc.static.vl
@@ -432,15 +422,13 @@ def determinacy_check_progress(
         x_e_i = -frame.ego.x
         tci = TestCase(static=tc.static, x_e=x_e_i, v_e=frame.ego.v, x_a=x_a_i, x_f=tc.x_f,
                        dt=cfg.dt)
-        out = simulate(autopilot, tci, cfg, record=True)
-        vd = verdict(out)
-        passed = vd.kind is VerdictKind.PROGRESS_PASS
+        out = simulate(autopilot, tci, cfg)
+        passed = verdict(out).kind is VerdictKind.PROGRESS_PASS
         if not passed:
             flips += 1
             deviation = math.inf
-        else:
-            v_i = _speed_at_conflict(out)
-            deviation = abs(v_i - v_ref) if v_i is not None and v_ref is not None else math.inf
+        else:  # a progress pass has crossed, so its crossing speed is known
+            deviation = abs(out.v_cross - base.v_cross)
         restarts.append(
             RestartRecord(t=frame.t, x=frame.ego.x, v=frame.ego.v, deviation=deviation,
                           passed=passed)
@@ -463,10 +451,10 @@ def equivalence_check(
     """Verdict mismatches between a test case and its padded equivalents."""
     if mutants is None:
         mutants = equivalence_mutations(tc, headway)
-    base = verdict(simulate(autopilot, tc, cfg, record=False))
+    base = verdict(simulate(autopilot, tc, cfg))
     mismatches = []
     for i, m in enumerate(mutants):
-        vd = verdict(simulate(autopilot, m, cfg, record=False))
+        vd = verdict(simulate(autopilot, m, cfg))
         if vd.kind is not base.kind:
             mismatches.append((i, base.kind.value, vd.kind.value))
     return mismatches

@@ -100,14 +100,16 @@ class StaticPart:
     light_schedule: Optional[tuple[float, float]] = None  # (green s, red s), light scenarios
 
     def __post_init__(self) -> None:
-        if self.d <= 0:
-            raise ValueError("zone half-length d must be positive")
-        if self.vl <= 0:
-            raise ValueError("speed limit vl must be positive")
+        if not 0 < self.d < math.inf:
+            raise ValueError(f"zone half-length d must be positive and finite: {self.d}")
+        if not 0 < self.vl < math.inf:
+            raise ValueError(f"speed limit vl must be positive and finite: {self.vl}")
         if self.light_schedule is not None:
             g, r = self.light_schedule
-            if g <= 0 or r <= 0:
-                raise ValueError("light phases must be positive")
+            if not (0 < g < math.inf and 0 < r < math.inf):
+                raise ValueError(
+                    f"light_schedule phases must be positive and finite: {self.light_schedule}"
+                )
 
     def light_at(self, t: float) -> Optional[Light]:
         if self.scenario_type is not ScenarioType.INTERSECTION_LIGHT:

@@ -9,12 +9,12 @@ critical zone.  An ego that crosses first is out of the arriving vehicle's
 way; mere co-occupancy of the zone is recorded as its own event and can be
 failed through the stricter ``NO_ZONE_COOCCUPANCY`` property.
 
-``simulate`` runs one case with any autopilot and is the reference.
-``simulate_lockstep`` runs many cases over one static part together, one numpy
-array step per time step, for any mix of built-in autopilots on constant
-profiles; it gives every case the outcome ``simulate`` gives it, without the
-recorded frames, as arrays that ``verdict_arrays`` grades as ``verdict``
-grades one outcome.
+``simulate`` runs one case with any autopilot, records its trace, and is the
+reference.  ``simulate_lockstep`` runs many cases over one static part
+together, one numpy array step per time step, for any mix of built-in
+autopilots on constant profiles; it gives every case the outcome ``simulate``
+gives it, without the trace or the crossing speed, as arrays that
+``verdict_arrays`` grades as ``verdict`` grades one outcome.
 """
 
 from __future__ import annotations
@@ -95,12 +95,17 @@ class SimConfig:
 
 @dataclass
 class SimOutcome:
+    """One run of ``simulate``: its trace (``scenario.frames``, one per step
+    taken, and the start), events in time order, final ego state, and the
+    crossing of the conflict point, if any."""
+
     tc: TestCase
     scenario: Scenario
     events: list[Event]
     final: EgoState
     steps: int
     t_cross: Optional[float]  # interpolated time the ego reached the conflict point
+    v_cross: Optional[float]  # interpolated ego speed there, None with t_cross
     t_arrive: float  # time the arriving vehicle reaches the conflict point
     race_won: bool = False  # ego cleared the point no later than the arriving vehicle
     zone_epsilon: float = 0.1  # boundary tolerance inherited from the run config
@@ -151,10 +156,14 @@ def simulate(
 ) -> SimOutcome:
     """Run one closed-loop scenario to a stable end, collision, or horizon.
 
-    The run ends early once the ego is stopped clear of the conflict (either
-    before the zone or past the point) and the arriving vehicle has left the
-    zone; nothing can change after that.  Environment states are built only
-    for the steps the run takes.
+    Each step's pilot sees the last recorded frame, and every step adds one,
+    so the outcome carries the whole trace.  The run ends early once the ego
+    is stopped clear of the conflict (either before the zone or past the
+    point) and the arriving vehicle has left the zone; nothing can change
+    after that.  Environment states are built only for the steps the run
+    takes.  The crossing's time and speed are interpolated linearly within
+    the step that reaches the point.  ``record`` is kept for callers that
+    still pass it and changes nothing: every run records its trace.
     """
     dt = cfg.dt
     tc.check_horizon(dt)
@@ -174,6 +183,7 @@ def simulate(
 
     crossed = False
     t_cross: Optional[float] = None
+    v_cross: Optional[float] = None
     race_exempt = False  # ego cleared the point in time; arriving conflict over
     overlap_after_arrival = False
     saw_cooccupancy = False
@@ -182,24 +192,25 @@ def simulate(
 
     p, v = ego.x, ego.v
     for i in range(n):
-        scene = frames[-1] if record else Scene(
-            t=i * dt, ego=EgoState(p, v), env=env_at(tc, i * dt)
-        )
-        decision, memory = autopilot.step(scene, static, memory, dt)
+        decision, memory = autopilot.step(frames[-1], static, memory, dt)
         a = decision.accel
         if not math.isfinite(a):
             events.append(Event(EventKind.ABORTED, i * dt))
             break
-        p0 = p
+        p0, v0 = p, v
         p, v = advance(p, v, a, dt, v_max)
         t1 = (i + 1) * dt
         steps = i + 1
-        if record or i == n - 1:
-            frames.append(Scene(t=t1, ego=EgoState(p, v), env=env_at(tc, t1)))
+        frames.append(Scene(t=t1, ego=EgoState(p, v), env=env_at(tc, t1)))
 
         if not crossed and p >= 0.0:
             crossed = True
-            t_cross = t1 if p <= p0 else i * dt + dt * (0.0 - p0) / (p - p0)
+            if p <= p0:
+                t_cross, v_cross = t1, v
+            else:  # not i * dt + dt * w, which rounds differently
+                t_cross = i * dt + dt * (0.0 - p0) / (p - p0)
+                w = (0.0 - p0) / (p - p0)
+                v_cross = v0 + w * (v - v0)
             events.append(Event(EventKind.CROSSED_CONFLICT, t_cross))
             if t_cross <= t_arrive + race_grace:
                 race_exempt = True
@@ -241,8 +252,8 @@ def simulate(
 
     events.sort(key=lambda e: e.t)
     return SimOutcome(tc=tc, scenario=Scenario(static=static, frames=frames), events=events,
-                      final=EgoState(p, v), steps=steps, t_cross=t_cross, t_arrive=t_arrive,
-                      race_won=race_exempt, zone_epsilon=cfg.zone_epsilon)
+                      final=EgoState(p, v), steps=steps, t_cross=t_cross, v_cross=v_cross,
+                      t_arrive=t_arrive, race_won=race_exempt, zone_epsilon=cfg.zone_epsilon)
 
 
 def lockstep_applies(autopilot) -> bool:
@@ -299,7 +310,8 @@ def simulate_lockstep(
     horizon,
     cfg: SimConfig = SimConfig(),
 ) -> LockstepRuns:
-    """``simulate(autopilot, tc, cfg, record=False)`` for every cell at once.
+    """``simulate(autopilot, tc, cfg)`` for every cell at once, without the
+    trace and the crossing speed.
 
     A run is a pilot from an ego start: ``pilots``, ``x_e`` and ``v_e`` hold
     one entry per run, each pilot one that ``lockstep_applies`` to, started
@@ -311,7 +323,7 @@ def simulate_lockstep(
     run's row of ``PolicyColumns``; a cell leaves the batch when its
     simulation would end, at the latest at its own horizon.  Each outcome
     equals the scalar one in its events, final state, step count, crossing
-    and race, and carries no frames.
+    time and race.
     """
     x_e, v_e, x_a, x_f = (np.asarray(col, dtype=float) for col in (x_e, v_e, x_a, x_f))
     run, horizons = np.asarray(run, dtype=np.intp), np.asarray(horizon, dtype=int)

@@ -73,6 +73,23 @@ def brake_trace_stop(v0, rate, dt=0.1):
     return x
 
 
+def speed_at_conflict(frames):
+    """The ego's speed where its trace first reaches the conflict point,
+    interpolated linearly between the two frames around it; the later frame's
+    speed if the position did not advance; None if the trace never gets
+    there."""
+    prev = None
+    for frame in frames:
+        if frame.ego.x >= 0.0 and prev is not None:
+            span = frame.ego.x - prev.ego.x
+            if span <= 0.0:
+                return frame.ego.v
+            w = (0.0 - prev.ego.x) / span
+            return prev.ego.v + w * (frame.ego.v - prev.ego.v)
+        prev = frame
+    return None
+
+
 def scene_line(scene, static, dt) -> bytes:
     """One scene of the external-autopilot protocol as it goes down the pipe:
     the payload as a dict, through ``json.dumps``."""

@@ -742,6 +742,7 @@ class TestLoadTimeRejection:
         _pilot(name="ref\0x"),
         {"initial_states": [[20.0, True]]},
         {"grid": {"a_lo": True}},
+        {"autopilots": [{"name": "ext", "command": EXTERNAL, "braking_check_v0": 10.0}]},
     ], ids=[
         "pilot-profile-missing-b_max", "pilot-profile-negative-a_max",
         "base-profile-negative-a_max", "negative-d", "light-phase-zero", "dt-zero",
@@ -759,6 +760,7 @@ class TestLoadTimeRejection:
         "start-repeated", "start-sharing-a-raw-file", "start-above-builtin-pilot-v_max",
         "start-above-external-pilot-v_max", "start-unstoppable-for-pilot-profile",
         "scenario-type-repeated", "name-with-nul", "start-speed-true", "grid-a_lo-true",
+        "braking-check-on-an-external-pilot",
     ])
     def test_refused_before_any_simulation(self, overrides, monkeypatch, tmp_path):
         def no_grid(*args, **kwargs):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -253,6 +254,17 @@ class TestBrakingDeterminacy:
         pilot = reference(ADProfile.constant(2.0, 4.0, 15.0))
         with pytest.raises(CheckAbortedError, match="above v_max"):
             determinacy_check_braking(pilot, 16.0, 150.0)
+
+    @pytest.mark.parametrize("v0, x_f", [
+        (math.nan, 150.0), (-5.0, 150.0), (0.0, 150.0), (math.inf, 150.0),
+        (12.0, math.nan), (12.0, -1.0), (12.0, math.inf),
+    ])
+    def test_start_or_obstacle_not_positive_and_finite_refused(self, v0, x_f):
+        """A NaN ``v0`` once read ``tol`` NaN and status ok; a negative one
+        a negative ``tol``."""
+        pilot = reference(ADProfile.constant(2.0, 4.0, 15.0))
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            determinacy_check_braking(pilot, v0, x_f)
 
 
 class TestProgressDeterminacy:

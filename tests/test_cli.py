@@ -306,10 +306,14 @@ class TestErrorExits:
          "--rates", "30:nan,27.5:3.0"],
         ["partition", "--x-e", "20", "--speeds", "10,7.5,5", "--x-f-cap", "inf"],
         ["partition", "--x-e", "20", "--speeds", "10,7.5,5", "--x-f-cap", "nan"],
+        ["critical", "--x-e", "20", "--v-e", "5", "--vl", "nan"],
+        ["determinacy", "--v0", "nan"],
+        ["determinacy", "--v0", "-5"],
     ], ids=[
         "determinacy-external", "partition-speeds-increasing", "partition-cap-below-corner",
         "partition-zero-steps", "critical-zero-x_e", "critical-negative-b_max",
         "critical-zero-vl", "determinacy-nan-rate", "partition-cap-inf", "partition-cap-nan",
+        "critical-nan-vl", "determinacy-nan-v0", "determinacy-negative-v0",
     ])
     def test_bad_flags(self, argv, capsys):
         assert main(argv) == 1

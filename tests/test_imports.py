@@ -1,0 +1,46 @@
+"""Every name a critlab module imports is used in it.
+
+An unused import is either dead weight left behind by a change, or a
+re-export that callers look up on the module (the benchmark's tracer patches
+some names where they are imported).  A re-export says so with
+``# noqa: F401`` on its line; any other unused import fails here.  The
+package's ``__init__.py`` is all re-exports and is not checked.  Built on the
+``ast`` module alone, as pyflakes does for its F401.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "critlab"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[tuple[int, str]]:
+    """``(line, name)`` of each import in ``source`` whose name the module
+    never reads and whose line has no ``# noqa: F401``."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.append((alias.lineno, name))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in imported
+            if name not in used and "# noqa: F401" not in lines[line - 1]]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_the_check_sees_an_unused_import():
+    source = ("import os\nimport sys\nfrom json import dumps, loads  # noqa: F401\n"
+              "from math import inf\nprint(sys.argv, inf)\n")
+    assert unused_imports(source) == [(1, "os")]

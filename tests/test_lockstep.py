@@ -141,8 +141,9 @@ def lockstep(pilots, cases, cfg=SimConfig()):
 
 def outcome(runs, tc, i):
     """Cell ``i`` of a lockstep batch, the case ``tc``, as the ``SimOutcome``
-    that ``simulate`` gives, without frames.  ``simulate`` sorts its events
-    stably by time: by (time, step, order in step)."""
+    that ``simulate`` gives, without frames or crossing speed, which the
+    engine does not keep.  ``simulate`` sorts its events stably by time: by
+    (time, step, order in step)."""
     dt = runs.cfg.dt
     keyed = [((s + 1) * dt, s, k, kind)
              for k, (s, kind) in enumerate(zip(runs.event_step[:, i].tolist(), _STEP_EVENTS), 1)
@@ -157,7 +158,7 @@ def outcome(runs, tc, i):
         events=[Event(kind, t) for t, _, _, kind in keyed],
         final=EgoState(float(runs.final_p[i]), float(runs.final_v[i])),
         steps=int(runs.steps[i]), t_cross=float(runs.t_cross[i]) if crossed else None,
-        t_arrive=tc.x_a / tc.static.vl, race_won=bool(runs.race_won[i]),
+        v_cross=None, t_arrive=tc.x_a / tc.static.vl, race_won=bool(runs.race_won[i]),
         zone_epsilon=runs.cfg.zone_epsilon,
     )
 
@@ -176,7 +177,7 @@ def _check_batch(pilots, cases, cfg):
     for i, (pilot, tc, code) in enumerate(zip(pilots, cases, codes, strict=True)):
         out = outcome(runs, tc, i)
         assert out.tc is tc
-        scalar = simulate(pilot, tc, cfg, record=False)
+        scalar = simulate(pilot, tc, cfg)
         assert _observed(out) == _observed(scalar)
         assert VERDICTS[code] == verdict(scalar)
 

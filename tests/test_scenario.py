@@ -203,6 +203,17 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             TestCase(static=merge_static, **geometry)
 
+    @pytest.mark.parametrize("field, value", [
+        ("d", math.nan), ("d", math.inf), ("vl", math.nan), ("vl", math.inf),
+        ("light_schedule", (math.nan, 2.0)), ("light_schedule", (2.0, math.inf)),
+    ], ids=["d-nan", "d-inf", "vl-nan", "vl-inf", "green-nan", "red-inf"])
+    def test_non_finite_static_part_rejected(self, field, value):
+        """NaN passed the sign checks: a NaN ``vl`` printed NaN boundaries, an
+        infinite ``d`` overflowed in a run, and a NaN phase kept the light red."""
+        static = {"vl": 10.0, "d": 5.0, "light_schedule": (2.0, 3.0), field: value}
+        with pytest.raises(ValueError, match=rf"\b{field}\b.* must be positive and finite"):
+            StaticPart(ScenarioType.INTERSECTION_LIGHT, **static)
+
     @pytest.mark.parametrize("dt", [math.nan, math.inf])
     def test_non_finite_step_rejected(self, merge_static, dt):
         """An infinite step sized every horizon to 0 steps."""
