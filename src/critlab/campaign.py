@@ -23,7 +23,6 @@ import json
 import math
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -263,7 +262,8 @@ def build_autopilot(entry, default_profile: ADProfile) -> AutopilotSpec | Extern
             profile = ADProfile.constant(p["a_max"], p["b_max"], p["v_max"])
         if "command" in entry:
             # braking_check_v0 too: the determinacy checks run built-in pilots only
-            _check_keys(entry, _ENTRY_KEYS - {"braking_check_v0"}, f"external autopilot {name!r}")
+            _check_keys(entry, _ENTRY_KEYS - {"variant", "braking_check_v0"},
+                        f"external autopilot {name!r}")
             if not isinstance(entry["command"], str):
                 raise ConfigError(f"external autopilot {name!r}: command is not a string")
             return ExternalAutopilot(entry["command"], profile, name=name)
@@ -523,6 +523,8 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
 
     start = time.perf_counter()
     parallel = workers > 1 and len(tasks) > 1
+    if parallel:  # imported here: it costs every start ~10 ms, and one worker needs no pool
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
         results = (pool.map if parallel else map)(_grid_reports, args)
         for (types, group), (reports, grid_stats) in zip(tasks, results):
@@ -548,7 +550,7 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
     stage_s["external_grids"] = time.perf_counter() - start - (stage_s["raw_files"] - raw_s)
 
     start = time.perf_counter()
-    determinacy, determinacy_sims = _determinacy_summaries(config)
+    determinacy, determinacy_runs = _determinacy_summaries(config)
     stage_s["determinacy"] = time.perf_counter() - start
     start = time.perf_counter()
     coverage = _coverage_summaries(config)
@@ -558,78 +560,79 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
         scenario_types=[s.value for s in scenario_types], autopilot_names=[p.name for p in pilots],
         cells=cells, determinacy=determinacy, coverage=coverage,
         meta={"seed": config.raw.get("seed", 0), "dt": sim_cfg.dt, "workers": workers},
-        metrics=_run_metrics(stats, determinacy_sims, stage_s))
+        metrics=_run_metrics(stats, determinacy_runs, stage_s))
 
 
-def _run_metrics(stats: list[dict], determinacy_sims: int, stage_s: dict[str, float]) -> dict:
+def _run_metrics(stats: list[dict], determinacy_runs: dict[str, int],
+                 stage_s: dict[str, float]) -> dict:
     """``metrics.json``: the work counters (``GridResult.stats``) of the grids
-    simulated (each distinct grid once), summed, the ``simulate`` calls of the
-    determinacy checks, and the wall time of each stage, in seconds."""
+    simulated (each distinct grid once), summed, the runs of the determinacy
+    checks, and the wall time of each stage, in seconds."""
     grids = {"simulated": len(stats)}
     for counters in stats:
         for key, n in counters.items():
             grids[key] = grids.get(key, 0) + n
     cells = grids.get("cells", 0)
     grids["early_exit_frac"] = grids.get("early_exits", 0) / cells if cells else 0.0
-    return {"grids": grids, "determinacy": {"simulate_calls": determinacy_sims},
-            "stage_s": stage_s}
+    return {"grids": grids, "determinacy": determinacy_runs, "stage_s": stage_s}
 
 
 def determinacy_rows(
-    pilot: AutopilotSpec,
-    v0: float,
-    x_f: float,
-    probe: TestCase,
+    checks: list[tuple[AutopilotSpec, float, float, TestCase]],
     sim_cfg: SimConfig,
     restart_every: int = 5,
-) -> tuple[dict, dict, int]:
+) -> tuple[list[dict], dict[str, int]]:
     """The braking row (from ``v0``, obstacle at ``x_f``) and the progress row
-    (restarts of ``probe``) of one built-in autopilot's determinacy checks,
-    and the ``simulate`` calls they made.
+    (restarts of ``probe``) of each ``(pilot, v0, x_f, probe)`` check of a
+    built-in autopilot, in order, and the runs they made: ``simulate_calls``,
+    scalar, and ``lockstep_runs``, the restarts of the one engine call that
+    ``determinacy_check_progress`` makes for all checks.
 
     A check whose baseline run is unusable gives a row with status
     ``aborted`` (braking) or ``inapplicable`` (progress) and its ``detail``.
     """
-    braking = {"autopilot": pilot.name, "maneuver": "braking", "v0": v0}
-    try:
-        rep = determinacy_check_braking(pilot, v0, x_f, restart_every=restart_every,
-                                        dt=sim_cfg.dt)
-        braking.update(status="ok", max_deviation=rep.max_deviation,
-                       tol=rep.tol, determinate=rep.determinate)
-    except CheckAbortedError as exc:
-        braking.update(status="aborted", detail=str(exc))
+    reports = determinacy_check_progress([(pilot, probe) for pilot, _, _, probe in checks],
+                                         restart_every=restart_every, cfg=sim_cfg)
+    rows, runs = [], {"simulate_calls": 0, "lockstep_runs": 0}
+    for (pilot, v0, x_f, probe), rep in zip(checks, reports):
+        braking = {"autopilot": pilot.name, "maneuver": "braking", "v0": v0}
+        try:
+            brake = determinacy_check_braking(pilot, v0, x_f, restart_every=restart_every,
+                                              dt=sim_cfg.dt)
+            braking.update(status="ok", max_deviation=brake.max_deviation,
+                           tol=brake.tol, determinate=brake.determinate)
+        except CheckAbortedError as exc:
+            braking.update(status="aborted", detail=str(exc))
 
-    progress = {"autopilot": pilot.name, "maneuver": "progress",
-                "x_e": probe.x_e, "v_e": probe.v_e}
-    simulations = 1  # the baseline run, which an inapplicable check ends after
-    try:
-        rep = determinacy_check_progress(pilot, probe, restart_every=restart_every,
-                                         cfg=sim_cfg)
-        progress.update(status="ok", max_deviation=rep.max_deviation, tol=rep.tol,
-                        verdict_flips=rep.verdict_flips, determinate=rep.determinate)
-        simulations = rep.simulations
-    except CheckAbortedError as exc:
-        progress.update(status="inapplicable", detail=str(exc))
-    return braking, progress, simulations
+        progress = {"autopilot": pilot.name, "maneuver": "progress",
+                    "x_e": probe.x_e, "v_e": probe.v_e}
+        if isinstance(rep, CheckAbortedError):
+            progress.update(status="inapplicable", detail=str(rep))
+            runs["simulate_calls"] += 1  # the baseline run
+        else:
+            progress.update(status="ok", max_deviation=rep.max_deviation, tol=rep.tol,
+                            verdict_flips=rep.verdict_flips, determinate=rep.determinate)
+            runs["simulate_calls"] += rep.simulations
+            runs["lockstep_runs"] += rep.lockstep_runs
+        rows += [braking, progress]
+    return rows, runs
 
 
-def _determinacy_summaries(config) -> tuple[list[dict], int]:
+def _determinacy_summaries(config) -> tuple[list[dict], dict[str, int]]:
     """Both checks of every built-in autopilot, from the first type and start,
-    and the ``simulate`` calls they made."""
-    rows, simulations = [], 0
+    and the runs they made."""
     static = config.static_for(config.scenario_types[0])
     x_e, v_e = config.initial_states[0]
     sim_cfg = config.sim_config()
+    checks = []
     for pilot, v0 in zip(config.pilots, config.braking_v0):
         if isinstance(pilot, ExternalAutopilot):
             continue
         rates = [r for _, r in pilot.rate_by_initial_speed] or [pilot.profile.b_max]
         guard = 1.5 * v0 * v0 / (2.0 * min(rates)) + v0 * sim_cfg.dt
-        probe = progress_probe(static, x_e, v_e, pilot.profile, sim_cfg.dt)
-        braking, progress, n = determinacy_rows(pilot, v0, guard, probe, sim_cfg)
-        rows += [braking, progress]
-        simulations += n
-    return rows, simulations
+        checks.append((pilot, v0, guard, progress_probe(static, x_e, v_e, pilot.profile,
+                                                        sim_cfg.dt)))
+    return determinacy_rows(checks, sim_cfg)
 
 
 def _coverage_summaries(config) -> list[dict]:

@@ -113,6 +113,48 @@ class GridResult:
 Grid = tuple[float, float, Sequence[float], Sequence[float], CriticalBoundary]
 
 
+def _run_cells(static: StaticPart, pilots: Sequence, x_e: Sequence[float],
+               v_e: Sequence[float], run, x_a, x_f, cfg: SimConfig):
+    """Simulate cells given as ``simulate_lockstep`` takes them, for any pilots.
+
+    A run is a pilot from an ego start (``pilots``, ``x_e``, ``v_e``), a cell
+    one geometry of a run (``run``, ``x_a``, ``x_f``), its horizon the one
+    ``TestCase`` gives by default.  The runs that the lockstep engine can run
+    (``lockstep_applies``: a built-in autopilot on a constant profile) are the
+    runs of one ``simulate_lockstep`` call, graded by ``verdict_arrays`` with no
+    ``TestCase``; the cells of any other run go through ``simulate`` and
+    ``verdict``, one ``TestCase`` at a time, in order, keeping only what is
+    returned.  Returns each cell's verdict code (its index in ``VERDICTS``),
+    steps, horizon and crossing speed (0.0 where it did not cross), whether
+    each run took the engine, and the engine call's steps (None: no call).
+    """
+    run, x_a, x_f = np.asarray(run, dtype=np.intp), np.asarray(x_a, float), np.asarray(x_f, float)
+    codes, steps, horizons = (np.zeros(run.size, dtype=int) for _ in range(3))
+    v_cross = np.zeros(run.size)
+    batched = np.array([lockstep_applies(pilot) for pilot in pilots], dtype=bool)
+    cells = batched[run]
+    batch_steps = None
+    if cells.any():
+        ids = np.flatnonzero(batched).tolist()
+        lockstep = simulate_lockstep(
+            [pilots[r] for r in ids], static, [x_e[r] for r in ids], [v_e[r] for r in ids],
+            (np.cumsum(batched) - 1)[run[cells]], x_a[cells], x_f[cells],
+            horizon_steps(static, x_a[cells], cfg.dt, HORIZON_SLACK).astype(int), cfg)
+        codes[cells] = verdict_arrays(lockstep)
+        steps[cells], horizons[cells] = lockstep.steps, lockstep.horizon
+        v_cross[cells] = lockstep.v_cross
+        batch_steps = int(lockstep.steps.max(initial=0))
+    scalar = np.flatnonzero(~cells)
+    for i, r, cell_x_a, cell_x_f in zip(scalar.tolist(), run[scalar].tolist(),
+                                        x_a[scalar].tolist(), x_f[scalar].tolist()):
+        tc = TestCase(static=static, x_e=x_e[r], v_e=v_e[r], x_a=cell_x_a, x_f=cell_x_f,
+                      dt=cfg.dt)
+        out = simulate(pilots[r], tc, cfg)
+        codes[i], steps[i], horizons[i] = VERDICT_CODES[verdict(out)], out.steps, tc.horizon
+        v_cross[i] = 0.0 if out.v_cross is None else out.v_cross
+    return codes, steps, horizons, v_cross, batched.tolist(), batch_steps
+
+
 def run_grids(
     static: StaticPart,
     jobs: Sequence[tuple[AutopilotSpec, Grid]],
@@ -121,54 +163,32 @@ def run_grids(
     """Simulate every geometry of each job's grid over one static part.
 
     ``jobs`` pairs a pilot with a grid; a ``GridResult`` comes back per job,
-    in order.  The grids that the lockstep engine can run
-    (``lockstep_applies``: a built-in autopilot on a constant profile),
-    whatever their pilot, are the runs of one ``simulate_lockstep`` call,
-    their cells its columns, graded by ``verdict_arrays`` with no
-    ``TestCase``; any other grid runs ``simulate`` and ``verdict`` on a
-    ``TestCase`` per cell, one cell at a time, keeping only its verdict code,
-    steps and horizon.  The caller bounds the cells of one call.
+    in order.  Each grid is a run of ``_run_cells``, its cells, ``x_a``-major,
+    the run's cells: the grids that the lockstep engine can run, whatever
+    their pilot, take one ``simulate_lockstep`` call, any other grid runs
+    ``simulate`` cell by cell.  The caller bounds the cells of one call.
     """
-    # Per job: each cell's verdict code, steps and horizon, and the scalar
-    # ``simulate`` calls they took.
-    runs: list = [None] * len(jobs)
-    engine = {}  # the engine call's counters, kept on the first grid it ran
-    batched = [i for i, (pilot, _) in enumerate(jobs) if lockstep_applies(pilot)]
-    if batched:
-        # Every cell of those grids as columns, x_a-major within a grid; the
-        # horizon is the one ``TestCase`` gives by default.
-        grids = [jobs[i][1] for i in batched]
-        cells = [np.meshgrid(x_a, x_f, indexing="ij") for _, _, x_a, x_f, _ in grids]
-        sizes = [x_a.size for x_a, _ in cells]
-        x_a, x_f = (np.concatenate([axis.ravel() for axis in axes]) for axes in zip(*cells))
-        horizon = horizon_steps(static, x_a, cfg.dt, HORIZON_SLACK).astype(int)
-        run = np.repeat(np.arange(len(grids)), sizes)  # each cell's grid, its run
-        x_e, v_e = zip(*(grid[:2] for grid in grids))
-        lockstep = simulate_lockstep([jobs[i][0] for i in batched], static, x_e, v_e, run,
-                                     x_a, x_f, horizon, cfg)
-        ends = np.cumsum(sizes)[:-1]
-        for i, *run in zip(batched, *(np.split(col, ends) for col in (
-                verdict_arrays(lockstep), lockstep.steps, lockstep.horizon))):
-            runs[i] = *run, 0
-        engine[batched[0]] = {"lockstep_batches": 1,
-                              "lockstep_steps": int(lockstep.steps.max(initial=0))}
-
+    if not jobs:
+        return []
+    grids = [grid for _, grid in jobs]
+    cells = [np.meshgrid(x_a, x_f, indexing="ij") for _, _, x_a, x_f, _ in grids]
+    sizes = [x_a.size for x_a, _ in cells]
+    x_a, x_f = (np.concatenate([axis.ravel() for axis in axes]) for axes in zip(*cells))
+    x_e, v_e = [grid[0] for grid in grids], [grid[1] for grid in grids]
+    codes, steps, horizons, _, batched, batch_steps = _run_cells(
+        static, [pilot for pilot, _ in jobs], x_e, v_e,
+        np.repeat(np.arange(len(grids)), sizes), x_a, x_f, cfg)
+    # The engine call's counters go on the first grid it ran.
+    first = batched.index(True) if batch_steps is not None else None
+    ends = np.cumsum(sizes)[:-1]
     results = []
-    for i, (pilot, (x_e, v_e, x_a_values, x_f_values, boundary)) in enumerate(jobs):
-        if runs[i] is None:
-            rows = []
-            for x_a in x_a_values:
-                for x_f in x_f_values:
-                    tc = TestCase(static=static, x_e=x_e, v_e=v_e, x_a=x_a, x_f=x_f, dt=cfg.dt)
-                    out = simulate(pilot, tc, cfg)
-                    rows.append((VERDICT_CODES[verdict(out)], out.steps, tc.horizon))
-            codes, steps, horizons = np.array(rows, dtype=int).reshape(-1, 3).T
-            runs[i] = codes, steps, horizons, len(rows)
-        codes, steps, horizons, scalar_calls = runs[i]
+    for i, ((x_e, v_e, x_a_values, x_f_values, boundary), codes, steps, horizons) in enumerate(
+            zip(grids, *(np.split(col, ends) for col in (codes, steps, horizons)))):
         stats = {"cells": codes.size, "cell_steps": int(steps.sum()),
                  "early_exits": int((steps < horizons).sum()),
-                 "lockstep_batches": 0, "lockstep_steps": 0,
-                 "scalar_simulate_calls": scalar_calls, **engine.get(i, {})}
+                 "lockstep_batches": int(i == first),
+                 "lockstep_steps": batch_steps if i == first else 0,
+                 "scalar_simulate_calls": 0 if batched[i] else codes.size}
         results.append(GridResult(
             static=static, x_e=x_e, v_e=v_e, boundary=boundary,
             x_a_values=tuple(x_a_values), x_f_values=tuple(x_f_values),
@@ -317,7 +337,8 @@ class DeterminacyReport:
     tol: float
     max_deviation: float = 0.0
     verdict_flips: int = 0
-    simulations: int = 0  # scalar ``simulate`` runs the check made
+    simulations: int = 0  # scalar ``simulate`` runs the check made, its baseline's included
+    lockstep_runs: int = 0  # restarts it ran on the lockstep engine
 
     @property
     def determinate(self) -> bool:
@@ -387,55 +408,79 @@ def progress_probe(
     )
 
 
-def determinacy_check_progress(
-    autopilot: AutopilotSpec,
-    tc: TestCase,
-    restart_every: int = 5,
-    cfg: SimConfig = SimConfig(),
-) -> DeterminacyReport:
-    """Restart a passing crossing maneuver from states of its own trace.
-
-    Each restart becomes a fresh test case: the ego resumes at the visited
-    state while the environment is shifted to its state at that time.  The
-    report records verdict flips and the spread of conflict-point speeds,
-    tolerated up to 0.2 m/s.
-    """
-    if restart_every < 1:
-        raise ValueError("restart_every must be at least 1")
+def _restart_states(autopilot, tc: TestCase, restart_every: int, cfg: SimConfig):
+    """A progress check's baseline run: its crossing speed and restart states
+    ``(t, x, v, x_a)``, or the ``CheckAbortedError`` for a baseline that is not
+    a progress pass."""
     base = simulate(autopilot, tc, cfg)
     base_verdict = verdict(base)
     if base_verdict.kind is not VerdictKind.PROGRESS_PASS:
-        raise CheckAbortedError(
-            f"baseline run did not cross and pass (verdict {base_verdict.kind.value})"
-        )
-    restarts = []
-    flips = 0
-    vl = tc.static.vl
-    frames = base.scenario.frames
-    for i in range(0, len(frames), restart_every):
-        frame = frames[i]
+        return CheckAbortedError(
+            f"baseline run did not cross and pass (verdict {base_verdict.kind.value})")
+    states = []
+    for frame in base.scenario.frames[::restart_every]:
         if frame.ego.x >= 0.0:
             break  # restarts past the conflict point have an empty approach
-        x_a_i = tc.x_a - vl * frame.t
-        if x_a_i <= 0.0:
+        x_a = tc.x_a - tc.static.vl * frame.t
+        if x_a <= 0.0:
             continue  # arriving vehicle already past: the race is decided
-        x_e_i = -frame.ego.x
-        tci = TestCase(static=tc.static, x_e=x_e_i, v_e=frame.ego.v, x_a=x_a_i, x_f=tc.x_f,
-                       dt=cfg.dt)
-        out = simulate(autopilot, tci, cfg)
-        passed = verdict(out).kind is VerdictKind.PROGRESS_PASS
-        if not passed:
-            flips += 1
-            deviation = math.inf
-        else:  # a progress pass has crossed, so its crossing speed is known
-            deviation = abs(out.v_cross - base.v_cross)
-        restarts.append(
-            RestartRecord(t=frame.t, x=frame.ego.x, v=frame.ego.v, deviation=deviation,
-                          passed=passed)
-        )
-    max_dev = max((r.deviation for r in restarts if r.passed), default=0.0)
-    return DeterminacyReport(maneuver="progress", restarts=restarts, tol=0.2, max_deviation=max_dev,
-                             verdict_flips=flips, simulations=1 + len(restarts))
+        states.append((frame.t, frame.ego.x, frame.ego.v, x_a))
+    return base.v_cross, states
+
+
+def determinacy_check_progress(
+    checks: Sequence[tuple[AutopilotSpec, TestCase]],
+    restart_every: int = 5,
+    cfg: SimConfig = SimConfig(),
+) -> list[DeterminacyReport | CheckAbortedError]:
+    """Restart passing crossing maneuvers from states of their own traces.
+
+    Each check is an autopilot and the case of its baseline run, over one
+    static part shared by all checks.  The baselines run ``simulate``, one at
+    a time.  Every ``restart_every``-th state of a baseline's trace before
+    the conflict point, while the arriving vehicle has not reached it,
+    becomes a fresh test case: the ego resumes at the visited state while the
+    environment is shifted to its state at that time.  The restarts of all
+    checks are the runs of one ``_run_cells`` call, so those of the pilots
+    the lockstep engine runs take one engine call (which, as for a grid,
+    refuses a start above the pilot's ``v_max``).  A report records verdict
+    flips and the spread of conflict-point speeds, tolerated up to 0.2 m/s;
+    a check whose baseline is not a progress pass gets the
+    ``CheckAbortedError`` that says so in place of its report.
+    """
+    if restart_every < 1:
+        raise ValueError("restart_every must be at least 1")
+    if any(tc.static != checks[0][1].static for _, tc in checks):
+        raise ValueError("progress determinacy checks over different static parts")
+    bases = [_restart_states(autopilot, tc, restart_every, cfg) for autopilot, tc in checks]
+    # Every restart is a run of one cell.
+    runs = [(autopilot, -x, v, x_a, tc.x_f)
+            for (autopilot, tc), base in zip(checks, bases)
+            if not isinstance(base, CheckAbortedError) for _, x, v, x_a in base[1]]
+    results = iter(())  # per restart: passed, crossing speed, on the engine
+    if runs:
+        pilots, x_e, v_e, x_a, x_f = zip(*runs)
+        codes, _, _, v_cross, batched, _ = _run_cells(
+            checks[0][1].static, pilots, x_e, v_e, np.arange(len(runs)), x_a, x_f, cfg)
+        results = zip((_KIND_OF_VERDICT[codes] == _PROGRESS).tolist(), v_cross.tolist(), batched)
+    reports = []
+    for base in bases:
+        if isinstance(base, CheckAbortedError):
+            reports.append(base)
+            continue
+        v_base, states = base
+        restarts, engine_runs = [], 0
+        for (t, x, v, _), (passed, v_cross, engine) in zip(states, results):
+            # A progress pass has crossed, so its crossing speed is known.
+            deviation = abs(v_cross - v_base) if passed else math.inf
+            restarts.append(RestartRecord(t=t, x=x, v=v, deviation=deviation, passed=passed))
+            engine_runs += engine
+        reports.append(DeterminacyReport(
+            maneuver="progress", restarts=restarts, tol=0.2,
+            max_deviation=max((r.deviation for r in restarts if r.passed), default=0.0),
+            verdict_flips=sum(not r.passed for r in restarts),
+            simulations=1 + len(restarts) - engine_runs, lockstep_runs=engine_runs))
+    return reports
 
 
 # -- logical equivalence ---------------------------------------------------------

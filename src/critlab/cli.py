@@ -182,8 +182,8 @@ def _run(args: argparse.Namespace) -> int:
         rates = args.rates and dict(part.split(":", 1) for part in args.rates.split(","))
         pilot = _build_autopilot(args.autopilot, _parse_profile(args.profile), rates)
         probe = progress_probe(_static(args), args.x_e, args.v_e, pilot.profile, args.dt)
-        braking, progress, _ = determinacy_rows(
-            pilot, args.v0, args.x_f, probe, SimConfig(dt=args.dt), args.restart_every
+        (braking, progress), _ = determinacy_rows(
+            [(pilot, args.v0, args.x_f, probe)], SimConfig(dt=args.dt), args.restart_every
         )
         print(json.dumps({"autopilot": pilot.name, "braking": braking, "progress": progress}))
         return 0

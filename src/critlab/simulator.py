@@ -13,7 +13,7 @@ failed through the stricter ``NO_ZONE_COOCCUPANCY`` property.
 reference.  ``simulate_lockstep`` runs many cases over one static part
 together, one numpy array step per time step, for any mix of built-in
 autopilots on constant profiles; it gives every case the outcome ``simulate``
-gives it, without the trace or the crossing speed, as arrays that
+gives it, crossing speed included but without the trace, as arrays that
 ``verdict_arrays`` grades as ``verdict`` grades one outcome.
 """
 
@@ -281,9 +281,10 @@ class LockstepRuns:
 
     ``x_f`` and ``horizon`` are the cells' own.  ``event_step[k]`` holds the
     step in which ``_STEP_EVENTS[k]`` first fired (-1: never), and
-    ``cross_step`` that of the crossing, which happened at ``t_cross``;
-    ``final_p``, ``final_v``, ``steps`` and ``race_won`` are ``SimOutcome``'s
-    ``final``, ``steps`` and ``race_won``.
+    ``cross_step`` that of the crossing, which happened at ``t_cross`` at
+    speed ``v_cross`` (both 0.0 where ``cross_step`` is -1); ``final_p``,
+    ``final_v``, ``steps`` and ``race_won`` are ``SimOutcome``'s ``final``,
+    ``steps`` and ``race_won``.
     """
 
     static: StaticPart
@@ -293,6 +294,7 @@ class LockstepRuns:
     event_step: np.ndarray
     cross_step: np.ndarray
     t_cross: np.ndarray
+    v_cross: np.ndarray
     final_p: np.ndarray
     final_v: np.ndarray
     steps: np.ndarray
@@ -311,7 +313,7 @@ def simulate_lockstep(
     cfg: SimConfig = SimConfig(),
 ) -> LockstepRuns:
     """``simulate(autopilot, tc, cfg)`` for every cell at once, without the
-    trace and the crossing speed.
+    trace.
 
     A run is a pilot from an ego start: ``pilots``, ``x_e`` and ``v_e`` hold
     one entry per run, each pilot one that ``lockstep_applies`` to, started
@@ -323,7 +325,7 @@ def simulate_lockstep(
     run's row of ``PolicyColumns``; a cell leaves the batch when its
     simulation would end, at the latest at its own horizon.  Each outcome
     equals the scalar one in its events, final state, step count, crossing
-    time and race.
+    time and speed, and race.
     """
     x_e, v_e, x_a, x_f = (np.asarray(col, dtype=float) for col in (x_e, v_e, x_a, x_f))
     run, horizons = np.asarray(run, dtype=np.intp), np.asarray(horizon, dtype=int)
@@ -345,11 +347,11 @@ def simulate_lockstep(
     # Results by cell: the step of each end-of-step event (-1: none), and so on.
     event_step = np.full((len(_STEP_EVENTS), n), -1)
     cross_step = np.full(n, -1)
-    t_cross = np.zeros(n)
+    t_cross, v_cross = np.zeros(n), np.zeros(n)
     final_p, final_v = np.zeros(n), np.zeros(n)
     steps = np.zeros(n, dtype=int)
     race_won = np.zeros(n, dtype=bool)
-    runs = LockstepRuns(static, cfg, x_f, horizons, event_step, cross_step, t_cross,
+    runs = LockstepRuns(static, cfg, x_f, horizons, event_step, cross_step, t_cross, v_cross,
                         final_p, final_v, steps, race_won)
     if not n:
         return runs
@@ -371,17 +373,21 @@ def simulate_lockstep(
             (idx, p, v, xa, xf, xf_front, horizon, t_late, t_grace,
              crossed, exempt, overlap, saw_cooc, saw_stop) = cols
             a = step_arrays(pc, p, v, xa - vl * (i * dt), xf, static, dt)
-            p0 = p
+            p0, v0 = p, v
             p, v = advance_arrays(p, v, a, dt, pc.v_max)
             t1 = (i + 1) * dt
 
             new = ~crossed & (p >= 0.0)
             if new.any():
-                pn, p0n = p[new], p0[new]
-                tc_new = np.where(pn <= p0n, t1, i * dt + dt * (0.0 - p0n) / (pn - p0n))
+                pn, p0n, vn, v0n = p[new], p0[new], v[new], v0[new]
+                stalled = pn <= p0n
+                # Each in ``simulate``'s own expression: they round differently.
+                tc_new = np.where(stalled, t1, i * dt + dt * (0.0 - p0n) / (pn - p0n))
+                w = (0.0 - p0n) / (pn - p0n)
                 crossed[new] = True
                 exempt[new] = tc_new <= t_grace[new]
                 t_cross[idx[new]] = tc_new
+                v_cross[idx[new]] = np.where(stalled, vn, v0n + w * (vn - v0n))
                 cross_step[idx[new]] = i
 
             arr = xa - vl * t1

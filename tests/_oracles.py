@@ -2,14 +2,21 @@
 
 Everything here integrates trajectories step by step (forward Euler unless
 noted) or enumerates frames exhaustively; the library is never called, so
-these can sit on the other side of an equality check.
+these can sit on the other side of an equality check.  The one exception,
+``progress_determinacy_scalar``, calls only the scalar reference ``simulate``
+and ``verdict``, one test case at a time, for the batched check to equal.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
+
+from critlab.classify import CheckAbortedError, DeterminacyReport, RestartRecord
+from critlab.scenario import TestCase
+from critlab.simulator import SimConfig, VerdictKind, simulate, verdict
 
 
 def euler_braking_distance(v, b, dt=0.001):
@@ -132,3 +139,43 @@ def by_point(x_a_values, x_f_values, codes, names):
     from ``(x_a, x_f)`` to the name each code indexes in ``names``."""
     cells = [(x_a, x_f) for x_a in x_a_values for x_f in x_f_values]
     return {cell: names[code] for cell, code in zip(cells, np.ravel(codes).tolist(), strict=True)}
+
+
+def progress_determinacy_scalar(autopilot, tc, restart_every=5, cfg=SimConfig()):
+    """The progress determinacy check of one autopilot from case ``tc``, each
+    restart its own scalar ``simulate`` run: the report, or the
+    ``CheckAbortedError`` raised for a baseline that is not a progress pass."""
+    base = simulate(autopilot, tc, cfg)
+    base_verdict = verdict(base)
+    if base_verdict.kind is not VerdictKind.PROGRESS_PASS:
+        raise CheckAbortedError(
+            f"baseline run did not cross and pass (verdict {base_verdict.kind.value})"
+        )
+    restarts = []
+    flips = 0
+    vl = tc.static.vl
+    frames = base.scenario.frames
+    for i in range(0, len(frames), restart_every):
+        frame = frames[i]
+        if frame.ego.x >= 0.0:
+            break  # restarts past the conflict point have an empty approach
+        x_a_i = tc.x_a - vl * frame.t
+        if x_a_i <= 0.0:
+            continue  # arriving vehicle already past: the race is decided
+        x_e_i = -frame.ego.x
+        tci = TestCase(static=tc.static, x_e=x_e_i, v_e=frame.ego.v, x_a=x_a_i, x_f=tc.x_f,
+                       dt=cfg.dt)
+        out = simulate(autopilot, tci, cfg)
+        passed = verdict(out).kind is VerdictKind.PROGRESS_PASS
+        if not passed:
+            flips += 1
+            deviation = math.inf
+        else:  # a progress pass has crossed, so its crossing speed is known
+            deviation = abs(out.v_cross - base.v_cross)
+        restarts.append(
+            RestartRecord(t=frame.t, x=frame.ego.x, v=frame.ego.v, deviation=deviation,
+                          passed=passed)
+        )
+    max_dev = max((r.deviation for r in restarts if r.passed), default=0.0)
+    return DeterminacyReport(maneuver="progress", restarts=restarts, tol=0.2, max_deviation=max_dev,
+                             verdict_flips=flips, simulations=1 + len(restarts))

@@ -493,10 +493,11 @@ class TestGridDedup:
 
         monkeypatch.setattr(critlab.classify, "simulate_lockstep", counting)
         report = run_campaign(four_type_config(static=with_light(schedule)))
-        assert len(calls) == batches
+        assert len(calls) == batches + 1  # the last one runs the determinacy restarts
         starts = set(map(tuple, DEFAULT_CONFIG["initial_states"]))
         every = {(name, *start) for name in ("reference", "transition_flawed") for start in starts}
-        assert all(batch == every for batch in calls)
+        assert all(batch == every for batch in calls[:-1])
+        assert {name for name, *_ in calls[-1]} == {"reference", "transition_flawed"}
         assert report.metrics["grids"]["lockstep_batches"] == batches
 
     def test_one_boundary_per_grid(self, monkeypatch):
@@ -633,15 +634,25 @@ class TestRunMetrics:
         monkeypatch.setattr(critlab.simulator, "SimOutcome", CountedOutcome)
         return calls
 
-    def test_default_config_at_6x6(self, calls):
-        """One engine call for all 8 pilots, and 38 determinacy runs."""
+    def test_default_config_at_6x6(self, calls, monkeypatch):
+        """One engine call for the grids of all 8 pilots, 8 scalar
+        determinacy baselines, and one engine call for their 30 restarts."""
+        engine_runs = []
+        real = critlab.classify.simulate_lockstep
+
+        def counting(pilots, *args, **kwargs):
+            engine_runs.append(len(pilots))
+            return real(pilots, *args, **kwargs)
+
+        monkeypatch.setattr(critlab.classify, "simulate_lockstep", counting)
         raw = json.loads(json.dumps(DEFAULT_CONFIG))
         raw["grid"] = {**raw["grid"], "n_a": 6, "n_f": 6}
         report = run_campaign(CampaignConfig(raw=raw))
         grids = report.metrics["grids"]
         assert (grids["lockstep_batches"], grids["lockstep_steps"]) == (1, 117)
-        assert report.metrics["determinacy"] == {"simulate_calls": 38}
-        assert calls["simulate"] == 38
+        assert report.metrics["determinacy"] == {"simulate_calls": 8, "lockstep_runs": 30}
+        assert calls["simulate"] == 8
+        assert engine_runs == [8 * 4, 30]
 
     def test_lockstep_grids_build_no_outcome_and_call_no_verdict(self, calls):
         """Only the determinacy checks simulate, grade and build outcomes."""
@@ -743,6 +754,7 @@ class TestLoadTimeRejection:
         {"initial_states": [[20.0, True]]},
         {"grid": {"a_lo": True}},
         {"autopilots": [{"name": "ext", "command": EXTERNAL, "braking_check_v0": 10.0}]},
+        {"autopilots": [{"name": "ext", "command": EXTERNAL, "variant": "always_cautious"}]},
     ], ids=[
         "pilot-profile-missing-b_max", "pilot-profile-negative-a_max",
         "base-profile-negative-a_max", "negative-d", "light-phase-zero", "dt-zero",
@@ -760,7 +772,7 @@ class TestLoadTimeRejection:
         "start-repeated", "start-sharing-a-raw-file", "start-above-builtin-pilot-v_max",
         "start-above-external-pilot-v_max", "start-unstoppable-for-pilot-profile",
         "scenario-type-repeated", "name-with-nul", "start-speed-true", "grid-a_lo-true",
-        "braking-check-on-an-external-pilot",
+        "braking-check-on-an-external-pilot", "variant-on-an-external-pilot",
     ])
     def test_refused_before_any_simulation(self, overrides, monkeypatch, tmp_path):
         def no_grid(*args, **kwargs):

@@ -27,7 +27,7 @@ from critlab.classify import (
 )
 from critlab.criticality import ZONES, Zone, most_critical, zone_codes
 from critlab.kinematics import ADProfile
-from critlab.scenario import TestCase
+from critlab.scenario import ScenarioType, StaticPart, TestCase
 from critlab.simulator import VERDICT_CODES, Verdict, VerdictKind
 
 from _oracles import brake_trace_stop, by_point, dominating_passes_scan
@@ -276,7 +276,7 @@ class TestProgressDeterminacy:
 
     def test_reference_restarts_reproduce(self, std_profile, merge_static):
         tc = self._probe(std_profile, merge_static)
-        rep = determinacy_check_progress(reference(std_profile), tc, restart_every=4)
+        [rep] = determinacy_check_progress([(reference(std_profile), tc)], restart_every=4)
         assert rep.determinate
         assert rep.verdict_flips == 0
         assert rep.max_deviation <= 0.2
@@ -285,7 +285,7 @@ class TestProgressDeterminacy:
         profile, static, a_nominal, _ = restart_geometry
         pilot = non_determinate_accel(profile, {5.0: a_nominal, 6.3: 1.0})
         tc = TestCase(static=static, x_e=11.05, v_e=5.0, x_a=27.6, x_f=12.6)
-        rep = determinacy_check_progress(pilot, tc, restart_every=3)
+        [rep] = determinacy_check_progress([(pilot, tc)], restart_every=3)
         assert not rep.determinate
         assert rep.verdict_flips >= 1
 
@@ -294,12 +294,20 @@ class TestProgressDeterminacy:
             static=merge_static, x_e=20.0, v_e=5.0,
             x_a=std_boundary.x_hat_a - 2.0, x_f=std_boundary.x_hat_f,
         )
-        with pytest.raises(CheckAbortedError):
-            determinacy_check_progress(reference(std_profile), tc)
+        [rep] = determinacy_check_progress([(reference(std_profile), tc)])
+        assert isinstance(rep, CheckAbortedError)
+
+    def test_checks_share_one_static_part(self, std_profile, merge_static):
+        pilot = reference(std_profile)
+        lane = StaticPart(ScenarioType.LANE_CHANGE, vl=merge_static.vl, d=merge_static.d)
+        with pytest.raises(ValueError, match="different static parts"):
+            determinacy_check_progress([(pilot, self._probe(std_profile, merge_static)),
+                                        (pilot, self._probe(std_profile, lane))])
 
     def test_restart_past_crossing_is_vacuous(self, std_profile, merge_static):
         tc = self._probe(std_profile, merge_static)
-        rep = determinacy_check_progress(reference(std_profile), tc, restart_every=10**6)
+        [rep] = determinacy_check_progress([(reference(std_profile), tc)],
+                                           restart_every=10**6)
         assert rep.determinate  # only the step-0 restart (or none) applies
 
 

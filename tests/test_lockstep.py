@@ -1,6 +1,7 @@
 """The lockstep grid engine against the scalar reference ``simulate``."""
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,10 +15,17 @@ from critlab.autopilots import (
     always_cautious,
     constant_speed,
     irrational,
+    non_determinate_accel,
     non_monotone_brake_profile,
     reference,
 )
-from critlab.classify import run_grid
+from critlab.classify import (
+    CheckAbortedError,
+    determinacy_check_progress,
+    progress_probe,
+    run_grid,
+)
+from critlab.criticality import most_critical
 from critlab.kinematics import ADProfile
 from critlab.scenario import HorizonError, ScenarioType, StaticPart, TestCase
 from critlab.scenario import EgoState, Scenario
@@ -34,6 +42,10 @@ from critlab.simulator import (
     verdict,
     verdict_arrays,
 )
+
+from _oracles import progress_determinacy_scalar
+from conftest import fitted_restart_geometry
+from test_simulator import ROUNDING_CASE, _bits
 
 EXTERNAL = f"{sys.executable} {Path(__file__).parent / 'external_pilot.py'}"
 STD = ADProfile.constant(2.0, 4.0, 15.0)
@@ -102,6 +114,9 @@ def grids(draw, variant):
 
 # The profile the default config gives non_determinate_brake (``STD`` is the default).
 FAST = ADProfile.constant(2.0, 5.0, 30.0)
+# The default profile, ``FAST`` or a drawn one.
+PROFILES = st.sampled_from([STD, FAST]) | st.builds(
+    ADProfile.constant, st.floats(0.5, 5.0), st.floats(1.0, 10.0), st.floats(5.0, 40.0))
 
 
 @st.composite
@@ -113,11 +128,9 @@ def mixed_batches(draw):
     x_as = draw(st.lists(_distances(1.0, 80.0), min_size=1, max_size=3))
     x_fs = draw(st.lists(_distances(0.5, 60.0), min_size=1, max_size=3))
     cfg = _sim_config(draw)
-    drawn_profile = st.builds(ADProfile.constant, st.floats(0.5, 5.0), st.floats(1.0, 10.0),
-                              st.floats(5.0, 40.0))
     cells = []
     for variant in draw(st.lists(st.sampled_from(sorted(FACTORIES)), min_size=2, max_size=4)):
-        profile = draw(st.sampled_from([STD, FAST]) | drawn_profile)
+        profile = draw(PROFILES)
         pilot = _pilot(draw, variant, profile, x_as, x_fs)
         cells += [(pilot, TestCase(static=static, x_e=x_e, v_e=v_e, x_a=x_a, x_f=x_f, dt=cfg.dt))
                   for x_e, v_e in _starts(draw, profile) for x_a in x_as for x_f in x_fs]
@@ -141,9 +154,9 @@ def lockstep(pilots, cases, cfg=SimConfig()):
 
 def outcome(runs, tc, i):
     """Cell ``i`` of a lockstep batch, the case ``tc``, as the ``SimOutcome``
-    that ``simulate`` gives, without frames or crossing speed, which the
-    engine does not keep.  ``simulate`` sorts its events stably by time: by
-    (time, step, order in step)."""
+    that ``simulate`` gives, without frames, which the engine does not keep.
+    ``simulate`` sorts its events stably by time: by (time, step, order in
+    step)."""
     dt = runs.cfg.dt
     keyed = [((s + 1) * dt, s, k, kind)
              for k, (s, kind) in enumerate(zip(runs.event_step[:, i].tolist(), _STEP_EVENTS), 1)
@@ -158,15 +171,17 @@ def outcome(runs, tc, i):
         events=[Event(kind, t) for t, _, _, kind in keyed],
         final=EgoState(float(runs.final_p[i]), float(runs.final_v[i])),
         steps=int(runs.steps[i]), t_cross=float(runs.t_cross[i]) if crossed else None,
-        v_cross=None, t_arrive=tc.x_a / tc.static.vl, race_won=bool(runs.race_won[i]),
+        v_cross=float(runs.v_cross[i]) if crossed else None,
+        t_arrive=tc.x_a / tc.static.vl, race_won=bool(runs.race_won[i]),
         zone_epsilon=runs.cfg.zone_epsilon,
     )
 
 
 def _observed(out):
+    """What a run shows, the crossing speed bit for bit (None: no crossing)."""
     vd = verdict(out)
     return ([(e.kind, e.t) for e in out.events], out.final, out.steps, out.t_cross,
-            out.t_arrive, out.race_won, vd.kind, vd.reason)
+            _bits(out.v_cross), out.t_arrive, out.race_won, vd.kind, vd.reason)
 
 
 def _check_batch(pilots, cases, cfg):
@@ -222,6 +237,7 @@ MIXED = ([constant_speed(STD)] * 2 + [LATE] * 2 + [always_cautious(STD)],
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(mixed_batches())
 @example(MIXED)
+@example(([ROUNDING_CASE[0]], [ROUNDING_CASE[1]], ROUNDING_CASE[2]))
 def test_every_cell_of_a_mixed_batch_equals_scalar_simulate(batch):
     _check_batch(*batch)
 
@@ -299,3 +315,86 @@ class TestRouting:
         with ExternalAutopilot(EXTERNAL + " hold", STD) as pilot:
             run_grid(pilot, 20.0, 5.0, MERGE, [40.0, 30.0], [15.0])
         assert scalar_calls == [pilot] * 2
+
+
+@st.composite
+def progress_checks(draw):
+    """Progress determinacy checks of all 8 variants over one static part,
+    each pilot on the default profile, ``FAST`` or a drawn one, from its own
+    start and just past that start's safe-progress boundary by up to 5 m in
+    ``x_a`` and ``x_f``, as a campaign probes; a restart period and a step."""
+    static = _static(draw)
+    dt = draw(st.sampled_from([0.1, 0.05]))
+    checks = []
+    for variant in sorted(FACTORIES):
+        profile = draw(PROFILES)
+        x_e, v_e = draw(_distances(1.0, 80.0)), draw(st.floats(0.0, profile.v_max))
+        b = most_critical(x_e, v_e, profile, static)
+        x_a = b.x_hat_a + draw(st.floats(0.0, 5.0))
+        x_f = b.x_hat_f + draw(st.floats(0.0, 5.0))
+        pilot = _pilot(draw, variant, profile, [x_a - 2.0, x_a, x_a + 2.0],
+                       [x_f - 2.0, x_f, x_f + 2.0])
+        checks.append((pilot, TestCase(static=static, x_e=x_e, v_e=v_e, x_a=x_a, x_f=x_f,
+                                       dt=dt)))
+    return checks, draw(st.sampled_from([1, 3, 5])), SimConfig(dt=dt)
+
+
+def _restarts(rep):
+    return [(_bits(r.t), _bits(r.x), _bits(r.v), _bits(r.deviation), r.passed)
+            for r in rep.restarts]
+
+
+def _check_progress(checks, restart_every, cfg):
+    """The batched progress checks equal the scalar oracle's, check by check."""
+    reports = determinacy_check_progress(checks, restart_every, cfg)
+    assert len(reports) == len(checks)
+    for (pilot, tc), rep in zip(checks, reports):
+        try:
+            want = progress_determinacy_scalar(pilot, tc, restart_every, cfg)
+        except CheckAbortedError as exc:
+            assert isinstance(rep, CheckAbortedError)
+            assert str(rep) == str(exc)
+            continue
+        assert _restarts(rep) == _restarts(want)
+        assert rep.verdict_flips == want.verdict_flips
+        assert _bits(rep.max_deviation) == _bits(want.max_deviation)
+        assert rep.simulations + rep.lockstep_runs == want.simulations
+    return reports
+
+
+# The flawed-accel restart geometry, in which a restart flips its verdict
+# (``test_classify.py``'s ``test_flawed_accel_flips_a_restart``), with a
+# reference pilot over the same part.
+_PROFILE, _PART, _A, _ = fitted_restart_geometry()
+FLIPPING = ([(non_determinate_accel(_PROFILE, {5.0: _A, 6.3: 1.0}),
+              TestCase(static=_PART, x_e=11.05, v_e=5.0, x_a=27.6, x_f=12.6)),
+             (reference(_PROFILE), TestCase(static=_PART, x_e=11.05, v_e=5.0, x_a=28.6, x_f=13.6))],
+            3, SimConfig())
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(progress_checks())
+@example(FLIPPING)
+def test_batched_progress_checks_equal_the_scalar_ones(batch):
+    _check_progress(*batch)
+
+
+class TestProgressRestartRouting:
+    """The restarts of lockstep pilots take one engine call; others, ``simulate``."""
+
+    def test_a_tabulated_profile_restarts_on_the_scalar_path(self, monkeypatch):
+        calls = Counter()
+        for name in ("simulate", "simulate_lockstep"):
+            def counting(*args, real=getattr(critlab.classify, name), name=name, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(critlab.classify, name, counting)
+        tabulated, constant = reference(non_monotone_brake_profile()), reference(STD)
+        checks = [(pilot, progress_probe(MERGE, 20.0, 5.0, pilot.profile))
+                  for pilot in (tabulated, constant)]
+        scalar, batched = _check_progress(checks, 5, SimConfig())
+        assert scalar.restarts and batched.restarts
+        assert (scalar.simulations, scalar.lockstep_runs) == (1 + len(scalar.restarts), 0)
+        assert (batched.simulations, batched.lockstep_runs) == (1, len(batched.restarts))
+        assert calls == {"simulate": 2 + len(scalar.restarts), "simulate_lockstep": 1}
