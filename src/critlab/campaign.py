@@ -401,19 +401,21 @@ def _groups(jobs: list, grid_cells: int, workers: int) -> list[list]:
     return [jobs[k * len(jobs) // n:(k + 1) * len(jobs) // n] for k in range(n)]
 
 
-def _grid_reports(args) -> tuple[list[dict], list[dict]]:
+def _grid_reports(args) -> tuple[list[dict], Counter]:
     """The reports of some ``(pilot, x_e, v_e)`` jobs' grids over one static
-    part, one per job, and each grid's work counters (``stats``).  The grids
-    share one shape, and are classified together."""
+    part, one per job, and the work of simulating them: ``run_grids``'
+    counters, and the grids, ``simulated``.  The grids share one shape, and
+    are classified together."""
     jobs, static, grid_spec, sim_cfg = args
     grids = []
     for spec, x_e, v_e in jobs:
         boundary = most_critical(x_e, v_e, spec.profile, static)
         grids.append((spec, (x_e, v_e, *_grid_values(boundary, grid_spec), boundary)))
-    results = run_grids(static, grids, sim_cfg)
+    work = Counter(simulated=len(grids))
+    results = run_grids(static, grids, sim_cfg, work)
     reports = [{**grid_report_dict(grid, cls), "autopilot": spec.name}
                for (spec, _, _), grid, cls in zip(jobs, results, classify_grids(results))]
-    return reports, [grid.stats for grid in results]
+    return reports, work
 
 
 def _raw_name(x_e: float, v_e: float) -> str:
@@ -487,7 +489,7 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
     # In pilot x type order, the order ``report.md`` lists protocol errors in.
     cells = {(sc.value, pilot.name): CampaignCell(autopilot=pilot.name, scenario_type=sc.value)
              for pilot in pilots for sc in scenario_types}
-    stats: list[dict] = []  # the work counters of every grid simulated
+    grid_work = Counter()  # of every grid simulated, summed with ``update`` to keep zeros
     stage_s = {"builtin_grids": 0.0, "external_grids": 0.0, "raw_files": 0.0}
     made: set[Path] = set()  # the raw directories made so far
 
@@ -527,8 +529,8 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
         from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
         results = (pool.map if parallel else map)(_grid_reports, args)
-        for (types, group), (reports, grid_stats) in zip(tasks, results):
-            stats += grid_stats
+        for (types, group), (reports, work) in zip(tasks, results):
+            grid_work.update(work)
             for (pilot, _, _), report in zip(group, reports):
                 record(pilot, types, report)
     stage_s["builtin_grids"] = time.perf_counter() - start - stage_s["raw_files"]
@@ -539,61 +541,52 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
         for sc in scenario_types:
             for x_e, v_e in config.initial_states:
                 try:
-                    (report,), grid_stats = _grid_reports(
+                    (report,), work = _grid_reports(
                         ([(pilot, x_e, v_e)], config.static_for(sc), grid_spec, sim_cfg))
                 except ProtocolError as exc:
                     cells[(sc.value, pilot.name)].protocol_error = str(exc)
                     break
-                stats += grid_stats
+                grid_work.update(work)
                 record(pilot, [sc], report)
         pilot.close()
     stage_s["external_grids"] = time.perf_counter() - start - (stage_s["raw_files"] - raw_s)
 
     start = time.perf_counter()
-    determinacy, determinacy_runs = _determinacy_summaries(config)
+    determinacy_work = Counter()
+    determinacy = _determinacy_summaries(config, determinacy_work)
     stage_s["determinacy"] = time.perf_counter() - start
     start = time.perf_counter()
     coverage = _coverage_summaries(config)
     stage_s["coverage"] = time.perf_counter() - start
 
+    # ``metrics.json``: the work, as ``classify._run_cells`` counts it, and
+    # the wall time of each stage, in seconds.
+    n = grid_work["cells"]
+    grids = {**grid_work, "early_exit_frac": grid_work["early_exits"] / n if n else 0.0}
     return CampaignReport(
         scenario_types=[s.value for s in scenario_types], autopilot_names=[p.name for p in pilots],
         cells=cells, determinacy=determinacy, coverage=coverage,
         meta={"seed": config.raw.get("seed", 0), "dt": sim_cfg.dt, "workers": workers},
-        metrics=_run_metrics(stats, determinacy_runs, stage_s))
-
-
-def _run_metrics(stats: list[dict], determinacy_runs: dict[str, int],
-                 stage_s: dict[str, float]) -> dict:
-    """``metrics.json``: the work counters (``GridResult.stats``) of the grids
-    simulated (each distinct grid once), summed, the runs of the determinacy
-    checks, and the wall time of each stage, in seconds."""
-    grids = {"simulated": len(stats)}
-    for counters in stats:
-        for key, n in counters.items():
-            grids[key] = grids.get(key, 0) + n
-    cells = grids.get("cells", 0)
-    grids["early_exit_frac"] = grids.get("early_exits", 0) / cells if cells else 0.0
-    return {"grids": grids, "determinacy": determinacy_runs, "stage_s": stage_s}
+        metrics={"grids": grids, "determinacy": dict(determinacy_work), "stage_s": stage_s})
 
 
 def determinacy_rows(
     checks: list[tuple[AutopilotSpec, float, float, TestCase]],
     sim_cfg: SimConfig,
     restart_every: int = 5,
-) -> tuple[list[dict], dict[str, int]]:
+    work: Counter | None = None,
+) -> list[dict]:
     """The braking row (from ``v0``, obstacle at ``x_f``) and the progress row
     (restarts of ``probe``) of each ``(pilot, v0, x_f, probe)`` check of a
-    built-in autopilot, in order, and the runs they made: ``simulate_calls``,
-    scalar, and ``lockstep_runs``, the restarts of the one engine call that
-    ``determinacy_check_progress`` makes for all checks.
+    built-in autopilot, in order.  The progress checks' simulations, all in
+    one ``determinacy_check_progress`` call, are added to ``work``.
 
     A check whose baseline run is unusable gives a row with status
     ``aborted`` (braking) or ``inapplicable`` (progress) and its ``detail``.
     """
     reports = determinacy_check_progress([(pilot, probe) for pilot, _, _, probe in checks],
-                                         restart_every=restart_every, cfg=sim_cfg)
-    rows, runs = [], {"simulate_calls": 0, "lockstep_runs": 0}
+                                         restart_every, sim_cfg, work)
+    rows = []
     for (pilot, v0, x_f, probe), rep in zip(checks, reports):
         braking = {"autopilot": pilot.name, "maneuver": "braking", "v0": v0}
         try:
@@ -608,19 +601,16 @@ def determinacy_rows(
                     "x_e": probe.x_e, "v_e": probe.v_e}
         if isinstance(rep, CheckAbortedError):
             progress.update(status="inapplicable", detail=str(rep))
-            runs["simulate_calls"] += 1  # the baseline run
         else:
             progress.update(status="ok", max_deviation=rep.max_deviation, tol=rep.tol,
                             verdict_flips=rep.verdict_flips, determinate=rep.determinate)
-            runs["simulate_calls"] += rep.simulations
-            runs["lockstep_runs"] += rep.lockstep_runs
         rows += [braking, progress]
-    return rows, runs
+    return rows
 
 
-def _determinacy_summaries(config) -> tuple[list[dict], dict[str, int]]:
+def _determinacy_summaries(config, work: Counter) -> list[dict]:
     """Both checks of every built-in autopilot, from the first type and start,
-    and the runs they made."""
+    their simulations added to ``work``."""
     static = config.static_for(config.scenario_types[0])
     x_e, v_e = config.initial_states[0]
     sim_cfg = config.sim_config()
@@ -632,7 +622,7 @@ def _determinacy_summaries(config) -> tuple[list[dict], dict[str, int]]:
         guard = 1.5 * v0 * v0 / (2.0 * min(rates)) + v0 * sim_cfg.dt
         checks.append((pilot, v0, guard, progress_probe(static, x_e, v_e, pilot.profile,
                                                         sim_cfg.dt)))
-    return determinacy_rows(checks, sim_cfg)
+    return determinacy_rows(checks, sim_cfg, work=work)
 
 
 def _coverage_summaries(config) -> list[dict]:

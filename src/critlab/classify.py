@@ -16,7 +16,8 @@ what remains is exactly the transition band along the critical frontier.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,11 +34,9 @@ from .criticality import (
 from .kinematics import ADProfile, advance
 from .scenario import (
     DEFAULT_DT,
-    HORIZON_SLACK,
     StaticPart,
     TestCase,
     equivalence_mutations,
-    horizon_steps,
 )
 from .simulator import (
     VERDICT_CODES,
@@ -100,12 +99,6 @@ class GridResult:
     verdicts: np.ndarray
     zones: np.ndarray
     dt: float = DEFAULT_DT
-    # Work counters: ``cells``, ``cell_steps`` (policy steps over all cells),
-    # ``early_exits`` (cells ended before their horizon), ``lockstep_batches``
-    # and ``lockstep_steps`` (the engine calls and their array steps, each
-    # counted on the first grid of its call), and ``scalar_simulate_calls``;
-    # summed over grids, each counts the work once.
-    stats: dict[str, int] = field(default_factory=dict)
 
 
 # One grid to run: ``(x_e, v_e, x_a_values, x_f_values, boundary)``, the
@@ -114,7 +107,7 @@ Grid = tuple[float, float, Sequence[float], Sequence[float], CriticalBoundary]
 
 
 def _run_cells(static: StaticPart, pilots: Sequence, x_e: Sequence[float],
-               v_e: Sequence[float], run, x_a, x_f, cfg: SimConfig):
+               v_e: Sequence[float], run, x_a, x_f, cfg: SimConfig, work: Counter):
     """Simulate cells given as ``simulate_lockstep`` takes them, for any pilots.
 
     A run is a pilot from an ego start (``pilots``, ``x_e``, ``v_e``), a cell
@@ -124,41 +117,48 @@ def _run_cells(static: StaticPart, pilots: Sequence, x_e: Sequence[float],
     runs of one ``simulate_lockstep`` call, graded by ``verdict_arrays`` with no
     ``TestCase``; the cells of any other run go through ``simulate`` and
     ``verdict``, one ``TestCase`` at a time, in order, keeping only what is
-    returned.  Returns each cell's verdict code (its index in ``VERDICTS``),
-    steps, horizon and crossing speed (0.0 where it did not cross), whether
-    each run took the engine, and the engine call's steps (None: no call).
+    returned.  Returns each cell's verdict code (its index in ``VERDICTS``)
+    and crossing speed (0.0 where it did not cross).
+
+    Adds the work done to ``work``, every key on every call: ``cells``,
+    ``cell_steps`` (policy steps over all cells), ``early_exits`` (cells ended
+    before their horizon), ``lockstep_batches`` and ``lockstep_steps`` (the
+    engine calls and their array steps), and ``scalar_simulate_calls``.
     """
     run, x_a, x_f = np.asarray(run, dtype=np.intp), np.asarray(x_a, float), np.asarray(x_f, float)
-    codes, steps, horizons = (np.zeros(run.size, dtype=int) for _ in range(3))
-    v_cross = np.zeros(run.size)
+    codes, v_cross = np.zeros(run.size, dtype=int), np.zeros(run.size)
     batched = np.array([lockstep_applies(pilot) for pilot in pilots], dtype=bool)
     cells = batched[run]
-    batch_steps = None
+    steps = early_exits = batch_steps = 0
     if cells.any():
         ids = np.flatnonzero(batched).tolist()
         lockstep = simulate_lockstep(
             [pilots[r] for r in ids], static, [x_e[r] for r in ids], [v_e[r] for r in ids],
-            (np.cumsum(batched) - 1)[run[cells]], x_a[cells], x_f[cells],
-            horizon_steps(static, x_a[cells], cfg.dt, HORIZON_SLACK).astype(int), cfg)
-        codes[cells] = verdict_arrays(lockstep)
-        steps[cells], horizons[cells] = lockstep.steps, lockstep.horizon
-        v_cross[cells] = lockstep.v_cross
-        batch_steps = int(lockstep.steps.max(initial=0))
+            (np.cumsum(batched) - 1)[run[cells]], x_a[cells], x_f[cells], cfg)
+        codes[cells], v_cross[cells] = verdict_arrays(lockstep), lockstep.v_cross
+        steps, batch_steps = int(lockstep.steps.sum()), int(lockstep.steps.max())
+        early_exits = int((lockstep.steps < lockstep.horizon).sum())
     scalar = np.flatnonzero(~cells)
     for i, r, cell_x_a, cell_x_f in zip(scalar.tolist(), run[scalar].tolist(),
                                         x_a[scalar].tolist(), x_f[scalar].tolist()):
         tc = TestCase(static=static, x_e=x_e[r], v_e=v_e[r], x_a=cell_x_a, x_f=cell_x_f,
                       dt=cfg.dt)
         out = simulate(pilots[r], tc, cfg)
-        codes[i], steps[i], horizons[i] = VERDICT_CODES[verdict(out)], out.steps, tc.horizon
+        codes[i] = VERDICT_CODES[verdict(out)]
         v_cross[i] = 0.0 if out.v_cross is None else out.v_cross
-    return codes, steps, horizons, v_cross, batched.tolist(), batch_steps
+        steps += out.steps
+        early_exits += out.steps < tc.horizon
+    work.update(cells=run.size, cell_steps=steps, early_exits=early_exits,
+                lockstep_batches=int(cells.any()), lockstep_steps=batch_steps,
+                scalar_simulate_calls=scalar.size)
+    return codes, v_cross
 
 
 def run_grids(
     static: StaticPart,
     jobs: Sequence[tuple[AutopilotSpec, Grid]],
     cfg: SimConfig = SimConfig(),
+    work: Optional[Counter] = None,
 ) -> list[GridResult]:
     """Simulate every geometry of each job's grid over one static part.
 
@@ -166,7 +166,8 @@ def run_grids(
     in order.  Each grid is a run of ``_run_cells``, its cells, ``x_a``-major,
     the run's cells: the grids that the lockstep engine can run, whatever
     their pilot, take one ``simulate_lockstep`` call, any other grid runs
-    ``simulate`` cell by cell.  The caller bounds the cells of one call.
+    ``simulate`` cell by cell.  The caller bounds the cells of one call.  The
+    work done is added to ``work``, as ``_run_cells`` counts it.
     """
     if not jobs:
         return []
@@ -175,27 +176,15 @@ def run_grids(
     sizes = [x_a.size for x_a, _ in cells]
     x_a, x_f = (np.concatenate([axis.ravel() for axis in axes]) for axes in zip(*cells))
     x_e, v_e = [grid[0] for grid in grids], [grid[1] for grid in grids]
-    codes, steps, horizons, _, batched, batch_steps = _run_cells(
-        static, [pilot for pilot, _ in jobs], x_e, v_e,
-        np.repeat(np.arange(len(grids)), sizes), x_a, x_f, cfg)
-    # The engine call's counters go on the first grid it ran.
-    first = batched.index(True) if batch_steps is not None else None
-    ends = np.cumsum(sizes)[:-1]
-    results = []
-    for i, ((x_e, v_e, x_a_values, x_f_values, boundary), codes, steps, horizons) in enumerate(
-            zip(grids, *(np.split(col, ends) for col in (codes, steps, horizons)))):
-        stats = {"cells": codes.size, "cell_steps": int(steps.sum()),
-                 "early_exits": int((steps < horizons).sum()),
-                 "lockstep_batches": int(i == first),
-                 "lockstep_steps": batch_steps if i == first else 0,
-                 "scalar_simulate_calls": 0 if batched[i] else codes.size}
-        results.append(GridResult(
-            static=static, x_e=x_e, v_e=v_e, boundary=boundary,
-            x_a_values=tuple(x_a_values), x_f_values=tuple(x_f_values),
-            verdicts=codes.reshape(len(x_a_values), len(x_f_values)),
-            zones=zone_codes(boundary, x_a_values, x_f_values), dt=cfg.dt, stats=stats,
-        ))
-    return results
+    codes, _ = _run_cells(static, [pilot for pilot, _ in jobs], x_e, v_e,
+                          np.repeat(np.arange(len(grids)), sizes), x_a, x_f, cfg,
+                          Counter() if work is None else work)
+    return [GridResult(static=static, x_e=x_e, v_e=v_e, boundary=boundary,
+                       x_a_values=tuple(x_a_values), x_f_values=tuple(x_f_values),
+                       verdicts=codes.reshape(len(x_a_values), len(x_f_values)),
+                       zones=zone_codes(boundary, x_a_values, x_f_values), dt=cfg.dt)
+            for (x_e, v_e, x_a_values, x_f_values, boundary), codes
+            in zip(grids, np.split(codes, np.cumsum(sizes)[:-1]))]
 
 
 def run_grid(
@@ -337,8 +326,6 @@ class DeterminacyReport:
     tol: float
     max_deviation: float = 0.0
     verdict_flips: int = 0
-    simulations: int = 0  # scalar ``simulate`` runs the check made, its baseline's included
-    lockstep_runs: int = 0  # restarts it ran on the lockstep engine
 
     @property
     def determinate(self) -> bool:
@@ -408,17 +395,20 @@ def progress_probe(
     )
 
 
-def _restart_states(autopilot, tc: TestCase, restart_every: int, cfg: SimConfig):
-    """A progress check's baseline run: its crossing speed and restart states
-    ``(t, x, v, x_a)``, or the ``CheckAbortedError`` for a baseline that is not
-    a progress pass."""
+def _restart_states(autopilot, tc: TestCase, restart_every: int, cfg: SimConfig,
+                    work: Counter):
+    """A progress check's baseline run, counted in ``work``: its crossing speed
+    and restart states ``(t, x, v, x_a)``, or the ``CheckAbortedError`` for a
+    baseline that is not a progress pass."""
     base = simulate(autopilot, tc, cfg)
+    work["scalar_simulate_calls"] += 1
     base_verdict = verdict(base)
     if base_verdict.kind is not VerdictKind.PROGRESS_PASS:
         return CheckAbortedError(
             f"baseline run did not cross and pass (verdict {base_verdict.kind.value})")
     states = []
-    for frame in base.scenario.frames[::restart_every]:
+    # From one period in: the state at t = 0 is the baseline's own case.
+    for frame in base.scenario.frames[restart_every::restart_every]:
         if frame.ego.x >= 0.0:
             break  # restarts past the conflict point have an empty approach
         x_a = tc.x_a - tc.static.vl * frame.t
@@ -432,54 +422,53 @@ def determinacy_check_progress(
     checks: Sequence[tuple[AutopilotSpec, TestCase]],
     restart_every: int = 5,
     cfg: SimConfig = SimConfig(),
+    work: Optional[Counter] = None,
 ) -> list[DeterminacyReport | CheckAbortedError]:
     """Restart passing crossing maneuvers from states of their own traces.
 
     Each check is an autopilot and the case of its baseline run, over one
     static part shared by all checks.  The baselines run ``simulate``, one at
-    a time.  Every ``restart_every``-th state of a baseline's trace before
-    the conflict point, while the arriving vehicle has not reached it,
-    becomes a fresh test case: the ego resumes at the visited state while the
-    environment is shifted to its state at that time.  The restarts of all
-    checks are the runs of one ``_run_cells`` call, so those of the pilots
-    the lockstep engine runs take one engine call (which, as for a grid,
-    refuses a start above the pilot's ``v_max``).  A report records verdict
-    flips and the spread of conflict-point speeds, tolerated up to 0.2 m/s;
-    a check whose baseline is not a progress pass gets the
-    ``CheckAbortedError`` that says so in place of its report.
+    a time.  Every ``restart_every``-th state of a baseline's trace after its
+    start and before the conflict point, while the arriving vehicle has not
+    reached it, becomes a fresh test case: the ego resumes at the visited
+    state while the environment is shifted to its state at that time.  The
+    restarts of all checks are the runs of one ``_run_cells`` call, so those
+    of the pilots the lockstep engine runs take one engine call (which, as
+    for a grid, refuses a start above the pilot's ``v_max``).  A report
+    records verdict flips and the spread of conflict-point speeds, tolerated
+    up to 0.2 m/s; a check whose baseline is not a progress pass gets the
+    ``CheckAbortedError`` that says so in place of its report.  The work
+    done, the baselines' included, is added to ``work``.
     """
     if restart_every < 1:
         raise ValueError("restart_every must be at least 1")
     if any(tc.static != checks[0][1].static for _, tc in checks):
         raise ValueError("progress determinacy checks over different static parts")
-    bases = [_restart_states(autopilot, tc, restart_every, cfg) for autopilot, tc in checks]
+    work = Counter() if work is None else work
+    bases = [_restart_states(autopilot, tc, restart_every, cfg, work) for autopilot, tc in checks]
     # Every restart is a run of one cell.
     runs = [(autopilot, -x, v, x_a, tc.x_f)
             for (autopilot, tc), base in zip(checks, bases)
             if not isinstance(base, CheckAbortedError) for _, x, v, x_a in base[1]]
-    results = iter(())  # per restart: passed, crossing speed, on the engine
-    if runs:
-        pilots, x_e, v_e, x_a, x_f = zip(*runs)
-        codes, _, _, v_cross, batched, _ = _run_cells(
-            checks[0][1].static, pilots, x_e, v_e, np.arange(len(runs)), x_a, x_f, cfg)
-        results = zip((_KIND_OF_VERDICT[codes] == _PROGRESS).tolist(), v_cross.tolist(), batched)
+    pilots, x_e, v_e, x_a, x_f = zip(*runs) if runs else [()] * 5
+    codes, v_cross = _run_cells(checks[0][1].static if checks else None, pilots, x_e, v_e,
+                                np.arange(len(runs)), x_a, x_f, cfg, work)
+    results = zip((_KIND_OF_VERDICT[codes] == _PROGRESS).tolist(), v_cross.tolist())
     reports = []
     for base in bases:
         if isinstance(base, CheckAbortedError):
             reports.append(base)
             continue
         v_base, states = base
-        restarts, engine_runs = [], 0
-        for (t, x, v, _), (passed, v_cross, engine) in zip(states, results):
+        restarts = []
+        for (t, x, v, _), (passed, v_cross) in zip(states, results):
             # A progress pass has crossed, so its crossing speed is known.
             deviation = abs(v_cross - v_base) if passed else math.inf
             restarts.append(RestartRecord(t=t, x=x, v=v, deviation=deviation, passed=passed))
-            engine_runs += engine
         reports.append(DeterminacyReport(
             maneuver="progress", restarts=restarts, tol=0.2,
             max_deviation=max((r.deviation for r in restarts if r.passed), default=0.0),
-            verdict_flips=sum(not r.passed for r in restarts),
-            simulations=1 + len(restarts) - engine_runs, lockstep_runs=engine_runs))
+            verdict_flips=sum(not r.passed for r in restarts)))
     return reports
 
 

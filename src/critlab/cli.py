@@ -126,9 +126,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    # a refused input (ConfigError, HorizonError, DomainError, ...) or an
-    # external autopilot that broke the stdio protocol
-    except (ValueError, ProtocolError) as exc:
+    # a refused input (ConfigError, HorizonError, DomainError, ...), an unreadable
+    # input file, or an external autopilot that broke the stdio protocol
+    except (ValueError, OSError, ProtocolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -182,7 +182,7 @@ def _run(args: argparse.Namespace) -> int:
         rates = args.rates and dict(part.split(":", 1) for part in args.rates.split(","))
         pilot = _build_autopilot(args.autopilot, _parse_profile(args.profile), rates)
         probe = progress_probe(_static(args), args.x_e, args.v_e, pilot.profile, args.dt)
-        (braking, progress), _ = determinacy_rows(
+        braking, progress = determinacy_rows(
             [(pilot, args.v0, args.x_f, probe)], SimConfig(dt=args.dt), args.restart_every
         )
         print(json.dumps({"autopilot": pilot.name, "braking": braking, "progress": progress}))

@@ -377,17 +377,35 @@ def test_case_to_dict(tc: TestCase) -> dict:
 
 
 def test_case_from_dict(data: dict, dt: float = DEFAULT_DT) -> TestCase:
-    """Inverse of ``test_case_to_dict``; a null horizon is sized for step ``dt``."""
-    return TestCase(
-        static=static_from_dict(data["static"]),
-        x_e=data["x_e"],
-        v_e=data["v_e"],
-        x_a=data["x_a"],
-        x_f=data["x_f"],
-        horizon=data.get("horizon"),
-        mutations=tuple(ExtraVehicle(m["kind"], m["x"]) for m in data.get("mutations", [])),
-        dt=dt,
-    )
+    """Inverse of ``test_case_to_dict``; a null horizon is sized for step ``dt``.
+
+    Data of any other shape raises a ``ValueError`` that names the problem.
+    """
+    if not (isinstance(data, dict) and isinstance(data.get("static"), dict)):
+        raise ValueError('a test case must be a JSON object with a "static" object')
+    static, horizon = data["static"], data.get("horizon")
+    try:
+        numbers = {key: data[key] for key in ("x_e", "v_e", "x_a", "x_f")}
+        mutations = [(m["kind"], m["x"]) for m in data.get("mutations", [])]
+        for key, value in [*numbers.items(), ("vl", static["vl"]), ("d", static["d"]),
+                           *(("light_schedule", t) for t in static.get("light_schedule") or ()),
+                           *(("mutation x", x) for _, x in mutations)]:
+            # Python would read a boolean as the number 0 or 1.
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"test case {key} must be a number: {json.dumps(value)}")
+        if horizon is not None and (isinstance(horizon, bool) or not isinstance(horizon, int)):
+            raise ValueError(f"test case horizon must be a step count: {json.dumps(horizon)}")
+        return TestCase(
+            static=static_from_dict(static),
+            **numbers,
+            horizon=horizon,
+            mutations=tuple(ExtraVehicle(kind, x) for kind, x in mutations),
+            dt=dt,
+        )
+    except KeyError as exc:
+        raise ValueError(f"test case lacks the key {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"invalid test case: {exc}") from exc
 
 
 def scenario_to_dict(sc: Scenario) -> dict:

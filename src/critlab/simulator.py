@@ -31,8 +31,8 @@ from .kinematics import advance, advance_arrays
 from .scenario import (
     DEFAULT_DT,
     EgoState,
+    HORIZON_SLACK,
     Goal,
-    HorizonError,
     Property,
     Scenario,
     Scene,
@@ -279,12 +279,12 @@ _COOC, _COLL_A, _RED, _COLL_F, _STOP, _HORIZON = range(len(_STEP_EVENTS))
 class LockstepRuns:
     """The outcomes of one ``simulate_lockstep`` call, as arrays by cell.
 
-    ``x_f`` and ``horizon`` are the cells' own.  ``event_step[k]`` holds the
-    step in which ``_STEP_EVENTS[k]`` first fired (-1: never), and
-    ``cross_step`` that of the crossing, which happened at ``t_cross`` at
-    speed ``v_cross`` (both 0.0 where ``cross_step`` is -1); ``final_p``,
-    ``final_v``, ``steps`` and ``race_won`` are ``SimOutcome``'s ``final``,
-    ``steps`` and ``race_won``.
+    ``x_f`` and ``horizon`` are the cells' own, ``horizon`` as ``TestCase``
+    sizes it by default.  ``event_step[k]`` holds the step in which
+    ``_STEP_EVENTS[k]`` first fired (-1: never), and ``cross_step`` that of
+    the crossing, which happened at ``t_cross`` at speed ``v_cross`` (both
+    0.0 where ``cross_step`` is -1); ``final_p``, ``final_v``, ``steps`` and
+    ``race_won`` are ``SimOutcome``'s ``final``, ``steps`` and ``race_won``.
     """
 
     static: StaticPart
@@ -309,7 +309,6 @@ def simulate_lockstep(
     run,
     x_a,
     x_f,
-    horizon,
     cfg: SimConfig = SimConfig(),
 ) -> LockstepRuns:
     """``simulate(autopilot, tc, cfg)`` for every cell at once, without the
@@ -318,20 +317,20 @@ def simulate_lockstep(
     A run is a pilot from an ego start: ``pilots``, ``x_e`` and ``v_e`` hold
     one entry per run, each pilot one that ``lockstep_applies`` to, started
     at most at its ``v_max``.  A cell is a geometry of a run: ``run`` (the
-    index of its run), ``x_a``, ``x_f`` and ``horizon`` hold one entry per
-    cell.  The columns are checked as arrays, as ``TestCase`` checks a case
-    over ``static`` with no extra vehicles.  All cells take each step
-    together, the environment in closed form and each cell's policy from its
-    run's row of ``PolicyColumns``; a cell leaves the batch when its
-    simulation would end, at the latest at its own horizon.  Each outcome
-    equals the scalar one in its events, final state, step count, crossing
-    time and speed, and race.
+    index of its run), ``x_a`` and ``x_f`` hold one entry per cell, its
+    horizon the one ``TestCase`` gives by default.  The columns are checked
+    as arrays, as ``TestCase`` checks a case over ``static`` with no extra
+    vehicles.  All cells take each step together, the environment in closed
+    form and each cell's policy from its run's row of ``PolicyColumns``; a
+    cell leaves the batch when its simulation would end, at the latest at
+    its own horizon.  Each outcome equals the scalar one in its events,
+    final state, step count, crossing time and speed, and race.
     """
     x_e, v_e, x_a, x_f = (np.asarray(col, dtype=float) for col in (x_e, v_e, x_a, x_f))
-    run, horizons = np.asarray(run, dtype=np.intp), np.asarray(horizon, dtype=int)
+    run = np.asarray(run, dtype=np.intp)
     n_runs, n = len(pilots), len(run)
     if (any(col.shape != (n_runs,) for col in (x_e, v_e))
-            or any(col.shape != (n,) for col in (x_a, x_f, horizons))):
+            or any(col.shape != (n,) for col in (x_a, x_f))):
         raise ValueError(f"lockstep columns of unequal lengths for {n_runs} runs of {n} cells")
     if not (np.isfinite([x_e, v_e]).all() and np.isfinite([x_a, x_f]).all() and (x_e > 0).all()
             and (np.array([x_a, x_f]) > 0).all() and (v_e >= 0).all()):
@@ -342,8 +341,7 @@ def simulate_lockstep(
         if not lockstep_applies(pilot) or v > pilot.profile.v_max:
             raise ValueError(f"no lockstep engine for {pilot!r} from v_e={v}")
     dt = cfg.dt
-    if n and (horizons < horizon_steps(static, x_a, dt)).any():
-        raise HorizonError(f"a lockstep horizon is too short for its x_a at dt={dt}")
+    horizons = horizon_steps(static, x_a, dt, HORIZON_SLACK).astype(int)
     # Results by cell: the step of each end-of-step event (-1: none), and so on.
     event_step = np.full((len(_STEP_EVENTS), n), -1)
     cross_step = np.full(n, -1)

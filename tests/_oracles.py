@@ -143,8 +143,9 @@ def by_point(x_a_values, x_f_values, codes, names):
 
 def progress_determinacy_scalar(autopilot, tc, restart_every=5, cfg=SimConfig()):
     """The progress determinacy check of one autopilot from case ``tc``, each
-    restart its own scalar ``simulate`` run: the report, or the
-    ``CheckAbortedError`` raised for a baseline that is not a progress pass."""
+    restart its own scalar ``simulate`` run, the first one period into the
+    baseline's trace: the report, or the ``CheckAbortedError`` raised for a
+    baseline that is not a progress pass."""
     base = simulate(autopilot, tc, cfg)
     base_verdict = verdict(base)
     if base_verdict.kind is not VerdictKind.PROGRESS_PASS:
@@ -155,7 +156,7 @@ def progress_determinacy_scalar(autopilot, tc, restart_every=5, cfg=SimConfig())
     flips = 0
     vl = tc.static.vl
     frames = base.scenario.frames
-    for i in range(0, len(frames), restart_every):
+    for i in range(restart_every, len(frames), restart_every):
         frame = frames[i]
         if frame.ego.x >= 0.0:
             break  # restarts past the conflict point have an empty approach
@@ -178,4 +179,4 @@ def progress_determinacy_scalar(autopilot, tc, restart_every=5, cfg=SimConfig())
         )
     max_dev = max((r.deviation for r in restarts if r.passed), default=0.0)
     return DeterminacyReport(maneuver="progress", restarts=restarts, tol=0.2, max_deviation=max_dev,
-                             verdict_flips=flips, simulations=1 + len(restarts))
+                             verdict_flips=flips)

@@ -6,6 +6,11 @@ import pytest
 from critlab import ADProfile, ScenarioType, StaticPart
 from critlab.criticality import most_critical
 
+# The work counters that ``metrics.json`` reports for the grids and for the
+# determinacy checks, each written on every count, zeros included.
+WORK_KEYS = {"cells", "cell_steps", "early_exits", "lockstep_batches", "lockstep_steps",
+             "scalar_simulate_calls"}
+
 
 @pytest.fixture(scope="session")
 def std_profile() -> ADProfile:

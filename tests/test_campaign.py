@@ -29,6 +29,8 @@ from critlab.campaign import (
     write_outputs,
 )
 
+from conftest import WORK_KEYS
+
 EXTERNAL = f"{sys.executable} {Path(__file__).parent / 'external_pilot.py'}"
 
 
@@ -406,7 +408,11 @@ class TestExternalInCampaign:
         cell = report.cells[("merge_yield", "ext_cautious")]
         assert not cell.protocol_error
         assert cell.n_cells == 16
-        assert report.metrics["grids"]["scalar_simulate_calls"] == 16
+        grids, determinacy = report.metrics["grids"], report.metrics["determinacy"]
+        assert grids["scalar_simulate_calls"] == 16
+        assert set(grids) == WORK_KEYS | {"simulated", "early_exit_frac"}
+        assert set(determinacy) == WORK_KEYS
+        assert grids["lockstep_batches"] == determinacy["lockstep_batches"] == 0
 
 
 class TestWorkers:
@@ -565,6 +571,7 @@ class TestLockstepCampaign:
             report = run_campaign(CampaignConfig(raw=raw), out_dir=tmp_path / path)
             write_outputs(report, tmp_path / path)
             stats = report.metrics["grids"]
+            assert set(stats) == WORK_KEYS | {"simulated", "early_exit_frac"}
             assert stats["simulated"] == 8 * 4 * 2  # the light type is its own grid
             assert stats["cells"] == stats["simulated"] * 9
             assert stats["scalar_simulate_calls"] == (stats["cells"] if path == "scalar" else 0)
@@ -636,7 +643,8 @@ class TestRunMetrics:
 
     def test_default_config_at_6x6(self, calls, monkeypatch):
         """One engine call for the grids of all 8 pilots, 8 scalar
-        determinacy baselines, and one engine call for their 30 restarts."""
+        determinacy baselines, and one engine call for their 25 restarts
+        (3 of the 8 checks are inapplicable)."""
         engine_runs = []
         real = critlab.classify.simulate_lockstep
 
@@ -648,16 +656,20 @@ class TestRunMetrics:
         raw = json.loads(json.dumps(DEFAULT_CONFIG))
         raw["grid"] = {**raw["grid"], "n_a": 6, "n_f": 6}
         report = run_campaign(CampaignConfig(raw=raw))
-        grids = report.metrics["grids"]
-        assert (grids["lockstep_batches"], grids["lockstep_steps"]) == (1, 117)
-        assert report.metrics["determinacy"] == {"simulate_calls": 8, "lockstep_runs": 30}
+        assert report.metrics["grids"] == {
+            "simulated": 32, "cells": 1152, "cell_steps": 54744, "early_exits": 1152,
+            "early_exit_frac": 1.0, "lockstep_batches": 1, "lockstep_steps": 117,
+            "scalar_simulate_calls": 0}
+        assert report.metrics["determinacy"] == {
+            "cells": 25, "cell_steps": 930, "early_exits": 25, "lockstep_batches": 1,
+            "lockstep_steps": 48, "scalar_simulate_calls": 8}
         assert calls["simulate"] == 8
-        assert engine_runs == [8 * 4, 30]
+        assert engine_runs == [8 * 4, 25]
 
     def test_lockstep_grids_build_no_outcome_and_call_no_verdict(self, calls):
         """Only the determinacy checks simulate, grade and build outcomes."""
         report = run_campaign(four_type_config(static=with_light([2.0, 2.0])))
-        n = report.metrics["determinacy"]["simulate_calls"]
+        n = report.metrics["determinacy"]["scalar_simulate_calls"]
         assert report.metrics["grids"]["cells"] == 2 * 2 * 4 * 25
         assert dict(calls) == {"simulate": n, "verdict": n, "SimOutcome": n}
 

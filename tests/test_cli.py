@@ -20,6 +20,8 @@ from critlab.kinematics import ADProfile
 from critlab.scenario import ScenarioType, StaticPart, TestCase
 from critlab.scenario import test_case_to_dict as tc_to_dict
 
+from conftest import WORK_KEYS
+
 EXTERNAL = f"{sys.executable} {Path(__file__).parent / 'external_pilot.py'}"
 
 
@@ -158,7 +160,9 @@ class TestCampaignCommand:
         out = tmp_path / "out"
         main(["campaign", "--config", str(self._config_file(tmp_path)), "--out", str(out)])
         metrics = json.loads((out / "metrics.json").read_text())
-        grids = metrics["grids"]
+        grids, determinacy = metrics["grids"], metrics["determinacy"]
+        assert set(grids) == WORK_KEYS | {"simulated", "early_exit_frac"}
+        assert set(determinacy) == WORK_KEYS
         assert (grids["simulated"], grids["cells"], grids["scalar_simulate_calls"]) == (1, 25, 0)
         assert 0 < grids["lockstep_steps"] <= grids["cell_steps"]
         assert grids["early_exit_frac"] == grids["early_exits"] / 25
@@ -167,6 +171,18 @@ class TestCampaignCommand:
         }
         for name in ("report.json", "report.md", "summary.csv"):
             assert "stage_s" not in (out / name).read_text()
+
+    def test_every_metrics_key_is_in_the_readme(self, tmp_path, capsys):
+        """Each key of a 3x3 default campaign's ``metrics.json``, at any
+        depth, is named in README.md in backticks."""
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**DEFAULT_CONFIG, "grid": {"n_a": 3, "n_f": 3}}))
+        main(["campaign", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
+        keys = set(metrics).union(*metrics.values())
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        assert {"cells", "builtin_grids"} <= keys
+        assert sorted(key for key in keys if f"`{key}`" not in readme) == []
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -330,6 +346,33 @@ class TestErrorExits:
         assert main(["simulate", "--testcase", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field} must be finite") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda data: {k: v for k, v in data.items() if k != "x_a"},
+         "test case lacks the key 'x_a'"),
+        (lambda data: [data], 'a test case must be a JSON object with a "static" object'),
+        (lambda data: {**data, "x_e": "20"}, 'test case x_e must be a number: "20"'),
+        (lambda data: {**data, "x_e": True}, "test case x_e must be a number: true"),
+        (lambda data: {**data, "horizon": 400.5}, "test case horizon must be a step count: 400.5"),
+        (lambda data: {**data, "mutations": [{"kind": "static", "x": "5"}]},
+         'test case mutation x must be a number: "5"'),
+    ], ids=["missing-key", "not-an-object", "string-number", "boolean-number", "float-horizon",
+            "string-mutation"])
+    def test_malformed_test_case_is_refused(self, tmp_path, capsys, edit, message):
+        """Each once ended in a traceback, except a boolean ``x_e``, which ran as 1 m."""
+        path = _write_testcase(tmp_path)
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        assert main(["simulate", "--testcase", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("flag", ["--testcase", "--config"])
+    def test_missing_input_file_is_refused(self, tmp_path, capsys, flag):
+        """A missing input file once ended in a ``FileNotFoundError`` traceback."""
+        missing = tmp_path / "missing.json"
+        command = "simulate" if flag == "--testcase" else "campaign"
+        assert main([command, flag, str(missing), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["simulate", "campaign"])
     def test_infinite_step_is_refused(self, tmp_path, capsys, hang_guard, command):

@@ -24,10 +24,11 @@ from critlab.classify import (
     determinacy_check_progress,
     progress_probe,
     run_grid,
+    run_grids,
 )
 from critlab.criticality import most_critical
 from critlab.kinematics import ADProfile
-from critlab.scenario import HorizonError, ScenarioType, StaticPart, TestCase
+from critlab.scenario import ScenarioType, StaticPart, TestCase
 from critlab.scenario import EgoState, Scenario
 from critlab.simulator import (
     _STEP_EVENTS,
@@ -37,6 +38,7 @@ from critlab.simulator import (
     SimConfig,
     SimOutcome,
     VerdictKind,
+    lockstep_applies,
     simulate,
     simulate_lockstep,
     verdict,
@@ -44,7 +46,7 @@ from critlab.simulator import (
 )
 
 from _oracles import progress_determinacy_scalar
-from conftest import fitted_restart_geometry
+from conftest import WORK_KEYS, fitted_restart_geometry
 from test_simulator import ROUNDING_CASE, _bits
 
 EXTERNAL = f"{sys.executable} {Path(__file__).parent / 'external_pilot.py'}"
@@ -145,7 +147,7 @@ def lockstep(pilots, cases, cfg=SimConfig()):
     keys = [(id(pilot), tc.x_e, tc.v_e) for pilot, tc in zip(pilots, cases, strict=True)]
     run_of = {key: run for run, key in enumerate(dict.fromkeys(keys))}
     heads = [keys.index(key) for key in run_of]  # the first cell of each run
-    cells = [[getattr(tc, name) for tc in cases] for name in ("x_a", "x_f", "horizon")]
+    cells = [[getattr(tc, name) for tc in cases] for name in ("x_a", "x_f")]
     return simulate_lockstep(
         [pilots[i] for i in heads], cases[0].static if cases else MERGE,
         [cases[i].x_e for i in heads], [cases[i].v_e for i in heads],
@@ -253,11 +255,11 @@ def test_a_cautious_stop_brakes_off_its_residual_speed():
 
 
 def test_refuses_cases_it_cannot_batch():
-    # Per run: pilot, x_e, v_e; per cell: run, x_a, x_f, horizon.
+    # Per run: pilot, x_e, v_e; per cell: run, x_a, x_f.
     columns = [[reference(STD)] * 2, [20.0, 20.0], [5.0, 5.0],
-               [0, 1], [30.0, 30.0], [15.0, 15.0], [70, 70]]
+               [0, 1], [30.0, 30.0], [15.0, 15.0]]
 
-    def refused(*replaced, error=ValueError):
+    def refused(*replaced):
         """``replaced`` holds ``(column, entry, value)``; entry None replaces the column."""
         cols = [list(col) for col in columns]
         for k, i, value in replaced:
@@ -265,7 +267,7 @@ def test_refuses_cases_it_cannot_batch():
                 cols[k] = value
             else:
                 cols[k][i] = value
-        with pytest.raises(error):
+        with pytest.raises(ValueError):
             simulate_lockstep(cols[0], MERGE, *cols[1:])
 
     refused((2, 1, 16.0))  # one start of several above v_max
@@ -275,8 +277,7 @@ def test_refuses_cases_it_cannot_batch():
     refused((4, 0, 0.0))  # x_a not positive
     refused((5, 1, float("nan")))
     refused((2, 0, -1.0))
-    refused((6, 1, 39), error=HorizonError)  # x_a needs 40 steps to clear
-    refused((6, None, [70]))  # cell columns of unequal lengths
+    refused((5, None, [15.0]))  # cell columns of unequal lengths
     refused((2, None, [5.0]))  # run columns of unequal lengths
     refused((0, None, [reference(STD)]), (3, None, [0, 0]))  # ... for the pilots too
     simulate_lockstep(columns[0], MERGE, *columns[1:])
@@ -298,18 +299,27 @@ class TestRouting:
         monkeypatch.setattr(critlab.classify, "simulate", counting)
         return calls
 
+    @staticmethod
+    def grid_work(pilot, x_a_values, x_f_values):
+        """The work ``run_grids`` counts for ``run_grid``'s one grid."""
+        work = Counter()
+        boundary = most_critical(20.0, 5.0, pilot.profile, MERGE)
+        run_grids(MERGE, [(pilot, (20.0, 5.0, x_a_values, x_f_values, boundary))], work=work)
+        assert set(work) == WORK_KEYS
+        return work
+
     def test_constant_profile_never_calls_simulate(self, scalar_calls):
-        grid = run_grid(reference(STD), 20.0, 5.0, MERGE, [40.0, 30.0], [15.0, 25.0])
+        work = self.grid_work(reference(STD), [40.0, 30.0], [15.0, 25.0])
         assert scalar_calls == []
-        assert grid.stats["scalar_simulate_calls"] == 0
-        assert 0 < grid.stats["lockstep_steps"] <= grid.stats["cell_steps"]
+        assert work["scalar_simulate_calls"] == 0
+        assert 0 < work["lockstep_steps"] <= work["cell_steps"]
 
     def test_tabulated_profile_is_simulated_cell_by_cell(self, scalar_calls):
         pilot = reference(non_monotone_brake_profile())
-        grid = run_grid(pilot, 20.0, 5.0, MERGE, [40.0, 30.0], [15.0, 25.0])
+        work = self.grid_work(pilot, [40.0, 30.0], [15.0, 25.0])
         assert scalar_calls == [pilot] * 4
-        assert grid.stats["lockstep_steps"] == 0
-        assert grid.stats["scalar_simulate_calls"] == 4
+        assert work["lockstep_steps"] == 0
+        assert work["scalar_simulate_calls"] == 4
 
     def test_external_pilot_is_simulated_cell_by_cell(self, scalar_calls):
         with ExternalAutopilot(EXTERNAL + " hold", STD) as pilot:
@@ -345,9 +355,13 @@ def _restarts(rep):
 
 
 def _check_progress(checks, restart_every, cfg):
-    """The batched progress checks equal the scalar oracle's, check by check."""
-    reports = determinacy_check_progress(checks, restart_every, cfg)
+    """The batched progress checks equal the scalar oracle's, check by check.
+    The work counts each of the oracle's restarts as a cell, and each
+    baseline and each restart the engine cannot run as a ``simulate`` call."""
+    work = Counter()
+    reports = determinacy_check_progress(checks, restart_every, cfg, work)
     assert len(reports) == len(checks)
+    restarts = scalar_restarts = 0
     for (pilot, tc), rep in zip(checks, reports):
         try:
             want = progress_determinacy_scalar(pilot, tc, restart_every, cfg)
@@ -358,8 +372,13 @@ def _check_progress(checks, restart_every, cfg):
         assert _restarts(rep) == _restarts(want)
         assert rep.verdict_flips == want.verdict_flips
         assert _bits(rep.max_deviation) == _bits(want.max_deviation)
-        assert rep.simulations + rep.lockstep_runs == want.simulations
-    return reports
+        restarts += len(want.restarts)
+        scalar_restarts += 0 if lockstep_applies(pilot) else len(want.restarts)
+    assert set(work) == WORK_KEYS
+    assert work["cells"] == restarts
+    assert work["scalar_simulate_calls"] == len(checks) + scalar_restarts
+    assert work["lockstep_batches"] == int(restarts > scalar_restarts)
+    return reports, work
 
 
 # The flawed-accel restart geometry, in which a restart flips its verdict
@@ -393,8 +412,9 @@ class TestProgressRestartRouting:
         tabulated, constant = reference(non_monotone_brake_profile()), reference(STD)
         checks = [(pilot, progress_probe(MERGE, 20.0, 5.0, pilot.profile))
                   for pilot in (tabulated, constant)]
-        scalar, batched = _check_progress(checks, 5, SimConfig())
+        (scalar, batched), work = _check_progress(checks, 5, SimConfig())
         assert scalar.restarts and batched.restarts
-        assert (scalar.simulations, scalar.lockstep_runs) == (1 + len(scalar.restarts), 0)
-        assert (batched.simulations, batched.lockstep_runs) == (1, len(batched.restarts))
+        assert work["cells"] == len(scalar.restarts) + len(batched.restarts)
+        assert work["scalar_simulate_calls"] == 2 + len(scalar.restarts)
+        assert work["lockstep_batches"] == 1
         assert calls == {"simulate": 2 + len(scalar.restarts), "simulate_lockstep": 1}
