@@ -7,7 +7,7 @@ criticality order (frontier band, irrational, overcautious, overall), with
 rationality, determinacy and partition-coverage analyses on top.
 """
 
-from .kinematics import ADProfile, check_monotonicity, estimate_profile
+from .kinematics import ADProfile
 from .scenario import (
     Goal,
     Property,
@@ -18,13 +18,11 @@ from .scenario import (
     default_goal,
     equivalence_mutations,
     expand,
-    is_relevant,
 )
 from .criticality import (
     CriticalBoundary,
     Dominance,
     Zone,
-    boundary_probe,
     classify_zone,
     dominates,
     most_critical,
@@ -50,7 +48,6 @@ from .classify import (
     classify_grid,
     determinacy_check_braking,
     determinacy_check_progress,
-    equivalence_check,
     rationality_check,
     run_grid,
     run_grids,

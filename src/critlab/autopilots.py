@@ -50,7 +50,6 @@ __all__ = [
     "step",
     "PolicyColumns",
     "step_arrays",
-    "non_monotone_brake_profile",
 ]
 
 _EPS = 1e-9
@@ -398,7 +397,7 @@ def step_arrays(
 ) -> np.ndarray:
     """``step`` for many cells at once: the commanded acceleration of each.
 
-    Every cell is a run of a built-in pilot (constant profile) without extra
+    Every cell is a run of a built-in pilot without extra
     vehicles, from its own ego start; ``pc`` holds each cell's policy, and
     ``p``, ``v`` (ego), ``arr_x`` (arriving vehicle now) and ``x_f`` one
     entry per cell.  Speeds must lie in ``[0, v_max]``.  Terms a cell's
@@ -642,23 +641,3 @@ class ExternalAutopilot:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-# -- fault-injected capability table (for monotonicity audits) -------------------
-
-
-def non_monotone_brake_profile() -> ADProfile:
-    """Tabulated profile with one inverted stop-distance sample.
-
-    Braking from 9 m/s needs more room than braking from 10 m/s, which breaks
-    the ordering of the remaining-speed function.
-    """
-    table = [
-        (5.0, 3.0, 0.0),  # stop distance 3 m from 5 m/s
-        (8.0, 9.0, 5.0),  # 12 m from 8 m/s
-        (10.0, 2.0, 8.0),  # 14 m from 10 m/s
-        (9.0, 13.0, 5.0),  # 16 m from 9 m/s: inverted sample
-        (0.0, 6.25, 5.0),
-        (5.0, 18.75, 10.0),
-    ]
-    return ADProfile.tabulated(table, a_max=2.0, b_max=5.0, v_max=10.0)

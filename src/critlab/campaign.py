@@ -167,7 +167,7 @@ class CampaignConfig:
         if len(set(self.scenario_types)) < len(self.scenario_types):
             raise ConfigError(f"repeated scenario type in {cfg['scenario_types']}")
         p = self._section("profile")
-        self.profile = ADProfile.constant(p["a_max"], p["b_max"], p["v_max"])
+        self.profile = ADProfile(p["a_max"], p["b_max"], p["v_max"])
         s = self._section("static")
         self._statics = {sc: static_from_dict({**s, "scenario_type": sc}) for sc in ScenarioType}
         s = self._section("sim")
@@ -259,7 +259,7 @@ def build_autopilot(entry, default_profile: ADProfile) -> AutopilotSpec | Extern
         if entry.get("profile"):
             p = entry["profile"]
             _check_keys(p, _SECTION_KEYS["profile"], f"autopilot {name!r} profile")
-            profile = ADProfile.constant(p["a_max"], p["b_max"], p["v_max"])
+            profile = ADProfile(p["a_max"], p["b_max"], p["v_max"])
         if "command" in entry:
             # braking_check_v0 too: the determinacy checks run built-in pilots only
             _check_keys(entry, _ENTRY_KEYS - {"variant", "braking_check_v0"},

@@ -32,12 +32,7 @@ from .criticality import (
     zone_codes,
 )
 from .kinematics import ADProfile, advance
-from .scenario import (
-    DEFAULT_DT,
-    StaticPart,
-    TestCase,
-    equivalence_mutations,
-)
+from .scenario import DEFAULT_DT, StaticPart, TestCase
 from .simulator import (
     VERDICT_CODES,
     VERDICTS,
@@ -65,7 +60,6 @@ __all__ = [
     "determinacy_check_braking",
     "determinacy_check_progress",
     "progress_probe",
-    "equivalence_check",
     "grid_report_dict",
 ]
 
@@ -113,8 +107,8 @@ def _run_cells(static: StaticPart, pilots: Sequence, x_e: Sequence[float],
     A run is a pilot from an ego start (``pilots``, ``x_e``, ``v_e``), a cell
     one geometry of a run (``run``, ``x_a``, ``x_f``), its horizon the one
     ``TestCase`` gives by default.  The runs that the lockstep engine can run
-    (``lockstep_applies``: a built-in autopilot on a constant profile) are the
-    runs of one ``simulate_lockstep`` call, graded by ``verdict_arrays`` with no
+    (``lockstep_applies``: a built-in autopilot) are the runs of one
+    ``simulate_lockstep`` call, graded by ``verdict_arrays`` with no
     ``TestCase``; the cells of any other run go through ``simulate`` and
     ``verdict``, one ``TestCase`` at a time, in order, keeping only what is
     returned.  Returns each cell's verdict code (its index in ``VERDICTS``)
@@ -470,28 +464,6 @@ def determinacy_check_progress(
             max_deviation=max((r.deviation for r in restarts if r.passed), default=0.0),
             verdict_flips=sum(not r.passed for r in restarts)))
     return reports
-
-
-# -- logical equivalence ---------------------------------------------------------
-
-
-def equivalence_check(
-    autopilot: AutopilotSpec,
-    tc: TestCase,
-    mutants: Optional[Sequence[TestCase]] = None,
-    cfg: SimConfig = SimConfig(),
-    headway: float = 10.0,
-) -> list[tuple[int, str, str]]:
-    """Verdict mismatches between a test case and its padded equivalents."""
-    if mutants is None:
-        mutants = equivalence_mutations(tc, headway)
-    base = verdict(simulate(autopilot, tc, cfg))
-    mismatches = []
-    for i, m in enumerate(mutants):
-        vd = verdict(simulate(autopilot, m, cfg))
-        if vd.kind is not base.kind:
-            mismatches.append((i, base.kind.value, vd.kind.value))
-    return mismatches
 
 
 # -- reporting -------------------------------------------------------------------

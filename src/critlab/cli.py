@@ -49,7 +49,7 @@ def _parse_profile(text: str) -> ADProfile:
         a, b, vmax = (float(p) for p in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"--profile expects 'a_max,b_max,v_max', got {text!r}") from exc
-    return ADProfile.constant(a, b, vmax)
+    return ADProfile(a, b, vmax)
 
 
 def _build_autopilot(name: str, profile: ADProfile, rates: dict[str, str] | None):

@@ -34,7 +34,6 @@ __all__ = [
     "dominates",
     "classify_zone",
     "zone_codes",
-    "boundary_probe",
 ]
 
 
@@ -142,44 +141,3 @@ def zone_codes(boundary: CriticalBoundary, x_a_values, x_f_values) -> np.ndarray
 def classify_zone(tc: TestCase, boundary: CriticalBoundary) -> Zone:
     """Place one geometry in the theoretical decomposition of the test space."""
     return ZONES[zone_codes(boundary, [tc.x_a], [tc.x_f])[0, 0]]
-
-
-def boundary_probe(
-    x_e: float,
-    v_e: float,
-    profile: ADProfile,
-    static: StaticPart,
-    n_probe: int = 8,
-    spread: float = 2.0,
-) -> list[TestCase]:
-    """Test cases ringing the critical corner to trace the empirical frontier.
-
-    With ``n_probe == 8`` the probes sit on the compass offsets of a
-    ``spread``-sized box around ``(x_hat_a, x_hat_f)``; any other count spaces
-    them evenly on a ring.  Geometries that would not admit any safe policy
-    are clipped back inside the nominal region.
-    """
-    if n_probe < 1:
-        raise ValueError("n_probe must be at least 1")
-    if spread <= 0:
-        raise ValueError("spread must be positive")
-    b = most_critical(x_e, v_e, profile, static)
-    if not b.cautious_feasible:
-        raise ValueError("ego start admits no cautious fallback; probes would be non-nominal")
-    if n_probe == 8:
-        offsets = [
-            (-spread, -spread), (-spread, 0.0), (-spread, spread), (0.0, spread),
-            (spread, spread), (spread, 0.0), (spread, -spread), (0.0, -spread),
-        ]
-    else:
-        offsets = [
-            (spread * math.cos(2.0 * math.pi * k / n_probe),
-             spread * math.sin(2.0 * math.pi * k / n_probe))
-            for k in range(n_probe)
-        ]
-    probes = []
-    for da, df in offsets:
-        x_a = max(b.x_hat_a + da, 0.25 * b.x_hat_a)
-        x_f = max(b.x_hat_f + df, 0.25 * b.x_hat_f if b.x_hat_f > 0 else 0.1)
-        probes.append(TestCase(static=static, x_e=x_e, v_e=v_e, x_a=x_a, x_f=x_f))
-    return probes

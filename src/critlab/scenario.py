@@ -47,8 +47,6 @@ __all__ = [
     "expand",
     "equivalence_mutations",
     "collision_window",
-    "constant_speed_outcome",
-    "is_relevant",
     "default_goal",
     "test_case_to_dict",
     "test_case_from_dict",
@@ -196,6 +194,9 @@ class TestCase:
         if self.horizon is None:
             object.__setattr__(self, "horizon",
                                int(horizon_steps(self.static, self.x_a, self.dt, HORIZON_SLACK)))
+        # A boolean is an integer to Python, but not a step count.
+        elif isinstance(self.horizon, bool) or not isinstance(self.horizon, (int, np.integer)):
+            raise ValueError(f"test case horizon must be a step count: {self.horizon!r}")
         else:
             self.check_horizon(self.dt)
 
@@ -279,7 +280,7 @@ def equivalence_mutations(tc: TestCase, headway: float) -> list[TestCase]:
     ]
 
 
-# -- relevance analysis ---------------------------------------------------------
+# -- collision window -----------------------------------------------------------
 
 
 def collision_window(x_e: float, v_e: float, x_a: float, v_a: float, d: float) -> bool:
@@ -295,51 +296,6 @@ def collision_window(x_e: float, v_e: float, x_a: float, v_a: float, d: float) -
         raise WindowUndefinedError("collision window undefined for zero speed")
     margin = d / v_e + d / v_a
     return abs(x_e / v_e - x_a / v_a) <= margin * (1.0 + 1e-12) + 1e-12
-
-
-def constant_speed_outcome(
-    x_e: float,
-    v_e: float,
-    x_a: float,
-    v_a: float,
-    d: float,
-    dt: float = DEFAULT_DT,
-) -> bool:
-    """Step two constant-speed vehicles; True if the ego collides.
-
-    A collision requires the ego to still be short of the conflict point when
-    the arriving vehicle reaches it, with both inside the zone at some later
-    frame.  An ego that clears the point first is out of the arriving
-    vehicle's way.
-    """
-    if v_e <= 0:
-        return False  # a stationary ego never enters the zone
-    t_e = x_e / v_e
-    t_a = x_a / v_a
-    if t_e <= t_a + dt * 1e-6:
-        return False
-    n = math.ceil((max(t_e, t_a) + (d / v_e) + (d / v_a)) / dt) + 2
-    for i in range(n + 1):
-        t = i * dt
-        if t < t_a:
-            continue
-        ego = -x_e + v_e * t
-        arr = x_a - v_a * t
-        if abs(ego) <= d and abs(arr) <= d:
-            return True
-    return False
-
-
-def is_relevant(tc: TestCase, dt: float = DEFAULT_DT) -> bool:
-    """Whether the test case forces the ego to change speed.
-
-    Simulates a careless constant-speed ego: if that policy already avoids the
-    arriving-vehicle conflict, passing demonstrates nothing.  A stationary ego
-    is always relevant (it must adapt to make progress at all).
-    """
-    if tc.v_e == 0:
-        return True
-    return constant_speed_outcome(tc.x_e, tc.v_e, tc.x_a, tc.static.vl, tc.static.d, dt)
 
 
 # -- serialization --------------------------------------------------------------
@@ -383,7 +339,7 @@ def test_case_from_dict(data: dict, dt: float = DEFAULT_DT) -> TestCase:
     """
     if not (isinstance(data, dict) and isinstance(data.get("static"), dict)):
         raise ValueError('a test case must be a JSON object with a "static" object')
-    static, horizon = data["static"], data.get("horizon")
+    static = data["static"]
     try:
         numbers = {key: data[key] for key in ("x_e", "v_e", "x_a", "x_f")}
         mutations = [(m["kind"], m["x"]) for m in data.get("mutations", [])]
@@ -393,12 +349,10 @@ def test_case_from_dict(data: dict, dt: float = DEFAULT_DT) -> TestCase:
             # Python would read a boolean as the number 0 or 1.
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"test case {key} must be a number: {json.dumps(value)}")
-        if horizon is not None and (isinstance(horizon, bool) or not isinstance(horizon, int)):
-            raise ValueError(f"test case horizon must be a step count: {json.dumps(horizon)}")
         return TestCase(
             static=static_from_dict(static),
             **numbers,
-            horizon=horizon,
+            horizon=data.get("horizon"),
             mutations=tuple(ExtraVehicle(kind, x) for kind, x in mutations),
             dt=dt,
         )

@@ -12,9 +12,9 @@ failed through the stricter ``NO_ZONE_COOCCUPANCY`` property.
 ``simulate`` runs one case with any autopilot, records its trace, and is the
 reference.  ``simulate_lockstep`` runs many cases over one static part
 together, one numpy array step per time step, for any mix of built-in
-autopilots on constant profiles; it gives every case the outcome ``simulate``
-gives it, crossing speed included but without the trace, as arrays that
-``verdict_arrays`` grades as ``verdict`` grades one outcome.
+autopilots; it gives every case the outcome ``simulate`` gives it, crossing
+speed included but without the trace, as arrays that ``verdict_arrays``
+grades as ``verdict`` grades one outcome.
 """
 
 from __future__ import annotations
@@ -258,8 +258,8 @@ def simulate(
 
 def lockstep_applies(autopilot) -> bool:
     """Whether ``simulate_lockstep`` can run this autopilot: a built-in
-    variant on a constant profile."""
-    return isinstance(autopilot, AutopilotSpec) and autopilot.profile.kind == "constant"
+    variant."""
+    return isinstance(autopilot, AutopilotSpec)
 
 
 # Events that fire at the end of a step, in the order ``simulate`` appends

@@ -14,7 +14,7 @@ WORK_KEYS = {"cells", "cell_steps", "early_exits", "lockstep_batches", "lockstep
 
 @pytest.fixture(scope="session")
 def std_profile() -> ADProfile:
-    return ADProfile.constant(2.0, 4.0, 15.0)
+    return ADProfile(2.0, 4.0, 15.0)
 
 
 @pytest.fixture(scope="session")
@@ -35,7 +35,7 @@ def fitted_restart_geometry():
     va = (5.0**2 + 2 * a * 11.05) ** 0.5
     vl = 27.6 / ((va - 5.0) / a)
     b = va * va / (2 * 12.6)
-    profile = ADProfile.constant(a, b, 15.0)
+    profile = ADProfile(a, b, 15.0)
     static = StaticPart(ScenarioType.INTERSECTION_YIELD, vl=vl, d=5.0)
     return profile, static, a, vl
 

@@ -107,7 +107,7 @@ class TestVariants:
     def test_rate_lookup_uses_nearest_key(self):
         from critlab.kinematics import ADProfile
 
-        p30 = ADProfile.constant(2.0, 5.0, 30.0)
+        p30 = ADProfile(2.0, 5.0, 30.0)
         spec = non_determinate_brake(p30, {30.0: 5.0, 27.5: 3.0})
         assert spec.brake_rate_for(30.0) == 5.0
         assert spec.brake_rate_for(27.5) == 3.0
@@ -186,7 +186,7 @@ def test_decisions_are_total_and_bounded(p, v, x_a, x_f, variant):
     from critlab.kinematics import ADProfile
     from critlab.scenario import ScenarioType, StaticPart
 
-    profile = ADProfile.constant(2.0, 4.0, 15.0)
+    profile = ADProfile(2.0, 4.0, 15.0)
     static = StaticPart(ScenarioType.MERGE_YIELD, vl=10.0, d=5.0)
     pilots = {
         "reference": reference(profile),
@@ -207,7 +207,7 @@ class TestNonDeterminateVariants:
         from critlab.kinematics import ADProfile
         from _oracles import brake_trace_stop
 
-        p30 = ADProfile.constant(2.0, 5.0, 30.0)
+        p30 = ADProfile(2.0, 5.0, 30.0)
         spec = non_determinate_brake(p30, {30.0: 5.0, 27.5: 3.0})
         full = brake_trace_stop(30.0, spec.brake_rate_for(30.0))
         # the full curve passes 27.5 m/s at 14.375 m travelled

@@ -400,5 +400,5 @@ class TestErrorExits:
 def test_cli_variant_matches_the_default_config_entry(entry):
     """``--autopilot NAME`` builds the spec the default config's entry NAME builds."""
     base = load_config(None).profile
-    profile = ADProfile.constant(**entry["profile"]) if "profile" in entry else base
+    profile = ADProfile(**entry["profile"]) if "profile" in entry else base
     assert _build_autopilot(entry["name"], profile, None) == build_autopilot(entry, base)

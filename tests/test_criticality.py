@@ -9,7 +9,6 @@ from critlab.criticality import (
     Dominance,
     IncomparableError,
     Zone,
-    boundary_probe,
     classify_zone,
     dominates,
     most_critical,
@@ -145,40 +144,3 @@ def test_equivalence_mutants_share_zone(merge_static, std_profile, std_boundary)
         zone = classify_zone(tc, std_boundary)
         for mutant in equivalence_mutations(tc, headway=10.0):
             assert classify_zone(mutant, std_boundary) is zone
-
-
-class TestBoundaryProbe:
-    def test_box_compass_offsets(self, std_profile, merge_static, std_boundary):
-        probes = boundary_probe(20.0, 5.0, std_profile, merge_static, n_probe=8, spread=2.0)
-        assert len(probes) == 8
-        offsets = sorted(
-            (round(p.x_a - std_boundary.x_hat_a, 6), round(p.x_f - std_boundary.x_hat_f, 6))
-            for p in probes
-        )
-        assert offsets == sorted(
-            [(-2.0, -2.0), (-2.0, 0.0), (-2.0, 2.0), (0.0, 2.0),
-             (2.0, 2.0), (2.0, 0.0), (2.0, -2.0), (0.0, -2.0)]
-        )
-
-    def test_probes_all_nominal(self, std_profile, merge_static, std_boundary):
-        probes = boundary_probe(20.0, 5.0, std_profile, merge_static, n_probe=12, spread=3.0)
-        for p in probes:
-            assert classify_zone(p, std_boundary) is not Zone.NON_NOMINAL
-
-    def test_upper_right_probes_pass_reference(self, std_profile, merge_static):
-        # probes offset by at least one environment step in both coordinates
-        pilot = reference(std_profile)
-        eps = merge_static.vl * 0.1
-        probes = boundary_probe(20.0, 5.0, std_profile, merge_static, n_probe=8, spread=eps)
-        for p in probes:
-            da = p.x_a - most_critical(20.0, 5.0, std_profile, merge_static).x_hat_a
-            df = p.x_f - most_critical(20.0, 5.0, std_profile, merge_static).x_hat_f
-            if da >= eps - 1e-9 and df >= eps - 1e-9:
-                out = simulate(pilot, p, SimConfig())
-                assert verdict(out).kind is VerdictKind.PROGRESS_PASS
-
-    def test_parameter_validation(self, std_profile, merge_static):
-        with pytest.raises(ValueError):
-            boundary_probe(20.0, 5.0, std_profile, merge_static, n_probe=0)
-        with pytest.raises(ValueError):
-            boundary_probe(20.0, 5.0, std_profile, merge_static, spread=0.0)

@@ -1,4 +1,5 @@
-"""Every name a critlab module imports is used in it.
+"""Every name a critlab module imports is used in it, and every name it
+exports exists.
 
 An unused import is either dead weight left behind by a change, or a
 re-export that callers look up on the module (the benchmark's tracer patches
@@ -6,9 +7,13 @@ some names where they are imported).  A re-export says so with
 ``# noqa: F401`` on its line; any other unused import fails here.  The
 package's ``__init__.py`` is all re-exports and is not checked.  Built on the
 ``ast`` module alone, as pyflakes does for its F401.
+
+A name left in a module's ``__all__`` after its definition is gone fails
+only ``from module import *``; the export check looks each one up.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -44,3 +49,21 @@ def test_the_check_sees_an_unused_import():
     source = ("import os\nimport sys\nfrom json import dumps, loads  # noqa: F401\n"
               "from math import inf\nprint(sys.argv, inf)\n")
     assert unused_imports(source) == [(1, "os")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_export_resolves(path):
+    module = importlib.import_module(f"critlab.{path.stem}")
+    assert [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)] == []
+
+
+def test_the_package_imports_only_exported_names():
+    """``critlab/__init__.py`` imports each name from the module that
+    exports it, so a name that module drops fails here."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imports = [(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert imports
+    stale = [(module, name) for module, name in imports
+             if name not in importlib.import_module(f"critlab.{module}").__all__]
+    assert stale == []

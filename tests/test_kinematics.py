@@ -5,17 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from critlab.autopilots import non_monotone_brake_profile
-from critlab.kinematics import (
-    ADProfile,
-    DomainError,
-    TraceError,
-    advance,
-    check_monotonicity,
-    estimate_profile,
-    load_table,
-    save_table,
-)
+from critlab.kinematics import ADProfile, DomainError, advance
 
 from _oracles import (
     euler_accel_run,
@@ -26,7 +16,7 @@ from _oracles import (
 
 @pytest.fixture(scope="module")
 def profile():
-    return ADProfile.constant(2.0, 4.0, 15.0)
+    return ADProfile(2.0, 4.0, 15.0)
 
 
 class TestAdvance:
@@ -91,10 +81,10 @@ class TestClosedForms:
         with pytest.raises(DomainError):
             profile.accel_time(-2.0, 5.0)
         with pytest.raises(DomainError):
-            ADProfile.constant(0.0, 4.0, 15.0)
+            ADProfile(0.0, 4.0, 15.0)
         for bad in (math.inf, math.nan):
             with pytest.raises(DomainError):
-                ADProfile.constant(bad, 4.0, 15.0)
+                ADProfile(bad, 4.0, 15.0)
 
     def test_integration_oracle_grid(self, profile):
         """Closed forms agree with a dt=0.001 integration oracle on a 20x20 grid."""
@@ -133,7 +123,7 @@ class TestClosedForms:
     x2=st.floats(0.0, 40.0),
 )
 def test_braking_speed_composability_property(v, x1, x2):
-    profile = ADProfile.constant(2.0, 4.0, 15.0)
+    profile = ADProfile(2.0, 4.0, 15.0)
     lhs = profile.braking_speed(v, x1 + x2)
     rhs = profile.braking_speed(profile.braking_speed(v, x1), x2)
     assert lhs == pytest.approx(rhs, abs=1e-9)
@@ -142,102 +132,25 @@ def test_braking_speed_composability_property(v, x1, x2):
 @settings(max_examples=60, deadline=None)
 @given(v=st.floats(0.0, 15.0))
 def test_braking_distance_is_the_stopping_point(v):
-    profile = ADProfile.constant(2.0, 4.0, 15.0)
+    profile = ADProfile(2.0, 4.0, 15.0)
     b = profile.braking_distance(v)
     assert profile.braking_speed(v, b) == pytest.approx(0.0, abs=1e-9)
     if b > 0.01:
         assert profile.braking_speed(v, b - 0.01) > 0.0
 
 
-def _simulated_traces(a, b, v_max, dt=0.1):
-    brake = []
-    t, x, v = 0.0, 0.0, 10.0
-    brake.append((t, x, v))
-    while v > 0:
-        x += v * dt - 0.5 * b * dt * dt if v - b * dt > 0 else v * v / (2 * b)
-        v = max(v - b * dt, 0.0)
-        t += dt
-        brake.append((t, x, v))
-    accel = []
-    t, x, v = 0.0, 0.0, 0.0
-    accel.append((t, x, v))
-    while v < v_max:
-        x += v * dt + 0.5 * a * dt * dt
-        v = min(v + a * dt, v_max)
-        t += dt
-        accel.append((t, x, v))
-    return [brake, accel]
-
-
-class TestEstimateProfile:
-    def test_round_trip_through_traces(self):
-        traces = _simulated_traces(2.0, 4.0, 15.0)
-        est = estimate_profile(traces)
-        assert est.kind == "tabulated"
-        assert est.braking_distance(10.0) == pytest.approx(12.5, abs=0.5)
-        assert est.accel_speed(20.0, 5.0) == pytest.approx(math.sqrt(105.0), abs=0.5)
-
-    def test_empty_trace_list_rejected(self):
-        with pytest.raises(TraceError):
-            estimate_profile([])
-
-    def test_non_monotone_braking_trace_rejected(self):
-        bad = [(0.0, 0.0, 10.0), (0.5, 4.0, 8.0), (1.0, 7.0, 9.0), (1.5, 9.0, 0.0)]
-        accel = [(0.0, 0.0, 0.0), (1.0, 1.0, 2.0)]
-        with pytest.raises(TraceError):
-            estimate_profile([bad, accel])
-
-    def test_two_point_trace_interpolates_exactly(self):
-        brake = [(0.0, 0.0, 10.0), (2.5, 12.5, 0.0)]
-        accel = [(0.0, 0.0, 0.0), (5.0, 25.0, 10.0)]
-        est = estimate_profile([brake, accel])
-        assert est.braking_distance(10.0) == 12.5
-
-    def test_sample_points_reproduced(self):
-        traces = _simulated_traces(2.0, 4.0, 15.0)
-        est = estimate_profile(traces)
-        t_b = traces[0]
-        stop = t_b[-1][1]
-        for _, x, v in t_b[:: max(len(t_b) // 5, 1)]:
-            assert est.braking_distance(v) == pytest.approx(stop - x, abs=1e-9)
-
-
-class TestMonotonicity:
-    def test_constant_profile_clean(self):
-        report = check_monotonicity(ADProfile.constant(2.0, 4.0, 15.0))
-        assert report.ok
-        assert report.violations == []
-
-    def test_grid_steps_validated(self):
-        with pytest.raises(DomainError):
-            check_monotonicity(ADProfile.constant(2, 4, 15), speed_step=0.0)
-
-    def test_inverted_sample_reported(self):
-        profile = non_monotone_brake_profile()
-        report = check_monotonicity(profile, speed_step=0.5, dist_step=1.0)
-        assert not report.ok
-        braking = [v for v in report.violations if v.function == "braking_speed"]
-        assert braking
-        assert any(v.v_low <= 9.0 <= v.v_high + 0.5 for v in braking)
-
-
-class TestTableIO:
-    def test_csv_round_trip(self, tmp_path):
-        traces = _simulated_traces(2.0, 4.0, 15.0)
-        est = estimate_profile(traces)
-        path = tmp_path / "table.csv"
-        save_table(est, path)
-        header = path.read_text().splitlines()[0]
-        assert header == "v,x,v_prime"
-        loaded = load_table(path, est.a_max, est.b_max, est.v_max)
-        for v in (2.0, 7.5, 10.0):
-            assert loaded.braking_distance(v) == pytest.approx(
-                est.braking_distance(v), abs=1e-5
-            )
-            assert loaded.accel_speed(10.0, v) == pytest.approx(
-                est.accel_speed(10.0, v), abs=1e-5
-            )
-
-    def test_constant_profile_has_no_table(self, tmp_path):
-        with pytest.raises(DomainError):
-            save_table(ADProfile.constant(2, 4, 15), tmp_path / "x.csv")
+@settings(max_examples=200, deadline=None)
+@given(
+    profile=st.builds(ADProfile, st.floats(0.5, 5.0), st.floats(1.0, 10.0),
+                      st.floats(5.0, 40.0)),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2).map(sorted),
+    x=st.floats(0.0, 200.0),
+)
+def test_capabilities_are_monotone_in_speed(profile, fractions, x):
+    """From a higher start speed, the speed left after braking over ``x`` and
+    the speed reached over ``x`` at full throttle are no lower, and the time
+    to cover ``x`` is no longer."""
+    v_lo, v_hi = (f * profile.v_max for f in fractions)
+    assert profile.braking_speed(v_lo, x) <= profile.braking_speed(v_hi, x)
+    assert profile.accel_time(x, v_hi) <= profile.accel_time(x, v_lo) + 1e-9
+    assert profile.accel_speed(x, v_lo) <= profile.accel_speed(x, v_hi)

@@ -16,8 +16,8 @@ from critlab.autopilots import (
     constant_speed,
     irrational,
     non_determinate_accel,
-    non_monotone_brake_profile,
     reference,
+    step,
 )
 from critlab.classify import (
     CheckAbortedError,
@@ -50,9 +50,21 @@ from conftest import WORK_KEYS, fitted_restart_geometry
 from test_simulator import ROUNDING_CASE, _bits
 
 EXTERNAL = f"{sys.executable} {Path(__file__).parent / 'external_pilot.py'}"
-STD = ADProfile.constant(2.0, 4.0, 15.0)
+STD = ADProfile(2.0, 4.0, 15.0)
 MERGE = StaticPart(ScenarioType.MERGE_YIELD, vl=10.0, d=5.0)
 LANE = StaticPart(ScenarioType.LANE_CHANGE, vl=10.0, d=5.0)
+
+
+class _PythonPilot:
+    """The reference policy behind a plain Python pilot, which is no
+    ``AutopilotSpec`` and so takes the scalar path."""
+
+    def __init__(self, profile):
+        self.profile = profile
+        self.name = "python_reference"
+
+    def step(self, scene, static, memory, dt):
+        return step(reference(self.profile), scene, static, memory, dt)
 
 
 def _distances(lo, hi):
@@ -103,7 +115,7 @@ def _pilot(draw, variant, profile, x_as, x_fs):
 @st.composite
 def grids(draw, variant):
     """A ``variant`` pilot, a static part, 1-3 starts, unsorted axes and a run config."""
-    profile = ADProfile.constant(
+    profile = ADProfile(
         draw(st.floats(0.5, 5.0)), draw(st.floats(1.0, 10.0)), draw(st.floats(5.0, 40.0))
     )
     static = _static(draw)
@@ -115,10 +127,10 @@ def grids(draw, variant):
 
 
 # The profile the default config gives non_determinate_brake (``STD`` is the default).
-FAST = ADProfile.constant(2.0, 5.0, 30.0)
+FAST = ADProfile(2.0, 5.0, 30.0)
 # The default profile, ``FAST`` or a drawn one.
 PROFILES = st.sampled_from([STD, FAST]) | st.builds(
-    ADProfile.constant, st.floats(0.5, 5.0), st.floats(1.0, 10.0), st.floats(5.0, 40.0))
+    ADProfile, st.floats(0.5, 5.0), st.floats(1.0, 10.0), st.floats(5.0, 40.0))
 
 
 @st.composite
@@ -271,7 +283,7 @@ def test_refuses_cases_it_cannot_batch():
             simulate_lockstep(cols[0], MERGE, *cols[1:])
 
     refused((2, 1, 16.0))  # one start of several above v_max
-    refused((0, 1, reference(non_monotone_brake_profile())))
+    refused((0, 1, _PythonPilot(STD)))
     refused((3, 1, 2))  # a run index past the last run
     refused((3, 0, -1))  # a negative run index, which numpy would wrap
     refused((4, 0, 0.0))  # x_a not positive
@@ -285,7 +297,7 @@ def test_refuses_cases_it_cannot_batch():
 
 
 class TestRouting:
-    """``run_grid`` batches a built-in constant-profile pilot and nothing else."""
+    """``run_grid`` batches a built-in pilot and nothing else."""
 
     @pytest.fixture
     def scalar_calls(self, monkeypatch):
@@ -313,13 +325,6 @@ class TestRouting:
         assert scalar_calls == []
         assert work["scalar_simulate_calls"] == 0
         assert 0 < work["lockstep_steps"] <= work["cell_steps"]
-
-    def test_tabulated_profile_is_simulated_cell_by_cell(self, scalar_calls):
-        pilot = reference(non_monotone_brake_profile())
-        work = self.grid_work(pilot, [40.0, 30.0], [15.0, 25.0])
-        assert scalar_calls == [pilot] * 4
-        assert work["lockstep_steps"] == 0
-        assert work["scalar_simulate_calls"] == 4
 
     def test_external_pilot_is_simulated_cell_by_cell(self, scalar_calls):
         with ExternalAutopilot(EXTERNAL + " hold", STD) as pilot:
@@ -401,7 +406,7 @@ def test_batched_progress_checks_equal_the_scalar_ones(batch):
 class TestProgressRestartRouting:
     """The restarts of lockstep pilots take one engine call; others, ``simulate``."""
 
-    def test_a_tabulated_profile_restarts_on_the_scalar_path(self, monkeypatch):
+    def test_a_python_pilot_restarts_on_the_scalar_path(self, monkeypatch):
         calls = Counter()
         for name in ("simulate", "simulate_lockstep"):
             def counting(*args, real=getattr(critlab.classify, name), name=name, **kwargs):
@@ -409,9 +414,8 @@ class TestProgressRestartRouting:
                 return real(*args, **kwargs)
 
             monkeypatch.setattr(critlab.classify, name, counting)
-        tabulated, constant = reference(non_monotone_brake_profile()), reference(STD)
-        checks = [(pilot, progress_probe(MERGE, 20.0, 5.0, pilot.profile))
-                  for pilot in (tabulated, constant)]
+        checks = [(pilot, progress_probe(MERGE, 20.0, 5.0, STD))
+                  for pilot in (_PythonPilot(STD), reference(STD))]
         (scalar, batched), work = _check_progress(checks, 5, SimConfig())
         assert scalar.restarts and batched.restarts
         assert work["cells"] == len(scalar.restarts) + len(batched.restarts)

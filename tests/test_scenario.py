@@ -14,11 +14,9 @@ from critlab.scenario import (
     TestCase,
     WindowUndefinedError,
     collision_window,
-    constant_speed_outcome,
     equivalence_mutations,
     expand,
     horizon_steps,
-    is_relevant,
     scenario_to_csv,
 )
 from critlab.scenario import test_case_from_dict as tc_from_dict
@@ -69,6 +67,13 @@ class TestExpand:
         with pytest.raises(HorizonError) as err:
             TestCase(static=merge_static, x_e=20, v_e=5, x_a=30, x_f=15, horizon=3)
         assert "minimum n is" in str(err.value)
+
+    @pytest.mark.parametrize("horizon", [400.0, True])
+    def test_horizon_must_be_a_step_count(self, merge_static, horizon):
+        """A float horizon was once accepted, and ``simulate`` then failed
+        with a ``TypeError``; a boolean is no step count either."""
+        with pytest.raises(ValueError, match="horizon must be a step count"):
+            TestCase(static=merge_static, x_e=20, v_e=5, x_a=30, x_f=15, horizon=horizon)
 
     def test_expand_rechecks_horizon_for_dt(self, tc):
         with pytest.raises(HorizonError):
@@ -145,32 +150,6 @@ class TestCollisionWindow:
                 sim = zone_overlap_constant_speed(x_e, 10.0, x_a, 10.0, 5.0, dt=0.01)
                 if abs(abs(x_e - x_a) - 10.0) > 10.0 * 0.01:
                     assert window == sim
-
-
-class TestRelevance:
-    def test_far_arrival_irrelevant(self, merge_static):
-        # x_tilde_a = (20/5)*10 = 40; at 50 the careless ego clears the point first
-        tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=50.0, x_f=15.0)
-        assert not is_relevant(tc)
-
-    def test_critical_arrival_relevant(self, merge_static, std_boundary):
-        tc = TestCase(
-            static=merge_static, x_e=20.0, v_e=5.0, x_a=std_boundary.x_hat_a, x_f=15.0
-        )
-        assert is_relevant(tc)
-
-    def test_stationary_ego_relevant(self, merge_static):
-        tc = TestCase(static=merge_static, x_e=20.0, v_e=0.0, x_a=50.0, x_f=15.0)
-        assert is_relevant(tc)
-
-    def test_threshold_matches_x_tilde_within_one_step(self, merge_static):
-        # scan across the analytic threshold at 40 m
-        flips = [
-            x_a
-            for x_a in [38.0, 39.0, 39.9, 40.1, 41.0, 42.0]
-            if constant_speed_outcome(20.0, 5.0, x_a, 10.0, 5.0)
-        ]
-        assert flips and max(flips) <= 40.0 + 10.0 * 0.1
 
 
 class TestSerialization:

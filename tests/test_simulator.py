@@ -251,7 +251,7 @@ def crossing_cases(draw):
     """A built-in variant with its default parameters (on a profile that
     brakes at 5 m/s^2 or more, as the non-determinate variants' default rates
     need), one drawn case and a step size."""
-    profile = ADProfile.constant(
+    profile = ADProfile(
         draw(st.floats(0.5, 5.0)), draw(st.floats(5.0, 10.0)), draw(st.floats(5.0, 40.0))
     )
     pilot = FACTORIES[draw(st.sampled_from(sorted(FACTORIES)))](profile)
@@ -272,7 +272,7 @@ def _bits(x):
 # interpolation in another order moves the last bit of the crossing speed;
 # about 1 in 700 drawn crossings does.
 ROUNDING_CASE = (
-    transition_flawed(ADProfile.constant(1.2549170498899573, 5.835090291113253,
+    transition_flawed(ADProfile(1.2549170498899573, 5.835090291113253,
                                          22.34313592213782)),
     TestCase(static=StaticPart(ScenarioType.LANE_CHANGE, vl=18.698614480130384,
                                d=6.909811268180209),
