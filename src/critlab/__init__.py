@@ -9,7 +9,6 @@ rationality, determinacy and partition-coverage analyses on top.
 
 from .kinematics import ADProfile
 from .scenario import (
-    Goal,
     Property,
     ScenarioType,
     StaticPart,

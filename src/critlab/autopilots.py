@@ -1,10 +1,12 @@
 """Pluggable longitudinal autopilots and fault-injected variants.
 
-An autopilot is a per-step transition: given the current scene it emits an
-acceleration command for the next step, threading an opaque memory dict
-through the run.  The reference policy is memoryless, so replaying it from any
+An autopilot is a per-step transition: given the current scene and the one
+its run started from, it emits an acceleration command for the next step.  The
+reference policy reads only the current scene, so replaying it from any
 intermediate state of its own trace reproduces the rest of the trace; each
-fault variant perturbs exactly one declared aspect of that behaviour.
+fault variant perturbs exactly one declared aspect of that behaviour.  Those
+that break determinacy pick their rates, or their late-cautious region, from
+the start.
 
 Reference decision, evaluated fresh each step while still before the zone:
 commit to crossing iff full throttle reaches the conflict point no later than
@@ -120,10 +122,10 @@ class AutopilotSpec:
         self,
         scene: Scene,
         static: StaticPart,
-        memory: Optional[dict] = None,
+        start: Optional[Scene] = None,
         dt: float = DEFAULT_DT,
-    ) -> tuple["Decision", dict]:
-        return step(self, scene, static, memory, dt)
+    ) -> "Decision":
+        return step(self, scene, static, start, dt)
 
 
 def reference(profile: ADProfile, name: str = "reference") -> AutopilotSpec:
@@ -243,11 +245,12 @@ def step(
     spec: AutopilotSpec,
     scene: Scene,
     static: StaticPart,
-    memory: Optional[dict] = None,
+    start: Optional[Scene] = None,
     dt: float = DEFAULT_DT,
-) -> tuple[Decision, dict]:
-    """One control decision for the next ``dt`` seconds."""
-    memory = {} if memory is None else memory
+) -> Decision:
+    """One control decision for the next ``dt`` seconds of a run that
+    started from ``start`` (by default the scene itself)."""
+    start = scene if start is None else start
     profile = spec.profile
     p, v = scene.ego.x, scene.ego.v
     d = static.d
@@ -255,27 +258,22 @@ def step(
     front_x = _nearest_front(scene)
 
     if spec.variant == "constant_speed":
-        return Decision(mode="progress", accel=0.0), memory
+        return Decision(mode="progress", accel=0.0)
 
-    if spec.variant in ("irrational", "non_determinate_brake", "non_determinate_accel"):
-        if "v0" not in memory:
-            memory["v0"] = v
-            memory["x_a0"] = arr_x
-            memory["x_f0"] = front_x
-    accel_rate = spec.accel_rate_for(memory.get("v0", v))
-    brake_rate = spec.brake_rate_for(memory.get("v0", v))
+    accel_rate = spec.accel_rate_for(start.ego.v)
+    brake_rate = spec.brake_rate_for(start.ego.v)
 
-    if spec.variant == "irrational" and spec.fail_region is not None:
+    if spec.variant == "irrational":
         (a_lo, a_hi), (f_lo, f_hi) = spec.fail_region
-        if a_lo <= memory["x_a0"] <= a_hi and f_lo <= memory["x_f0"] <= f_hi:
+        if a_lo <= _nearest_arriving(start) <= a_hi and f_lo <= _nearest_front(start) <= f_hi:
             # Goes cautious far too late: aims the stop inside the zone.
             accel = _cautious_accel(v, p, -d / 2.0, brake_rate, dt)
-            return Decision(mode="cautious", accel=accel), memory
+            return Decision(mode="cautious", accel=accel)
 
     if p > -d:
         # Inside or past the zone: committed, only the front condition matters.
         accel = _progress_accel(profile, p, v, front_x, accel_rate, brake_rate, dt)
-        return Decision(mode="progress", accel=accel), memory
+        return Decision(mode="progress", accel=accel)
 
     x_now = -p
     wants_progress = False
@@ -292,9 +290,9 @@ def step(
 
     if wants_progress:
         accel = _progress_accel(profile, p, v, front_x, accel_rate, brake_rate, dt)
-        return Decision(mode="progress", accel=accel), memory
+        return Decision(mode="progress", accel=accel)
     accel = _cautious_accel(v, p, -(d + CAUTIOUS_MARGIN), brake_rate, dt)
-    return Decision(mode="cautious", accel=accel), memory
+    return Decision(mode="cautious", accel=accel)
 
 
 # -- decision logic over arrays of cells -------------------------------------------
@@ -454,11 +452,13 @@ class ExternalAutopilot:
          "static": {"scenario_type": ..., "d": ..., "vl": ...}}
 
     and reads one decision per line: ``{"mode": "progress"|"cautious",
-    "accel": <float>}``.  Every test case starts with a ``t == 0.0`` scene.
-    One process serves case after case; whether it is still alive is checked
-    when a case starts, and it must take and answer each scene within
-    ``STEP_DEADLINE_S``.  Its stderr is kept in a bounded tail, drained while
-    the bridge waits for a reply.
+    "accel": <float>}``, at most ``_READ_SIZE`` bytes with its newline.  Every
+    test case starts with a ``t == 0.0`` scene, the run's start, which ``step``
+    is given again on every step and does not send.  One process serves case
+    after case; whether it is still alive is checked when a case starts, and
+    it must take and answer each scene within ``STEP_DEADLINE_S``.  A pilot
+    that misses it, or writes a longer line, is stopped.  Its stderr is kept
+    in a bounded tail, drained while the bridge waits for a reply.
     """
 
     def __init__(self, command: str, profile: ADProfile, name: Optional[str] = None):
@@ -583,20 +583,37 @@ class ExternalAutopilot:
                     self._sel.unregister(self._in)
                     self._sel.register(self._out, selectors.EVENT_READ)
 
+    def _abort(self, detail: str) -> ProtocolError:
+        """``_error(detail)``, the process stopped: the next case starts a
+        fresh one."""
+        exc = self._error(detail)
+        self._stop()
+        return exc
+
     def _receive(self, deadline: float) -> bytes:
         """The next reply line; at EOF a last unterminated line, as
-        ``readline`` gives it, then ``b""``."""
+        ``readline`` gives it, then ``b""``.  A pilot still writing its line
+        at ``deadline`` raises ``TimeoutError``, and a line longer than
+        ``_READ_SIZE`` bytes, its newline included, is refused."""
         buf = self._buf
-        while (end := buf.find(b"\n") + 1) == 0:
+        end = buf.find(b"\n") + 1
+        while not end and len(buf) <= _READ_SIZE:
             try:
                 chunk = os.read(self._out, _READ_SIZE)
             except BlockingIOError:  # no reply yet
                 self._wait(deadline)
                 continue
             if not chunk:
-                end = len(buf)
-                break
+                self._buf = b""
+                return buf
+            newline = chunk.find(b"\n")  # only the new bytes can end the line
             buf += chunk
+            if newline >= 0:
+                end = len(buf) - len(chunk) + newline + 1
+            elif time.monotonic() > deadline:
+                raise TimeoutError
+        if not end or end > _READ_SIZE:
+            raise self._abort(f"external autopilot reply line exceeds {_READ_SIZE} bytes")
         self._buf = buf[end:]
         return buf[:end]
 
@@ -604,9 +621,9 @@ class ExternalAutopilot:
         self,
         scene: Scene,
         static: StaticPart,
-        memory: Optional[dict] = None,
+        start: Optional[Scene] = None,
         dt: float = DEFAULT_DT,
-    ) -> tuple[Decision, dict]:
+    ) -> Decision:
         if self._proc is None or (scene.t == 0.0 and self._proc.poll() is not None):
             self._start()
         line = self._encode(scene, static, dt)
@@ -615,9 +632,8 @@ class ExternalAutopilot:
             self._send(line, deadline)
             raw = self._receive(deadline)
         except TimeoutError:
-            exc = self._error(f"external autopilot missed its deadline of {STEP_DEADLINE_S:g} s")
-            self._stop()
-            raise exc from None
+            raise self._abort(
+                f"external autopilot missed its deadline of {STEP_DEADLINE_S:g} s") from None
         except OSError as exc:  # BrokenPipeError: the process is gone
             raise self._error(f"external autopilot pipe failed: {exc}") from exc
         if not raw:
@@ -631,7 +647,7 @@ class ExternalAutopilot:
             raise self._error(f"malformed decision line: {text!r}") from exc
         if mode not in ("progress", "cautious") or not math.isfinite(accel):
             raise self._error(f"invalid decision: {text!r}")
-        return Decision(mode=mode, accel=accel), (memory if memory is not None else {})
+        return Decision(mode=mode, accel=accel)
 
     def close(self) -> None:
         self._stop()

@@ -527,7 +527,7 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
     parallel = workers > 1 and len(tasks) > 1
     if parallel:  # imported here: it costs every start ~10 ms, and one worker needs no pool
         from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
+    with ProcessPoolExecutor(min(workers, len(tasks))) if parallel else nullcontext() as pool:
         results = (pool.map if parallel else map)(_grid_reports, args)
         for (types, group), (reports, work) in zip(tasks, results):
             grid_work.update(work)

@@ -106,10 +106,10 @@ def _run_cells(static: StaticPart, pilots: Sequence, x_e: Sequence[float],
 
     A run is a pilot from an ego start (``pilots``, ``x_e``, ``v_e``), a cell
     one geometry of a run (``run``, ``x_a``, ``x_f``), its horizon the one
-    ``TestCase`` gives by default.  The runs that the lockstep engine can run
-    (``lockstep_applies``: a built-in autopilot) are the runs of one
+    ``TestCase`` gives by default.  A call whose pilots the lockstep engine
+    can all run (``lockstep_applies``: built-in autopilots) is one
     ``simulate_lockstep`` call, graded by ``verdict_arrays`` with no
-    ``TestCase``; the cells of any other run go through ``simulate`` and
+    ``TestCase``; the cells of any other call go through ``simulate`` and
     ``verdict``, one ``TestCase`` at a time, in order, keeping only what is
     returned.  Returns each cell's verdict code (its index in ``VERDICTS``)
     and crossing speed (0.0 where it did not cross).
@@ -120,31 +120,25 @@ def _run_cells(static: StaticPart, pilots: Sequence, x_e: Sequence[float],
     engine calls and their array steps), and ``scalar_simulate_calls``.
     """
     run, x_a, x_f = np.asarray(run, dtype=np.intp), np.asarray(x_a, float), np.asarray(x_f, float)
-    codes, v_cross = np.zeros(run.size, dtype=int), np.zeros(run.size)
-    batched = np.array([lockstep_applies(pilot) for pilot in pilots], dtype=bool)
-    cells = batched[run]
-    steps = early_exits = batch_steps = 0
-    if cells.any():
-        ids = np.flatnonzero(batched).tolist()
-        lockstep = simulate_lockstep(
-            [pilots[r] for r in ids], static, [x_e[r] for r in ids], [v_e[r] for r in ids],
-            (np.cumsum(batched) - 1)[run[cells]], x_a[cells], x_f[cells], cfg)
-        codes[cells], v_cross[cells] = verdict_arrays(lockstep), lockstep.v_cross
+    batched = run.size > 0 and all(lockstep_applies(pilot) for pilot in pilots)
+    if batched:
+        lockstep = simulate_lockstep(pilots, static, x_e, v_e, run, x_a, x_f, cfg)
+        codes, v_cross = verdict_arrays(lockstep), lockstep.v_cross
         steps, batch_steps = int(lockstep.steps.sum()), int(lockstep.steps.max())
         early_exits = int((lockstep.steps < lockstep.horizon).sum())
-    scalar = np.flatnonzero(~cells)
-    for i, r, cell_x_a, cell_x_f in zip(scalar.tolist(), run[scalar].tolist(),
-                                        x_a[scalar].tolist(), x_f[scalar].tolist()):
-        tc = TestCase(static=static, x_e=x_e[r], v_e=v_e[r], x_a=cell_x_a, x_f=cell_x_f,
-                      dt=cfg.dt)
-        out = simulate(pilots[r], tc, cfg)
-        codes[i] = VERDICT_CODES[verdict(out)]
-        v_cross[i] = 0.0 if out.v_cross is None else out.v_cross
-        steps += out.steps
-        early_exits += out.steps < tc.horizon
+    else:
+        codes, v_cross = np.zeros(run.size, dtype=int), np.zeros(run.size)
+        steps = early_exits = batch_steps = 0
+        for i, (r, a, f) in enumerate(zip(run.tolist(), x_a.tolist(), x_f.tolist())):
+            tc = TestCase(static=static, x_e=x_e[r], v_e=v_e[r], x_a=a, x_f=f, dt=cfg.dt)
+            out = simulate(pilots[r], tc, cfg)
+            codes[i] = VERDICT_CODES[verdict(out)]
+            v_cross[i] = 0.0 if out.v_cross is None else out.v_cross
+            steps += out.steps
+            early_exits += out.steps < tc.horizon
     work.update(cells=run.size, cell_steps=steps, early_exits=early_exits,
-                lockstep_batches=int(cells.any()), lockstep_steps=batch_steps,
-                scalar_simulate_calls=scalar.size)
+                lockstep_batches=int(batched), lockstep_steps=batch_steps,
+                scalar_simulate_calls=0 if batched else run.size)
     return codes, v_cross
 
 
@@ -158,9 +152,9 @@ def run_grids(
 
     ``jobs`` pairs a pilot with a grid; a ``GridResult`` comes back per job,
     in order.  Each grid is a run of ``_run_cells``, its cells, ``x_a``-major,
-    the run's cells: the grids that the lockstep engine can run, whatever
-    their pilot, take one ``simulate_lockstep`` call, any other grid runs
-    ``simulate`` cell by cell.  The caller bounds the cells of one call.  The
+    the run's cells: the grids take one ``simulate_lockstep`` call if the
+    lockstep engine can run every pilot, whatever the pilot, and otherwise
+    run ``simulate`` cell by cell.  The caller bounds the cells of one call.  The
     work done is added to ``work``, as ``_run_cells`` counts it.
     """
     if not jobs:
@@ -402,7 +396,7 @@ def _restart_states(autopilot, tc: TestCase, restart_every: int, cfg: SimConfig,
             f"baseline run did not cross and pass (verdict {base_verdict.kind.value})")
     states = []
     # From one period in: the state at t = 0 is the baseline's own case.
-    for frame in base.scenario.frames[restart_every::restart_every]:
+    for frame in base.frames[restart_every::restart_every]:
         if frame.ego.x >= 0.0:
             break  # restarts past the conflict point have an empty approach
         x_a = tc.x_a - tc.static.vl * frame.t
@@ -426,9 +420,9 @@ def determinacy_check_progress(
     start and before the conflict point, while the arriving vehicle has not
     reached it, becomes a fresh test case: the ego resumes at the visited
     state while the environment is shifted to its state at that time.  The
-    restarts of all checks are the runs of one ``_run_cells`` call, so those
-    of the pilots the lockstep engine runs take one engine call (which, as
-    for a grid, refuses a start above the pilot's ``v_max``).  A report
+    restarts of all checks are the runs of one ``_run_cells`` call, so
+    restarts of built-in pilots alone take one engine call (which, as for a
+    grid, refuses a start above the pilot's ``v_max``).  A report
     records verdict flips and the spread of conflict-point speeds, tolerated
     up to 0.2 m/s; a check whose baseline is not a progress pass gets the
     ``CheckAbortedError`` that says so in place of its report.  The work

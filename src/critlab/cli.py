@@ -158,9 +158,9 @@ def _run(args: argparse.Namespace) -> int:
         if args.out:
             path = Path(args.out)
             if path.suffix == ".json":
-                path.write_text(scenario_to_json(outcome.scenario))
+                path.write_text(scenario_to_json(tc.static, outcome.frames))
             else:
-                path.write_text(scenario_to_csv(outcome.scenario))
+                path.write_text(scenario_to_csv(outcome.frames))
         return 0
 
     if args.command == "campaign":

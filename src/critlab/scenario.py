@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -33,9 +33,7 @@ __all__ = [
     "ExtraVehicle",
     "EnvState",
     "Scene",
-    "Scenario",
     "TestCase",
-    "Goal",
     "HorizonError",
     "WindowUndefinedError",
     "DEFAULT_DT",
@@ -53,6 +51,7 @@ __all__ = [
     "static_from_dict",
     "scenario_to_dict",
     "scenario_to_csv",
+    "scenario_to_json",
 ]
 
 DEFAULT_DT = 0.1  # s
@@ -84,7 +83,6 @@ class Light(str, enum.Enum):
 class Property(str, enum.Enum):
     NO_COLLISION_ARRIVING = "no_collision_arriving"
     NO_COLLISION_FRONT = "no_collision_front"
-    NO_ZONE_COOCCUPANCY = "no_zone_cooccupancy"
     NO_RED_LIGHT_ENTRY = "no_red_light_entry"
 
 
@@ -137,7 +135,11 @@ class VehicleState:
 @dataclass(frozen=True)
 class ExtraVehicle:
     kind: str  # "arriving" (moves at vl toward the point) | "static" (parked past it)
-    x: float  # m, initial distance in the same convention as its kind
+    x: float  # m, distance in the same convention as its kind
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("arriving", "static"):
+            raise ValueError(f"extra vehicle kind must be 'arriving' or 'static': {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -153,12 +155,6 @@ class Scene:
     t: float  # s
     ego: EgoState
     env: EnvState
-
-
-@dataclass
-class Scenario:
-    static: StaticPart
-    frames: list[Scene] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -187,6 +183,9 @@ class TestCase:
                 raise ValueError(f"{name} must be finite: {getattr(self, name)}")
         if self.x_e <= 0 or self.x_a <= 0 or self.x_f <= 0:
             raise ValueError("x_e, x_a and x_f must all be positive")
+        for m in self.mutations:
+            if not 0 < m.x < math.inf:
+                raise ValueError(f"mutation x must be positive and finite: {m.x}")
         if self.v_e < 0:
             raise ValueError("v_e must be non-negative")
         if not 0 < self.dt < math.inf:
@@ -212,22 +211,12 @@ class TestCase:
         return EgoState(x=-self.x_e, v=self.v_e)
 
 
-@dataclass(frozen=True)
-class Goal:
-    """Tested properties; a run that stops short of the zone passes cautiously."""
-
-    properties: frozenset[Property]
-
-    def __post_init__(self) -> None:
-        if not self.properties:
-            raise ValueError("goal must test at least one property")
-
-
-def default_goal(static: StaticPart) -> Goal:
+def default_goal(static: StaticPart) -> frozenset[Property]:
+    """The properties a run over ``static`` is graded on."""
     props = {Property.NO_COLLISION_ARRIVING, Property.NO_COLLISION_FRONT}
     if static.scenario_type is ScenarioType.INTERSECTION_LIGHT:
         props.add(Property.NO_RED_LIGHT_ENTRY)
-    return Goal(properties=frozenset(props))
+    return frozenset(props)
 
 
 def horizon_steps(static: StaticPart, x_a, dt: float, slack: float = 0.0):
@@ -362,9 +351,9 @@ def test_case_from_dict(data: dict, dt: float = DEFAULT_DT) -> TestCase:
         raise ValueError(f"invalid test case: {exc}") from exc
 
 
-def scenario_to_dict(sc: Scenario) -> dict:
+def scenario_to_dict(static: StaticPart, frames: list[Scene]) -> dict:
     return {
-        "static": _static_to_dict(sc.static),
+        "static": _static_to_dict(static),
         "frames": [
             {
                 "t": round(f.t, 9),
@@ -374,15 +363,15 @@ def scenario_to_dict(sc: Scenario) -> dict:
                 "extra": [{"kind": e.kind, "x": e.x} for e in f.env.extra_vehicles],
                 "light": f.env.light.value if f.env.light else None,
             }
-            for f in sc.frames
+            for f in frames
         ],
     }
 
 
-def scenario_to_csv(sc: Scenario) -> str:
+def scenario_to_csv(frames: list[Scene]) -> str:
     """Per-frame CSV ``t,x_e,v_e,x_a,v_a,x_f,light`` for plotting."""
     lines = ["t,x_e,v_e,x_a,v_a,x_f,light"]
-    for f in sc.frames:
+    for f in frames:
         light = f.env.light.value if f.env.light else ""
         lines.append(
             f"{f.t:.3f},{f.ego.x:.6f},{f.ego.v:.6f},{f.env.arriving.x:.6f},"
@@ -391,5 +380,5 @@ def scenario_to_csv(sc: Scenario) -> str:
     return "\n".join(lines) + "\n"
 
 
-def scenario_to_json(sc: Scenario) -> str:
-    return json.dumps(scenario_to_dict(sc), indent=2)
+def scenario_to_json(static: StaticPart, frames: list[Scene]) -> str:
+    return json.dumps(scenario_to_dict(static, frames), indent=2)

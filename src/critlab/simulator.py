@@ -6,10 +6,11 @@ Collision with the arriving vehicle is a crossing-order event: it fires when
 the ego has not cleared the conflict point by the time the arriving vehicle
 reaches it (within a small boundary tolerance) while both are inside the
 critical zone.  An ego that crosses first is out of the arriving vehicle's
-way; mere co-occupancy of the zone is recorded as its own event and can be
-failed through the stricter ``NO_ZONE_COOCCUPANCY`` property.
+way; mere co-occupancy of the zone is recorded as its own event and never
+fails a run.
 
-``simulate`` runs one case with any autopilot, records its trace, and is the
+``simulate`` runs one case with any autopilot, each step's pilot given the
+current scene and the run's start, records its trace, and is the
 reference.  ``simulate_lockstep`` runs many cases over one static part
 together, one numpy array step per time step, for any mix of built-in
 autopilots; it gives every case the outcome ``simulate`` gives it, crossing
@@ -32,9 +33,7 @@ from .scenario import (
     DEFAULT_DT,
     EgoState,
     HORIZON_SLACK,
-    Goal,
     Property,
-    Scenario,
     Scene,
     StaticPart,
     TestCase,
@@ -95,12 +94,12 @@ class SimConfig:
 
 @dataclass
 class SimOutcome:
-    """One run of ``simulate``: its trace (``scenario.frames``, one per step
-    taken, and the start), events in time order, final ego state, and the
-    crossing of the conflict point, if any."""
+    """One run of ``simulate``: its trace (``frames``, the start and one per
+    step taken), events in time order, final ego state, and the crossing of
+    the conflict point, if any."""
 
     tc: TestCase
-    scenario: Scenario
+    frames: list[Scene]
     events: list[Event]
     final: EgoState
     steps: int
@@ -112,16 +111,6 @@ class SimOutcome:
 
     def has(self, kind: EventKind) -> bool:
         return any(e.kind is kind for e in self.events)
-
-    def first(self, kind: EventKind) -> Optional[Event]:
-        for e in self.events:
-            if e.kind is kind:
-                return e
-        return None
-
-    @property
-    def collided(self) -> bool:
-        return self.has(EventKind.COLLISION_ARRIVING) or self.has(EventKind.COLLISION_FRONT)
 
 
 class VerdictKind(str, enum.Enum):
@@ -143,7 +132,6 @@ class Verdict:
 _PROPERTY_EVENTS = {
     Property.NO_COLLISION_ARRIVING: EventKind.COLLISION_ARRIVING,
     Property.NO_COLLISION_FRONT: EventKind.COLLISION_FRONT,
-    Property.NO_ZONE_COOCCUPANCY: EventKind.ZONE_COOCCUPANCY,
     Property.NO_RED_LIGHT_ENTRY: EventKind.RED_LIGHT_ENTRY,
 }
 
@@ -156,14 +144,15 @@ def simulate(
 ) -> SimOutcome:
     """Run one closed-loop scenario to a stable end, collision, or horizon.
 
-    Each step's pilot sees the last recorded frame, and every step adds one,
-    so the outcome carries the whole trace.  The run ends early once the ego
-    is stopped clear of the conflict (either before the zone or past the
-    point) and the arriving vehicle has left the zone; nothing can change
-    after that.  Environment states are built only for the steps the run
-    takes.  The crossing's time and speed are interpolated linearly within
-    the step that reaches the point.  ``record`` is kept for callers that
-    still pass it and changes nothing: every run records its trace.
+    Each step's pilot sees the last recorded frame and the first, the run's
+    start, and every step adds one, so the outcome carries the whole trace.
+    The run ends early once the ego is stopped clear of the conflict (either
+    before the zone or past the point) and the arriving vehicle has left the
+    zone; nothing can change after that.  Environment states are built only
+    for the steps the run takes.  The crossing's time and speed are
+    interpolated linearly within the step that reaches the point.  ``record``
+    is kept for callers that still pass it and changes nothing: every run
+    records its trace.
     """
     dt = cfg.dt
     tc.check_horizon(dt)
@@ -179,7 +168,6 @@ def simulate(
     ego = tc.initial_ego()
     frames = [Scene(t=0.0, ego=ego, env=env_at(tc, 0.0))]
     events: list[Event] = []
-    memory: dict = {}
 
     crossed = False
     t_cross: Optional[float] = None
@@ -192,8 +180,7 @@ def simulate(
 
     p, v = ego.x, ego.v
     for i in range(n):
-        decision, memory = autopilot.step(frames[-1], static, memory, dt)
-        a = decision.accel
+        a = autopilot.step(frames[-1], static, frames[0], dt).accel
         if not math.isfinite(a):
             events.append(Event(EventKind.ABORTED, i * dt))
             break
@@ -251,9 +238,9 @@ def simulate(
         events.append(Event(EventKind.HORIZON_EXHAUSTED, n * dt))
 
     events.sort(key=lambda e: e.t)
-    return SimOutcome(tc=tc, scenario=Scenario(static=static, frames=frames), events=events,
-                      final=EgoState(p, v), steps=steps, t_cross=t_cross, v_cross=v_cross,
-                      t_arrive=t_arrive, race_won=race_exempt, zone_epsilon=cfg.zone_epsilon)
+    return SimOutcome(tc=tc, frames=frames, events=events, final=EgoState(p, v), steps=steps,
+                      t_cross=t_cross, v_cross=v_cross, t_arrive=t_arrive, race_won=race_exempt,
+                      zone_epsilon=cfg.zone_epsilon)
 
 
 def lockstep_applies(autopilot) -> bool:
@@ -445,8 +432,8 @@ def verdict_arrays(runs: LockstepRuns) -> np.ndarray:
     """``verdict`` of every cell of a lockstep batch, as its index in
     ``VERDICTS``.
 
-    The rules are ``verdict``'s under ``default_goal``, and the first that
-    applies decides: the goal's properties in sorted order, then crossed,
+    The rules are ``verdict``'s, and the first that applies decides: the
+    properties of ``default_goal`` in sorted order, then crossed,
     then stopped.  A lockstep run never aborts (a built-in pilot commands
     finite accelerations), so ``verdict``'s aborted rule has nothing to grade.
     """
@@ -461,20 +448,19 @@ def verdict_arrays(runs: LockstepRuns) -> np.ndarray:
         np.where(stopped & (runs.final_p < -static.d), _CAUTIOUS, _SHORT),
     )
     # Last property first, so that the first that applies is the one left.
-    for prop in sorted(default_goal(static).properties, key=lambda pr: pr.value, reverse=True):
+    for prop in sorted(default_goal(static), key=lambda pr: pr.value, reverse=True):
         fired = runs.event_step[_STEP_EVENTS.index(_PROPERTY_EVENTS[prop])] >= 0
         code = np.where(fired, VERDICT_CODES[Verdict(VerdictKind.FAIL, prop.value)], code)
     return code
 
 
-def verdict(outcome: SimOutcome, goal: Optional[Goal] = None) -> Verdict:
-    """Grade one outcome against a goal.
+def verdict(outcome: SimOutcome) -> Verdict:
+    """Grade one outcome against the properties of ``default_goal``.
 
     Any violated property fails.  Otherwise a run passes either by crossing and
     stopping behind the front vehicle, or by stopping short of the zone.
     """
-    goal = goal if goal is not None else default_goal(outcome.tc.static)
-    for prop in sorted(goal.properties, key=lambda pr: pr.value):
+    for prop in sorted(default_goal(outcome.tc.static), key=lambda pr: pr.value):
         kind = _PROPERTY_EVENTS[prop]
         if outcome.has(kind):
             return Verdict(VerdictKind.FAIL, reason=prop.value)

@@ -155,7 +155,7 @@ def progress_determinacy_scalar(autopilot, tc, restart_every=5, cfg=SimConfig())
     restarts = []
     flips = 0
     vl = tc.static.vl
-    frames = base.scenario.frames
+    frames = base.frames
     for i in range(restart_every, len(frames), restart_every):
         frame = frames[i]
         if frame.ego.x >= 0.0:

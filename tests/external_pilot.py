@@ -6,7 +6,8 @@ a stop before the zone; "garbage" answers argv[2] scenes (1 if not given) as
 "sleep" reads one scene and then stalls without answering; "stderr" reads one
 scene, writes more than a pipe holds to stderr, ending with the line
 ``STDERR_LAST``, and then answers with garbage; "deaf" writes decisions
-without ever reading a scene.
+without ever reading a scene; "flood" reads one scene, writes 8 MB without a
+newline and then stalls.
 """
 
 import json
@@ -25,7 +26,10 @@ def main() -> None:
     for line in sys.stdin:
         scene = json.loads(line)
         count += 1
-        if mode == "sleep":
+        if mode == "flood":
+            sys.stdout.write("x" * (8 << 20))
+            sys.stdout.flush()
+        if mode in ("sleep", "flood"):
             time.sleep(60.0)
         if mode == "stderr":
             for i in range(2000):  # 2000 lines of 50 bytes: 100 KB

@@ -14,7 +14,9 @@ import critlab.autopilots
 from _oracles import scene_line
 from external_pilot import STDERR_LAST
 from critlab.autopilots import (
+    FACTORIES,
     AutopilotSpec,
+    Decision,
     ExternalAutopilot,
     ProtocolError,
     always_cautious,
@@ -27,6 +29,7 @@ from critlab.autopilots import (
     step,
     transition_flawed,
 )
+from critlab.kinematics import ADProfile
 from critlab.scenario import (
     EgoState,
     EnvState,
@@ -52,32 +55,24 @@ class TestReferenceDecision:
     def test_progress_when_both_conditions_hold(self, std_profile, merge_static):
         # boundary is (26.235, 13.125); (30, 14) clears both conditions
         tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=30.0, x_f=14.0)
-        decision, memory = step(reference(std_profile), _scene(tc), merge_static)
+        decision = step(reference(std_profile), _scene(tc), merge_static)
         assert decision.mode == "progress"
         assert decision.accel == pytest.approx(std_profile.a_max)
-        assert memory == {}
 
     def test_cautious_when_arrival_too_close(self, std_profile, merge_static):
         tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=20.0, x_f=14.0)
-        decision, _ = step(reference(std_profile), _scene(tc), merge_static)
+        decision = step(reference(std_profile), _scene(tc), merge_static)
         assert decision.mode == "cautious"
 
     def test_cautious_when_front_too_close(self, std_profile, merge_static):
         tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=30.0, x_f=10.0)
-        decision, _ = step(reference(std_profile), _scene(tc), merge_static)
+        decision = step(reference(std_profile), _scene(tc), merge_static)
         assert decision.mode == "cautious"
-
-    def test_memory_stays_empty(self, std_profile, merge_static):
-        tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=30.0, x_f=14.0)
-        memory = {}
-        for t in (0.0, 0.5, 1.0):
-            _, memory = step(reference(std_profile), _scene(tc, t), merge_static, memory)
-        assert memory == {}
 
     def test_committed_inside_zone(self, std_profile, merge_static):
         tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=30.0, x_f=14.0)
         scene = _scene(tc, t=2.3, ego=EgoState(-3.0, 9.5))
-        decision, _ = step(reference(std_profile), scene, merge_static)
+        decision = step(reference(std_profile), scene, merge_static)
         assert decision.mode == "progress"
 
 
@@ -116,16 +111,14 @@ class TestVariants:
 
     def test_transition_flawed_progresses_too_early(self, std_profile, merge_static):
         tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=24.0, x_f=14.0)
-        ref_decision, _ = step(reference(std_profile), _scene(tc), merge_static)
-        flawed_decision, _ = step(
-            transition_flawed(std_profile, 1.3), _scene(tc), merge_static
-        )
+        ref_decision = step(reference(std_profile), _scene(tc), merge_static)
+        flawed_decision = step(transition_flawed(std_profile, 1.3), _scene(tc), merge_static)
         assert ref_decision.mode == "cautious"
         assert flawed_decision.mode == "progress"
 
     def test_overcautious_requires_extra_margin(self, std_profile, merge_static):
         tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=30.0, x_f=14.0)
-        decision, _ = step(overcautious(std_profile, 1.4), _scene(tc), merge_static)
+        decision = step(overcautious(std_profile, 1.4), _scene(tc), merge_static)
         assert decision.mode == "cautious"
 
     def test_irrational_fails_only_inside_region(self, std_profile, merge_static):
@@ -140,7 +133,7 @@ def _ego_trace(spec, tc, dt=0.1):
     """The ego states ``simulate`` records for ``spec`` on ``tc``, one per
     frame, with the run's step count."""
     out = simulate(spec, tc, SimConfig(dt=dt))
-    return [f.ego for f in out.scenario.frames], out.steps
+    return [f.ego for f in out.frames], out.steps
 
 
 class TestRunPolicy:
@@ -196,13 +189,57 @@ def test_decisions_are_total_and_bounded(p, v, x_a, x_f, variant):
     }
     tc = TestCase(static=static, x_e=20.0, v_e=5.0, x_a=x_a, x_f=x_f)
     scene = Scene(t=0.0, ego=EgoState(p, v), env=env_at(tc, 0.0))
-    decision, _ = step(pilots[variant], scene, static)
+    decision = step(pilots[variant], scene, static)
     assert math.isfinite(decision.accel)
     assert abs(decision.accel) <= max(profile.a_max, profile.b_max) + 1e-9
     assert decision.mode in ("progress", "cautious")
 
 
+_MERGE = StaticPart(ScenarioType.MERGE_YIELD, vl=10.0, d=5.0)
+_POSITION = st.floats(1.0, 80.0)
+
+
+@st.composite
+def _start(draw):
+    """A scene a run over ``_MERGE`` can start from: an ego start, a
+    geometry and up to two extra vehicles."""
+    extras = draw(st.lists(st.builds(ExtraVehicle, st.sampled_from(["arriving", "static"]),
+                                     _POSITION), max_size=2))
+    tc = TestCase(static=_MERGE, x_e=draw(_POSITION), v_e=draw(st.floats(0.0, 15.0)),
+                  x_a=draw(_POSITION), x_f=draw(_POSITION), mutations=tuple(extras))
+    return _scene(tc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    variant=st.sampled_from(
+        ["reference", "transition_flawed", "overcautious", "always_cautious", "constant_speed"]
+    ),
+    t=st.floats(0.0, 5.0),
+    p=st.floats(-60.0, 30.0),
+    v=st.floats(0.0, 15.0),
+    run=_start(),
+    starts=st.tuples(_start(), _start()),
+)
+def test_determinate_variants_ignore_the_start(variant, t, p, v, run, starts):
+    """A determinate pilot decides a scene alike from any two starts, and as
+    from the scene itself."""
+    pilot = FACTORIES[variant](ADProfile(2.0, 4.0, 15.0))
+    scene = Scene(t=t, ego=EgoState(p, v), env=run.env)
+    decision = step(pilot, scene, _MERGE)
+    assert [step(pilot, scene, _MERGE, start) for start in starts] == [decision, decision]
+
+
 class TestNonDeterminateVariants:
+    def test_brake_rate_follows_the_start_speed(self, merge_static):
+        """Braked from 30 to 27.5 m/s, the pilot still brakes at the rate
+        for 30 m/s, where a run started at 27.5 m/s brakes at its own."""
+        spec = non_determinate_brake(ADProfile(2.0, 5.0, 30.0), {30.0: 5.0, 27.5: 3.0})
+        tc = TestCase(static=merge_static, x_e=60.0, v_e=30.0, x_a=20.0, x_f=14.0)
+        scene = _scene(tc, t=0.5, ego=EgoState(-45.0, 27.5))
+        assert step(spec, scene, merge_static, _scene(tc)) == Decision("cautious", -5.0)
+        assert step(spec, scene, merge_static) == Decision("cautious", -3.0)
+
     def test_brake_restart_stops_much_later(self):
         from critlab.kinematics import ADProfile
         from _oracles import brake_trace_stop
@@ -226,7 +263,7 @@ class TestExternalAutopilot:
     def test_hold_policy_round_trip(self, std_profile, merge_static):
         tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=30.0, x_f=100.0)
         with ExternalAutopilot(EXTERNAL + " hold", std_profile) as pilot:
-            decision, _ = pilot.step(_scene(tc), merge_static, {}, 0.1)
+            decision = pilot.step(_scene(tc), merge_static, None, 0.1)
             assert decision.accel == 0.0
 
     def test_cautious_policy_simulates(self, std_profile, merge_static):
@@ -249,9 +286,23 @@ class TestExternalAutopilot:
         with ExternalAutopilot(EXTERNAL + " sleep", std_profile) as pilot, hang_guard(5.0):
             start = time.monotonic()
             with pytest.raises(ProtocolError, match="missed its deadline"):
-                pilot.step(_scene(tc), merge_static, {}, 0.1)
+                pilot.step(_scene(tc), merge_static, None, 0.1)
             assert time.monotonic() - start < 0.3 + 2.0
             assert pilot._proc is None  # killed: the next case starts a fresh one
+
+    def test_flooding_pilot_is_refused_promptly(
+        self, std_profile, merge_static, monkeypatch, hang_guard
+    ):
+        """A pilot that wrote megabytes without a newline held its step for
+        as long as it wrote, the bridge buffering and rescanning it all."""
+        monkeypatch.setattr(critlab.autopilots, "STEP_DEADLINE_S", 0.3, raising=False)
+        tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=30.0, x_f=14.0)
+        with ExternalAutopilot(EXTERNAL + " flood", std_profile) as pilot, hang_guard(5.0):
+            start = time.monotonic()
+            with pytest.raises(ProtocolError, match="reply line exceeds 65536 bytes"):
+                pilot.step(_scene(tc), merge_static, None, 0.1)
+            assert time.monotonic() - start < 0.3 + 2.0
+            assert pilot._proc is None  # stopped: the next case starts a fresh one
 
     def test_pilot_that_stops_reading_misses_its_deadline(
         self, std_profile, merge_static, monkeypatch, hang_guard
@@ -262,7 +313,7 @@ class TestExternalAutopilot:
         with hang_guard(5.0), ExternalAutopilot(EXTERNAL + " deaf", std_profile) as pilot:
             with pytest.raises(ProtocolError, match="missed its deadline"):
                 for _ in range(10_000):  # 2.5 MB of scenes
-                    pilot.step(_scene(tc), merge_static, {}, 0.1)
+                    pilot.step(_scene(tc), merge_static, None, 0.1)
 
     def test_chatty_stderr_neither_deadlocks_nor_loses_its_tail(
         self, std_profile, merge_static, hang_guard
@@ -270,7 +321,7 @@ class TestExternalAutopilot:
         tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=30.0, x_f=14.0)
         with ExternalAutopilot(EXTERNAL + " stderr", std_profile) as pilot, hang_guard(10.0):
             with pytest.raises(ProtocolError, match="malformed decision line") as info:
-                pilot.step(_scene(tc), merge_static, {}, 0.1)
+                pilot.step(_scene(tc), merge_static, None, 0.1)
         detail = str(info.value)
         assert STDERR_LAST in detail
         assert "chatter 001999" in detail and "chatter 000000" not in detail
@@ -281,11 +332,11 @@ class TestExternalAutopilot:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ResourceWarning)
             pilot = ExternalAutopilot(EXTERNAL + " hold", std_profile)
-            pilot.step(_scene(tc), merge_static, {}, 0.1)
+            pilot.step(_scene(tc), merge_static, None, 0.1)
             first = pilot._proc
             first.kill()  # dies between two cases
             first.wait()
-            pilot.step(_scene(tc), merge_static, {}, 0.1)  # t == 0: a fresh process
+            pilot.step(_scene(tc), merge_static, None, 0.1)  # t == 0: a fresh process
             assert pilot._proc is not first
             pilot.close()
             del pilot, first

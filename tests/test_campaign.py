@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import sys
@@ -438,6 +439,23 @@ class TestWorkers:
                           for p in sorted(out.rglob("*")) if p.is_file()})
         assert len(trees[0]) == 2 * 4 * 4 + 3
         assert trees[0] == trees[1]
+
+    def test_pool_has_one_process_per_task_at_most(self, monkeypatch):
+        """One pilot from two starts is two tasks: four workers start two
+        processes, not four."""
+        sizes = []
+
+        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        raw = small_config().raw
+        config = small_config(autopilots=raw["autopilots"][:1],
+                              initial_states=[[20.0, 5.0], [25.0, 7.5]], workers=4)
+        run_campaign(config)
+        assert sizes == [2]
 
 
 def four_type_config(**overrides):

@@ -356,10 +356,18 @@ class TestErrorExits:
         (lambda data: {**data, "horizon": 400.5}, "test case horizon must be a step count: 400.5"),
         (lambda data: {**data, "mutations": [{"kind": "static", "x": "5"}]},
          'test case mutation x must be a number: "5"'),
+        (lambda data: {**data, "mutations": [{"kind": "parked", "x": 3.0}]},
+         "extra vehicle kind must be 'arriving' or 'static': 'parked'"),
+        (lambda data: {**data, "mutations": [{"kind": "static", "x": math.nan}]},
+         "mutation x must be positive and finite: nan"),
+        (lambda data: {**data, "mutations": [{"kind": "arriving", "x": -3.0}]},
+         "mutation x must be positive and finite: -3.0"),
     ], ids=["missing-key", "not-an-object", "string-number", "boolean-number", "float-horizon",
-            "string-mutation"])
+            "string-mutation", "unknown-mutation-kind", "nan-mutation", "negative-mutation"])
     def test_malformed_test_case_is_refused(self, tmp_path, capsys, edit, message):
-        """Each once ended in a traceback, except a boolean ``x_e``, which ran as 1 m."""
+        """Each once ended in a traceback, except a boolean ``x_e``, which ran
+        as 1 m, and a mutation of an unknown kind or a NaN ``x``, which ran as
+        the case without it."""
         path = _write_testcase(tmp_path)
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))
         assert main(["simulate", "--testcase", str(path)]) == 1

@@ -29,7 +29,7 @@ from critlab.classify import (
 from critlab.criticality import most_critical
 from critlab.kinematics import ADProfile
 from critlab.scenario import ScenarioType, StaticPart, TestCase
-from critlab.scenario import EgoState, Scenario
+from critlab.scenario import EgoState
 from critlab.simulator import (
     _STEP_EVENTS,
     VERDICTS,
@@ -63,8 +63,8 @@ class _PythonPilot:
         self.profile = profile
         self.name = "python_reference"
 
-    def step(self, scene, static, memory, dt):
-        return step(reference(self.profile), scene, static, memory, dt)
+    def step(self, scene, static, start, dt):
+        return step(reference(self.profile), scene, static, start, dt)
 
 
 def _distances(lo, hi):
@@ -181,7 +181,7 @@ def outcome(runs, tc, i):
                       EventKind.CROSSED_CONFLICT))
     keyed.sort()
     return SimOutcome(
-        tc=tc, scenario=Scenario(static=tc.static),
+        tc=tc, frames=[],
         events=[Event(kind, t) for t, _, _, kind in keyed],
         final=EgoState(float(runs.final_p[i]), float(runs.final_v[i])),
         steps=int(runs.steps[i]), t_cross=float(runs.t_cross[i]) if crossed else None,
@@ -362,11 +362,13 @@ def _restarts(rep):
 def _check_progress(checks, restart_every, cfg):
     """The batched progress checks equal the scalar oracle's, check by check.
     The work counts each of the oracle's restarts as a cell, and each
-    baseline and each restart the engine cannot run as a ``simulate`` call."""
+    baseline as a ``simulate`` call; the restarts are one engine call if the
+    engine can run every pilot that restarts, and a ``simulate`` call each
+    otherwise."""
     work = Counter()
     reports = determinacy_check_progress(checks, restart_every, cfg, work)
     assert len(reports) == len(checks)
-    restarts = scalar_restarts = 0
+    restarts, batched = 0, True
     for (pilot, tc), rep in zip(checks, reports):
         try:
             want = progress_determinacy_scalar(pilot, tc, restart_every, cfg)
@@ -378,11 +380,12 @@ def _check_progress(checks, restart_every, cfg):
         assert rep.verdict_flips == want.verdict_flips
         assert _bits(rep.max_deviation) == _bits(want.max_deviation)
         restarts += len(want.restarts)
-        scalar_restarts += 0 if lockstep_applies(pilot) else len(want.restarts)
+        batched &= lockstep_applies(pilot) or not want.restarts
+    batched &= restarts > 0
     assert set(work) == WORK_KEYS
     assert work["cells"] == restarts
-    assert work["scalar_simulate_calls"] == len(checks) + scalar_restarts
-    assert work["lockstep_batches"] == int(restarts > scalar_restarts)
+    assert work["scalar_simulate_calls"] == len(checks) + (0 if batched else restarts)
+    assert work["lockstep_batches"] == int(batched)
     return reports, work
 
 
@@ -404,9 +407,11 @@ def test_batched_progress_checks_equal_the_scalar_ones(batch):
 
 
 class TestProgressRestartRouting:
-    """The restarts of lockstep pilots take one engine call; others, ``simulate``."""
+    """The restarts of one call take one engine call if every pilot is built
+    in, and ``simulate`` each otherwise."""
 
     def test_a_python_pilot_restarts_on_the_scalar_path(self, monkeypatch):
+        """With a built-in pilot beside it: the whole call is scalar."""
         calls = Counter()
         for name in ("simulate", "simulate_lockstep"):
             def counting(*args, real=getattr(critlab.classify, name), name=name, **kwargs):
@@ -416,9 +421,10 @@ class TestProgressRestartRouting:
             monkeypatch.setattr(critlab.classify, name, counting)
         checks = [(pilot, progress_probe(MERGE, 20.0, 5.0, STD))
                   for pilot in (_PythonPilot(STD), reference(STD))]
-        (scalar, batched), work = _check_progress(checks, 5, SimConfig())
-        assert scalar.restarts and batched.restarts
-        assert work["cells"] == len(scalar.restarts) + len(batched.restarts)
-        assert work["scalar_simulate_calls"] == 2 + len(scalar.restarts)
-        assert work["lockstep_batches"] == 1
-        assert calls == {"simulate": 2 + len(scalar.restarts), "simulate_lockstep": 1}
+        (scalar, built_in), work = _check_progress(checks, 5, SimConfig())
+        n = len(scalar.restarts) + len(built_in.restarts)
+        assert scalar.restarts and _restarts(scalar) == _restarts(built_in)
+        assert work["cells"] == n
+        assert work["scalar_simulate_calls"] == 2 + n
+        assert work["lockstep_batches"] == work["lockstep_steps"] == 0
+        assert calls == {"simulate": 2 + n}

@@ -21,7 +21,7 @@ from critlab.scenario import (
 )
 from critlab.scenario import test_case_from_dict as tc_from_dict
 from critlab.scenario import test_case_to_dict as tc_to_dict
-from critlab.scenario import Scenario, Scene, EgoState
+from critlab.scenario import Scene, EgoState
 
 from _oracles import zone_overlap_constant_speed
 
@@ -158,12 +158,8 @@ class TestSerialization:
         back = tc_from_dict(json.loads(json.dumps(data)))
         assert back == tc
 
-    def test_scenario_csv_header(self, tc, merge_static):
-        sc = Scenario(
-            static=merge_static,
-            frames=[Scene(t=0.0, ego=EgoState(-20.0, 5.0), env=expand(tc, 0.1)[0])],
-        )
-        text = scenario_to_csv(sc)
+    def test_scenario_csv_header(self, tc):
+        text = scenario_to_csv([Scene(t=0.0, ego=EgoState(-20.0, 5.0), env=expand(tc, 0.1)[0])])
         assert text.splitlines()[0] == "t,x_e,v_e,x_a,v_a,x_f,light"
         assert "-20.000000,5.000000,30.000000,10.000000,15.000000" in text.splitlines()[1]
 
@@ -192,6 +188,18 @@ class TestSerialization:
         static = {"vl": 10.0, "d": 5.0, "light_schedule": (2.0, 3.0), field: value}
         with pytest.raises(ValueError, match=rf"\b{field}\b.* must be positive and finite"):
             StaticPart(ScenarioType.INTERSECTION_LIGHT, **static)
+
+    def test_unknown_extra_vehicle_kind_rejected(self):
+        """A ``parked`` vehicle was accepted, and no pilot ever saw it."""
+        with pytest.raises(ValueError, match="kind must be 'arriving' or 'static': 'parked'"):
+            ExtraVehicle("parked", 3.0)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, 0.0, -3.0])
+    def test_mutation_distance_must_be_positive_and_finite(self, merge_static, x):
+        """A NaN distance was accepted, and no pilot ever saw the vehicle."""
+        with pytest.raises(ValueError, match="mutation x must be positive and finite"):
+            TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=30.0, x_f=15.0,
+                     mutations=(ExtraVehicle("static", x),))
 
     @pytest.mark.parametrize("dt", [math.nan, math.inf])
     def test_non_finite_step_rejected(self, merge_static, dt):
