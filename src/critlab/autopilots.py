@@ -164,9 +164,13 @@ def _rate_table(rates: RateMap) -> tuple[tuple[float, float], ...]:
 
 def non_determinate_brake(
     profile: ADProfile,
-    rates: RateMap = ((5.0, 5.0), (27.5, 3.0), (30.0, 5.0)),
+    rates: Optional[RateMap] = None,
     name: str = "non_determinate_brake",
 ) -> AutopilotSpec:
+    """The default ``rates`` are capped at the profile's ``b_max``."""
+    if rates is None:
+        b = profile.b_max
+        rates = ((5.0, min(5.0, b)), (27.5, min(3.0, b)), (30.0, min(5.0, b)))
     return AutopilotSpec(name=name, profile=profile, variant="non_determinate_brake",
                          rate_by_initial_speed=_rate_table(rates))
 
@@ -457,8 +461,9 @@ class ExternalAutopilot:
     is given again on every step and does not send.  One process serves case
     after case; whether it is still alive is checked when a case starts, and
     it must take and answer each scene within ``STEP_DEADLINE_S``.  A pilot
-    that misses it, or writes a longer line, is stopped.  Its stderr is kept
-    in a bounded tail, drained while the bridge waits for a reply.
+    that breaks the protocol in any way is stopped: the next case starts a
+    fresh one.  Its stderr is kept in a bounded tail, drained while the
+    bridge waits for a reply.
     """
 
     def __init__(self, command: str, profile: ADProfile, name: Optional[str] = None):
@@ -540,10 +545,13 @@ class ExternalAutopilot:
             _number(env.front.x), _number(env.front.v), extra, light,
         )).encode()
 
-    def _error(self, detail: str) -> ProtocolError:
-        """``detail`` with the tail of the pilot's stderr, if it wrote any."""
+    def _abort(self, detail: str) -> ProtocolError:
+        """``detail`` with the tail of the pilot's stderr, if it wrote any,
+        the process stopped: the next case starts a fresh one, which no reply
+        left in the old pipe can answer."""
         self._drain_stderr()
         tail = self._stderr.decode("utf-8", "replace")
+        self._stop()
         return ProtocolError(f"{detail}; stderr tail: {tail!r}" if tail else detail)
 
     def _drain_stderr(self) -> None:
@@ -582,13 +590,6 @@ class ExternalAutopilot:
                 finally:
                     self._sel.unregister(self._in)
                     self._sel.register(self._out, selectors.EVENT_READ)
-
-    def _abort(self, detail: str) -> ProtocolError:
-        """``_error(detail)``, the process stopped: the next case starts a
-        fresh one."""
-        exc = self._error(detail)
-        self._stop()
-        return exc
 
     def _receive(self, deadline: float) -> bytes:
         """The next reply line; at EOF a last unterminated line, as
@@ -635,18 +636,18 @@ class ExternalAutopilot:
             raise self._abort(
                 f"external autopilot missed its deadline of {STEP_DEADLINE_S:g} s") from None
         except OSError as exc:  # BrokenPipeError: the process is gone
-            raise self._error(f"external autopilot pipe failed: {exc}") from exc
+            raise self._abort(f"external autopilot pipe failed: {exc}") from exc
         if not raw:
-            raise self._error("external autopilot closed its output")
+            raise self._abort("external autopilot closed its output")
         text = raw.decode("utf-8", "replace")
         try:
             reply = json.loads(text)
             mode = reply["mode"]
             accel = float(reply["accel"])
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise self._error(f"malformed decision line: {text!r}") from exc
+            raise self._abort(f"malformed decision line: {text!r}") from exc
         if mode not in ("progress", "cautious") or not math.isfinite(accel):
-            raise self._error(f"invalid decision: {text!r}")
+            raise self._abort(f"invalid decision: {text!r}")
         return Decision(mode=mode, accel=accel)
 
     def close(self) -> None:

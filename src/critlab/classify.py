@@ -106,9 +106,9 @@ def _run_cells(static: StaticPart, pilots: Sequence, x_e: Sequence[float],
 
     A run is a pilot from an ego start (``pilots``, ``x_e``, ``v_e``), a cell
     one geometry of a run (``run``, ``x_a``, ``x_f``), its horizon the one
-    ``TestCase`` gives by default.  A call whose pilots the lockstep engine
-    can all run (``lockstep_applies``: built-in autopilots) is one
-    ``simulate_lockstep`` call, graded by ``verdict_arrays`` with no
+    ``TestCase.steps`` sizes at ``cfg.dt``.  A call whose pilots the
+    lockstep engine can all run (``lockstep_applies``: built-in autopilots)
+    is one ``simulate_lockstep`` call, graded by ``verdict_arrays`` with no
     ``TestCase``; the cells of any other call go through ``simulate`` and
     ``verdict``, one ``TestCase`` at a time, in order, keeping only what is
     returned.  Returns each cell's verdict code (its index in ``VERDICTS``)
@@ -130,12 +130,11 @@ def _run_cells(static: StaticPart, pilots: Sequence, x_e: Sequence[float],
         codes, v_cross = np.zeros(run.size, dtype=int), np.zeros(run.size)
         steps = early_exits = batch_steps = 0
         for i, (r, a, f) in enumerate(zip(run.tolist(), x_a.tolist(), x_f.tolist())):
-            tc = TestCase(static=static, x_e=x_e[r], v_e=v_e[r], x_a=a, x_f=f, dt=cfg.dt)
-            out = simulate(pilots[r], tc, cfg)
+            out = simulate(pilots[r], TestCase(static, x_e[r], v_e[r], a, f), cfg)
             codes[i] = VERDICT_CODES[verdict(out)]
             v_cross[i] = 0.0 if out.v_cross is None else out.v_cross
             steps += out.steps
-            early_exits += out.steps < tc.horizon
+            early_exits += out.steps < out.tc.horizon
     work.update(cells=run.size, cell_steps=steps, early_exits=early_exits,
                 lockstep_batches=int(batched), lockstep_steps=batch_steps,
                 scalar_simulate_calls=0 if batched else run.size)
@@ -379,7 +378,7 @@ def progress_probe(
     b = most_critical(x_e, v_e, profile, static)
     return TestCase(
         static=static, x_e=x_e, v_e=v_e,
-        x_a=b.x_hat_a + max(2.0 * static.vl * dt, 1.0), x_f=b.x_hat_f + 1.0, dt=dt,
+        x_a=b.x_hat_a + max(2.0 * static.vl * dt, 1.0), x_f=b.x_hat_f + 1.0,
     )
 
 

@@ -140,7 +140,7 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "simulate":
-        tc = test_case_from_dict(json.loads(Path(args.testcase).read_text()), dt=args.dt)
+        tc = test_case_from_dict(json.loads(Path(args.testcase).read_text()))
         pilot = _build_autopilot(args.autopilot, _parse_profile(args.profile), None)
         cfg = SimConfig(dt=args.dt, zone_epsilon=args.zone_epsilon)
         try:

@@ -161,9 +161,9 @@ class Scene:
 class TestCase:
     """Compact stimulus: initial ego state plus environment geometry.
 
-    ``horizon`` is the environment step count ``n`` at step size ``dt`` (so a
-    run spans ``n + 1`` scenes); when omitted it is sized so the arriving
-    vehicle clears the zone with time to spare at that step size.
+    ``horizon`` is an explicit environment step count ``n`` (a run spans
+    ``n + 1`` scenes), checked when the case runs, or ``None``: each run
+    sizes it at its own step.  ``steps`` does both.
     """
 
     __test__ = False  # not a pytest class, despite the name
@@ -175,7 +175,6 @@ class TestCase:
     x_f: float  # m, front vehicle distance beyond the point (> 0)
     horizon: Optional[int] = None
     mutations: tuple[ExtraVehicle, ...] = ()
-    dt: float = DEFAULT_DT  # s, the step size ``horizon`` counts
 
     def __post_init__(self) -> None:
         for name in ("x_e", "v_e", "x_a", "x_f"):
@@ -188,24 +187,23 @@ class TestCase:
                 raise ValueError(f"mutation x must be positive and finite: {m.x}")
         if self.v_e < 0:
             raise ValueError("v_e must be non-negative")
-        if not 0 < self.dt < math.inf:
-            raise ValueError(f"dt must be positive and finite: {self.dt}")
-        if self.horizon is None:
-            object.__setattr__(self, "horizon",
-                               int(horizon_steps(self.static, self.x_a, self.dt, HORIZON_SLACK)))
         # A boolean is an integer to Python, but not a step count.
-        elif isinstance(self.horizon, bool) or not isinstance(self.horizon, (int, np.integer)):
-            raise ValueError(f"test case horizon must be a step count: {self.horizon!r}")
-        else:
-            self.check_horizon(self.dt)
+        n = self.horizon
+        if n is not None and (isinstance(n, bool) or not isinstance(n, (int, np.integer))):
+            raise ValueError(f"test case horizon must be a step count: {n!r}")
 
-    def check_horizon(self, dt: float) -> None:
-        """Raise ``HorizonError`` unless the horizon covers the zone at step ``dt``."""
+    def steps(self, dt: float) -> int:
+        """The step count of a run at step ``dt``: the explicit horizon, which
+        raises ``HorizonError`` unless the arriving vehicle clears the zone
+        in it, or else one sized with ``HORIZON_SLACK`` s to spare."""
+        if self.horizon is None:
+            return int(horizon_steps(self.static, self.x_a, dt, HORIZON_SLACK))
         needed = int(horizon_steps(self.static, self.x_a, dt))
         if self.horizon < needed:
             raise HorizonError(
                 f"horizon {self.horizon} too short at dt={dt}; minimum n is {needed}"
             )
+        return self.horizon
 
     def initial_ego(self) -> EgoState:
         return EgoState(x=-self.x_e, v=self.v_e)
@@ -244,11 +242,11 @@ def env_at(tc: TestCase, t: float) -> EnvState:
 
 
 def expand(tc: TestCase, dt: float = DEFAULT_DT) -> list[EnvState]:
-    """Expand a compact test case into its environment sequence (n + 1 states)."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    tc.check_horizon(dt)
-    return [env_at(tc, i * dt) for i in range(tc.horizon + 1)]
+    """Expand a compact test case into its environment sequence
+    (``tc.steps(dt) + 1`` states)."""
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite: {dt}")
+    return [env_at(tc, i * dt) for i in range(tc.steps(dt) + 1)]
 
 
 def equivalence_mutations(tc: TestCase, headway: float) -> list[TestCase]:
@@ -321,8 +319,8 @@ def test_case_to_dict(tc: TestCase) -> dict:
     }
 
 
-def test_case_from_dict(data: dict, dt: float = DEFAULT_DT) -> TestCase:
-    """Inverse of ``test_case_to_dict``; a null horizon is sized for step ``dt``.
+def test_case_from_dict(data: dict) -> TestCase:
+    """Inverse of ``test_case_to_dict``.
 
     Data of any other shape raises a ``ValueError`` that names the problem.
     """
@@ -343,7 +341,6 @@ def test_case_from_dict(data: dict, dt: float = DEFAULT_DT) -> TestCase:
             **numbers,
             horizon=data.get("horizon"),
             mutations=tuple(ExtraVehicle(kind, x) for kind, x in mutations),
-            dt=dt,
         )
     except KeyError as exc:
         raise ValueError(f"test case lacks the key {exc}") from exc

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -94,9 +94,10 @@ class SimConfig:
 
 @dataclass
 class SimOutcome:
-    """One run of ``simulate``: its trace (``frames``, the start and one per
-    step taken), events in time order, final ego state, and the crossing of
-    the conflict point, if any."""
+    """One run of ``simulate``: the case as it ran (``tc``, its horizon the
+    run's step count), its trace (``frames``, the start and one per step
+    taken), events in time order, final ego state, and the crossing of the
+    conflict point, if any."""
 
     tc: TestCase
     frames: list[Scene]
@@ -142,7 +143,8 @@ def simulate(
     cfg: SimConfig = SimConfig(),
     record: bool = True,
 ) -> SimOutcome:
-    """Run one closed-loop scenario to a stable end, collision, or horizon.
+    """Run one closed-loop scenario to a stable end, collision, or horizon,
+    ``tc.steps(cfg.dt)`` steps, which the outcome's case holds.
 
     Each step's pilot sees the last recorded frame and the first, the run's
     start, and every step adds one, so the outcome carries the whole trace.
@@ -155,12 +157,12 @@ def simulate(
     records its trace.
     """
     dt = cfg.dt
-    tc.check_horizon(dt)
+    n = tc.steps(dt)
+    tc = replace(tc, horizon=n)
     static = tc.static
     d = static.d
     vl = static.vl
     v_max = autopilot.profile.v_max
-    n = tc.horizon
 
     t_arrive = tc.x_a / vl
     race_grace = cfg.zone_epsilon / vl
@@ -266,8 +268,8 @@ _COOC, _COLL_A, _RED, _COLL_F, _STOP, _HORIZON = range(len(_STEP_EVENTS))
 class LockstepRuns:
     """The outcomes of one ``simulate_lockstep`` call, as arrays by cell.
 
-    ``x_f`` and ``horizon`` are the cells' own, ``horizon`` as ``TestCase``
-    sizes it by default.  ``event_step[k]`` holds the step in which
+    ``x_f`` and ``horizon`` are the cells' own, ``horizon`` as
+    ``TestCase.steps`` sizes it.  ``event_step[k]`` holds the step in which
     ``_STEP_EVENTS[k]`` first fired (-1: never), and ``cross_step`` that of
     the crossing, which happened at ``t_cross`` at speed ``v_cross`` (both
     0.0 where ``cross_step`` is -1); ``final_p``, ``final_v``, ``steps`` and
@@ -305,7 +307,7 @@ def simulate_lockstep(
     one entry per run, each pilot one that ``lockstep_applies`` to, started
     at most at its ``v_max``.  A cell is a geometry of a run: ``run`` (the
     index of its run), ``x_a`` and ``x_f`` hold one entry per cell, its
-    horizon the one ``TestCase`` gives by default.  The columns are checked
+    horizon the one ``TestCase.steps`` sizes.  The columns are checked
     as arrays, as ``TestCase`` checks a case over ``static`` with no extra
     vehicles.  All cells take each step together, the environment in closed
     form and each cell's policy from its run's row of ``PolicyColumns``; a

@@ -164,8 +164,7 @@ def progress_determinacy_scalar(autopilot, tc, restart_every=5, cfg=SimConfig())
         if x_a_i <= 0.0:
             continue  # arriving vehicle already past: the race is decided
         x_e_i = -frame.ego.x
-        tci = TestCase(static=tc.static, x_e=x_e_i, v_e=frame.ego.v, x_a=x_a_i, x_f=tc.x_f,
-                       dt=cfg.dt)
+        tci = TestCase(static=tc.static, x_e=x_e_i, v_e=frame.ego.v, x_a=x_a_i, x_f=tc.x_f)
         out = simulate(autopilot, tci, cfg)
         passed = verdict(out).kind is VerdictKind.PROGRESS_PASS
         if not passed:

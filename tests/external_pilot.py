@@ -7,7 +7,8 @@ a stop before the zone; "garbage" answers argv[2] scenes (1 if not given) as
 scene, writes more than a pipe holds to stderr, ending with the line
 ``STDERR_LAST``, and then answers with garbage; "deaf" writes decisions
 without ever reading a scene; "flood" reads one scene, writes 8 MB without a
-newline and then stalls.
+newline and then stalls; "stray" answers each scene with an acceleration equal
+to its ``t`` and writes one line that is not JSON before its argv[2]-th answer.
 """
 
 import json
@@ -41,6 +42,10 @@ def main() -> None:
             sys.stdout.flush()
             continue
         accel = 0.0
+        if mode == "stray":
+            accel = scene["t"]
+            if count == answered:
+                print("a stray line")
         if mode == "cautious":
             v = scene["ego"]["v"]
             p = scene["ego"]["x"]
@@ -48,7 +53,7 @@ def main() -> None:
             avail = -(d + 0.5) - p
             if v > 0 and (avail <= 0 or v * v / 8.0 + v * scene["dt"] >= avail):
                 accel = -4.0
-        print(json.dumps({"mode": "cautious" if accel else "progress", "accel": accel}))
+        print(json.dumps({"mode": "cautious" if accel < 0 else "progress", "accel": accel}))
         sys.stdout.flush()
 
 

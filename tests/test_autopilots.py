@@ -278,6 +278,20 @@ class TestExternalAutopilot:
             with pytest.raises(ProtocolError):
                 simulate(pilot, tc, SimConfig())
 
+    def test_protocol_error_stops_the_pilot(self, std_profile, merge_static):
+        """A pilot that broke the protocol was once kept running, and the
+        reply it had left in the pipe answered the next case's first scene:
+        every later scene got the answer to the scene before it."""
+        tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=30.0, x_f=14.0)
+        with ExternalAutopilot(EXTERNAL + " stray 3", std_profile) as pilot:
+            for t in (0.0, 0.1):
+                assert pilot.step(_scene(tc, t), merge_static, None, 0.1).accel == t
+            with pytest.raises(ProtocolError, match="malformed decision line"):
+                pilot.step(_scene(tc, 0.2), merge_static, None, 0.1)
+            assert pilot._proc is None
+            for t in (0.0, 0.1):  # a fresh case, and a fresh process
+                assert pilot.step(_scene(tc, t), merge_static, None, 0.1).accel == t
+
     def test_stalled_pilot_misses_its_deadline(
         self, std_profile, merge_static, monkeypatch, hang_guard
     ):

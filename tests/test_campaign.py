@@ -30,6 +30,9 @@ from critlab.campaign import (
     write_outputs,
 )
 
+from critlab.scenario import ScenarioType, TestCase
+from critlab.simulator import simulate, verdict
+
 from conftest import WORK_KEYS
 
 EXTERNAL = f"{sys.executable} {Path(__file__).parent / 'external_pilot.py'}"
@@ -354,20 +357,22 @@ class TestExternalInCampaign:
 
     def test_pilot_broken_mid_campaign_keeps_its_finished_grids(self, tmp_path):
         """Beside a built-in pilot, a pilot that breaks after its first grid
-        keeps that grid, loses the rest of the type and every later type, and
-        leaves the built-in cells and files as a run without it has them."""
+        of a type keeps that grid and loses the rest of the type; the error
+        stops its process, so the next type starts a fresh one, which
+        answers that type's first grid again.  The built-in cells and files
+        are as a run without it has them."""
         raw = one_type_raw(
             scenario_types=["merge_yield", "lane_change"],
             initial_states=[[20.0, 5.0], [30.0, 10.0]],
-            # The first grid (merge_yield from (20, 5)) takes 570 scenes;
-            # the pilot breaks 30 scenes into the second and stays broken.
+            # The first grid of a type (from (20, 5)) takes 570 scenes; the
+            # pilot breaks 30 scenes into the second.
             autopilots=[{"name": "reference", "variant": "reference"},
                         {"name": "broken", "command": EXTERNAL + " garbage 600"}],
         )
         runs = {
             "mixed": raw,
             "alone": {**raw, "autopilots": raw["autopilots"][:1]},
-            "hold": {**raw, "scenario_types": ["merge_yield"], "initial_states": [[20.0, 5.0]],
+            "hold": {**raw, "initial_states": [[20.0, 5.0]],
                      "autopilots": [{"name": "broken", "command": EXTERNAL + " hold"}]},
         }
         reports, files = {}, {}
@@ -378,16 +383,15 @@ class TestExternalInCampaign:
                            for p in sorted(raw_dir.rglob("*.json"))}
         report = reports["mixed"]
 
-        broken = report.cells[("merge_yield", "broken")]
-        assert "malformed decision line" in broken.protocol_error
-        assert (broken.counts, broken.of_counts, broken.m_states, broken.n_cells) == (
-            {"TF": 9}, {"OF-SF": 1}, 1, 9)
-        assert broken.zone_counts == {"cautious_only": 4, "safe_progress": 2, "irrelevant": 3,
-                                      "non_nominal": 0}
-        after = report.cells[("lane_change", "broken")]
-        assert "malformed decision line" in after.protocol_error
-        assert (after.counts, after.m_states, after.n_cells) == ({}, 0, 0)
-        assert list(files["hold"]) == ["broken/merge_yield/xe20_ve5.json"]
+        for sc in ("merge_yield", "lane_change"):
+            broken = report.cells[(sc, "broken")]
+            assert "malformed decision line" in broken.protocol_error
+            assert (broken.counts, broken.of_counts, broken.m_states, broken.n_cells) == (
+                {"TF": 9}, {"OF-SF": 1}, 1, 9)
+            assert broken.zone_counts == {"cautious_only": 4, "safe_progress": 2,
+                                          "irrelevant": 3, "non_nominal": 0}
+        assert list(files["hold"]) == ["broken/lane_change/xe20_ve5.json",
+                                       "broken/merge_yield/xe20_ve5.json"]
         assert {k: v for k, v in files["mixed"].items() if k.startswith("broken/")} == \
             files["hold"]
 
@@ -705,6 +709,29 @@ class TestStepSize:
         assert sum(c.n_cells for c in report.cells.values()) == 8 * 4 * 9
         assert report.determinacy
         assert not any(c.protocol_error for c in report.cells.values())
+
+    def test_raw_cells_re_simulate_to_their_verdicts(self, tmp_path):
+        """Every raw cell, run again as the ``TestCase`` of its geometry
+        under the config's ``SimConfig``, gets the verdict of its raw file.
+        A case once sized its horizon in 0.1 s steps whatever step it ran
+        at, and 51 of these 512 cells got another verdict at 0.05 s."""
+        raw = json.loads(json.dumps(DEFAULT_CONFIG))
+        raw["scenario_types"] = ["merge_yield"]
+        raw["grid"] = {**raw["grid"], "n_a": 4, "n_f": 4}
+        raw["sim"] = {**raw["sim"], "dt": 0.05}
+        config = CampaignConfig(raw=raw)
+        run_campaign(config, out_dir=tmp_path)
+        pilots = {pilot.name: pilot for pilot in config.pilots}
+        static = config.static_for(ScenarioType.MERGE_YIELD)
+        verdicts = []
+        for path in sorted((tmp_path / "raw").rglob("*.json")):
+            grid = json.loads(path.read_text())
+            for point in grid["grid"]:
+                tc = TestCase(static, grid["x_e"], grid["v_e"], point["x_a"], point["x_f"])
+                out = simulate(pilots[grid["autopilot"]], tc, config.sim_config())
+                verdicts.append((verdict(out).kind.value, point["verdict"]))
+        assert len(verdicts) == 8 * 4 * 16
+        assert [got for got, _ in verdicts] == [want for _, want in verdicts]
 
 
 def one_type_raw(**overrides):

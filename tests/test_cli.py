@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import critlab.autopilots
-from critlab.autopilots import ExternalAutopilot
+from critlab.autopilots import FACTORIES, ExternalAutopilot
 from critlab.campaign import (
     DEFAULT_CONFIG,
     CampaignConfig,
@@ -79,13 +79,13 @@ class TestSimulateCommand:
         assert json.loads(capsys.readouterr().out)["verdict"] == "cautious_pass"
 
     def test_external_protocol_error_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        """The protocol error stopped the process; ``close`` finds none."""
         stopped = []
         close = ExternalAutopilot.close
 
         def recording_close(pilot):
-            proc = pilot._proc
+            stopped.append(pilot._proc is None)
             close(pilot)
-            stopped.append(proc.poll() is not None)
 
         monkeypatch.setattr(ExternalAutopilot, "close", recording_close)
         rc = main([
@@ -304,7 +304,7 @@ class TestErrorExits:
         assert "horizon 40 too short" in err
 
     def test_determinacy_rates_outside_the_profile(self, capsys):
-        rc = main(["determinacy", "--autopilot", "non_determinate_brake"])
+        rc = main(["determinacy", "--autopilot", "non_determinate_brake", "--rates", "5:5.0"])
         assert rc == 1
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
@@ -402,6 +402,18 @@ class TestErrorExits:
         tc_path = _write_testcase(tmp_path)
         assert main(["simulate", "--autopilot", "nope", "--testcase", str(tc_path)]) == 1
         assert "unknown autopilot variant 'nope'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variant", sorted(FACTORIES))
+def test_every_variant_runs_at_the_cli_defaults(tmp_path, capsys, variant):
+    """``non_determinate_brake`` once exited 1 from both commands: its
+    default rates of 5.0 exceeded the default profile's ``b_max`` of 4."""
+    testcase = str(_write_testcase(tmp_path))
+    for argv in (["simulate", "--autopilot", variant, "--testcase", testcase],
+                 ["determinacy", "--autopilot", variant]):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and isinstance(json.loads(out), dict)
 
 
 @pytest.mark.parametrize("entry", DEFAULT_CONFIG["autopilots"], ids=lambda e: e["name"])

@@ -2,6 +2,7 @@
 
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -146,7 +147,7 @@ def mixed_batches(draw):
     for variant in draw(st.lists(st.sampled_from(sorted(FACTORIES)), min_size=2, max_size=4)):
         profile = draw(PROFILES)
         pilot = _pilot(draw, variant, profile, x_as, x_fs)
-        cells += [(pilot, TestCase(static=static, x_e=x_e, v_e=v_e, x_a=x_a, x_f=x_f, dt=cfg.dt))
+        cells += [(pilot, TestCase(static=static, x_e=x_e, v_e=v_e, x_a=x_a, x_f=x_f))
                   for x_e, v_e in _starts(draw, profile) for x_a in x_as for x_f in x_fs]
     cells = draw(st.permutations(cells))
     return [pilot for pilot, _ in cells], [tc for _, tc in cells], cfg
@@ -168,7 +169,8 @@ def lockstep(pilots, cases, cfg=SimConfig()):
 
 def outcome(runs, tc, i):
     """Cell ``i`` of a lockstep batch, the case ``tc``, as the ``SimOutcome``
-    that ``simulate`` gives, without frames, which the engine does not keep.
+    that ``simulate`` gives, its case with the cell's horizon, without
+    frames, which the engine does not keep.
     ``simulate`` sorts its events stably by time: by (time, step, order in
     step)."""
     dt = runs.cfg.dt
@@ -181,7 +183,7 @@ def outcome(runs, tc, i):
                       EventKind.CROSSED_CONFLICT))
     keyed.sort()
     return SimOutcome(
-        tc=tc, frames=[],
+        tc=replace(tc, horizon=int(runs.horizon[i])), frames=[],
         events=[Event(kind, t) for t, _, _, kind in keyed],
         final=EgoState(float(runs.final_p[i]), float(runs.final_v[i])),
         steps=int(runs.steps[i]), t_cross=float(runs.t_cross[i]) if crossed else None,
@@ -192,9 +194,10 @@ def outcome(runs, tc, i):
 
 
 def _observed(out):
-    """What a run shows, the crossing speed bit for bit (None: no crossing)."""
+    """What a run shows: its case as run, horizon included, and the rest,
+    the crossing speed bit for bit (None: no crossing)."""
     vd = verdict(out)
-    return ([(e.kind, e.t) for e in out.events], out.final, out.steps, out.t_cross,
+    return (out.tc, [(e.kind, e.t) for e in out.events], out.final, out.steps, out.t_cross,
             _bits(out.v_cross), out.t_arrive, out.race_won, vd.kind, vd.reason)
 
 
@@ -205,7 +208,6 @@ def _check_batch(pilots, cases, cfg):
     assert runs.steps.size == len(cases)
     for i, (pilot, tc, code) in enumerate(zip(pilots, cases, codes, strict=True)):
         out = outcome(runs, tc, i)
-        assert out.tc is tc
         scalar = simulate(pilot, tc, cfg)
         assert _observed(out) == _observed(scalar)
         assert VERDICTS[code] == verdict(scalar)
@@ -214,7 +216,7 @@ def _check_batch(pilots, cases, cfg):
 def _check_every_cell(grid):
     """Every cell of one batch over all the starts equals its scalar run."""
     pilot, static, starts, x_as, x_fs, cfg = grid
-    cases = [TestCase(static=static, x_e=x_e, v_e=v_e, x_a=x_a, x_f=x_f, dt=cfg.dt)
+    cases = [TestCase(static=static, x_e=x_e, v_e=v_e, x_a=x_a, x_f=x_f)
              for x_e, v_e in starts for x_a in x_as for x_f in x_fs]
     _check_batch([pilot] * len(cases), cases, cfg)
 
@@ -349,8 +351,7 @@ def progress_checks(draw):
         x_f = b.x_hat_f + draw(st.floats(0.0, 5.0))
         pilot = _pilot(draw, variant, profile, [x_a - 2.0, x_a, x_a + 2.0],
                        [x_f - 2.0, x_f, x_f + 2.0])
-        checks.append((pilot, TestCase(static=static, x_e=x_e, v_e=v_e, x_a=x_a, x_f=x_f,
-                                       dt=dt)))
+        checks.append((pilot, TestCase(static=static, x_e=x_e, v_e=v_e, x_a=x_a, x_f=x_f)))
     return checks, draw(st.sampled_from([1, 3, 5])), SimConfig(dt=dt)
 
 

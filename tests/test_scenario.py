@@ -64,9 +64,11 @@ class TestExpand:
         assert a == b
 
     def test_horizon_too_short_names_minimum(self, merge_static):
+        """A case has no step size, so its horizon is checked when it runs."""
+        tc = TestCase(static=merge_static, x_e=20, v_e=5, x_a=30, x_f=15, horizon=3)
         with pytest.raises(HorizonError) as err:
-            TestCase(static=merge_static, x_e=20, v_e=5, x_a=30, x_f=15, horizon=3)
-        assert "minimum n is" in str(err.value)
+            tc.steps(0.1)
+        assert "minimum n is 40" in str(err.value)
 
     @pytest.mark.parametrize("horizon", [400.0, True])
     def test_horizon_must_be_a_step_count(self, merge_static, horizon):
@@ -75,21 +77,34 @@ class TestExpand:
         with pytest.raises(ValueError, match="horizon must be a step count"):
             TestCase(static=merge_static, x_e=20, v_e=5, x_a=30, x_f=15, horizon=horizon)
 
-    def test_expand_rechecks_horizon_for_dt(self, tc):
+    def test_expand_rechecks_horizon_for_dt(self, merge_static):
+        tc = TestCase(static=merge_static, x_e=20, v_e=5, x_a=30, x_f=15, horizon=400)
+        assert len(expand(tc, dt=0.1)) == 401
         with pytest.raises(HorizonError):
             expand(tc, dt=0.001)
 
-    def test_auto_horizon_sized_for_the_case_dt(self, merge_static):
-        tc = TestCase(static=merge_static, x_e=20, v_e=5, x_a=30, x_f=15, dt=0.02)
-        assert tc.horizon == horizon_steps(merge_static, 30, 0.02, slack=10.0)
-        assert len(expand(tc, dt=0.02)) == tc.horizon + 1
+    @pytest.mark.parametrize("dt", [0.0, math.nan, math.inf])
+    def test_expand_refuses_a_step_not_positive_and_finite(self, tc, dt):
+        """An infinite step was once accepted, every state after the first
+        at an arriving position of -inf, and a NaN step failed with an error
+        that named no step."""
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            expand(tc, dt)
+
+    def test_auto_horizon_sized_for_the_case_dt(self, tc):
+        """A null horizon stays null and is sized at the step of each run."""
+        assert tc.horizon is None
+        for dt in (0.1, 0.02):
+            assert tc.steps(dt) == horizon_steps(tc.static, 30, dt, slack=10.0)
+            assert len(expand(tc, dt=dt)) == tc.steps(dt) + 1
 
     def test_explicit_horizon_checked_at_the_case_dt(self, merge_static):
         # 30 steps of 0.2 s cover the 5 s traversal, 30 steps of 0.1 s do not
-        tc = TestCase(static=merge_static, x_e=20, v_e=5, x_a=40, x_f=15, horizon=30, dt=0.2)
+        tc = TestCase(static=merge_static, x_e=20, v_e=5, x_a=40, x_f=15, horizon=30)
+        assert tc.steps(0.2) == 30
         assert len(expand(tc, dt=0.2)) == 31
-        with pytest.raises(HorizonError):
-            TestCase(static=merge_static, x_e=20, v_e=5, x_a=40, x_f=15, horizon=30)
+        with pytest.raises(HorizonError, match="too short at dt=0.1; minimum n is 50"):
+            tc.steps(0.1)
 
     def test_light_schedule_sampled(self):
         static = StaticPart(
@@ -201,12 +216,6 @@ class TestSerialization:
             TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=30.0, x_f=15.0,
                      mutations=(ExtraVehicle("static", x),))
 
-    @pytest.mark.parametrize("dt", [math.nan, math.inf])
-    def test_non_finite_step_rejected(self, merge_static, dt):
-        """An infinite step sized every horizon to 0 steps."""
-        with pytest.raises(ValueError, match="finite"):
-            TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=30.0, x_f=15.0, dt=dt)
-
 
 @settings(max_examples=40, deadline=None)
 @given(
@@ -218,5 +227,5 @@ def test_expand_serialization_stable(x_a, x_f, steps):
     static = StaticPart(ScenarioType.MERGE_YIELD, vl=10.0, d=5.0)
     tc = TestCase(static=static, x_e=20.0, v_e=5.0, x_a=x_a, x_f=x_f)
     envs = expand(tc, dt=0.1)
-    assert len(envs) == tc.horizon + 1
+    assert len(envs) == tc.steps(0.1) + 1
     assert envs[steps].arriving.x == pytest.approx(x_a - 1.0 * steps, abs=1e-9)

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -226,19 +227,21 @@ class TestPerStepEnvironments:
     @pytest.mark.parametrize("dt", [0.1, 0.05])
     @pytest.mark.parametrize("pilot", [reference, always_cautious, constant_speed])
     def test_recorded_frames_match_expand(self, std_profile, pilot, dt):
-        base = TestCase(static=self.LIGHT, x_e=20.0, v_e=5.0, x_a=30.0, x_f=15.0, dt=dt)
+        base = TestCase(static=self.LIGHT, x_e=20.0, v_e=5.0, x_a=30.0, x_f=15.0)
         saw_red = False
         for tc in [base, *equivalence_mutations(base, headway=10.0)]:
             out = simulate(pilot(std_profile), tc, SimConfig(dt=dt))
             envs = expand(tc, dt)
             frames = out.frames
+            assert out.tc == replace(tc, horizon=len(envs) - 1)
             assert len(frames) == out.steps + 1
             assert [f.env for f in frames] == envs[: len(frames)]
             saw_red = saw_red or any(f.env.light is Light.RED for f in frames)
         assert saw_red
 
     def test_simulate_rechecks_horizon_for_dt(self, std_profile, merge_static):
-        tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=30.0, x_f=15.0)
+        tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=30.0, x_f=15.0, horizon=400)
+        assert simulate(reference(std_profile), tc, SimConfig()).tc == tc
         with pytest.raises(HorizonError) as err:
             simulate(reference(std_profile), tc, SimConfig(dt=0.001))
         assert "minimum n is" in str(err.value)
@@ -253,8 +256,8 @@ def _distances(lo, hi):
 @st.composite
 def crossing_cases(draw):
     """A built-in variant with its default parameters (on a profile that
-    brakes at 5 m/s^2 or more, as the non-determinate variants' default rates
-    need), one drawn case and a step size."""
+    brakes at 5 m/s^2 or more, which caps or refuses no default rate), one
+    drawn case and a step size."""
     profile = ADProfile(
         draw(st.floats(0.5, 5.0)), draw(st.floats(5.0, 10.0)), draw(st.floats(5.0, 40.0))
     )
@@ -264,7 +267,7 @@ def crossing_cases(draw):
     dt = draw(st.sampled_from([0.1, 0.05, 0.02]))
     tc = TestCase(static=static, x_e=draw(_distances(1.0, 80.0)),
                   v_e=draw(st.floats(0.0, profile.v_max)), x_a=draw(_distances(1.0, 80.0)),
-                  x_f=draw(_distances(0.5, 60.0)), dt=dt)
+                  x_f=draw(_distances(0.5, 60.0)))
     return pilot, tc, SimConfig(dt=dt)
 
 
