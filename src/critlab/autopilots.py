@@ -18,6 +18,7 @@ inside the zone only the front-vehicle braking condition is re-evaluated
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -63,7 +64,7 @@ class ProtocolError(RuntimeError):
     """Raised when an external autopilot violates the stdio protocol."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decision:
     mode: str  # "progress" | "cautious"
     accel: float  # m/s^2 commanded for the next step
@@ -445,6 +446,25 @@ def _number(x) -> str:
     return json.dumps(x)
 
 
+@functools.lru_cache(maxsize=256)
+def _decision(raw: bytes) -> Decision:
+    """The decision of one reply line, or ``ValueError`` saying what is wrong
+    with it.  A pilot answers most scenes with one of a few lines, so each
+    distinct line is parsed once.  The memo keeps the last 256 distinct
+    lines and never a line that failed, so a pilot whose lines never repeat
+    grows no memory."""
+    text = raw.decode("utf-8", "replace")
+    try:
+        reply = json.loads(text)
+        mode = reply["mode"]
+        accel = float(reply["accel"])
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        raise ValueError(f"malformed decision line: {text!r}") from exc
+    if mode not in ("progress", "cautious") or not math.isfinite(accel):
+        raise ValueError(f"invalid decision: {text!r}")
+    return Decision(mode=mode, accel=accel)
+
+
 class ExternalAutopilot:
     """Drives an external process over a line-delimited JSON stdio protocol.
 
@@ -473,8 +493,7 @@ class ExternalAutopilot:
         if not self._argv:
             raise ValueError("external autopilot command is empty")
         self._proc: Optional[subprocess.Popen] = None
-        self._static: Optional[StaticPart] = None
-        self._dt = ""
+        self._case = (object(),) * 5  # what the template renders; matches nothing yet
         self._template = ""
 
     def _start(self) -> None:
@@ -520,29 +539,35 @@ class ExternalAutopilot:
 
     def _encode(self, scene: Scene, static: StaticPart, dt: float) -> bytes:
         """The scene's protocol line: ``json.dumps`` of the payload in the
-        class docstring and a newline, byte for byte.  Everything but the
-        seven numbers that move, the extras and the light is a template
-        built once per static part and ``dt``."""
-        dt_text = _number(dt)
-        if static is not self._static or dt_text != self._dt:
+        class docstring and a newline, byte for byte.  ``dt``, the arriving
+        vehicle's speed, the front vehicle and the static part are the same
+        objects on every step of a case, so they are rendered once, into a
+        template rebuilt whenever one of them is not the very object (held,
+        so its id is not reused) it was rendered from.  Equal is not enough:
+        ``1`` and ``1.0``, or ``0.0`` and ``-0.0``, are written differently.
+        Each step renders the rest."""
+        env = scene.env
+        arriving, front = env.arriving, env.front
+        case = self._case
+        if (dt is not case[0] or arriving.v is not case[1] or front.x is not case[2]
+                or front.v is not case[3] or static is not case[4]):
             tail = json.dumps({
                 "scenario_type": static.scenario_type.value, "d": static.d, "vl": static.vl,
             })
-            self._static, self._dt = static, dt_text
             self._template = (
-                '{"t": %s, "dt": ' + dt_text + ', "ego": {"x": %s, "v": %s}, '
-                '"arriving": {"x": %s, "v": %s}, "front": {"x": %s, "v": %s}, '
+                '{"t": %s, "dt": ' + _number(dt) + ', "ego": {"x": %s, "v": %s}, '
+                '"arriving": {"x": %s, "v": ' + _number(arriving.v) + '}, '
+                '"front": {"x": ' + _number(front.x) + ', "v": ' + _number(front.v) + '}, '
                 '"extra": %s, "light": %s, "static": ' + tail.replace("%", "%%") + "}\n"
             )
-        env = scene.env
+            self._case = (dt, arriving.v, front.x, front.v, static)
         extra = "[]"
         if env.extra_vehicles:
             extra = json.dumps([{"kind": e.kind, "x": e.x} for e in env.extra_vehicles])
         light = "null" if env.light is None else json.dumps(env.light.value)
         return (self._template % (
-            _number(scene.t), _number(scene.ego.x), _number(scene.ego.v),
-            _number(env.arriving.x), _number(env.arriving.v),
-            _number(env.front.x), _number(env.front.v), extra, light,
+            _number(scene.t), _number(scene.ego.x), _number(scene.ego.v), _number(arriving.x),
+            extra, light,
         )).encode()
 
     def _abort(self, detail: str) -> ProtocolError:
@@ -639,16 +664,10 @@ class ExternalAutopilot:
             raise self._abort(f"external autopilot pipe failed: {exc}") from exc
         if not raw:
             raise self._abort("external autopilot closed its output")
-        text = raw.decode("utf-8", "replace")
         try:
-            reply = json.loads(text)
-            mode = reply["mode"]
-            accel = float(reply["accel"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise self._abort(f"malformed decision line: {text!r}") from exc
-        if mode not in ("progress", "cautious") or not math.isfinite(accel):
-            raise self._abort(f"invalid decision: {text!r}")
-        return Decision(mode=mode, accel=accel)
+            return _decision(raw)
+        except ValueError as exc:
+            raise self._abort(str(exc)) from exc
 
     def close(self) -> None:
         self._stop()

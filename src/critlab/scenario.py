@@ -116,7 +116,7 @@ class StaticPart:
         return Light.GREEN if (t % (g + r)) < g else Light.RED
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EgoState:
     x: float  # m, signed route distance to the conflict point (< 0 before it)
     v: float  # m/s
@@ -126,13 +126,13 @@ class EgoState:
             raise ValueError("ego speed must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VehicleState:
     x: float  # m, distance to the conflict point (arriving) or beyond it (front)
     v: float  # m/s
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExtraVehicle:
     kind: str  # "arriving" (moves at vl toward the point) | "static" (parked past it)
     x: float  # m, distance in the same convention as its kind
@@ -142,7 +142,7 @@ class ExtraVehicle:
             raise ValueError(f"extra vehicle kind must be 'arriving' or 'static': {self.kind!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnvState:
     arriving: VehicleState
     front: VehicleState
@@ -150,7 +150,7 @@ class EnvState:
     light: Optional[Light] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scene:
     t: float  # s
     ego: EgoState
@@ -232,7 +232,7 @@ def env_at(tc: TestCase, t: float) -> EnvState:
     extras = tuple(
         ExtraVehicle(kind=m.kind, x=m.x - vl * t if m.kind == "arriving" else m.x)
         for m in tc.mutations
-    )
+    ) if tc.mutations else ()
     return EnvState(
         arriving=VehicleState(x=tc.x_a - vl * t, v=vl),
         front=VehicleState(x=tc.x_f, v=0.0),

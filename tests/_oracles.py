@@ -117,6 +117,28 @@ def scene_line(scene, static, dt) -> bytes:
     return (json.dumps(payload) + "\n").encode()
 
 
+def reply_decision(raw: bytes):
+    """A reply line of the external-autopilot protocol read by ``json.loads``:
+    ``(mode, accel)``, or None for a line that breaks the protocol: one that
+    is not a JSON object, or whose ``mode`` is neither ``"progress"`` nor
+    ``"cautious"``, or whose ``accel`` is not a number with a finite float
+    value."""
+    try:
+        reply = json.loads(raw.decode("utf-8", "replace"))
+    except (ValueError, RecursionError):
+        return None
+    if not isinstance(reply, dict) or reply.get("mode") not in ("progress", "cautious"):
+        return None
+    accel = reply.get("accel")
+    if isinstance(accel, bool) or not isinstance(accel, (int, float)):
+        return None
+    try:
+        accel = float(accel)
+    except OverflowError:  # an int past the largest float
+        return None
+    return (reply["mode"], accel) if math.isfinite(accel) else None
+
+
 def dominating_passes_scan(verdicts):
     """For each failed cell of a grid's ``verdicts``, a dict from ``(x_a,
     x_f)`` to the cell's ``Verdict``, the first progress pass, in the dict's

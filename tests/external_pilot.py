@@ -8,7 +8,8 @@ scene, writes more than a pipe holds to stderr, ending with the line
 ``STDERR_LAST``, and then answers with garbage; "deaf" writes decisions
 without ever reading a scene; "flood" reads one scene, writes 8 MB without a
 newline and then stalls; "stray" answers each scene with an acceleration equal
-to its ``t`` and writes one line that is not JSON before its argv[2]-th answer.
+to its ``t`` and writes one line that is not JSON before its argv[2]-th answer;
+"reply" answers every scene with the line argv[2].
 """
 
 import json
@@ -20,6 +21,10 @@ STDERR_LAST = "last words before the garbage"
 
 def main() -> None:
     mode = sys.argv[1] if len(sys.argv) > 1 else "hold"
+    if mode == "reply":
+        for _ in sys.stdin:
+            print(sys.argv[2], flush=True)
+        return
     answered = int(sys.argv[2]) if len(sys.argv) > 2 else 1
     count = 0
     while mode == "deaf":

@@ -1,5 +1,7 @@
 import gc
+import json
 import math
+import shlex
 import sys
 import time
 import warnings
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import critlab.autopilots
-from _oracles import scene_line
+from _oracles import reply_decision, scene_line
 from external_pilot import STDERR_LAST
 from critlab.autopilots import (
     FACTORIES,
@@ -29,6 +31,7 @@ from critlab.autopilots import (
     step,
     transition_flawed,
 )
+from critlab.autopilots import _decision
 from critlab.kinematics import ADProfile
 from critlab.scenario import (
     EgoState,
@@ -292,6 +295,31 @@ class TestExternalAutopilot:
             for t in (0.0, 0.1):  # a fresh case, and a fresh process
                 assert pilot.step(_scene(tc, t), merge_static, None, 0.1).accel == t
 
+    @pytest.mark.parametrize("line", [
+        '{"mode": "progress", "accel": 1' + "0" * 400 + "}",  # an int beyond any float
+        "[" * 5000,  # nested deeper than the decoder recurses
+    ], ids=["huge-int-accel", "deep-nesting"])
+    def test_unreadable_reply_stops_the_pilot(self, std_profile, merge_static, line):
+        """Both lines once escaped the bridge as ``OverflowError`` or
+        ``RecursionError``, not a ``ProtocolError``, with the pilot still
+        running: a campaign stopped at the first one."""
+        tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=30.0, x_f=14.0)
+        with ExternalAutopilot(f"{EXTERNAL} reply {shlex.quote(line)}", std_profile) as pilot:
+            with pytest.raises(ProtocolError, match="malformed decision line"):
+                pilot.step(_scene(tc), merge_static, None, 0.1)
+            assert pilot._proc is None
+
+    def test_distinct_replies_keep_the_memo_bounded(self, std_profile, merge_static):
+        tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=30.0, x_f=14.0)
+        bound = _decision.cache_info().maxsize
+        _decision.cache_clear()
+        with ExternalAutopilot(EXTERNAL + " stray 1000000", std_profile) as pilot:
+            for i in range(bound + 50):  # every reply line is new
+                t = i * 0.1
+                assert pilot.step(_scene(tc, t), merge_static, None, 0.1).accel == t
+                assert _decision.cache_info().currsize <= bound
+        assert _decision.cache_info().misses == bound + 50
+
     def test_stalled_pilot_misses_its_deadline(
         self, std_profile, merge_static, monkeypatch, hang_guard
     ):
@@ -371,36 +399,109 @@ _SPEED = st.one_of(
 )
 _POSITIVE = st.one_of(st.floats(0.1, 100.0), st.integers(1, 100))
 _STATIC = st.builds(StaticPart, st.sampled_from(list(ScenarioType)), vl=_POSITIVE, d=_POSITIVE)
-_SCENE = st.builds(
-    Scene,
-    t=st.one_of(st.just(0.0), st.floats(0.0, 100.0), st.integers(0, 100)),
-    ego=st.builds(EgoState, _COORD, _SPEED),
-    env=st.builds(
-        EnvState,
-        arriving=st.builds(VehicleState, _COORD, _COORD),
-        front=st.builds(VehicleState, _COORD, _COORD),
-        extra_vehicles=st.lists(
-            st.builds(ExtraVehicle, st.sampled_from(["arriving", "static"]), _COORD), max_size=3
-        ).map(tuple),
-        light=st.sampled_from([None, Light.RED, Light.GREEN]),
-    ),
-)
 _DT = st.sampled_from([0.1, 0.05, 0.2, 1, 1.0, np.float64(0.1)])
+_T = st.one_of(st.just(0.0), st.floats(0.0, 100.0), st.integers(0, 100))
+_EGO = st.builds(EgoState, _COORD, _SPEED)
+_EXTRAS = st.lists(
+    st.builds(ExtraVehicle, st.sampled_from(["arriving", "static"]), _COORD), max_size=3
+).map(tuple)
+_LIGHTS = st.sampled_from([None, Light.RED, Light.GREEN])
+
+
+def _twin(x):
+    """A number equal to ``x`` that ``json.dumps`` may write differently:
+    ``1.0`` for ``1`` and back, ``-0.0`` for ``0.0``, a float for a numpy
+    float and back."""
+    if isinstance(x, int):
+        return float(x)
+    if x == 0.0:
+        return -x
+    if isinstance(x, np.floating):
+        return float(x)
+    if math.isfinite(x) and x.is_integer():
+        return int(x)
+    return np.float64(x)
 
 
 @st.composite
-def _pilot_life(draw):
-    """Scenes in the order one pilot sees them, over a few static parts and steps."""
-    statics = draw(st.lists(_STATIC, min_size=1, max_size=3))
-    dts = draw(st.lists(_DT, min_size=1, max_size=3))
-    return draw(st.lists(
-        st.tuples(_SCENE, st.sampled_from(statics), st.sampled_from(dts)), min_size=1, max_size=12
-    ))
+def _pilot_case(draw):
+    """The scenes of one case in the order a pilot sees them.  ``dt``, the
+    arriving vehicle's speed, the front vehicle and the static part are the
+    same objects from scene to scene, as in a run, but any scene may swap
+    one for its twin, which compares equal and may be written differently."""
+    static = draw(_STATIC)
+    twin_static = StaticPart(static.scenario_type, vl=_twin(static.vl), d=_twin(static.d))
+    fixed = [draw(_DT), draw(_COORD), draw(_COORD), draw(st.one_of(st.just(0.0), _COORD))]
+    pairs = [(x, _twin(x)) for x in fixed] + [(static, twin_static)]
+    scenes = []
+    for _ in range(draw(st.integers(1, 6))):
+        dt, arriving_v, front_x, front_v, static_ = (
+            pair[draw(st.integers(0, 1))] for pair in pairs)
+        env = EnvState(VehicleState(draw(_COORD), arriving_v), VehicleState(front_x, front_v),
+                       draw(_EXTRAS), draw(_LIGHTS))
+        scenes.append((Scene(draw(_T), draw(_EGO), env), static_, dt))
+    return scenes
+
+
+_pilot_life = st.lists(_pilot_case(), min_size=1, max_size=4).map(
+    lambda cases: [scene for case in cases for scene in case])
 
 
 @settings(max_examples=200, deadline=None)
-@given(_pilot_life())
+@given(_pilot_life)
 def test_scene_lines_match_the_json_oracle(life):
     pilot = ExternalAutopilot("unused", None)  # encoding starts no process
     for scene, static, dt in life:
         assert pilot._encode(scene, static, dt) == scene_line(scene, static, dt)
+
+
+# -- reply lines against the json.loads oracle -------------------------------------
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _reply_line(draw):
+    """A reply line as a pilot might write it: a JSON object with or without
+    its ``mode`` and ``accel`` (a good or bad mode; an int or a float accel,
+    NaN and Infinity included) and extra keys, in any order and spacing; or
+    bytes that are most likely no JSON at all."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.binary(max_size=40).filter(lambda b: b"\n" not in b)) + b"\n"
+    extra_key = st.text(max_size=5).filter(lambda key: key not in ("mode", "accel"))
+    reply = draw(st.dictionaries(extra_key, _JSON, max_size=3))
+    if draw(st.booleans()):
+        reply["mode"] = draw(st.sampled_from(["progress", "cautious"]))
+    elif draw(st.booleans()):
+        reply["mode"] = draw(_JSON)
+    if draw(st.integers(0, 5)):
+        reply["accel"] = draw(st.one_of(st.integers(), st.floats(), st.integers(2**1020, 2**1030)))
+    items = draw(st.permutations(list(reply.items())))
+    comma = draw(st.sampled_from([",", ", ", " ,\t"]))
+    colon = draw(st.sampled_from([":", ": ", " : "]))
+    pad = st.sampled_from(["", " ", "\t ", "\r"])
+    text = draw(pad) + json.dumps(dict(items), separators=(comma, colon)) + draw(pad)
+    return (text + draw(st.sampled_from(["\n", ""]))).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_reply_line())
+def test_reply_lines_match_the_json_oracle(raw):
+    """Each line goes through the parse twice: the miss, then the hit, which
+    only a valid line may be."""
+    expected = reply_decision(raw)
+    _decision.cache_clear()
+    for _ in range(2):
+        if expected is None:
+            with pytest.raises(ValueError, match="malformed decision line|invalid decision"):
+                _decision(raw)
+        else:
+            decision = _decision(raw)
+            assert (decision.mode, repr(decision.accel)) == (expected[0], repr(expected[1]))
+    info = _decision.cache_info()
+    assert (info.hits, info.misses, info.currsize) == ((0, 2, 0) if expected is None else (1, 1, 1))

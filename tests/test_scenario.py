@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import json
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +24,8 @@ from critlab.scenario import (
 )
 from critlab.scenario import test_case_from_dict as tc_from_dict
 from critlab.scenario import test_case_to_dict as tc_to_dict
-from critlab.scenario import Scene, EgoState
+from critlab.autopilots import Decision
+from critlab.scenario import EgoState, EnvState, Scene, VehicleState
 
 from _oracles import zone_overlap_constant_speed
 
@@ -229,3 +233,31 @@ def test_expand_serialization_stable(x_a, x_f, steps):
     envs = expand(tc, dt=0.1)
     assert len(envs) == tc.steps(0.1) + 1
     assert envs[steps].arriving.x == pytest.approx(x_a - 1.0 * steps, abs=1e-9)
+
+
+_ARRIVING, _FRONT = VehicleState(30.0, 10.0), VehicleState(15.0, 0.0)
+
+
+@pytest.mark.parametrize("cls, fields, change", [
+    (EgoState, {"x": -20.0, "v": 5.0}, {"v": 6.0}),
+    (VehicleState, {"x": 30.0, "v": 10.0}, {"x": 29.0}),
+    (ExtraVehicle, {"kind": "static", "x": 35.0}, {"kind": "arriving"}),
+    (EnvState, {"arriving": _ARRIVING, "front": _FRONT,
+                "extra_vehicles": (ExtraVehicle("arriving", 40.0),), "light": Light.RED},
+     {"light": None}),
+    (Scene, {"t": 0.1, "ego": EgoState(-20.0, 5.0), "env": EnvState(_ARRIVING, _FRONT)},
+     {"t": 0.2}),
+    (Decision, {"mode": "progress", "accel": 2.0}, {"accel": -4.0}),
+], ids=["EgoState", "VehicleState", "ExtraVehicle", "EnvState", "Scene", "Decision"])
+def test_per_step_types_are_frozen_slotted_values(cls, fields, change):
+    value = cls(**fields)
+    assert not hasattr(value, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, next(iter(fields)), None)
+    twin = cls(**fields)
+    assert twin is not value and twin == value and hash(twin) == hash(value)
+    changed = dataclasses.replace(value, **change)
+    assert changed == cls(**{**fields, **change}) and changed != value
+    for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert copied == value and hash(copied) == hash(value)
+
