@@ -18,7 +18,6 @@ inside the zone only the front-vehicle braking condition is re-evaluated
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -446,23 +445,7 @@ def _number(x) -> str:
     return json.dumps(x)
 
 
-@functools.lru_cache(maxsize=256)
-def _decision(raw: bytes) -> Decision:
-    """The decision of one reply line, or ``ValueError`` saying what is wrong
-    with it.  A pilot answers most scenes with one of a few lines, so each
-    distinct line is parsed once.  The memo keeps the last 256 distinct
-    lines and never a line that failed, so a pilot whose lines never repeat
-    grows no memory."""
-    text = raw.decode("utf-8", "replace")
-    try:
-        reply = json.loads(text)
-        mode = reply["mode"]
-        accel = float(reply["accel"])
-    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
-        raise ValueError(f"malformed decision line: {text!r}") from exc
-    if mode not in ("progress", "cautious") or not math.isfinite(accel):
-        raise ValueError(f"invalid decision: {text!r}")
-    return Decision(mode=mode, accel=accel)
+_decode = json.JSONDecoder().decode  # json.loads of a str, without its per-call checks
 
 
 class ExternalAutopilot:
@@ -493,8 +476,8 @@ class ExternalAutopilot:
         if not self._argv:
             raise ValueError("external autopilot command is empty")
         self._proc: Optional[subprocess.Popen] = None
-        self._case = (object(),) * 5  # what the template renders; matches nothing yet
-        self._template = ""
+        self._case = (object(),) * 5  # what the templates render; matches nothing yet
+        self._templates = ("", "")
 
     def _start(self) -> None:
         self._stop()
@@ -545,7 +528,9 @@ class ExternalAutopilot:
         template rebuilt whenever one of them is not the very object (held,
         so its id is not reused) it was rendered from.  Equal is not enough:
         ``1`` and ``1.0``, or ``0.0`` and ``-0.0``, are written differently.
-        Each step renders the rest."""
+        Each step renders the rest; its four numbers go in through ``%r``,
+        which writes a finite float as ``json`` does, when all four are
+        finite floats, and through ``_number`` otherwise."""
         env = scene.env
         arriving, front = env.arriving, env.front
         case = self._case
@@ -554,20 +539,26 @@ class ExternalAutopilot:
             tail = json.dumps({
                 "scenario_type": static.scenario_type.value, "d": static.d, "vl": static.vl,
             })
-            self._template = (
+            template = (
                 '{"t": %s, "dt": ' + _number(dt) + ', "ego": {"x": %s, "v": %s}, '
                 '"arriving": {"x": %s, "v": ' + _number(arriving.v) + '}, '
                 '"front": {"x": ' + _number(front.x) + ', "v": ' + _number(front.v) + '}, '
                 '"extra": %s, "light": %s, "static": ' + tail.replace("%", "%%") + "}\n"
             )
+            self._templates = (template.replace("%s", "%r", 4), template)
             self._case = (dt, arriving.v, front.x, front.v, static)
         extra = "[]"
         if env.extra_vehicles:
             extra = json.dumps([{"kind": e.kind, "x": e.x} for e in env.extra_vehicles])
         light = "null" if env.light is None else json.dumps(env.light.value)
-        return (self._template % (
-            _number(scene.t), _number(scene.ego.x), _number(scene.ego.v), _number(arriving.x),
-            extra, light,
+        t, ego = scene.t, scene.ego
+        x, v, arriving_x = ego.x, ego.v, arriving.x
+        floats, texts = self._templates
+        if type(t) is type(x) is type(v) is type(arriving_x) is float and math.isfinite(
+                t + x + v + arriving_x):
+            return (floats % (t, x, v, arriving_x, extra, light)).encode()
+        return (texts % (
+            _number(t), _number(x), _number(v), _number(arriving_x), extra, light,
         )).encode()
 
     def _abort(self, detail: str) -> ProtocolError:
@@ -664,10 +655,16 @@ class ExternalAutopilot:
             raise self._abort(f"external autopilot pipe failed: {exc}") from exc
         if not raw:
             raise self._abort("external autopilot closed its output")
+        text = raw.decode("utf-8", "replace")
         try:
-            return _decision(raw)
-        except ValueError as exc:
-            raise self._abort(str(exc)) from exc
+            reply = _decode(text)
+            mode = reply["mode"]
+            accel = float(reply["accel"])
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+            raise self._abort(f"malformed decision line: {text!r}") from exc
+        if mode not in ("progress", "cautious") or not math.isfinite(accel):
+            raise self._abort(f"invalid decision: {text!r}")
+        return Decision(mode, accel)
 
     def close(self) -> None:
         self._stop()

@@ -19,7 +19,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -42,6 +42,7 @@ __all__ = [
     "horizon_steps",
     "CAUTIOUS_MARGIN",
     "env_at",
+    "environment",
     "expand",
     "equivalence_mutations",
     "collision_window",
@@ -228,17 +229,24 @@ def horizon_steps(static: StaticPart, x_a, dt: float, slack: float = 0.0):
 
 def env_at(tc: TestCase, t: float) -> EnvState:
     """Environment state at time ``t``; independent of any ego behaviour."""
-    vl = tc.static.vl
-    extras = tuple(
-        ExtraVehicle(kind=m.kind, x=m.x - vl * t if m.kind == "arriving" else m.x)
-        for m in tc.mutations
-    ) if tc.mutations else ()
-    return EnvState(
-        arriving=VehicleState(x=tc.x_a - vl * t, v=vl),
-        front=VehicleState(x=tc.x_f, v=0.0),
-        extra_vehicles=extras,
-        light=tc.static.light_at(t),
-    )
+    return environment(tc)(t)
+
+
+def environment(tc: TestCase) -> Callable[[float], EnvState]:
+    """``env_at(tc, t)`` as a function of ``t``, for the states of one run:
+    what never moves, the front vehicle and any parked extra vehicle, is
+    built once and shared by every state."""
+    vl, x_a, mutations, light_at = tc.static.vl, tc.x_a, tc.mutations, tc.static.light_at
+    front = VehicleState(x=tc.x_f, v=0.0)
+
+    def env(t: float) -> EnvState:
+        extras = tuple(
+            ExtraVehicle(kind=m.kind, x=m.x - vl * t) if m.kind == "arriving" else m
+            for m in mutations
+        ) if mutations else ()
+        return EnvState(VehicleState(x_a - vl * t, vl), front, extras, light_at(t))
+
+    return env
 
 
 def expand(tc: TestCase, dt: float = DEFAULT_DT) -> list[EnvState]:
@@ -246,7 +254,8 @@ def expand(tc: TestCase, dt: float = DEFAULT_DT) -> list[EnvState]:
     (``tc.steps(dt) + 1`` states)."""
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite: {dt}")
-    return [env_at(tc, i * dt) for i in range(tc.steps(dt) + 1)]
+    env = environment(tc)
+    return [env(i * dt) for i in range(tc.steps(dt) + 1)]
 
 
 def equivalence_mutations(tc: TestCase, headway: float) -> list[TestCase]:

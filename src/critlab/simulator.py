@@ -38,7 +38,7 @@ from .scenario import (
     StaticPart,
     TestCase,
     default_goal,
-    env_at,
+    environment,
     expand,  # noqa: F401  re-exported: callers look it up on this module
     horizon_steps,
 )
@@ -168,7 +168,8 @@ def simulate(
     race_grace = cfg.zone_epsilon / vl
 
     ego = tc.initial_ego()
-    frames = [Scene(t=0.0, ego=ego, env=env_at(tc, 0.0))]
+    env = environment(tc)
+    frames = [Scene(t=0.0, ego=ego, env=env(0.0))]
     events: list[Event] = []
 
     crossed = False
@@ -190,7 +191,7 @@ def simulate(
         p, v = advance(p, v, a, dt, v_max)
         t1 = (i + 1) * dt
         steps = i + 1
-        frames.append(Scene(t=t1, ego=EgoState(p, v), env=env_at(tc, t1)))
+        frames.append(Scene(t=t1, ego=EgoState(p, v), env=env(t1)))
 
         if not crossed and p >= 0.0:
             crossed = True

@@ -62,6 +62,19 @@ class TestExpand:
         for env in envs:
             assert env.extra_vehicles[0].x - env.arriving.x == pytest.approx(10.0)
 
+    def test_states_of_one_run_share_what_never_moves(self, merge_static):
+        """Each state is its closed form, and the front vehicle and a parked
+        extra vehicle are built once for all the states of a run."""
+        moving, parked = ExtraVehicle("arriving", 45.0), ExtraVehicle("static", 35.0)
+        tc = TestCase(static=merge_static, x_e=5.0, v_e=3.0, x_a=35.0, x_f=15.0,
+                      mutations=(moving, parked))
+        envs = expand(tc, dt=0.1)
+        for i, env in enumerate(envs):
+            t = i * 0.1
+            assert env == EnvState(VehicleState(35.0 - 10.0 * t, 10.0), VehicleState(15.0, 0.0),
+                                   (ExtraVehicle("arriving", 45.0 - 10.0 * t), parked), None)
+            assert env.front is envs[0].front and env.extra_vehicles[1] is parked
+
     def test_deterministic(self, tc):
         a = expand(tc, dt=0.1)
         b = expand(tc, dt=0.1)
