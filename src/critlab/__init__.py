@@ -20,10 +20,8 @@ from .scenario import (
 )
 from .criticality import (
     CriticalBoundary,
-    Dominance,
     Zone,
     classify_zone,
-    dominates,
     most_critical,
 )
 from .autopilots import (

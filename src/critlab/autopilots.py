@@ -658,11 +658,14 @@ class ExternalAutopilot:
         text = raw.decode("utf-8", "replace")
         try:
             reply = _decode(text)
-            mode = reply["mode"]
-            accel = float(reply["accel"])
+            mode, accel = reply["mode"], reply["accel"]
+            if type(accel) is int:  # not a bool
+                accel = float(accel)  # OverflowError past the largest float
         except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise self._abort(f"malformed decision line: {text!r}") from exc
-        if mode not in ("progress", "cautious") or not math.isfinite(accel):
+        # ``accel`` is a JSON number: a string or a boolean is not one.
+        if (mode not in ("progress", "cautious") or type(accel) is not float
+                or not math.isfinite(accel)):
             raise self._abort(f"invalid decision: {text!r}")
         return Decision(mode, accel)
 

@@ -29,6 +29,7 @@ from pathlib import Path
 
 from .autopilots import FACTORIES, AutopilotSpec, ExternalAutopilot, ProtocolError
 from .classify import (
+    FAILURE_LABELS,
     LABELS,
     CheckAbortedError,
     classify_grid,  # noqa: F401  re-exported: callers look it up on this module
@@ -43,7 +44,14 @@ from .classify import (
 from .criticality import ZONES, most_critical
 from .kinematics import ADProfile
 from .partition import build_partition, coverage_cap, coverage_ratio
-from .scenario import ScenarioType, StaticPart, TestCase, static_from_dict
+from .scenario import (
+    HORIZON_SLACK,
+    ScenarioType,
+    StaticPart,
+    TestCase,
+    horizon_steps,
+    static_from_dict,
+)
 from .simulator import VERDICTS, SimConfig
 
 __all__ = [
@@ -62,7 +70,6 @@ __all__ = [
     "format_pct",
 ]
 
-FAILURE_ORDER = ("TF", "IS", "IO")
 OF_ORDER = ("OF-SF", "OF-PD")
 
 
@@ -184,9 +191,17 @@ class CampaignConfig:
 
         self.initial_states = [(x_e, v_e) for x_e, v_e in cfg["initial_states"]]
         raw_files = set()
+        static, dt = self.static_for(self.scenario_types[0]), self._sim.dt
         for x_e, v_e in self.initial_states:
             if v_e <= 0:
                 raise ConfigError(f"initial speed {v_e} outside (0, v_max]")
+            # Refuse a start with a run of 2**63 steps or more (``horizon_steps``
+            # raises), whatever the pilot: ``x_hat_a <= x_tilde_a``, so a grid's
+            # ``x_a`` is at most ``max(a_lo, a_hi_tilde) * x_tilde_a``, and the
+            # progress probe's at most ``x_tilde_a`` plus its offset.
+            x_tilde = x_e / v_e * static.vl
+            x_a = max(g["a_lo"], g["a_hi_tilde"], 1.0) * x_tilde + max(2.0 * static.vl * dt, 1.0)
+            horizon_steps(static, x_a, dt, HORIZON_SLACK)
             name = _raw_name(x_e, v_e)
             if name in raw_files:
                 raise ConfigError(f"repeated initial state ({x_e}, {v_e}) (raw file {name})")
@@ -309,7 +324,7 @@ class CampaignCell:
     def any_failure(self) -> bool:
         return (
             self.protocol_error
-            or any(self.counts.get(lab, 0) for lab in FAILURE_ORDER)
+            or any(self.counts.get(lab, 0) for lab in FAILURE_LABELS)
             or any(self.of_counts.values())
         )
 
@@ -571,32 +586,29 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
 
 
 def determinacy_rows(
-    checks: list[tuple[AutopilotSpec, float, float, TestCase]],
+    checks: list[tuple[AutopilotSpec, float, TestCase]],
     sim_cfg: SimConfig,
     restart_every: int = 5,
     work: Counter | None = None,
 ) -> list[dict]:
-    """The braking row (from ``v0``, obstacle at ``x_f``) and the progress row
-    (restarts of ``probe``) of each ``(pilot, v0, x_f, probe)`` check of a
-    built-in autopilot, in order.  The progress checks' simulations, all in
-    one ``determinacy_check_progress`` call, are added to ``work``.
+    """The braking row (from ``v0``) and the progress row (restarts of
+    ``probe``) of each ``(pilot, v0, probe)`` check of a built-in autopilot,
+    in order.  The progress checks' simulations, all in one
+    ``determinacy_check_progress`` call, are added to ``work``.
 
-    A check whose baseline run is unusable gives a row with status
-    ``aborted`` (braking) or ``inapplicable`` (progress) and its ``detail``.
+    A braking row's status is ``ok``: ``determinacy_check_braking`` refuses a
+    ``v0`` outside ``(0, v_max]`` with a ``ValueError``.  A progress check
+    whose baseline run is not a progress pass gives a row with status
+    ``inapplicable`` and its ``detail``.
     """
-    reports = determinacy_check_progress([(pilot, probe) for pilot, _, _, probe in checks],
+    reports = determinacy_check_progress([(pilot, probe) for pilot, _, probe in checks],
                                          restart_every, sim_cfg, work)
     rows = []
-    for (pilot, v0, x_f, probe), rep in zip(checks, reports):
-        braking = {"autopilot": pilot.name, "maneuver": "braking", "v0": v0}
-        try:
-            brake = determinacy_check_braking(pilot, v0, x_f, restart_every=restart_every,
-                                              dt=sim_cfg.dt)
-            braking.update(status="ok", max_deviation=brake.max_deviation,
-                           tol=brake.tol, determinate=brake.determinate)
-        except CheckAbortedError as exc:
-            braking.update(status="aborted", detail=str(exc))
-
+    for (pilot, v0, probe), rep in zip(checks, reports):
+        brake = determinacy_check_braking(pilot, v0, restart_every=restart_every, dt=sim_cfg.dt)
+        braking = {"autopilot": pilot.name, "maneuver": "braking", "v0": v0, "status": "ok",
+                   "max_deviation": brake.max_deviation, "tol": brake.tol,
+                   "determinate": brake.determinate}
         progress = {"autopilot": pilot.name, "maneuver": "progress",
                     "x_e": probe.x_e, "v_e": probe.v_e}
         if isinstance(rep, CheckAbortedError):
@@ -614,14 +626,9 @@ def _determinacy_summaries(config, work: Counter) -> list[dict]:
     static = config.static_for(config.scenario_types[0])
     x_e, v_e = config.initial_states[0]
     sim_cfg = config.sim_config()
-    checks = []
-    for pilot, v0 in zip(config.pilots, config.braking_v0):
-        if isinstance(pilot, ExternalAutopilot):
-            continue
-        rates = [r for _, r in pilot.rate_by_initial_speed] or [pilot.profile.b_max]
-        guard = 1.5 * v0 * v0 / (2.0 * min(rates)) + v0 * sim_cfg.dt
-        checks.append((pilot, v0, guard, progress_probe(static, x_e, v_e, pilot.profile,
-                                                        sim_cfg.dt)))
+    checks = [(pilot, v0, progress_probe(static, x_e, v_e, pilot.profile, sim_cfg.dt))
+              for pilot, v0 in zip(config.pilots, config.braking_v0)
+              if not isinstance(pilot, ExternalAutopilot)]
     return determinacy_rows(checks, sim_cfg, work=work)
 
 
@@ -661,7 +668,7 @@ def cell_text(cell: CampaignCell) -> str:
         return " ".join(of_parts)
     parts = [
         f"{lab} ({format_pct(cell.frequency(lab))}%)"
-        for lab in FAILURE_ORDER
+        for lab in FAILURE_LABELS
         if cell.counts.get(lab)
     ]
     return " ".join(parts) if parts else "pass"

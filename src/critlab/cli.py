@@ -102,7 +102,6 @@ def main(argv=None) -> int:
     p.add_argument("--profile", default="2,4,15")
     p.add_argument("--rates", help="maneuver rates, e.g. '30:5.0,27.5:3.0'")
     p.add_argument("--v0", type=float, default=12.0, help="braking check start speed")
-    p.add_argument("--x-f", type=float, default=1000.0, help="braking check obstacle")
     p.add_argument("--restart-every", type=int, default=5)
     p.add_argument("--x-e", type=float, default=20.0)
     p.add_argument("--v-e", type=float, default=5.0)
@@ -183,7 +182,7 @@ def _run(args: argparse.Namespace) -> int:
         pilot = _build_autopilot(args.autopilot, _parse_profile(args.profile), rates)
         probe = progress_probe(_static(args), args.x_e, args.v_e, pilot.profile, args.dt)
         braking, progress = determinacy_rows(
-            [(pilot, args.v0, args.x_f, probe)], SimConfig(dt=args.dt), args.restart_every
+            [(pilot, args.v0, probe)], SimConfig(dt=args.dt), args.restart_every
         )
         print(json.dumps({"autopilot": pilot.name, "braking": braking, "progress": progress}))
         return 0

@@ -1,8 +1,9 @@
-"""Criticality ordering over compact test cases.
+"""Criticality boundary and zones of compact test cases.
 
 For a fixed ego start ``(x_e, v_e)`` the environment geometry ``(x_a, x_f)``
 admits a partial order: shrinking either distance can only remove safe
-policies.  The tightest geometry that still admits a safe crossing is
+policies (``classify`` sweeps each grid in it for dominated failures).  The
+tightest geometry that still admits a safe crossing is
 
 * ``x_hat_a = accel_time(x_e, v_e) * vl`` -- the arriving vehicle distance at
   which a full-throttle ego reaches the conflict point exactly in time, and
@@ -28,17 +29,10 @@ __all__ = [
     "CriticalBoundary",
     "Zone",
     "ZONES",
-    "Dominance",
-    "IncomparableError",
     "most_critical",
-    "dominates",
     "classify_zone",
     "zone_codes",
 ]
-
-
-class IncomparableError(ValueError):
-    """Raised when two test cases do not share a comparable context."""
 
 
 @dataclass(frozen=True)
@@ -78,13 +72,6 @@ ZONES = tuple(Zone)
 _CAUTIOUS_ONLY, _SAFE_PROGRESS, _IRRELEVANT, _NON_NOMINAL = map(ZONES.index, Zone)
 
 
-class Dominance(enum.Enum):
-    MORE_CRITICAL = "more_critical"
-    LESS_CRITICAL = "less_critical"
-    EQUAL = "equal"
-    INCOMPARABLE = "incomparable"
-
-
 def most_critical(
     x_e: float, v_e: float, profile: ADProfile, static: StaticPart
 ) -> CriticalBoundary:
@@ -106,25 +93,6 @@ def most_critical(
         x_tilde_a=x_tilde_a,
         cautious_feasible=profile.braking_distance(v_e) <= x_e,
     )
-
-
-def dominates(tc: TestCase, tc2: TestCase) -> Dominance:
-    """Compare criticality of two test cases sharing static part and ego start.
-
-    Smaller arriving and front distances leave fewer safe policies, so the
-    order is the coordinatewise one on ``(-x_a, -x_f)``.
-    """
-    if tc.static != tc2.static:
-        raise IncomparableError("test cases have different static parts")
-    if (tc.x_e, tc.v_e) != (tc2.x_e, tc2.v_e):
-        raise IncomparableError("test cases have different ego starts")
-    if tc.x_a == tc2.x_a and tc.x_f == tc2.x_f:
-        return Dominance.EQUAL
-    if tc.x_a <= tc2.x_a and tc.x_f <= tc2.x_f:
-        return Dominance.MORE_CRITICAL
-    if tc.x_a >= tc2.x_a and tc.x_f >= tc2.x_f:
-        return Dominance.LESS_CRITICAL
-    return Dominance.INCOMPARABLE
 
 
 def zone_codes(boundary: CriticalBoundary, x_a_values, x_f_values) -> np.ndarray:

@@ -59,10 +59,12 @@ DEFAULT_DT = 0.1  # s
 DEFAULT_D = 5.0  # m, critical-zone half-length
 CAUTIOUS_MARGIN = 0.5  # m, stop at least this far before the zone
 HORIZON_SLACK = 10.0  # s of slack after the arriving vehicle clears the zone, by default
+_STEP_LIMIT = 2**63  # a run's step count is below this: numpy's int64 holds it
 
 
 class HorizonError(ValueError):
-    """Raised when a test case horizon is too short for its geometry."""
+    """Raised when a test case horizon is too short for its geometry, or a
+    run's step count is too large for int64."""
 
 
 class WindowUndefinedError(ValueError):
@@ -196,7 +198,8 @@ class TestCase:
     def steps(self, dt: float) -> int:
         """The step count of a run at step ``dt``: the explicit horizon, which
         raises ``HorizonError`` unless the arriving vehicle clears the zone
-        in it, or else one sized with ``HORIZON_SLACK`` s to spare."""
+        in it, or else one sized with ``HORIZON_SLACK`` s to spare.  Either
+        raises ``HorizonError`` for 2**63 steps or more, past int64."""
         if self.horizon is None:
             return int(horizon_steps(self.static, self.x_a, dt, HORIZON_SLACK))
         needed = int(horizon_steps(self.static, self.x_a, dt))
@@ -204,6 +207,8 @@ class TestCase:
             raise HorizonError(
                 f"horizon {self.horizon} too short at dt={dt}; minimum n is {needed}"
             )
+        if self.horizon >= _STEP_LIMIT:
+            raise HorizonError(f"horizon {self.horizon} is past an int64 step count")
         return self.horizon
 
     def initial_ego(self) -> EgoState:
@@ -219,9 +224,16 @@ def default_goal(static: StaticPart) -> frozenset[Property]:
 
 
 def horizon_steps(static: StaticPart, x_a, dt: float, slack: float = 0.0):
-    """Smallest step count (a whole float, or an array of them for an array
-    of ``x_a``) letting the arriving vehicle traverse the zone, plus ``slack`` s."""
-    return np.ceil(((x_a + 2.0 * static.d) / static.vl + slack) / dt)
+    """Smallest step count (an int64, or an array of them for an array of
+    ``x_a``) letting the arriving vehicle traverse the zone, plus ``slack`` s.
+
+    Raises ``HorizonError`` for a count of 2**63 or more, past int64: cast, it
+    would wrap to a negative horizon that a run never reaches.
+    """
+    n = np.ceil(((x_a + 2.0 * static.d) / static.vl + slack) / dt)
+    if not np.all(n < _STEP_LIMIT):
+        raise HorizonError(f"a run of {np.max(n):.3g} steps at dt={dt} is past an int64 step count")
+    return n.astype(np.int64)
 
 
 # -- environment expansion ----------------------------------------------------

@@ -331,7 +331,7 @@ def simulate_lockstep(
         if not lockstep_applies(pilot) or v > pilot.profile.v_max:
             raise ValueError(f"no lockstep engine for {pilot!r} from v_e={v}")
     dt = cfg.dt
-    horizons = horizon_steps(static, x_a, dt, HORIZON_SLACK).astype(int)
+    horizons = horizon_steps(static, x_a, dt, HORIZON_SLACK)
     # Results by cell: the step of each end-of-step event (-1: none), and so on.
     event_step = np.full((len(_STEP_EVENTS), n), -1)
     cross_step = np.full(n, -1)

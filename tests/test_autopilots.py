@@ -526,12 +526,11 @@ def test_reply_lines_match_the_json_oracle(raw):
     assert pilot.starts == (2 if expected is None else 1)
 
 
-@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception, reason="step reads accel through float(), which also takes a "
-                   "numeric string or a boolean; see the FOUND line on accel in CHANGES.md")
 @pytest.mark.parametrize("accel", ['"1.5"', '" -4 "', "true", "false"])
 def test_reply_accel_must_be_a_number(accel):
     """README gives ``accel`` as a finite number, the oracle's rule, which
-    ``_reply_line`` keeps to by drawing only numbers."""
+    ``_reply_line`` keeps to by drawing only numbers; ``step`` once read a
+    numeric string or a boolean through ``float()``."""
     raw = ('{"mode": "progress", "accel": %s}\n' % accel).encode()
     assert reply_decision(raw) is None
     with pytest.raises(ProtocolError, match="malformed decision line|invalid decision"):

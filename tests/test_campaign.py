@@ -237,6 +237,17 @@ class TestRunCampaign:
         assert all(r.get("determinate") for r in ref_rows if r.get("status") == "ok")
         assert report.coverage and 0.0 < report.coverage[0]["ratio"] <= 1.0
 
+    def test_throttle_rates_leave_the_braking_row_ok(self):
+        """A ``non_determinate_accel`` entry's throttle rates, read as braking
+        rates, once put the braking check's obstacle at 20.8 m, short of its
+        36 m stop, and the row read ``aborted``."""
+        raw = one_type_raw(profile={"a_max": 6.0, "b_max": 2.0, "v_max": 15.0},
+                           autopilots=[{"name": "nda", "variant": "non_determinate_accel",
+                                        "rates": {"5.0": 5.5}}],
+                           initial_states=[[50.0, 5.0]])
+        braking, _ = run_campaign(CampaignConfig(raw=raw)).determinacy
+        assert braking["status"] == "ok" and braking["determinate"] is True
+
     def test_byte_determinism(self, small_run, tmp_path):
         config, report, _ = small_run
         report2 = run_campaign(small_config(), out_dir=tmp_path)
@@ -812,6 +823,8 @@ class TestLoadTimeRejection:
         {"grid": {"a_lo": True}},
         {"autopilots": [{"name": "ext", "command": EXTERNAL, "braking_check_v0": 10.0}]},
         {"autopilots": [{"name": "ext", "command": EXTERNAL, "variant": "always_cautious"}]},
+        {"initial_states": [[1e300, 5.0]]},
+        {"sim": {"dt": 1e-300}},
     ], ids=[
         "pilot-profile-missing-b_max", "pilot-profile-negative-a_max",
         "base-profile-negative-a_max", "negative-d", "light-phase-zero", "dt-zero",
@@ -830,6 +843,7 @@ class TestLoadTimeRejection:
         "start-above-external-pilot-v_max", "start-unstoppable-for-pilot-profile",
         "scenario-type-repeated", "name-with-nul", "start-speed-true", "grid-a_lo-true",
         "braking-check-on-an-external-pilot", "variant-on-an-external-pilot",
+        "start-with-runs-past-int64-steps", "dt-with-runs-past-int64-steps",
     ])
     def test_refused_before_any_simulation(self, overrides, monkeypatch, tmp_path):
         def no_grid(*args, **kwargs):

@@ -221,19 +221,19 @@ class TestLiveGrids:
 class TestBrakingDeterminacy:
     def test_reference_is_determinate(self):
         pilot = reference(ADProfile(2.0, 4.0, 30.0))
-        rep = determinacy_check_braking(pilot, 30.0, 150.0, restart_every=5)
+        rep = determinacy_check_braking(pilot, 30.0, restart_every=5)
         assert rep.determinate
         assert rep.max_deviation <= 30.0 * 0.1 + 0.25
 
     def test_restart_at_step_zero_is_exact(self):
         pilot = reference(ADProfile(2.0, 4.0, 30.0))
-        rep = determinacy_check_braking(pilot, 30.0, 150.0, restart_every=1000)
+        rep = determinacy_check_braking(pilot, 30.0, restart_every=1000)
         assert rep.restarts[0].deviation == 0.0
 
     def test_split_rate_variant_diverges(self):
         p30 = ADProfile(2.0, 5.0, 30.0)
         pilot = non_determinate_brake(p30, {30.0: 5.0, 27.5: 3.0})
-        rep = determinacy_check_braking(pilot, 30.0, 160.0, restart_every=5)
+        rep = determinacy_check_braking(pilot, 30.0, restart_every=5)
         assert not rep.determinate
         assert rep.max_deviation >= 20.0
         # the restart landing on 27.5 m/s reproduces the trace-oracle gap
@@ -244,26 +244,18 @@ class TestBrakingDeterminacy:
         assert worst.v == pytest.approx(27.5)
         assert worst.deviation == pytest.approx(expected, abs=1e-9)
 
-    def test_baseline_overrun_aborts(self):
-        pilot = reference(ADProfile(2.0, 4.0, 30.0))
-        with pytest.raises(CheckAbortedError):
-            determinacy_check_braking(pilot, 30.0, 50.0)
-
     def test_start_above_v_max_aborts(self):
         pilot = reference(ADProfile(2.0, 4.0, 15.0))
-        with pytest.raises(CheckAbortedError, match="above v_max"):
-            determinacy_check_braking(pilot, 16.0, 150.0)
+        with pytest.raises(ValueError, match=r"outside \(0, v_max 15.0\]"):
+            determinacy_check_braking(pilot, 16.0)
 
-    @pytest.mark.parametrize("v0, x_f", [
-        (math.nan, 150.0), (-5.0, 150.0), (0.0, 150.0), (math.inf, 150.0),
-        (12.0, math.nan), (12.0, -1.0), (12.0, math.inf),
-    ])
-    def test_start_or_obstacle_not_positive_and_finite_refused(self, v0, x_f):
+    @pytest.mark.parametrize("v0", [math.nan, -5.0, 0.0, math.inf])
+    def test_start_or_obstacle_not_positive_and_finite_refused(self, v0):
         """A NaN ``v0`` once read ``tol`` NaN and status ok; a negative one
         a negative ``tol``."""
         pilot = reference(ADProfile(2.0, 4.0, 15.0))
-        with pytest.raises(ValueError, match="must be positive and finite"):
-            determinacy_check_braking(pilot, v0, x_f)
+        with pytest.raises(ValueError, match=r"outside \(0, v_max"):
+            determinacy_check_braking(pilot, v0)
 
 
 class TestProgressDeterminacy:

@@ -211,7 +211,7 @@ class TestDeterminacyCommand:
         rc = main([
             "determinacy", "--autopilot", "non_determinate_brake",
             "--profile", "2,5,30", "--rates", "30:5.0,27.5:3.0",
-            "--v0", "30", "--x-f", "200",
+            "--v0", "30",
         ])
         assert rc == 0
         data = json.loads(capsys.readouterr().out)
@@ -221,7 +221,7 @@ class TestDeterminacyCommand:
     @pytest.mark.parametrize("name", ["reference", "non_determinate_brake"])
     def test_rows_match_the_campaign(self, name, capsys):
         """``critlab determinacy`` prints the rows a campaign reports for the
-        same pilot, braking speed, obstacle and start."""
+        same pilot, braking speed and start."""
         entry = next(e for e in DEFAULT_CONFIG["autopilots"] if e["name"] == name)
         raw = json.loads(json.dumps(DEFAULT_CONFIG))
         raw.update(scenario_types=["merge_yield"], autopilots=[entry],
@@ -229,11 +229,9 @@ class TestDeterminacyCommand:
         report = run_campaign(CampaignConfig(raw=raw))
         p = {**DEFAULT_CONFIG["profile"], **entry.get("profile", {})}
         v0 = entry.get("braking_check_v0", 0.8 * p["v_max"])
-        rates = [float(r) for r in entry.get("rates", {}).values()] or [p["b_max"]]
-        guard = 1.5 * v0 * v0 / (2.0 * min(rates)) + v0 * 0.1  # the campaign's obstacle
         rc = main([
             "determinacy", "--autopilot", name, "--profile", "{a_max},{b_max},{v_max}".format(**p),
-            "--v0", repr(v0), "--x-f", repr(guard), "--x-e", "25", "--v-e", "7.5",
+            "--v0", repr(v0), "--x-e", "25", "--v-e", "7.5",
         ])
         assert rc == 0
         data = json.loads(capsys.readouterr().out)
@@ -245,6 +243,15 @@ class TestDeterminacyCommand:
         data = json.loads(capsys.readouterr().out)
         assert data["braking"]["determinate"] is True
         assert data["progress"]["determinate"] is True
+
+    def test_start_above_v_max_is_refused(self, capsys):
+        """A ``--v0`` above the profile's ``v_max`` once printed an
+        ``aborted`` braking row and exited 0."""
+        assert main(["determinacy", "--profile", "2,4,15", "--v0", "16"]) == 1
+        out, err = capsys.readouterr()
+        assert not out
+        assert err.startswith("error: braking check v0 16.0 outside (0, v_max 15.0]")
+        assert err.count("\n") == 1
 
 
 class TestPartitionCommand:
@@ -397,6 +404,18 @@ class TestErrorExits:
             assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "finite" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["simulate", "determinacy"])
+    def test_step_count_past_int64_is_refused(self, tmp_path, capsys, hang_guard, command):
+        """A step of 1e-300 once sized a run of about 1e301 steps, which
+        ``simulate`` looped through with no practical end."""
+        argv = [command, "--dt", "1e-300"]
+        if command == "simulate":
+            argv += ["--testcase", str(_write_testcase(tmp_path))]
+        with hang_guard(10.0):
+            assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "int64 step count" in err and err.count("\n") == 1
 
     def test_unknown_autopilot(self, tmp_path, capsys):
         tc_path = _write_testcase(tmp_path)

@@ -1,20 +1,9 @@
 import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from critlab.autopilots import reference
-from critlab.criticality import (
-    Dominance,
-    IncomparableError,
-    Zone,
-    classify_zone,
-    dominates,
-    most_critical,
-)
-from critlab.scenario import ScenarioType, StaticPart, TestCase
-from critlab.simulator import SimConfig, VerdictKind, simulate, verdict
+from critlab.criticality import Zone, classify_zone, most_critical
+from critlab.scenario import TestCase
 
 
 class TestMostCritical:
@@ -46,64 +35,6 @@ class TestMostCritical:
         for b_lo, b_hi in zip(bounds, bounds[1:]):
             assert b_hi.x_hat_a <= b_lo.x_hat_a + 1e-9
             assert b_hi.x_hat_f >= b_lo.x_hat_f - 1e-9
-
-
-class TestDominance:
-    def _tc(self, merge_static, x_a, x_f):
-        return TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=x_a, x_f=x_f)
-
-    def test_coordinatewise(self, merge_static):
-        assert dominates(
-            self._tc(merge_static, 20, 10), self._tc(merge_static, 25, 12)
-        ) is Dominance.MORE_CRITICAL
-
-    def test_crossed_coordinates(self, merge_static):
-        assert dominates(
-            self._tc(merge_static, 20, 12), self._tc(merge_static, 25, 10)
-        ) is Dominance.INCOMPARABLE
-
-    def test_equal(self, merge_static):
-        assert dominates(
-            self._tc(merge_static, 20, 10), self._tc(merge_static, 20, 10)
-        ) is Dominance.EQUAL
-
-    def test_mismatched_static_parts(self, merge_static):
-        other = StaticPart(ScenarioType.INTERSECTION_YIELD, vl=10.0, d=5.0)
-        with pytest.raises(IncomparableError):
-            dominates(
-                self._tc(merge_static, 20, 10),
-                TestCase(static=other, x_e=20.0, v_e=5.0, x_a=20.0, x_f=10.0),
-            )
-
-    def test_mismatched_ego_start(self, merge_static):
-        with pytest.raises(IncomparableError):
-            dominates(
-                self._tc(merge_static, 20, 10),
-                TestCase(static=merge_static, x_e=25.0, v_e=5.0, x_a=20.0, x_f=10.0),
-            )
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    coords=st.lists(
-        st.tuples(st.floats(1.0, 60.0), st.floats(1.0, 40.0)), min_size=3, max_size=3
-    )
-)
-def test_dominance_is_a_partial_order(coords):
-    static = StaticPart(ScenarioType.MERGE_YIELD, vl=10.0, d=5.0)
-    tcs = [
-        TestCase(static=static, x_e=20.0, v_e=5.0, x_a=a, x_f=f) for a, f in coords
-    ]
-    a, b, c = tcs
-    # antisymmetry
-    if dominates(a, b) is Dominance.MORE_CRITICAL:
-        assert dominates(b, a) is Dominance.LESS_CRITICAL
-    # transitivity
-    if (
-        dominates(a, b) is Dominance.MORE_CRITICAL
-        and dominates(b, c) is Dominance.MORE_CRITICAL
-    ):
-        assert dominates(a, c) is Dominance.MORE_CRITICAL
 
 
 class TestClassifyZone:

@@ -298,6 +298,14 @@ def test_refuses_cases_it_cannot_batch():
     assert lockstep([], []).steps.size == 0
 
 
+@pytest.mark.parametrize("x_a, dt", [(1e300, 0.1), (30.0, 1e-300)])
+def test_refuses_a_run_past_int64_steps(hang_guard, x_a, dt):
+    """Such a horizon was once cast to -2**63, a step no cell reaches."""
+    with hang_guard(10.0), pytest.raises(ValueError, match="int64"):
+        simulate_lockstep([reference(STD)], MERGE, [20.0], [5.0], [0], [x_a], [15.0],
+                          SimConfig(dt=dt))
+
+
 class TestRouting:
     """``run_grid`` batches a built-in pilot and nothing else."""
 

@@ -123,6 +123,16 @@ class TestExpand:
         with pytest.raises(HorizonError, match="too short at dt=0.1; minimum n is 50"):
             tc.steps(0.1)
 
+    @pytest.mark.parametrize("dt, horizon", [(1e-300, None), (0.1, 2**63), (1e-300, 2**63 - 1)])
+    def test_a_run_past_int64_steps_is_refused(self, merge_static, dt, horizon):
+        """Such a count once came back as a Python int that ``simulate``
+        looped through with no practical end; 2**63 - 1 steps is the most."""
+        tc = TestCase(static=merge_static, x_e=20, v_e=5, x_a=30, x_f=15, horizon=horizon)
+        with pytest.raises(HorizonError, match="int64 step count"):
+            tc.steps(dt)
+        assert TestCase(static=merge_static, x_e=20, v_e=5, x_a=30, x_f=15,
+                        horizon=2**63 - 1).steps(0.1) == 2**63 - 1
+
     def test_light_schedule_sampled(self):
         static = StaticPart(
             ScenarioType.INTERSECTION_LIGHT, vl=10.0, d=5.0, light_schedule=(2.0, 3.0)
