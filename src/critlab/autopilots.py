@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import os
-import selectors
+import select
 import shlex
 import subprocess
 import time
@@ -31,7 +31,15 @@ from typing import Mapping, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .kinematics import ADProfile, advance, advance_arrays
-from .scenario import CAUTIOUS_MARGIN, DEFAULT_DT, Scene, StaticPart
+from .scenario import (
+    CAUTIOUS_MARGIN,
+    DEFAULT_DT,
+    Light,
+    Scene,
+    ScenarioType,
+    StaticPart,
+    TestCase,
+)
 
 __all__ = [
     "Decision",
@@ -446,6 +454,23 @@ def _number(x) -> str:
 
 
 _decode = json.JSONDecoder().decode  # json.loads of a str, without its per-call checks
+_scan = json.JSONDecoder().scan_once  # one JSON value at an index: (value, its end)
+
+
+def _decode_line(text: str):
+    """``json.loads`` of a reply line.  A line that is one JSON value and
+    its newline, as pilots write them, takes the scanner alone; any other
+    line (spacing around the value, more after it, no value at all) goes
+    through ``_decode``, so it is read, or refused, as ``json.loads`` does."""
+    try:
+        value, end = _scan(text, 0)
+    except StopIteration:  # no value at the first character
+        return _decode(text)
+    return value if text[end:] == "\n" else _decode(text)
+
+
+# The ``json`` text of each light ``StaticPart.light_at`` gives.
+_LIGHT_TEXT = {None: "null", Light.GREEN: '"green"', Light.RED: '"red"'}
 
 
 class ExternalAutopilot:
@@ -459,9 +484,9 @@ class ExternalAutopilot:
          "static": {"scenario_type": ..., "d": ..., "vl": ...}}
 
     and reads one decision per line: ``{"mode": "progress"|"cautious",
-    "accel": <float>}``, at most ``_READ_SIZE`` bytes with its newline.  Every
-    test case starts with a ``t == 0.0`` scene, the run's start, which ``step``
-    is given again on every step and does not send.  One process serves case
+    "accel": <float>}``, at most ``_READ_SIZE`` bytes with its newline.
+    ``start_case`` begins a test case, and ``step`` sends each of its scenes,
+    the first at ``t == 0.0``, the run's start.  One process serves case
     after case; whether it is still alive is checked when a case starts, and
     it must take and answer each scene within ``STEP_DEADLINE_S``.  A pilot
     that breaks the protocol in any way is stopped: the next case starts a
@@ -476,8 +501,6 @@ class ExternalAutopilot:
         if not self._argv:
             raise ValueError("external autopilot command is empty")
         self._proc: Optional[subprocess.Popen] = None
-        self._case = (object(),) * 5  # what the templates render; matches nothing yet
-        self._templates = ("", "")
 
     def _start(self) -> None:
         self._stop()
@@ -495,20 +518,19 @@ class ExternalAutopilot:
         self._in, self._out, self._err = (s.fileno() for s in streams)  # type: ignore[union-attr]
         for fd in (self._in, self._out, self._err):
             os.set_blocking(fd, False)
-        self._sel = selectors.DefaultSelector()
-        self._sel.register(self._out, selectors.EVENT_READ)
-        self._sel.register(self._err, selectors.EVENT_READ)
+        self._poll = select.poll()
+        self._poll.register(self._out, select.POLLIN)
+        self._poll.register(self._err, select.POLLIN)
         self._stderr_open = True
         self._stderr = b""
         self._buf = b""
         self._proc = proc
 
     def _stop(self) -> None:
-        """End the process, if any, and release its pipes and the selector."""
+        """End the process, if any, and release its pipes."""
         proc, self._proc = self._proc, None
         if proc is None:
             return
-        self._sel.close()
         if proc.poll() is None:
             proc.stdin.close()  # type: ignore[union-attr]
             proc.terminate()
@@ -520,46 +542,61 @@ class ExternalAutopilot:
         for pipe in (proc.stdin, proc.stdout, proc.stderr):
             pipe.close()  # type: ignore[union-attr]
 
-    def _encode(self, scene: Scene, static: StaticPart, dt: float) -> bytes:
-        """The scene's protocol line: ``json.dumps`` of the payload in the
-        class docstring and a newline, byte for byte.  ``dt``, the arriving
-        vehicle's speed, the front vehicle and the static part are the same
-        objects on every step of a case, so they are rendered once, into a
-        template rebuilt whenever one of them is not the very object (held,
-        so its id is not reused) it was rendered from.  Equal is not enough:
-        ``1`` and ``1.0``, or ``0.0`` and ``-0.0``, are written differently.
-        Each step renders the rest; its four numbers go in through ``%r``,
-        which writes a finite float as ``json`` does, when all four are
-        finite floats, and through ``_number`` otherwise."""
-        env = scene.env
-        arriving, front = env.arriving, env.front
-        case = self._case
-        if (dt is not case[0] or arriving.v is not case[1] or front.x is not case[2]
-                or front.v is not case[3] or static is not case[4]):
-            tail = json.dumps({
-                "scenario_type": static.scenario_type.value, "d": static.d, "vl": static.vl,
-            })
-            template = (
-                '{"t": %s, "dt": ' + _number(dt) + ', "ego": {"x": %s, "v": %s}, '
-                '"arriving": {"x": %s, "v": ' + _number(arriving.v) + '}, '
-                '"front": {"x": ' + _number(front.x) + ', "v": ' + _number(front.v) + '}, '
-                '"extra": %s, "light": %s, "static": ' + tail.replace("%", "%%") + "}\n"
-            )
-            self._templates = (template.replace("%s", "%r", 4), template)
-            self._case = (dt, arriving.v, front.x, front.v, static)
-        extra = "[]"
-        if env.extra_vehicles:
-            extra = json.dumps([{"kind": e.kind, "x": e.x} for e in env.extra_vehicles])
-        light = "null" if env.light is None else json.dumps(env.light.value)
-        t, ego = scene.t, scene.ego
-        x, v, arriving_x = ego.x, ego.v, arriving.x
-        floats, texts = self._templates
-        if type(t) is type(x) is type(v) is type(arriving_x) is float and math.isfinite(
-                t + x + v + arriving_x):
-            return (floats % (t, x, v, arriving_x, extra, light)).encode()
-        return (texts % (
-            _number(t), _number(x), _number(v), _number(arriving_x), extra, light,
-        )).encode()
+    def start_case(self, tc: TestCase, dt: float) -> None:
+        """Begin test case ``tc``, run at step ``dt``: a fresh process if
+        none is alive, and the case's scene template.
+
+        A scene line is ``json.dumps`` of the payload in the class docstring
+        and a newline, byte for byte.  Of a case's scenes, only ``t``, the
+        ego, the arriving vehicle's ``x_a - vl * t``, an arriving extra
+        vehicle's ``x - vl * t`` and a light that has a red phase change from
+        step to step; the rest is rendered here, once.  The four numbers
+        every step has go in through ``%r``, which writes a finite float as
+        ``json`` does, when all four are finite floats, and through
+        ``_number`` otherwise: ``1`` and ``1.0``, or ``0.0`` and ``-0.0``,
+        are written differently.
+        """
+        if self._proc is None or self._proc.poll() is not None:
+            self._start()
+        static = tc.static
+        vl, x_a = static.vl, tc.x_a
+        movers = tuple(m.x for m in tc.mutations if m.kind == "arriving")
+        extra = "[" + ", ".join(
+            '{"kind": "arriving", "x": %s}' if m.kind == "arriving"
+            else '{"kind": "static", "x": ' + _number(m.x) + "}"
+            for m in tc.mutations
+        ) + "]"
+        light_at = static.light_at
+        if (static.scenario_type is ScenarioType.INTERSECTION_LIGHT
+                and static.light_schedule is not None):
+            light = "%s"
+        else:  # no light, or one that is always green
+            light, light_at = _LIGHT_TEXT[light_at(0.0)], None
+        tail = json.dumps({
+            "scenario_type": static.scenario_type.value, "d": static.d, "vl": vl,
+        }).replace("%", "%%")
+        texts = (
+            '{"t": %s, "dt": ' + _number(dt) + ', "ego": {"x": %s, "v": %s}, '
+            '"arriving": {"x": %s, "v": ' + _number(vl) + '}, '
+            '"front": {"x": ' + _number(tc.x_f) + ', "v": 0.0}, '
+            '"extra": ' + extra + ', "light": ' + light + ', "static": ' + tail + "}\n"
+        )
+        floats = texts.replace("%s", "%r", 4)
+
+        def render(t, x, v) -> bytes:
+            arriving_x = x_a - vl * t
+            if type(t) is type(x) is type(v) is type(arriving_x) is float and math.isfinite(
+                    t + x + v + arriving_x):
+                template, numbers = floats, (t, x, v, arriving_x)
+            else:
+                template, numbers = texts, tuple(map(_number, (t, x, v, arriving_x)))
+            if movers:
+                numbers += tuple(_number(m - vl * t) for m in movers)
+            if light_at:
+                numbers += (_LIGHT_TEXT[light_at(t)],)
+            return (template % numbers).encode()
+
+        self._render = render
 
     def _abort(self, detail: str) -> ProtocolError:
         """``detail`` with the tail of the pilot's stderr, if it wrote any,
@@ -580,17 +617,17 @@ class ExternalAutopilot:
         if chunk:
             self._stderr = (self._stderr + chunk)[-STDERR_TAIL_BYTES:]
         else:  # closed: stop watching it
-            self._sel.unregister(self._err)
+            self._poll.unregister(self._err)
             self._stderr_open = False
 
     def _wait(self, deadline: float) -> None:
         """Block until a watched pipe is ready, keeping up with stderr;
         ``TimeoutError`` once ``deadline`` has passed."""
         timeout = deadline - time.monotonic()
-        ready = self._sel.select(timeout) if timeout > 0 else []
+        ready = self._poll.poll(math.ceil(timeout * 1e3)) if timeout > 0 else []
         if not ready:
             raise TimeoutError
-        if any(key.fd == self._err for key, _ in ready):
+        if any(fd == self._err for fd, _ in ready):
             self._drain_stderr()
 
     def _send(self, line: bytes, deadline: float) -> None:
@@ -599,51 +636,50 @@ class ExternalAutopilot:
             try:
                 sent += os.write(self._in, line[sent:])
             except BlockingIOError:  # the pilot is not reading: wait for room
-                self._sel.unregister(self._out)
-                self._sel.register(self._in, selectors.EVENT_WRITE)
+                self._poll.unregister(self._out)
+                self._poll.register(self._in, select.POLLOUT)
                 try:
                     self._wait(deadline)
                 finally:
-                    self._sel.unregister(self._in)
-                    self._sel.register(self._out, selectors.EVENT_READ)
+                    self._poll.unregister(self._in)
+                    self._poll.register(self._out, select.POLLIN)
 
     def _receive(self, deadline: float) -> bytes:
         """The next reply line; at EOF a last unterminated line, as
         ``readline`` gives it, then ``b""``.  A pilot still writing its line
         at ``deadline`` raises ``TimeoutError``, and a line longer than
-        ``_READ_SIZE`` bytes, its newline included, is refused."""
+        ``_READ_SIZE`` bytes, its newline included, is refused.  Each read
+        waits until the pipe is readable; a reply that one read brings whole,
+        its one newline last, is returned as read."""
         buf = self._buf
         end = buf.find(b"\n") + 1
         while not end and len(buf) <= _READ_SIZE:
+            self._wait(deadline)
             try:
                 chunk = os.read(self._out, _READ_SIZE)
-            except BlockingIOError:  # no reply yet
-                self._wait(deadline)
+            except BlockingIOError:  # stderr, not a reply, ended the wait
                 continue
             if not chunk:
                 self._buf = b""
                 return buf
             newline = chunk.find(b"\n")  # only the new bytes can end the line
+            if newline == len(chunk) - 1 and not buf:
+                return chunk
             buf += chunk
             if newline >= 0:
                 end = len(buf) - len(chunk) + newline + 1
-            elif time.monotonic() > deadline:
-                raise TimeoutError
         if not end or end > _READ_SIZE:
             raise self._abort(f"external autopilot reply line exceeds {_READ_SIZE} bytes")
         self._buf = buf[end:]
         return buf[:end]
 
-    def step(
-        self,
-        scene: Scene,
-        static: StaticPart,
-        start: Optional[Scene] = None,
-        dt: float = DEFAULT_DT,
-    ) -> Decision:
-        if self._proc is None or (scene.t == 0.0 and self._proc.poll() is not None):
-            self._start()
-        line = self._encode(scene, static, dt)
+    def step(self, t: float, x: float, v: float) -> float:
+        """The acceleration the pilot commands at time ``t`` of the case
+        ``start_case`` began, the ego at ``x`` with speed ``v``: one round
+        trip of the scene line."""
+        if self._proc is None:  # never started, or stopped by a protocol error
+            raise ProtocolError("external autopilot has no case started")
+        line = self._render(t, x, v)
         deadline = time.monotonic() + STEP_DEADLINE_S
         try:
             self._send(line, deadline)
@@ -657,7 +693,7 @@ class ExternalAutopilot:
             raise self._abort("external autopilot closed its output")
         text = raw.decode("utf-8", "replace")
         try:
-            reply = _decode(text)
+            reply = _decode_line(text)
             mode, accel = reply["mode"], reply["accel"]
             if type(accel) is int:  # not a bool
                 accel = float(accel)  # OverflowError past the largest float
@@ -667,7 +703,7 @@ class ExternalAutopilot:
         if (mode not in ("progress", "cautious") or type(accel) is not float
                 or not math.isfinite(accel)):
             raise self._abort(f"invalid decision: {text!r}")
-        return Decision(mode, accel)
+        return accel
 
     def close(self) -> None:
         self._stop()

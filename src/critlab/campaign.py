@@ -32,6 +32,7 @@ from .classify import (
     FAILURE_LABELS,
     LABELS,
     CheckAbortedError,
+    Grid,
     classify_grid,  # noqa: F401  re-exported: callers look it up on this module
     classify_grids,
     determinacy_check_braking,
@@ -236,6 +237,21 @@ class CampaignConfig:
             self.braking_v0.append(v0)
             self._check_starts(pilot.profile, repr(pilot.name))
 
+        # Every grid, by pilot name and start: its axes are closed forms of
+        # the config, so one that holds a distance that is not positive is
+        # refused here, not after the grids before it have run.  The boundary
+        # reads only the speed limit, which every scenario type shares.
+        self.grids: dict[tuple[str, float, float], Grid] = {}
+        for pilot in self.pilots:
+            for x_e, v_e in self.initial_states:
+                boundary = most_critical(x_e, v_e, pilot.profile, static)
+                x_a, x_f = _grid_values(boundary, g)
+                if min(x_a + x_f) <= 0:
+                    raise ConfigError(
+                        f"grid of {pilot.name!r} from ({x_e}, {v_e}) holds a distance that is not "
+                        f"positive: x_a from {x_a[0]} to {x_a[-1]}, x_f from {x_f[0]} to {x_f[-1]}")
+                self.grids[pilot.name, x_e, v_e] = (x_e, v_e, x_a, x_f, boundary)
+
     def _check_starts(self, profile: ADProfile, whose: str) -> None:
         """Refuse a start above ``profile``'s ``v_max``, or one it cannot brake
         to a stop from within ``x_e``: every case from it would be unwinnable."""
@@ -417,19 +433,15 @@ def _groups(jobs: list, grid_cells: int, workers: int) -> list[list]:
 
 
 def _grid_reports(args) -> tuple[list[dict], Counter]:
-    """The reports of some ``(pilot, x_e, v_e)`` jobs' grids over one static
-    part, one per job, and the work of simulating them: ``run_grids``'
-    counters, and the grids, ``simulated``.  The grids share one shape, and
-    are classified together."""
-    jobs, static, grid_spec, sim_cfg = args
-    grids = []
-    for spec, x_e, v_e in jobs:
-        boundary = most_critical(x_e, v_e, spec.profile, static)
-        grids.append((spec, (x_e, v_e, *_grid_values(boundary, grid_spec), boundary)))
-    work = Counter(simulated=len(grids))
-    results = run_grids(static, grids, sim_cfg, work)
+    """The reports of some ``(pilot, grid)`` jobs over one static part, one
+    per job, and the work of simulating them: ``run_grids``' counters, and
+    the grids, ``simulated``.  The grids share one shape, and are classified
+    together."""
+    jobs, static, sim_cfg = args
+    work = Counter(simulated=len(jobs))
+    results = run_grids(static, jobs, sim_cfg, work)
     reports = [{**grid_report_dict(grid, cls), "autopilot": spec.name}
-               for (spec, _, _), grid, cls in zip(jobs, results, classify_grids(results))]
+               for (spec, _), grid, cls in zip(jobs, results, classify_grids(results))]
     return reports, work
 
 
@@ -532,11 +544,11 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
     parts: dict[object, list[ScenarioType]] = {}
     for sc in scenario_types:
         parts.setdefault(_part_key(config.static_for(sc)), []).append(sc)
-    jobs = [(pilot, x_e, v_e) for pilot in pilots if not isinstance(pilot, ExternalAutopilot)
-            for x_e, v_e in config.initial_states]
+    jobs = [(pilot, config.grids[pilot.name, x_e, v_e]) for pilot in pilots
+            if not isinstance(pilot, ExternalAutopilot) for x_e, v_e in config.initial_states]
     groups = _groups(jobs, grid_spec["n_a"] * grid_spec["n_f"], workers)
     tasks = [(types, group) for types in parts.values() for group in groups]
-    args = [(group, config.static_for(types[0]), grid_spec, sim_cfg) for types, group in tasks]
+    args = [(group, config.static_for(types[0]), sim_cfg) for types, group in tasks]
 
     start = time.perf_counter()
     parallel = workers > 1 and len(tasks) > 1
@@ -546,7 +558,7 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
         results = (pool.map if parallel else map)(_grid_reports, args)
         for (types, group), (reports, work) in zip(tasks, results):
             grid_work.update(work)
-            for (pilot, _, _), report in zip(group, reports):
+            for (pilot, _), report in zip(group, reports):
                 record(pilot, types, report)
     stage_s["builtin_grids"] = time.perf_counter() - start - stage_s["raw_files"]
 
@@ -557,7 +569,8 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
             for x_e, v_e in config.initial_states:
                 try:
                     (report,), work = _grid_reports(
-                        ([(pilot, x_e, v_e)], config.static_for(sc), grid_spec, sim_cfg))
+                        ([(pilot, config.grids[pilot.name, x_e, v_e])], config.static_for(sc),
+                         sim_cfg))
                 except ProtocolError as exc:
                     cells[(sc.value, pilot.name)].protocol_error = str(exc)
                     break

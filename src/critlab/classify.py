@@ -390,13 +390,15 @@ def _restart_states(autopilot, tc: TestCase, restart_every: int, cfg: SimConfig,
             f"baseline run did not cross and pass (verdict {base_verdict.kind.value})")
     states = []
     # From one period in: the state at t = 0 is the baseline's own case.
-    for frame in base.frames[restart_every::restart_every]:
-        if frame.ego.x >= 0.0:
+    for k in range(restart_every, len(base.states), restart_every):
+        x, v = base.states[k]
+        if x >= 0.0:
             break  # restarts past the conflict point have an empty approach
-        x_a = tc.x_a - tc.static.vl * frame.t
+        t = k * base.dt  # the time of its frame
+        x_a = tc.x_a - tc.static.vl * t
         if x_a <= 0.0:
             continue  # arriving vehicle already past: the race is decided
-        states.append((frame.t, frame.ego.x, frame.ego.v, x_a))
+        states.append((t, x, v, x_a))
     return base.v_cross, states
 
 

@@ -9,9 +9,9 @@ critical zone.  An ego that crosses first is out of the arriving vehicle's
 way; mere co-occupancy of the zone is recorded as its own event and never
 fails a run.
 
-``simulate`` runs one case with any autopilot, each step's pilot given the
-current scene and the run's start, records its trace, and is the
-reference.  ``simulate_lockstep`` runs many cases over one static part
+``simulate`` runs one case with any autopilot, stepping on plain numbers
+through one decision function per run, records its trace as ego states, and
+is the reference.  ``simulate_lockstep`` runs many cases over one static part
 together, one numpy array step per time step, for any mix of built-in
 autopilots; it gives every case the outcome ``simulate`` gives it, crossing
 speed included but without the trace, as arrays that ``verdict_arrays``
@@ -23,11 +23,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .autopilots import AutopilotSpec, PolicyColumns, step_arrays
+from .autopilots import AutopilotSpec, ExternalAutopilot, PolicyColumns, step_arrays
 from .kinematics import advance, advance_arrays
 from .scenario import (
     DEFAULT_DT,
@@ -95,12 +96,12 @@ class SimConfig:
 @dataclass
 class SimOutcome:
     """One run of ``simulate``: the case as it ran (``tc``, its horizon the
-    run's step count), its trace (``frames``, the start and one per step
-    taken), events in time order, final ego state, and the crossing of the
-    conflict point, if any."""
+    run's step count), the ego's ``(x, v)`` states (the start and one per
+    step taken, ``dt`` apart), events in time order, final ego state, and
+    the crossing of the conflict point, if any."""
 
     tc: TestCase
-    frames: list[Scene]
+    states: list[tuple[float, float]]
     events: list[Event]
     final: EgoState
     steps: int
@@ -109,9 +110,21 @@ class SimOutcome:
     t_arrive: float  # time the arriving vehicle reaches the conflict point
     race_won: bool = False  # ego cleared the point no later than the arriving vehicle
     zone_epsilon: float = 0.1  # boundary tolerance inherited from the run config
+    dt: float = DEFAULT_DT  # s, the run's step
 
     def has(self, kind: EventKind) -> bool:
         return any(e.kind is kind for e in self.events)
+
+    @cached_property
+    def frames(self) -> list[Scene]:
+        """The run's trace: a scene per state, the environment as
+        ``environment(tc)`` gives it, built when first read."""
+        env, dt = environment(self.tc), self.dt
+        frames = []
+        for k, (x, v) in enumerate(self.states):
+            t = k * dt if k else 0.0
+            frames.append(Scene(t=t, ego=EgoState(x, v), env=env(t)))
+        return frames
 
 
 class VerdictKind(str, enum.Enum):
@@ -137,6 +150,27 @@ _PROPERTY_EVENTS = {
 }
 
 
+def _decider(autopilot, tc: TestCase, dt: float) -> Callable[[float, float, float], float]:
+    """A run's decision function, ``(t, x, v) -> accel``, picked once.
+
+    An external pilot begins the case and steps from the numbers alone.  Any
+    other pilot has a ``step(scene, static, start, dt)``: it is handed the
+    scene of each state as the trace records it, its run's start as both
+    scene and start at ``t == 0.0``.
+    """
+    if isinstance(autopilot, ExternalAutopilot):
+        autopilot.start_case(tc, dt)
+        return autopilot.step
+    static, env, step = tc.static, environment(tc), autopilot.step
+    start = Scene(t=0.0, ego=tc.initial_ego(), env=env(0.0))
+
+    def decide(t: float, x: float, v: float) -> float:
+        scene = Scene(t=t, ego=EgoState(x, v), env=env(t)) if t else start
+        return step(scene, static, start, dt).accel
+
+    return decide
+
+
 def simulate(
     autopilot,
     tc: TestCase,
@@ -146,15 +180,15 @@ def simulate(
     """Run one closed-loop scenario to a stable end, collision, or horizon,
     ``tc.steps(cfg.dt)`` steps, which the outcome's case holds.
 
-    Each step's pilot sees the last recorded frame and the first, the run's
-    start, and every step adds one, so the outcome carries the whole trace.
-    The run ends early once the ego is stopped clear of the conflict (either
-    before the zone or past the point) and the arriving vehicle has left the
-    zone; nothing can change after that.  Environment states are built only
-    for the steps the run takes.  The crossing's time and speed are
-    interpolated linearly within the step that reaches the point.  ``record``
-    is kept for callers that still pass it and changes nothing: every run
-    records its trace.
+    The loop runs on numbers: each step asks the run's decision function
+    (``_decider``) for the pilot's acceleration at the last state, and every
+    step adds one state, so the outcome carries the whole trace, which its
+    ``frames`` turn into scenes when read.  The run ends early once the ego
+    is stopped clear of the conflict (either before the zone or past the
+    point) and the arriving vehicle has left the zone; nothing can change
+    after that.  The crossing's time and speed are interpolated linearly
+    within the step that reaches the point.  ``record`` is kept for callers
+    that still pass it and changes nothing: every run records its trace.
     """
     dt = cfg.dt
     n = tc.steps(dt)
@@ -168,9 +202,10 @@ def simulate(
     race_grace = cfg.zone_epsilon / vl
 
     ego = tc.initial_ego()
-    env = environment(tc)
-    frames = [Scene(t=0.0, ego=ego, env=env(0.0))]
+    p, v = ego.x, ego.v
+    states = [(p, v)]
     events: list[Event] = []
+    decide = _decider(autopilot, tc, dt)
 
     crossed = False
     t_cross: Optional[float] = None
@@ -181,17 +216,18 @@ def simulate(
     saw_stop_before_zone = False
     steps = 0
 
-    p, v = ego.x, ego.v
+    t1 = 0.0
     for i in range(n):
-        a = autopilot.step(frames[-1], static, frames[0], dt).accel
+        a = decide(t1, p, v)
         if not math.isfinite(a):
             events.append(Event(EventKind.ABORTED, i * dt))
             break
         p0, v0 = p, v
-        p, v = advance(p, v, a, dt, v_max)
+        state = advance(p, v, a, dt, v_max)
+        states.append(state)
+        p, v = state
         t1 = (i + 1) * dt
         steps = i + 1
-        frames.append(Scene(t=t1, ego=EgoState(p, v), env=env(t1)))
 
         if not crossed and p >= 0.0:
             crossed = True
@@ -241,9 +277,9 @@ def simulate(
         events.append(Event(EventKind.HORIZON_EXHAUSTED, n * dt))
 
     events.sort(key=lambda e: e.t)
-    return SimOutcome(tc=tc, frames=frames, events=events, final=EgoState(p, v), steps=steps,
+    return SimOutcome(tc=tc, states=states, events=events, final=EgoState(p, v), steps=steps,
                       t_cross=t_cross, v_cross=v_cross, t_arrive=t_arrive, race_won=race_exempt,
-                      zone_epsilon=cfg.zone_epsilon)
+                      zone_epsilon=cfg.zone_epsilon, dt=dt)
 
 
 def lockstep_applies(autopilot) -> bool:

@@ -35,14 +35,11 @@ from critlab.autopilots import (
 from critlab.kinematics import ADProfile
 from critlab.scenario import (
     EgoState,
-    EnvState,
     ExtraVehicle,
-    Light,
     Scene,
     ScenarioType,
     StaticPart,
     TestCase,
-    VehicleState,
     env_at,
 )
 from critlab.simulator import SimConfig, VerdictKind, simulate, verdict
@@ -262,12 +259,17 @@ class TestNonDeterminateVariants:
         assert spec.accel_rate_for(6.3) == 1.0
 
 
+def _first_step(pilot, tc, dt=0.1):
+    """Begin case ``tc`` and send its start: the acceleration commanded."""
+    pilot.start_case(tc, dt)
+    return pilot.step(0.0, -tc.x_e, tc.v_e)
+
+
 class TestExternalAutopilot:
     def test_hold_policy_round_trip(self, std_profile, merge_static):
         tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=30.0, x_f=100.0)
         with ExternalAutopilot(EXTERNAL + " hold", std_profile) as pilot:
-            decision = pilot.step(_scene(tc), merge_static, None, 0.1)
-            assert decision.accel == 0.0
+            assert _first_step(pilot, tc) == 0.0
 
     def test_cautious_policy_simulates(self, std_profile, merge_static):
         tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=30.0, x_f=14.0)
@@ -287,13 +289,17 @@ class TestExternalAutopilot:
         every later scene got the answer to the scene before it."""
         tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=30.0, x_f=14.0)
         with ExternalAutopilot(EXTERNAL + " stray 3", std_profile) as pilot:
+            pilot.start_case(tc, 0.1)
             for t in (0.0, 0.1):
-                assert pilot.step(_scene(tc, t), merge_static, None, 0.1).accel == t
+                assert pilot.step(t, -20.0, 5.0) == t
             with pytest.raises(ProtocolError, match="malformed decision line"):
-                pilot.step(_scene(tc, 0.2), merge_static, None, 0.1)
+                pilot.step(0.2, -20.0, 5.0)
             assert pilot._proc is None
-            for t in (0.0, 0.1):  # a fresh case, and a fresh process
-                assert pilot.step(_scene(tc, t), merge_static, None, 0.1).accel == t
+            with pytest.raises(ProtocolError, match="no case started"):
+                pilot.step(0.3, -20.0, 5.0)
+            pilot.start_case(tc, 0.1)  # a fresh case, and a fresh process
+            for t in (0.0, 0.1):
+                assert pilot.step(t, -20.0, 5.0) == t
 
     @pytest.mark.parametrize("line", [
         '{"mode": "progress", "accel": 1' + "0" * 400 + "}",  # an int beyond any float
@@ -306,7 +312,7 @@ class TestExternalAutopilot:
         tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=30.0, x_f=14.0)
         with ExternalAutopilot(f"{EXTERNAL} reply {shlex.quote(line)}", std_profile) as pilot:
             with pytest.raises(ProtocolError, match="malformed decision line"):
-                pilot.step(_scene(tc), merge_static, None, 0.1)
+                _first_step(pilot, tc)
             assert pilot._proc is None
 
     def test_stalled_pilot_misses_its_deadline(
@@ -317,7 +323,7 @@ class TestExternalAutopilot:
         with ExternalAutopilot(EXTERNAL + " sleep", std_profile) as pilot, hang_guard(5.0):
             start = time.monotonic()
             with pytest.raises(ProtocolError, match="missed its deadline"):
-                pilot.step(_scene(tc), merge_static, None, 0.1)
+                _first_step(pilot, tc)
             assert time.monotonic() - start < 0.3 + 2.0
             assert pilot._proc is None  # killed: the next case starts a fresh one
 
@@ -331,7 +337,7 @@ class TestExternalAutopilot:
         with ExternalAutopilot(EXTERNAL + " flood", std_profile) as pilot, hang_guard(5.0):
             start = time.monotonic()
             with pytest.raises(ProtocolError, match="reply line exceeds 65536 bytes"):
-                pilot.step(_scene(tc), merge_static, None, 0.1)
+                _first_step(pilot, tc)
             assert time.monotonic() - start < 0.3 + 2.0
             assert pilot._proc is None  # stopped: the next case starts a fresh one
 
@@ -342,9 +348,10 @@ class TestExternalAutopilot:
         monkeypatch.setattr(critlab.autopilots, "STEP_DEADLINE_S", 0.3, raising=False)
         tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=30.0, x_f=14.0)
         with hang_guard(5.0), ExternalAutopilot(EXTERNAL + " deaf", std_profile) as pilot:
+            pilot.start_case(tc, 0.1)
             with pytest.raises(ProtocolError, match="missed its deadline"):
                 for _ in range(10_000):  # 2.5 MB of scenes
-                    pilot.step(_scene(tc), merge_static, None, 0.1)
+                    pilot.step(0.0, -20.0, 5.0)
 
     def test_chatty_stderr_neither_deadlocks_nor_loses_its_tail(
         self, std_profile, merge_static, hang_guard
@@ -352,7 +359,7 @@ class TestExternalAutopilot:
         tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=30.0, x_f=14.0)
         with ExternalAutopilot(EXTERNAL + " stderr", std_profile) as pilot, hang_guard(10.0):
             with pytest.raises(ProtocolError, match="malformed decision line") as info:
-                pilot.step(_scene(tc), merge_static, None, 0.1)
+                _first_step(pilot, tc)
         detail = str(info.value)
         assert STDERR_LAST in detail
         assert "chatter 001999" in detail and "chatter 000000" not in detail
@@ -363,11 +370,11 @@ class TestExternalAutopilot:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ResourceWarning)
             pilot = ExternalAutopilot(EXTERNAL + " hold", std_profile)
-            pilot.step(_scene(tc), merge_static, None, 0.1)
+            _first_step(pilot, tc)
             first = pilot._proc
             first.kill()  # dies between two cases
             first.wait()
-            pilot.step(_scene(tc), merge_static, None, 0.1)  # t == 0: a fresh process
+            _first_step(pilot, tc)  # the next case starts a fresh process
             assert pilot._proc is not first
             pilot.close()
             del pilot, first
@@ -375,7 +382,90 @@ class TestExternalAutopilot:
         assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
+# -- the stand-in bridge ------------------------------------------------------------
+
+
+class _Replies(ExternalAutopilot):
+    """The bridge with its pipe replaced: each scene line sent is kept in
+    ``sent`` and answered with the next of ``lines``, and the stand-in
+    process never ends on its own."""
+
+    def __init__(self, lines, profile=None):
+        super().__init__("unused", profile)
+        self._lines = iter(lines)
+        self.starts = 0
+        self.sent = []
+
+    def _start(self):
+        self._proc, self._stderr_open, self._stderr = self, False, b""
+        self.starts += 1
+
+    def poll(self):
+        return None
+
+    def _stop(self):
+        self._proc = None
+
+    def _send(self, line, deadline):
+        self.sent.append(line)
+
+    def _receive(self, deadline):
+        return next(self._lines)
+
+
 # -- the wire format against the json.dumps oracle ----------------------------------
+
+
+def _twins(x):
+    """Equal numbers that ``json.dumps`` may write differently: ``x`` as an
+    int (if it is a whole number), a float and a numpy float."""
+    return ([int(x)] if float(x).is_integer() else []) + [float(x), np.float64(x)]
+
+
+def _twin_of(numbers):
+    return numbers.flatmap(lambda x: st.sampled_from(_twins(x)))
+
+
+_REPLY_LINES = [
+    b'{"mode": "progress", "accel": 2.0}\n',
+    b'{"mode": "progress", "accel": 0}\n',
+    b'{"mode": "cautious", "accel": -4.0}\n',
+    b'{"mode": "cautious", "accel": -1.5}\n',
+]
+_DISTANCE = st.one_of(st.integers(1, 80), st.floats(1.0, 80.0))
+
+
+@st.composite
+def _wire_case(draw):
+    """A case for the stand-in bridge to run, its step ``dt`` and the
+    replies it cycles through.  The static part is of any type, with a
+    light schedule that has red phases or none; ``vl``, ``d`` and ``dt``
+    are each an int, a float or a numpy float; extra vehicles arrive or are
+    parked."""
+    schedule = draw(st.sampled_from([None, (2.0, 2.0), (1, 3), (0.5, 1.5)]))
+    static = StaticPart(draw(st.sampled_from(list(ScenarioType))),
+                        vl=draw(_twin_of(st.sampled_from([10, 8.5, 12]))),
+                        d=draw(_twin_of(st.sampled_from([5, 4.5]))), light_schedule=schedule)
+    extras = draw(st.lists(st.builds(ExtraVehicle, st.sampled_from(["arriving", "static"]),
+                                     _DISTANCE), max_size=3))
+    tc = TestCase(static, x_e=draw(_twin_of(_DISTANCE)), v_e=draw(st.floats(0.0, 15.0)),
+                  x_a=draw(_DISTANCE), x_f=draw(_DISTANCE), mutations=tuple(extras))
+    dt = draw(_twin_of(st.sampled_from([0.1, 0.05, 0.25, 1])))
+    return tc, dt, draw(st.lists(st.sampled_from(_REPLY_LINES), min_size=1, max_size=5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_wire_case())
+def test_scene_lines_match_the_json_oracle(case):
+    """``simulate`` sends an external pilot one line per step: ``json.dumps``
+    of the frame its trace records for that step."""
+    tc, dt, replies = case
+    pilot = _Replies(itertools.cycle(replies), ADProfile(2.0, 4.0, 15.0))
+    out = simulate(pilot, tc, SimConfig(dt=dt))
+    assert len(pilot.sent) == out.steps
+    for k, line in enumerate(pilot.sent):
+        assert line == scene_line(out.frames[k], tc.static, dt)
+
 
 _COORD = st.one_of(
     st.floats(),
@@ -386,62 +476,51 @@ _COORD = st.one_of(
 _SPEED = st.one_of(
     st.floats(min_value=0.0), st.integers(0, 100), st.floats(0.0, 50.0).map(np.float64)
 )
-_POSITIVE = st.one_of(st.floats(0.1, 100.0), st.integers(1, 100))
-_STATIC = st.builds(StaticPart, st.sampled_from(list(ScenarioType)), vl=_POSITIVE, d=_POSITIVE)
-_DT = st.sampled_from([0.1, 0.05, 0.2, 1, 1.0, np.float64(0.1)])
-_T = st.one_of(st.just(0.0), st.floats(0.0, 100.0), st.integers(0, 100))
-_EGO = st.builds(EgoState, _COORD, _SPEED)
-_EXTRAS = st.lists(
-    st.builds(ExtraVehicle, st.sampled_from(["arriving", "static"]), _COORD), max_size=3
-).map(tuple)
-_LIGHTS = st.sampled_from([None, Light.RED, Light.GREEN])
-
-
-def _twin(x):
-    """A number equal to ``x`` that ``json.dumps`` may write differently:
-    ``1.0`` for ``1`` and back, ``-0.0`` for ``0.0``, a float for a numpy
-    float and back."""
-    if isinstance(x, int):
-        return float(x)
-    if x == 0.0:
-        return -x
-    if isinstance(x, np.floating):
-        return float(x)
-    if math.isfinite(x) and x.is_integer():
-        return int(x)
-    return np.float64(x)
-
-
-@st.composite
-def _pilot_case(draw):
-    """The scenes of one case in the order a pilot sees them.  ``dt``, the
-    arriving vehicle's speed, the front vehicle and the static part are the
-    same objects from scene to scene, as in a run, but any scene may swap
-    one for its twin, which compares equal and may be written differently."""
-    static = draw(_STATIC)
-    twin_static = StaticPart(static.scenario_type, vl=_twin(static.vl), d=_twin(static.d))
-    fixed = [draw(_DT), draw(_COORD), draw(_COORD), draw(st.one_of(st.just(0.0), _COORD))]
-    pairs = [(x, _twin(x)) for x in fixed] + [(static, twin_static)]
-    scenes = []
-    for _ in range(draw(st.integers(1, 6))):
-        dt, arriving_v, front_x, front_v, static_ = (
-            pair[draw(st.integers(0, 1))] for pair in pairs)
-        env = EnvState(VehicleState(draw(_COORD), arriving_v), VehicleState(front_x, front_v),
-                       draw(_EXTRAS), draw(_LIGHTS))
-        scenes.append((Scene(draw(_T), draw(_EGO), env), static_, dt))
-    return scenes
-
-
-_pilot_life = st.lists(_pilot_case(), min_size=1, max_size=4).map(
-    lambda cases: [scene for case in cases for scene in case])
 
 
 @settings(max_examples=200, deadline=None)
-@given(_pilot_life)
-def test_scene_lines_match_the_json_oracle(life):
-    pilot = ExternalAutopilot("unused", None)  # encoding starts no process
-    for scene, static, dt in life:
-        assert pilot._encode(scene, static, dt) == scene_line(scene, static, dt)
+@given(case=_wire_case(), steps=st.lists(st.tuples(_COORD, _COORD, _SPEED), min_size=1,
+                                         max_size=4))
+def test_any_numbers_render_as_json_does(case, steps):
+    """A step's numbers of any type and value, non-finite ones and ``-0.0``
+    included, are written as ``json.dumps`` writes them in the scene."""
+    tc, dt, replies = case
+    pilot = _Replies(itertools.cycle(replies))
+    pilot.start_case(tc, dt)
+    for t, x, v in steps:
+        with np.errstate(over="ignore", invalid="ignore"):  # numpy floats may overflow
+            pilot.step(t, x, v)
+            scene = Scene(t, EgoState(x, v), env_at(tc, t))
+        assert pilot.sent[-1] == scene_line(scene, tc.static, dt)
+
+
+class _Recorder:
+    """A Python-object pilot, as README describes one: a built-in variant's
+    decisions, keeping every scene and start it is given."""
+
+    def __init__(self, spec):
+        self.spec, self.profile = spec, spec.profile
+        self.seen, self.starts = [], []
+
+    def step(self, scene, static, start, dt):
+        self.seen.append(scene)
+        self.starts.append(start)
+        return self.spec.step(scene, static, start, dt)
+
+
+@settings(max_examples=100, deadline=None)
+@given(variant=st.sampled_from(sorted(FACTORIES)), run=_start(),
+       dt=st.sampled_from([0.1, 0.05]))
+def test_a_python_pilot_is_given_the_trace(variant, run, dt):
+    """Each step hands a Python-object pilot the frame its trace records,
+    and the first, the run's start, as the start of every step."""
+    pilot = _Recorder(FACTORIES[variant](ADProfile(2.0, 4.0, 15.0)))
+    tc = TestCase(_MERGE, x_e=-run.ego.x, v_e=run.ego.v, x_a=run.env.arriving.x,
+                  x_f=run.env.front.x, mutations=run.env.extra_vehicles)
+    out = simulate(pilot, tc, SimConfig(dt=dt))
+    assert len(pilot.seen) == out.steps
+    assert pilot.seen == out.frames[:len(pilot.seen)]
+    assert all(start is pilot.seen[0] for start in pilot.starts)
 
 
 # -- reply lines against the json.loads oracle -------------------------------------
@@ -478,51 +557,25 @@ def _reply_line(draw):
     return (text + draw(st.sampled_from(["\n", ""]))).encode()
 
 
-class _Replies(ExternalAutopilot):
-    """The bridge with its pipe replaced: each scene is answered with the
-    next of ``lines``, and the stand-in process never ends on its own."""
-
-    def __init__(self, lines):
-        super().__init__("unused", None)
-        self._lines = iter(lines)
-        self.starts = 0
-
-    def _start(self):
-        self._proc, self._stderr_open, self._stderr = self, False, b""
-        self.starts += 1
-
-    def poll(self):
-        return None
-
-    def _stop(self):
-        self._proc = None
-
-    def _send(self, line, deadline):
-        pass
-
-    def _receive(self, deadline):
-        return next(self._lines)
-
-
-_MERGE = StaticPart(ScenarioType.MERGE_YIELD, d=5.0, vl=10.0)
-_MID_CASE = _scene(TestCase(_MERGE, x_e=20.0, v_e=5.0, x_a=30.0, x_f=14.0), 0.1)
+_CASE = TestCase(StaticPart(ScenarioType.MERGE_YIELD, d=5.0, vl=10.0), x_e=20.0, v_e=5.0,
+                 x_a=30.0, x_f=14.0)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_reply_line())
 def test_reply_lines_match_the_json_oracle(raw):
     """``step`` reads each line twice: a valid line gives the oracle's
-    decision both times, and an invalid one stops the pilot both times."""
+    acceleration both times, and an invalid one stops the pilot both times."""
     expected = reply_decision(raw)
     pilot = _Replies([raw, raw])
     for _ in range(2):
+        pilot.start_case(_CASE, 0.1)
         if expected is None:
             with pytest.raises(ProtocolError, match="malformed decision line|invalid decision"):
-                pilot.step(_MID_CASE, _MERGE, None, 0.1)
+                pilot.step(0.1, -19.5, 5.0)
             assert pilot._proc is None
         else:
-            decision = pilot.step(_MID_CASE, _MERGE, None, 0.1)
-            assert (decision.mode, repr(decision.accel)) == (expected[0], repr(expected[1]))
+            assert repr(pilot.step(0.1, -19.5, 5.0)) == repr(expected[1])
     assert pilot.starts == (2 if expected is None else 1)
 
 
@@ -533,22 +586,21 @@ def test_reply_accel_must_be_a_number(accel):
     numeric string or a boolean through ``float()``."""
     raw = ('{"mode": "progress", "accel": %s}\n' % accel).encode()
     assert reply_decision(raw) is None
+    pilot = _Replies([raw])
+    pilot.start_case(_CASE, 0.1)
     with pytest.raises(ProtocolError, match="malformed decision line|invalid decision"):
-        _Replies([raw]).step(_MID_CASE, _MERGE, None, 0.1)
+        pilot.step(0.1, -19.5, 5.0)
 
 
 def test_a_case_renders_its_template_once(monkeypatch, std_profile, merge_static):
-    """``simulate`` hands the bridge the very same ``dt``, arriving speed,
-    front vehicle and static part at every step of a case, and floats for
-    the numbers that move: each case renders those four numbers once, and
-    no step goes through ``_number``."""
+    """Each case renders the numbers that stay put, ``dt``, the arriving
+    vehicle's speed and the front vehicle's ``x``, once, when it starts;
+    ``simulate`` steps on floats, so no step goes through ``_number``."""
     rendered = []
     number = critlab.autopilots._number
     monkeypatch.setattr(critlab.autopilots, "_number", lambda x: rendered.append(x) or number(x))
-    pilot = _Replies(itertools.repeat(b'{"mode": "cautious", "accel": -4.0}\n'))
-    pilot.profile = std_profile
+    pilot = _Replies(itertools.repeat(b'{"mode": "cautious", "accel": -4.0}\n'), std_profile)
     steps = [simulate(pilot, TestCase(merge_static, 20.0, 5.0, x_a, x_f), SimConfig()).steps
              for x_a, x_f in ((30.0, 14.0), (31.0, 15.0))]
     assert min(steps) > 10
-    assert rendered == [0.1, 10.0, 14.0, 0.0, 0.1, 10.0, 15.0, 0.0]
-
+    assert rendered == [0.1, 10.0, 14.0, 0.1, 10.0, 15.0]

@@ -540,8 +540,9 @@ class TestGridDedup:
         assert report.metrics["grids"]["lockstep_batches"] == batches
 
     def test_one_boundary_per_grid(self, monkeypatch):
-        """``most_critical`` runs once per grid, where the grid is sized, and
-        once per built-in pilot for its progress probe."""
+        """``most_critical`` runs once per pilot and start, where the config
+        sizes the grids, though each grid runs for two static parts, and once
+        per built-in pilot for its progress probe."""
         calls = Counter()
         for module in (critlab.campaign, critlab.classify):
             def counting(*args, real=module.most_critical, name=module.__name__):
@@ -550,7 +551,8 @@ class TestGridDedup:
 
             monkeypatch.setattr(module, "most_critical", counting)
         report = run_campaign(four_type_config(static=with_light([2.0, 2.0])))
-        assert calls["critlab.campaign"] == report.metrics["grids"]["simulated"] == 2 * 4 * 2
+        assert calls["critlab.campaign"] == 2 * 4
+        assert report.metrics["grids"]["simulated"] == 2 * 4 * 2
         assert calls["critlab.classify"] == 2
 
     def test_one_coverage_integral_for_all_types(self, monkeypatch):
@@ -825,6 +827,8 @@ class TestLoadTimeRejection:
         {"autopilots": [{"name": "ext", "command": EXTERNAL, "variant": "always_cautious"}]},
         {"initial_states": [[1e300, 5.0]]},
         {"sim": {"dt": 1e-300}},
+        {"autopilots": ["reference"], "initial_states": [[20.0, 5.0]],
+         "grid": {"a_hi_tilde": 1e-17}},
     ], ids=[
         "pilot-profile-missing-b_max", "pilot-profile-negative-a_max",
         "base-profile-negative-a_max", "negative-d", "light-phase-zero", "dt-zero",
@@ -844,6 +848,7 @@ class TestLoadTimeRejection:
         "scenario-type-repeated", "name-with-nul", "start-speed-true", "grid-a_lo-true",
         "braking-check-on-an-external-pilot", "variant-on-an-external-pilot",
         "start-with-runs-past-int64-steps", "dt-with-runs-past-int64-steps",
+        "grid-x_a-axis-reaching-zero",
     ])
     def test_refused_before_any_simulation(self, overrides, monkeypatch, tmp_path):
         def no_grid(*args, **kwargs):

@@ -170,7 +170,7 @@ def lockstep(pilots, cases, cfg=SimConfig()):
 def outcome(runs, tc, i):
     """Cell ``i`` of a lockstep batch, the case ``tc``, as the ``SimOutcome``
     that ``simulate`` gives, its case with the cell's horizon, without
-    frames, which the engine does not keep.
+    states, which the engine does not keep.
     ``simulate`` sorts its events stably by time: by (time, step, order in
     step)."""
     dt = runs.cfg.dt
@@ -183,13 +183,13 @@ def outcome(runs, tc, i):
                       EventKind.CROSSED_CONFLICT))
     keyed.sort()
     return SimOutcome(
-        tc=replace(tc, horizon=int(runs.horizon[i])), frames=[],
+        tc=replace(tc, horizon=int(runs.horizon[i])), states=[],
         events=[Event(kind, t) for t, _, _, kind in keyed],
         final=EgoState(float(runs.final_p[i]), float(runs.final_v[i])),
         steps=int(runs.steps[i]), t_cross=float(runs.t_cross[i]) if crossed else None,
         v_cross=float(runs.v_cross[i]) if crossed else None,
         t_arrive=tc.x_a / tc.static.vl, race_won=bool(runs.race_won[i]),
-        zone_epsilon=runs.cfg.zone_epsilon,
+        zone_epsilon=runs.cfg.zone_epsilon, dt=dt,
     )
 
 
