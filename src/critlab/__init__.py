@@ -35,7 +35,6 @@ from .autopilots import (
     non_determinate_brake,
     overcautious,
     reference,
-    step,
     transition_flawed,
 )
 from .simulator import Event, EventKind, SimConfig, SimOutcome, Verdict, VerdictKind, simulate, verdict

@@ -30,7 +30,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .kinematics import ADProfile, advance, advance_arrays
+from .kinematics import ADProfile, advance_arrays
 from .scenario import (
     CAUTIOUS_MARGIN,
     DEFAULT_DT,
@@ -57,7 +57,6 @@ __all__ = [
     "always_cautious",
     "constant_speed",
     "FACTORIES",
-    "step",
     "PolicyColumns",
     "step_arrays",
 ]
@@ -126,6 +125,12 @@ class AutopilotSpec:
             return self.rate_for(v0, self.profile.a_max)
         return self.profile.a_max
 
+    def check_start_speed(self, v: float) -> None:
+        """Refuse a run started above the profile's ``v_max``."""
+        if v > self.profile.v_max:
+            raise ValueError(f"start speed {v} above the v_max {self.profile.v_max} "
+                             f"of {self.name!r}")
+
     def step(
         self,
         scene: Scene,
@@ -133,7 +138,22 @@ class AutopilotSpec:
         start: Optional[Scene] = None,
         dt: float = DEFAULT_DT,
     ) -> "Decision":
-        return step(self, scene, static, start, dt)
+        """One control decision for the next ``dt`` seconds of a run that
+        started from ``start`` (by default the scene itself): ``step_arrays``
+        on one cell, whose arriving and front vehicles are the nearest of
+        each kind in the scene, extra vehicles included.  The mode is
+        ``progress`` for a constant-speed pilot, or one committed to crossing
+        and not going cautious late; ``cautious`` otherwise.  A start speed
+        above the profile's ``v_max`` is refused, as the lockstep engine
+        refuses it."""
+        start = scene if start is None else start
+        self.check_start_speed(start.ego.v)
+        pc = PolicyColumns.build([self], [start.ego.v], [0], *_nearest(start))
+        p, v, arr_x, x_f = np.array([[scene.ego.x, scene.ego.v, *_nearest(scene)]]).T
+        with np.errstate(invalid="ignore", divide="ignore"):
+            committed, accel = step_arrays(pc, p, v, arr_x, x_f, static, dt)
+        progress = pc.constant[0] or (committed[0] and not pc.late[0])
+        return Decision(mode="progress" if progress else "cautious", accel=accel.item())
 
 
 def reference(profile: ADProfile, name: str = "reference") -> AutopilotSpec:
@@ -208,112 +228,14 @@ FACTORIES = {f.__name__: f for f in (
 )}
 
 
-# -- decision logic -------------------------------------------------------------
-
-
-def _nearest_arriving(scene: Scene) -> float:
-    xs = [scene.env.arriving.x]
-    xs.extend(e.x for e in scene.env.extra_vehicles if e.kind == "arriving")
-    return min(xs)
-
-
-def _nearest_front(scene: Scene) -> float:
-    xs = [scene.env.front.x]
-    xs.extend(e.x for e in scene.env.extra_vehicles if e.kind == "static")
-    return min(xs)
-
-
-def _progress_accel(
-    profile: ADProfile, p: float, v: float, budget: float, accel_rate: float,
-    brake_rate: float, dt: float,
-) -> float:
-    """Full throttle while one more accelerated step still leaves braking room."""
-    p1, v1 = advance(p, v, accel_rate, dt, profile.v_max)
-    room = budget - max(p1, 0.0)
-    if v1 * v1 / (2.0 * profile.b_max) <= room + _EPS:
-        return accel_rate
-    return -brake_rate
-
-
-def _cautious_accel(v: float, p: float, target: float, brake_rate: float, dt: float) -> float:
-    """Hold speed until the stop target requires braking, then brake fully.
-
-    Braking comes in whole steps of ``brake_rate * dt``, so it can leave a
-    residual speed below one step's worth.  That speed is braked off at once:
-    held, it would creep toward the target a fraction of a millimetre a step,
-    and the ego would still be rolling, short of the zone, at the horizon.
-    """
-    if v <= _EPS:
-        return 0.0
-    avail = target - p
-    if avail <= 0.0 or v <= brake_rate * dt:
-        return -brake_rate
-    if v * v / (2.0 * brake_rate) + v * dt >= avail:
-        return -brake_rate
-    return 0.0
-
-
-def step(
-    spec: AutopilotSpec,
-    scene: Scene,
-    static: StaticPart,
-    start: Optional[Scene] = None,
-    dt: float = DEFAULT_DT,
-) -> Decision:
-    """One control decision for the next ``dt`` seconds of a run that
-    started from ``start`` (by default the scene itself)."""
-    start = scene if start is None else start
-    profile = spec.profile
-    p, v = scene.ego.x, scene.ego.v
-    d = static.d
-    arr_x = _nearest_arriving(scene)
-    front_x = _nearest_front(scene)
-
-    if spec.variant == "constant_speed":
-        return Decision(mode="progress", accel=0.0)
-
-    accel_rate = spec.accel_rate_for(start.ego.v)
-    brake_rate = spec.brake_rate_for(start.ego.v)
-
-    if spec.variant == "irrational":
-        (a_lo, a_hi), (f_lo, f_hi) = spec.fail_region
-        if a_lo <= _nearest_arriving(start) <= a_hi and f_lo <= _nearest_front(start) <= f_hi:
-            # Goes cautious far too late: aims the stop inside the zone.
-            accel = _cautious_accel(v, p, -d / 2.0, brake_rate, dt)
-            return Decision(mode="cautious", accel=accel)
-
-    if p > -d:
-        # Inside or past the zone: committed, only the front condition matters.
-        accel = _progress_accel(profile, p, v, front_x, accel_rate, brake_rate, dt)
-        return Decision(mode="progress", accel=accel)
-
-    x_now = -p
-    wants_progress = False
-    if spec.variant not in ("always_cautious",):
-        deadline = arr_x / static.vl
-        ta = profile.accel_time(x_now, v)
-        need_front = profile.braking_distance(profile.accel_speed(x_now, v))
-        if spec.variant == "transition_flawed":
-            deadline = deadline * spec.optimism
-        if spec.variant == "overcautious":
-            ta = ta * spec.margin_inflation
-            need_front = need_front * spec.margin_inflation
-        wants_progress = ta <= deadline + _EPS and need_front <= front_x + _EPS
-
-    if wants_progress:
-        accel = _progress_accel(profile, p, v, front_x, accel_rate, brake_rate, dt)
-        return Decision(mode="progress", accel=accel)
-    accel = _cautious_accel(v, p, -(d + CAUTIOUS_MARGIN), brake_rate, dt)
-    return Decision(mode="cautious", accel=accel)
-
-
-# -- decision logic over arrays of cells -------------------------------------------
+# -- decision logic --------------------------------------------------------------
 #
 # ``step_arrays`` decides for many cells at once, each with its own pilot and ego
-# start.  Each helper is its scalar counterpart with ``np.where`` for the
-# branches, performing the same floating-point operations in the same order, so
-# every entry equals what ``step`` returns for that cell bit for bit; the closed
-# forms are those of a constant ``ADProfile`` on speeds already in ``[0, v_max]``.
+# start, with ``np.where`` for the branches; ``AutopilotSpec.step`` is it on one
+# cell.  The tests hold it to ``scalar_step`` in ``tests/_oracles.py``, the same
+# policy written on plain numbers: the same floating-point operations in the
+# same order, so every entry equals the oracle's bit for bit.  The closed forms
+# are those of a constant ``ADProfile`` on speeds already in ``[0, v_max]``.
 
 
 class PolicyColumns(NamedTuple):
@@ -382,6 +304,7 @@ def _accel_speed_arrays(pc: PolicyColumns, x: np.ndarray, v: np.ndarray) -> np.n
 def _progress_accel_arrays(
     pc: PolicyColumns, p: np.ndarray, v: np.ndarray, budget: np.ndarray, dt: float,
 ) -> np.ndarray:
+    """Full throttle while one more accelerated step still leaves braking room."""
     p1, v1 = advance_arrays(p, v, pc.accel_rate, dt, pc.v_max)
     room = budget - np.maximum(p1, 0.0)
     return np.where(v1 * v1 / (2.0 * pc.b_max) <= room + _EPS, pc.accel_rate, -pc.brake_rate)
@@ -390,6 +313,13 @@ def _progress_accel_arrays(
 def _cautious_accel_arrays(
     v: np.ndarray, p: np.ndarray, target: float, brake_rate: np.ndarray, dt: float
 ) -> np.ndarray:
+    """Hold speed until the stop target requires braking, then brake fully.
+
+    Braking comes in whole steps of ``brake_rate * dt``, so it can leave a
+    residual speed below one step's worth.  That speed is braked off at once:
+    held, it would creep toward the target a fraction of a millimetre a step,
+    and the ego would still be rolling, short of the zone, at the horizon.
+    """
     avail = target - p
     brake = ((avail <= 0.0) | (v <= brake_rate * dt)
              | (v * v / (2.0 * brake_rate) + v * dt >= avail))
@@ -404,13 +334,13 @@ def step_arrays(
     x_f: np.ndarray,
     static: StaticPart,
     dt: float = DEFAULT_DT,
-) -> np.ndarray:
-    """``step`` for many cells at once: the commanded acceleration of each.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The decision of many cells at once: whether each is committed to
+    crossing, and the acceleration it commands for the next ``dt``.
 
-    Every cell is a run of a built-in pilot without extra
-    vehicles, from its own ego start; ``pc`` holds each cell's policy, and
-    ``p``, ``v`` (ego), ``arr_x`` (arriving vehicle now) and ``x_f`` one
-    entry per cell.  Speeds must lie in ``[0, v_max]``.  Terms a cell's
+    ``pc`` holds each cell's policy, and ``p``, ``v`` (ego), ``arr_x``
+    (nearest arriving vehicle now) and ``x_f`` (nearest vehicle in front)
+    one entry per cell.  Speeds must lie in ``[0, v_max]``.  Terms a cell's
     variant does not use are computed for it and discarded, so callers
     silence numpy's invalid-value warnings.
     """
@@ -420,6 +350,7 @@ def step_arrays(
     ta = _accel_time_arrays(pc, x_now, v) * pc.margin_inflation
     need_front = _accel_speed_arrays(pc, x_now, v)
     need_front = need_front * need_front / (2.0 * pc.b_max) * pc.margin_inflation
+    # Inside or past the zone a pilot is committed: only the front condition matters.
     committed = (p > -d) | (~pc.cautious & (ta <= deadline + _EPS) & (need_front <= x_f + _EPS))
     accel = np.where(
         committed,
@@ -429,7 +360,16 @@ def step_arrays(
     if pc.late.any():  # goes cautious far too late: aims the stop inside the zone
         accel = np.where(pc.late, _cautious_accel_arrays(v, p, -d / 2.0, pc.brake_rate, dt),
                          accel)
-    return np.where(pc.constant, 0.0, accel)
+    return committed, np.where(pc.constant, 0.0, accel)
+
+
+def _nearest(scene: Scene) -> tuple[float, float]:
+    """The nearest arriving vehicle of ``scene`` and the nearest vehicle in
+    front of the ego, extra vehicles included."""
+    arriving, front = [scene.env.arriving.x], [scene.env.front.x]
+    for e in scene.env.extra_vehicles:
+        (arriving if e.kind == "arriving" else front).append(e.x)
+    return min(arriving), min(front)
 
 
 # -- external autopilot bridge ----------------------------------------------------

@@ -102,7 +102,8 @@ Grid = tuple[float, float, Sequence[float], Sequence[float], CriticalBoundary]
 
 
 def _run_cells(static: StaticPart, pilots: Sequence, x_e: Sequence[float],
-               v_e: Sequence[float], run, x_a, x_f, cfg: SimConfig, work: Counter):
+               v_e: Sequence[float], run, x_a, x_f, cfg: SimConfig, work: Counter,
+               states: bool = False):
     """Simulate cells given as ``simulate_lockstep`` takes them, for any pilots.
 
     A run is a pilot from an ego start (``pilots``, ``x_e``, ``v_e``), a cell
@@ -112,8 +113,9 @@ def _run_cells(static: StaticPart, pilots: Sequence, x_e: Sequence[float],
     is one ``simulate_lockstep`` call, graded by ``verdict_arrays`` with no
     ``TestCase``; the cells of any other call go through ``simulate`` and
     ``verdict``, one ``TestCase`` at a time, in order, keeping only what is
-    returned.  Returns each cell's verdict code (its index in ``VERDICTS``)
-    and crossing speed (0.0 where it did not cross).
+    returned.  Returns each cell's verdict code (its index in ``VERDICTS``),
+    crossing speed (0.0 where it did not cross) and, if ``states`` asks for
+    them, ``SimOutcome.states`` (None otherwise).
 
     Adds the work done to ``work``, every key on every call: ``cells``,
     ``cell_steps`` (policy steps over all cells), ``early_exits`` (cells ended
@@ -123,12 +125,13 @@ def _run_cells(static: StaticPart, pilots: Sequence, x_e: Sequence[float],
     run, x_a, x_f = np.asarray(run, dtype=np.intp), np.asarray(x_a, float), np.asarray(x_f, float)
     batched = run.size > 0 and all(lockstep_applies(pilot) for pilot in pilots)
     if batched:
-        lockstep = simulate_lockstep(pilots, static, x_e, v_e, run, x_a, x_f, cfg)
-        codes, v_cross = verdict_arrays(lockstep), lockstep.v_cross
+        lockstep = simulate_lockstep(pilots, static, x_e, v_e, run, x_a, x_f, cfg, states)
+        codes, v_cross, traces = verdict_arrays(lockstep), lockstep.v_cross, lockstep.states
         steps, batch_steps = int(lockstep.steps.sum()), int(lockstep.steps.max())
         early_exits = int((lockstep.steps < lockstep.horizon).sum())
     else:
         codes, v_cross = np.zeros(run.size, dtype=int), np.zeros(run.size)
+        traces = [] if states else None
         steps = early_exits = batch_steps = 0
         for i, (r, a, f) in enumerate(zip(run.tolist(), x_a.tolist(), x_f.tolist())):
             out = simulate(pilots[r], TestCase(static, x_e[r], v_e[r], a, f), cfg)
@@ -136,10 +139,12 @@ def _run_cells(static: StaticPart, pilots: Sequence, x_e: Sequence[float],
             v_cross[i] = 0.0 if out.v_cross is None else out.v_cross
             steps += out.steps
             early_exits += out.steps < out.tc.horizon
+            if states:
+                traces.append(out.states)
     work.update(cells=run.size, cell_steps=steps, early_exits=early_exits,
                 lockstep_batches=int(batched), lockstep_steps=batch_steps,
                 scalar_simulate_calls=0 if batched else run.size)
-    return codes, v_cross
+    return codes, v_cross, traces
 
 
 def run_grids(
@@ -164,9 +169,9 @@ def run_grids(
     sizes = [x_a.size for x_a, _ in cells]
     x_a, x_f = (np.concatenate([axis.ravel() for axis in axes]) for axes in zip(*cells))
     x_e, v_e = [grid[0] for grid in grids], [grid[1] for grid in grids]
-    codes, _ = _run_cells(static, [pilot for pilot, _ in jobs], x_e, v_e,
-                          np.repeat(np.arange(len(grids)), sizes), x_a, x_f, cfg,
-                          Counter() if work is None else work)
+    codes, _, _ = _run_cells(static, [pilot for pilot, _ in jobs], x_e, v_e,
+                             np.repeat(np.arange(len(grids)), sizes), x_a, x_f, cfg,
+                             Counter() if work is None else work)
     return [GridResult(static=static, x_e=x_e, v_e=v_e, boundary=boundary,
                        x_a_values=tuple(x_a_values), x_f_values=tuple(x_f_values),
                        verdicts=codes.reshape(len(x_a_values), len(x_f_values)),
@@ -377,29 +382,21 @@ def progress_probe(
     )
 
 
-def _restart_states(autopilot, tc: TestCase, restart_every: int, cfg: SimConfig,
-                    work: Counter):
-    """A progress check's baseline run, counted in ``work``: its crossing speed
-    and restart states ``(t, x, v, x_a)``, or the ``CheckAbortedError`` for a
-    baseline that is not a progress pass."""
-    base = simulate(autopilot, tc, cfg)
-    work["scalar_simulate_calls"] += 1
-    base_verdict = verdict(base)
-    if base_verdict.kind is not VerdictKind.PROGRESS_PASS:
-        return CheckAbortedError(
-            f"baseline run did not cross and pass (verdict {base_verdict.kind.value})")
-    states = []
+def _restart_states(tc: TestCase, states, restart_every: int, dt: float):
+    """The restart states ``(t, x, v, x_a)`` of a progress check from case
+    ``tc``, picked from its baseline run's ``states``."""
+    picked = []
     # From one period in: the state at t = 0 is the baseline's own case.
-    for k in range(restart_every, len(base.states), restart_every):
-        x, v = base.states[k]
+    for k in range(restart_every, len(states), restart_every):
+        x, v = states[k]
         if x >= 0.0:
             break  # restarts past the conflict point have an empty approach
-        t = k * base.dt  # the time of its frame
+        t = k * dt  # the time of its frame
         x_a = tc.x_a - tc.static.vl * t
         if x_a <= 0.0:
             continue  # arriving vehicle already past: the race is decided
-        states.append((t, x, v, x_a))
-    return base.v_cross, states
+        picked.append((t, x, v, x_a))
+    return picked
 
 
 def determinacy_check_progress(
@@ -411,32 +408,49 @@ def determinacy_check_progress(
     """Restart passing crossing maneuvers from states of their own traces.
 
     Each check is an autopilot and the case of its baseline run, over one
-    static part shared by all checks.  The baselines run ``simulate``, one at
-    a time.  Every ``restart_every``-th state of a baseline's trace after its
-    start and before the conflict point, while the arriving vehicle has not
-    reached it, becomes a fresh test case: the ego resumes at the visited
-    state while the environment is shifted to its state at that time.  The
-    restarts of all checks are the runs of one ``_run_cells`` call, so
-    restarts of built-in pilots alone take one engine call (which, as for a
-    grid, refuses a start above the pilot's ``v_max``).  A report
-    records verdict flips and the spread of conflict-point speeds, tolerated
-    up to 0.2 m/s; a check whose baseline is not a progress pass gets the
-    ``CheckAbortedError`` that says so in place of its report.  The work
-    done, the baselines' included, is added to ``work``.
+    static part shared by all checks, without extra vehicles or an explicit
+    horizon.  Every ``restart_every``-th state of a baseline's trace after
+    its start and before the conflict point, while the arriving vehicle has
+    not reached it, becomes a fresh test case: the ego resumes at the
+    visited state while the environment is shifted to its state at that
+    time.  The baselines are the runs of one ``_run_cells`` call and the
+    restarts of all checks those of a second, so checks of built-in pilots
+    alone take two engine calls (which, as for a grid, refuse a start above
+    the pilot's ``v_max``).  A report records verdict flips and the spread
+    of conflict-point speeds, tolerated up to 0.2 m/s; a check whose
+    baseline is not a progress pass gets the ``CheckAbortedError`` that says
+    so in place of its report.  The work done is added to ``work``.
     """
     if restart_every < 1:
         raise ValueError("restart_every must be at least 1")
     if any(tc.static != checks[0][1].static for _, tc in checks):
         raise ValueError("progress determinacy checks over different static parts")
+    if any(tc.mutations or tc.horizon is not None for _, tc in checks):
+        raise ValueError("progress determinacy checks take cases without extra vehicles "
+                         "or an explicit horizon")
     work = Counter() if work is None else work
-    bases = [_restart_states(autopilot, tc, restart_every, cfg, work) for autopilot, tc in checks]
+    static = checks[0][1].static if checks else None
+
+    def run_cells(runs, states):
+        """``_run_cells`` of ``(pilot, x_e, v_e, x_a, x_f)`` runs of one cell each."""
+        pilots, x_e, v_e, x_a, x_f = zip(*runs) if runs else [()] * 5
+        return _run_cells(static, pilots, x_e, v_e, np.arange(len(runs)), x_a, x_f, cfg, work,
+                          states)
+
+    codes, v_cross, traces = run_cells(
+        [(pilot, tc.x_e, tc.v_e, tc.x_a, tc.x_f) for pilot, tc in checks], True)
+    bases = []  # per check: its crossing speed and restart states, or why it aborted
+    for (_, tc), code, v_base, states in zip(checks, codes.tolist(), v_cross.tolist(), traces):
+        kind = VERDICTS[code].kind
+        if kind is not VerdictKind.PROGRESS_PASS:
+            bases.append(CheckAbortedError(
+                f"baseline run did not cross and pass (verdict {kind.value})"))
+        else:
+            bases.append((v_base, _restart_states(tc, states, restart_every, cfg.dt)))
     # Every restart is a run of one cell.
-    runs = [(autopilot, -x, v, x_a, tc.x_f)
-            for (autopilot, tc), base in zip(checks, bases)
-            if not isinstance(base, CheckAbortedError) for _, x, v, x_a in base[1]]
-    pilots, x_e, v_e, x_a, x_f = zip(*runs) if runs else [()] * 5
-    codes, v_cross = _run_cells(checks[0][1].static if checks else None, pilots, x_e, v_e,
-                                np.arange(len(runs)), x_a, x_f, cfg, work)
+    codes, v_cross, _ = run_cells(
+        [(pilot, -x, v, x_a, tc.x_f) for (pilot, tc), base in zip(checks, bases)
+         if not isinstance(base, CheckAbortedError) for _, x, v, x_a in base[1]], False)
     results = zip((_KIND_OF_VERDICT[codes] == _PROGRESS).tolist(), v_cross.tolist())
     reports = []
     for base in bases:

@@ -14,8 +14,8 @@ through one decision function per run, records its trace as ego states, and
 is the reference.  ``simulate_lockstep`` runs many cases over one static part
 together, one numpy array step per time step, for any mix of built-in
 autopilots; it gives every case the outcome ``simulate`` gives it, crossing
-speed included but without the trace, as arrays that ``verdict_arrays``
-grades as ``verdict`` grades one outcome.
+speed included and, for a call that asks, its states, as arrays that
+``verdict_arrays`` grades as ``verdict`` grades one outcome.
 """
 
 from __future__ import annotations
@@ -310,7 +310,8 @@ class LockstepRuns:
     ``_STEP_EVENTS[k]`` first fired (-1: never), and ``cross_step`` that of
     the crossing, which happened at ``t_cross`` at speed ``v_cross`` (both
     0.0 where ``cross_step`` is -1); ``final_p``, ``final_v``, ``steps`` and
-    ``race_won`` are ``SimOutcome``'s ``final``, ``steps`` and ``race_won``.
+    ``race_won`` are ``SimOutcome``'s ``final``, ``steps`` and ``race_won``,
+    and ``states``, for a call that asks for them, each cell's ``states``.
     """
 
     static: StaticPart
@@ -325,6 +326,7 @@ class LockstepRuns:
     final_v: np.ndarray
     steps: np.ndarray
     race_won: np.ndarray
+    states: Optional[list[list[tuple[float, float]]]]
 
 
 def simulate_lockstep(
@@ -336,9 +338,10 @@ def simulate_lockstep(
     x_a,
     x_f,
     cfg: SimConfig = SimConfig(),
+    states: bool = False,
 ) -> LockstepRuns:
-    """``simulate(autopilot, tc, cfg)`` for every cell at once, without the
-    trace.
+    """``simulate(autopilot, tc, cfg)`` for every cell at once, with its
+    states if ``states`` asks for them.
 
     A run is a pilot from an ego start: ``pilots``, ``x_e`` and ``v_e`` hold
     one entry per run, each pilot one that ``lockstep_applies`` to, started
@@ -350,7 +353,7 @@ def simulate_lockstep(
     form and each cell's policy from its run's row of ``PolicyColumns``; a
     cell leaves the batch when its simulation would end, at the latest at
     its own horizon.  Each outcome equals the scalar one in its events,
-    final state, step count, crossing time and speed, and race.
+    final state, step count, crossing time and speed, race and states.
     """
     x_e, v_e, x_a, x_f = (np.asarray(col, dtype=float) for col in (x_e, v_e, x_a, x_f))
     run = np.asarray(run, dtype=np.intp)
@@ -364,8 +367,9 @@ def simulate_lockstep(
     if n and not (0 <= run.min() and run.max() < n_runs):
         raise ValueError(f"lockstep run index outside [0, {n_runs})")
     for pilot, v in zip(pilots, v_e.tolist()):
-        if not lockstep_applies(pilot) or v > pilot.profile.v_max:
-            raise ValueError(f"no lockstep engine for {pilot!r} from v_e={v}")
+        if not lockstep_applies(pilot):
+            raise ValueError(f"no lockstep engine for {pilot!r}")
+        pilot.check_start_speed(v)
     dt = cfg.dt
     horizons = horizon_steps(static, x_a, dt, HORIZON_SLACK)
     # Results by cell: the step of each end-of-step event (-1: none), and so on.
@@ -376,9 +380,10 @@ def simulate_lockstep(
     steps = np.zeros(n, dtype=int)
     race_won = np.zeros(n, dtype=bool)
     runs = LockstepRuns(static, cfg, x_f, horizons, event_step, cross_step, t_cross, v_cross,
-                        final_p, final_v, steps, race_won)
+                        final_p, final_v, steps, race_won, [] if states else None)
     if not n:
         return runs
+    trace = [] if states else None  # per step: the active cells' (idx, p, v)
 
     pc = PolicyColumns.build(pilots, v_e.tolist(), run, x_a, x_f)
     d, vl = static.d, static.vl
@@ -396,10 +401,12 @@ def simulate_lockstep(
         while cols[0].size:
             (idx, p, v, xa, xf, xf_front, horizon, t_late, t_grace,
              crossed, exempt, overlap, saw_cooc, saw_stop) = cols
-            a = step_arrays(pc, p, v, xa - vl * (i * dt), xf, static, dt)
+            _, a = step_arrays(pc, p, v, xa - vl * (i * dt), xf, static, dt)
             p0, v0 = p, v
             p, v = advance_arrays(p, v, a, dt, pc.v_max)
             t1 = (i + 1) * dt
+            if trace is not None:
+                trace.append((idx, p, v))
 
             new = ~crossed & (p >= 0.0)
             if new.any():
@@ -450,6 +457,13 @@ def simulate_lockstep(
                 cols = [col[going] for col in cols]
                 pc = pc.select(going)
             i += 1
+    if trace is not None:  # a row per step, a column per cell
+        p_at, v_at = np.empty((2, len(trace) + 1, n))
+        p_at[0], v_at[0] = -x_e[run], v_e[run]
+        for k, (idx, p, v) in enumerate(trace, 1):
+            p_at[k, idx], v_at[k, idx] = p, v
+        runs.states = [list(zip(p_at[:s + 1, c].tolist(), v_at[:s + 1, c].tolist()))
+                       for c, s in enumerate(steps.tolist())]
     return runs
 
 

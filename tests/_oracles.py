@@ -2,21 +2,137 @@
 
 Everything here integrates trajectories step by step (forward Euler unless
 noted) or enumerates frames exhaustively; the library is never called, so
-these can sit on the other side of an equality check.  The one exception,
-``progress_determinacy_scalar``, calls only the scalar reference ``simulate``
-and ``verdict``, one test case at a time, for the batched check to equal.
+these can sit on the other side of an equality check.  Two exceptions:
+``scalar_step`` is the built-in pilots' policy written on plain numbers, with
+the profile's capability functions and ``kinematics.advance``, for the array
+policy (``step_arrays``, and ``AutopilotSpec.step`` on one cell) to equal bit
+for bit, and ``OraclePilot`` drives it through ``simulate``'s loop; and
+``progress_determinacy_scalar`` calls only ``simulate`` with that pilot and
+``verdict``, one test case at a time, for the batched check to equal.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from typing import Optional
 
 import numpy as np
 
+from critlab.autopilots import AutopilotSpec, Decision
 from critlab.classify import CheckAbortedError, DeterminacyReport, RestartRecord
-from critlab.scenario import TestCase
+from critlab.kinematics import ADProfile, advance
+from critlab.scenario import CAUTIOUS_MARGIN, DEFAULT_DT, Scene, StaticPart, TestCase
 from critlab.simulator import SimConfig, VerdictKind, simulate, verdict
+
+_EPS = 1e-9
+
+
+def _nearest_arriving(scene: Scene) -> float:
+    xs = [scene.env.arriving.x]
+    xs.extend(e.x for e in scene.env.extra_vehicles if e.kind == "arriving")
+    return min(xs)
+
+
+def _nearest_front(scene: Scene) -> float:
+    xs = [scene.env.front.x]
+    xs.extend(e.x for e in scene.env.extra_vehicles if e.kind == "static")
+    return min(xs)
+
+
+def _progress_accel(
+    profile: ADProfile, p: float, v: float, budget: float, accel_rate: float,
+    brake_rate: float, dt: float,
+) -> float:
+    """Full throttle while one more accelerated step still leaves braking room."""
+    p1, v1 = advance(p, v, accel_rate, dt, profile.v_max)
+    room = budget - max(p1, 0.0)
+    if v1 * v1 / (2.0 * profile.b_max) <= room + _EPS:
+        return accel_rate
+    return -brake_rate
+
+
+def _cautious_accel(v: float, p: float, target: float, brake_rate: float, dt: float) -> float:
+    """Hold speed until the stop target requires braking, then brake fully.
+
+    Braking comes in whole steps of ``brake_rate * dt``, so it can leave a
+    residual speed below one step's worth.  That speed is braked off at once:
+    held, it would creep toward the target a fraction of a millimetre a step,
+    and the ego would still be rolling, short of the zone, at the horizon.
+    """
+    if v <= _EPS:
+        return 0.0
+    avail = target - p
+    if avail <= 0.0 or v <= brake_rate * dt:
+        return -brake_rate
+    if v * v / (2.0 * brake_rate) + v * dt >= avail:
+        return -brake_rate
+    return 0.0
+
+
+def scalar_step(
+    spec: AutopilotSpec,
+    scene: Scene,
+    static: StaticPart,
+    start: Optional[Scene] = None,
+    dt: float = DEFAULT_DT,
+) -> Decision:
+    """One control decision for the next ``dt`` seconds of a run that
+    started from ``start`` (by default the scene itself)."""
+    start = scene if start is None else start
+    profile = spec.profile
+    p, v = scene.ego.x, scene.ego.v
+    d = static.d
+    arr_x = _nearest_arriving(scene)
+    front_x = _nearest_front(scene)
+
+    if spec.variant == "constant_speed":
+        return Decision(mode="progress", accel=0.0)
+
+    accel_rate = spec.accel_rate_for(start.ego.v)
+    brake_rate = spec.brake_rate_for(start.ego.v)
+
+    if spec.variant == "irrational":
+        (a_lo, a_hi), (f_lo, f_hi) = spec.fail_region
+        if a_lo <= _nearest_arriving(start) <= a_hi and f_lo <= _nearest_front(start) <= f_hi:
+            # Goes cautious far too late: aims the stop inside the zone.
+            accel = _cautious_accel(v, p, -d / 2.0, brake_rate, dt)
+            return Decision(mode="cautious", accel=accel)
+
+    if p > -d:
+        # Inside or past the zone: committed, only the front condition matters.
+        accel = _progress_accel(profile, p, v, front_x, accel_rate, brake_rate, dt)
+        return Decision(mode="progress", accel=accel)
+
+    x_now = -p
+    wants_progress = False
+    if spec.variant not in ("always_cautious",):
+        deadline = arr_x / static.vl
+        ta = profile.accel_time(x_now, v)
+        need_front = profile.braking_distance(profile.accel_speed(x_now, v))
+        if spec.variant == "transition_flawed":
+            deadline = deadline * spec.optimism
+        if spec.variant == "overcautious":
+            ta = ta * spec.margin_inflation
+            need_front = need_front * spec.margin_inflation
+        wants_progress = ta <= deadline + _EPS and need_front <= front_x + _EPS
+
+    if wants_progress:
+        accel = _progress_accel(profile, p, v, front_x, accel_rate, brake_rate, dt)
+        return Decision(mode="progress", accel=accel)
+    accel = _cautious_accel(v, p, -(d + CAUTIOUS_MARGIN), brake_rate, dt)
+    return Decision(mode="cautious", accel=accel)
+
+
+class OraclePilot:
+    """The built-in pilot ``spec`` as a Python-object pilot: ``simulate``
+    runs it through its own loop, each step a ``scalar_step``."""
+
+    def __init__(self, spec):
+        self.spec, self.profile = spec, spec.profile
+
+    def step(self, scene, static, start, dt):
+        return scalar_step(self.spec, scene, static, start, dt)
 
 
 def euler_braking_distance(v, b, dt=0.001):
@@ -164,10 +280,12 @@ def by_point(x_a_values, x_f_values, codes, names):
 
 
 def progress_determinacy_scalar(autopilot, tc, restart_every=5, cfg=SimConfig()):
-    """The progress determinacy check of one autopilot from case ``tc``, each
-    restart its own scalar ``simulate`` run, the first one period into the
-    baseline's trace: the report, or the ``CheckAbortedError`` raised for a
-    baseline that is not a progress pass."""
+    """The progress determinacy check of one autopilot from case ``tc``, its
+    baseline and each restart its own ``simulate`` run (of the
+    ``OraclePilot`` of a built-in pilot), the first restart one period into
+    the baseline's trace: the report, or the ``CheckAbortedError`` raised
+    for a baseline that is not a progress pass."""
+    autopilot = OraclePilot(autopilot) if isinstance(autopilot, AutopilotSpec) else autopilot
     base = simulate(autopilot, tc, cfg)
     base_verdict = verdict(base)
     if base_verdict.kind is not VerdictKind.PROGRESS_PASS:

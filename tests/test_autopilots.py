@@ -10,11 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import critlab.autopilots
-from _oracles import reply_decision, scene_line
+from _oracles import reply_decision, scalar_step, scene_line
 from external_pilot import STDERR_LAST
 from critlab.autopilots import (
     FACTORIES,
@@ -29,7 +29,6 @@ from critlab.autopilots import (
     non_determinate_brake,
     overcautious,
     reference,
-    step,
     transition_flawed,
 )
 from critlab.kinematics import ADProfile
@@ -43,6 +42,7 @@ from critlab.scenario import (
     env_at,
 )
 from critlab.simulator import SimConfig, VerdictKind, simulate, verdict
+from test_lockstep import PROFILES, _pilot, _static as _lockstep_static
 
 EXTERNAL = f"{sys.executable} {Path(__file__).parent / 'external_pilot.py'}"
 
@@ -55,24 +55,24 @@ class TestReferenceDecision:
     def test_progress_when_both_conditions_hold(self, std_profile, merge_static):
         # boundary is (26.235, 13.125); (30, 14) clears both conditions
         tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=30.0, x_f=14.0)
-        decision = step(reference(std_profile), _scene(tc), merge_static)
+        decision = reference(std_profile).step(_scene(tc), merge_static)
         assert decision.mode == "progress"
         assert decision.accel == pytest.approx(std_profile.a_max)
 
     def test_cautious_when_arrival_too_close(self, std_profile, merge_static):
         tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=20.0, x_f=14.0)
-        decision = step(reference(std_profile), _scene(tc), merge_static)
+        decision = reference(std_profile).step(_scene(tc), merge_static)
         assert decision.mode == "cautious"
 
     def test_cautious_when_front_too_close(self, std_profile, merge_static):
         tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=30.0, x_f=10.0)
-        decision = step(reference(std_profile), _scene(tc), merge_static)
+        decision = reference(std_profile).step(_scene(tc), merge_static)
         assert decision.mode == "cautious"
 
     def test_committed_inside_zone(self, std_profile, merge_static):
         tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=30.0, x_f=14.0)
         scene = _scene(tc, t=2.3, ego=EgoState(-3.0, 9.5))
-        decision = step(reference(std_profile), scene, merge_static)
+        decision = reference(std_profile).step(scene, merge_static)
         assert decision.mode == "progress"
 
 
@@ -111,14 +111,14 @@ class TestVariants:
 
     def test_transition_flawed_progresses_too_early(self, std_profile, merge_static):
         tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=24.0, x_f=14.0)
-        ref_decision = step(reference(std_profile), _scene(tc), merge_static)
-        flawed_decision = step(transition_flawed(std_profile, 1.3), _scene(tc), merge_static)
+        ref_decision = reference(std_profile).step(_scene(tc), merge_static)
+        flawed_decision = transition_flawed(std_profile, 1.3).step(_scene(tc), merge_static)
         assert ref_decision.mode == "cautious"
         assert flawed_decision.mode == "progress"
 
     def test_overcautious_requires_extra_margin(self, std_profile, merge_static):
         tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=30.0, x_f=14.0)
-        decision = step(overcautious(std_profile, 1.4), _scene(tc), merge_static)
+        decision = overcautious(std_profile, 1.4).step(_scene(tc), merge_static)
         assert decision.mode == "cautious"
 
     def test_irrational_fails_only_inside_region(self, std_profile, merge_static):
@@ -189,7 +189,7 @@ def test_decisions_are_total_and_bounded(p, v, x_a, x_f, variant):
     }
     tc = TestCase(static=static, x_e=20.0, v_e=5.0, x_a=x_a, x_f=x_f)
     scene = Scene(t=0.0, ego=EgoState(p, v), env=env_at(tc, 0.0))
-    decision = step(pilots[variant], scene, static)
+    decision = pilots[variant].step(scene, static)
     assert math.isfinite(decision.accel)
     assert abs(decision.accel) <= max(profile.a_max, profile.b_max) + 1e-9
     assert decision.mode in ("progress", "cautious")
@@ -226,8 +226,61 @@ def test_determinate_variants_ignore_the_start(variant, t, p, v, run, starts):
     from the scene itself."""
     pilot = FACTORIES[variant](ADProfile(2.0, 4.0, 15.0))
     scene = Scene(t=t, ego=EgoState(p, v), env=run.env)
-    decision = step(pilot, scene, _MERGE)
-    assert [step(pilot, scene, _MERGE, start) for start in starts] == [decision, decision]
+    decision = pilot.step(scene, _MERGE)
+    assert [pilot.step(scene, _MERGE, start) for start in starts] == [decision, decision]
+
+
+@st.composite
+def _policy_calls(draw):
+    """A pilot of any variant, its parameters drawn as the lockstep
+    properties draw them, on the default profile, ``FAST`` or a drawn one;
+    a scene at a drawn time of a run with 0-2 arriving or parked extra
+    vehicles, the ego's state drawn; the run's start; a static part and a
+    step.  An irrational pilot's fail region has its ends at or 2 m either
+    side of the start's nearest arriving and front vehicles."""
+    profile = draw(PROFILES)
+    static = _lockstep_static(draw)
+    # Nearer than most drawn geometries, so that they often decide.
+    extras = draw(st.lists(st.builds(ExtraVehicle, st.sampled_from(["arriving", "static"]),
+                                     st.floats(1.0, 30.0)), max_size=2))
+    tc = TestCase(static=static, x_e=draw(_POSITION), v_e=draw(st.floats(0.0, profile.v_max)),
+                  x_a=draw(_POSITION), x_f=draw(_POSITION), mutations=tuple(extras))
+    start = _scene(tc)
+    a = min([tc.x_a] + [e.x for e in extras if e.kind == "arriving"])
+    f = min([tc.x_f] + [e.x for e in extras if e.kind == "static"])
+    spec = _pilot(draw, draw(st.sampled_from(sorted(FACTORIES))), profile,
+                  [a - 2.0, a, a + 2.0], [f - 2.0, f, f + 2.0])
+    scene = _scene(tc, t=draw(st.floats(0.0, 5.0)),
+                   ego=EgoState(draw(st.floats(-60.0, 30.0)), draw(st.floats(0.0, profile.v_max))))
+    return spec, scene, static, start, draw(st.sampled_from([0.1, 0.05]))
+
+
+def _first_scene_call(*extras):
+    """A reference pilot's first step from the start (20, 5) at the geometry
+    (30, 14) over ``_MERGE``, with ``extras``: without them, a progress."""
+    tc = TestCase(static=_MERGE, x_e=20.0, v_e=5.0, x_a=30.0, x_f=14.0, mutations=extras)
+    return reference(ADProfile(2.0, 4.0, 15.0)), _scene(tc), _MERGE, _scene(tc), 0.1
+
+
+@settings(max_examples=300, deadline=None)
+@given(_policy_calls())
+@example(_first_scene_call(ExtraVehicle("static", 5.0)))  # cautious: parked in front
+@example(_first_scene_call(ExtraVehicle("arriving", 20.0)))  # cautious: arrives too soon
+def test_one_cell_policy_equals_the_scalar_oracle(call):
+    """``AutopilotSpec.step``, the array policy on one cell, decides as the
+    scalar policy does, the acceleration bit for bit."""
+    spec, scene, static, start, dt = call
+    got, want = spec.step(scene, static, start, dt), scalar_step(spec, scene, static, start, dt)
+    assert got == want
+    assert got.accel.hex() == want.accel.hex()
+
+
+def test_a_start_above_v_max_is_refused(std_profile, merge_static):
+    tc = TestCase(static=merge_static, x_e=20.0, v_e=15.000000000001, x_a=30.0, x_f=14.0)
+    for variant in sorted(FACTORIES):
+        spec = FACTORIES[variant](std_profile)
+        with pytest.raises(ValueError, match="start speed 15.000000000001 above the v_max 15.0"):
+            spec.step(_scene(tc), merge_static)
 
 
 class TestNonDeterminateVariants:
@@ -237,8 +290,8 @@ class TestNonDeterminateVariants:
         spec = non_determinate_brake(ADProfile(2.0, 5.0, 30.0), {30.0: 5.0, 27.5: 3.0})
         tc = TestCase(static=merge_static, x_e=60.0, v_e=30.0, x_a=20.0, x_f=14.0)
         scene = _scene(tc, t=0.5, ego=EgoState(-45.0, 27.5))
-        assert step(spec, scene, merge_static, _scene(tc)) == Decision("cautious", -5.0)
-        assert step(spec, scene, merge_static) == Decision("cautious", -3.0)
+        assert spec.step(scene, merge_static, _scene(tc)) == Decision("cautious", -5.0)
+        assert spec.step(scene, merge_static) == Decision("cautious", -3.0)
 
     def test_brake_restart_stops_much_later(self):
         from critlab.kinematics import ADProfile

@@ -532,11 +532,14 @@ class TestGridDedup:
 
         monkeypatch.setattr(critlab.classify, "simulate_lockstep", counting)
         report = run_campaign(four_type_config(static=with_light(schedule)))
-        assert len(calls) == batches + 1  # the last one runs the determinacy restarts
+        # The last two run the determinacy baselines, from the first start, and restarts.
+        assert len(calls) == batches + 2
         starts = set(map(tuple, DEFAULT_CONFIG["initial_states"]))
-        every = {(name, *start) for name in ("reference", "transition_flawed") for start in starts}
-        assert all(batch == every for batch in calls[:-1])
-        assert {name for name, *_ in calls[-1]} == {"reference", "transition_flawed"}
+        names = ("reference", "transition_flawed")
+        every = {(name, *start) for name in names for start in starts}
+        assert all(batch == every for batch in calls[:-2])
+        assert calls[-2] == {(name, *DEFAULT_CONFIG["initial_states"][0]) for name in names}
+        assert {name for name, *_ in calls[-1]} == set(names)
         assert report.metrics["grids"]["lockstep_batches"] == batches
 
     def test_one_boundary_per_grid(self, monkeypatch):
@@ -652,7 +655,7 @@ def test_split_keeps_whole_grids_in_order_within_the_cell_bound(n_jobs, grid_cel
 
 
 class TestRunMetrics:
-    """``metrics.json`` counts the scalar work as it happens."""
+    """``metrics.json`` counts the work as it happens."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -677,9 +680,9 @@ class TestRunMetrics:
         return calls
 
     def test_default_config_at_6x6(self, calls, monkeypatch):
-        """One engine call for the grids of all 8 pilots, 8 scalar
-        determinacy baselines, and one engine call for their 25 restarts
-        (3 of the 8 checks are inapplicable)."""
+        """One engine call for the grids of all 8 pilots, one for the 8
+        determinacy baselines, and one for their 25 restarts (3 of the 8
+        checks are inapplicable); no ``simulate`` call."""
         engine_runs = []
         real = critlab.classify.simulate_lockstep
 
@@ -696,17 +699,18 @@ class TestRunMetrics:
             "early_exit_frac": 1.0, "lockstep_batches": 1, "lockstep_steps": 117,
             "scalar_simulate_calls": 0}
         assert report.metrics["determinacy"] == {
-            "cells": 25, "cell_steps": 930, "early_exits": 25, "lockstep_batches": 1,
-            "lockstep_steps": 48, "scalar_simulate_calls": 8}
-        assert calls["simulate"] == 8
-        assert engine_runs == [8 * 4, 25]
+            "cells": 33, "cell_steps": 1292, "early_exits": 33, "lockstep_batches": 2,
+            "lockstep_steps": 101, "scalar_simulate_calls": 0}
+        assert calls["simulate"] == 0
+        assert engine_runs == [8 * 4, 8, 25]
 
     def test_lockstep_grids_build_no_outcome_and_call_no_verdict(self, calls):
-        """Only the determinacy checks simulate, grade and build outcomes."""
+        """A campaign of built-in pilots, its determinacy checks included,
+        calls no ``simulate`` and no ``verdict`` and builds no outcome."""
         report = run_campaign(four_type_config(static=with_light([2.0, 2.0])))
-        n = report.metrics["determinacy"]["scalar_simulate_calls"]
         assert report.metrics["grids"]["cells"] == 2 * 2 * 4 * 25
-        assert dict(calls) == {"simulate": n, "verdict": n, "SimOutcome": n}
+        assert report.metrics["determinacy"]["scalar_simulate_calls"] == 0
+        assert dict(calls) == {}
 
 
 class TestStepSize:

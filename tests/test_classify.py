@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,13 @@ from critlab.classify import (
 )
 from critlab.criticality import ZONES, Zone, most_critical, zone_codes
 from critlab.kinematics import ADProfile
-from critlab.scenario import ScenarioType, StaticPart, TestCase, equivalence_mutations
+from critlab.scenario import (
+    ExtraVehicle,
+    ScenarioType,
+    StaticPart,
+    TestCase,
+    equivalence_mutations,
+)
 from critlab.simulator import VERDICT_CODES, Verdict, VerdictKind, simulate, verdict
 
 from _oracles import brake_trace_stop, by_point, dominating_passes_scan
@@ -294,6 +301,15 @@ class TestProgressDeterminacy:
         with pytest.raises(ValueError, match="different static parts"):
             determinacy_check_progress([(pilot, self._probe(std_profile, merge_static)),
                                         (pilot, self._probe(std_profile, lane))])
+
+    @pytest.mark.parametrize("field, value", [
+        ("mutations", (ExtraVehicle("static", 12.0),)), ("horizon", 400)])
+    def test_a_baseline_is_a_plain_case(self, std_profile, merge_static, field, value):
+        """The baselines run on the engine, which takes neither extra vehicles
+        nor an explicit horizon; the restarts never had them."""
+        tc = replace(self._probe(std_profile, merge_static), **{field: value})
+        with pytest.raises(ValueError, match="without extra vehicles or an explicit horizon"):
+            determinacy_check_progress([(reference(std_profile), tc)])
 
     def test_restart_past_crossing_is_vacuous(self, std_profile, merge_static):
         tc = self._probe(std_profile, merge_static)

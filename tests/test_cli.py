@@ -354,6 +354,21 @@ class TestErrorExits:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field} must be finite") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["simulate", "determinacy"])
+    def test_start_above_v_max_is_refused(self, tmp_path, capsys, command):
+        """A start a hair above ``v_max`` once ran clamped to it (a progress
+        pass, exit 0), where a grid from the same start was refused."""
+        if command == "simulate":
+            path = _write_testcase(tmp_path)
+            path.write_text(json.dumps({**json.loads(path.read_text()), "v_e": 15.000000000001}))
+            argv = ["simulate", "--testcase", str(path), "--profile", "2,4,15"]
+        else:
+            argv = ["determinacy", "--x-e", "40", "--v-e", "15.000000000001"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "15.000000000001" in err
+
     @pytest.mark.parametrize("edit, message", [
         (lambda data: {k: v for k, v in data.items() if k != "x_a"},
          "test case lacks the key 'x_a'"),

@@ -1,4 +1,4 @@
-"""The lockstep grid engine against the scalar reference ``simulate``."""
+"""The lockstep grid engine against ``simulate`` of the scalar oracle policy."""
 
 import sys
 from collections import Counter
@@ -18,7 +18,6 @@ from critlab.autopilots import (
     irrational,
     non_determinate_accel,
     reference,
-    step,
 )
 from critlab.classify import (
     CheckAbortedError,
@@ -46,7 +45,7 @@ from critlab.simulator import (
     verdict_arrays,
 )
 
-from _oracles import progress_determinacy_scalar
+from _oracles import OraclePilot, progress_determinacy_scalar
 from conftest import WORK_KEYS, fitted_restart_geometry
 from test_simulator import ROUNDING_CASE, _bits
 
@@ -54,18 +53,6 @@ EXTERNAL = f"{sys.executable} {Path(__file__).parent / 'external_pilot.py'}"
 STD = ADProfile(2.0, 4.0, 15.0)
 MERGE = StaticPart(ScenarioType.MERGE_YIELD, vl=10.0, d=5.0)
 LANE = StaticPart(ScenarioType.LANE_CHANGE, vl=10.0, d=5.0)
-
-
-class _PythonPilot:
-    """The reference policy behind a plain Python pilot, which is no
-    ``AutopilotSpec`` and so takes the scalar path."""
-
-    def __init__(self, profile):
-        self.profile = profile
-        self.name = "python_reference"
-
-    def step(self, scene, static, start, dt):
-        return step(reference(self.profile), scene, static, start, dt)
 
 
 def _distances(lo, hi):
@@ -153,7 +140,7 @@ def mixed_batches(draw):
     return [pilot for pilot, _ in cells], [tc for _, tc in cells], cfg
 
 
-def lockstep(pilots, cases, cfg=SimConfig()):
+def lockstep(pilots, cases, cfg=SimConfig(), states=False):
     """``simulate_lockstep`` of test cases over one static part, without
     extra vehicles, each run by its entry of ``pilots``, given as columns:
     one run per distinct pilot and start, in order of first appearance."""
@@ -164,13 +151,13 @@ def lockstep(pilots, cases, cfg=SimConfig()):
     return simulate_lockstep(
         [pilots[i] for i in heads], cases[0].static if cases else MERGE,
         [cases[i].x_e for i in heads], [cases[i].v_e for i in heads],
-        [run_of[key] for key in keys], *cells, cfg)
+        [run_of[key] for key in keys], *cells, cfg, states)
 
 
 def outcome(runs, tc, i):
     """Cell ``i`` of a lockstep batch, the case ``tc``, as the ``SimOutcome``
-    that ``simulate`` gives, its case with the cell's horizon, without
-    states, which the engine does not keep.
+    that ``simulate`` gives, its case with the cell's horizon, and its states
+    if the batch kept them.
     ``simulate`` sorts its events stably by time: by (time, step, order in
     step)."""
     dt = runs.cfg.dt
@@ -183,7 +170,8 @@ def outcome(runs, tc, i):
                       EventKind.CROSSED_CONFLICT))
     keyed.sort()
     return SimOutcome(
-        tc=replace(tc, horizon=int(runs.horizon[i])), states=[],
+        tc=replace(tc, horizon=int(runs.horizon[i])),
+        states=[] if runs.states is None else runs.states[i],
         events=[Event(kind, t) for t, _, _, kind in keyed],
         final=EgoState(float(runs.final_p[i]), float(runs.final_v[i])),
         steps=int(runs.steps[i]), t_cross=float(runs.t_cross[i]) if crossed else None,
@@ -195,26 +183,28 @@ def outcome(runs, tc, i):
 
 def _observed(out):
     """What a run shows: its case as run, horizon included, and the rest,
-    the crossing speed bit for bit (None: no crossing)."""
+    the crossing speed and the states bit for bit (None: no crossing)."""
     vd = verdict(out)
     return (out.tc, [(e.kind, e.t) for e in out.events], out.final, out.steps, out.t_cross,
-            _bits(out.v_cross), out.t_arrive, out.race_won, vd.kind, vd.reason)
+            _bits(out.v_cross), out.t_arrive, out.race_won, vd.kind, vd.reason,
+            [(_bits(x), _bits(v)) for x, v in out.states])
 
 
 def _check_batch(pilots, cases, cfg):
-    """Every cell of one engine call, and its array verdict, equals its scalar run."""
-    runs = lockstep(pilots, cases, cfg)
+    """Every cell of one engine call, its states and its array verdict
+    included, equals its ``simulate`` run of the oracle policy."""
+    runs = lockstep(pilots, cases, cfg, states=True)
     codes = verdict_arrays(runs).tolist()
     assert runs.steps.size == len(cases)
     for i, (pilot, tc, code) in enumerate(zip(pilots, cases, codes, strict=True)):
         out = outcome(runs, tc, i)
-        scalar = simulate(pilot, tc, cfg)
+        scalar = simulate(OraclePilot(pilot), tc, cfg)
         assert _observed(out) == _observed(scalar)
         assert VERDICTS[code] == verdict(scalar)
 
 
 def _check_every_cell(grid):
-    """Every cell of one batch over all the starts equals its scalar run."""
+    """Every cell of one batch over all the starts equals its oracle run."""
     pilot, static, starts, x_as, x_fs, cfg = grid
     cases = [TestCase(static=static, x_e=x_e, v_e=v_e, x_a=x_a, x_f=x_f)
              for x_e, v_e in starts for x_a in x_as for x_f in x_fs]
@@ -285,7 +275,7 @@ def test_refuses_cases_it_cannot_batch():
             simulate_lockstep(cols[0], MERGE, *cols[1:])
 
     refused((2, 1, 16.0))  # one start of several above v_max
-    refused((0, 1, _PythonPilot(STD)))
+    refused((0, 1, OraclePilot(reference(STD))))
     refused((3, 1, 2))  # a run index past the last run
     refused((3, 0, -1))  # a negative run index, which numpy would wrap
     refused((4, 0, 0.0))  # x_a not positive
@@ -296,6 +286,7 @@ def test_refuses_cases_it_cannot_batch():
     refused((0, None, [reference(STD)]), (3, None, [0, 0]))  # ... for the pilots too
     simulate_lockstep(columns[0], MERGE, *columns[1:])
     assert lockstep([], []).steps.size == 0
+    assert lockstep([], [], states=True).states == []
 
 
 @pytest.mark.parametrize("x_a, dt", [(1e300, 0.1), (30.0, 1e-300)])
@@ -370,13 +361,14 @@ def _restarts(rep):
 
 def _check_progress(checks, restart_every, cfg):
     """The batched progress checks equal the scalar oracle's, check by check.
-    The work counts each of the oracle's restarts as a cell, and each
-    baseline as a ``simulate`` call; the restarts are one engine call if the
-    engine can run every pilot that restarts, and a ``simulate`` call each
-    otherwise."""
+    The work counts each baseline and each of the oracle's restarts as a
+    cell; the baselines are one engine call if the engine can run every
+    pilot, the restarts one if it can run every pilot that restarts, and
+    either is a ``simulate`` call per cell otherwise."""
     work = Counter()
     reports = determinacy_check_progress(checks, restart_every, cfg, work)
     assert len(reports) == len(checks)
+    based = bool(checks) and all(lockstep_applies(pilot) for pilot, _ in checks)
     restarts, batched = 0, True
     for (pilot, tc), rep in zip(checks, reports):
         try:
@@ -392,9 +384,10 @@ def _check_progress(checks, restart_every, cfg):
         batched &= lockstep_applies(pilot) or not want.restarts
     batched &= restarts > 0
     assert set(work) == WORK_KEYS
-    assert work["cells"] == restarts
-    assert work["scalar_simulate_calls"] == len(checks) + (0 if batched else restarts)
-    assert work["lockstep_batches"] == int(batched)
+    assert work["cells"] == len(checks) + restarts
+    assert work["scalar_simulate_calls"] == (0 if based else len(checks)) + (
+        0 if batched else restarts)
+    assert work["lockstep_batches"] == int(based) + int(batched)
     return reports, work
 
 
@@ -416,11 +409,12 @@ def test_batched_progress_checks_equal_the_scalar_ones(batch):
 
 
 class TestProgressRestartRouting:
-    """The restarts of one call take one engine call if every pilot is built
-    in, and ``simulate`` each otherwise."""
+    """The baselines of one call, and its restarts, take one engine call each
+    if every pilot is built in, and ``simulate`` each otherwise."""
 
     def test_a_python_pilot_restarts_on_the_scalar_path(self, monkeypatch):
-        """With a built-in pilot beside it: the whole call is scalar."""
+        """With a built-in pilot beside it: the whole call is scalar, and
+        its baselines and restarts are all counted as cells."""
         calls = Counter()
         for name in ("simulate", "simulate_lockstep"):
             def counting(*args, real=getattr(critlab.classify, name), name=name, **kwargs):
@@ -429,11 +423,11 @@ class TestProgressRestartRouting:
 
             monkeypatch.setattr(critlab.classify, name, counting)
         checks = [(pilot, progress_probe(MERGE, 20.0, 5.0, STD))
-                  for pilot in (_PythonPilot(STD), reference(STD))]
+                  for pilot in (OraclePilot(reference(STD)), reference(STD))]
         (scalar, built_in), work = _check_progress(checks, 5, SimConfig())
         n = len(scalar.restarts) + len(built_in.restarts)
         assert scalar.restarts and _restarts(scalar) == _restarts(built_in)
-        assert work["cells"] == n
+        assert work["cells"] == 2 + n
         assert work["scalar_simulate_calls"] == 2 + n
         assert work["lockstep_batches"] == work["lockstep_steps"] == 0
         assert calls == {"simulate": 2 + n}
