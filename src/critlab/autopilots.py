@@ -380,6 +380,8 @@ STEP_DEADLINE_S = 10.0
 # The last bytes of a pilot's stderr, appended to every ``ProtocolError``.
 STDERR_TAIL_BYTES = 2048
 _READ_SIZE = 65536
+# Entries a pilot's memo of number texts holds before it is cleared.
+_TEXTS_MAX = 4096
 
 
 def _number(x) -> str:
@@ -391,6 +393,26 @@ def _number(x) -> str:
     if isinstance(x, float) and math.isfinite(x):
         return float.__repr__(x)
     return json.dumps(x)
+
+
+class _Texts(dict):
+    """The ``float.__repr__`` text of each finite float it is indexed by.
+
+    A text is a function of the float alone, so one memo serves every field
+    and case of a pilot: the cases of a grid share each ``t``, the cells of
+    an ``x_a`` row the arriving vehicle's ``x_a - vl * t``, and the cells of
+    one run the ego's ``(x, v)`` until their decisions part.  Zeros are not
+    kept, since ``0.0`` and ``-0.0`` are one key with two texts; the memo
+    is cleared once it holds ``_TEXTS_MAX`` entries.
+    """
+
+    def __missing__(self, x: float) -> str:
+        text = float.__repr__(x)
+        if x:
+            if len(self) >= _TEXTS_MAX:
+                self.clear()
+            self[x] = text
+        return text
 
 
 _decode = json.JSONDecoder().decode  # json.loads of a str, without its per-call checks
@@ -441,6 +463,7 @@ class ExternalAutopilot:
         if not self._argv:
             raise ValueError("external autopilot command is empty")
         self._proc: Optional[subprocess.Popen] = None
+        self._texts = _Texts()
 
     def _start(self) -> None:
         self._stop()
@@ -458,9 +481,14 @@ class ExternalAutopilot:
         self._in, self._out, self._err = (s.fileno() for s in streams)  # type: ignore[union-attr]
         for fd in (self._in, self._out, self._err):
             os.set_blocking(fd, False)
-        self._poll = select.poll()
+        # Two sets of pipes to wait on, both with stderr: stdout for a reply,
+        # and stdin for room to write while the pilot is not reading.
+        self._poll, self._room = select.poll(), select.poll()
         self._poll.register(self._out, select.POLLIN)
-        self._poll.register(self._err, select.POLLIN)
+        self._room.register(self._in, select.POLLOUT)
+        for poll in (self._poll, self._room):
+            poll.register(self._err, select.POLLIN)
+        self._replied = [(self._out, select.POLLIN)]  # a wait that found a reply alone
         self._stderr_open = True
         self._stderr = b""
         self._buf = b""
@@ -491,10 +519,9 @@ class ExternalAutopilot:
         ego, the arriving vehicle's ``x_a - vl * t``, an arriving extra
         vehicle's ``x - vl * t`` and a light that has a red phase change from
         step to step; the rest is rendered here, once.  The four numbers
-        every step has go in through ``%r``, which writes a finite float as
-        ``json`` does, when all four are finite floats, and through
-        ``_number`` otherwise: ``1`` and ``1.0``, or ``0.0`` and ``-0.0``,
-        are written differently.
+        every step has are written from the pilot's ``_Texts`` memo when all
+        four are finite floats, and through ``_number`` otherwise: ``1`` and
+        ``1.0``, or ``0.0`` and ``-0.0``, are written differently.
         """
         if self._proc is None or self._proc.poll() is not None:
             self._start()
@@ -515,21 +542,21 @@ class ExternalAutopilot:
         tail = json.dumps({
             "scenario_type": static.scenario_type.value, "d": static.d, "vl": vl,
         }).replace("%", "%%")
-        texts = (
+        template = (
             '{"t": %s, "dt": ' + _number(dt) + ', "ego": {"x": %s, "v": %s}, '
             '"arriving": {"x": %s, "v": ' + _number(vl) + '}, '
             '"front": {"x": ' + _number(tc.x_f) + ', "v": 0.0}, '
             '"extra": ' + extra + ', "light": ' + light + ', "static": ' + tail + "}\n"
         )
-        floats = texts.replace("%s", "%r", 4)
+        texts = self._texts
 
         def render(t, x, v) -> bytes:
             arriving_x = x_a - vl * t
             if type(t) is type(x) is type(v) is type(arriving_x) is float and math.isfinite(
                     t + x + v + arriving_x):
-                template, numbers = floats, (t, x, v, arriving_x)
+                numbers = (texts[t], texts[x], texts[v], texts[arriving_x])
             else:
-                template, numbers = texts, tuple(map(_number, (t, x, v, arriving_x)))
+                numbers = tuple(map(_number, (t, x, v, arriving_x)))
             if movers:
                 numbers += tuple(_number(m - vl * t) for m in movers)
             if light_at:
@@ -558,43 +585,52 @@ class ExternalAutopilot:
             self._stderr = (self._stderr + chunk)[-STDERR_TAIL_BYTES:]
         else:  # closed: stop watching it
             self._poll.unregister(self._err)
+            self._room.unregister(self._err)
             self._stderr_open = False
 
-    def _wait(self, deadline: float) -> None:
-        """Block until a watched pipe is ready, keeping up with stderr;
-        ``TimeoutError`` once ``deadline`` has passed."""
-        timeout = deadline - time.monotonic()
-        ready = self._poll.poll(math.ceil(timeout * 1e3)) if timeout > 0 else []
-        if not ready:
-            raise TimeoutError
-        if any(fd == self._err for fd, _ in ready):
-            self._drain_stderr()
+    def _round_trip(self, line: bytes, deadline: float) -> bytes:
+        """Write the scene ``line`` and return the next reply line; at EOF a
+        last unterminated line, as ``readline`` gives it, then ``b""``.
 
-    def _send(self, line: bytes, deadline: float) -> None:
-        sent = 0
-        while sent < len(line):
-            try:
-                sent += os.write(self._in, line[sent:])
-            except BlockingIOError:  # the pilot is not reading: wait for room
-                self._poll.unregister(self._out)
-                self._poll.register(self._in, select.POLLOUT)
-                try:
-                    self._wait(deadline)
-                finally:
-                    self._poll.unregister(self._in)
-                    self._poll.register(self._out, select.POLLIN)
-
-    def _receive(self, deadline: float) -> bytes:
-        """The next reply line; at EOF a last unterminated line, as
-        ``readline`` gives it, then ``b""``.  A pilot still writing its line
-        at ``deadline`` raises ``TimeoutError``, and a line longer than
-        ``_READ_SIZE`` bytes, its newline included, is refused.  Each read
-        waits until the pipe is readable; a reply that one read brings whole,
-        its one newline last, is returned as read."""
+        A wait for room or for a reply ends at ``deadline`` with
+        ``TimeoutError``, and keeps up with stderr; each read waits until
+        stdout is readable; a reply line longer than ``_READ_SIZE`` bytes,
+        its newline included, is refused.  The common trip runs straight
+        through: one write takes the whole line, the wait finds stdout alone
+        readable, and one read brings one whole line, its newline last.  Any
+        other (a partial write, stderr ready, part of a line or more than
+        one, EOF, a deadline already passed) goes on to the loop below, from
+        where the straight path left it.
+        """
+        try:
+            sent = os.write(self._in, line)
+        except BlockingIOError:  # the pipe is full
+            sent = 0
         buf = self._buf
+        if sent == len(line) and not buf:
+            timeout = deadline - time.monotonic()
+            if timeout > 0 and self._poll.poll(math.ceil(timeout * 1e3)) == self._replied:
+                buf = os.read(self._out, _READ_SIZE)
+                if buf.find(b"\n") == len(buf) - 1:  # one whole line, or b"" at EOF
+                    return buf
         end = buf.find(b"\n") + 1
-        while not end and len(buf) <= _READ_SIZE:
-            self._wait(deadline)
+        while sent < len(line) or (not end and len(buf) <= _READ_SIZE):
+            if sent < len(line):
+                try:
+                    sent += os.write(self._in, line[sent:])
+                    continue
+                except BlockingIOError:  # the pilot is not reading: wait for room
+                    poll = self._room
+            else:
+                poll = self._poll
+            timeout = deadline - time.monotonic()
+            ready = poll.poll(math.ceil(timeout * 1e3)) if timeout > 0 else []
+            if not ready:
+                raise TimeoutError
+            if any(fd == self._err for fd, _ in ready):
+                self._drain_stderr()
+            if poll is self._room:
+                continue
             try:
                 chunk = os.read(self._out, _READ_SIZE)
             except BlockingIOError:  # stderr, not a reply, ended the wait
@@ -602,10 +638,8 @@ class ExternalAutopilot:
             if not chunk:
                 self._buf = b""
                 return buf
-            newline = chunk.find(b"\n")  # only the new bytes can end the line
-            if newline == len(chunk) - 1 and not buf:
-                return chunk
             buf += chunk
+            newline = chunk.find(b"\n")  # only the new bytes can end the line
             if newline >= 0:
                 end = len(buf) - len(chunk) + newline + 1
         if not end or end > _READ_SIZE:
@@ -622,8 +656,7 @@ class ExternalAutopilot:
         line = self._render(t, x, v)
         deadline = time.monotonic() + STEP_DEADLINE_S
         try:
-            self._send(line, deadline)
-            raw = self._receive(deadline)
+            raw = self._round_trip(line, deadline)
         except TimeoutError:
             raise self._abort(
                 f"external autopilot missed its deadline of {STEP_DEADLINE_S:g} s") from None

@@ -562,21 +562,22 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
                 record(pilot, types, report)
     stage_s["builtin_grids"] = time.perf_counter() - start - stage_s["raw_files"]
 
-    # External grids one by one; a ProtocolError ends its pilot's type.
+    # External grids one by one; a ProtocolError ends its pilot's type.  A
+    # pilot's process is closed after its grids, or when any error ends them.
     start, raw_s = time.perf_counter(), stage_s["raw_files"]
     for pilot in [p for p in pilots if isinstance(p, ExternalAutopilot)]:
-        for sc in scenario_types:
-            for x_e, v_e in config.initial_states:
-                try:
-                    (report,), work = _grid_reports(
-                        ([(pilot, config.grids[pilot.name, x_e, v_e])], config.static_for(sc),
-                         sim_cfg))
-                except ProtocolError as exc:
-                    cells[(sc.value, pilot.name)].protocol_error = str(exc)
-                    break
-                grid_work.update(work)
-                record(pilot, [sc], report)
-        pilot.close()
+        with pilot:
+            for sc in scenario_types:
+                for x_e, v_e in config.initial_states:
+                    try:
+                        (report,), work = _grid_reports(
+                            ([(pilot, config.grids[pilot.name, x_e, v_e])],
+                             config.static_for(sc), sim_cfg))
+                    except ProtocolError as exc:
+                        cells[(sc.value, pilot.name)].protocol_error = str(exc)
+                        break
+                    grid_work.update(work)
+                    record(pilot, [sc], report)
     stage_s["external_grids"] = time.perf_counter() - start - (stage_s["raw_files"] - raw_s)
 
     start = time.perf_counter()

@@ -180,10 +180,9 @@ def _run(args: argparse.Namespace) -> int:
         # JSON-shaped, as in a config entry: the factory converts the numbers.
         rates = args.rates and dict(part.split(":", 1) for part in args.rates.split(","))
         pilot = _build_autopilot(args.autopilot, _parse_profile(args.profile), rates)
-        probe = progress_probe(_static(args), args.x_e, args.v_e, pilot.profile, args.dt)
-        braking, progress = determinacy_rows(
-            [(pilot, args.v0, probe)], SimConfig(dt=args.dt), args.restart_every
-        )
+        cfg = SimConfig(dt=args.dt)  # refuses a bad step before the probe reads it
+        probe = progress_probe(_static(args), args.x_e, args.v_e, pilot.profile, cfg.dt)
+        braking, progress = determinacy_rows([(pilot, args.v0, probe)], cfg, args.restart_every)
         print(json.dumps({"autopilot": pilot.name, "braking": braking, "progress": progress}))
         return 0
 

@@ -9,7 +9,8 @@ scene, writes more than a pipe holds to stderr, ending with the line
 without ever reading a scene; "flood" reads one scene, writes 8 MB without a
 newline and then stalls; "stray" answers each scene with an acceleration equal
 to its ``t`` and writes one line that is not JSON before its argv[2]-th answer;
-"reply" answers every scene with the line argv[2].
+"reply" answers every scene with the line argv[2]; "split" answers as "cautious"
+does, each line in two writes a few milliseconds apart.
 """
 
 import json
@@ -51,14 +52,20 @@ def main() -> None:
             accel = scene["t"]
             if count == answered:
                 print("a stray line")
-        if mode == "cautious":
+        if mode in ("cautious", "split"):
             v = scene["ego"]["v"]
             p = scene["ego"]["x"]
             d = scene["static"]["d"]
             avail = -(d + 0.5) - p
             if v > 0 and (avail <= 0 or v * v / 8.0 + v * scene["dt"] >= avail):
                 accel = -4.0
-        print(json.dumps({"mode": "cautious" if accel < 0 else "progress", "accel": accel}))
+        reply = json.dumps({"mode": "cautious" if accel < 0 else "progress", "accel": accel})
+        if mode == "split":
+            sys.stdout.write(reply[:10])
+            sys.stdout.flush()
+            time.sleep(0.003)
+            reply = reply[10:]
+        print(reply)
         sys.stdout.flush()
 
 

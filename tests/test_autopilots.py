@@ -330,6 +330,18 @@ class TestExternalAutopilot:
             out = simulate(pilot, tc, SimConfig())
         assert verdict(out).kind is VerdictKind.CAUTIOUS_PASS
 
+    def test_reply_in_two_writes_runs_as_one_in_one(self, std_profile, merge_static):
+        """A pilot that writes each reply in two parts, a few ms apart, is
+        read to the end of each line: its run is the one-write pilot's."""
+        tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=30.0, x_f=14.0)
+        outs = []
+        for mode in ("cautious", "split"):
+            with ExternalAutopilot(f"{EXTERNAL} {mode}", std_profile) as pilot:
+                outs.append(simulate(pilot, tc, SimConfig()))
+        whole, split = outs
+        assert whole.steps > 10
+        assert (split.events, split.final, split.steps) == (whole.events, whole.final, whole.steps)
+
     def test_protocol_violation_raises(self, std_profile, merge_static):
         tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=30.0, x_f=14.0)
         with ExternalAutopilot(EXTERNAL + " garbage", std_profile) as pilot:
@@ -459,10 +471,8 @@ class _Replies(ExternalAutopilot):
     def _stop(self):
         self._proc = None
 
-    def _send(self, line, deadline):
+    def _round_trip(self, line, deadline):
         self.sent.append(line)
-
-    def _receive(self, deadline):
         return next(self._lines)
 
 
@@ -630,6 +640,42 @@ def test_reply_lines_match_the_json_oracle(raw):
         else:
             assert repr(pilot.step(0.1, -19.5, 5.0)) == repr(expected[1])
     assert pilot.starts == (2 if expected is None else 1)
+
+
+@pytest.mark.parametrize("negative_first", [False, True])
+def test_number_texts_keep_the_sign_of_zero(negative_first):
+    """``0.0`` and ``-0.0`` are one key but two texts: one pilot writes
+    each as ``json.dumps`` does, after the other, as ``t``, ``x``, ``v`` and
+    the arriving vehicle's position, which is ``0.0`` at ``x_a / vl``."""
+    first, second = (-0.0, 0.0) if negative_first else (0.0, -0.0)
+    arriving_zero = [(_CASE.x_a / _CASE.static.vl, -20.0, 5.0)]
+    negative_x = [(1.0, -0.0, 5.0)]
+    steps = [(first, -20.0, 5.0), (second, -20.0, 5.0), (1.0, first, 5.0), (1.0, second, 5.0),
+             (1.0, -20.0, first), (1.0, -20.0, second)]
+    steps += negative_x + arriving_zero if negative_first else arriving_zero + negative_x
+    pilot = _Replies(itertools.repeat(_REPLY_LINES[0]))
+    pilot.start_case(_CASE, 0.1)
+    for t, x, v in steps:
+        pilot.step(t, x, v)
+        assert pilot.sent[-1] == scene_line(Scene(t, EgoState(x, v), env_at(_CASE, t)),
+                                            _CASE.static, 0.1)
+    assert b'"arriving": {"x": 0.0,' in pilot.sent[-1 if negative_first else -2]
+
+
+def test_number_texts_stay_within_their_bound():
+    """The memo of number texts is cleared when full, and writes on."""
+    pilot = _Replies(itertools.repeat(_REPLY_LINES[0]))
+    pilot.start_case(_CASE, 0.1)
+    sizes = []
+    for k in range(1, 3001):  # four new numbers a step
+        t, x, v = k * 0.1, -20.0 + k * 1e-3, 5.0 + k * 1e-4
+        pilot.step(t, x, v)
+        sizes.append(len(pilot._texts))
+    bound = critlab.autopilots._TEXTS_MAX
+    assert bound - 4 < max(sizes) <= bound  # filled, and never past the bound
+    assert sizes[-1] < max(sizes)  # then cleared
+    assert pilot.sent[-1] == scene_line(Scene(t, EgoState(x, v), env_at(_CASE, t)),
+                                        _CASE.static, 0.1)
 
 
 @pytest.mark.parametrize("accel", ['"1.5"', '" -4 "', "true", "false"])

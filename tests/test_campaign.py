@@ -415,6 +415,23 @@ class TestExternalInCampaign:
         assert {k: v for k, v in files["mixed"].items() if k.startswith("reference/")} == \
             files["alone"]
 
+    def test_campaign_that_fails_midway_closes_its_pilot(self, tmp_path, monkeypatch):
+        """A campaign that failed after its first external grid, here
+        writing that grid's raw file under a plain file, once left the
+        pilot's process running."""
+        started = []
+        start = critlab.autopilots.ExternalAutopilot._start
+        monkeypatch.setattr(critlab.autopilots.ExternalAutopilot, "_start",
+                            lambda pilot: started.append(pilot) or start(pilot))
+        out = tmp_path / "out"
+        out.write_text("")
+        config = CampaignConfig(raw=one_type_raw(
+            autopilots=[{"name": "ext", "command": EXTERNAL + " cautious"}]))
+        with pytest.raises(NotADirectoryError):
+            run_campaign(config, out_dir=out)
+        assert len(started) == 1
+        assert started[0]._proc is None
+
     def test_external_pilot_runs_a_campaign_cell(self, tmp_path):
         config = small_config(
             autopilots=[{"name": "ext_cautious", "command": EXTERNAL + " cautious"}],

@@ -344,6 +344,13 @@ class TestErrorExits:
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("dt", ["nan", "inf"])
+    def test_determinacy_names_a_bad_step(self, capsys, dt):
+        """``--dt nan`` once failed with ``x_a must be finite: nan``: the
+        progress probe read the step before anything checked it."""
+        assert main(["determinacy", "--dt", dt]) == 1
+        assert capsys.readouterr().err == f"error: dt must be positive and finite: {dt}\n"
+
     @pytest.mark.parametrize("field, value", [("x_a", math.nan), ("x_f", math.inf)])
     def test_non_finite_test_case_is_refused(self, tmp_path, capsys, field, value):
         """A NaN ``x_a`` once failed with an error that named no field, and
