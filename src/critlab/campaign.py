@@ -142,8 +142,10 @@ def _check_finite(value, where: str) -> None:
 class CampaignConfig:
     """A campaign config (``raw``, the JSON as given), checked and built once.
 
-    Everything a run uses is built here, so a config either runs or is
-    refused with a ``ConfigError`` before anything is simulated.
+    Everything a run uses is built here, the runs included (the pilots split
+    into ``builtin`` and ``external``, each pilot's ``grids``, each built-in
+    pilot's ``determinacy_checks``), so a config either runs or is refused
+    with a ``ConfigError`` before anything is simulated.
     """
 
     raw: dict
@@ -192,17 +194,9 @@ class CampaignConfig:
 
         self.initial_states = [(x_e, v_e) for x_e, v_e in cfg["initial_states"]]
         raw_files = set()
-        static, dt = self.static_for(self.scenario_types[0]), self._sim.dt
         for x_e, v_e in self.initial_states:
             if v_e <= 0:
                 raise ConfigError(f"initial speed {v_e} outside (0, v_max]")
-            # Refuse a start with a run of 2**63 steps or more (``horizon_steps``
-            # raises), whatever the pilot: ``x_hat_a <= x_tilde_a``, so a grid's
-            # ``x_a`` is at most ``max(a_lo, a_hi_tilde) * x_tilde_a``, and the
-            # progress probe's at most ``x_tilde_a`` plus its offset.
-            x_tilde = x_e / v_e * static.vl
-            x_a = max(g["a_lo"], g["a_hi_tilde"], 1.0) * x_tilde + max(2.0 * static.vl * dt, 1.0)
-            horizon_steps(static, x_a, dt, HORIZON_SLACK)
             name = _raw_name(x_e, v_e)
             if name in raw_files:
                 raise ConfigError(f"repeated initial state ({x_e}, {v_e}) (raw file {name})")
@@ -228,20 +222,18 @@ class CampaignConfig:
         dupes = sorted({n for n in names if names.count(n) > 1})
         if dupes:
             raise ConfigError(f"duplicate autopilot name(s) {dupes}")
-        self.braking_v0 = []  # start speed of each pilot's braking determinacy check
-        for pilot, entry in zip(self.pilots, cfg["autopilots"]):
-            v0 = entry.get("braking_check_v0") if isinstance(entry, dict) else None
-            v0 = 0.8 * pilot.profile.v_max if v0 is None else v0
-            if not 0 < v0 <= pilot.profile.v_max:
-                raise ConfigError(f"braking_check_v0 {v0} of {pilot.name!r} outside (0, v_max]")
-            self.braking_v0.append(v0)
+        for pilot in self.pilots:
             self._check_starts(pilot.profile, repr(pilot.name))
+        self.external = [p for p in self.pilots if isinstance(p, ExternalAutopilot)]
+        self.builtin = [p for p in self.pilots if not isinstance(p, ExternalAutopilot)]
 
-        # Every grid, by pilot name and start: its axes are closed forms of
-        # the config, so one that holds a distance that is not positive is
-        # refused here, not after the grids before it have run.  The boundary
-        # reads only the speed limit, which every scenario type shares.
-        self.grids: dict[tuple[str, float, float], Grid] = {}
+        # The runs, planned here so that a config either runs or is refused
+        # before any of them has.  Every grid, by pilot name, in start order:
+        # its axes are closed forms of the config.  The boundary reads only the
+        # speed limit, which every scenario type shares, and so does a run's
+        # step count, which must stay below 2**63 (``horizon_steps`` raises).
+        static, dt = self.static_for(self.scenario_types[0]), self._sim.dt
+        self.grids: dict[str, list[Grid]] = {pilot.name: [] for pilot in self.pilots}
         for pilot in self.pilots:
             for x_e, v_e in self.initial_states:
                 boundary = most_critical(x_e, v_e, pilot.profile, static)
@@ -250,7 +242,23 @@ class CampaignConfig:
                     raise ConfigError(
                         f"grid of {pilot.name!r} from ({x_e}, {v_e}) holds a distance that is not "
                         f"positive: x_a from {x_a[0]} to {x_a[-1]}, x_f from {x_f[0]} to {x_f[-1]}")
-                self.grids[pilot.name, x_e, v_e] = (x_e, v_e, x_a, x_f, boundary)
+                horizon_steps(static, max(x_a), dt, HORIZON_SLACK)
+                self.grids[pilot.name].append((x_e, v_e, x_a, x_f, boundary))
+        # Each built-in pilot's determinacy check ``(pilot, v0, probe)``: it
+        # brakes from ``v0`` and restarts the probe, the crossing case just
+        # past the boundary of its grid from the first start.
+        self.determinacy_checks: list[tuple[AutopilotSpec, float, TestCase]] = []
+        entries = dict(zip(names, cfg["autopilots"]))
+        for pilot in self.builtin:
+            entry = entries[pilot.name]
+            v0 = entry.get("braking_check_v0") if isinstance(entry, dict) else None
+            v0 = 0.8 * pilot.profile.v_max if v0 is None else v0
+            if not 0 < v0 <= pilot.profile.v_max:
+                raise ConfigError(f"braking_check_v0 {v0} of {pilot.name!r} outside (0, v_max]")
+            x_e, v_e, _, _, boundary = self.grids[pilot.name][0]
+            probe = progress_probe(static, x_e, v_e, boundary, dt)
+            probe.steps(dt)  # raises past 2**63 steps, as the grids' sizing does
+            self.determinacy_checks.append((pilot, v0, probe))
 
     def _check_starts(self, profile: ADProfile, whose: str) -> None:
         """Refuse a start above ``profile``'s ``v_max``, or one it cannot brake
@@ -418,8 +426,8 @@ def _part_key(static: StaticPart) -> object:
 
 
 # The most cells one task simulates, unless one grid alone has more: a task
-# makes one ``simulate_lockstep`` call, and this keeps its arrays, and the
-# test cases alive at once, small on fine grids.
+# makes one ``simulate_lockstep`` call, and this keeps its arrays small on
+# fine grids.
 BATCH_CELLS = 1 << 16
 
 
@@ -508,7 +516,6 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
     """Run the full pipeline and (optionally) persist raw grid reports."""
     scenario_types = config.scenario_types
     pilots = config.pilots
-    grid_spec = config.grid
     sim_cfg = config.sim_config()
     workers = config.workers
     out_path = Path(out_dir) if out_dir is not None else None
@@ -544,9 +551,8 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
     parts: dict[object, list[ScenarioType]] = {}
     for sc in scenario_types:
         parts.setdefault(_part_key(config.static_for(sc)), []).append(sc)
-    jobs = [(pilot, config.grids[pilot.name, x_e, v_e]) for pilot in pilots
-            if not isinstance(pilot, ExternalAutopilot) for x_e, v_e in config.initial_states]
-    groups = _groups(jobs, grid_spec["n_a"] * grid_spec["n_f"], workers)
+    jobs = [(pilot, grid) for pilot in config.builtin for grid in config.grids[pilot.name]]
+    groups = _groups(jobs, config.grid["n_a"] * config.grid["n_f"], workers)
     tasks = [(types, group) for types in parts.values() for group in groups]
     args = [(group, config.static_for(types[0]), sim_cfg) for types, group in tasks]
 
@@ -565,14 +571,13 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
     # External grids one by one; a ProtocolError ends its pilot's type.  A
     # pilot's process is closed after its grids, or when any error ends them.
     start, raw_s = time.perf_counter(), stage_s["raw_files"]
-    for pilot in [p for p in pilots if isinstance(p, ExternalAutopilot)]:
+    for pilot in config.external:
         with pilot:
             for sc in scenario_types:
-                for x_e, v_e in config.initial_states:
+                for grid in config.grids[pilot.name]:
                     try:
                         (report,), work = _grid_reports(
-                            ([(pilot, config.grids[pilot.name, x_e, v_e])],
-                             config.static_for(sc), sim_cfg))
+                            ([(pilot, grid)], config.static_for(sc), sim_cfg))
                     except ProtocolError as exc:
                         cells[(sc.value, pilot.name)].protocol_error = str(exc)
                         break
@@ -582,7 +587,7 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
 
     start = time.perf_counter()
     determinacy_work = Counter()
-    determinacy = _determinacy_summaries(config, determinacy_work)
+    determinacy = determinacy_rows(config.determinacy_checks, sim_cfg, work=determinacy_work)
     stage_s["determinacy"] = time.perf_counter() - start
     start = time.perf_counter()
     coverage = _coverage_summaries(config)
@@ -632,18 +637,6 @@ def determinacy_rows(
                             verdict_flips=rep.verdict_flips, determinate=rep.determinate)
         rows += [braking, progress]
     return rows
-
-
-def _determinacy_summaries(config, work: Counter) -> list[dict]:
-    """Both checks of every built-in autopilot, from the first type and start,
-    their simulations added to ``work``."""
-    static = config.static_for(config.scenario_types[0])
-    x_e, v_e = config.initial_states[0]
-    sim_cfg = config.sim_config()
-    checks = [(pilot, v0, progress_probe(static, x_e, v_e, pilot.profile, sim_cfg.dt))
-              for pilot, v0 in zip(config.pilots, config.braking_v0)
-              if not isinstance(pilot, ExternalAutopilot)]
-    return determinacy_rows(checks, sim_cfg, work=work)
 
 
 def _coverage_summaries(config) -> list[dict]:

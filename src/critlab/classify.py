@@ -31,7 +31,7 @@ from .criticality import (
     most_critical,
     zone_codes,
 )
-from .kinematics import ADProfile, advance
+from .kinematics import advance
 from .scenario import DEFAULT_DT, StaticPart, TestCase
 from .simulator import (
     VERDICT_CODES,
@@ -370,15 +370,14 @@ def determinacy_check_braking(
 
 
 def progress_probe(
-    static: StaticPart, x_e: float, v_e: float, profile: ADProfile, dt: float = DEFAULT_DT
+    static: StaticPart, x_e: float, v_e: float, boundary: CriticalBoundary, dt: float = DEFAULT_DT
 ) -> TestCase:
     """The crossing case a progress determinacy check starts from: just past
-    the safe-progress boundary, by two arriving-vehicle steps (at least 1 m)
-    in ``x_a`` and by 1 m in ``x_f``."""
-    b = most_critical(x_e, v_e, profile, static)
+    the start's ``most_critical`` boundary, by two arriving-vehicle steps (at
+    least 1 m) in ``x_a`` and by 1 m in ``x_f``."""
     return TestCase(
         static=static, x_e=x_e, v_e=v_e,
-        x_a=b.x_hat_a + max(2.0 * static.vl * dt, 1.0), x_f=b.x_hat_f + 1.0,
+        x_a=boundary.x_hat_a + max(2.0 * static.vl * dt, 1.0), x_f=boundary.x_hat_f + 1.0,
     )
 
 

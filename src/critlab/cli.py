@@ -181,7 +181,8 @@ def _run(args: argparse.Namespace) -> int:
         rates = args.rates and dict(part.split(":", 1) for part in args.rates.split(","))
         pilot = _build_autopilot(args.autopilot, _parse_profile(args.profile), rates)
         cfg = SimConfig(dt=args.dt)  # refuses a bad step before the probe reads it
-        probe = progress_probe(_static(args), args.x_e, args.v_e, pilot.profile, cfg.dt)
+        static, start = _static(args), (args.x_e, args.v_e)
+        probe = progress_probe(static, *start, most_critical(*start, pilot.profile, static), cfg.dt)
         braking, progress = determinacy_rows([(pilot, args.v0, probe)], cfg, args.restart_every)
         print(json.dumps({"autopilot": pilot.name, "braking": braking, "progress": progress}))
         return 0

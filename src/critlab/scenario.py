@@ -103,12 +103,12 @@ class StaticPart:
             raise ValueError(f"zone half-length d must be positive and finite: {self.d}")
         if not 0 < self.vl < math.inf:
             raise ValueError(f"speed limit vl must be positive and finite: {self.vl}")
-        if self.light_schedule is not None:
-            g, r = self.light_schedule
-            if not (0 < g < math.inf and 0 < r < math.inf):
-                raise ValueError(
-                    f"light_schedule phases must be positive and finite: {self.light_schedule}"
-                )
+        sched = self.light_schedule
+        if sched is not None:
+            if len(sched) != 2:
+                raise ValueError(f"light_schedule must be two phases, (green s, red s): {sched}")
+            if not all(0 < phase < math.inf for phase in sched):
+                raise ValueError(f"light_schedule phases must be positive and finite: {sched}")
 
     def light_at(self, t: float) -> Optional[Light]:
         if self.scenario_type is not ScenarioType.INTERSECTION_LIGHT:
@@ -348,9 +348,14 @@ def test_case_from_dict(data: dict) -> TestCase:
     if not (isinstance(data, dict) and isinstance(data.get("static"), dict)):
         raise ValueError('a test case must be a JSON object with a "static" object')
     static = data["static"]
+    mutations = data.get("mutations", [])
+    if not isinstance(mutations, list) or not all(isinstance(m, dict) and {"kind", "x"} <= m.keys()
+                                                  for m in mutations):
+        raise ValueError('test case mutations must be a list of objects with "kind" and "x": '
+                         + json.dumps(mutations))
     try:
         numbers = {key: data[key] for key in ("x_e", "v_e", "x_a", "x_f")}
-        mutations = [(m["kind"], m["x"]) for m in data.get("mutations", [])]
+        mutations = [(m["kind"], m["x"]) for m in mutations]
         for key, value in [*numbers.items(), ("vl", static["vl"]), ("d", static["d"]),
                            *(("light_schedule", t) for t in static.get("light_schedule") or ()),
                            *(("mutation x", x) for _, x in mutations)]:

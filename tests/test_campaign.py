@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import critlab.autopilots
@@ -30,7 +30,7 @@ from critlab.campaign import (
     write_outputs,
 )
 
-from critlab.scenario import ScenarioType, TestCase
+from critlab.scenario import HORIZON_SLACK, ScenarioType, TestCase, horizon_steps
 from critlab.simulator import simulate, verdict
 
 from conftest import WORK_KEYS
@@ -561,8 +561,9 @@ class TestGridDedup:
 
     def test_one_boundary_per_grid(self, monkeypatch):
         """``most_critical`` runs once per pilot and start, where the config
-        sizes the grids, though each grid runs for two static parts, and once
-        per built-in pilot for its progress probe."""
+        sizes the grids, though each grid runs for two static parts; a
+        progress probe reads the boundary of its pilot's first grid, where
+        it once computed its own."""
         calls = Counter()
         for module in (critlab.campaign, critlab.classify):
             def counting(*args, real=module.most_critical, name=module.__name__):
@@ -573,7 +574,7 @@ class TestGridDedup:
         report = run_campaign(four_type_config(static=with_light([2.0, 2.0])))
         assert calls["critlab.campaign"] == 2 * 4
         assert report.metrics["grids"]["simulated"] == 2 * 4 * 2
-        assert calls["critlab.classify"] == 2
+        assert calls["critlab.classify"] == 0
 
     def test_one_coverage_integral_for_all_types(self, monkeypatch):
         calls = []
@@ -882,8 +883,108 @@ class TestLoadTimeRejection:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_light_schedule_of_three_phases_is_named(self):
+        """It once read ``too many values to unpack (expected 2)``."""
+        raw = one_type_raw(static={"d": 5.0, "vl": 10.0, "light_schedule": [2.0, 2.0, 2.0]})
+        with pytest.raises(ConfigError, match="light_schedule must be two phases"):
+            CampaignConfig(raw=raw)
+
     def test_duplicate_autopilot_names(self):
         pilots = [{"name": "a", "variant": "constant_speed"},
                   {"name": "a", "variant": "always_cautious"}]
         with pytest.raises(ConfigError, match="duplicate autopilot name"):
             CampaignConfig(raw=one_type_raw(autopilots=pilots))
+
+
+# -- an accepted config runs ------------------------------------------------------
+
+# Where a drawn value goes: a path into the config, or a function of the
+# config and the value.  Each is a key of ``DEFAULT_CONFIG`` a campaign reads.
+_EDITS = [
+    *(("profile", k) for k in ("a_max", "b_max", "v_max")),
+    *(("autopilots", 4, "profile", k) for k in ("a_max", "b_max", "v_max")),
+    ("autopilots", 4, "braking_check_v0"),
+    ("autopilots", 4, "rates", "27.5"),
+    ("autopilots", 5, "rates", "7.5"),
+    lambda raw, x: raw["autopilots"][4]["rates"].update({repr(x): 3.0}),
+    lambda raw, x: raw["autopilots"][5]["rates"].update({repr(x): 1.5}),
+    *(("static", k) for k in ("d", "vl")),
+    lambda raw, x: raw["static"].update(light_schedule=[x, 2.0]),
+    lambda raw, x: raw["static"].update(light_schedule=[2.0, x]),
+    *(("sim", k) for k in ("dt", "zone_epsilon")),
+    *(("grid", k) for k in ("a_lo", "a_hi_tilde", "f_lo", "f_hi")),
+    *(("initial_states", i, j) for i in range(4) for j in range(2)),
+    ("partition", "x_f_cap"),
+]
+
+
+def _edit(raw: dict, where, value: float) -> None:
+    if callable(where):
+        where(raw, value)
+        return
+    node = raw
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+
+
+@st.composite
+def extreme_configs(draw):
+    """``DEFAULT_CONFIG`` at 2-3 cells per axis and at most 5 partition
+    steps, with one to three values replaced by finite extremes."""
+    raw = json.loads(json.dumps(DEFAULT_CONFIG))
+    raw["grid"].update(n_a=draw(st.integers(2, 3)), n_f=draw(st.integers(2, 3)))
+    raw["partition"]["steps"] = draw(st.integers(1, 5))
+    extremes = st.floats(1e-15, 1e-3) | st.floats(1e3, 1e15)
+    for where in draw(st.lists(st.sampled_from(_EDITS), min_size=1, max_size=3)):
+        _edit(raw, where, draw(extremes))
+    return raw
+
+
+def _plan_cost(config: CampaignConfig) -> dict[str, float]:
+    """What running ``config`` costs, in closed form from its planned runs:
+    the engine's batch steps (its longest run), the cell steps of the grids
+    and progress checks (horizons, at most), and the steps of the braking
+    checks, each about ``N + N / 5 * N_max`` for ``N`` steps from ``v0`` and
+    ``N_max`` the longest restart's."""
+    static, dt = config.static_for(config.scenario_types[0]), config.sim_config().dt
+    parts = len({critlab.campaign._part_key(config.static_for(sc))
+                 for sc in config.scenario_types})
+    batch = cells = braking = 0
+    for grids in config.grids.values():
+        for _, _, x_a, x_f, _ in grids:
+            horizons = horizon_steps(static, np.asarray(x_a), dt, HORIZON_SLACK)
+            batch = max(batch, int(horizons.max()))
+            cells += parts * int(horizons.sum()) * len(x_f)
+    for pilot, v0, probe in config.determinacy_checks:
+        n = probe.steps(dt)
+        batch = max(batch, n)
+        cells += n + n // 5 * n  # the baseline, then a restart every 5 steps
+        rates = [pilot.brake_rate_for(v) for v in (v0, *dict(pilot.rate_by_initial_speed))]
+        n = v0 / (pilot.brake_rate_for(v0) * dt)
+        braking += n + n / 5 * v0 / (min(rates) * dt)
+    return {"batch_steps": batch, "cell_steps": cells, "braking_steps": braking}
+
+
+_COST_BOUND = {"batch_steps": 3_000, "cell_steps": 300_000, "braking_steps": 300_000}
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(raw=extreme_configs())
+@example(raw={"scenario_types": ["merge_yield"], "autopilots": ["reference"],
+          "initial_states": [[20.0, 5.0]], "grid": {"a_hi_tilde": 1e-17}})
+def test_an_accepted_config_runs(raw, hang_guard):
+    """Every config the loader accepts runs: ``CampaignConfig`` refuses it
+    with a ``ConfigError``, or ``run_campaign`` returns.  Only a config whose
+    planned runs cost too much to run here is left out, never one for how it
+    fails.  The example's last ``x_a`` rounds to 0.0, which the loader once
+    accepted and the engine refused after load."""
+    try:
+        config = CampaignConfig(raw=raw)
+    except ConfigError:
+        return
+    cost = _plan_cost(config)
+    assume(all(cost[k] <= bound for k, bound in _COST_BOUND.items()))
+    with hang_guard(60.0):
+        run_campaign(config)

@@ -391,12 +391,22 @@ class TestErrorExits:
          "mutation x must be positive and finite: nan"),
         (lambda data: {**data, "mutations": [{"kind": "arriving", "x": -3.0}]},
          "mutation x must be positive and finite: -3.0"),
+        *((lambda data, m=m: {**data, "mutations": m},
+           f'test case mutations must be a list of objects with "kind" and "x": {json.dumps(m)}')
+          for m in ([1], {"a": 1}, "ab", None)),
+        (lambda data: {**data, "static": {**data["static"], "light_schedule": [2.0, 2.0, 2.0]}},
+         "light_schedule must be two phases, (green s, red s): (2.0, 2.0, 2.0)"),
     ], ids=["missing-key", "not-an-object", "string-number", "boolean-number", "float-horizon",
-            "string-mutation", "unknown-mutation-kind", "nan-mutation", "negative-mutation"])
+            "string-mutation", "unknown-mutation-kind", "nan-mutation", "negative-mutation",
+            "mutation-not-an-object", "mutations-an-object", "mutations-a-string",
+            "mutations-null", "light-three-phases"])
     def test_malformed_test_case_is_refused(self, tmp_path, capsys, edit, message):
         """Each once ended in a traceback, except a boolean ``x_e``, which ran
         as 1 m, and a mutation of an unknown kind or a NaN ``x``, which ran as
-        the case without it."""
+        the case without it.  Mutations of the wrong shape and a light
+        schedule of three phases once printed Python's own error, which named
+        no field (``'int' object is not subscriptable``, ``too many values to
+        unpack``)."""
         path = _write_testcase(tmp_path)
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))
         assert main(["simulate", "--testcase", str(path)]) == 1

@@ -422,7 +422,7 @@ class TestProgressRestartRouting:
                 return real(*args, **kwargs)
 
             monkeypatch.setattr(critlab.classify, name, counting)
-        checks = [(pilot, progress_probe(MERGE, 20.0, 5.0, STD))
+        checks = [(pilot, progress_probe(MERGE, 20.0, 5.0, most_critical(20.0, 5.0, STD, MERGE)))
                   for pilot in (OraclePilot(reference(STD)), reference(STD))]
         (scalar, built_in), work = _check_progress(checks, 5, SimConfig())
         n = len(scalar.restarts) + len(built_in.restarts)

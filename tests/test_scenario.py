@@ -231,6 +231,24 @@ class TestSerialization:
         with pytest.raises(ValueError, match=rf"\b{field}\b.* must be positive and finite"):
             StaticPart(ScenarioType.INTERSECTION_LIGHT, **static)
 
+    @pytest.mark.parametrize("schedule", [(2.0,), (2.0, 2.0, 2.0)])
+    def test_light_schedule_is_two_phases(self, schedule):
+        """Three phases once failed with ``too many values to unpack``, which
+        named no field, in a test case file and a campaign config alike."""
+        with pytest.raises(ValueError, match=r"light_schedule must be two phases"):
+            StaticPart(ScenarioType.INTERSECTION_LIGHT, vl=10.0, light_schedule=schedule)
+
+    @pytest.mark.parametrize("mutations", [[1], {"a": 1}, "ab", None, [{"kind": "static"}]],
+                             ids=["number", "object", "string", "null", "no-x"])
+    def test_mutations_are_a_list_of_vehicles(self, tc, mutations):
+        """Each once failed with Python's own error (``'int' object is not
+        subscriptable``, ``string indices must be integers``, ``'NoneType'
+        object is not iterable``), which named no field."""
+        data = {**tc_to_dict(tc), "mutations": mutations}
+        with pytest.raises(ValueError, match='^test case mutations must be a list of objects '
+                                             'with "kind" and "x"'):
+            tc_from_dict(data)
+
     def test_unknown_extra_vehicle_kind_rejected(self):
         """A ``parked`` vehicle was accepted, and no pilot ever saw it."""
         with pytest.raises(ValueError, match="kind must be 'arriving' or 'static': 'parked'"):
