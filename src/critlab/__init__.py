@@ -26,7 +26,6 @@ from .criticality import (
 )
 from .autopilots import (
     AutopilotSpec,
-    Decision,
     ExternalAutopilot,
     always_cautious,
     constant_speed,

@@ -1,8 +1,9 @@
 """Pluggable longitudinal autopilots and fault-injected variants.
 
-An autopilot is a per-step transition: given the current scene and the one
-its run started from, it emits an acceleration command for the next step.  The
-reference policy reads only the current scene, so replaying it from any
+An autopilot is a per-step transition: ``start_case(tc, dt)`` begins a test
+case and returns the run's decision function, which maps the ego's state
+``(t, x, v)`` to an acceleration command for the next step.  The reference
+policy reads only the current state and scene, so replaying it from any
 intermediate state of its own trace reproduces the rest of the trace; each
 fault variant perturbs exactly one declared aspect of that behaviour.  Those
 that break determinacy pick their rates, or their late-cautious region, from
@@ -26,7 +27,7 @@ import shlex
 import subprocess
 import time
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -35,14 +36,12 @@ from .scenario import (
     CAUTIOUS_MARGIN,
     DEFAULT_DT,
     Light,
-    Scene,
     ScenarioType,
     StaticPart,
     TestCase,
 )
 
 __all__ = [
-    "Decision",
     "AutopilotSpec",
     "ProtocolError",
     "ExternalAutopilot",
@@ -70,10 +69,9 @@ class ProtocolError(RuntimeError):
     """Raised when an external autopilot violates the stdio protocol."""
 
 
-@dataclass(frozen=True, slots=True)
-class Decision:
-    mode: str  # "progress" | "cautious"
-    accel: float  # m/s^2 commanded for the next step
+# A run's decision function: the acceleration at time ``t`` of its case, the
+# ego at ``x`` with speed ``v``.
+Decide = Callable[[float, float, float], float]
 
 
 @dataclass(frozen=True)
@@ -131,29 +129,40 @@ class AutopilotSpec:
             raise ValueError(f"start speed {v} above the v_max {self.profile.v_max} "
                              f"of {self.name!r}")
 
-    def step(
-        self,
-        scene: Scene,
-        static: StaticPart,
-        start: Optional[Scene] = None,
-        dt: float = DEFAULT_DT,
-    ) -> "Decision":
-        """One control decision for the next ``dt`` seconds of a run that
-        started from ``start`` (by default the scene itself): ``step_arrays``
-        on one cell, whose arriving and front vehicles are the nearest of
-        each kind in the scene, extra vehicles included.  The mode is
-        ``progress`` for a constant-speed pilot, or one committed to crossing
-        and not going cautious late; ``cautious`` otherwise.  A start speed
-        above the profile's ``v_max`` is refused, as the lockstep engine
-        refuses it."""
-        start = scene if start is None else start
-        self.check_start_speed(start.ego.v)
-        pc = PolicyColumns.build([self], [start.ego.v], [0], *_nearest(start))
-        p, v, arr_x, x_f = np.array([[scene.ego.x, scene.ego.v, *_nearest(scene)]]).T
+    def start_case(self, tc: TestCase, dt: float) -> Decide:
+        """Begin test case ``tc``, run at step ``dt``: its decision function,
+        ``step`` on the numbers of each state.
+
+        A start speed above the profile's ``v_max`` is refused, as the
+        lockstep engine refuses it.  The pilot's arriving and front vehicles
+        are the nearest of each kind, extra vehicles included.  Every
+        arriving vehicle moves at ``vl``, and a subtraction rounds
+        monotonically, so the nearest at ``t`` is ``min(x_a, arriving
+        extras) - vl * t``, bit for bit the nearest of each vehicle's
+        ``x - vl * t``; the nearest front vehicle is parked.  The one-cell
+        ``PolicyColumns`` takes both at t = 0, once.
+        """
+        self.check_start_speed(tc.v_e)
+        static, vl = tc.static, tc.static.vl
+        arriving = float(min([tc.x_a, *(m.x for m in tc.mutations if m.kind == "arriving")]))
+        front = min([tc.x_f, *(m.x for m in tc.mutations if m.kind == "static")])
+        pc = PolicyColumns.build([self], [tc.v_e], [0], arriving, front)
+        step = self.step
+
+        def decide(t: float, x: float, v: float) -> float:
+            return step(pc, static, dt, x, v, arriving - vl * t, front)
+
+        return decide
+
+    def step(self, pc: PolicyColumns, static: StaticPart, dt: float, x: float, v: float,
+             arriving: float, front: float) -> float:
+        """The acceleration for the next ``dt`` seconds, the ego at ``x``
+        with speed ``v``, its nearest arriving vehicle at ``arriving`` and
+        front vehicle at ``front``: ``step_arrays`` on the one cell of
+        ``pc``, this pilot's policy from its case's start."""
+        p, v, arr_x, x_f = np.array([[x, v, arriving, front]]).T
         with np.errstate(invalid="ignore", divide="ignore"):
-            committed, accel = step_arrays(pc, p, v, arr_x, x_f, static, dt)
-        progress = pc.constant[0] or (committed[0] and not pc.late[0])
-        return Decision(mode="progress" if progress else "cautious", accel=accel.item())
+            return step_arrays(pc, p, v, arr_x, x_f, static, dt).item()
 
 
 def reference(profile: ADProfile, name: str = "reference") -> AutopilotSpec:
@@ -334,9 +343,9 @@ def step_arrays(
     x_f: np.ndarray,
     static: StaticPart,
     dt: float = DEFAULT_DT,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The decision of many cells at once: whether each is committed to
-    crossing, and the acceleration it commands for the next ``dt``.
+) -> np.ndarray:
+    """The decision of many cells at once: the acceleration each commands
+    for the next ``dt``.
 
     ``pc`` holds each cell's policy, and ``p``, ``v`` (ego), ``arr_x``
     (nearest arriving vehicle now) and ``x_f`` (nearest vehicle in front)
@@ -360,16 +369,7 @@ def step_arrays(
     if pc.late.any():  # goes cautious far too late: aims the stop inside the zone
         accel = np.where(pc.late, _cautious_accel_arrays(v, p, -d / 2.0, pc.brake_rate, dt),
                          accel)
-    return committed, np.where(pc.constant, 0.0, accel)
-
-
-def _nearest(scene: Scene) -> tuple[float, float]:
-    """The nearest arriving vehicle of ``scene`` and the nearest vehicle in
-    front of the ego, extra vehicles included."""
-    arriving, front = [scene.env.arriving.x], [scene.env.front.x]
-    for e in scene.env.extra_vehicles:
-        (arriving if e.kind == "arriving" else front).append(e.x)
-    return min(arriving), min(front)
+    return np.where(pc.constant, 0.0, accel)
 
 
 # -- external autopilot bridge ----------------------------------------------------
@@ -510,9 +510,10 @@ class ExternalAutopilot:
         for pipe in (proc.stdin, proc.stdout, proc.stderr):
             pipe.close()  # type: ignore[union-attr]
 
-    def start_case(self, tc: TestCase, dt: float) -> None:
+    def start_case(self, tc: TestCase, dt: float) -> Decide:
         """Begin test case ``tc``, run at step ``dt``: a fresh process if
-        none is alive, and the case's scene template.
+        none is alive, and the case's scene template.  Returns ``step``,
+        looked up now, so a wrapper put on the class reaches every step.
 
         A scene line is ``json.dumps`` of the payload in the class docstring
         and a newline, byte for byte.  Of a case's scenes, only ``t``, the
@@ -564,6 +565,7 @@ class ExternalAutopilot:
             return (template % numbers).encode()
 
         self._render = render
+        return self.step
 
     def _abort(self, detail: str) -> ProtocolError:
         """``detail`` with the tail of the pilot's stderr, if it wrote any,

@@ -613,7 +613,8 @@ def determinacy_rows(
     """The braking row (from ``v0``) and the progress row (restarts of
     ``probe``) of each ``(pilot, v0, probe)`` check of a built-in autopilot,
     in order.  The progress checks' simulations, all in one
-    ``determinacy_check_progress`` call, are added to ``work``.
+    ``determinacy_check_progress`` call, are added to ``work``; the braking
+    checks take one ``determinacy_check_braking`` call.
 
     A braking row's status is ``ok``: ``determinacy_check_braking`` refuses a
     ``v0`` outside ``(0, v_max]`` with a ``ValueError``.  A progress check
@@ -622,9 +623,10 @@ def determinacy_rows(
     """
     reports = determinacy_check_progress([(pilot, probe) for pilot, _, probe in checks],
                                          restart_every, sim_cfg, work)
+    brakes = determinacy_check_braking([(pilot, v0) for pilot, v0, _ in checks],
+                                       restart_every, sim_cfg.dt)
     rows = []
-    for (pilot, v0, probe), rep in zip(checks, reports):
-        brake = determinacy_check_braking(pilot, v0, restart_every=restart_every, dt=sim_cfg.dt)
+    for (pilot, v0, probe), rep, brake in zip(checks, reports, brakes):
         braking = {"autopilot": pilot.name, "maneuver": "braking", "v0": v0, "status": "ok",
                    "max_deviation": brake.max_deviation, "tol": brake.tol,
                    "determinate": brake.determinate}

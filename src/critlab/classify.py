@@ -31,7 +31,7 @@ from .criticality import (
     most_critical,
     zone_codes,
 )
-from .kinematics import advance
+from .kinematics import advance_arrays
 from .scenario import DEFAULT_DT, StaticPart, TestCase
 from .simulator import (
     VERDICT_CODES,
@@ -325,48 +325,61 @@ class DeterminacyReport:
         return self.verdict_flips == 0 and self.max_deviation <= self.tol
 
 
-def _brake_trace(v0: float, rate: float, dt: float, v_max: float) -> list[tuple[float, float]]:
-    """States ``(travelled, speed)`` braking to a stop at a constant rate."""
-    states = [(0.0, v0)]
-    x, v = 0.0, v0
-    while v > 0.0:
-        x, v = advance(x, v, -rate, dt, v_max)
-        states.append((x, v))
-    return states
+def _brake_to_stop(lanes: Sequence[tuple[AutopilotSpec, float]], dt: float, every: int = 0):
+    """Brake ``(pilot, v0)`` lanes from ``(0.0, v0)``, ``v0`` positive, to a
+    stop, each at the rate its pilot picks for ``v0``, all in one
+    ``advance_arrays`` step (bit for bit ``advance``) a time step; a lane
+    leaves when it stops.  Returns each lane's stopping distance and, for
+    ``every`` > 0, its ``(step, travelled, speed)`` every ``every`` steps
+    while it still moves."""
+    v, rate, v_max = np.array([(v0, pilot.brake_rate_for(v0), pilot.profile.v_max)
+                               for pilot, v0 in lanes], dtype=float).reshape(-1, 3).T
+    idx, x, stop = np.arange(v.size), np.zeros(v.size), np.zeros(v.size)
+    picked = [[] for _ in lanes]
+    k = 0
+    while idx.size:
+        if every and k % every == 0:
+            for lane, x_k, v_k in zip(idx.tolist(), x.tolist(), v.tolist()):
+                picked[lane].append((k, x_k, v_k))
+        x, v = advance_arrays(x, v, -rate, dt, v_max)
+        k += 1
+        moving = v > 0.0
+        if not moving.all():
+            stop[idx[~moving]] = x[~moving]
+            idx, x, v, rate, v_max = (col[moving] for col in (idx, x, v, rate, v_max))
+    return stop.tolist(), picked
 
 
 def determinacy_check_braking(
-    autopilot: AutopilotSpec,
-    v0: float,
+    checks: Sequence[tuple[AutopilotSpec, float]],
     restart_every: int = 5,
     dt: float = DEFAULT_DT,
-) -> DeterminacyReport:
-    """Compare a full braking run against fresh runs started mid-curve.
+) -> list[DeterminacyReport]:
+    """Compare full braking runs against fresh runs started mid-curve.
 
-    The baseline brakes from ``v0``, in ``(0, v_max]``, to a stop; every
-    ``restart_every``-th state of that curve seeds a fresh braking run whose
-    rate the autopilot picks for the restart speed.  Deviation is the gap
-    between stopping positions; the tolerance is one step of travel at
-    ``v0`` plus 0.25 m.
+    Each check is an autopilot and a ``v0`` in ``(0, v_max]``: the baseline
+    brakes from ``v0`` to a stop, and every ``restart_every``-th state of
+    that curve seeds a fresh braking run whose rate the autopilot picks for
+    the restart speed.  Deviation is the gap between stopping positions; the
+    tolerance is one step of travel at ``v0`` plus 0.25 m.  The baselines
+    of all checks brake together, and then all their restarts.
     """
     if restart_every < 1:
         raise ValueError("restart_every must be at least 1")
-    v_max = autopilot.profile.v_max
-    if not 0 < v0 <= v_max:
-        raise ValueError(f"braking check v0 {v0} outside (0, v_max {v_max}]")
-    tol = v0 * dt + 0.25
-    base = _brake_trace(v0, autopilot.brake_rate_for(v0), dt, v_max)
-    stop = base[-1][0]
-    restarts = []
-    for i in range(0, len(base), restart_every):
-        x_i, v_i = base[i]
-        if v_i <= 0.0:
-            continue
-        fresh = _brake_trace(v_i, autopilot.brake_rate_for(v_i), dt, v_max)
-        deviation = abs(x_i + fresh[-1][0] - stop)
-        restarts.append(RestartRecord(t=i * dt, x=x_i, v=v_i, deviation=deviation))
-    max_dev = max((r.deviation for r in restarts), default=0.0)
-    return DeterminacyReport(maneuver="braking", restarts=restarts, tol=tol, max_deviation=max_dev)
+    for pilot, v0 in checks:
+        if not 0 < v0 <= pilot.profile.v_max:
+            raise ValueError(f"braking check v0 {v0} outside (0, v_max {pilot.profile.v_max}]")
+    stops, picked = _brake_to_stop(checks, dt, restart_every)
+    fresh = iter(_brake_to_stop([(pilot, v) for (pilot, _), states in zip(checks, picked)
+                                 for _, _, v in states], dt)[0])
+    reports = []
+    for (_, v0), stop, states in zip(checks, stops, picked):
+        restarts = [RestartRecord(t=k * dt, x=x_k, v=v_k, deviation=abs(x_k + next(fresh) - stop))
+                    for k, x_k, v_k in states]
+        reports.append(DeterminacyReport(
+            maneuver="braking", restarts=restarts, tol=v0 * dt + 0.25,
+            max_deviation=max((r.deviation for r in restarts), default=0.0)))
+    return reports
 
 
 def progress_probe(

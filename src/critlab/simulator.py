@@ -24,11 +24,11 @@ import enum
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .autopilots import AutopilotSpec, ExternalAutopilot, PolicyColumns, step_arrays
+from .autopilots import AutopilotSpec, PolicyColumns, step_arrays
 from .kinematics import advance, advance_arrays
 from .scenario import (
     DEFAULT_DT,
@@ -150,27 +150,6 @@ _PROPERTY_EVENTS = {
 }
 
 
-def _decider(autopilot, tc: TestCase, dt: float) -> Callable[[float, float, float], float]:
-    """A run's decision function, ``(t, x, v) -> accel``, picked once.
-
-    An external pilot begins the case and steps from the numbers alone.  Any
-    other pilot has a ``step(scene, static, start, dt)``: it is handed the
-    scene of each state as the trace records it, its run's start as both
-    scene and start at ``t == 0.0``.
-    """
-    if isinstance(autopilot, ExternalAutopilot):
-        autopilot.start_case(tc, dt)
-        return autopilot.step
-    static, env, step = tc.static, environment(tc), autopilot.step
-    start = Scene(t=0.0, ego=tc.initial_ego(), env=env(0.0))
-
-    def decide(t: float, x: float, v: float) -> float:
-        scene = Scene(t=t, ego=EgoState(x, v), env=env(t)) if t else start
-        return step(scene, static, start, dt).accel
-
-    return decide
-
-
 def simulate(
     autopilot,
     tc: TestCase,
@@ -180,8 +159,9 @@ def simulate(
     """Run one closed-loop scenario to a stable end, collision, or horizon,
     ``tc.steps(cfg.dt)`` steps, which the outcome's case holds.
 
-    The loop runs on numbers: each step asks the run's decision function
-    (``_decider``) for the pilot's acceleration at the last state, and every
+    The loop runs on numbers: ``autopilot.start_case(tc, dt)`` begins the
+    case and gives the run's decision function, each step asks it for the
+    pilot's acceleration at the last state, ``(t, x, v)``, and every
     step adds one state, so the outcome carries the whole trace, which its
     ``frames`` turn into scenes when read.  The run ends early once the ego
     is stopped clear of the conflict (either before the zone or past the
@@ -205,7 +185,7 @@ def simulate(
     p, v = ego.x, ego.v
     states = [(p, v)]
     events: list[Event] = []
-    decide = _decider(autopilot, tc, dt)
+    decide = autopilot.start_case(tc, dt)
 
     crossed = False
     t_cross: Optional[float] = None
@@ -401,7 +381,7 @@ def simulate_lockstep(
         while cols[0].size:
             (idx, p, v, xa, xf, xf_front, horizon, t_late, t_grace,
              crossed, exempt, overlap, saw_cooc, saw_stop) = cols
-            _, a = step_arrays(pc, p, v, xa - vl * (i * dt), xf, static, dt)
+            a = step_arrays(pc, p, v, xa - vl * (i * dt), xf, static, dt)
             p0, v0 = p, v
             p, v = advance_arrays(p, v, a, dt, pc.v_max)
             t1 = (i + 1) * dt

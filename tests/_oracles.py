@@ -2,13 +2,15 @@
 
 Everything here integrates trajectories step by step (forward Euler unless
 noted) or enumerates frames exhaustively; the library is never called, so
-these can sit on the other side of an equality check.  Two exceptions:
-``scalar_step`` is the built-in pilots' policy written on plain numbers, with
-the profile's capability functions and ``kinematics.advance``, for the array
-policy (``step_arrays``, and ``AutopilotSpec.step`` on one cell) to equal bit
-for bit, and ``OraclePilot`` drives it through ``simulate``'s loop; and
-``progress_determinacy_scalar`` calls only ``simulate`` with that pilot and
-``verdict``, one test case at a time, for the batched check to equal.
+these can sit on the other side of an equality check.  Three exceptions:
+``scalar_step`` is the built-in pilots' policy written on plain numbers, read
+from the scenes of a run, with the profile's capability functions and
+``kinematics.advance``, for the array policy (``step_arrays``, and a built-in
+pilot's ``start_case`` on one cell) to equal bit for bit, and ``OraclePilot``
+drives it through ``simulate``'s loop; ``progress_determinacy_scalar`` calls
+only ``simulate`` with that pilot and ``verdict``, one test case at a time,
+for the batched check to equal; and ``braking_determinacy_scalar`` brakes
+with ``kinematics.advance``, one run at a time.
 """
 
 from __future__ import annotations
@@ -19,10 +21,18 @@ from typing import Optional
 
 import numpy as np
 
-from critlab.autopilots import AutopilotSpec, Decision
+from critlab.autopilots import AutopilotSpec
 from critlab.classify import CheckAbortedError, DeterminacyReport, RestartRecord
 from critlab.kinematics import ADProfile, advance
-from critlab.scenario import CAUTIOUS_MARGIN, DEFAULT_DT, Scene, StaticPart, TestCase
+from critlab.scenario import (
+    CAUTIOUS_MARGIN,
+    DEFAULT_DT,
+    EgoState,
+    Scene,
+    StaticPart,
+    TestCase,
+    environment,
+)
 from critlab.simulator import SimConfig, VerdictKind, simulate, verdict
 
 _EPS = 1e-9
@@ -76,9 +86,9 @@ def scalar_step(
     static: StaticPart,
     start: Optional[Scene] = None,
     dt: float = DEFAULT_DT,
-) -> Decision:
-    """One control decision for the next ``dt`` seconds of a run that
-    started from ``start`` (by default the scene itself)."""
+) -> float:
+    """The acceleration for the next ``dt`` seconds of a run that started
+    from ``start`` (by default the scene itself)."""
     start = scene if start is None else start
     profile = spec.profile
     p, v = scene.ego.x, scene.ego.v
@@ -87,7 +97,7 @@ def scalar_step(
     front_x = _nearest_front(scene)
 
     if spec.variant == "constant_speed":
-        return Decision(mode="progress", accel=0.0)
+        return 0.0
 
     accel_rate = spec.accel_rate_for(start.ego.v)
     brake_rate = spec.brake_rate_for(start.ego.v)
@@ -96,13 +106,11 @@ def scalar_step(
         (a_lo, a_hi), (f_lo, f_hi) = spec.fail_region
         if a_lo <= _nearest_arriving(start) <= a_hi and f_lo <= _nearest_front(start) <= f_hi:
             # Goes cautious far too late: aims the stop inside the zone.
-            accel = _cautious_accel(v, p, -d / 2.0, brake_rate, dt)
-            return Decision(mode="cautious", accel=accel)
+            return _cautious_accel(v, p, -d / 2.0, brake_rate, dt)
 
     if p > -d:
         # Inside or past the zone: committed, only the front condition matters.
-        accel = _progress_accel(profile, p, v, front_x, accel_rate, brake_rate, dt)
-        return Decision(mode="progress", accel=accel)
+        return _progress_accel(profile, p, v, front_x, accel_rate, brake_rate, dt)
 
     x_now = -p
     wants_progress = False
@@ -118,10 +126,8 @@ def scalar_step(
         wants_progress = ta <= deadline + _EPS and need_front <= front_x + _EPS
 
     if wants_progress:
-        accel = _progress_accel(profile, p, v, front_x, accel_rate, brake_rate, dt)
-        return Decision(mode="progress", accel=accel)
-    accel = _cautious_accel(v, p, -(d + CAUTIOUS_MARGIN), brake_rate, dt)
-    return Decision(mode="cautious", accel=accel)
+        return _progress_accel(profile, p, v, front_x, accel_rate, brake_rate, dt)
+    return _cautious_accel(v, p, -(d + CAUTIOUS_MARGIN), brake_rate, dt)
 
 
 class OraclePilot:
@@ -131,8 +137,17 @@ class OraclePilot:
     def __init__(self, spec):
         self.spec, self.profile = spec, spec.profile
 
-    def step(self, scene, static, start, dt):
-        return scalar_step(self.spec, scene, static, start, dt)
+    def start_case(self, tc, dt):
+        """The decision function of case ``tc``: ``scalar_step`` of the
+        scene of each state, as ``environment(tc)`` gives it, from the
+        run's start."""
+        spec, static, env = self.spec, tc.static, environment(tc)
+        start = Scene(t=0.0, ego=tc.initial_ego(), env=env(0.0))
+
+        def decide(t, x, v):
+            return scalar_step(spec, Scene(t=t, ego=EgoState(x, v), env=env(t)), static, start, dt)
+
+        return decide
 
 
 def euler_braking_distance(v, b, dt=0.001):
@@ -194,6 +209,25 @@ def brake_trace_stop(v0, rate, dt=0.1):
         x += 0.5 * (v + v1) * dt
         v = v1
     return x
+
+
+def braking_determinacy_scalar(pilot, v0, restart_every=5, dt=0.1):
+    """The braking determinacy check of ``pilot`` from ``v0``, its baseline
+    and each restart braked on its own, one ``advance`` at a time."""
+
+    def brake(v0):
+        states, x, v = [(0.0, v0)], 0.0, v0
+        while v > 0.0:
+            x, v = advance(x, v, -pilot.brake_rate_for(v0), dt, pilot.profile.v_max)
+            states.append((x, v))
+        return states
+
+    base = brake(v0)
+    stop = base[-1][0]
+    restarts = [RestartRecord(t=i * dt, x=x, v=v, deviation=abs(x + brake(v)[-1][0] - stop))
+                for i, (x, v) in enumerate(base) if i % restart_every == 0 and v > 0.0]
+    return DeterminacyReport(maneuver="braking", restarts=restarts, tol=v0 * dt + 0.25,
+                             max_deviation=max((r.deviation for r in restarts), default=0.0))
 
 
 def speed_at_conflict(frames):

@@ -219,11 +219,11 @@ def test_criterion_4_rationality(std_profile, std_boundary):
 def test_criterion_5_braking_determinacy():
     """Reference deviation <= v0*dt + 0.25; split-rate variant >= 20 m."""
     ref = reference(ADProfile(2.0, 4.0, 30.0))
-    rep_ref = determinacy_check_braking(ref, 30.0, restart_every=5)
+    rep_ref = determinacy_check_braking([(ref, 30.0)], restart_every=5)[0]
 
     p30 = ADProfile(2.0, 5.0, 30.0)
     ndb = non_determinate_brake(p30, {30.0: 5.0, 27.5: 3.0})
-    rep_ndb = determinacy_check_braking(ndb, 30.0, restart_every=5)
+    rep_ndb = determinacy_check_braking([(ndb, 30.0)], restart_every=5)[0]
 
     # freeze the expectation from the trace oracle: the restart landing on
     # 27.5 m/s stops a predictable distance later than the original curve

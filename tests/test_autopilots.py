@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import itertools
 import json
@@ -6,6 +7,7 @@ import shlex
 import sys
 import time
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,12 +16,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import critlab.autopilots
-from _oracles import reply_decision, scalar_step, scene_line
+from _oracles import OraclePilot, reply_decision, scene_line
 from external_pilot import STDERR_LAST
 from critlab.autopilots import (
     FACTORIES,
     AutopilotSpec,
-    Decision,
     ExternalAutopilot,
     ProtocolError,
     always_cautious,
@@ -47,33 +48,39 @@ from test_lockstep import PROFILES, _pilot, _static as _lockstep_static
 EXTERNAL = f"{sys.executable} {Path(__file__).parent / 'external_pilot.py'}"
 
 
-def _scene(tc, t=0.0, ego=None):
-    return Scene(t=t, ego=ego or tc.initial_ego(), env=env_at(tc, t))
+def _accel(pilot, tc, t=0.0, ego=None, dt=0.1):
+    """The acceleration ``pilot`` commands at time ``t`` of case ``tc``,
+    the ego at ``ego`` (by default the case's start)."""
+    ego = ego or tc.initial_ego()
+    return pilot.start_case(tc, dt)(t, ego.x, ego.v)
+
+
+# From the start (20, 5) over ``merge_static``, far from braking for the zone:
+# a pilot that goes for the crossing commands full throttle, and a cautious
+# one holds its speed until its stop needs braking.
+_THROTTLE, _HOLD = 2.0, 0.0
 
 
 class TestReferenceDecision:
     def test_progress_when_both_conditions_hold(self, std_profile, merge_static):
         # boundary is (26.235, 13.125); (30, 14) clears both conditions
         tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=30.0, x_f=14.0)
-        decision = reference(std_profile).step(_scene(tc), merge_static)
-        assert decision.mode == "progress"
-        assert decision.accel == pytest.approx(std_profile.a_max)
+        assert _accel(reference(std_profile), tc) == std_profile.a_max
 
     def test_cautious_when_arrival_too_close(self, std_profile, merge_static):
         tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=20.0, x_f=14.0)
-        decision = reference(std_profile).step(_scene(tc), merge_static)
-        assert decision.mode == "cautious"
+        assert _accel(reference(std_profile), tc) == _HOLD
 
     def test_cautious_when_front_too_close(self, std_profile, merge_static):
         tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=30.0, x_f=10.0)
-        decision = reference(std_profile).step(_scene(tc), merge_static)
-        assert decision.mode == "cautious"
+        assert _accel(reference(std_profile), tc) == _HOLD
 
     def test_committed_inside_zone(self, std_profile, merge_static):
+        """Inside the zone, where a stop short of it would brake at
+        ``b_max``, the pilot keeps the throttle while its front room
+        allows."""
         tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=30.0, x_f=14.0)
-        scene = _scene(tc, t=2.3, ego=EgoState(-3.0, 9.5))
-        decision = reference(std_profile).step(scene, merge_static)
-        assert decision.mode == "progress"
+        assert _accel(reference(std_profile), tc, t=2.3, ego=EgoState(-3.0, 9.5)) == _THROTTLE
 
 
 class TestVariants:
@@ -111,15 +118,12 @@ class TestVariants:
 
     def test_transition_flawed_progresses_too_early(self, std_profile, merge_static):
         tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=24.0, x_f=14.0)
-        ref_decision = reference(std_profile).step(_scene(tc), merge_static)
-        flawed_decision = transition_flawed(std_profile, 1.3).step(_scene(tc), merge_static)
-        assert ref_decision.mode == "cautious"
-        assert flawed_decision.mode == "progress"
+        assert _accel(reference(std_profile), tc) == _HOLD
+        assert _accel(transition_flawed(std_profile, 1.3), tc) == _THROTTLE
 
     def test_overcautious_requires_extra_margin(self, std_profile, merge_static):
         tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=30.0, x_f=14.0)
-        decision = overcautious(std_profile, 1.4).step(_scene(tc), merge_static)
-        assert decision.mode == "cautious"
+        assert _accel(overcautious(std_profile, 1.4), tc) == _HOLD
 
     def test_irrational_fails_only_inside_region(self, std_profile, merge_static):
         pilot = irrational(std_profile, ((29.0, 33.0), (15.0, 20.0)))
@@ -188,26 +192,27 @@ def test_decisions_are_total_and_bounded(p, v, x_a, x_f, variant):
         "always_cautious": always_cautious(profile),
     }
     tc = TestCase(static=static, x_e=20.0, v_e=5.0, x_a=x_a, x_f=x_f)
-    scene = Scene(t=0.0, ego=EgoState(p, v), env=env_at(tc, 0.0))
-    decision = pilots[variant].step(scene, static)
-    assert math.isfinite(decision.accel)
-    assert abs(decision.accel) <= max(profile.a_max, profile.b_max) + 1e-9
-    assert decision.mode in ("progress", "cautious")
+    accel = _accel(pilots[variant], tc, ego=EgoState(p, v))
+    assert math.isfinite(accel)
+    assert abs(accel) <= max(profile.a_max, profile.b_max) + 1e-9
 
 
 _MERGE = StaticPart(ScenarioType.MERGE_YIELD, vl=10.0, d=5.0)
 _POSITION = st.floats(1.0, 80.0)
 
 
+_EGO_START = st.tuples(_POSITION, st.floats(0.0, 15.0))  # (x_e, v_e)
+
+
 @st.composite
 def _start(draw):
-    """A scene a run over ``_MERGE`` can start from: an ego start, a
-    geometry and up to two extra vehicles."""
+    """A case over ``_MERGE``: an ego start, a geometry and up to two extra
+    vehicles."""
     extras = draw(st.lists(st.builds(ExtraVehicle, st.sampled_from(["arriving", "static"]),
                                      _POSITION), max_size=2))
-    tc = TestCase(static=_MERGE, x_e=draw(_POSITION), v_e=draw(st.floats(0.0, 15.0)),
-                  x_a=draw(_POSITION), x_f=draw(_POSITION), mutations=tuple(extras))
-    return _scene(tc)
+    x_e, v_e = draw(_EGO_START)
+    return TestCase(static=_MERGE, x_e=x_e, v_e=v_e, x_a=draw(_POSITION), x_f=draw(_POSITION),
+                    mutations=tuple(extras))
 
 
 @settings(max_examples=150, deadline=None)
@@ -219,15 +224,15 @@ def _start(draw):
     p=st.floats(-60.0, 30.0),
     v=st.floats(0.0, 15.0),
     run=_start(),
-    starts=st.tuples(_start(), _start()),
+    starts=st.tuples(_EGO_START, _EGO_START),
 )
 def test_determinate_variants_ignore_the_start(variant, t, p, v, run, starts):
-    """A determinate pilot decides a scene alike from any two starts, and as
-    from the scene itself."""
+    """A determinate pilot decides a state of a case alike from any two ego
+    starts, and as from the case's own."""
     pilot = FACTORIES[variant](ADProfile(2.0, 4.0, 15.0))
-    scene = Scene(t=t, ego=EgoState(p, v), env=run.env)
-    decision = pilot.step(scene, _MERGE)
-    assert [pilot.step(scene, _MERGE, start) for start in starts] == [decision, decision]
+    accel = _accel(pilot, run, t, EgoState(p, v))
+    assert [_accel(pilot, replace(run, x_e=x_e, v_e=v_e), t, EgoState(p, v))
+            for x_e, v_e in starts] == [accel, accel]
 
 
 @st.composite
@@ -245,34 +250,33 @@ def _policy_calls(draw):
                                      st.floats(1.0, 30.0)), max_size=2))
     tc = TestCase(static=static, x_e=draw(_POSITION), v_e=draw(st.floats(0.0, profile.v_max)),
                   x_a=draw(_POSITION), x_f=draw(_POSITION), mutations=tuple(extras))
-    start = _scene(tc)
     a = min([tc.x_a] + [e.x for e in extras if e.kind == "arriving"])
     f = min([tc.x_f] + [e.x for e in extras if e.kind == "static"])
     spec = _pilot(draw, draw(st.sampled_from(sorted(FACTORIES))), profile,
                   [a - 2.0, a, a + 2.0], [f - 2.0, f, f + 2.0])
-    scene = _scene(tc, t=draw(st.floats(0.0, 5.0)),
-                   ego=EgoState(draw(st.floats(-60.0, 30.0)), draw(st.floats(0.0, profile.v_max))))
-    return spec, scene, static, start, draw(st.sampled_from([0.1, 0.05]))
+    state = (draw(st.floats(0.0, 5.0)), draw(st.floats(-60.0, 30.0)),
+             draw(st.floats(0.0, profile.v_max)))
+    return spec, tc, state, draw(st.sampled_from([0.1, 0.05]))
 
 
-def _first_scene_call(*extras):
+def _first_call(*extras):
     """A reference pilot's first step from the start (20, 5) at the geometry
-    (30, 14) over ``_MERGE``, with ``extras``: without them, a progress."""
+    (30, 14) over ``_MERGE``, with ``extras``: without them, full throttle."""
     tc = TestCase(static=_MERGE, x_e=20.0, v_e=5.0, x_a=30.0, x_f=14.0, mutations=extras)
-    return reference(ADProfile(2.0, 4.0, 15.0)), _scene(tc), _MERGE, _scene(tc), 0.1
+    return reference(ADProfile(2.0, 4.0, 15.0)), tc, (0.0, -20.0, 5.0), 0.1
 
 
 @settings(max_examples=300, deadline=None)
 @given(_policy_calls())
-@example(_first_scene_call(ExtraVehicle("static", 5.0)))  # cautious: parked in front
-@example(_first_scene_call(ExtraVehicle("arriving", 20.0)))  # cautious: arrives too soon
+@example(_first_call(ExtraVehicle("static", 5.0)))  # cautious: parked in front
+@example(_first_call(ExtraVehicle("arriving", 20.0)))  # cautious: arrives too soon
 def test_one_cell_policy_equals_the_scalar_oracle(call):
-    """``AutopilotSpec.step``, the array policy on one cell, decides as the
-    scalar policy does, the acceleration bit for bit."""
-    spec, scene, static, start, dt = call
-    got, want = spec.step(scene, static, start, dt), scalar_step(spec, scene, static, start, dt)
-    assert got == want
-    assert got.accel.hex() == want.accel.hex()
+    """A built-in pilot's decision function, the array policy on one cell,
+    decides a state of its case as the scalar policy does on its scene, bit
+    for bit."""
+    spec, tc, state, dt = call
+    got = spec.start_case(tc, dt)(*state)
+    assert got.hex() == OraclePilot(spec).start_case(tc, dt)(*state).hex()
 
 
 def test_a_start_above_v_max_is_refused(std_profile, merge_static):
@@ -280,7 +284,27 @@ def test_a_start_above_v_max_is_refused(std_profile, merge_static):
     for variant in sorted(FACTORIES):
         spec = FACTORIES[variant](std_profile)
         with pytest.raises(ValueError, match="start speed 15.000000000001 above the v_max 15.0"):
-            spec.step(_scene(tc), merge_static)
+            spec.start_case(tc, 0.1)
+
+
+@pytest.mark.parametrize("external", [False, True], ids=["built-in", "external"])
+def test_a_wrapper_on_the_step_attribute_sees_every_step(external, monkeypatch):
+    """``start_case`` looks ``step`` up when the case starts, so a wrapper
+    put on the class attribute, as the benchmark's tracer puts one, is
+    called once for each step ``simulate`` takes."""
+    profile = ADProfile(2.0, 4.0, 15.0)
+    pilot = ExternalAutopilot(f"{EXTERNAL} cautious", profile) if external else reference(profile)
+    calls = []
+
+    def counting(self, *args, real=type(pilot).step):
+        calls.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(type(pilot), "step", counting)
+    tc = TestCase(static=_MERGE, x_e=20.0, v_e=5.0, x_a=30.0, x_f=14.0)
+    with contextlib.closing(pilot) if external else contextlib.nullcontext():
+        out = simulate(pilot, tc, SimConfig())
+    assert len(calls) == out.steps > 0
 
 
 class TestNonDeterminateVariants:
@@ -289,9 +313,10 @@ class TestNonDeterminateVariants:
         for 30 m/s, where a run started at 27.5 m/s brakes at its own."""
         spec = non_determinate_brake(ADProfile(2.0, 5.0, 30.0), {30.0: 5.0, 27.5: 3.0})
         tc = TestCase(static=merge_static, x_e=60.0, v_e=30.0, x_a=20.0, x_f=14.0)
-        scene = _scene(tc, t=0.5, ego=EgoState(-45.0, 27.5))
-        assert spec.step(scene, merge_static, _scene(tc)) == Decision("cautious", -5.0)
-        assert spec.step(scene, merge_static) == Decision("cautious", -3.0)
+        ego = EgoState(-45.0, 27.5)
+        assert _accel(spec, tc, t=0.5, ego=ego) == -5.0
+        # The same state as the start of a run: the arriving vehicle 5 m on.
+        assert _accel(spec, replace(tc, x_e=45.0, v_e=27.5, x_a=15.0), ego=ego) == -3.0
 
     def test_brake_restart_stops_much_later(self):
         from critlab.kinematics import ADProfile
@@ -559,31 +584,34 @@ def test_any_numbers_render_as_json_does(case, steps):
 
 class _Recorder:
     """A Python-object pilot, as README describes one: a built-in variant's
-    decisions, keeping every scene and start it is given."""
+    decisions, keeping every case it starts and every ``(t, x, v)`` it is
+    asked to decide."""
 
     def __init__(self, spec):
         self.spec, self.profile = spec, spec.profile
-        self.seen, self.starts = [], []
+        self.cases, self.seen = [], []
 
-    def step(self, scene, static, start, dt):
-        self.seen.append(scene)
-        self.starts.append(start)
-        return self.spec.step(scene, static, start, dt)
+    def start_case(self, tc, dt):
+        self.cases.append((tc, dt))
+        decide = self.spec.start_case(tc, dt)
+
+        def record(t, x, v):
+            self.seen.append((t, x, v))
+            return decide(t, x, v)
+
+        return record
 
 
 @settings(max_examples=100, deadline=None)
-@given(variant=st.sampled_from(sorted(FACTORIES)), run=_start(),
+@given(variant=st.sampled_from(sorted(FACTORIES)), tc=_start(),
        dt=st.sampled_from([0.1, 0.05]))
-def test_a_python_pilot_is_given_the_trace(variant, run, dt):
-    """Each step hands a Python-object pilot the frame its trace records,
-    and the first, the run's start, as the start of every step."""
+def test_a_python_pilot_is_given_the_trace(variant, tc, dt):
+    """A Python-object pilot begins the case once, and each step hands its
+    decision function the time and state the trace records."""
     pilot = _Recorder(FACTORIES[variant](ADProfile(2.0, 4.0, 15.0)))
-    tc = TestCase(_MERGE, x_e=-run.ego.x, v_e=run.ego.v, x_a=run.env.arriving.x,
-                  x_f=run.env.front.x, mutations=run.env.extra_vehicles)
     out = simulate(pilot, tc, SimConfig(dt=dt))
-    assert len(pilot.seen) == out.steps
-    assert pilot.seen == out.frames[:len(pilot.seen)]
-    assert all(start is pilot.seen[0] for start in pilot.starts)
+    assert pilot.cases == [(out.tc, dt)]
+    assert pilot.seen == [(k * dt, x, v) for k, (x, v) in enumerate(out.states[:out.steps])]
 
 
 # -- reply lines against the json.loads oracle -------------------------------------

@@ -944,13 +944,16 @@ def extreme_configs(draw):
 def _plan_cost(config: CampaignConfig) -> dict[str, float]:
     """What running ``config`` costs, in closed form from its planned runs:
     the engine's batch steps (its longest run), the cell steps of the grids
-    and progress checks (horizons, at most), and the steps of the braking
-    checks, each about ``N + N / 5 * N_max`` for ``N`` steps from ``v0`` and
-    ``N_max`` the longest restart's."""
+    and progress checks (horizons, at most), and the braking checks' array
+    steps and lane steps.  The baselines brake together and then all the
+    restarts, so the array steps are the longest baseline's ``N`` steps from
+    ``v0`` and the longest restart's ``N_max``; a check's lanes take about
+    ``N + N / 5 * N_max`` steps."""
     static, dt = config.static_for(config.scenario_types[0]), config.sim_config().dt
     parts = len({critlab.campaign._part_key(config.static_for(sc))
                  for sc in config.scenario_types})
-    batch = cells = braking = 0
+    batch = cells = lanes = 0
+    longest = [0.0, 0.0]  # the longest baseline and restart, in steps
     for grids in config.grids.values():
         for _, _, x_a, x_f, _ in grids:
             horizons = horizon_steps(static, np.asarray(x_a), dt, HORIZON_SLACK)
@@ -961,12 +964,15 @@ def _plan_cost(config: CampaignConfig) -> dict[str, float]:
         batch = max(batch, n)
         cells += n + n // 5 * n  # the baseline, then a restart every 5 steps
         rates = [pilot.brake_rate_for(v) for v in (v0, *dict(pilot.rate_by_initial_speed))]
-        n = v0 / (pilot.brake_rate_for(v0) * dt)
-        braking += n + n / 5 * v0 / (min(rates) * dt)
-    return {"batch_steps": batch, "cell_steps": cells, "braking_steps": braking}
+        n, n_max = v0 / (pilot.brake_rate_for(v0) * dt), v0 / (min(rates) * dt)
+        longest = [max(longest[0], n), max(longest[1], n_max)]
+        lanes += n + n / 5 * n_max
+    return {"batch_steps": batch, "cell_steps": cells, "braking_steps": sum(longest),
+            "braking_lane_steps": lanes}
 
 
-_COST_BOUND = {"batch_steps": 3_000, "cell_steps": 300_000, "braking_steps": 300_000}
+_COST_BOUND = {"batch_steps": 3_000, "cell_steps": 300_000, "braking_steps": 300_000,
+               "braking_lane_steps": 30_000_000}
 
 
 @settings(max_examples=80, deadline=None,

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from critlab.autopilots import (
+    FACTORIES,
     irrational,
     non_determinate_accel,
     non_determinate_brake,
@@ -36,7 +37,12 @@ from critlab.scenario import (
 )
 from critlab.simulator import VERDICT_CODES, Verdict, VerdictKind, simulate, verdict
 
-from _oracles import brake_trace_stop, by_point, dominating_passes_scan
+from _oracles import (
+    braking_determinacy_scalar,
+    brake_trace_stop,
+    by_point,
+    dominating_passes_scan,
+)
 
 PASS = Verdict(VerdictKind.PROGRESS_PASS)
 CPASS = Verdict(VerdictKind.CAUTIOUS_PASS)
@@ -228,19 +234,19 @@ class TestLiveGrids:
 class TestBrakingDeterminacy:
     def test_reference_is_determinate(self):
         pilot = reference(ADProfile(2.0, 4.0, 30.0))
-        rep = determinacy_check_braking(pilot, 30.0, restart_every=5)
+        rep = determinacy_check_braking([(pilot, 30.0)], restart_every=5)[0]
         assert rep.determinate
         assert rep.max_deviation <= 30.0 * 0.1 + 0.25
 
     def test_restart_at_step_zero_is_exact(self):
         pilot = reference(ADProfile(2.0, 4.0, 30.0))
-        rep = determinacy_check_braking(pilot, 30.0, restart_every=1000)
+        rep = determinacy_check_braking([(pilot, 30.0)], restart_every=1000)[0]
         assert rep.restarts[0].deviation == 0.0
 
     def test_split_rate_variant_diverges(self):
         p30 = ADProfile(2.0, 5.0, 30.0)
         pilot = non_determinate_brake(p30, {30.0: 5.0, 27.5: 3.0})
-        rep = determinacy_check_braking(pilot, 30.0, restart_every=5)
+        rep = determinacy_check_braking([(pilot, 30.0)], restart_every=5)[0]
         assert not rep.determinate
         assert rep.max_deviation >= 20.0
         # the restart landing on 27.5 m/s reproduces the trace-oracle gap
@@ -254,7 +260,7 @@ class TestBrakingDeterminacy:
     def test_start_above_v_max_aborts(self):
         pilot = reference(ADProfile(2.0, 4.0, 15.0))
         with pytest.raises(ValueError, match=r"outside \(0, v_max 15.0\]"):
-            determinacy_check_braking(pilot, 16.0)
+            determinacy_check_braking([(pilot, 16.0)])
 
     @pytest.mark.parametrize("v0", [math.nan, -5.0, 0.0, math.inf])
     def test_start_or_obstacle_not_positive_and_finite_refused(self, v0):
@@ -262,7 +268,54 @@ class TestBrakingDeterminacy:
         a negative ``tol``."""
         pilot = reference(ADProfile(2.0, 4.0, 15.0))
         with pytest.raises(ValueError, match=r"outside \(0, v_max"):
-            determinacy_check_braking(pilot, v0)
+            determinacy_check_braking([(pilot, v0)])
+
+
+    def test_a_long_braking_curve_checks_in_seconds(self, hang_guard):
+        """Braked from 30 m/s at 0.013 m/s^2, a 23,077-step curve with 4,616
+        restarts took 42-52 s when each restart braked on its own."""
+        pilot = non_determinate_brake(ADProfile(2.0, 5.0, 30.0), {"0.01": 0.1, "12.0": 0.013})
+        with hang_guard(10.0):
+            rep = determinacy_check_braking([(pilot, 30.0)])[0]
+        assert len(rep.restarts) == 4616
+        assert not rep.determinate
+
+
+def _hex_report(rep):
+    return (rep.maneuver, rep.tol.hex(), rep.max_deviation.hex(), rep.verdict_flips,
+            [(r.t.hex(), r.x.hex(), r.v.hex(), r.deviation.hex(), r.passed)
+             for r in rep.restarts])
+
+
+_BRAKE_PROFILES = st.builds(ADProfile, st.floats(0.5, 6.0), st.floats(1.0, 9.0),
+                            st.floats(5.0, 40.0))
+
+
+@st.composite
+def _braking_check(draw):
+    """A reference, always-cautious or split-rate pilot, and a ``v0`` in
+    ``(0, v_max]``, ``v_max`` itself half the time."""
+    profile = draw(_BRAKE_PROFILES)
+    kind = draw(st.sampled_from(["reference", "always_cautious", "non_determinate_brake"]))
+    if kind == "non_determinate_brake":
+        rates = draw(st.dictionaries(st.floats(0.0, 40.0), st.floats(1.0, profile.b_max),
+                                     min_size=1, max_size=3))
+        pilot = non_determinate_brake(profile, rates)
+    else:
+        pilot = FACTORIES[kind](profile)
+    v0 = draw(st.just(profile.v_max) | st.floats(0.01, profile.v_max))
+    return pilot, v0
+
+
+@settings(max_examples=40, deadline=None)
+@given(checks=st.lists(_braking_check(), min_size=1, max_size=4),
+       restart_every=st.sampled_from([1, 3, 5, 7]), dt=st.sampled_from([0.1, 0.05]))
+def test_batched_braking_checks_equal_the_scalar_ones(checks, restart_every, dt):
+    """Every check of a batch gets the report it gets braked alone, step by
+    step with ``advance``, bit for bit."""
+    got = determinacy_check_braking(checks, restart_every, dt)
+    want = [braking_determinacy_scalar(pilot, v0, restart_every, dt) for pilot, v0 in checks]
+    assert [_hex_report(rep) for rep in got] == [_hex_report(rep) for rep in want]
 
 
 class TestProgressDeterminacy:

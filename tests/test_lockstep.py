@@ -28,8 +28,7 @@ from critlab.classify import (
 )
 from critlab.criticality import most_critical
 from critlab.kinematics import ADProfile
-from critlab.scenario import ScenarioType, StaticPart, TestCase
-from critlab.scenario import EgoState
+from critlab.scenario import EgoState, ExtraVehicle, ScenarioType, StaticPart, TestCase
 from critlab.simulator import (
     _STEP_EVENTS,
     VERDICTS,
@@ -224,6 +223,42 @@ def test_every_cell_equals_scalar_simulate(variant):
     if variant == "always_cautious":
         test = example(CREEPING)(test)
     settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])(test)()
+
+
+@st.composite
+def runs_with_extras(draw, variant):
+    """A ``variant`` pilot on the default profile, ``FAST`` or a drawn one;
+    a case over a drawn static part with 0-2 arriving or parked extra
+    vehicles, nearer than most drawn geometries so that they often decide;
+    and a run config.  An irrational pilot's fail region has its ends at or
+    2 m either side of the case's nearest arriving and front vehicles."""
+    profile = draw(PROFILES)
+    extras = draw(st.lists(st.builds(ExtraVehicle, st.sampled_from(["arriving", "static"]),
+                                     _distances(1.0, 30.0)), max_size=2))
+    tc = TestCase(static=_static(draw), x_e=draw(_distances(1.0, 80.0)),
+                  v_e=draw(st.floats(0.0, profile.v_max)), x_a=draw(_distances(1.0, 80.0)),
+                  x_f=draw(_distances(0.5, 60.0)), mutations=tuple(extras))
+    a = min([tc.x_a] + [e.x for e in extras if e.kind == "arriving"])
+    f = min([tc.x_f] + [e.x for e in extras if e.kind == "static"])
+    pilot = _pilot(draw, variant, profile, [a - 2.0, a, a + 2.0], [f - 2.0, f, f + 2.0])
+    return pilot, tc, _sim_config(draw)
+
+
+@pytest.mark.parametrize("variant", sorted(FACTORIES))
+def test_a_run_with_extra_vehicles_equals_the_oracle_run(variant):
+    """The engine refuses extra vehicles, so ``simulate`` alone runs them:
+    a built-in pilot's run, its nearest arriving vehicle taken as ``min(x_a,
+    arriving extras) - vl * t``, equals the oracle's, which reads the extra
+    vehicles of each scene, in its events, verdict and states bit for bit."""
+
+    @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(runs_with_extras(variant))
+    def check(run):
+        pilot, tc, cfg = run
+        assert _observed(simulate(pilot, tc, cfg)) == _observed(
+            simulate(OraclePilot(pilot), tc, cfg))
+
+    check()
 
 
 def _case(x_e, v_e, x_a, x_f):

@@ -24,7 +24,6 @@ from critlab.scenario import (
 )
 from critlab.scenario import test_case_from_dict as tc_from_dict
 from critlab.scenario import test_case_to_dict as tc_to_dict
-from critlab.autopilots import Decision
 from critlab.scenario import EgoState, EnvState, Scene, VehicleState
 
 from _oracles import zone_overlap_constant_speed
@@ -288,8 +287,7 @@ _ARRIVING, _FRONT = VehicleState(30.0, 10.0), VehicleState(15.0, 0.0)
      {"light": None}),
     (Scene, {"t": 0.1, "ego": EgoState(-20.0, 5.0), "env": EnvState(_ARRIVING, _FRONT)},
      {"t": 0.2}),
-    (Decision, {"mode": "progress", "accel": 2.0}, {"accel": -4.0}),
-], ids=["EgoState", "VehicleState", "ExtraVehicle", "EnvState", "Scene", "Decision"])
+], ids=["EgoState", "VehicleState", "ExtraVehicle", "EnvState", "Scene"])
 def test_per_step_types_are_frozen_slotted_values(cls, fields, change):
     value = cls(**fields)
     assert not hasattr(value, "__dict__")

@@ -115,10 +115,8 @@ class TestEvents:
         class BrokenPilot:
             profile = std_profile
 
-            def step(self, scene, static, start, dt):
-                from critlab.autopilots import Decision
-
-                return Decision(mode="progress", accel=float("nan"))
+            def start_case(self, tc, dt):
+                return lambda t, x, v: float("nan")
 
         tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=30.0, x_f=14.0)
         out = simulate(BrokenPilot(), tc, SimConfig())
