@@ -21,6 +21,7 @@ import csv
 import io
 import json
 import math
+import os
 import time
 from collections import Counter
 from contextlib import nullcontext
@@ -64,6 +65,7 @@ __all__ = [
     "load_config",
     "run_campaign",
     "build_autopilot",
+    "determinacy_check",
     "determinacy_rows",
     "render_report",
     "write_outputs",
@@ -83,11 +85,8 @@ DEFAULT_CONFIG: dict = {
     "autopilots": [
         {"name": "reference", "variant": "reference"},
         {"name": "transition_flawed", "variant": "transition_flawed", "optimism": 1.3},
-        {
-            "name": "irrational",
-            "variant": "irrational",
-            "fail_region": [[29.0, 35.0], [16.0, 24.0]],
-        },
+        {"name": "irrational", "variant": "irrational",
+         "fail_region": [[29.0, 35.0], [16.0, 24.0]]},
         {"name": "overcautious", "variant": "overcautious", "margin_inflation": 1.15},
         {
             "name": "non_determinate_brake",
@@ -96,11 +95,8 @@ DEFAULT_CONFIG: dict = {
             "profile": {"a_max": 2.0, "b_max": 5.0, "v_max": 30.0},
             "braking_check_v0": 30.0,
         },
-        {
-            "name": "non_determinate_accel",
-            "variant": "non_determinate_accel",
-            "rates": {"5.0": 2.0, "7.5": 1.0},
-        },
+        {"name": "non_determinate_accel", "variant": "non_determinate_accel",
+         "rates": {"5.0": 2.0, "7.5": 1.0}},
         {"name": "always_cautious", "variant": "always_cautious"},
         {"name": "constant_speed", "variant": "constant_speed"},
     ],
@@ -176,8 +172,8 @@ class CampaignConfig:
         self.scenario_types = [ScenarioType(s) for s in cfg["scenario_types"]]
         if len(set(self.scenario_types)) < len(self.scenario_types):
             raise ConfigError(f"repeated scenario type in {cfg['scenario_types']}")
-        p = self._section("profile")
-        self.profile = ADProfile(p["a_max"], p["b_max"], p["v_max"])
+        self.profile = _read_profile(cfg.get("profile", {}), ADProfile(**DEFAULT_CONFIG["profile"]),
+                                    "profile")
         s = self._section("static")
         self._statics = {sc: static_from_dict({**s, "scenario_type": sc}) for sc in ScenarioType}
         s = self._section("sim")
@@ -195,77 +191,64 @@ class CampaignConfig:
         self.initial_states = [(x_e, v_e) for x_e, v_e in cfg["initial_states"]]
         raw_files = set()
         for x_e, v_e in self.initial_states:
-            if v_e <= 0:
-                raise ConfigError(f"initial speed {v_e} outside (0, v_max]")
             name = _raw_name(x_e, v_e)
             if name in raw_files:
                 raise ConfigError(f"repeated initial state ({x_e}, {v_e}) (raw file {name})")
             raw_files.add(name)
         self._check_starts(self.profile, "the default profile")
 
-        # The partition reads only the speed limit, which every scenario type
-        # shares, so one partition serves the coverage row of every type.
+        # The partition, the grids' boundaries and a run's step count read
+        # only the speed limit, which every scenario type shares: one
+        # partition serves the coverage row of every type, and one plan the
+        # runs.  A step count must stay below 2**63 (``horizon_steps`` raises).
+        static, dt = self.static_for(self.scenario_types[0]), self._sim.dt
         p = self._section("partition")
-        self.partition = build_partition(
-            self.initial_states[0][0], p["speeds"], self.profile,
-            self.static_for(self.scenario_types[0]),
-        )
+        self.partition = build_partition(self.initial_states[0][0], p["speeds"], self.profile, static)
         self.coverage_steps = p["steps"]
         self.x_f_cap = coverage_cap(self.partition, p["x_f_cap"], self.coverage_steps)
 
-        self.pilots = [self.build_autopilot(e) for e in cfg["autopilots"]]
-        names = [pilot.name for pilot in self.pilots]
-        for name in names:
+        # One pass per autopilot entry: build the pilot, check it, and plan
+        # its runs, so that a config either runs or is refused before any of
+        # them has.  A grid's axes are closed forms of the config.
+        self.pilots, self.builtin, self.external = [], [], []
+        self.grids: dict[str, list[Grid]] = {}
+        self.determinacy_checks: list[tuple[AutopilotSpec, float, TestCase]] = []
+        for entry in map(_entry_dict, cfg["autopilots"]):
+            pilot = self.build_autopilot(entry)
+            name = pilot.name
             # Each name is a directory under raw/: one path component.
             if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\0" in name:
                 raise ConfigError(f"autopilot name {name!r} is not one non-empty path component")
-        dupes = sorted({n for n in names if names.count(n) > 1})
-        if dupes:
-            raise ConfigError(f"duplicate autopilot name(s) {dupes}")
-        for pilot in self.pilots:
-            self._check_starts(pilot.profile, repr(pilot.name))
-        self.external = [p for p in self.pilots if isinstance(p, ExternalAutopilot)]
-        self.builtin = [p for p in self.pilots if not isinstance(p, ExternalAutopilot)]
-
-        # The runs, planned here so that a config either runs or is refused
-        # before any of them has.  Every grid, by pilot name, in start order:
-        # its axes are closed forms of the config.  The boundary reads only the
-        # speed limit, which every scenario type shares, and so does a run's
-        # step count, which must stay below 2**63 (``horizon_steps`` raises).
-        static, dt = self.static_for(self.scenario_types[0]), self._sim.dt
-        self.grids: dict[str, list[Grid]] = {pilot.name: [] for pilot in self.pilots}
-        for pilot in self.pilots:
+            if name in self.grids:
+                raise ConfigError(f"duplicate autopilot name {name!r}")
+            self._check_starts(pilot.profile, repr(name))
+            grids = self.grids[name] = []
             for x_e, v_e in self.initial_states:
                 boundary = most_critical(x_e, v_e, pilot.profile, static)
                 x_a, x_f = _grid_values(boundary, g)
                 if min(x_a + x_f) <= 0:
                     raise ConfigError(
-                        f"grid of {pilot.name!r} from ({x_e}, {v_e}) holds a distance that is not "
+                        f"grid of {name!r} from ({x_e}, {v_e}) holds a distance that is not "
                         f"positive: x_a from {x_a[0]} to {x_a[-1]}, x_f from {x_f[0]} to {x_f[-1]}")
                 horizon_steps(static, max(x_a), dt, HORIZON_SLACK)
-                self.grids[pilot.name].append((x_e, v_e, x_a, x_f, boundary))
-        # Each built-in pilot's determinacy check ``(pilot, v0, probe)``: it
-        # brakes from ``v0`` and restarts the probe, the crossing case just
-        # past the boundary of its grid from the first start.
-        self.determinacy_checks: list[tuple[AutopilotSpec, float, TestCase]] = []
-        entries = dict(zip(names, cfg["autopilots"]))
-        for pilot in self.builtin:
-            entry = entries[pilot.name]
-            v0 = entry.get("braking_check_v0") if isinstance(entry, dict) else None
-            v0 = 0.8 * pilot.profile.v_max if v0 is None else v0
-            if not 0 < v0 <= pilot.profile.v_max:
-                raise ConfigError(f"braking_check_v0 {v0} of {pilot.name!r} outside (0, v_max]")
-            x_e, v_e, _, _, boundary = self.grids[pilot.name][0]
-            probe = progress_probe(static, x_e, v_e, boundary, dt)
-            probe.steps(dt)  # raises past 2**63 steps, as the grids' sizing does
-            self.determinacy_checks.append((pilot, v0, probe))
+                grids.append((x_e, v_e, x_a, x_f, boundary))
+            self.pilots.append(pilot)
+            if isinstance(pilot, ExternalAutopilot):
+                self.external.append(pilot)
+                continue
+            self.builtin.append(pilot)
+            x_e, v_e, _, _, boundary = grids[0]
+            self.determinacy_checks.append(determinacy_check(
+                pilot, entry.get("braking_check_v0"), (x_e, v_e), boundary, static, dt))
 
     def _check_starts(self, profile: ADProfile, whose: str) -> None:
-        """Refuse a start above ``profile``'s ``v_max``, or one it cannot brake
-        to a stop from within ``x_e``: every case from it would be unwinnable."""
+        """Refuse a start speed outside ``(0, v_max]`` of ``profile``, or one
+        it cannot brake to a stop from within ``x_e``: every case from it
+        would be unwinnable."""
         for x_e, v_e in self.initial_states:
-            if v_e > profile.v_max:
-                raise ConfigError(f"initial speed {v_e} above the v_max {profile.v_max} of {whose}")
+            if not 0 < v_e <= profile.v_max:
+                raise ConfigError(f"initial speed {v_e} outside (0, v_max {profile.v_max}] "
+                                  f"of {whose}")
             if profile.braking_distance(v_e) > x_e:
                 raise ConfigError(f"initial state ({x_e}, {v_e}) admits no cautious stop for {whose}")
 
@@ -279,26 +262,37 @@ class CampaignConfig:
         return build_autopilot(entry, self.profile)
 
 
+def _read_profile(section: dict, base: ADProfile, where: str) -> ADProfile:
+    """The profile a config's ``profile`` object ``section`` gives: its keys
+    those of the default profile, and any key it leaves out ``base``'s."""
+    _check_keys(section, _SECTION_KEYS["profile"], where)
+    return ADProfile(**{**vars(base), **section})
+
+
+def _entry_dict(entry) -> dict:
+    """An autopilot entry as an object: ``exec:<cmd>`` runs that command, and
+    any other bare name is that variant."""
+    if isinstance(entry, str):
+        return ({"command": entry[len("exec:"):]} if entry.startswith("exec:")
+                else {"name": entry, "variant": entry})
+    if not isinstance(entry, dict):
+        raise ConfigError(f"autopilot entry {entry!r} is neither a name nor an object")
+    return entry
+
+
 def build_autopilot(entry, default_profile: ADProfile) -> AutopilotSpec | ExternalAutopilot:
-    """Instantiate one autopilot from a config entry (dict, name, or exec:cmd).
+    """Instantiate one autopilot from a config entry (dict, name, or exec:cmd),
+    its ``profile`` completed by ``default_profile``.
 
     A built-in entry's keys outside ``_ENTRY_KEYS`` are keyword arguments of
     its variant's factory, so a key the factory does not take is refused.
     """
-    if isinstance(entry, str) and entry.startswith("exec:"):
-        entry = {"command": entry[len("exec:"):]}
-    elif isinstance(entry, str):
-        entry = {"name": entry, "variant": entry}
-    if not isinstance(entry, dict):
-        raise ConfigError(f"autopilot entry {entry!r} is neither a name nor an object")
+    entry = _entry_dict(entry)
     name = entry.get("name")
     params = {k: v for k, v in entry.items() if k not in _ENTRY_KEYS}
     try:
-        profile = default_profile
-        if entry.get("profile"):
-            p = entry["profile"]
-            _check_keys(p, _SECTION_KEYS["profile"], f"autopilot {name!r} profile")
-            profile = ADProfile(p["a_max"], p["b_max"], p["v_max"])
+        profile = _read_profile(entry.get("profile", {}), default_profile,
+                               f"autopilot {name!r} profile")
         if "command" in entry:
             # braking_check_v0 too: the determinacy checks run built-in pilots only
             _check_keys(entry, _ENTRY_KEYS - {"variant", "braking_check_v0"},
@@ -316,15 +310,17 @@ def build_autopilot(entry, default_profile: ADProfile) -> AutopilotSpec | Extern
         raise ConfigError(f"bad autopilot entry {name!r}: {type(exc).__name__}: {exc}") from exc
 
 
-def load_config(path: str | Path | None = None) -> CampaignConfig:
-    if path is None:
-        return CampaignConfig(raw=json.loads(json.dumps(DEFAULT_CONFIG)))
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return CampaignConfig(raw=data)
+def load_config(path: str | Path | None = None, workers: int | None = None) -> CampaignConfig:
+    """The config in JSON file ``path``, or the default one; ``workers``, if
+    given, replaces its ``workers`` key before it is checked."""
+    text = json.dumps(DEFAULT_CONFIG) if path is None else Path(path).read_text()
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if workers is not None and isinstance(raw, dict):  # any other JSON is refused as it is
+        raw["workers"] = workers
+    return CampaignConfig(raw=raw)
 
 
 # -- execution -------------------------------------------------------------------
@@ -557,10 +553,12 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
     args = [(group, config.static_for(types[0]), sim_cfg) for types, group in tasks]
 
     start = time.perf_counter()
-    parallel = workers > 1 and len(tasks) > 1
+    # One process per task at most, and no more than the machine has CPUs.
+    processes = min(workers, len(tasks), os.cpu_count() or 1)
+    parallel = processes > 1
     if parallel:  # imported here: it costs every start ~10 ms, and one worker needs no pool
         from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(min(workers, len(tasks))) if parallel else nullcontext() as pool:
+    with ProcessPoolExecutor(processes) if parallel else nullcontext() as pool:
         results = (pool.map if parallel else map)(_grid_reports, args)
         for (types, group), (reports, work) in zip(tasks, results):
             grid_work.update(work)
@@ -604,22 +602,32 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
         metrics={"grids": grids, "determinacy": dict(determinacy_work), "stage_s": stage_s})
 
 
-def determinacy_rows(
-    checks: list[tuple[AutopilotSpec, float, TestCase]],
-    sim_cfg: SimConfig,
-    restart_every: int = 5,
-    work: Counter | None = None,
-) -> list[dict]:
+def determinacy_check(pilot: AutopilotSpec, v0: float | None, start: tuple[float, float],
+                      boundary, static: StaticPart, dt: float) -> tuple:
+    """The determinacy check ``(pilot, v0, probe)`` of a built-in pilot: it
+    brakes from ``v0`` in ``(0, v_max]`` (``0.8 * v_max`` if None) and
+    restarts the probe, the crossing case from ``start`` just past its
+    ``boundary``, refused at 2**63 steps of ``dt`` as a grid's runs are."""
+    v_max = pilot.profile.v_max
+    v0 = 0.8 * v_max if v0 is None else v0
+    if not 0 < v0 <= v_max:
+        raise ConfigError(f"braking check v0 {v0} outside (0, v_max {v_max}] of {pilot.name!r}")
+    probe = progress_probe(static, *start, boundary, dt)
+    probe.steps(dt)
+    return pilot, v0, probe
+
+
+def determinacy_rows(checks: list[tuple], sim_cfg: SimConfig, restart_every: int = 5,
+                     work: Counter | None = None) -> list[dict]:
     """The braking row (from ``v0``) and the progress row (restarts of
-    ``probe``) of each ``(pilot, v0, probe)`` check of a built-in autopilot,
-    in order.  The progress checks' simulations, all in one
+    ``probe``) of each ``(pilot, v0, probe)`` check, as ``determinacy_check``
+    builds them, in order.  The progress checks' simulations, all in one
     ``determinacy_check_progress`` call, are added to ``work``; the braking
     checks take one ``determinacy_check_braking`` call.
 
-    A braking row's status is ``ok``: ``determinacy_check_braking`` refuses a
-    ``v0`` outside ``(0, v_max]`` with a ``ValueError``.  A progress check
-    whose baseline run is not a progress pass gives a row with status
-    ``inapplicable`` and its ``detail``.
+    A braking row's status is ``ok``.  A progress check whose baseline run
+    is not a progress pass gives a row with status ``inapplicable`` and its
+    ``detail``.
     """
     reports = determinacy_check_progress([(pilot, probe) for pilot, _, probe in checks],
                                          restart_every, sim_cfg, work)

@@ -18,9 +18,9 @@ from pathlib import Path
 
 from .autopilots import ExternalAutopilot, ProtocolError
 from .campaign import (
-    CampaignConfig,
     ConfigError,
     build_autopilot,
+    determinacy_check,
     determinacy_rows,
     load_config,
     render_report,
@@ -28,7 +28,6 @@ from .campaign import (
     run_campaign,
     write_outputs,
 )
-from .classify import progress_probe
 from .criticality import most_critical
 from .kinematics import ADProfile
 from .partition import build_partition, coverage_ratio, envelope_samples
@@ -163,15 +162,13 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "campaign":
-        config = load_config(args.config)
-        if args.workers is not None:  # checked as the config's own value would be
-            config = CampaignConfig(raw={**config.raw, "workers": args.workers})
+        config = load_config(args.config, workers=args.workers)
         out_dir = args.out or _default_out()
         report = run_campaign(config, out_dir=out_dir)
-        write_outputs(report, out_dir)
+        paths = write_outputs(report, out_dir)
         metrics = json.dumps(report.metrics, sort_keys=True, indent=1)
         (Path(out_dir) / "metrics.json").write_text(metrics + "\n")
-        print(render_report(report, args.format))
+        print(paths[args.format].read_text())
         return 2 if report.any_failure else 0
 
     if args.command == "determinacy":
@@ -182,8 +179,9 @@ def _run(args: argparse.Namespace) -> int:
         pilot = _build_autopilot(args.autopilot, _parse_profile(args.profile), rates)
         cfg = SimConfig(dt=args.dt)  # refuses a bad step before the probe reads it
         static, start = _static(args), (args.x_e, args.v_e)
-        probe = progress_probe(static, *start, most_critical(*start, pilot.profile, static), cfg.dt)
-        braking, progress = determinacy_rows([(pilot, args.v0, probe)], cfg, args.restart_every)
+        check = determinacy_check(pilot, args.v0, start, most_critical(*start, pilot.profile, static),
+                                  static, cfg.dt)
+        braking, progress = determinacy_rows([check], cfg, args.restart_every)
         print(json.dumps({"autopilot": pilot.name, "braking": braking, "progress": progress}))
         return 0
 
@@ -199,24 +197,16 @@ def _run(args: argparse.Namespace) -> int:
             "steps": list(result.steps),
         }))
         if args.out:
-            rows = envelope_samples(part)
-            lines = ["v,x_hat_a,x_hat_f,corner_x_a,corner_x_f"]
-            lines += [
-                f"{r['v']:.6f},{r['x_hat_a']:.6f},{r['x_hat_f']:.6f},"
-                f"{r['corner_x_a']:.6f},{r['corner_x_f']:.6f}"
-                for r in rows
-            ]
+            keys = ("v", "x_hat_a", "x_hat_f", "corner_x_a", "corner_x_f")
+            lines = [",".join(keys)] + [",".join(f"{row[k]:.6f}" for k in keys)
+                                        for row in envelope_samples(part)]
             Path(args.out).write_text("\n".join(lines) + "\n")
         return 0
 
     if args.command == "report":
         report = report_from_raw(args.raw)
-        text = render_report(report, args.format)
-        if args.out:
-            out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
-            write_outputs(report, out)
-        print(text)
+        print(write_outputs(report, args.out)[args.format].read_text() if args.out
+              else render_report(report, args.format))
         return 0
 
     return 1

@@ -1,7 +1,10 @@
 import concurrent.futures
+import itertools
 import json
 import math
+import os
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -29,9 +32,12 @@ from critlab.campaign import (
     run_campaign,
     write_outputs,
 )
-
-from critlab.scenario import HORIZON_SLACK, ScenarioType, TestCase, horizon_steps
-from critlab.simulator import simulate, verdict
+from critlab.classify import run_grids
+from critlab.kinematics import ADProfile
+from critlab.scenario import (
+    CAUTIOUS_MARGIN, HORIZON_SLACK, ScenarioType, TestCase, horizon_steps,
+)
+from critlab.simulator import VERDICTS, SimConfig, simulate, verdict
 
 from conftest import WORK_KEYS
 
@@ -472,9 +478,11 @@ class TestWorkers:
         assert len(trees[0]) == 2 * 4 * 4 + 3
         assert trees[0] == trees[1]
 
-    def test_pool_has_one_process_per_task_at_most(self, monkeypatch):
-        """One pilot from two starts is two tasks: four workers start two
-        processes, not four."""
+    @staticmethod
+    def _pool_sizes(monkeypatch, cpus: int, **overrides) -> list[int]:
+        """The size of each pool a campaign of ``overrides`` starts on a
+        machine of ``cpus`` CPUs, recorded by a thread pool in its place, so
+        that no process starts."""
         sizes = []
 
         class RecordingPool(concurrent.futures.ThreadPoolExecutor):
@@ -483,11 +491,66 @@ class TestWorkers:
                 super().__init__(max_workers)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         raw = small_config().raw
-        config = small_config(autopilots=raw["autopilots"][:1],
-                              initial_states=[[20.0, 5.0], [25.0, 7.5]], workers=4)
-        run_campaign(config)
-        assert sizes == [2]
+        run_campaign(small_config(autopilots=raw["autopilots"][:1], **overrides))
+        return sizes
+
+    def test_pool_has_one_process_per_task_at_most(self, monkeypatch):
+        """One pilot from two starts is two tasks: four workers start two
+        processes, not four."""
+        starts = [[20.0, 5.0], [25.0, 7.5]]
+        assert self._pool_sizes(monkeypatch, 8, initial_states=starts, workers=4) == [2]
+
+    @pytest.mark.parametrize("cpus, sizes", [(2, [2]), (1, []), (None, [])],
+                             ids=["two-cpus", "one-cpu", "cpus-unknown"])
+    def test_pool_has_one_process_per_cpu_at_most(self, monkeypatch, cpus, sizes):
+        """One pilot from four starts is four tasks: on two CPUs, four workers
+        once started four processes.  One CPU, or an unknown count, runs the
+        tasks in the campaign's own process."""
+        starts = [[20.0, 5.0], [25.0, 7.5], [30.0, 10.0], [35.0, 12.0]]
+        assert self._pool_sizes(monkeypatch, cpus, initial_states=starts, workers=4) == sizes
+
+
+@st.composite
+def ordered_configs(draw):
+    """A small config of 1-3 of the default config's pilots from 1-3 of its
+    starts, over 1-2 scenario types, and the same config with its pilots
+    and its starts in a drawn order."""
+    pilots = draw(st.lists(st.sampled_from(DEFAULT_CONFIG["autopilots"]), min_size=1,
+                           max_size=3, unique_by=lambda entry: entry["name"]))
+    starts = draw(st.lists(st.sampled_from(DEFAULT_CONFIG["initial_states"]), min_size=1,
+                           max_size=3, unique_by=tuple))
+    raw = one_type_raw(
+        scenario_types=draw(st.lists(st.sampled_from(DEFAULT_CONFIG["scenario_types"]),
+                                     min_size=1, max_size=2, unique=True)),
+        autopilots=pilots, initial_states=starts,
+        static=with_light(draw(st.sampled_from([None, [2.0, 2.0]]))),
+        grid={**DEFAULT_CONFIG["grid"], "n_a": draw(st.integers(2, 4)),
+              "n_f": draw(st.integers(2, 4))})
+    return raw, {**raw, "autopilots": draw(st.permutations(pilots)),
+                 "initial_states": draw(st.permutations(starts))}
+
+
+def _cells_and_raw_files(raw: dict, workers: int) -> tuple[dict, dict]:
+    """A campaign's ``report.json`` cells by ``(autopilot, scenario_type)``,
+    and its raw files' bytes by path."""
+    with tempfile.TemporaryDirectory() as out:
+        report = run_campaign(CampaignConfig(raw={**raw, "workers": workers}), out_dir=out)
+        files = {path.relative_to(out): path.read_bytes()
+                 for path in Path(out).rglob("*") if path.is_file()}
+    return {(c["autopilot"], c["scenario_type"]): c for c in report.to_dict()["cells"]}, files
+
+
+@settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(configs=ordered_configs())
+def test_results_depend_on_neither_the_workers_nor_the_order(configs):
+    """One worker over a config, and two over the same config with its
+    pilots and starts reordered, give each (pilot, type) the same cell and
+    each grid the same raw file.  (The determinacy and coverage rows read
+    the first start, so they follow the order by design.)"""
+    raw, reordered = configs
+    assert _cells_and_raw_files(raw, 1) == _cells_and_raw_files(reordered, 2)
 
 
 def four_type_config(**overrides):
@@ -782,11 +845,64 @@ def _pilot(**entry):
     return {"autopilots": [{"name": "p", "variant": "reference", **entry}]}
 
 
+@st.composite
+def dt_grids(draw):
+    """The default config's pilots from one drawn start, over a 3x3 to 5x5
+    grid, at ``dt`` 0.1 or 0.05.  The start can brake to a stop at least
+    0.5 m short of the cautious stop point, ``d + CAUTIOUS_MARGIN`` before
+    the conflict point, on the default profile, and so on every pilot's.
+    Nearer starts include those on the frontier of a start's own, between
+    stopping short and not, which no grid cell borders: from (5.5, 2.0) the
+    ego brakes to a stop just at the zone's edge, and
+    ``always_cautious`` passes every cell at ``dt`` 0.1 and fails every
+    cell at 0.05."""
+    v_e = draw(st.floats(0.5, DEFAULT_CONFIG["profile"]["v_max"]))
+    stop = DEFAULT_CONFIG["static"]["d"] + CAUTIOUS_MARGIN
+    x_e = stop + v_e * v_e / (2 * DEFAULT_CONFIG["profile"]["b_max"]) + draw(st.floats(0.5, 30.0))
+    return one_type_raw(
+        initial_states=[[x_e, v_e]],
+        grid={**DEFAULT_CONFIG["grid"], "n_a": draw(st.integers(3, 5)),
+              "n_f": draw(st.integers(3, 5))},
+        sim={**DEFAULT_CONFIG["sim"], "dt": draw(st.sampled_from([0.1, 0.05]))})
+
+
+# A start whose verdict kinds move with the step: at dt / 2, the second row
+# of reference's 5x5 grid turns from cautious passes to failures.
+_FLIPS_AT_HALF_DT = one_type_raw(
+    initial_states=[[16.0, 11.0]], grid={**DEFAULT_CONFIG["grid"], "n_a": 5, "n_f": 5})
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(raw=dt_grids())
+@example(raw=_FLIPS_AT_HALF_DT)
+def test_halving_dt_changes_verdict_kinds_only_on_a_frontier(raw):
+    """A cell whose verdict kind differs between ``dt`` and ``dt / 2`` has a
+    4-neighbour of its other kind in one of the two grids: ``dt`` moves a
+    frontier by about one step, and changes no cell inside a region of one
+    kind.  It reads the cells whose four neighbours are all in the grid: a
+    frontier may run just outside it.  (The slowest starts show why: from
+    0.5 m/s, ``non_determinate_brake`` stops in one step of 0.1 s, but at
+    0.05 s it creeps on and runs out of horizon, all along the grid's
+    lowest ``x_a``.)"""
+    config = CampaignConfig(raw=raw)
+    jobs = [(pilot, grid) for pilot in config.pilots for grid in config.grids[pilot.name]]
+    dt, static = config.sim_config().dt, config.static_for(ScenarioType.MERGE_YIELD)
+    coarse, fine = ([[[VERDICTS[code].kind for code in row] for row in result.verdicts.tolist()]
+                     for result in run_grids(static, jobs, SimConfig(dt=step))]
+                    for step in (dt, dt / 2))
+    for (pilot, _), a, b in zip(jobs, coarse, fine):
+        for i, j in itertools.product(range(1, len(a) - 1), range(1, len(a[0]) - 1)):
+            if a[i][j] is not b[i][j]:
+                around = [(i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)]
+                assert any(a[k][m] is b[i][j] or b[k][m] is a[i][j] for k, m in around), \
+                    (pilot.name, i, j)
+
+
 class TestLoadTimeRejection:
     """A config the schema accepts runs, or is refused at load with a ConfigError."""
 
     @pytest.mark.parametrize("overrides", [
-        _pilot(profile={"a_max": 2.0, "v_max": 15.0}),
+        _pilot(profile={"a_max": 2.0, "c_max": 15.0}),
         _pilot(profile={"a_max": -2.0, "b_max": 4.0, "v_max": 15.0}),
         {"profile": {"a_max": -1.0, "b_max": 4.0, "v_max": 15.0}},
         {"static": {"d": -1.0, "vl": 10.0, "light_schedule": None}},
@@ -852,7 +968,7 @@ class TestLoadTimeRejection:
         {"autopilots": ["reference"], "initial_states": [[20.0, 5.0]],
          "grid": {"a_hi_tilde": 1e-17}},
     ], ids=[
-        "pilot-profile-missing-b_max", "pilot-profile-negative-a_max",
+        "pilot-profile-typo", "pilot-profile-negative-a_max",
         "base-profile-negative-a_max", "negative-d", "light-phase-zero", "dt-zero",
         "one-cell-axis", "entry-not-an-object", "key-the-variant-does-not-take",
         "key-an-external-pilot-does-not-take", "empty-command", "command-unclosed-quote",
@@ -888,6 +1004,14 @@ class TestLoadTimeRejection:
         raw = one_type_raw(static={"d": 5.0, "vl": 10.0, "light_schedule": [2.0, 2.0, 2.0]})
         with pytest.raises(ConfigError, match="light_schedule must be two phases"):
             CampaignConfig(raw=raw)
+
+    def test_entry_profile_takes_missing_keys_from_the_config_profile(self):
+        """It was once refused: ``bad autopilot entry 'p': KeyError: 'a_max'``,
+        where the same object as the top-level ``profile`` loads."""
+        config = CampaignConfig(raw=one_type_raw(
+            profile={"a_max": 3.0, "b_max": 5.0}, **_pilot(profile={"v_max": 20.0})))
+        assert config.profile == ADProfile(3.0, 5.0, 15.0)
+        assert config.pilots[0].profile == ADProfile(3.0, 5.0, 20.0)
 
     def test_duplicate_autopilot_names(self):
         pilots = [{"name": "a", "variant": "constant_speed"},

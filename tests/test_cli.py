@@ -2,11 +2,15 @@ import json
 import math
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import critlab.autopilots
+import critlab.campaign
+import critlab.classify
+import critlab.cli
 from critlab.autopilots import FACTORIES, ExternalAutopilot
 from critlab.campaign import (
     DEFAULT_CONFIG,
@@ -244,9 +248,14 @@ class TestDeterminacyCommand:
         assert data["braking"]["determinate"] is True
         assert data["progress"]["determinate"] is True
 
-    def test_start_above_v_max_is_refused(self, capsys):
+    def test_start_above_v_max_is_refused(self, capsys, monkeypatch):
         """A ``--v0`` above the profile's ``v_max`` once printed an
-        ``aborted`` braking row and exited 0."""
+        ``aborted`` braking row and exited 0, and then was refused only
+        after the progress check had run."""
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulated a run")
+
+        monkeypatch.setattr(critlab.classify, "_run_cells", no_run)
         assert main(["determinacy", "--profile", "2,4,15", "--v0", "16"]) == 1
         out, err = capsys.readouterr()
         assert not out
@@ -266,6 +275,47 @@ class TestPartitionCommand:
         assert 0.0 < data["ratio"] <= 1.0
         header = samples.read_text().splitlines()[0]
         assert header == "v,x_hat_a,x_hat_f,corner_x_a,corner_x_f"
+
+
+@pytest.fixture
+def builds_and_renders(monkeypatch):
+    """The configs built, and the reports rendered by format, as a command
+    runs."""
+    calls = Counter()
+    build, render = CampaignConfig._build, critlab.campaign.render_report
+
+    def counting_build(self):
+        calls["build"] += 1
+        build(self)
+
+    def counting_render(report, fmt="markdown"):
+        calls[fmt] += 1
+        return render(report, fmt)
+
+    monkeypatch.setattr(CampaignConfig, "_build", counting_build)
+    monkeypatch.setattr(critlab.campaign, "render_report", counting_render)
+    monkeypatch.setattr(critlab.cli, "render_report", counting_render)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["campaign", "report"])
+def test_a_command_builds_once_and_renders_each_format_once(
+        tmp_path, capsys, builds_and_renders, command):
+    """``campaign --workers`` once built its config twice, and ``campaign``
+    and ``report --out`` rendered the printed format a second time; what
+    they print is the file of that format."""
+    cfg = TestCampaignCommand()._config_file(tmp_path)
+    out = tmp_path / command
+    main(["campaign", "--config", str(cfg), "--workers", "2", "--out", str(tmp_path / "campaign"),
+          "--format", "csv"])
+    if command == "report":
+        capsys.readouterr()
+        builds_and_renders.clear()
+        main(["report", "--raw", str(tmp_path / "campaign" / "raw"), "--out", str(out),
+              "--format", "csv"])
+    assert builds_and_renders == Counter(
+        {"csv": 1, "markdown": 1, "json": 1, **({"build": 1} if command == "campaign" else {})})
+    assert capsys.readouterr().out == (out / "summary.csv").read_text() + "\n"
 
 
 class TestReportCommand:
