@@ -32,6 +32,7 @@ from .autopilots import FACTORIES, AutopilotSpec, ExternalAutopilot, ProtocolErr
 from .classify import (
     FAILURE_LABELS,
     LABELS,
+    RESTART_EVERY,
     CheckAbortedError,
     Grid,
     classify_grid,  # noqa: F401  re-exported: callers look it up on this module
@@ -45,7 +46,7 @@ from .classify import (
 )
 from .criticality import ZONES, most_critical
 from .kinematics import ADProfile
-from .partition import build_partition, coverage_cap, coverage_ratio
+from .partition import COVERAGE_STEPS, build_partition, coverage_cap, coverage_ratio
 from .scenario import (
     HORIZON_SLACK,
     ScenarioType,
@@ -104,7 +105,7 @@ DEFAULT_CONFIG: dict = {
     "static": {"d": 5.0, "vl": 10.0, "light_schedule": None},
     "initial_states": [[20.0, 5.0], [25.0, 7.5], [30.0, 10.0], [35.0, 12.0]],
     "grid": {"n_a": 20, "n_f": 20, "a_lo": 0.5, "a_hi_tilde": 1.1, "f_lo": 0.5, "f_hi": 2.5},
-    "partition": {"speeds": [10.0, 7.5, 5.0], "x_f_cap": None, "steps": 100},
+    "partition": {"speeds": [10.0, 7.5, 5.0], "x_f_cap": None, "steps": COVERAGE_STEPS},
     "sim": {"dt": 0.1, "zone_epsilon": 0.1},
     "workers": 1,
     "seed": 0,
@@ -118,6 +119,8 @@ _ENTRY_KEYS = {"name", "variant", "profile", "command", "braking_check_v0"}
 
 
 def _check_keys(section: dict, allowed: set[str], where: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {json.dumps(section)}")
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
@@ -159,13 +162,12 @@ class CampaignConfig:
 
     def _build(self) -> None:
         cfg = self.raw
-        if not isinstance(cfg, dict):
-            raise ConfigError("config must be a JSON object")
         _check_keys(cfg, _TOP_KEYS, "config")
         _check_finite(cfg, "config")
         for required in ("scenario_types", "autopilots", "initial_states"):
-            if not cfg.get(required):
-                raise ConfigError(f"config needs a non-empty {required!r} list")
+            if not isinstance(cfg.get(required), list) or not cfg[required]:
+                raise ConfigError(f"{required} must be a non-empty JSON array, "
+                                  f"got {json.dumps(cfg.get(required))}")
         for section, allowed in _SECTION_KEYS.items():
             _check_keys(cfg.get(section, {}), allowed, section)
 
@@ -188,13 +190,17 @@ class CampaignConfig:
         if type(self.workers) is not int or self.workers < 1:
             raise ConfigError(f"workers must be an integer >= 1: {self.workers!r}")
 
-        self.initial_states = [(x_e, v_e) for x_e, v_e in cfg["initial_states"]]
-        raw_files = set()
-        for x_e, v_e in self.initial_states:
-            name = _raw_name(x_e, v_e)
+        self.initial_states, raw_files = [], set()
+        for i, state in enumerate(cfg["initial_states"]):
+            if not (type(state) is list and len(state) == 2
+                    and all(type(n) in (int, float) for n in state)):
+                raise ConfigError(f"initial_states[{i}] must be an [x_e, v_e] array of two "
+                                  f"numbers, got {json.dumps(state)}")
+            name = _raw_name(*state)
             if name in raw_files:
-                raise ConfigError(f"repeated initial state ({x_e}, {v_e}) (raw file {name})")
+                raise ConfigError(f"repeated initial state {tuple(state)} (raw file {name})")
             raw_files.add(name)
+            self.initial_states.append(tuple(state))
         self._check_starts(self.profile, "the default profile")
 
         # The partition, the grids' boundaries and a run's step count read
@@ -617,8 +623,8 @@ def determinacy_check(pilot: AutopilotSpec, v0: float | None, start: tuple[float
     return pilot, v0, probe
 
 
-def determinacy_rows(checks: list[tuple], sim_cfg: SimConfig, restart_every: int = 5,
-                     work: Counter | None = None) -> list[dict]:
+def determinacy_rows(checks: list[tuple], sim_cfg: SimConfig,
+                     restart_every: int = RESTART_EVERY, work: Counter | None = None) -> list[dict]:
     """The braking row (from ``v0``) and the progress row (restarts of
     ``probe``) of each ``(pilot, v0, probe)`` check, as ``determinacy_check``
     builds them, in order.  The progress checks' simulations, all in one

@@ -62,7 +62,10 @@ __all__ = [
     "determinacy_check_progress",
     "progress_probe",
     "grid_report_dict",
+    "RESTART_EVERY",
 ]
+
+RESTART_EVERY = 5  # steps from one restart of a determinacy check to the next
 
 LABEL_PASS = "pass"
 LABEL_CAUTIOUS = "cautious_pass"
@@ -352,7 +355,7 @@ def _brake_to_stop(lanes: Sequence[tuple[AutopilotSpec, float]], dt: float, ever
 
 def determinacy_check_braking(
     checks: Sequence[tuple[AutopilotSpec, float]],
-    restart_every: int = 5,
+    restart_every: int = RESTART_EVERY,
     dt: float = DEFAULT_DT,
 ) -> list[DeterminacyReport]:
     """Compare full braking runs against fresh runs started mid-curve.
@@ -413,7 +416,7 @@ def _restart_states(tc: TestCase, states, restart_every: int, dt: float):
 
 def determinacy_check_progress(
     checks: Sequence[tuple[AutopilotSpec, TestCase]],
-    restart_every: int = 5,
+    restart_every: int = RESTART_EVERY,
     cfg: SimConfig = SimConfig(),
     work: Optional[Counter] = None,
 ) -> list[DeterminacyReport | CheckAbortedError]:

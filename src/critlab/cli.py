@@ -5,7 +5,8 @@ Subcommands: ``critical`` (safe-progress boundary for an ego start),
 ``determinacy`` (braking/progress restart checks), ``partition`` (speed
 partition coverage), ``report`` (re-render a summary from persisted raw grid
 files).  The ``CRITLAB_OUT`` environment variable sets the default output
-directory.
+directory.  Every default that a campaign config also sets is read from
+``DEFAULT_CONFIG``.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from pathlib import Path
 
 from .autopilots import ExternalAutopilot, ProtocolError
 from .campaign import (
+    DEFAULT_CONFIG,
     ConfigError,
     build_autopilot,
     determinacy_check,
@@ -28,6 +30,7 @@ from .campaign import (
     run_campaign,
     write_outputs,
 )
+from .classify import RESTART_EVERY
 from .criticality import most_critical
 from .kinematics import ADProfile
 from .partition import build_partition, coverage_ratio, envelope_samples
@@ -41,6 +44,8 @@ from .scenario import (
 from .simulator import SimConfig, simulate, verdict
 
 OUT_ENV = "CRITLAB_OUT"
+PROFILE = "{a_max},{b_max},{v_max}".format(**DEFAULT_CONFIG["profile"])
+SIM, STATIC = DEFAULT_CONFIG["sim"], DEFAULT_CONFIG["static"]
 
 
 def _parse_profile(text: str) -> ADProfile:
@@ -61,11 +66,12 @@ def _default_out() -> str:
     return os.environ.get(OUT_ENV, "critlab-out")
 
 
-def _add_static_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scenario-type", default="merge_yield",
+def _add_model_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--profile", default=PROFILE, help="a_max,b_max,v_max")
+    p.add_argument("--scenario-type", default=DEFAULT_CONFIG["scenario_types"][0],
                    choices=[s.value for s in ScenarioType])
-    p.add_argument("--vl", type=float, default=10.0, help="speed limit, m/s")
-    p.add_argument("--d", type=float, default=5.0, help="critical zone half-length, m")
+    p.add_argument("--vl", type=float, default=STATIC["vl"], help="speed limit, m/s")
+    p.add_argument("--d", type=float, default=STATIC["d"], help="critical zone half-length, m")
 
 
 def _static(args: argparse.Namespace) -> StaticPart:
@@ -79,15 +85,14 @@ def main(argv=None) -> int:
     p = sub.add_parser("critical", help="print the safe-progress boundary as JSON")
     p.add_argument("--x-e", type=float, required=True)
     p.add_argument("--v-e", type=float, required=True)
-    p.add_argument("--profile", default="2,4,15", help="a_max,b_max,v_max")
-    _add_static_args(p)
+    _add_model_args(p)
 
     p = sub.add_parser("simulate", help="run one test case in closed loop")
     p.add_argument("--autopilot", default="reference", help="variant name or exec:<cmd>")
     p.add_argument("--testcase", required=True, help="path to a test case JSON file")
-    p.add_argument("--profile", default="2,4,15")
-    p.add_argument("--dt", type=float, default=0.1)
-    p.add_argument("--zone-epsilon", type=float, default=0.1)
+    p.add_argument("--profile", default=PROFILE, help="a_max,b_max,v_max")
+    p.add_argument("--dt", type=float, default=SIM["dt"])
+    p.add_argument("--zone-epsilon", type=float, default=SIM["zone_epsilon"])
     p.add_argument("--out", help="write the scenario trace here (.csv or .json)")
 
     p = sub.add_parser("campaign", help="run the full campaign pipeline")
@@ -98,23 +103,22 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("determinacy", help="braking/progress restart checks")
     p.add_argument("--autopilot", default="reference")
-    p.add_argument("--profile", default="2,4,15")
     p.add_argument("--rates", help="maneuver rates, e.g. '30:5.0,27.5:3.0'")
-    p.add_argument("--v0", type=float, default=12.0, help="braking check start speed")
-    p.add_argument("--restart-every", type=int, default=5)
-    p.add_argument("--x-e", type=float, default=20.0)
-    p.add_argument("--v-e", type=float, default=5.0)
-    p.add_argument("--dt", type=float, default=0.1)
-    _add_static_args(p)
+    p.add_argument("--v0", type=float, help="braking check start speed (default 0.8 * v_max)")
+    p.add_argument("--restart-every", type=int, default=RESTART_EVERY)
+    x_e, v_e = DEFAULT_CONFIG["initial_states"][0]
+    p.add_argument("--x-e", type=float, default=x_e)
+    p.add_argument("--v-e", type=float, default=v_e)
+    p.add_argument("--dt", type=float, default=SIM["dt"])
+    _add_model_args(p)
 
     p = sub.add_parser("partition", help="speed-partition coverage ratio")
     p.add_argument("--x-e", type=float, required=True)
     p.add_argument("--speeds", required=True, help="decreasing list, e.g. '10,7.5,5'")
-    p.add_argument("--profile", default="2,4,15")
-    p.add_argument("--x-f-cap", type=float, default=None)
-    p.add_argument("--steps", type=int, default=200)
+    p.add_argument("--x-f-cap", type=float, default=DEFAULT_CONFIG["partition"]["x_f_cap"])
+    p.add_argument("--steps", type=int, default=DEFAULT_CONFIG["partition"]["steps"])
     p.add_argument("--out", help="write envelope-vs-staircase samples CSV here")
-    _add_static_args(p)
+    _add_model_args(p)
 
     p = sub.add_parser("report", help="re-render a summary from raw grid files")
     p.add_argument("--raw", required=True, help="directory holding raw/<ap>/<sc>/*.json")

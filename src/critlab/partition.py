@@ -27,7 +27,10 @@ __all__ = [
     "coverage_cap",
     "coverage_ratio",
     "envelope_samples",
+    "COVERAGE_STEPS",
 ]
+
+COVERAGE_STEPS = 100  # cells on each (v, x_a, x_f) axis of a coverage integral
 
 
 @dataclass(frozen=True)
@@ -104,7 +107,7 @@ def coverage_cap(part: SpeedPartition, x_f_cap: float | None, steps: int) -> flo
 
 
 def coverage_ratio(
-    part: SpeedPartition, x_f_cap: float | None, integration_steps: int = 200
+    part: SpeedPartition, x_f_cap: float | None, integration_steps: int = COVERAGE_STEPS
 ) -> CoverageResult:
     """Midpoint-rule volume of staircase-covered versus exactly-safe space,
     with ``integration_steps`` cells on each of the ``(v, x_a, x_f)`` axes."""

@@ -3,8 +3,9 @@ import signal
 
 import pytest
 
-from critlab import ADProfile, ScenarioType, StaticPart
 from critlab.criticality import most_critical
+from critlab.kinematics import ADProfile
+from critlab.scenario import ScenarioType, StaticPart
 
 # The work counters that ``metrics.json`` reports for the grids and for the
 # determinacy checks, each written on every count, zeros included.

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from collections import Counter
@@ -901,7 +902,9 @@ def test_halving_dt_changes_verdict_kinds_only_on_a_frontier(raw):
 class TestLoadTimeRejection:
     """A config the schema accepts runs, or is refused at load with a ConfigError."""
 
-    @pytest.mark.parametrize("overrides", [
+    # A row's ``field``, if any, is text the refusal must hold: the key and
+    # the JSON type it expects.
+    @pytest.mark.parametrize("overrides, field", [(row, None) for row in [
         _pilot(profile={"a_max": 2.0, "c_max": 15.0}),
         _pilot(profile={"a_max": -2.0, "b_max": 4.0, "v_max": 15.0}),
         {"profile": {"a_max": -1.0, "b_max": 4.0, "v_max": 15.0}},
@@ -967,6 +970,20 @@ class TestLoadTimeRejection:
         {"sim": {"dt": 1e-300}},
         {"autopilots": ["reference"], "initial_states": [[20.0, 5.0]],
          "grid": {"a_hi_tilde": 1e-17}},
+    ]] + [
+        ({"profile": None}, "profile must be a JSON object, got null"),
+        ({"static": None}, "static must be a JSON object, got null"),
+        ({"grid": [20, 20]}, "grid must be a JSON object, got [20, 20]"),
+        ({"partition": None}, "partition must be a JSON object, got null"),
+        ({"sim": 0.1}, "sim must be a JSON object, got 0.1"),
+        (_pilot(profile=None), "autopilot 'p' profile must be a JSON object, got null"),
+        ({"autopilots": "reference"}, 'autopilots must be a non-empty JSON array, got "reference"'),
+        ({"scenario_types": "merge_yield"},
+         'scenario_types must be a non-empty JSON array, got "merge_yield"'),
+        ({"initial_states": [20.0, 5.0]}, "initial_states[0] must be an [x_e, v_e] array"),
+        ({"initial_states": [[20.0, 5.0], [25.0]]},
+         "initial_states[1] must be an [x_e, v_e] array"),
+        ({"initial_states": [[20.0, "5"]]}, "initial_states[0] must be an [x_e, v_e] array"),
     ], ids=[
         "pilot-profile-typo", "pilot-profile-negative-a_max",
         "base-profile-negative-a_max", "negative-d", "light-phase-zero", "dt-zero",
@@ -987,8 +1004,11 @@ class TestLoadTimeRejection:
         "braking-check-on-an-external-pilot", "variant-on-an-external-pilot",
         "start-with-runs-past-int64-steps", "dt-with-runs-past-int64-steps",
         "grid-x_a-axis-reaching-zero",
+        "profile-null", "static-null", "grid-an-array", "partition-null", "sim-a-number",
+        "pilot-profile-null", "autopilots-a-string", "scenario-types-a-string",
+        "initial-state-a-number", "initial-state-one-number", "initial-state-speed-a-string",
     ])
-    def test_refused_before_any_simulation(self, overrides, monkeypatch, tmp_path):
+    def test_refused_before_any_simulation(self, overrides, field, monkeypatch, tmp_path):
         def no_grid(*args, **kwargs):
             raise AssertionError("simulated a grid")
 
@@ -996,7 +1016,7 @@ class TestLoadTimeRejection:
         monkeypatch.setattr(critlab.classify, "simulate", no_grid)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(one_type_raw(**overrides)))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=field and re.escape(field)):
             load_config(path)
 
     def test_light_schedule_of_three_phases_is_named(self):

@@ -19,6 +19,7 @@ from critlab.campaign import (
     load_config,
     run_campaign,
 )
+from critlab.classify import RESTART_EVERY
 from critlab.cli import _build_autopilot, main
 from critlab.kinematics import ADProfile
 from critlab.scenario import ScenarioType, StaticPart, TestCase
@@ -241,6 +242,12 @@ class TestDeterminacyCommand:
         data = json.loads(capsys.readouterr().out)
         assert [data["braking"], data["progress"]] == report.determinacy
 
+    def test_v0_defaults_to_a_share_of_v_max(self, capsys):
+        """``--profile 2,4,10`` once refused its own default ``--v0`` of
+        12.0; a campaign brakes from ``0.8 * v_max``."""
+        assert main(["determinacy", "--profile", "2,4,10"]) == 0
+        assert json.loads(capsys.readouterr().out)["braking"]["v0"] == 8.0
+
     def test_reference_clean(self, capsys):
         rc = main(["determinacy", "--autopilot", "reference", "--v0", "12"])
         assert rc == 0
@@ -275,6 +282,48 @@ class TestPartitionCommand:
         assert 0.0 < data["ratio"] <= 1.0
         header = samples.read_text().splitlines()[0]
         assert header == "v,x_hat_a,x_hat_f,corner_x_a,corner_x_f"
+
+    def test_default_ratio_is_the_campaigns(self, capsys):
+        """It once integrated at 200 steps per axis where a campaign's
+        coverage row takes 100."""
+        raw = json.loads(json.dumps(DEFAULT_CONFIG))
+        raw.update(scenario_types=["merge_yield"], autopilots=["reference"],
+                   initial_states=raw["initial_states"][:1], grid={"n_a": 2, "n_f": 2})
+        [row] = run_campaign(CampaignConfig(raw=raw)).coverage
+        speeds = ",".join(map(repr, row["speeds"]))
+        assert main(["partition", "--x-e", repr(row["x_e"]), "--speeds", speeds]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert [data[k] for k in ("ratio", "covered_volume", "safe_volume")] == [
+            row[k] for k in ("ratio", "covered_volume", "safe_volume")]
+
+
+def test_every_default_is_the_default_configs(tmp_path, capsys):
+    """Each command prints the same with only its required arguments as with
+    the default config's values given, so a default copied by hand that
+    drifts from the config fails here: ``partition --steps`` once read 200
+    where the config's ``partition.steps`` is 100."""
+    cfg = DEFAULT_CONFIG
+    profile = ["--profile", "{a_max},{b_max},{v_max}".format(**cfg["profile"])]
+    static = ["--scenario-type", cfg["scenario_types"][0],
+              "--vl", repr(cfg["static"]["vl"]), "--d", repr(cfg["static"]["d"])]
+    dt = ["--dt", repr(cfg["sim"]["dt"])]
+    x_e, v_e = cfg["initial_states"][0]
+    testcase = str(_write_testcase(tmp_path))
+    runs = [
+        (["critical", "--x-e", "20", "--v-e", "5"], profile + static),
+        (["simulate", "--testcase", testcase],
+         profile + dt + ["--zone-epsilon", repr(cfg["sim"]["zone_epsilon"])]),
+        (["determinacy"], profile + static + dt + [
+            "--x-e", repr(x_e), "--v-e", repr(v_e), "--v0", repr(0.8 * cfg["profile"]["v_max"]),
+            "--restart-every", str(RESTART_EVERY)]),
+        (["partition", "--x-e", "20", "--speeds", "10,7.5,5"],
+         profile + static + ["--steps", str(cfg["partition"]["steps"])]),
+    ]
+    for required, explicit in runs:
+        assert main(required) == 0
+        at_defaults = capsys.readouterr().out
+        assert main(required + explicit) == 0
+        assert capsys.readouterr().out == at_defaults, required[0]
 
 
 @pytest.fixture
