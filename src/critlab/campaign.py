@@ -10,7 +10,8 @@ type are simulated and serialised once and written under every type.  The
 built-in grids, one per (pilot, start) job, are split once into tasks of
 whole grids (``_groups``): one per worker, or more to keep each within
 ``BATCH_CELLS`` cells; each task over a static part is one ``run_grids``
-call, which steps all its grids together.  Each grid report, built-in or
+call, which steps all its grids together, the first task the restarts of
+the determinacy checks with them.  Each grid report, built-in or
 external, is recorded as its task finishes: added to its cells, serialised
 once, written under each of its types, and dropped.
 """
@@ -35,12 +36,15 @@ from .classify import (
     RESTART_EVERY,
     CheckAbortedError,
     Grid,
+    Riders,
     classify_grid,  # noqa: F401  re-exported: callers look it up on this module
     classify_grids,
     determinacy_check_braking,
     determinacy_check_progress,
     grid_report_dict,
+    progress_baselines,
     progress_probe,
+    progress_reports,
     run_grid,  # noqa: F401  re-exported: callers look it up on this module
     run_grids,
 )
@@ -48,6 +52,8 @@ from .criticality import ZONES, most_critical
 from .kinematics import ADProfile
 from .partition import COVERAGE_STEPS, build_partition, coverage_cap, coverage_ratio
 from .scenario import (
+    DEFAULT_D,
+    DEFAULT_DT,
     HORIZON_SLACK,
     ScenarioType,
     StaticPart,
@@ -55,7 +61,7 @@ from .scenario import (
     horizon_steps,
     static_from_dict,
 )
-from .simulator import VERDICTS, SimConfig
+from .simulator import VERDICTS, ZONE_EPSILON, SimConfig
 
 __all__ = [
     "ConfigError",
@@ -102,11 +108,11 @@ DEFAULT_CONFIG: dict = {
         {"name": "constant_speed", "variant": "constant_speed"},
     ],
     "profile": {"a_max": 2.0, "b_max": 4.0, "v_max": 15.0},
-    "static": {"d": 5.0, "vl": 10.0, "light_schedule": None},
+    "static": {"d": DEFAULT_D, "vl": 10.0, "light_schedule": None},
     "initial_states": [[20.0, 5.0], [25.0, 7.5], [30.0, 10.0], [35.0, 12.0]],
     "grid": {"n_a": 20, "n_f": 20, "a_lo": 0.5, "a_hi_tilde": 1.1, "f_lo": 0.5, "f_hi": 2.5},
     "partition": {"speeds": [10.0, 7.5, 5.0], "x_f_cap": None, "steps": COVERAGE_STEPS},
-    "sim": {"dt": 0.1, "zone_epsilon": 0.1},
+    "sim": {"dt": DEFAULT_DT, "zone_epsilon": ZONE_EPSILON},
     "workers": 1,
     "seed": 0,
 }
@@ -124,6 +130,25 @@ def _check_keys(section: dict, allowed: set[str], where: str) -> None:
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+
+
+def _check_number(value, where: str, nullable: bool = False) -> None:
+    """Refuse ``value`` unless it is a JSON number (or null, if ``nullable``),
+    naming the field ``where``; a boolean is not a number."""
+    if not (type(value) in (int, float) or nullable and value is None):
+        raise ConfigError(f"{where} must be {'null or ' * nullable}a number, "
+                          f"got {json.dumps(value)}")
+
+
+def _check_numbers(value, where: str, nullable: bool = False) -> None:
+    """``_check_number`` for an array of numbers."""
+    if nullable and value is None:
+        return
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be {'null or ' * nullable}an array of numbers, "
+                          f"got {json.dumps(value)}")
+    for i, item in enumerate(value):
+        _check_number(item, f"{where}[{i}]")
 
 
 def _check_finite(value, where: str) -> None:
@@ -171,21 +196,32 @@ class CampaignConfig:
         for section, allowed in _SECTION_KEYS.items():
             _check_keys(cfg.get(section, {}), allowed, section)
 
+        names = [sc.value for sc in ScenarioType]
+        for i, name in enumerate(cfg["scenario_types"]):
+            if name not in names:
+                raise ConfigError(f"scenario_types[{i}] must be one of {json.dumps(names)}, "
+                                  f"got {json.dumps(name)}")
         self.scenario_types = [ScenarioType(s) for s in cfg["scenario_types"]]
         if len(set(self.scenario_types)) < len(self.scenario_types):
             raise ConfigError(f"repeated scenario type in {cfg['scenario_types']}")
         self.profile = _read_profile(cfg.get("profile", {}), ADProfile(**DEFAULT_CONFIG["profile"]),
                                     "profile")
         s = self._section("static")
+        for key in ("d", "vl"):
+            _check_number(s[key], f"static {key}")
+        _check_numbers(s["light_schedule"], "static light_schedule", nullable=True)
         self._statics = {sc: static_from_dict({**s, "scenario_type": sc}) for sc in ScenarioType}
         s = self._section("sim")
+        for key in s:
+            _check_number(s[key], f"sim {key}")
         self._sim = SimConfig(dt=s["dt"], zone_epsilon=s["zone_epsilon"])
         g = self.grid = self._section("grid")
         if not all(type(g[k]) is int and g[k] >= 2 for k in ("n_a", "n_f")):
             raise ConfigError(f"grid n_a and n_f must be integers >= 2: {g['n_a']!r}, {g['n_f']!r}")
-        bounds = [g[k] for k in ("a_lo", "a_hi_tilde", "f_lo", "f_hi")]
-        if not all(isinstance(b, (int, float)) for b in bounds) or min(bounds[:2]) <= 0:
-            raise ConfigError("grid bounds must be numbers, a_lo and a_hi_tilde positive")
+        for key in ("a_lo", "a_hi_tilde", "f_lo", "f_hi"):
+            _check_number(g[key], f"grid {key}")
+        if min(g["a_lo"], g["a_hi_tilde"]) <= 0:
+            raise ConfigError("grid a_lo and a_hi_tilde must be positive")
         self.workers = cfg.get("workers", DEFAULT_CONFIG["workers"])
         if type(self.workers) is not int or self.workers < 1:
             raise ConfigError(f"workers must be an integer >= 1: {self.workers!r}")
@@ -209,6 +245,8 @@ class CampaignConfig:
         # runs.  A step count must stay below 2**63 (``horizon_steps`` raises).
         static, dt = self.static_for(self.scenario_types[0]), self._sim.dt
         p = self._section("partition")
+        _check_numbers(p["speeds"], "partition speeds")
+        _check_number(p["x_f_cap"], "partition x_f_cap", nullable=True)
         self.partition = build_partition(self.initial_states[0][0], p["speeds"], self.profile, static)
         self.coverage_steps = p["steps"]
         self.x_f_cap = coverage_cap(self.partition, p["x_f_cap"], self.coverage_steps)
@@ -272,6 +310,8 @@ def _read_profile(section: dict, base: ADProfile, where: str) -> ADProfile:
     """The profile a config's ``profile`` object ``section`` gives: its keys
     those of the default profile, and any key it leaves out ``base``'s."""
     _check_keys(section, _SECTION_KEYS["profile"], where)
+    for key, value in section.items():
+        _check_number(value, f"{where} {key}")
     return ADProfile(**{**vars(base), **section})
 
 
@@ -442,17 +482,17 @@ def _groups(jobs: list, grid_cells: int, workers: int) -> list[list]:
     return [jobs[k * len(jobs) // n:(k + 1) * len(jobs) // n] for k in range(n)]
 
 
-def _grid_reports(args) -> tuple[list[dict], Counter]:
+def _grid_reports(args) -> tuple[list[dict], Counter, Riders | None]:
     """The reports of some ``(pilot, grid)`` jobs over one static part, one
     per job, and the work of simulating them: ``run_grids``' counters, and
-    the grids, ``simulated``.  The grids share one shape, and are classified
-    together."""
-    jobs, static, sim_cfg = args
+    the grids, ``simulated``; and the riders of the call, if any, with their
+    results.  The grids share one shape, and are classified together."""
+    jobs, static, sim_cfg, riders = args
     work = Counter(simulated=len(jobs))
-    results = run_grids(static, jobs, sim_cfg, work)
+    results = run_grids(static, jobs, sim_cfg, work, riders)
     reports = [{**grid_report_dict(grid, cls), "autopilot": spec.name}
                for (spec, _), grid, cls in zip(jobs, results, classify_grids(results))]
-    return reports, work
+    return reports, work, riders
 
 
 def _raw_name(x_e: float, v_e: float) -> str:
@@ -526,26 +566,38 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
     cells = {(sc.value, pilot.name): CampaignCell(autopilot=pilot.name, scenario_type=sc.value)
              for pilot in pilots for sc in scenario_types}
     grid_work = Counter()  # of every grid simulated, summed with ``update`` to keep zeros
-    stage_s = {"builtin_grids": 0.0, "external_grids": 0.0, "raw_files": 0.0}
+    stage_s = {"builtin_grids": 0.0, "external_grids": 0.0, "raw_files": 0.0, "determinacy": 0.0}
     made: set[Path] = set()  # the raw directories made so far
 
     def record(pilot, types: list[ScenarioType], report: dict) -> None:
         """Add one grid report to its pilot's cell of each of ``types`` and
-        write its raw file under each, serialised once."""
+        write its raw file under each, serialised and encoded once."""
         for sc in types:
             _accumulate(cells[(sc.value, pilot.name)], report)
         if out_path is None:
             return
         start = time.perf_counter()
-        head, tail = _raw_text_parts(report)
+        # Encoded once, as bytes: the text is ASCII JSON.
+        head, tail = (part.encode() for part in _raw_text_parts(report))
         for sc in types:
             raw_dir = out_path / "raw" / pilot.name / sc.value
             if raw_dir not in made:
                 raw_dir.mkdir(parents=True, exist_ok=True)
                 made.add(raw_dir)
-            (raw_dir / _raw_name(report["x_e"], report["v_e"])).write_text(
-                head + json.dumps(sc.value) + tail)
+            (raw_dir / _raw_name(report["x_e"], report["v_e"])).write_bytes(
+                head + json.dumps(sc.value).encode() + tail)
         stage_s["raw_files"] += time.perf_counter() - start
+
+    # The progress determinacy checks' baselines, one engine call; their
+    # restarts ride the grids' call of the first task, whose static part is
+    # the probes', that of the first scenario type.
+    start = time.perf_counter()
+    checks = config.determinacy_checks
+    determinacy_work = Counter()
+    bases, restarts = progress_baselines([(pilot, probe) for pilot, _, probe in checks],
+                                         RESTART_EVERY, sim_cfg, determinacy_work)
+    riders = Riders(restarts)
+    stage_s["determinacy"] += time.perf_counter() - start
 
     # The (pilot, start) jobs of the built-in pilots, split into tasks once,
     # the same way for every static part in effect; a task's reports go to
@@ -556,7 +608,8 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
     jobs = [(pilot, grid) for pilot in config.builtin for grid in config.grids[pilot.name]]
     groups = _groups(jobs, config.grid["n_a"] * config.grid["n_f"], workers)
     tasks = [(types, group) for types in parts.values() for group in groups]
-    args = [(group, config.static_for(types[0]), sim_cfg) for types, group in tasks]
+    args = [(group, config.static_for(types[0]), sim_cfg, None if k else riders)
+            for k, (types, group) in enumerate(tasks)]
 
     start = time.perf_counter()
     # One process per task at most, and no more than the machine has CPUs.
@@ -566,7 +619,8 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
         from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(processes) if parallel else nullcontext() as pool:
         results = (pool.map if parallel else map)(_grid_reports, args)
-        for (types, group), (reports, work) in zip(tasks, results):
+        for (types, group), (reports, work, ridden) in zip(tasks, results):
+            riders = ridden or riders  # a worker's riders come back as a copy
             grid_work.update(work)
             for (pilot, _), report in zip(group, reports):
                 record(pilot, types, report)
@@ -580,8 +634,8 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
             for sc in scenario_types:
                 for grid in config.grids[pilot.name]:
                     try:
-                        (report,), work = _grid_reports(
-                            ([(pilot, grid)], config.static_for(sc), sim_cfg))
+                        (report,), work, _ = _grid_reports(
+                            ([(pilot, grid)], config.static_for(sc), sim_cfg, None))
                     except ProtocolError as exc:
                         cells[(sc.value, pilot.name)].protocol_error = str(exc)
                         break
@@ -590,9 +644,10 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
     stage_s["external_grids"] = time.perf_counter() - start - (stage_s["raw_files"] - raw_s)
 
     start = time.perf_counter()
-    determinacy_work = Counter()
-    determinacy = determinacy_rows(config.determinacy_checks, sim_cfg, work=determinacy_work)
-    stage_s["determinacy"] = time.perf_counter() - start
+    determinacy_work.update(riders.work)
+    determinacy = _determinacy_rows(
+        checks, progress_reports(bases, riders.codes, riders.v_cross), RESTART_EVERY, sim_cfg.dt)
+    stage_s["determinacy"] += time.perf_counter() - start
     start = time.perf_counter()
     coverage = _coverage_summaries(config)
     stage_s["coverage"] = time.perf_counter() - start
@@ -637,8 +692,14 @@ def determinacy_rows(checks: list[tuple], sim_cfg: SimConfig,
     """
     reports = determinacy_check_progress([(pilot, probe) for pilot, _, probe in checks],
                                          restart_every, sim_cfg, work)
+    return _determinacy_rows(checks, reports, restart_every, sim_cfg.dt)
+
+
+def _determinacy_rows(checks: list[tuple], reports: list, restart_every: int,
+                      dt: float) -> list[dict]:
+    """``determinacy_rows`` of ``checks``, given their progress ``reports``."""
     brakes = determinacy_check_braking([(pilot, v0) for pilot, v0, _ in checks],
-                                       restart_every, sim_cfg.dt)
+                                       restart_every, dt)
     rows = []
     for (pilot, v0, probe), rep, brake in zip(checks, reports, brakes):
         braking = {"autopilot": pilot.name, "maneuver": "braking", "v0": v0, "status": "ok",

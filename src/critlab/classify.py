@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -60,6 +60,9 @@ __all__ = [
     "rationality_check",
     "determinacy_check_braking",
     "determinacy_check_progress",
+    "progress_baselines",
+    "progress_reports",
+    "Riders",
     "progress_probe",
     "grid_report_dict",
     "RESTART_EVERY",
@@ -104,9 +107,14 @@ class GridResult:
 Grid = tuple[float, float, Sequence[float], Sequence[float], CriticalBoundary]
 
 
+# A run of one cell: a pilot from an ego start ``(x_e, v_e)`` at one
+# geometry ``(x_a, x_f)``, as ``(pilot, x_e, v_e, x_a, x_f)``.
+Run = tuple[AutopilotSpec, float, float, float, float]
+
+
 def _run_cells(static: StaticPart, pilots: Sequence, x_e: Sequence[float],
                v_e: Sequence[float], run, x_a, x_f, cfg: SimConfig, work: Counter,
-               states: bool = False):
+               states: bool = False, riders: int = 0, rider_work: Optional[Counter] = None):
     """Simulate cells given as ``simulate_lockstep`` takes them, for any pilots.
 
     A run is a pilot from an ego start (``pilots``, ``x_e``, ``v_e``), a cell
@@ -123,31 +131,60 @@ def _run_cells(static: StaticPart, pilots: Sequence, x_e: Sequence[float],
     Adds the work done to ``work``, every key on every call: ``cells``,
     ``cell_steps`` (policy steps over all cells), ``early_exits`` (cells ended
     before their horizon), ``lockstep_batches`` and ``lockstep_steps`` (the
-    engine calls and their array steps), and ``scalar_simulate_calls``.
+    engine calls and their array steps), and ``scalar_simulate_calls``.  The
+    last ``riders`` cells ride the call: their work goes to ``rider_work``
+    instead, which counts no engine call and no array step.
     """
     run, x_a, x_f = np.asarray(run, dtype=np.intp), np.asarray(x_a, float), np.asarray(x_f, float)
     batched = run.size > 0 and all(lockstep_applies(pilot) for pilot in pilots)
     if batched:
         lockstep = simulate_lockstep(pilots, static, x_e, v_e, run, x_a, x_f, cfg, states)
         codes, v_cross, traces = verdict_arrays(lockstep), lockstep.v_cross, lockstep.states
-        steps, batch_steps = int(lockstep.steps.sum()), int(lockstep.steps.max())
-        early_exits = int((lockstep.steps < lockstep.horizon).sum())
+        steps, early = lockstep.steps, lockstep.steps < lockstep.horizon
     else:
         codes, v_cross = np.zeros(run.size, dtype=int), np.zeros(run.size)
+        steps, early = np.zeros(run.size, dtype=int), np.zeros(run.size, dtype=bool)
         traces = [] if states else None
-        steps = early_exits = batch_steps = 0
         for i, (r, a, f) in enumerate(zip(run.tolist(), x_a.tolist(), x_f.tolist())):
             out = simulate(pilots[r], TestCase(static, x_e[r], v_e[r], a, f), cfg)
             codes[i] = VERDICT_CODES[verdict(out)]
             v_cross[i] = 0.0 if out.v_cross is None else out.v_cross
-            steps += out.steps
-            early_exits += out.steps < out.tc.horizon
+            steps[i], early[i] = out.steps, out.steps < out.tc.horizon
             if states:
                 traces.append(out.states)
-    work.update(cells=run.size, cell_steps=steps, early_exits=early_exits,
-                lockstep_batches=int(batched), lockstep_steps=batch_steps,
-                scalar_simulate_calls=0 if batched else run.size)
+    own = run.size - riders
+    for counter, cells, engine in ((work, slice(own), batched),
+                                   (rider_work, slice(own, None), False)):
+        if counter is not None:
+            n = steps[cells].size
+            counter.update(cells=n, cell_steps=int(steps[cells].sum()),
+                           early_exits=int(early[cells].sum()), lockstep_batches=int(engine),
+                           lockstep_steps=int(steps.max()) if engine else 0,
+                           scalar_simulate_calls=0 if batched else n)
     return codes, v_cross, traces
+
+
+def _run_runs(static: StaticPart, runs: Sequence[Run], cfg: SimConfig, work: Counter,
+              states: bool = False):
+    """``_run_cells`` of ``runs``, each a run of one cell."""
+    pilots, x_e, v_e, x_a, x_f = zip(*runs) if runs else [()] * 5
+    return _run_cells(static, pilots, x_e, v_e, np.arange(len(runs)), x_a, x_f, cfg, work, states)
+
+
+@dataclass
+class Riders:
+    """Runs of one cell that ride a ``run_grids`` call after its grids' cells.
+
+    ``run_grids`` sets each run's verdict code (``codes``, its index in
+    ``VERDICTS``) and crossing speed (``v_cross``, 0.0 where it did not
+    cross), and adds the runs' work to ``work`` as ``_run_cells`` counts
+    riders.  The engine steps every cell on its own, so these results are
+    bit for bit those of a call of their own."""
+
+    runs: Sequence[Run]
+    work: Counter = field(default_factory=Counter)
+    codes: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    v_cross: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
 def run_grids(
@@ -155,6 +192,7 @@ def run_grids(
     jobs: Sequence[tuple[AutopilotSpec, Grid]],
     cfg: SimConfig = SimConfig(),
     work: Optional[Counter] = None,
+    riders: Optional[Riders] = None,
 ) -> list[GridResult]:
     """Simulate every geometry of each job's grid over one static part.
 
@@ -163,24 +201,32 @@ def run_grids(
     the run's cells: the grids take one ``simulate_lockstep`` call if the
     lockstep engine can run every pilot, whatever the pilot, and otherwise
     run ``simulate`` cell by cell.  The caller bounds the cells of one call.  The
-    work done is added to ``work``, as ``_run_cells`` counts it.
+    work done is added to ``work``, as ``_run_cells`` counts it.  The runs of
+    ``riders``, if given, join that call after the grids' cells, and their
+    results and work are set on ``riders``.
     """
-    if not jobs:
-        return []
     grids = [grid for _, grid in jobs]
     cells = [np.meshgrid(x_a, x_f, indexing="ij") for _, _, x_a, x_f, _ in grids]
     sizes = [x_a.size for x_a, _ in cells]
-    x_a, x_f = (np.concatenate([axis.ravel() for axis in axes]) for axes in zip(*cells))
-    x_e, v_e = [grid[0] for grid in grids], [grid[1] for grid in grids]
-    codes, _, _ = _run_cells(static, [pilot for pilot, _ in jobs], x_e, v_e,
-                             np.repeat(np.arange(len(grids)), sizes), x_a, x_f, cfg,
-                             Counter() if work is None else work)
+    rides = riders.runs if riders is not None else ()
+    # A rider is a run of its own, of one cell.
+    runs = [(pilot, x_e, v_e) for pilot, (x_e, v_e, *_) in jobs] + [run[:3] for run in rides]
+    pilots, x_e, v_e = zip(*runs) if runs else ((), (), ())
+    x_a = np.concatenate([x_a.ravel() for x_a, _ in cells] + [[run[3] for run in rides]])
+    x_f = np.concatenate([x_f.ravel() for _, x_f in cells] + [[run[4] for run in rides]])
+    run = np.repeat(np.arange(len(runs)), sizes + [1] * len(rides))
+    codes, v_cross, _ = _run_cells(static, pilots, x_e, v_e, run, x_a, x_f, cfg,
+                                   Counter() if work is None else work, riders=len(rides),
+                                   rider_work=riders.work if riders is not None else None)
+    n = sum(sizes)
+    if riders is not None:
+        riders.codes, riders.v_cross = codes[n:], v_cross[n:]
     return [GridResult(static=static, x_e=x_e, v_e=v_e, boundary=boundary,
                        x_a_values=tuple(x_a_values), x_f_values=tuple(x_f_values),
                        verdicts=codes.reshape(len(x_a_values), len(x_f_values)),
                        zones=zone_codes(boundary, x_a_values, x_f_values), dt=cfg.dt)
             for (x_e, v_e, x_a_values, x_f_values, boundary), codes
-            in zip(grids, np.split(codes, np.cumsum(sizes)[:-1]))]
+            in zip(grids, np.split(codes[:n], np.cumsum(sizes)[:-1]))]
 
 
 def run_grid(
@@ -414,6 +460,72 @@ def _restart_states(tc: TestCase, states, restart_every: int, dt: float):
     return picked
 
 
+# Per progress check: its baseline's crossing speed and restart states, or
+# the ``CheckAbortedError`` that says why it has none.
+Base = tuple[float, list] | CheckAbortedError
+
+
+def progress_baselines(
+    checks: Sequence[tuple[AutopilotSpec, TestCase]],
+    restart_every: int = RESTART_EVERY,
+    cfg: SimConfig = SimConfig(),
+    work: Optional[Counter] = None,
+) -> tuple[list[Base], list[Run]]:
+    """The first half of ``determinacy_check_progress``: run the baselines
+    of ``checks``, in one ``_run_cells`` call, and pick their restarts.
+
+    Returns each check's base and the restart runs of all checks, in check
+    order, each a run of one cell over the checks' static part; the work
+    done is added to ``work``.
+    """
+    if restart_every < 1:
+        raise ValueError("restart_every must be at least 1")
+    if any(tc.static != checks[0][1].static for _, tc in checks):
+        raise ValueError("progress determinacy checks over different static parts")
+    if any(tc.mutations or tc.horizon is not None for _, tc in checks):
+        raise ValueError("progress determinacy checks take cases without extra vehicles "
+                         "or an explicit horizon")
+    static = checks[0][1].static if checks else None
+    codes, v_cross, traces = _run_runs(
+        static, [(pilot, tc.x_e, tc.v_e, tc.x_a, tc.x_f) for pilot, tc in checks], cfg,
+        Counter() if work is None else work, states=True)
+    bases, runs = [], []
+    for (pilot, tc), code, v_base, states in zip(checks, codes.tolist(), v_cross.tolist(), traces):
+        kind = VERDICTS[code].kind
+        if kind is not VerdictKind.PROGRESS_PASS:
+            bases.append(CheckAbortedError(
+                f"baseline run did not cross and pass (verdict {kind.value})"))
+            continue
+        picked = _restart_states(tc, states, restart_every, cfg.dt)
+        bases.append((v_base, picked))
+        runs += [(pilot, -x, v, x_a, tc.x_f) for _, x, v, x_a in picked]
+    return bases, runs
+
+
+def progress_reports(bases: Sequence[Base], codes: np.ndarray,
+                     v_cross: np.ndarray) -> list[DeterminacyReport | CheckAbortedError]:
+    """The second half of ``determinacy_check_progress``: grade each base's
+    restarts, from the verdict codes and crossing speeds of the restart runs
+    ``progress_baselines`` gave, in their order."""
+    results = zip((_KIND_OF_VERDICT[codes] == _PROGRESS).tolist(), v_cross.tolist())
+    reports = []
+    for base in bases:
+        if isinstance(base, CheckAbortedError):
+            reports.append(base)
+            continue
+        v_base, states = base
+        restarts = []
+        for (t, x, v, _), (passed, v_cross) in zip(states, results):
+            # A progress pass has crossed, so its crossing speed is known.
+            deviation = abs(v_cross - v_base) if passed else math.inf
+            restarts.append(RestartRecord(t=t, x=x, v=v, deviation=deviation, passed=passed))
+        reports.append(DeterminacyReport(
+            maneuver="progress", restarts=restarts, tol=0.2,
+            max_deviation=max((r.deviation for r in restarts if r.passed), default=0.0),
+            verdict_flips=sum(not r.passed for r in restarts)))
+    return reports
+
+
 def determinacy_check_progress(
     checks: Sequence[tuple[AutopilotSpec, TestCase]],
     restart_every: int = RESTART_EVERY,
@@ -435,54 +547,14 @@ def determinacy_check_progress(
     of conflict-point speeds, tolerated up to 0.2 m/s; a check whose
     baseline is not a progress pass gets the ``CheckAbortedError`` that says
     so in place of its report.  The work done is added to ``work``.
+
+    ``progress_baselines`` and ``progress_reports`` are its two halves, so a
+    caller can run the restarts with other cells.
     """
-    if restart_every < 1:
-        raise ValueError("restart_every must be at least 1")
-    if any(tc.static != checks[0][1].static for _, tc in checks):
-        raise ValueError("progress determinacy checks over different static parts")
-    if any(tc.mutations or tc.horizon is not None for _, tc in checks):
-        raise ValueError("progress determinacy checks take cases without extra vehicles "
-                         "or an explicit horizon")
     work = Counter() if work is None else work
-    static = checks[0][1].static if checks else None
-
-    def run_cells(runs, states):
-        """``_run_cells`` of ``(pilot, x_e, v_e, x_a, x_f)`` runs of one cell each."""
-        pilots, x_e, v_e, x_a, x_f = zip(*runs) if runs else [()] * 5
-        return _run_cells(static, pilots, x_e, v_e, np.arange(len(runs)), x_a, x_f, cfg, work,
-                          states)
-
-    codes, v_cross, traces = run_cells(
-        [(pilot, tc.x_e, tc.v_e, tc.x_a, tc.x_f) for pilot, tc in checks], True)
-    bases = []  # per check: its crossing speed and restart states, or why it aborted
-    for (_, tc), code, v_base, states in zip(checks, codes.tolist(), v_cross.tolist(), traces):
-        kind = VERDICTS[code].kind
-        if kind is not VerdictKind.PROGRESS_PASS:
-            bases.append(CheckAbortedError(
-                f"baseline run did not cross and pass (verdict {kind.value})"))
-        else:
-            bases.append((v_base, _restart_states(tc, states, restart_every, cfg.dt)))
-    # Every restart is a run of one cell.
-    codes, v_cross, _ = run_cells(
-        [(pilot, -x, v, x_a, tc.x_f) for (pilot, tc), base in zip(checks, bases)
-         if not isinstance(base, CheckAbortedError) for _, x, v, x_a in base[1]], False)
-    results = zip((_KIND_OF_VERDICT[codes] == _PROGRESS).tolist(), v_cross.tolist())
-    reports = []
-    for base in bases:
-        if isinstance(base, CheckAbortedError):
-            reports.append(base)
-            continue
-        v_base, states = base
-        restarts = []
-        for (t, x, v, _), (passed, v_cross) in zip(states, results):
-            # A progress pass has crossed, so its crossing speed is known.
-            deviation = abs(v_cross - v_base) if passed else math.inf
-            restarts.append(RestartRecord(t=t, x=x, v=v, deviation=deviation, passed=passed))
-        reports.append(DeterminacyReport(
-            maneuver="progress", restarts=restarts, tol=0.2,
-            max_deviation=max((r.deviation for r in restarts if r.passed), default=0.0),
-            verdict_flips=sum(not r.passed for r in restarts)))
-    return reports
+    bases, runs = progress_baselines(checks, restart_every, cfg, work)
+    codes, v_cross, _ = _run_runs(checks[0][1].static if checks else None, runs, cfg, work)
+    return progress_reports(bases, codes, v_cross)
 
 
 # -- reporting -------------------------------------------------------------------

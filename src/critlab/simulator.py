@@ -45,6 +45,7 @@ from .scenario import (
 )
 
 __all__ = [
+    "ZONE_EPSILON",
     "SimConfig",
     "EventKind",
     "Event",
@@ -62,6 +63,7 @@ __all__ = [
 ]
 
 _EPS = 1e-9
+ZONE_EPSILON = 0.1  # m, default boundary tolerance for crossing-order ties
 
 
 class EventKind(str, enum.Enum):
@@ -84,7 +86,7 @@ class Event:
 @dataclass(frozen=True)
 class SimConfig:
     dt: float = DEFAULT_DT  # s
-    zone_epsilon: float = 0.1  # m, boundary tolerance for crossing-order ties
+    zone_epsilon: float = ZONE_EPSILON  # m
 
     def __post_init__(self) -> None:
         if not 0 < self.dt < math.inf:
@@ -109,7 +111,7 @@ class SimOutcome:
     v_cross: Optional[float]  # interpolated ego speed there, None with t_cross
     t_arrive: float  # time the arriving vehicle reaches the conflict point
     race_won: bool = False  # ego cleared the point no later than the arriving vehicle
-    zone_epsilon: float = 0.1  # boundary tolerance inherited from the run config
+    zone_epsilon: float = ZONE_EPSILON  # m, inherited from the run config
     dt: float = DEFAULT_DT  # s, the run's step
 
     def has(self, kind: EventKind) -> bool:

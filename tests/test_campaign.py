@@ -554,6 +554,7 @@ def test_results_depend_on_neither_the_workers_nor_the_order(configs):
     assert _cells_and_raw_files(raw, 1) == _cells_and_raw_files(reordered, 2)
 
 
+
 def four_type_config(**overrides):
     """Two built-in autopilots over all four scenario types, 5x5 cells."""
     raw = json.loads(json.dumps(DEFAULT_CONFIG))
@@ -613,14 +614,15 @@ class TestGridDedup:
 
         monkeypatch.setattr(critlab.classify, "simulate_lockstep", counting)
         report = run_campaign(four_type_config(static=with_light(schedule)))
-        # The last two run the determinacy baselines, from the first start, and restarts.
-        assert len(calls) == batches + 2
+        # The first runs the determinacy baselines, from the first start; their
+        # restarts ride the first task's grids.
+        assert len(calls) == 1 + batches
         starts = set(map(tuple, DEFAULT_CONFIG["initial_states"]))
         names = ("reference", "transition_flawed")
         every = {(name, *start) for name in names for start in starts}
-        assert all(batch == every for batch in calls[:-2])
-        assert calls[-2] == {(name, *DEFAULT_CONFIG["initial_states"][0]) for name in names}
-        assert {name for name, *_ in calls[-1]} == set(names)
+        assert calls[0] == {(name, *DEFAULT_CONFIG["initial_states"][0]) for name in names}
+        assert every < calls[1] and {name for name, *_ in calls[1] - every} == set(names)
+        assert all(batch == every for batch in calls[2:])
         assert report.metrics["grids"]["lockstep_batches"] == batches
 
     def test_one_boundary_per_grid(self, monkeypatch):
@@ -762,9 +764,10 @@ class TestRunMetrics:
         return calls
 
     def test_default_config_at_6x6(self, calls, monkeypatch):
-        """One engine call for the grids of all 8 pilots, one for the 8
-        determinacy baselines, and one for their 25 restarts (3 of the 8
-        checks are inapplicable); no ``simulate`` call."""
+        """One engine call for the 8 determinacy baselines, and one for the
+        grids of all 8 pilots, which carries the 25 restarts (3 of the 8
+        checks are inapplicable); no ``simulate`` call.  The counters keep
+        the grids' cells and the checks' cells apart."""
         engine_runs = []
         real = critlab.classify.simulate_lockstep
 
@@ -781,10 +784,10 @@ class TestRunMetrics:
             "early_exit_frac": 1.0, "lockstep_batches": 1, "lockstep_steps": 117,
             "scalar_simulate_calls": 0}
         assert report.metrics["determinacy"] == {
-            "cells": 33, "cell_steps": 1292, "early_exits": 33, "lockstep_batches": 2,
-            "lockstep_steps": 101, "scalar_simulate_calls": 0}
+            "cells": 33, "cell_steps": 1292, "early_exits": 33, "lockstep_batches": 1,
+            "lockstep_steps": 53, "scalar_simulate_calls": 0}
         assert calls["simulate"] == 0
-        assert engine_runs == [8 * 4, 8, 25]
+        assert engine_runs == [8, 8 * 4 + 25]
 
     def test_lockstep_grids_build_no_outcome_and_call_no_verdict(self, calls):
         """A campaign of built-in pilots, its determinacy checks included,
@@ -844,6 +847,41 @@ def one_type_raw(**overrides):
 
 def _pilot(**entry):
     return {"autopilots": [{"name": "p", "variant": "reference", **entry}]}
+
+
+@st.composite
+def fold_configs(draw):
+    """A small config of 1-3 of the default config's pilots from 1-2 of its
+    starts, over 1-4 scenario types in a drawn order, with no light schedule,
+    ``[2, 2]`` or ``[1, 1]``, at ``dt`` 0.1 or 0.05.  Of the two schedules,
+    only ``[1, 1]`` turns red while a default probe's restarts run, and so
+    tells the first static part from the light's."""
+    pilots = draw(st.lists(st.sampled_from(DEFAULT_CONFIG["autopilots"]), min_size=1,
+                           max_size=3, unique_by=lambda entry: entry["name"]))
+    starts = draw(st.lists(st.sampled_from(DEFAULT_CONFIG["initial_states"]), min_size=1,
+                           max_size=2, unique_by=tuple))
+    types = draw(st.permutations(DEFAULT_CONFIG["scenario_types"]))[:draw(st.integers(1, 4))]
+    return one_type_raw(
+        scenario_types=types, autopilots=pilots, initial_states=starts,
+        static=with_light(draw(st.sampled_from([None, [2.0, 2.0], [1.0, 1.0]]))),
+        sim={**DEFAULT_CONFIG["sim"], "dt": draw(st.sampled_from([0.1, 0.05]))})
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(raw=fold_configs())
+@example(raw=one_type_raw(autopilots=DEFAULT_CONFIG["autopilots"][:3],
+                          scenario_types=["merge_yield", "intersection_light"],
+                          static=with_light([1.0, 1.0])))
+def test_determinacy_rows_match_the_checks_run_alone(raw):
+    """A campaign's restarts ride a grid task's engine call, and its
+    ``report.json`` determinacy rows are those of ``determinacy_rows`` run
+    alone, bit for bit, at one worker and at two."""
+    config = CampaignConfig(raw=raw)
+    alone = json.dumps(critlab.campaign.determinacy_rows(config.determinacy_checks,
+                                                         config.sim_config()))
+    for workers in (1, 2):
+        report = run_campaign(CampaignConfig(raw={**raw, "workers": workers}))
+        assert json.dumps(report.to_dict()["determinacy"]) == alone
 
 
 @st.composite
@@ -984,6 +1022,19 @@ class TestLoadTimeRejection:
         ({"initial_states": [[20.0, 5.0], [25.0]]},
          "initial_states[1] must be an [x_e, v_e] array"),
         ({"initial_states": [[20.0, "5"]]}, "initial_states[0] must be an [x_e, v_e] array"),
+        ({"scenario_types": ["merge"]}, 'scenario_types[0] must be one of ["merge_yield", '),
+        ({"partition": {"speeds": "10"}},
+         'partition speeds must be an array of numbers, got "10"'),
+        ({"partition": {"speeds": [10.0, "a"]}}, 'partition speeds[1] must be a number, got "a"'),
+        ({"partition": {"x_f_cap": "1"}}, 'partition x_f_cap must be null or a number, got "1"'),
+        ({"sim": {"dt": "0.1"}}, 'sim dt must be a number, got "0.1"'),
+        ({"sim": {"zone_epsilon": None}}, "sim zone_epsilon must be a number, got null"),
+        ({"static": {"d": "5"}}, 'static d must be a number, got "5"'),
+        ({"static": {"light_schedule": [2.0, "x"]}},
+         'static light_schedule[1] must be a number, got "x"'),
+        ({"profile": {"a_max": "2"}}, 'profile a_max must be a number, got "2"'),
+        (_pilot(profile={"v_max": "15"}),
+         "autopilot 'p' profile v_max must be a number, got \"15\""),
     ], ids=[
         "pilot-profile-typo", "pilot-profile-negative-a_max",
         "base-profile-negative-a_max", "negative-d", "light-phase-zero", "dt-zero",
@@ -1007,6 +1058,9 @@ class TestLoadTimeRejection:
         "profile-null", "static-null", "grid-an-array", "partition-null", "sim-a-number",
         "pilot-profile-null", "autopilots-a-string", "scenario-types-a-string",
         "initial-state-a-number", "initial-state-one-number", "initial-state-speed-a-string",
+        "scenario-type-unknown", "partition-speeds-a-string", "partition-speed-a-string",
+        "partition-cap-a-string", "dt-a-string", "zone-epsilon-null", "static-d-a-string",
+        "light-phase-a-string", "profile-a_max-a-string", "pilot-profile-v_max-a-string",
     ])
     def test_refused_before_any_simulation(self, overrides, field, monkeypatch, tmp_path):
         def no_grid(*args, **kwargs):
