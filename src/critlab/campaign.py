@@ -247,6 +247,9 @@ class CampaignConfig:
         p = self._section("partition")
         _check_numbers(p["speeds"], "partition speeds")
         _check_number(p["x_f_cap"], "partition x_f_cap", nullable=True)
+        if type(p["steps"]) is not int or p["steps"] < 1:
+            raise ConfigError(f"partition steps must be an integer >= 1, "
+                              f"got {json.dumps(p['steps'])}")
         self.partition = build_partition(self.initial_states[0][0], p["speeds"], self.profile, static)
         self.coverage_steps = p["steps"]
         self.x_f_cap = coverage_cap(self.partition, p["x_f_cap"], self.coverage_steps)
@@ -281,9 +284,11 @@ class CampaignConfig:
                 self.external.append(pilot)
                 continue
             self.builtin.append(pilot)
+            v0 = entry.get("braking_check_v0")
+            _check_number(v0, f"autopilot {name!r} braking_check_v0", nullable=True)
             x_e, v_e, _, _, boundary = grids[0]
             self.determinacy_checks.append(determinacy_check(
-                pilot, entry.get("braking_check_v0"), (x_e, v_e), boundary, static, dt))
+                pilot, v0, (x_e, v_e), boundary, static, dt))
 
     def _check_starts(self, profile: ADProfile, whose: str) -> None:
         """Refuse a start speed outside ``(0, v_max]`` of ``profile``, or one

@@ -107,18 +107,18 @@ class GridResult:
 Grid = tuple[float, float, Sequence[float], Sequence[float], CriticalBoundary]
 
 
-# A run of one cell: a pilot from an ego start ``(x_e, v_e)`` at one
-# geometry ``(x_a, x_f)``, as ``(pilot, x_e, v_e, x_a, x_f)``.
-Run = tuple[AutopilotSpec, float, float, float, float]
+# A run: a pilot from an ego start ``(x_e, v_e)`` at the geometries
+# ``(x_a, x_f)`` of its cells, as ``(pilot, x_e, v_e, x_a, x_f)``; a run of
+# one cell may give its geometry as two numbers.
+Run = tuple[AutopilotSpec, float, float, float | np.ndarray, float | np.ndarray]
 
 
-def _run_cells(static: StaticPart, pilots: Sequence, x_e: Sequence[float],
-               v_e: Sequence[float], run, x_a, x_f, cfg: SimConfig, work: Counter,
+def _run_cells(static: StaticPart, runs: Sequence[Run], cfg: SimConfig, work: Counter,
                states: bool = False, riders: int = 0, rider_work: Optional[Counter] = None):
-    """Simulate cells given as ``simulate_lockstep`` takes them, for any pilots.
+    """Simulate the cells of ``runs``, for any pilots.
 
-    A run is a pilot from an ego start (``pilots``, ``x_e``, ``v_e``), a cell
-    one geometry of a run (``run``, ``x_a``, ``x_f``), its horizon the one
+    A run's cells are its ``x_a`` and ``x_f`` arrays (of one shape) read in
+    C order, or its one geometry; a cell's horizon is the one
     ``TestCase.steps`` sizes at ``cfg.dt``.  A call whose pilots the
     lockstep engine can all run (``lockstep_applies``: built-in autopilots)
     is one ``simulate_lockstep`` call, graded by ``verdict_arrays`` with no
@@ -126,16 +126,19 @@ def _run_cells(static: StaticPart, pilots: Sequence, x_e: Sequence[float],
     ``verdict``, one ``TestCase`` at a time, in order, keeping only what is
     returned.  Returns each cell's verdict code (its index in ``VERDICTS``),
     crossing speed (0.0 where it did not cross) and, if ``states`` asks for
-    them, ``SimOutcome.states`` (None otherwise).
+    them, ``SimOutcome.states`` (None otherwise), in run order.
 
     Adds the work done to ``work``, every key on every call: ``cells``,
     ``cell_steps`` (policy steps over all cells), ``early_exits`` (cells ended
     before their horizon), ``lockstep_batches`` and ``lockstep_steps`` (the
     engine calls and their array steps), and ``scalar_simulate_calls``.  The
-    last ``riders`` cells ride the call: their work goes to ``rider_work``
+    last ``riders`` runs ride the call: their work goes to ``rider_work``
     instead, which counts no engine call and no array step.
     """
-    run, x_a, x_f = np.asarray(run, dtype=np.intp), np.asarray(x_a, float), np.asarray(x_f, float)
+    pilots, x_e, v_e, run_a, run_f = zip(*runs) if runs else [()] * 5
+    sizes = [getattr(a, "size", 1) for a in run_a]  # a number is one cell
+    run = np.repeat(np.arange(len(sizes)), sizes)
+    x_a, x_f = (np.concatenate(col or [()], axis=None, dtype=float) for col in (run_a, run_f))
     batched = run.size > 0 and all(lockstep_applies(pilot) for pilot in pilots)
     if batched:
         lockstep = simulate_lockstep(pilots, static, x_e, v_e, run, x_a, x_f, cfg, states)
@@ -152,7 +155,7 @@ def _run_cells(static: StaticPart, pilots: Sequence, x_e: Sequence[float],
             steps[i], early[i] = out.steps, out.steps < out.tc.horizon
             if states:
                 traces.append(out.states)
-    own = run.size - riders
+    own = sum(sizes[:len(sizes) - riders])
     for counter, cells, engine in ((work, slice(own), batched),
                                    (rider_work, slice(own, None), False)):
         if counter is not None:
@@ -162,13 +165,6 @@ def _run_cells(static: StaticPart, pilots: Sequence, x_e: Sequence[float],
                            lockstep_steps=int(steps.max()) if engine else 0,
                            scalar_simulate_calls=0 if batched else n)
     return codes, v_cross, traces
-
-
-def _run_runs(static: StaticPart, runs: Sequence[Run], cfg: SimConfig, work: Counter,
-              states: bool = False):
-    """``_run_cells`` of ``runs``, each a run of one cell."""
-    pilots, x_e, v_e, x_a, x_f = zip(*runs) if runs else [()] * 5
-    return _run_cells(static, pilots, x_e, v_e, np.arange(len(runs)), x_a, x_f, cfg, work, states)
 
 
 @dataclass
@@ -197,36 +193,31 @@ def run_grids(
     """Simulate every geometry of each job's grid over one static part.
 
     ``jobs`` pairs a pilot with a grid; a ``GridResult`` comes back per job,
-    in order.  Each grid is a run of ``_run_cells``, its cells, ``x_a``-major,
-    the run's cells: the grids take one ``simulate_lockstep`` call if the
-    lockstep engine can run every pilot, whatever the pilot, and otherwise
-    run ``simulate`` cell by cell.  The caller bounds the cells of one call.  The
-    work done is added to ``work``, as ``_run_cells`` counts it.  The runs of
-    ``riders``, if given, join that call after the grids' cells, and their
-    results and work are set on ``riders``.
+    in order.  Each grid is a run of ``_run_cells``, its cells ``x_a``-major:
+    the grids take one ``simulate_lockstep`` call if the lockstep engine can
+    run every pilot, whatever the pilot, and otherwise run ``simulate`` cell
+    by cell.  The caller bounds the cells of one call.  The work done is
+    added to ``work``, as ``_run_cells`` counts it.  The runs of ``riders``,
+    if given, join that call after the grids' runs, and their results and
+    work are set on ``riders``.
     """
     grids = [grid for _, grid in jobs]
-    cells = [np.meshgrid(x_a, x_f, indexing="ij") for _, _, x_a, x_f, _ in grids]
-    sizes = [x_a.size for x_a, _ in cells]
+    runs = [(pilot, x_e, v_e, *np.meshgrid(x_a, x_f, indexing="ij"))
+            for pilot, (x_e, v_e, x_a, x_f, _) in jobs]
     rides = riders.runs if riders is not None else ()
-    # A rider is a run of its own, of one cell.
-    runs = [(pilot, x_e, v_e) for pilot, (x_e, v_e, *_) in jobs] + [run[:3] for run in rides]
-    pilots, x_e, v_e = zip(*runs) if runs else ((), (), ())
-    x_a = np.concatenate([x_a.ravel() for x_a, _ in cells] + [[run[3] for run in rides]])
-    x_f = np.concatenate([x_f.ravel() for _, x_f in cells] + [[run[4] for run in rides]])
-    run = np.repeat(np.arange(len(runs)), sizes + [1] * len(rides))
-    codes, v_cross, _ = _run_cells(static, pilots, x_e, v_e, run, x_a, x_f, cfg,
+    codes, v_cross, _ = _run_cells(static, [*runs, *rides], cfg,
                                    Counter() if work is None else work, riders=len(rides),
                                    rider_work=riders.work if riders is not None else None)
-    n = sum(sizes)
+    n = codes.size - len(rides)
     if riders is not None:
         riders.codes, riders.v_cross = codes[n:], v_cross[n:]
+    ends = np.cumsum([x_a.size for *_, x_a, _ in runs])
     return [GridResult(static=static, x_e=x_e, v_e=v_e, boundary=boundary,
                        x_a_values=tuple(x_a_values), x_f_values=tuple(x_f_values),
                        verdicts=codes.reshape(len(x_a_values), len(x_f_values)),
                        zones=zone_codes(boundary, x_a_values, x_f_values), dt=cfg.dt)
             for (x_e, v_e, x_a_values, x_f_values, boundary), codes
-            in zip(grids, np.split(codes[:n], np.cumsum(sizes)[:-1]))]
+            in zip(grids, np.split(codes[:n], ends[:-1]))]
 
 
 def run_grid(
@@ -486,7 +477,7 @@ def progress_baselines(
         raise ValueError("progress determinacy checks take cases without extra vehicles "
                          "or an explicit horizon")
     static = checks[0][1].static if checks else None
-    codes, v_cross, traces = _run_runs(
+    codes, v_cross, traces = _run_cells(
         static, [(pilot, tc.x_e, tc.v_e, tc.x_a, tc.x_f) for pilot, tc in checks], cfg,
         Counter() if work is None else work, states=True)
     bases, runs = [], []
@@ -553,7 +544,7 @@ def determinacy_check_progress(
     """
     work = Counter() if work is None else work
     bases, runs = progress_baselines(checks, restart_every, cfg, work)
-    codes, v_cross, _ = _run_runs(checks[0][1].static if checks else None, runs, cfg, work)
+    codes, v_cross, _ = _run_cells(checks[0][1].static if checks else None, runs, cfg, work)
     return progress_reports(bases, codes, v_cross)
 
 

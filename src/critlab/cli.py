@@ -56,6 +56,21 @@ def _parse_profile(text: str) -> ADProfile:
     return ADProfile(a, b, vmax)
 
 
+def _parse_speeds(text: str) -> list[float]:
+    try:
+        return [float(s) for s in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"--speeds expects 'v1,v2,...', got {text!r}") from exc
+
+
+def _parse_rates(text: str) -> dict[str, str]:
+    """JSON-shaped, as in a config entry: the factory converts the numbers."""
+    try:
+        return dict(part.split(":", 1) for part in text.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"--rates expects 'speed:rate,...', got {text!r}") from exc
+
+
 def _build_autopilot(name: str, profile: ADProfile, rates: dict[str, str] | None):
     """A variant at its factory defaults (``rates`` aside), or ``exec:<cmd>``."""
     entry = {"name": name, "variant": name, "rates": rates} if rates else name
@@ -68,14 +83,14 @@ def _default_out() -> str:
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--profile", default=PROFILE, help="a_max,b_max,v_max")
-    p.add_argument("--scenario-type", default=DEFAULT_CONFIG["scenario_types"][0],
-                   choices=[s.value for s in ScenarioType])
     p.add_argument("--vl", type=float, default=STATIC["vl"], help="speed limit, m/s")
-    p.add_argument("--d", type=float, default=STATIC["d"], help="critical zone half-length, m")
 
 
-def _static(args: argparse.Namespace) -> StaticPart:
-    return StaticPart(ScenarioType(args.scenario_type), vl=args.vl, d=args.d)
+def _static(vl: float, d: float = STATIC["d"]) -> StaticPart:
+    """The static part over the default config's first scenario type.  The
+    boundary and the partition read only ``vl``, and a built-in pilot reads
+    the type only in a light schedule's red phase, which no command sets."""
+    return StaticPart(ScenarioType(DEFAULT_CONFIG["scenario_types"][0]), vl=vl, d=d)
 
 
 def main(argv=None) -> int:
@@ -111,6 +126,7 @@ def main(argv=None) -> int:
     p.add_argument("--v-e", type=float, default=v_e)
     p.add_argument("--dt", type=float, default=SIM["dt"])
     _add_model_args(p)
+    p.add_argument("--d", type=float, default=STATIC["d"], help="critical zone half-length, m")
 
     p = sub.add_parser("partition", help="speed-partition coverage ratio")
     p.add_argument("--x-e", type=float, required=True)
@@ -137,7 +153,7 @@ def main(argv=None) -> int:
 
 def _run(args: argparse.Namespace) -> int:
     if args.command == "critical":
-        b = most_critical(args.x_e, args.v_e, _parse_profile(args.profile), _static(args))
+        b = most_critical(args.x_e, args.v_e, _parse_profile(args.profile), _static(args.vl))
         print(json.dumps(b.to_dict()))
         return 0
 
@@ -178,11 +194,10 @@ def _run(args: argparse.Namespace) -> int:
     if args.command == "determinacy":
         if args.autopilot.startswith("exec:"):
             raise ConfigError(f"determinacy needs a built-in autopilot, got {args.autopilot!r}")
-        # JSON-shaped, as in a config entry: the factory converts the numbers.
-        rates = args.rates and dict(part.split(":", 1) for part in args.rates.split(","))
+        rates = args.rates and _parse_rates(args.rates)
         pilot = _build_autopilot(args.autopilot, _parse_profile(args.profile), rates)
         cfg = SimConfig(dt=args.dt)  # refuses a bad step before the probe reads it
-        static, start = _static(args), (args.x_e, args.v_e)
+        static, start = _static(args.vl, args.d), (args.x_e, args.v_e)
         check = determinacy_check(pilot, args.v0, start, most_critical(*start, pilot.profile, static),
                                   static, cfg.dt)
         braking, progress = determinacy_rows([check], cfg, args.restart_every)
@@ -190,8 +205,8 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "partition":
-        speeds = [float(s) for s in args.speeds.split(",")]
-        part = build_partition(args.x_e, speeds, _parse_profile(args.profile), _static(args))
+        part = build_partition(args.x_e, _parse_speeds(args.speeds), _parse_profile(args.profile),
+                               _static(args.vl))
         result = coverage_ratio(part, args.x_f_cap, args.steps)
         print(json.dumps({
             "ratio": result.ratio,

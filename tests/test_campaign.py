@@ -965,7 +965,6 @@ class TestLoadTimeRejection:
         {"partition": {"speeds": [20.0, 5.0]}},
         {"partition": {"x_f_cap": 1.0}},
         {"partition": {"steps": 0}},
-        {"partition": {"steps": "x"}},
         _pilot(name=5),
         _pilot(name="a/b"),
         _pilot(name=""),
@@ -1035,6 +1034,9 @@ class TestLoadTimeRejection:
         ({"profile": {"a_max": "2"}}, 'profile a_max must be a number, got "2"'),
         (_pilot(profile={"v_max": "15"}),
          "autopilot 'p' profile v_max must be a number, got \"15\""),
+        ({"partition": {"steps": "x"}}, 'partition steps must be an integer >= 1, got "x"'),
+        (_pilot(braking_check_v0="30"),
+         "autopilot 'p' braking_check_v0 must be null or a number, got \"30\""),
     ], ids=[
         "pilot-profile-typo", "pilot-profile-negative-a_max",
         "base-profile-negative-a_max", "negative-d", "light-phase-zero", "dt-zero",
@@ -1043,7 +1045,7 @@ class TestLoadTimeRejection:
         "command-not-a-string", "fail-region-one-axis", "rates-not-a-map",
         "braking-check-above-v_max", "braking-check-zero",
         "partition-speeds-increasing", "partition-one-speed", "partition-speed-above-v_max",
-        "partition-cap-below-corner", "partition-zero-steps", "partition-steps-not-int",
+        "partition-cap-below-corner", "partition-zero-steps",
         "name-not-a-string", "name-with-slash", "name-empty", "name-dot-dot",
         "grid-a_lo-nan", "grid-a_hi_tilde-inf", "grid-f_lo-nan", "static-d-nan",
         "static-vl-inf", "light-phase-nan", "dt-nan", "dt-inf", "zone-epsilon-nan",
@@ -1061,6 +1063,7 @@ class TestLoadTimeRejection:
         "scenario-type-unknown", "partition-speeds-a-string", "partition-speed-a-string",
         "partition-cap-a-string", "dt-a-string", "zone-epsilon-null", "static-d-a-string",
         "light-phase-a-string", "profile-a_max-a-string", "pilot-profile-v_max-a-string",
+        "partition-steps-not-int", "braking-check-a-string",
     ])
     def test_refused_before_any_simulation(self, overrides, field, monkeypatch, tmp_path):
         def no_grid(*args, **kwargs):

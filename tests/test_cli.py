@@ -304,20 +304,19 @@ def test_every_default_is_the_default_configs(tmp_path, capsys):
     where the config's ``partition.steps`` is 100."""
     cfg = DEFAULT_CONFIG
     profile = ["--profile", "{a_max},{b_max},{v_max}".format(**cfg["profile"])]
-    static = ["--scenario-type", cfg["scenario_types"][0],
-              "--vl", repr(cfg["static"]["vl"]), "--d", repr(cfg["static"]["d"])]
+    vl = ["--vl", repr(cfg["static"]["vl"])]
     dt = ["--dt", repr(cfg["sim"]["dt"])]
     x_e, v_e = cfg["initial_states"][0]
     testcase = str(_write_testcase(tmp_path))
     runs = [
-        (["critical", "--x-e", "20", "--v-e", "5"], profile + static),
+        (["critical", "--x-e", "20", "--v-e", "5"], profile + vl),
         (["simulate", "--testcase", testcase],
          profile + dt + ["--zone-epsilon", repr(cfg["sim"]["zone_epsilon"])]),
-        (["determinacy"], profile + static + dt + [
+        (["determinacy"], profile + vl + ["--d", repr(cfg["static"]["d"])] + dt + [
             "--x-e", repr(x_e), "--v-e", repr(v_e), "--v0", repr(0.8 * cfg["profile"]["v_max"]),
             "--restart-every", str(RESTART_EVERY)]),
         (["partition", "--x-e", "20", "--speeds", "10,7.5,5"],
-         profile + static + ["--steps", str(cfg["partition"]["steps"])]),
+         profile + vl + ["--steps", str(cfg["partition"]["steps"])]),
     ]
     for required, explicit in runs:
         assert main(required) == 0
@@ -547,6 +546,38 @@ class TestErrorExits:
             assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "int64 step count" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["determinacy", "--rates", "30"], "--rates"),
+        (["determinacy", "--rates", "30:5.0,27.5"], "--rates"),
+        (["partition", "--x-e", "20", "--speeds", "10,a"], "--speeds"),
+    ], ids=["determinacy-rate-without-speed", "determinacy-second-rate-without-speed",
+            "partition-speed-a-letter"])
+    def test_malformed_list_flag_is_named(self, capsys, argv, flag):
+        """Each once printed Python's own error, which named no flag
+        (``dictionary update sequence element #0 has length 1``, ``could not
+        convert string to float: 'a'``)."""
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} expects ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["critical", "--x-e", "20", "--v-e", "5", "--scenario-type", "lane_change"],
+        ["critical", "--x-e", "20", "--v-e", "5", "--d", "3"],
+        ["partition", "--x-e", "20", "--speeds", "10,7.5,5", "--scenario-type", "lane_change"],
+        ["partition", "--x-e", "20", "--speeds", "10,7.5,5", "--d", "3"],
+        ["determinacy", "--scenario-type", "lane_change"],
+    ], ids=["critical-scenario-type", "critical-d", "partition-scenario-type", "partition-d",
+            "determinacy-scenario-type"])
+    def test_option_that_changes_no_output_is_refused(self, capsys, argv):
+        """The boundary and the partition read only ``--vl`` of the static
+        part, and a built-in pilot reads the scenario type only in a light
+        schedule's red phase, which no command sets: these options once
+        changed not a byte of output."""
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
     def test_unknown_autopilot(self, tmp_path, capsys):
         tc_path = _write_testcase(tmp_path)
