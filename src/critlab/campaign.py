@@ -41,7 +41,6 @@ from .classify import (
     classify_grids,
     determinacy_check_braking,
     determinacy_check_progress,
-    grid_report_dict,
     progress_baselines,
     progress_probe,
     progress_reports,
@@ -489,14 +488,14 @@ def _groups(jobs: list, grid_cells: int, workers: int) -> list[list]:
 
 def _grid_reports(args) -> tuple[list[dict], Counter, Riders | None]:
     """The reports of some ``(pilot, grid)`` jobs over one static part, one
-    per job, and the work of simulating them: ``run_grids``' counters, and
-    the grids, ``simulated``; and the riders of the call, if any, with their
-    results.  The grids share one shape, and are classified together."""
+    per job: ``classify_grids`` labels and reports all the grids at once, and
+    each report gains its pilot's ``autopilot`` name.  Returned with the work
+    of simulating them, ``run_grids``' counters and the grids, ``simulated``;
+    and the riders of the call, if any, with their results."""
     jobs, static, sim_cfg, riders = args
     work = Counter(simulated=len(jobs))
-    results = run_grids(static, jobs, sim_cfg, work, riders)
-    reports = [{**grid_report_dict(grid, cls), "autopilot": spec.name}
-               for (spec, _), grid, cls in zip(jobs, results, classify_grids(results))]
+    results = classify_grids(run_grids(static, jobs, sim_cfg, work, riders))
+    reports = [{**report, "autopilot": spec.name} for (spec, _), report in zip(jobs, results)]
     return reports, work, riders
 
 
@@ -776,8 +775,10 @@ def render_report(report: CampaignReport, fmt: str = "markdown") -> str:
             )
         return buf.getvalue()
     if fmt == "markdown":
+        meta = report.meta
         lines = ["# Campaign report", "",
-                 f"Seed {report.meta.get('seed')}, dt {report.meta.get('dt')} s.", "",
+                 f"Seed {meta['seed']}, dt {meta['dt']} s." if "seed" in meta
+                 else f"Rebuilt from the raw grid files under {meta['regenerated_from']}.", "",
                  "| Scenario type | " + " | ".join(report.autopilot_names) + " |",
                  "|" + " --- |" * (len(report.autopilot_names) + 1)]
         for sc in report.scenario_types:

@@ -1,4 +1,4 @@
-"""Grid-level failure taxonomy, rationality and determinacy checks.
+"""Grid-level failure taxonomy, grid reports, rationality and determinacy checks.
 
 A grid runs one autopilot over a lattice of ``(x_a, x_f)`` geometries sharing
 an ego start.  Failed or overcautious cells are then labelled:
@@ -11,6 +11,8 @@ an ego start.  Failed or overcautious cells are then labelled:
 
 ``IS`` takes priority over ``TF``: it is the order-theoretic diagnosis, and
 what remains is exactly the transition band along the critical frontier.
+``classify_grids`` labels the grids of one task together and builds each
+grid's report, the one record every output is written from.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ __all__ = [
     "FAILURE_LABELS",
     "LABELS",
     "GridResult",
-    "GridClassification",
     "RestartRecord",
     "DeterminacyReport",
     "CheckAbortedError",
@@ -64,7 +65,6 @@ __all__ = [
     "progress_reports",
     "Riders",
     "progress_probe",
-    "grid_report_dict",
     "RESTART_EVERY",
 ]
 
@@ -235,25 +235,6 @@ def run_grid(
                      cfg)[0]
 
 
-@dataclass
-class GridClassification:
-    labels: np.ndarray  # each cell's label, as its index in ``LABELS``, shaped as the grid
-    of_kind: Optional[str]  # "OF-SF" | "OF-PD" | None
-    counts: dict[str, int]  # cells per label, of the labels given
-    n_cells: int
-    n_relevant: int  # cells outside the undiscriminating region
-
-    @property
-    def frequencies(self) -> dict[str, float]:
-        return {k: self.counts.get(k, 0) / self.n_cells for k in FAILURE_LABELS}
-
-    @property
-    def frequencies_relevant(self) -> dict[str, float]:
-        if self.n_relevant == 0:
-            return {k: 0.0 for k in FAILURE_LABELS}
-        return {k: self.counts.get(k, 0) / self.n_relevant for k in FAILURE_LABELS}
-
-
 def _dominated(x_a: np.ndarray, x_f: np.ndarray, kinds: np.ndarray):
     """The failed cells that a progress pass dominates, and the witness of
     each ``x_f`` column as ``(x_a, x_f)`` arrays, for grids stacked on the
@@ -281,13 +262,20 @@ def _dominated(x_a: np.ndarray, x_f: np.ndarray, kinds: np.ndarray):
     return dominated, wit_a, wit_f
 
 
-def classify_grids(grids: Sequence[GridResult]) -> list[GridClassification]:
-    """Label every cell of completed grids of one shape, all grids at once.
+def classify_grids(grids: Sequence[GridResult]) -> list[dict]:
+    """Label every cell of completed grids of one shape, all grids at once,
+    and return each grid's report.
 
     A cautious pass counts as overcaution only beyond the critical corner by
     more than two environment steps, the finest distinction the
     discretisation supports.  The grids are stacked into arrays, and each
     rule is an array comparison over all their cells.
+
+    A report holds its raw file's fields, but with the point list as columns
+    ``(x_a_values, x_f_values, labels, verdicts, zones)`` (codes indexing
+    ``LABELS``, ``VERDICTS`` and ``ZONES``), and the cells per label,
+    ``counts``, which the file leaves out.  ``frequencies_relevant`` divides
+    by the cells outside the irrelevant zone, and is 0.0 where there are none.
     """
     if not grids or not grids[0].verdicts.size:
         raise ValueError("grid is empty")
@@ -306,19 +294,33 @@ def classify_grids(grids: Sequence[GridResult]) -> list[GridClassification]:
     labels = np.select([dominated, fail, overcautious, cautious], [_IS, _TF, _IO, _CAUTIOUS],
                        _PASS)
 
-    cells = (1, 2)
-    counts = np.stack([(labels == k).sum(axis=cells) for k in range(len(LABELS))], 1).tolist()
+    cells, n_cells = (1, 2), verdicts[0].size
+    counts, zone_counts = (np.stack([(codes == k).sum(axis=cells) for k in range(n)], 1).tolist()
+                           for codes, n in ((labels, len(LABELS)), (zones, len(ZONES))))
     no_progress = safe_progress.any(axis=cells) & ~(safe_progress & progress).any(axis=cells)
     of_kinds = np.where(fail.all(axis=cells), "OF-SF", np.where(no_progress, "OF-PD", None))
-    n_relevant = (zones != ZONES.index(Zone.IRRELEVANT)).sum(axis=cells).tolist()
-    return [GridClassification(labels=grid_labels, of_kind=of_kind, n_cells=verdicts[0].size,
-                               counts={LABELS[k]: n for k, n in enumerate(grid_counts) if n},
-                               n_relevant=relevant)
-            for grid_labels, of_kind, grid_counts, relevant
-            in zip(labels, of_kinds.tolist(), counts, n_relevant)]
+    reports = []
+    for g, grid_labels, of_kind, by_label, by_zone in zip(grids, labels, of_kinds.tolist(),
+                                                         counts, zone_counts):
+        count = {LABELS[k]: n for k, n in enumerate(by_label) if n}
+        relevant = n_cells - by_zone[ZONES.index(Zone.IRRELEVANT)]
+        reports.append({
+            "scenario_type": g.static.scenario_type.value,
+            "x_e": g.x_e,
+            "v_e": g.v_e,
+            "boundary": g.boundary.to_dict(),
+            "grid": (g.x_a_values, g.x_f_values, grid_labels, g.verdicts, g.zones),
+            "counts": count,
+            "frequencies": {k: count.get(k, 0) / n_cells for k in FAILURE_LABELS},
+            "frequencies_relevant": {k: count.get(k, 0) / relevant if relevant else 0.0
+                                     for k in FAILURE_LABELS},
+            "of": {"kind": of_kind},
+            "zone_counts": {zone.value: n for zone, n in zip(ZONES, by_zone)},
+        })
+    return reports
 
 
-def classify_grid(grid: GridResult) -> GridClassification:
+def classify_grid(grid: GridResult) -> dict:
     """``classify_grids`` of the one grid."""
     return classify_grids([grid])[0]
 
@@ -546,27 +548,3 @@ def determinacy_check_progress(
     bases, runs = progress_baselines(checks, restart_every, cfg, work)
     codes, v_cross, _ = _run_cells(checks[0][1].static if checks else None, runs, cfg, work)
     return progress_reports(bases, codes, v_cross)
-
-
-# -- reporting -------------------------------------------------------------------
-
-
-def grid_report_dict(grid: GridResult, cls: GridClassification) -> dict:
-    """Report for one (autopilot, scenario, ego start) grid: its raw file's
-    fields, but with the point list as columns ``(x_a_values, x_f_values,
-    labels, verdicts, zones)`` (codes indexing ``LABELS``, ``VERDICTS`` and
-    ``ZONES``), and the cells per label, ``counts``, which the file leaves out.
-    """
-    zone_counts = np.bincount(grid.zones.ravel(), minlength=len(ZONES)).tolist()
-    return {
-        "scenario_type": grid.static.scenario_type.value,
-        "x_e": grid.x_e,
-        "v_e": grid.v_e,
-        "boundary": grid.boundary.to_dict(),
-        "grid": (grid.x_a_values, grid.x_f_values, cls.labels, grid.verdicts, grid.zones),
-        "counts": cls.counts,
-        "frequencies": cls.frequencies,
-        "frequencies_relevant": cls.frequencies_relevant,
-        "of": {"kind": cls.of_kind},
-        "zone_counts": {zone.value: n for zone, n in zip(ZONES, zone_counts)},
-    }

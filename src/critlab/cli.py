@@ -71,6 +71,12 @@ def _parse_rates(text: str) -> dict[str, str]:
         raise ConfigError(f"--rates expects 'speed:rate,...', got {text!r}") from exc
 
 
+def _at_least_one(flag: str, n: int) -> int:
+    if n < 1:
+        raise ConfigError(f"{flag} expects an integer >= 1, got {n}")
+    return n
+
+
 def _build_autopilot(name: str, profile: ADProfile, rates: dict[str, str] | None):
     """A variant at its factory defaults (``rates`` aside), or ``exec:<cmd>``."""
     entry = {"name": name, "variant": name, "rates": rates} if rates else name
@@ -200,14 +206,15 @@ def _run(args: argparse.Namespace) -> int:
         static, start = _static(args.vl, args.d), (args.x_e, args.v_e)
         check = determinacy_check(pilot, args.v0, start, most_critical(*start, pilot.profile, static),
                                   static, cfg.dt)
-        braking, progress = determinacy_rows([check], cfg, args.restart_every)
+        braking, progress = determinacy_rows([check], cfg,
+                                             _at_least_one("--restart-every", args.restart_every))
         print(json.dumps({"autopilot": pilot.name, "braking": braking, "progress": progress}))
         return 0
 
     if args.command == "partition":
         part = build_partition(args.x_e, _parse_speeds(args.speeds), _parse_profile(args.profile),
                                _static(args.vl))
-        result = coverage_ratio(part, args.x_f_cap, args.steps)
+        result = coverage_ratio(part, args.x_f_cap, _at_least_one("--steps", args.steps))
         print(json.dumps({
             "ratio": result.ratio,
             "covered_volume": result.covered_volume,

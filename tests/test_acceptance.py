@@ -179,14 +179,14 @@ def test_criterion_4_rationality(std_profile, std_boundary):
     for sc in ScenarioType:
         static = StaticPart(sc, vl=10.0, d=5.0)
         grid = run_grid(reference(std_profile), 20.0, 5.0, static, *_grid_axes(std_boundary))
-        is_counts[sc.value] = classify_grid(grid).counts.get("IS", 0)
+        is_counts[sc.value] = classify_grid(grid)["counts"].get("IS", 0)
     ref_ok = all(c == 0 for c in is_counts.values())
 
     static = StaticPart(ScenarioType.MERGE_YIELD, vl=10.0, d=5.0)
     grid = run_grid(
         irrational(std_profile, region), 20.0, 5.0, static, *_grid_axes(std_boundary)
     )
-    labels = by_point(grid.x_a_values, grid.x_f_values, classify_grid(grid).labels, LABELS)
+    labels = by_point(grid.x_a_values, grid.x_f_values, classify_grid(grid)["grid"][2], LABELS)
     is_cells = [k for k, lab in labels.items() if lab == "IS"]
     in_region = all(
         region[0][0] <= a <= region[0][1] and region[1][0] <= f <= region[1][1]

@@ -276,7 +276,7 @@ _AXIS_VALUE = st.sampled_from([1e-05, 1e+16, 44.0, 0.1, -0.0, 5e-324]) | st.floa
 
 @st.composite
 def grid_reports(draw):
-    """A grid report as ``grid_report_dict`` gives it, with random fields,
+    """A grid report as ``classify_grids`` gives it, with random fields,
     axes (repeated values, ``x_a`` descending in half) and cell codes."""
     x_a = draw(st.lists(_AXIS_VALUE, min_size=1, max_size=6))
     x_f = draw(st.lists(_AXIS_VALUE, min_size=1, max_size=6))

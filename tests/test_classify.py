@@ -16,13 +16,13 @@ from critlab.autopilots import (
 )
 from critlab.campaign import _raw_text_parts
 from critlab.classify import (
+    FAILURE_LABELS,
     LABELS,
     CheckAbortedError,
     GridResult,
     classify_grid,
     determinacy_check_braking,
     determinacy_check_progress,
-    grid_report_dict,
     rationality_check,
     run_grid,
 )
@@ -66,8 +66,8 @@ def synthetic_grid(merge_static, std_profile, verdicts, fill=PASS):
     )
 
 
-def labels_of(grid, cls):
-    return by_point(grid.x_a_values, grid.x_f_values, cls.labels, LABELS)
+def labels_of(grid, report):
+    return by_point(grid.x_a_values, grid.x_f_values, report["grid"][2], LABELS)
 
 
 class TestPriorityRules:
@@ -76,31 +76,31 @@ class TestPriorityRules:
             merge_static, std_profile,
             {(26.3, 13.2): PASS, (30.0, 15.0): FAIL, (35.0, 20.0): PASS, (27.0, 14.0): PASS},
         )
-        cls = classify_grid(grid)
-        assert labels_of(grid, cls)[(30.0, 15.0)] == "IS"
-        assert cls.counts["IS"] == 1
+        report = classify_grid(grid)
+        assert labels_of(grid, report)[(30.0, 15.0)] == "IS"
+        assert report["counts"]["IS"] == 1
 
     def test_undominated_failure_is_transition(self, merge_static, std_profile):
         grid = synthetic_grid(
             merge_static, std_profile,
             {(26.3, 13.2): FAIL, (30.0, 15.0): PASS, (35.0, 20.0): PASS},
         )
-        cls = classify_grid(grid)
-        assert labels_of(grid, cls)[(26.3, 13.2)] == "TF"
+        report = classify_grid(grid)
+        assert labels_of(grid, report)[(26.3, 13.2)] == "TF"
 
     def test_all_fail_is_overall_safety(self, merge_static, std_profile):
         grid = synthetic_grid(
             merge_static, std_profile,
             {(26.3, 13.2): FAIL, (30.0, 15.0): FAIL, (35.0, 20.0): FAIL}, fill=FAIL,
         )
-        assert classify_grid(grid).of_kind == "OF-SF"
+        assert classify_grid(grid)["of"]["kind"] == "OF-SF"
 
     def test_no_progress_is_performance_degradation(self, merge_static, std_profile):
         grid = synthetic_grid(
             merge_static, std_profile,
             {(26.3, 13.2): CPASS, (30.0, 15.0): CPASS, (20.0, 13.2): CPASS}, fill=CPASS,
         )
-        assert classify_grid(grid).of_kind == "OF-PD"
+        assert classify_grid(grid)["of"]["kind"] == "OF-PD"
 
     def test_overcaution_needs_margin(self, merge_static, std_profile):
         # cautious pass hugging the corner is prudence; far inside it is IO
@@ -133,12 +133,33 @@ class TestPriorityRules:
             merge_static, std_profile,
             {(26.3, 13.2): PASS, (30.0, 15.0): FAIL, (28.0, 14.0): FAIL, (35.0, 20.0): PASS},
         )
-        cls = classify_grid(grid)
+        report = classify_grid(grid)
         witnesses = rationality_check(grid)
-        assert bool(witnesses) == (cls.counts.get("IS", 0) > 0)
+        assert bool(witnesses) == (report["counts"].get("IS", 0) > 0)
         assert {w[1] for w in witnesses} == {
-            k for k, lab in labels_of(grid, cls).items() if lab == "IS"
+            k for k, lab in labels_of(grid, report).items() if lab == "IS"
         }
+
+    @pytest.mark.parametrize("verdicts, irrelevant", [
+        ({(40.0, 13.2): FAIL, (45.0, 20.0): PASS, (50.0, 15.0): CPASS}, 9),
+        ({(26.3, 13.2): PASS, (30.0, 15.0): FAIL, (28.0, 14.0): FAIL, (40.0, 14.0): FAIL,
+          (45.0, 20.0): CPASS}, 8),
+    ], ids=["x_a-wholly-at-or-past-x_tilde_a", "some-cells-irrelevant"])
+    def test_frequencies_over_all_and_relevant_cells(self, merge_static, std_profile, verdicts,
+                                                     irrelevant):
+        """``frequencies`` divide by all cells and ``frequencies_relevant``
+        by the cells outside the irrelevant zone, or read 0.0 where there are
+        none (the boundary's ``x_tilde_a`` is 40 m)."""
+        grid = synthetic_grid(merge_static, std_profile, verdicts)
+        report = classify_grid(grid)
+        counts, n_cells = report["counts"], grid.verdicts.size
+        assert report["zone_counts"][Zone.IRRELEVANT.value] == irrelevant
+        assert any(counts.get(k) for k in FAILURE_LABELS)
+        assert report["frequencies"] == {k: counts.get(k, 0) / n_cells for k in FAILURE_LABELS}
+        relevant = n_cells - irrelevant
+        assert report["frequencies_relevant"] == (
+            {k: counts.get(k, 0) / relevant for k in FAILURE_LABELS} if relevant
+            else {"TF": 0.0, "IS": 0.0, "IO": 0.0})
 
     def test_single_point_grid_has_no_witnesses(self, merge_static, std_profile):
         grid = synthetic_grid(merge_static, std_profile, {(30.0, 15.0): FAIL})
@@ -195,9 +216,9 @@ class TestLiveGrids:
     def test_reference_is_rational(self, std_profile, merge_static, std_boundary):
         xa, xf = _grid_axes(std_boundary)
         grid = run_grid(reference(std_profile), 20.0, 5.0, merge_static, xa, xf)
-        cls = classify_grid(grid)
-        assert cls.counts.get("IS", 0) == 0
-        assert cls.counts.get("IO", 0) == 0
+        report = classify_grid(grid)
+        assert report["counts"].get("IS", 0) == 0
+        assert report["counts"].get("IO", 0) == 0
         assert rationality_check(grid) == []
 
     def test_irrational_variant_fails_inside_its_region(
@@ -207,8 +228,8 @@ class TestLiveGrids:
         pilot = irrational(std_profile, region)
         xa, xf = _grid_axes(std_boundary)
         grid = run_grid(pilot, 20.0, 5.0, merge_static, xa, xf)
-        cls = classify_grid(grid)
-        is_points = [k for k, lab in labels_of(grid, cls).items() if lab == "IS"]
+        report = classify_grid(grid)
+        is_points = [k for k, lab in labels_of(grid, report).items() if lab == "IS"]
         assert is_points
         for x_a, x_f in is_points:
             assert region[0][0] <= x_a <= region[0][1]
@@ -218,7 +239,7 @@ class TestLiveGrids:
     def test_grid_report_schema(self, std_profile, merge_static, std_boundary):
         xa, xf = _grid_axes(std_boundary, n=4)
         grid = run_grid(reference(std_profile), 20.0, 5.0, merge_static, xa, xf)
-        report = grid_report_dict(grid, classify_grid(grid))
+        report = classify_grid(grid)
         assert sum(report["counts"].values()) == 16
         head, tail = _raw_text_parts(report)
         raw = json.loads(head + json.dumps("merge_yield") + tail)

@@ -376,6 +376,19 @@ class TestReportCommand:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "scenario_type,reference"
 
+    def test_markdown_header_names_the_raw_directory(self, tmp_path, capsys):
+        """A rebuilt report's header once read ``Seed None, dt None s.``: the
+        raw files hold neither, so it names where the report came from."""
+        cfg = TestCampaignCommand()._config_file(tmp_path)
+        main(["campaign", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        capsys.readouterr()
+        raw = tmp_path / "out" / "raw"
+        assert main(["report", "--raw", str(raw)]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[:3] == [
+            "# Campaign report", "", f"Rebuilt from the raw grid files under {raw}."]
+        assert "None" not in out
+
     def test_missing_raw_dir(self, tmp_path):
         assert main(["report", "--raw", str(tmp_path / "nothing")]) == 1
 
@@ -551,12 +564,17 @@ class TestErrorExits:
         (["determinacy", "--rates", "30"], "--rates"),
         (["determinacy", "--rates", "30:5.0,27.5"], "--rates"),
         (["partition", "--x-e", "20", "--speeds", "10,a"], "--speeds"),
+        (["partition", "--x-e", "20", "--speeds", "10,7.5,5", "--steps", "0"], "--steps"),
+        (["determinacy", "--restart-every", "0"], "--restart-every"),
     ], ids=["determinacy-rate-without-speed", "determinacy-second-rate-without-speed",
-            "partition-speed-a-letter"])
+            "partition-speed-a-letter", "partition-zero-steps", "determinacy-zero-restart-every"])
     def test_malformed_list_flag_is_named(self, capsys, argv, flag):
-        """Each once printed Python's own error, which named no flag
+        """A malformed list flag, or a count flag below 1, is refused by
+        name.  Each once printed an error that named no flag: Python's own
         (``dictionary update sequence element #0 has length 1``, ``could not
-        convert string to float: 'a'``)."""
+        convert string to float: 'a'``) or a library check's (``integration
+        steps must be an integer >= 1, got 0``, ``restart_every must be at
+        least 1``)."""
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag} expects ") and err.count("\n") == 1
