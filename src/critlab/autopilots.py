@@ -19,11 +19,13 @@ inside the zone only the front-vehicle braking condition is re-evaluated
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
 import select
 import shlex
+import signal
 import subprocess
 import time
 from dataclasses import dataclass
@@ -31,7 +33,7 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .kinematics import ADProfile, advance_arrays
+from .kinematics import ADProfile, advance_arrays, full_throttle, stop_distance
 from .scenario import (
     CAUTIOUS_MARGIN,
     DEFAULT_DT,
@@ -244,7 +246,8 @@ FACTORIES = {f.__name__: f for f in (
 # cell.  The tests hold it to ``scalar_step`` in ``tests/_oracles.py``, the same
 # policy written on plain numbers: the same floating-point operations in the
 # same order, so every entry equals the oracle's bit for bit.  The closed forms
-# are those of a constant ``ADProfile`` on speeds already in ``[0, v_max]``.
+# are ``kinematics.full_throttle`` and ``stop_distance``, which the oracle reads
+# through ``ADProfile``, on speeds already in ``[0, v_max]``.
 
 
 class PolicyColumns(NamedTuple):
@@ -299,24 +302,13 @@ class PolicyColumns(NamedTuple):
         return PolicyColumns(*(col[keep] for col in self))
 
 
-def _accel_time_arrays(pc: PolicyColumns, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    to_cap = (pc.v_max * pc.v_max - v * v) / (2.0 * pc.a_max)
-    ramp = (-v + np.sqrt(v * v + 2.0 * pc.a_max * x)) / pc.a_max
-    capped = (pc.v_max - v) / pc.a_max + (x - to_cap) / pc.v_max
-    return np.where(x <= to_cap, ramp, capped)
-
-
-def _accel_speed_arrays(pc: PolicyColumns, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.minimum(pc.v_max, np.sqrt(v * v + 2.0 * pc.a_max * x))
-
-
 def _progress_accel_arrays(
     pc: PolicyColumns, p: np.ndarray, v: np.ndarray, budget: np.ndarray, dt: float,
 ) -> np.ndarray:
     """Full throttle while one more accelerated step still leaves braking room."""
     p1, v1 = advance_arrays(p, v, pc.accel_rate, dt, pc.v_max)
     room = budget - np.maximum(p1, 0.0)
-    return np.where(v1 * v1 / (2.0 * pc.b_max) <= room + _EPS, pc.accel_rate, -pc.brake_rate)
+    return np.where(stop_distance(v1, pc.b_max) <= room + _EPS, pc.accel_rate, -pc.brake_rate)
 
 
 def _cautious_accel_arrays(
@@ -331,7 +323,7 @@ def _cautious_accel_arrays(
     """
     avail = target - p
     brake = ((avail <= 0.0) | (v <= brake_rate * dt)
-             | (v * v / (2.0 * brake_rate) + v * dt >= avail))
+             | (stop_distance(v, brake_rate) + v * dt >= avail))
     return np.where(v <= _EPS, 0.0, np.where(brake, -brake_rate, 0.0))
 
 
@@ -356,9 +348,9 @@ def step_arrays(
     d = static.d
     x_now = -p
     deadline = arr_x / static.vl * pc.optimism
-    ta = _accel_time_arrays(pc, x_now, v) * pc.margin_inflation
-    need_front = _accel_speed_arrays(pc, x_now, v)
-    need_front = need_front * need_front / (2.0 * pc.b_max) * pc.margin_inflation
+    ta, speed = full_throttle(pc.a_max, pc.v_max, x_now, v)
+    ta = ta * pc.margin_inflation
+    need_front = stop_distance(speed, pc.b_max) * pc.margin_inflation
     # Inside or past the zone a pilot is committed: only the front condition matters.
     committed = (p > -d) | (~pc.cautious & (ta <= deadline + _EPS) & (need_front <= x_f + _EPS))
     accel = np.where(
@@ -474,6 +466,7 @@ class ExternalAutopilot:
                 stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE,
                 bufsize=0,
+                start_new_session=True,
             )
         except OSError as exc:  # no such program, not executable, ...
             raise ProtocolError(f"external autopilot did not start: {exc}") from exc
@@ -495,19 +488,20 @@ class ExternalAutopilot:
         self._proc = proc
 
     def _stop(self) -> None:
-        """End the process, if any, and release its pipes."""
+        """End the process and its process group, if any, and release its
+        pipes: a child the pilot started, or that wraps it, ends with it."""
         proc, self._proc = self._proc, None
         if proc is None:
             return
-        if proc.poll() is None:
-            proc.stdin.close()  # type: ignore[union-attr]
-            proc.terminate()
-            try:
-                proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
-        for pipe in (proc.stdin, proc.stdout, proc.stderr):
+        proc.stdin.close()  # type: ignore[union-attr]
+        with contextlib.suppress(ProcessLookupError):  # the whole group is gone
+            os.killpg(proc.pid, signal.SIGTERM)
+        try:
+            proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:  # so the group still holds the pilot
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        for pipe in (proc.stdout, proc.stderr):
             pipe.close()  # type: ignore[union-attr]
 
     def start_case(self, tc: TestCase, dt: float) -> Decide:

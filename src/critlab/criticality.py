@@ -10,6 +10,7 @@ tightest geometry that still admits a safe crossing is
 * ``x_hat_f = braking_distance(accel_speed(x_e, v_e))`` -- the room needed to
   stop after crossing at full throttle,
 
+both written once in ``critical_corner``, for one start or an array of them,
 while ``x_tilde_a = (x_e / v_e) * vl`` is the distance beyond which even a
 constant-speed ego clears the point first, making the case undiscriminating.
 """
@@ -22,13 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import ADProfile
+from .kinematics import ADProfile, full_throttle, stop_distance
 from .scenario import StaticPart, TestCase
 
 __all__ = [
     "CriticalBoundary",
     "Zone",
     "ZONES",
+    "critical_corner",
     "most_critical",
     "classify_zone",
     "zone_codes",
@@ -72,6 +74,13 @@ ZONES = tuple(Zone)
 _CAUTIOUS_ONLY, _SAFE_PROGRESS, _IRRELEVANT, _NON_NOMINAL = map(ZONES.index, Zone)
 
 
+def critical_corner(x_e, v_e, profile: ADProfile, vl: float):
+    """``(x_hat_a, x_hat_f)`` of ego starts ``(x_e, v_e)``, numbers or arrays,
+    with ``x_e > 0`` and ``0 <= v_e <= v_max``, against arriving speed ``vl``."""
+    time, speed = full_throttle(profile.a_max, profile.v_max, x_e, v_e)
+    return time * vl, stop_distance(speed, profile.b_max)
+
+
 def most_critical(
     x_e: float, v_e: float, profile: ADProfile, static: StaticPart
 ) -> CriticalBoundary:
@@ -82,16 +91,13 @@ def most_critical(
     """
     if x_e <= 0:
         raise ValueError("x_e must be positive")
-    ta = profile.accel_time(x_e, v_e)
-    va = profile.accel_speed(x_e, v_e)
-    x_hat_a = ta * static.vl
-    x_hat_f = profile.braking_distance(va)
-    x_tilde_a = math.inf if v_e == 0 else (x_e / v_e) * static.vl
+    x, v = profile.check_distance(x_e), profile.check_speed(v_e)
+    x_hat_a, x_hat_f = critical_corner(x, v, profile, static.vl)
     return CriticalBoundary(
-        x_hat_a=x_hat_a,
-        x_hat_f=x_hat_f,
-        x_tilde_a=x_tilde_a,
-        cautious_feasible=profile.braking_distance(v_e) <= x_e,
+        x_hat_a=float(x_hat_a),
+        x_hat_f=float(x_hat_f),
+        x_tilde_a=math.inf if v_e == 0 else (x_e / v_e) * static.vl,
+        cautious_feasible=stop_distance(v, profile.b_max) <= x_e,
     )
 
 

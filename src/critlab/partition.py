@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criticality import most_critical
+from .criticality import critical_corner, most_critical
 from .kinematics import ADProfile
 from .scenario import StaticPart
 
@@ -81,11 +81,19 @@ class CoverageResult:
     x_f_cap: float
 
 
-def _interval_index(part: SpeedPartition, v: float) -> int:
-    for i, (v_hi, v_lo) in enumerate(zip(part.speeds, part.speeds[1:])):
-        if v_lo <= v <= v_hi:
-            return i
-    raise ValueError(f"speed {v} outside the partition range")
+def _envelope(part: SpeedPartition, v: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(x_hat_a, x_hat_f, corner_x_a, corner_x_f)`` of each speed in ``v``:
+    its exact corner, and its interval's corner, where a breakpoint two
+    intervals share takes the faster interval's."""
+    ascending = np.array(part.speeds[:0:-1])  # every breakpoint but the fastest
+    index = len(ascending) - np.searchsorted(ascending, v, side="right")
+    return (*critical_corner(part.x_e, v, part.profile, part.static.vl),
+            *np.array(part.corners)[index].T)
+
+
+def _count_in(mids: np.ndarray, lo, hi=np.inf):
+    """How many of the ascending ``mids`` lie in ``[lo, hi]``, per entry."""
+    return np.maximum(np.searchsorted(mids, hi, "right") - np.searchsorted(mids, lo, "left"), 0)
 
 
 def coverage_cap(part: SpeedPartition, x_f_cap: float | None, steps: int) -> float:
@@ -121,32 +129,17 @@ def coverage_ratio(
     df = x_f_cap / nf
     a_mids = (np.arange(na) + 0.5) * da
     f_mids = (np.arange(nf) + 0.5) * df
-
-    covered = 0.0
-    safe = 0.0
-    for k in range(nv):
-        v = v_lo + (k + 0.5) * dv
-        b = most_critical(part.x_e, v, part.profile, part.static)
-        idx = _interval_index(part, v)
-        corner_a, corner_f = part.corners[idx]
-        in_domain = a_mids <= b.x_tilde_a
-        n_safe_a = int(np.count_nonzero(in_domain & (a_mids >= b.x_hat_a)))
-        n_safe_f = int(np.count_nonzero(f_mids >= b.x_hat_f))
-        n_cov_a = int(np.count_nonzero(in_domain & (a_mids >= corner_a)))
-        n_cov_f = int(np.count_nonzero(f_mids >= corner_f))
-        safe += n_safe_a * n_safe_f
-        covered += n_cov_a * n_cov_f
+    v = v_lo + (np.arange(nv) + 0.5) * dv
+    with np.errstate(over="ignore"):  # speeds near 0: an infinite x_tilde_a, as on floats
+        x_tilde_a = (part.x_e / v) * vl
+    x_hat_a, x_hat_f, corner_a, corner_f = _envelope(part, v)
+    safe = int(np.sum(_count_in(a_mids, x_hat_a, x_tilde_a) * _count_in(f_mids, x_hat_f)))
+    covered = int(np.sum(_count_in(a_mids, corner_a, x_tilde_a) * _count_in(f_mids, corner_f)))
     cell = dv * da * df
     safe_volume = safe * cell
     covered_volume = covered * cell
     ratio = covered_volume / safe_volume if safe_volume > 0 else 0.0
-    return CoverageResult(
-        covered_volume=covered_volume,
-        safe_volume=safe_volume,
-        ratio=ratio,
-        steps=(nv, na, nf),
-        x_f_cap=x_f_cap,
-    )
+    return CoverageResult(covered_volume, safe_volume, ratio, (nv, na, nf), x_f_cap)
 
 
 def envelope_samples(part: SpeedPartition, n: int = 100) -> list[dict[str, float]]:
@@ -156,18 +149,7 @@ def envelope_samples(part: SpeedPartition, n: int = 100) -> list[dict[str, float
     conservative corner certifying its interval.
     """
     v_hi, v_lo = part.speeds[0], part.speeds[-1]
-    rows = []
-    for k in range(n):
-        v = v_lo + (v_hi - v_lo) * (k + 0.5) / n
-        b = most_critical(part.x_e, v, part.profile, part.static)
-        corner_a, corner_f = part.corners[_interval_index(part, v)]
-        rows.append(
-            {
-                "v": v,
-                "x_hat_a": b.x_hat_a,
-                "x_hat_f": b.x_hat_f,
-                "corner_x_a": corner_a,
-                "corner_x_f": corner_f,
-            }
-        )
-    return rows
+    v = v_lo + (v_hi - v_lo) * (np.arange(n) + 0.5) / n
+    keys = ("v", "x_hat_a", "x_hat_f", "corner_x_a", "corner_x_f")
+    rows = np.column_stack((v, *_envelope(part, v)))
+    return [dict(zip(keys, row)) for row in rows.tolist()]

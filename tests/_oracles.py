@@ -9,8 +9,12 @@ from the scenes of a run, with the profile's capability functions and
 pilot's ``start_case`` on one cell) to equal bit for bit, and ``OraclePilot``
 drives it through ``simulate``'s loop; ``progress_determinacy_scalar`` calls
 only ``simulate`` with that pilot and ``verdict``, one test case at a time,
-for the batched check to equal; and ``braking_determinacy_scalar`` brakes
-with ``kinematics.advance``, one run at a time.
+for the batched check to equal; ``braking_determinacy_scalar`` brakes
+with ``kinematics.advance``, one run at a time; and ``coverage_scalar`` and
+``envelope_scalar`` are the coverage integral and the envelope rows one speed
+at a time, each speed's boundary from ``most_critical`` and its interval
+found by a scan (``interval_index``), for the array passes of
+``partition.coverage_ratio`` and ``envelope_samples`` to equal bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +27,9 @@ import numpy as np
 
 from critlab.autopilots import AutopilotSpec
 from critlab.classify import CheckAbortedError, DeterminacyReport, RestartRecord
+from critlab.criticality import most_critical
 from critlab.kinematics import ADProfile, advance
+from critlab.partition import CoverageResult, SpeedPartition, coverage_cap
 from critlab.scenario import (
     CAUTIOUS_MARGIN,
     DEFAULT_DT,
@@ -353,3 +359,57 @@ def progress_determinacy_scalar(autopilot, tc, restart_every=5, cfg=SimConfig())
     max_dev = max((r.deviation for r in restarts if r.passed), default=0.0)
     return DeterminacyReport(maneuver="progress", restarts=restarts, tol=0.2, max_deviation=max_dev,
                              verdict_flips=flips)
+
+
+def interval_index(part: SpeedPartition, v: float) -> int:
+    """The partition interval holding speed ``v``: the faster of two at a
+    shared breakpoint."""
+    for i, (v_hi, v_lo) in enumerate(zip(part.speeds, part.speeds[1:])):
+        if v_lo <= v <= v_hi:
+            return i
+    raise ValueError(f"speed {v} outside the partition range")
+
+
+def coverage_scalar(part: SpeedPartition, x_f_cap, integration_steps: int) -> CoverageResult:
+    """``coverage_ratio`` one speed midpoint at a time."""
+    x_f_cap = coverage_cap(part, x_f_cap, integration_steps)
+    nv = na = nf = integration_steps
+    v_hi, v_lo = part.speeds[0], part.speeds[-1]
+    vl = part.static.vl
+    x_a_cap = (part.x_e / v_lo) * vl
+    dv = (v_hi - v_lo) / nv
+    da = x_a_cap / na
+    df = x_f_cap / nf
+    a_mids = (np.arange(na) + 0.5) * da
+    f_mids = (np.arange(nf) + 0.5) * df
+    covered = 0.0
+    safe = 0.0
+    for k in range(nv):
+        v = v_lo + (k + 0.5) * dv
+        b = most_critical(part.x_e, v, part.profile, part.static)
+        corner_a, corner_f = part.corners[interval_index(part, v)]
+        in_domain = a_mids <= b.x_tilde_a
+        n_safe_a = int(np.count_nonzero(in_domain & (a_mids >= b.x_hat_a)))
+        n_safe_f = int(np.count_nonzero(f_mids >= b.x_hat_f))
+        n_cov_a = int(np.count_nonzero(in_domain & (a_mids >= corner_a)))
+        n_cov_f = int(np.count_nonzero(f_mids >= corner_f))
+        safe += n_safe_a * n_safe_f
+        covered += n_cov_a * n_cov_f
+    cell = dv * da * df
+    safe_volume = safe * cell
+    covered_volume = covered * cell
+    ratio = covered_volume / safe_volume if safe_volume > 0 else 0.0
+    return CoverageResult(covered_volume, safe_volume, ratio, (nv, na, nf), x_f_cap)
+
+
+def envelope_scalar(part: SpeedPartition, n: int = 100) -> list[dict[str, float]]:
+    """``envelope_samples`` one speed at a time."""
+    v_hi, v_lo = part.speeds[0], part.speeds[-1]
+    rows = []
+    for k in range(n):
+        v = v_lo + (v_hi - v_lo) * (k + 0.5) / n
+        b = most_critical(part.x_e, v, part.profile, part.static)
+        corner_a, corner_f = part.corners[interval_index(part, v)]
+        rows.append({"v": v, "x_hat_a": b.x_hat_a, "x_hat_f": b.x_hat_f,
+                     "corner_x_a": corner_a, "corner_x_f": corner_f})
+    return rows

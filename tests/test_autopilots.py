@@ -3,7 +3,9 @@ import gc
 import itertools
 import json
 import math
+import os
 import shlex
+import signal
 import sys
 import time
 import warnings
@@ -455,6 +457,37 @@ class TestExternalAutopilot:
         assert "chatter 001999" in detail and "chatter 000000" not in detail
         assert len(detail) < critlab.autopilots.STDERR_TAIL_BYTES + 200
 
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+    def test_a_wrapped_pilot_ends_with_its_wrapper(
+        self, std_profile, merge_static, monkeypatch, hang_guard, tmp_path
+    ):
+        """A pilot started through a wrapper kept stalling after the bridge
+        had stopped the wrapper for its missed deadline: only the wrapper
+        was signalled."""
+        monkeypatch.setattr(critlab.autopilots, "STEP_DEADLINE_S", 1.0, raising=False)
+        pidfile = tmp_path / "pid"
+        script = f'sh -c "echo \\$\\$ > {pidfile}; exec {EXTERNAL} sleep"; true'
+        tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=30.0, x_f=14.0)
+        with _group_member(pidfile) as pid, hang_guard(10.0):
+            pilot = ExternalAutopilot(f"bash -c {shlex.quote(script)}", std_profile)
+            with pytest.raises(ProtocolError, match="missed its deadline"):
+                _first_step(pilot, tc)
+            pilot.close()
+            assert _ends(pid())
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+    def test_a_child_holding_the_output_ends_with_the_pilot(
+        self, std_profile, merge_static, hang_guard, tmp_path
+    ):
+        """A child the pilot left holding its stdout outlived ``close()``."""
+        pidfile = tmp_path / "pid"
+        script = f"sleep 60 & echo $! > {pidfile}; exec {EXTERNAL} cautious"
+        tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=30.0, x_f=14.0)
+        with _group_member(pidfile) as pid, hang_guard(10.0):
+            with ExternalAutopilot(f"bash -c {shlex.quote(script)}", std_profile) as pilot:
+                assert verdict(simulate(pilot, tc, SimConfig())).kind is VerdictKind.CAUTIOUS_PASS
+            assert _ends(pid())
+
     def test_close_and_restart_leave_nothing_open(self, std_profile, merge_static):
         tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=30.0, x_f=14.0)
         with warnings.catch_warnings(record=True) as caught:
@@ -470,6 +503,39 @@ class TestExternalAutopilot:
             del pilot, first
             gc.collect()
         assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+@contextlib.contextmanager
+def _group_member(pidfile: Path):
+    """Yields a function that reads the pid a pilot wrote to ``pidfile``;
+    on exit, kills that process should the test have left it running."""
+    pids = []
+
+    def read() -> int:
+        pids.append(int(pidfile.read_text()))
+        return pids[-1]
+
+    try:
+        yield read
+    finally:
+        for pid in pids:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+
+
+def _ends(pid: int, within: float = 2.0) -> bool:
+    """Whether process ``pid`` is gone, or a zombie, within ``within`` s."""
+    stat = Path(f"/proc/{pid}/stat")
+    deadline = time.monotonic() + within
+    while True:
+        try:
+            if stat.read_text().rsplit(")", 1)[1].split()[0] == "Z":
+                return True
+        except FileNotFoundError:
+            return True
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.02)
 
 
 # -- the stand-in bridge ------------------------------------------------------------

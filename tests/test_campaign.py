@@ -97,6 +97,14 @@ class TestConfig:
         config = load_config(None)
         assert len(config.raw["autopilots"]) == 8
 
+    def test_grid_axes_are_python_floats(self):
+        """The axes are closed forms of the boundary: an ``np.float64`` from
+        its array forms would be written as the same JSON, but an external
+        pilot renders only ``float``s from its number-text memo."""
+        for grids in load_config(None).grids.values():
+            for _, _, x_a, x_f, _ in grids:
+                assert {type(x) for x in x_a + x_f} == {float}
+
 
 class TestCellText:
     def test_reference_result_matrix_fixture(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -28,6 +29,16 @@ class TestMostCritical:
         b = most_critical(11.05, 5.0, profile, static)
         assert b.x_hat_a == pytest.approx(27.6, abs=1e-9)
         assert b.x_hat_f == pytest.approx(12.6, abs=1e-9)
+
+    @pytest.mark.parametrize("v_e", [0.0, 5.0, 15.0], ids=["stationary", "slow", "v_max"])
+    def test_fields_are_python_floats(self, std_profile, merge_static, v_e):
+        """The boundary comes from the array forms on one start: an
+        ``np.float64`` leaking from them would reach the grid axes and the
+        external pilots' scenes, and miss their number-text memo."""
+        b = most_critical(20.0, v_e, std_profile, merge_static)
+        types = {f.name: type(getattr(b, f.name)) for f in dataclasses.fields(b)}
+        assert types == {"x_hat_a": float, "x_hat_f": float, "x_tilde_a": float,
+                         "cautious_feasible": bool}
 
     def test_boundary_monotone_in_speed(self, std_profile, merge_static):
         speeds = [1.0 + 0.5 * i for i in range(28)]

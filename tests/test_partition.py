@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from _oracles import coverage_scalar, envelope_scalar
 from critlab.autopilots import reference
 from critlab.criticality import most_critical
+from critlab.kinematics import ADProfile
 from critlab.partition import build_partition, coverage_cap, coverage_ratio, envelope_samples
-from critlab.scenario import TestCase
+from critlab.scenario import ScenarioType, StaticPart, TestCase
 from critlab.simulator import SimConfig, VerdictKind, simulate, verdict
 
 
@@ -144,3 +148,37 @@ class TestEnvelopeSamples:
         for row in rows:
             assert row["corner_x_a"] >= row["x_hat_a"] - 1e-9
             assert row["corner_x_f"] >= row["x_hat_f"] - 1e-9
+
+
+@st.composite
+def _coverage_inputs(draw):
+    """A partition of 2-5 drawn speeds in ``(0, v_max]``, integration steps,
+    and a null ``x_f`` cap or one at or above the largest corner."""
+    profile = draw(st.builds(ADProfile, st.floats(0.5, 6.0), st.floats(1.0, 9.0),
+                             st.floats(1.0, 40.0)))
+    static = StaticPart(ScenarioType.MERGE_YIELD, vl=draw(st.floats(1.0, 30.0)), d=5.0)
+    speeds = draw(st.lists(st.floats(0.0, profile.v_max, exclude_min=True),
+                           min_size=2, max_size=5, unique=True))
+    part = build_partition(draw(st.floats(0.5, 100.0)), sorted(speeds, reverse=True),
+                           profile, static)
+    largest = max(f for _, f in part.corners)
+    cap = draw(st.none() | st.floats(largest, 4.0 * largest + 1.0))
+    return part, cap, draw(st.integers(1, 120))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_coverage_inputs())
+@example((build_partition(20.0, (10.0, 7.5, 5.0), ADProfile(2.0, 4.0, 15.0),
+                          StaticPart(ScenarioType.MERGE_YIELD, vl=10.0, d=5.0)), None, 1))
+def test_array_coverage_equals_the_scalar_oracle(inputs):
+    """The coverage integral and the envelope rows, one array pass over the
+    speeds, equal the per-speed loop bit for bit; the example's one speed
+    midpoint is the breakpoint 7.5, which the faster interval takes."""
+    part, cap, steps = inputs
+    got, want = coverage_ratio(part, cap, steps), coverage_scalar(part, cap, steps)
+    for field in ("covered_volume", "safe_volume", "ratio"):
+        assert float.hex(getattr(got, field)) == float.hex(getattr(want, field)), field
+    assert (got.steps, got.x_f_cap) == (want.steps, want.x_f_cap)
+    rows, oracle_rows = envelope_samples(part, steps), envelope_scalar(part, steps)
+    assert [{k: (type(x), float.hex(x)) for k, x in row.items()} for row in rows] == [
+        {k: (type(x), float.hex(x)) for k, x in row.items()} for row in oracle_rows]
