@@ -246,8 +246,8 @@ FACTORIES = {f.__name__: f for f in (
 # cell.  The tests hold it to ``scalar_step`` in ``tests/_oracles.py``, the same
 # policy written on plain numbers: the same floating-point operations in the
 # same order, so every entry equals the oracle's bit for bit.  The closed forms
-# are ``kinematics.full_throttle`` and ``stop_distance``, which the oracle reads
-# through ``ADProfile``, on speeds already in ``[0, v_max]``.
+# are ``kinematics.full_throttle`` and ``stop_distance``, which the oracle writes
+# on floats, on speeds already in ``[0, v_max]``.
 
 
 class PolicyColumns(NamedTuple):
@@ -376,17 +376,6 @@ _READ_SIZE = 65536
 _TEXTS_MAX = 4096
 
 
-def _number(x) -> str:
-    """``json.dumps(x)`` of a scene number, at the cost of one ``repr``.
-
-    ``float.__repr__`` is what ``json`` writes for a finite float, numpy
-    floats included, where ``repr`` would write ``np.float64(...)``.
-    """
-    if isinstance(x, float) and math.isfinite(x):
-        return float.__repr__(x)
-    return json.dumps(x)
-
-
 class _Texts(dict):
     """The ``float.__repr__`` text of each finite float it is indexed by.
 
@@ -423,8 +412,11 @@ def _decode_line(text: str):
     return value if text[end:] == "\n" else _decode(text)
 
 
-# The ``json`` text of each light ``StaticPart.light_at`` gives.
-_LIGHT_TEXT = {None: "null", Light.GREEN: '"green"', Light.RED: '"red"'}
+# The ``json`` text of each light a red phase alternates.
+_LIGHT_TEXT = {light: json.dumps(light) for light in Light}
+# A field of a scene template that each step fills in, and its ``json`` text.
+_SLOT = "\0"
+_SLOT_TEXT = json.dumps(_SLOT)
 
 
 class ExternalAutopilot:
@@ -513,36 +505,31 @@ class ExternalAutopilot:
         and a newline, byte for byte.  Of a case's scenes, only ``t``, the
         ego, the arriving vehicle's ``x_a - vl * t``, an arriving extra
         vehicle's ``x - vl * t`` and a light that has a red phase change from
-        step to step; the rest is rendered here, once.  The four numbers
-        every step has are written from the pilot's ``_Texts`` memo when all
-        four are finite floats, and through ``_number`` otherwise: ``1`` and
-        ``1.0``, or ``0.0`` and ``-0.0``, are written differently.
+        step to step.  The template is ``json.dumps`` of the payload with a
+        ``_SLOT`` in each of those fields, rendered here, once, with each
+        slot's text turned into ``%s``.  The four numbers every step has are
+        written from the pilot's ``_Texts`` memo when all four are finite
+        floats, and through ``json.dumps`` otherwise: ``1`` and ``1.0``, or
+        ``0.0`` and ``-0.0``, are written differently.
         """
         if self._proc is None or self._proc.poll() is not None:
             self._start()
         static = tc.static
         vl, x_a = static.vl, tc.x_a
         movers = tuple(m.x for m in tc.mutations if m.kind == "arriving")
-        extra = "[" + ", ".join(
-            '{"kind": "arriving", "x": %s}' if m.kind == "arriving"
-            else '{"kind": "static", "x": ' + _number(m.x) + "}"
-            for m in tc.mutations
-        ) + "]"
-        light_at = static.light_at
         if (static.scenario_type is ScenarioType.INTERSECTION_LIGHT
                 and static.light_schedule is not None):
-            light = "%s"
+            light, light_at = _SLOT, static.light_at
         else:  # no light, or one that is always green
-            light, light_at = _LIGHT_TEXT[light_at(0.0)], None
-        tail = json.dumps({
-            "scenario_type": static.scenario_type.value, "d": static.d, "vl": vl,
-        }).replace("%", "%%")
-        template = (
-            '{"t": %s, "dt": ' + _number(dt) + ', "ego": {"x": %s, "v": %s}, '
-            '"arriving": {"x": %s, "v": ' + _number(vl) + '}, '
-            '"front": {"x": ' + _number(tc.x_f) + ', "v": 0.0}, '
-            '"extra": ' + extra + ', "light": ' + light + ', "static": ' + tail + "}\n"
-        )
+            light, light_at = static.light_at(0.0), None
+        template = json.dumps({
+            "t": _SLOT, "dt": dt, "ego": {"x": _SLOT, "v": _SLOT},
+            "arriving": {"x": _SLOT, "v": vl}, "front": {"x": tc.x_f, "v": 0.0},
+            "extra": [{"kind": m.kind, "x": _SLOT if m.kind == "arriving" else m.x}
+                      for m in tc.mutations],
+            "light": light,
+            "static": {"scenario_type": static.scenario_type.value, "d": static.d, "vl": vl},
+        }).replace("%", "%%").replace(_SLOT_TEXT, "%s") + "\n"
         texts = self._texts
 
         def render(t, x, v) -> bytes:
@@ -551,9 +538,9 @@ class ExternalAutopilot:
                     t + x + v + arriving_x):
                 numbers = (texts[t], texts[x], texts[v], texts[arriving_x])
             else:
-                numbers = tuple(map(_number, (t, x, v, arriving_x)))
+                numbers = tuple(map(json.dumps, (t, x, v, arriving_x)))
             if movers:
-                numbers += tuple(_number(m - vl * t) for m in movers)
+                numbers += tuple(json.dumps(m - vl * t) for m in movers)
             if light_at:
                 numbers += (_LIGHT_TEXT[light_at(t)],)
             return (template % numbers).encode()

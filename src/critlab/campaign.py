@@ -49,7 +49,7 @@ from .classify import (
 )
 from .criticality import ZONES, most_critical
 from .kinematics import ADProfile
-from .partition import COVERAGE_STEPS, build_partition, coverage_cap, coverage_ratio
+from .partition import COVERAGE_STEPS, build_partition, coverage_ratio
 from .scenario import (
     DEFAULT_D,
     DEFAULT_DT,
@@ -240,8 +240,9 @@ class CampaignConfig:
 
         # The partition, the grids' boundaries and a run's step count read
         # only the speed limit, which every scenario type shares: one
-        # partition serves the coverage row of every type, and one plan the
-        # runs.  A step count must stay below 2**63 (``horizon_steps`` raises).
+        # partition and its coverage, computed here, serve the coverage row
+        # of every type, and one plan the runs.  A step count must stay
+        # below 2**63 (``horizon_steps`` raises).
         static, dt = self.static_for(self.scenario_types[0]), self._sim.dt
         p = self._section("partition")
         _check_numbers(p["speeds"], "partition speeds")
@@ -250,8 +251,7 @@ class CampaignConfig:
             raise ConfigError(f"partition steps must be an integer >= 1, "
                               f"got {json.dumps(p['steps'])}")
         self.partition = build_partition(self.initial_states[0][0], p["speeds"], self.profile, static)
-        self.coverage_steps = p["steps"]
-        self.x_f_cap = coverage_cap(self.partition, p["x_f_cap"], self.coverage_steps)
+        self.coverage = coverage_ratio(self.partition, p["x_f_cap"], p["steps"])
 
         # One pass per autopilot entry: build the pilot, check it, and plan
         # its runs, so that a config either runs or is refused before any of
@@ -721,8 +721,7 @@ def _determinacy_rows(checks: list[tuple], reports: list, restart_every: int,
 
 
 def _coverage_summaries(config) -> list[dict]:
-    part = config.partition
-    result = coverage_ratio(part, config.x_f_cap, config.coverage_steps)
+    part, result = config.partition, config.coverage
     return [
         {
             "scenario_type": sc.value,

@@ -12,6 +12,7 @@ threshold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,7 +119,12 @@ def coverage_ratio(
     part: SpeedPartition, x_f_cap: float | None, integration_steps: int = COVERAGE_STEPS
 ) -> CoverageResult:
     """Midpoint-rule volume of staircase-covered versus exactly-safe space,
-    with ``integration_steps`` cells on each of the ``(v, x_a, x_f)`` axes."""
+    with ``integration_steps`` cells on each of the ``(v, x_a, x_f)`` axes.
+
+    A result whose volumes or ratio are not finite (a slowest speed so near
+    0, or an ``x_e`` or ``x_f_cap`` so large, that a volume overflows) is
+    refused with a ``ValueError``: JSON has no text for it.
+    """
     x_f_cap = coverage_cap(part, x_f_cap, integration_steps)
     nv = na = nf = integration_steps
     v_hi, v_lo = part.speeds[0], part.speeds[-1]
@@ -139,6 +145,10 @@ def coverage_ratio(
     safe_volume = safe * cell
     covered_volume = covered * cell
     ratio = covered_volume / safe_volume if safe_volume > 0 else 0.0
+    if not all(map(math.isfinite, (covered_volume, safe_volume, ratio))):
+        raise ValueError(f"coverage of speeds {list(part.speeds)} from x_e {part.x_e} with "
+                         f"x_f_cap {x_f_cap} is not finite: covered volume {covered_volume}, "
+                         f"safe volume {safe_volume}")
     return CoverageResult(covered_volume, safe_volume, ratio, (nv, na, nf), x_f_cap)
 
 

@@ -4,7 +4,7 @@ Everything here integrates trajectories step by step (forward Euler unless
 noted) or enumerates frames exhaustively; the library is never called, so
 these can sit on the other side of an equality check.  Three exceptions:
 ``scalar_step`` is the built-in pilots' policy written on plain numbers, read
-from the scenes of a run, with the profile's capability functions and
+from the scenes of a run, with its own closed forms on floats and
 ``kinematics.advance``, for the array policy (``step_arrays``, and a built-in
 pilot's ``start_case`` on one cell) to equal bit for bit, and ``OraclePilot``
 drives it through ``simulate``'s loop; ``progress_determinacy_scalar`` calls
@@ -86,6 +86,18 @@ def _cautious_accel(v: float, p: float, target: float, brake_rate: float, dt: fl
     return 0.0
 
 
+def _full_throttle(a_max: float, v_max: float, x: float, v: float) -> tuple[float, float]:
+    """``(time, speed)`` to cover ``x`` from speed ``v`` at full throttle
+    ``a_max`` capped at ``v_max``."""
+    root = math.sqrt(v * v + 2.0 * a_max * x)
+    to_cap = (v_max * v_max - v * v) / (2.0 * a_max)
+    if x <= to_cap:
+        time = (-v + root) / a_max
+    else:
+        time = (v_max - v) / a_max + (x - to_cap) / v_max
+    return time, min(v_max, root)
+
+
 def scalar_step(
     spec: AutopilotSpec,
     scene: Scene,
@@ -122,8 +134,8 @@ def scalar_step(
     wants_progress = False
     if spec.variant not in ("always_cautious",):
         deadline = arr_x / static.vl
-        ta = profile.accel_time(x_now, v)
-        need_front = profile.braking_distance(profile.accel_speed(x_now, v))
+        ta, speed = _full_throttle(profile.a_max, profile.v_max, x_now, v)
+        need_front = speed * speed / (2.0 * profile.b_max)
         if spec.variant == "transition_flawed":
             deadline = deadline * spec.optimism
         if spec.variant == "overcautious":

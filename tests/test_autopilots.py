@@ -8,6 +8,7 @@ import shlex
 import signal
 import sys
 import time
+import types
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -787,13 +788,15 @@ def test_reply_accel_must_be_a_number(accel):
 
 def test_a_case_renders_its_template_once(monkeypatch, std_profile, merge_static):
     """Each case renders the numbers that stay put, ``dt``, the arriving
-    vehicle's speed and the front vehicle's ``x``, once, when it starts;
-    ``simulate`` steps on floats, so no step goes through ``_number``."""
-    rendered = []
-    number = critlab.autopilots._number
-    monkeypatch.setattr(critlab.autopilots, "_number", lambda x: rendered.append(x) or number(x))
+    vehicle's speed and the front vehicle's ``x``, once, when it starts: one
+    ``json.dumps`` of its payload.  ``simulate`` steps on floats, so no step
+    calls ``json.dumps``."""
+    dumped = []
+    monkeypatch.setattr(critlab.autopilots, "json", types.SimpleNamespace(
+        dumps=lambda obj: dumped.append(obj) or json.dumps(obj)))
     pilot = _Replies(itertools.repeat(b'{"mode": "cautious", "accel": -4.0}\n'), std_profile)
     steps = [simulate(pilot, TestCase(merge_static, 20.0, 5.0, x_a, x_f), SimConfig()).steps
              for x_a, x_f in ((30.0, 14.0), (31.0, 15.0))]
     assert min(steps) > 10
-    assert rendered == [0.1, 10.0, 14.0, 0.1, 10.0, 15.0]
+    rendered = [(p["dt"], p["arriving"]["v"], p["front"]["x"]) for p in dumped]
+    assert rendered == [(0.1, 10.0, 14.0), (0.1, 10.0, 15.0)]

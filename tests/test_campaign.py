@@ -1015,6 +1015,8 @@ class TestLoadTimeRejection:
         {"sim": {"dt": 1e-300}},
         {"autopilots": ["reference"], "initial_states": [[20.0, 5.0]],
          "grid": {"a_hi_tilde": 1e-17}},
+        {"partition": {"speeds": [10.0, 1e-320]}},
+        {"partition": {"x_f_cap": 1e308}},
     ]] + [
         ({"profile": None}, "profile must be a JSON object, got null"),
         ({"static": None}, "static must be a JSON object, got null"),
@@ -1064,7 +1066,8 @@ class TestLoadTimeRejection:
         "scenario-type-repeated", "name-with-nul", "start-speed-true", "grid-a_lo-true",
         "braking-check-on-an-external-pilot", "variant-on-an-external-pilot",
         "start-with-runs-past-int64-steps", "dt-with-runs-past-int64-steps",
-        "grid-x_a-axis-reaching-zero",
+        "grid-x_a-axis-reaching-zero", "partition-speed-near-zero-overflowing-coverage",
+        "partition-cap-overflowing-coverage",
         "profile-null", "static-null", "grid-an-array", "partition-null", "sim-a-number",
         "pilot-profile-null", "autopilots-a-string", "scenario-types-a-string",
         "initial-state-a-number", "initial-state-one-number", "initial-state-speed-a-string",

@@ -189,6 +189,27 @@ class TestCampaignCommand:
         assert {"cells", "builtin_grids"} <= keys
         assert sorted(key for key in keys if f"`{key}`" not in readme) == []
 
+    @pytest.mark.parametrize("autopilots", [
+        DEFAULT_CONFIG["autopilots"], [{"name": "cautious", "command": EXTERNAL + " cautious"}],
+    ], ids=["default", "exec"])
+    def test_every_json_file_is_strict_json(self, tmp_path, capsys, autopilots):
+        """``report.json``, ``metrics.json`` and every raw file of a 3x3
+        campaign parse without ``NaN``, ``Infinity`` or ``-Infinity``, which
+        ``json.dumps`` writes but JSON has no text for."""
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**DEFAULT_CONFIG, "autopilots": autopilots,
+                                   "grid": {"n_a": 3, "n_f": 3}}))
+        out = tmp_path / "out"
+        main(["campaign", "--config", str(cfg), "--out", str(out)])
+        raw = sorted((out / "raw").glob("*/*/*.json"))
+        n_grids = len(DEFAULT_CONFIG["scenario_types"]) * len(DEFAULT_CONFIG["initial_states"])
+        assert len(raw) == len(autopilots) * n_grids
+        for path in [out / "report.json", out / "metrics.json", *raw]:
+            json.loads(path.read_text(), parse_constant=refuse)
+
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"typo": 1, "scenario_types": ["merge_yield"]}))

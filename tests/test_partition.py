@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -170,15 +172,25 @@ def _coverage_inputs(draw):
 @given(_coverage_inputs())
 @example((build_partition(20.0, (10.0, 7.5, 5.0), ADProfile(2.0, 4.0, 15.0),
                           StaticPart(ScenarioType.MERGE_YIELD, vl=10.0, d=5.0)), None, 1))
+@example((build_partition(20.0, (10.0, 1e-308), ADProfile(2.0, 4.0, 15.0),
+                          StaticPart(ScenarioType.MERGE_YIELD, vl=10.0, d=5.0)), None, 100))
 def test_array_coverage_equals_the_scalar_oracle(inputs):
     """The coverage integral and the envelope rows, one array pass over the
-    speeds, equal the per-speed loop bit for bit; the example's one speed
-    midpoint is the breakpoint 7.5, which the faster interval takes."""
+    speeds, equal the per-speed loop bit for bit; the first example's one
+    speed midpoint is the breakpoint 7.5, which the faster interval takes.
+    Where the loop's volumes or ratio are not finite (the second example's
+    slowest speed overflows ``x_a``'s cap), the integral is refused."""
     part, cap, steps = inputs
-    got, want = coverage_ratio(part, cap, steps), coverage_scalar(part, cap, steps)
-    for field in ("covered_volume", "safe_volume", "ratio"):
-        assert float.hex(getattr(got, field)) == float.hex(getattr(want, field)), field
-    assert (got.steps, got.x_f_cap) == (want.steps, want.x_f_cap)
+    want = coverage_scalar(part, cap, steps)
+    fields = ("covered_volume", "safe_volume", "ratio")
+    if all(math.isfinite(getattr(want, field)) for field in fields):
+        got = coverage_ratio(part, cap, steps)
+        for field in fields:
+            assert float.hex(getattr(got, field)) == float.hex(getattr(want, field)), field
+        assert (got.steps, got.x_f_cap) == (want.steps, want.x_f_cap)
+    else:
+        with pytest.raises(ValueError, match="not finite"):
+            coverage_ratio(part, cap, steps)
     rows, oracle_rows = envelope_samples(part, steps), envelope_scalar(part, steps)
     assert [{k: (type(x), float.hex(x)) for k, x in row.items()} for row in rows] == [
         {k: (type(x), float.hex(x)) for k, x in row.items()} for row in oracle_rows]
