@@ -174,12 +174,14 @@ class CampaignConfig:
     raw: dict
 
     def __post_init__(self) -> None:
+        start = time.perf_counter()
         try:
             self._build()
         except ConfigError:
             raise
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"invalid config: {type(exc).__name__}: {exc}") from exc
+        self.load_s = time.perf_counter() - start  # s, checking and planning
 
     def _section(self, key: str) -> dict:
         return {**DEFAULT_CONFIG[key], **self.raw.get(key, {})}
@@ -570,7 +572,8 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
     cells = {(sc.value, pilot.name): CampaignCell(autopilot=pilot.name, scenario_type=sc.value)
              for pilot in pilots for sc in scenario_types}
     grid_work = Counter()  # of every grid simulated, summed with ``update`` to keep zeros
-    stage_s = {"builtin_grids": 0.0, "external_grids": 0.0, "raw_files": 0.0, "determinacy": 0.0}
+    stage_s = {"load": config.load_s, "builtin_grids": 0.0, "external_grids": 0.0,
+               "raw_files": 0.0, "determinacy": 0.0}
     made: set[Path] = set()  # the raw directories made so far
 
     def record(pilot, types: list[ScenarioType], report: dict) -> None:
@@ -652,17 +655,14 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
     determinacy = _determinacy_rows(
         checks, progress_reports(bases, riders.codes, riders.v_cross), RESTART_EVERY, sim_cfg.dt)
     stage_s["determinacy"] += time.perf_counter() - start
-    start = time.perf_counter()
-    coverage = _coverage_summaries(config)
-    stage_s["coverage"] = time.perf_counter() - start
 
     # ``metrics.json``: the work, as ``classify._run_cells`` counts it, and
-    # the wall time of each stage, in seconds.
+    # the wall time of each stage, in seconds, the config's load included.
     n = grid_work["cells"]
     grids = {**grid_work, "early_exit_frac": grid_work["early_exits"] / n if n else 0.0}
     return CampaignReport(
         scenario_types=[s.value for s in scenario_types], autopilot_names=[p.name for p in pilots],
-        cells=cells, determinacy=determinacy, coverage=coverage,
+        cells=cells, determinacy=determinacy, coverage=_coverage_summaries(config),
         meta={"seed": config.raw.get("seed", 0), "dt": sim_cfg.dt, "workers": workers},
         metrics={"grids": grids, "determinacy": dict(determinacy_work), "stage_s": stage_s})
 

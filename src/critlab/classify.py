@@ -36,14 +36,14 @@ from .criticality import (
 from .kinematics import advance_arrays
 from .scenario import DEFAULT_DT, StaticPart, TestCase
 from .simulator import (
-    VERDICT_CODES,
     VERDICTS,
+    Runs,
     SimConfig,
     VerdictKind,
     lockstep_applies,
     simulate,
     simulate_lockstep,
-    verdict,
+    verdict,  # noqa: F401  re-exported: callers look it up on this module
     verdict_arrays,
 )
 
@@ -121,12 +121,14 @@ def _run_cells(static: StaticPart, runs: Sequence[Run], cfg: SimConfig, work: Co
     C order, or its one geometry; a cell's horizon is the one
     ``TestCase.steps`` sizes at ``cfg.dt``.  A call whose pilots the
     lockstep engine can all run (``lockstep_applies``: built-in autopilots)
-    is one ``simulate_lockstep`` call, graded by ``verdict_arrays`` with no
-    ``TestCase``; the cells of any other call go through ``simulate`` and
-    ``verdict``, one ``TestCase`` at a time, in order, keeping only what is
-    returned.  Returns each cell's verdict code (its index in ``VERDICTS``),
-    crossing speed (0.0 where it did not cross) and, if ``states`` asks for
-    them, ``SimOutcome.states`` (None otherwise), in run order.
+    is one ``simulate_lockstep`` call, with no ``TestCase``; the cells of
+    any other call go through ``simulate``, one ``TestCase`` at a time, in
+    order, and their one-cell records are joined into one as they come,
+    each trace let go unless ``states`` asks for it.  Either record
+    is graded by one ``verdict_arrays`` call.  Returns each cell's verdict
+    code (its index in ``VERDICTS``), crossing speed (0.0 where it did not
+    cross) and, if ``states`` asks for them, its states (None otherwise),
+    in run order.
 
     Adds the work done to ``work``, every key on every call: ``cells``,
     ``cell_steps`` (policy steps over all cells), ``early_exits`` (cells ended
@@ -141,20 +143,12 @@ def _run_cells(static: StaticPart, runs: Sequence[Run], cfg: SimConfig, work: Co
     x_a, x_f = (np.concatenate(col or [()], axis=None, dtype=float) for col in (run_a, run_f))
     batched = run.size > 0 and all(lockstep_applies(pilot) for pilot in pilots)
     if batched:
-        lockstep = simulate_lockstep(pilots, static, x_e, v_e, run, x_a, x_f, cfg, states)
-        codes, v_cross, traces = verdict_arrays(lockstep), lockstep.v_cross, lockstep.states
-        steps, early = lockstep.steps, lockstep.steps < lockstep.horizon
+        done = simulate_lockstep(pilots, static, x_e, v_e, run, x_a, x_f, cfg, states)
     else:
-        codes, v_cross = np.zeros(run.size, dtype=int), np.zeros(run.size)
-        steps, early = np.zeros(run.size, dtype=int), np.zeros(run.size, dtype=bool)
-        traces = [] if states else None
-        for i, (r, a, f) in enumerate(zip(run.tolist(), x_a.tolist(), x_f.tolist())):
-            out = simulate(pilots[r], TestCase(static, x_e[r], v_e[r], a, f), cfg)
-            codes[i] = VERDICT_CODES[verdict(out)]
-            v_cross[i] = 0.0 if out.v_cross is None else out.v_cross
-            steps[i], early[i] = out.steps, out.steps < out.tc.horizon
-            if states:
-                traces.append(out.states)
+        done = Runs.join(static, cfg, (
+            simulate(pilots[r], TestCase(static, x_e[r], v_e[r], a, f), cfg)
+            for r, a, f in zip(run.tolist(), x_a.tolist(), x_f.tolist())), states)
+    codes, steps, early = verdict_arrays(done), done.steps, done.steps < done.horizon
     own = sum(sizes[:len(sizes) - riders])
     for counter, cells, engine in ((work, slice(own), batched),
                                    (rider_work, slice(own, None), False)):
@@ -164,7 +158,7 @@ def _run_cells(static: StaticPart, runs: Sequence[Run], cfg: SimConfig, work: Co
                            early_exits=int(early[cells].sum()), lockstep_batches=int(engine),
                            lockstep_steps=int(steps.max()) if engine else 0,
                            scalar_simulate_calls=0 if batched else n)
-    return codes, v_cross, traces
+    return codes, done.v_cross, done.states
 
 
 @dataclass

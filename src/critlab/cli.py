@@ -40,8 +40,9 @@ from .scenario import (
     scenario_to_csv,
     scenario_to_json,
     test_case_from_dict,
+    trace_frames,
 )
-from .simulator import SimConfig, simulate, verdict
+from .simulator import SimConfig, event_list, simulate, verdict
 
 OUT_ENV = "CRITLAB_OUT"
 PROFILE = "{a_max},{b_max},{v_max}".format(**DEFAULT_CONFIG["profile"])
@@ -168,23 +169,23 @@ def _run(args: argparse.Namespace) -> int:
         pilot = _build_autopilot(args.autopilot, _parse_profile(args.profile), None)
         cfg = SimConfig(dt=args.dt, zone_epsilon=args.zone_epsilon)
         try:
-            outcome = simulate(pilot, tc, cfg)
+            runs = simulate(pilot, tc, cfg)
         finally:
             if isinstance(pilot, ExternalAutopilot):
                 pilot.close()
-        vd = verdict(outcome)
+        vd = verdict(runs)
         print(json.dumps({
             "verdict": vd.kind.value,
             "reason": vd.reason,
-            "events": [{"kind": e.kind.value, "t": round(e.t, 6)} for e in outcome.events],
-            "final": {"x": outcome.final.x, "v": outcome.final.v},
+            "events": [{"kind": kind.value, "t": round(t, 6)} for kind, t in event_list(runs)],
+            "final": {"x": runs.final_p.item(), "v": runs.final_v.item()},
         }))
         if args.out:
-            path = Path(args.out)
+            path, frames = Path(args.out), trace_frames(tc, runs.states[0], cfg.dt)
             if path.suffix == ".json":
-                path.write_text(scenario_to_json(tc.static, outcome.frames))
+                path.write_text(scenario_to_json(tc.static, frames))
             else:
-                path.write_text(scenario_to_csv(outcome.frames))
+                path.write_text(scenario_to_csv(frames))
         return 0
 
     if args.command == "campaign":

@@ -44,6 +44,7 @@ __all__ = [
     "env_at",
     "environment",
     "expand",
+    "trace_frames",
     "equivalence_mutations",
     "collision_window",
     "default_goal",
@@ -268,6 +269,18 @@ def expand(tc: TestCase, dt: float = DEFAULT_DT) -> list[EnvState]:
         raise ValueError(f"dt must be positive and finite: {dt}")
     env = environment(tc)
     return [env(i * dt) for i in range(tc.steps(dt) + 1)]
+
+
+def trace_frames(tc: TestCase, states, dt: float) -> list[Scene]:
+    """The scenes of a run of ``tc`` whose ego took the ``(x, v)`` ``states``,
+    ``dt`` apart from the start: the environment as ``environment(tc)``
+    gives it."""
+    env = environment(tc)
+    frames = []
+    for k, (x, v) in enumerate(states):
+        t = k * dt if k else 0.0
+        frames.append(Scene(t=t, ego=EgoState(x, v), env=env(t)))
+    return frames
 
 
 def equivalence_mutations(tc: TestCase, headway: float) -> list[TestCase]:

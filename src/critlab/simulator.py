@@ -10,12 +10,14 @@ way; mere co-occupancy of the zone is recorded as its own event and never
 fails a run.
 
 ``simulate`` runs one case with any autopilot, stepping on plain numbers
-through one decision function per run, records its trace as ego states, and
-is the reference.  ``simulate_lockstep`` runs many cases over one static part
-together, one numpy array step per time step, for any mix of built-in
-autopilots; it gives every case the outcome ``simulate`` gives it, crossing
-speed included and, for a call that asks, its states, as arrays that
-``verdict_arrays`` grades as ``verdict`` grades one outcome.
+through one decision function per run, and is the reference.
+``simulate_lockstep`` runs many cases over one static part together, one
+numpy array step per time step, for any mix of built-in autopilots, and
+gives every case the run ``simulate`` gives it.  Both return one record,
+``Runs``: the events, crossing, final state and, where asked for, states of
+each cell, as arrays by cell.  ``verdict_arrays`` grades every cell of a
+record, ``verdict`` the one cell of a ``simulate`` call, and ``event_list``
+lists a cell's events in time order.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
-from typing import Optional, Sequence
+from operator import attrgetter
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -32,14 +34,11 @@ from .autopilots import AutopilotSpec, PolicyColumns, step_arrays
 from .kinematics import advance, advance_arrays
 from .scenario import (
     DEFAULT_DT,
-    EgoState,
     HORIZON_SLACK,
     Property,
-    Scene,
     StaticPart,
     TestCase,
     default_goal,
-    environment,
     expand,  # noqa: F401  re-exported: callers look it up on this module
     horizon_steps,
 )
@@ -48,14 +47,13 @@ __all__ = [
     "ZONE_EPSILON",
     "SimConfig",
     "EventKind",
-    "Event",
-    "SimOutcome",
     "VerdictKind",
     "Verdict",
+    "Runs",
     "simulate",
     "lockstep_applies",
-    "LockstepRuns",
     "simulate_lockstep",
+    "event_list",
     "VERDICTS",
     "VERDICT_CODES",
     "verdict",
@@ -78,12 +76,6 @@ class EventKind(str, enum.Enum):
 
 
 @dataclass(frozen=True)
-class Event:
-    kind: EventKind
-    t: float  # s
-
-
-@dataclass(frozen=True)
 class SimConfig:
     dt: float = DEFAULT_DT  # s
     zone_epsilon: float = ZONE_EPSILON  # m
@@ -93,40 +85,6 @@ class SimConfig:
             raise ValueError(f"dt must be positive and finite: {self.dt}")
         if not 0 <= self.zone_epsilon < math.inf:
             raise ValueError(f"zone_epsilon must be non-negative and finite: {self.zone_epsilon}")
-
-
-@dataclass
-class SimOutcome:
-    """One run of ``simulate``: the case as it ran (``tc``, its horizon the
-    run's step count), the ego's ``(x, v)`` states (the start and one per
-    step taken, ``dt`` apart), events in time order, final ego state, and
-    the crossing of the conflict point, if any."""
-
-    tc: TestCase
-    states: list[tuple[float, float]]
-    events: list[Event]
-    final: EgoState
-    steps: int
-    t_cross: Optional[float]  # interpolated time the ego reached the conflict point
-    v_cross: Optional[float]  # interpolated ego speed there, None with t_cross
-    t_arrive: float  # time the arriving vehicle reaches the conflict point
-    race_won: bool = False  # ego cleared the point no later than the arriving vehicle
-    zone_epsilon: float = ZONE_EPSILON  # m, inherited from the run config
-    dt: float = DEFAULT_DT  # s, the run's step
-
-    def has(self, kind: EventKind) -> bool:
-        return any(e.kind is kind for e in self.events)
-
-    @cached_property
-    def frames(self) -> list[Scene]:
-        """The run's trace: a scene per state, the environment as
-        ``environment(tc)`` gives it, built when first read."""
-        env, dt = environment(self.tc), self.dt
-        frames = []
-        for k, (x, v) in enumerate(self.states):
-            t = k * dt if k else 0.0
-            frames.append(Scene(t=t, ego=EgoState(x, v), env=env(t)))
-        return frames
 
 
 class VerdictKind(str, enum.Enum):
@@ -151,127 +109,11 @@ _PROPERTY_EVENTS = {
     Property.NO_RED_LIGHT_ENTRY: EventKind.RED_LIGHT_ENTRY,
 }
 
-
-def simulate(
-    autopilot,
-    tc: TestCase,
-    cfg: SimConfig = SimConfig(),
-    record: bool = True,
-) -> SimOutcome:
-    """Run one closed-loop scenario to a stable end, collision, or horizon,
-    ``tc.steps(cfg.dt)`` steps, which the outcome's case holds.
-
-    The loop runs on numbers: ``autopilot.start_case(tc, dt)`` begins the
-    case and gives the run's decision function, each step asks it for the
-    pilot's acceleration at the last state, ``(t, x, v)``, and every
-    step adds one state, so the outcome carries the whole trace, which its
-    ``frames`` turn into scenes when read.  The run ends early once the ego
-    is stopped clear of the conflict (either before the zone or past the
-    point) and the arriving vehicle has left the zone; nothing can change
-    after that.  The crossing's time and speed are interpolated linearly
-    within the step that reaches the point.  ``record`` is kept for callers
-    that still pass it and changes nothing: every run records its trace.
-    """
-    dt = cfg.dt
-    n = tc.steps(dt)
-    tc = replace(tc, horizon=n)
-    static = tc.static
-    d = static.d
-    vl = static.vl
-    v_max = autopilot.profile.v_max
-
-    t_arrive = tc.x_a / vl
-    race_grace = cfg.zone_epsilon / vl
-
-    ego = tc.initial_ego()
-    p, v = ego.x, ego.v
-    states = [(p, v)]
-    events: list[Event] = []
-    decide = autopilot.start_case(tc, dt)
-
-    crossed = False
-    t_cross: Optional[float] = None
-    v_cross: Optional[float] = None
-    race_exempt = False  # ego cleared the point in time; arriving conflict over
-    overlap_after_arrival = False
-    saw_cooccupancy = False
-    saw_stop_before_zone = False
-    steps = 0
-
-    t1 = 0.0
-    for i in range(n):
-        a = decide(t1, p, v)
-        if not math.isfinite(a):
-            events.append(Event(EventKind.ABORTED, i * dt))
-            break
-        p0, v0 = p, v
-        state = advance(p, v, a, dt, v_max)
-        states.append(state)
-        p, v = state
-        t1 = (i + 1) * dt
-        steps = i + 1
-
-        if not crossed and p >= 0.0:
-            crossed = True
-            if p <= p0:
-                t_cross, v_cross = t1, v
-            else:  # not i * dt + dt * w, which rounds differently
-                t_cross = i * dt + dt * (0.0 - p0) / (p - p0)
-                w = (0.0 - p0) / (p - p0)
-                v_cross = v0 + w * (v - v0)
-            events.append(Event(EventKind.CROSSED_CONFLICT, t_cross))
-            if t_cross <= t_arrive + race_grace:
-                race_exempt = True
-
-        arr = tc.x_a - vl * t1
-        in_zone_e = abs(p) <= d
-        in_zone_a = abs(arr) <= d
-        if in_zone_e and in_zone_a:
-            if not saw_cooccupancy:
-                saw_cooccupancy = True
-                events.append(Event(EventKind.ZONE_COOCCUPANCY, t1))
-            if t1 >= t_arrive - _EPS:
-                overlap_after_arrival = True
-
-        if overlap_after_arrival and not race_exempt:
-            # The arriving vehicle reached the point while sharing the zone;
-            # collide unless the ego's crossing still falls within the grace.
-            if crossed or t1 > t_arrive + race_grace:
-                events.append(Event(EventKind.COLLISION_ARRIVING, t1))
-                break
-
-        if p >= -d and p0 < -d:
-            light = static.light_at(t1)
-            if light is not None and light.value == "red":
-                events.append(Event(EventKind.RED_LIGHT_ENTRY, t1))
-
-        if p >= tc.x_f - _EPS and v > _EPS:
-            events.append(Event(EventKind.COLLISION_FRONT, t1))
-            break
-
-        if not saw_stop_before_zone and v <= _EPS and p < -d:
-            saw_stop_before_zone = True
-            events.append(Event(EventKind.STOPPED_BEFORE_ZONE, t1))
-
-        if v <= _EPS and (p < -d or crossed) and arr < -d:
-            break
-    else:
-        events.append(Event(EventKind.HORIZON_EXHAUSTED, n * dt))
-
-    events.sort(key=lambda e: e.t)
-    return SimOutcome(tc=tc, states=states, events=events, final=EgoState(p, v), steps=steps,
-                      t_cross=t_cross, v_cross=v_cross, t_arrive=t_arrive, race_won=race_exempt,
-                      zone_epsilon=cfg.zone_epsilon, dt=dt)
-
-
-def lockstep_applies(autopilot) -> bool:
-    """Whether ``simulate_lockstep`` can run this autopilot: a built-in
-    variant."""
-    return isinstance(autopilot, AutopilotSpec)
-
-
-# Events that fire at the end of a step, in the order ``simulate`` appends
-# them within one step; a crossing comes before all of them.
+# The rows of ``Runs.event_step``: the events that fire at the end of a step,
+# in the order a step checks them (a crossing comes before all of them), and
+# ``aborted``, which fires at the start of the step whose decision was not
+# finite.  Only ``simulate`` sets ``aborted``: a built-in pilot commands
+# finite accelerations.
 _STEP_EVENTS = (
     EventKind.ZONE_COOCCUPANCY,
     EventKind.COLLISION_ARRIVING,
@@ -279,21 +121,27 @@ _STEP_EVENTS = (
     EventKind.COLLISION_FRONT,
     EventKind.STOPPED_BEFORE_ZONE,
     EventKind.HORIZON_EXHAUSTED,
+    EventKind.ABORTED,
 )
-_COOC, _COLL_A, _RED, _COLL_F, _STOP, _HORIZON = range(len(_STEP_EVENTS))
+_COOC, _COLL_A, _RED, _COLL_F, _STOP, _HORIZON, _ABORT = range(len(_STEP_EVENTS))
 
 
 @dataclass(eq=False)
-class LockstepRuns:
-    """The outcomes of one ``simulate_lockstep`` call, as arrays by cell.
+class Runs:
+    """The runs of one ``simulate`` or ``simulate_lockstep`` call, as arrays
+    by cell.
 
     ``x_f`` and ``horizon`` are the cells' own, ``horizon`` as
     ``TestCase.steps`` sizes it.  ``event_step[k]`` holds the step in which
     ``_STEP_EVENTS[k]`` first fired (-1: never), and ``cross_step`` that of
     the crossing, which happened at ``t_cross`` at speed ``v_cross`` (both
-    0.0 where ``cross_step`` is -1); ``final_p``, ``final_v``, ``steps`` and
-    ``race_won`` are ``SimOutcome``'s ``final``, ``steps`` and ``race_won``,
-    and ``states``, for a call that asks for them, each cell's ``states``.
+    0.0 where ``cross_step`` is -1), interpolated linearly within the step.
+    ``final_p`` and ``final_v`` are the ego's last state, ``steps`` the
+    steps taken, ``race_won`` whether the ego cleared the point no later
+    than the arriving vehicle, and ``states``, for a call that asks for
+    them, each cell's ``(p, v)`` states: the start and one per step taken,
+    ``dt`` apart.  A ``simulate`` call also keeps its case, ``tc``, with the
+    horizon it ran to.
     """
 
     static: StaticPart
@@ -309,6 +157,148 @@ class LockstepRuns:
     steps: np.ndarray
     race_won: np.ndarray
     states: Optional[list[list[tuple[float, float]]]]
+    tc: Optional[TestCase] = None
+
+    @classmethod
+    def blank(cls, static: StaticPart, cfg: SimConfig, x_f: np.ndarray, horizon: np.ndarray,
+              states: bool) -> Runs:
+        """A record of the cells ``x_f`` and ``horizon`` before any step."""
+        n = len(x_f)
+        return cls(static, cfg, x_f, horizon, np.full((len(_STEP_EVENTS), n), -1),
+                   np.full(n, -1), np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n),
+                   np.zeros(n, dtype=int), np.zeros(n, dtype=bool), [] if states else None)
+
+    @classmethod
+    def join(cls, static: StaticPart, cfg: SimConfig, parts: Iterable[Runs],
+             states: bool = False) -> Runs:
+        """The cells of ``parts``, runs over ``static`` at ``cfg``, as one
+        record, in order, with their states if ``states`` asks for them.
+        ``parts`` is read once, so the records of a generator, and the
+        states not asked for, are let go one by one."""
+        joined = cls.blank(static, cfg, np.zeros(0), np.zeros(0, dtype=np.int64), states)
+        rows = []
+        for part in parts:
+            rows.append(_cell_arrays(part))
+            if states:
+                joined.states += part.states
+        for name, col in zip(_CELL_ARRAYS, zip(*rows)):  # no rows: the blank's columns
+            setattr(joined, name, np.concatenate(col, axis=-1))
+        return joined
+
+
+_CELL_ARRAYS = ("x_f", "horizon", "event_step", "cross_step", "t_cross", "v_cross", "final_p",
+                "final_v", "steps", "race_won")
+_cell_arrays = attrgetter(*_CELL_ARRAYS)
+
+
+def simulate(
+    autopilot,
+    tc: TestCase,
+    cfg: SimConfig = SimConfig(),
+    record: bool = True,
+) -> Runs:
+    """Run one closed-loop scenario to a stable end, collision, or horizon,
+    ``tc.steps(cfg.dt)`` steps: the record of its one cell, states included.
+
+    The loop runs on numbers: ``autopilot.start_case(tc, dt)`` begins the
+    case and gives the run's decision function, and each step asks it for
+    the pilot's acceleration at the last state, ``(t, x, v)``; a decision
+    that is not finite aborts the run.  The run ends early once the ego is
+    stopped clear of the conflict (either before the zone or past the
+    point) and the arriving vehicle has left the zone; nothing can change
+    after that.  ``record`` is kept for callers that still pass it and
+    changes nothing: every run records its trace.
+    """
+    dt = cfg.dt
+    n = tc.steps(dt)
+    tc = replace(tc, horizon=n)
+    static = tc.static
+    d = static.d
+    vl = static.vl
+    v_max = autopilot.profile.v_max
+
+    t_arrive = tc.x_a / vl
+    race_grace = cfg.zone_epsilon / vl
+
+    ego = tc.initial_ego()
+    p, v = ego.x, ego.v
+    states = [(p, v)]
+    event_step = [-1] * len(_STEP_EVENTS)
+    decide = autopilot.start_case(tc, dt)
+
+    crossed = False
+    cross_step, t_cross, v_cross = -1, 0.0, 0.0
+    race_exempt = False  # ego cleared the point in time; arriving conflict over
+    overlap_after_arrival = False
+    steps = 0
+
+    t1 = 0.0
+    for i in range(n):
+        a = decide(t1, p, v)
+        if not math.isfinite(a):
+            event_step[_ABORT] = i
+            break
+        p0, v0 = p, v
+        state = advance(p, v, a, dt, v_max)
+        states.append(state)
+        p, v = state
+        t1 = (i + 1) * dt
+        steps = i + 1
+
+        if not crossed and p >= 0.0:
+            crossed, cross_step = True, i
+            if p <= p0:
+                t_cross, v_cross = t1, v
+            else:  # not i * dt + dt * w, which rounds differently
+                t_cross = i * dt + dt * (0.0 - p0) / (p - p0)
+                w = (0.0 - p0) / (p - p0)
+                v_cross = v0 + w * (v - v0)
+            if t_cross <= t_arrive + race_grace:
+                race_exempt = True
+
+        arr = tc.x_a - vl * t1
+        in_zone_e = abs(p) <= d
+        in_zone_a = abs(arr) <= d
+        if in_zone_e and in_zone_a:
+            if event_step[_COOC] < 0:
+                event_step[_COOC] = i
+            if t1 >= t_arrive - _EPS:
+                overlap_after_arrival = True
+
+        if overlap_after_arrival and not race_exempt:
+            # The arriving vehicle reached the point while sharing the zone;
+            # collide unless the ego's crossing still falls within the grace.
+            if crossed or t1 > t_arrive + race_grace:
+                event_step[_COLL_A] = i
+                break
+
+        if p >= -d and p0 < -d:
+            light = static.light_at(t1)
+            if light is not None and light.value == "red":
+                event_step[_RED] = i
+
+        if p >= tc.x_f - _EPS and v > _EPS:
+            event_step[_COLL_F] = i
+            break
+
+        if event_step[_STOP] < 0 and v <= _EPS and p < -d:
+            event_step[_STOP] = i
+
+        if v <= _EPS and (p < -d or crossed) and arr < -d:
+            break
+    else:
+        event_step[_HORIZON] = n - 1
+
+    return Runs(static, cfg, np.array([tc.x_f], dtype=float), np.array([n]),
+                np.array(event_step)[:, None], np.array([cross_step]), np.array([t_cross]),
+                np.array([v_cross]), np.array([p], dtype=float), np.array([v], dtype=float),
+                np.array([steps]), np.array([race_exempt]), [states], tc)
+
+
+def lockstep_applies(autopilot) -> bool:
+    """Whether ``simulate_lockstep`` can run this autopilot: a built-in
+    variant."""
+    return isinstance(autopilot, AutopilotSpec)
 
 
 def simulate_lockstep(
@@ -321,7 +311,7 @@ def simulate_lockstep(
     x_f,
     cfg: SimConfig = SimConfig(),
     states: bool = False,
-) -> LockstepRuns:
+) -> Runs:
     """``simulate(autopilot, tc, cfg)`` for every cell at once, with its
     states if ``states`` asks for them.
 
@@ -334,8 +324,9 @@ def simulate_lockstep(
     vehicles.  All cells take each step together, the environment in closed
     form and each cell's policy from its run's row of ``PolicyColumns``; a
     cell leaves the batch when its simulation would end, at the latest at
-    its own horizon.  Each outcome equals the scalar one in its events,
-    final state, step count, crossing time and speed, race and states.
+    its own horizon.  Each cell's record equals the scalar one in its
+    events, final state, step count, crossing time and speed, race and
+    states.
     """
     x_e, v_e, x_a, x_f = (np.asarray(col, dtype=float) for col in (x_e, v_e, x_a, x_f))
     run = np.asarray(run, dtype=np.intp)
@@ -354,18 +345,13 @@ def simulate_lockstep(
         pilot.check_start_speed(v)
     dt = cfg.dt
     horizons = horizon_steps(static, x_a, dt, HORIZON_SLACK)
-    # Results by cell: the step of each end-of-step event (-1: none), and so on.
-    event_step = np.full((len(_STEP_EVENTS), n), -1)
-    cross_step = np.full(n, -1)
-    t_cross, v_cross = np.zeros(n), np.zeros(n)
-    final_p, final_v = np.zeros(n), np.zeros(n)
-    steps = np.zeros(n, dtype=int)
-    race_won = np.zeros(n, dtype=bool)
-    runs = LockstepRuns(static, cfg, x_f, horizons, event_step, cross_step, t_cross, v_cross,
-                        final_p, final_v, steps, race_won, [] if states else None)
+    runs = Runs.blank(static, cfg, x_f, horizons, states)
     if not n:
         return runs
     trace = [] if states else None  # per step: the active cells' (idx, p, v)
+    event_step, cross_step, t_cross, v_cross = (runs.event_step, runs.cross_step, runs.t_cross,
+                                                runs.v_cross)
+    final_p, final_v, steps, race_won = runs.final_p, runs.final_v, runs.steps, runs.race_won
 
     pc = PolicyColumns.build(pilots, v_e.tolist(), run, x_a, x_f)
     d, vl = static.d, static.vl
@@ -449,8 +435,27 @@ def simulate_lockstep(
     return runs
 
 
-# Every verdict ``verdict`` can give, once each; ``verdict_arrays`` grades
-# with their indices.
+def event_list(runs: Runs, cell: int = 0) -> list[tuple[EventKind, float]]:
+    """The events of one cell of ``runs`` as ``(kind, t)``, in time order.
+
+    A crossing is at ``t_cross``, ``aborted`` at the start of its step and
+    every other event at the end of its step (``horizon_exhausted``, of the
+    last step, at ``horizon * dt``).  Events of one time follow the order of
+    their steps, and within a step a crossing comes first and the others
+    follow in ``_STEP_EVENTS`` order.
+    """
+    dt = runs.cfg.dt
+    keyed = [((i if kind is EventKind.ABORTED else i + 1) * dt, i, k, kind)
+             for k, (kind, i) in enumerate(zip(_STEP_EVENTS, runs.event_step[:, cell].tolist()), 1)
+             if i >= 0]
+    i = runs.cross_step[cell].item()
+    if i >= 0:
+        keyed.append((runs.t_cross[cell].item(), i, 0, EventKind.CROSSED_CONFLICT))
+    return [(kind, t) for t, _, _, kind in sorted(keyed)]
+
+
+# Every verdict a run can get, once each; ``verdict_arrays`` grades with
+# their indices.
 VERDICTS = (
     Verdict(VerdictKind.PROGRESS_PASS),
     Verdict(VerdictKind.CAUTIOUS_PASS),
@@ -460,17 +465,22 @@ VERDICTS = (
     *(Verdict(VerdictKind.FAIL, reason=prop.value) for prop in Property),
 )
 VERDICT_CODES = {vd: code for code, vd in enumerate(VERDICTS)}
-_PROGRESS, _CAUTIOUS, _UNSTABLE, _SHORT = range(4)
+_PROGRESS, _CAUTIOUS, _UNSTABLE, _SHORT, _ABORTED = range(5)
 
 
-def verdict_arrays(runs: LockstepRuns) -> np.ndarray:
-    """``verdict`` of every cell of a lockstep batch, as its index in
-    ``VERDICTS``.
+def verdict_arrays(runs: Runs) -> np.ndarray:
+    """Grade every cell of ``runs`` against the properties of
+    ``default_goal``, as its index in ``VERDICTS``.
 
-    The rules are ``verdict``'s, and the first that applies decides: the
-    properties of ``default_goal`` in sorted order, then crossed,
-    then stopped.  A lockstep run never aborts (a built-in pilot commands
-    finite accelerations), so ``verdict``'s aborted rule has nothing to grade.
+    The first rule that applies decides: the properties in sorted order,
+    then aborted.  Otherwise a run that crossed passes if it stopped behind
+    the front vehicle, within the run tolerance (the last braking step can
+    quantise the stop a few centimetres past it; a rolling pass of the front
+    vehicle is already a collision): a progress pass if it won the race, and
+    a cautious pass if it crossed only after the arriving vehicle had
+    cleared, a yield-then-go maneuver, safe but not a demonstrated crossing.
+    A run that did not cross passes, cautiously, if it stopped short of the
+    zone.
     """
     if not runs.steps.size:
         return np.zeros(0, dtype=int)
@@ -482,6 +492,7 @@ def verdict_arrays(runs: LockstepRuns) -> np.ndarray:
                  np.where(runs.race_won, _PROGRESS, _CAUTIOUS), _UNSTABLE),
         np.where(stopped & (runs.final_p < -static.d), _CAUTIOUS, _SHORT),
     )
+    code = np.where(runs.event_step[_ABORT] >= 0, _ABORTED, code)
     # Last property first, so that the first that applies is the one left.
     for prop in sorted(default_goal(static), key=lambda pr: pr.value, reverse=True):
         fired = runs.event_step[_STEP_EVENTS.index(_PROPERTY_EVENTS[prop])] >= 0
@@ -489,31 +500,6 @@ def verdict_arrays(runs: LockstepRuns) -> np.ndarray:
     return code
 
 
-def verdict(outcome: SimOutcome) -> Verdict:
-    """Grade one outcome against the properties of ``default_goal``.
-
-    Any violated property fails.  Otherwise a run passes either by crossing and
-    stopping behind the front vehicle, or by stopping short of the zone.
-    """
-    for prop in sorted(default_goal(outcome.tc.static), key=lambda pr: pr.value):
-        kind = _PROPERTY_EVENTS[prop]
-        if outcome.has(kind):
-            return Verdict(VerdictKind.FAIL, reason=prop.value)
-    if outcome.has(EventKind.ABORTED):
-        return Verdict(VerdictKind.FAIL, reason="aborted")
-    final = outcome.final
-    stopped = final.v <= _EPS
-    if outcome.has(EventKind.CROSSED_CONFLICT):
-        # the last braking step can quantise the stop a few centimetres past
-        # the exact boundary; the run tolerance covers that, a rolling pass
-        # of the front vehicle was already caught as a collision
-        if stopped and final.x <= outcome.tc.x_f + outcome.zone_epsilon:
-            if outcome.race_won:
-                return Verdict(VerdictKind.PROGRESS_PASS)
-            # crossed only after the arriving vehicle had already cleared:
-            # a yield-then-go maneuver, safe but not a demonstrated crossing
-            return Verdict(VerdictKind.CAUTIOUS_PASS)
-        return Verdict(VerdictKind.FAIL, reason="no_stable_state_after_crossing")
-    if stopped and final.x < -outcome.tc.static.d:
-        return Verdict(VerdictKind.CAUTIOUS_PASS)
-    return Verdict(VerdictKind.FAIL, reason="target_not_reached")
+def verdict(runs: Runs) -> Verdict:
+    """The verdict of the one cell of ``runs``, a ``simulate`` call's record."""
+    return VERDICTS[verdict_arrays(runs)[0]]

@@ -8,9 +8,9 @@ from the scenes of a run, with its own closed forms on floats and
 ``kinematics.advance``, for the array policy (``step_arrays``, and a built-in
 pilot's ``start_case`` on one cell) to equal bit for bit, and ``OraclePilot``
 drives it through ``simulate``'s loop; ``progress_determinacy_scalar`` calls
-only ``simulate`` with that pilot and ``verdict``, one test case at a time,
-for the batched check to equal; ``braking_determinacy_scalar`` brakes
-with ``kinematics.advance``, one run at a time; and ``coverage_scalar`` and
+only ``simulate`` with that pilot, ``verdict`` and ``trace_frames``, one test
+case at a time, for the batched check to equal; ``braking_determinacy_scalar``
+brakes with ``kinematics.advance``, one run at a time; and ``coverage_scalar`` and
 ``envelope_scalar`` are the coverage integral and the envelope rows one speed
 at a time, each speed's boundary from ``most_critical`` and its interval
 found by a scan (``interval_index``), for the array passes of
@@ -38,6 +38,7 @@ from critlab.scenario import (
     StaticPart,
     TestCase,
     environment,
+    trace_frames,
 )
 from critlab.simulator import SimConfig, VerdictKind, simulate, verdict
 
@@ -347,7 +348,7 @@ def progress_determinacy_scalar(autopilot, tc, restart_every=5, cfg=SimConfig())
     restarts = []
     flips = 0
     vl = tc.static.vl
-    frames = base.frames
+    frames = trace_frames(base.tc, base.states[0], cfg.dt)
     for i in range(restart_every, len(frames), restart_every):
         frame = frames[i]
         if frame.ego.x >= 0.0:
@@ -363,7 +364,7 @@ def progress_determinacy_scalar(autopilot, tc, restart_every=5, cfg=SimConfig())
             flips += 1
             deviation = math.inf
         else:  # a progress pass has crossed, so its crossing speed is known
-            deviation = abs(out.v_cross - base.v_cross)
+            deviation = abs(out.v_cross[0].item() - base.v_cross[0].item())
         restarts.append(
             RestartRecord(t=frame.t, x=frame.ego.x, v=frame.ego.v, deviation=deviation,
                           passed=passed)

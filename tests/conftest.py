@@ -5,12 +5,23 @@ import pytest
 
 from critlab.criticality import most_critical
 from critlab.kinematics import ADProfile
-from critlab.scenario import ScenarioType, StaticPart
+from critlab.scenario import ScenarioType, StaticPart, trace_frames
+from critlab.simulator import event_list
 
 # The work counters that ``metrics.json`` reports for the grids and for the
 # determinacy checks, each written on every count, zeros included.
 WORK_KEYS = {"cells", "cell_steps", "early_exits", "lockstep_batches", "lockstep_steps",
              "scalar_simulate_calls"}
+
+
+def has(runs, kind) -> bool:
+    """Whether the one cell of a ``simulate`` record saw an event of ``kind``."""
+    return any(k is kind for k, _ in event_list(runs))
+
+
+def frames(runs):
+    """The scenes of the one cell of a ``simulate`` record."""
+    return trace_frames(runs.tc, runs.states[0], runs.cfg.dt)
 
 
 @pytest.fixture(scope="session")

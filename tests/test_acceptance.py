@@ -41,6 +41,7 @@ from _oracles import (
     euler_braking_speed,
     zone_overlap_constant_speed,
 )
+from conftest import has
 
 
 def _line(n: int, ok: bool, detail: str) -> None:
@@ -137,7 +138,7 @@ def test_criterion_3_boundary_tightness(std_profile, merge_static):
     ref_out = simulate(pilot, tight, SimConfig())
     goes_cautious = verdict(ref_out).kind is VerdictKind.CAUTIOUS_PASS
     forced = simulate(transition_flawed(std_profile, 1.2), tight, SimConfig())
-    collides_if_forced = forced.has(EventKind.COLLISION_ARRIVING)
+    collides_if_forced = has(forced, EventKind.COLLISION_ARRIVING)
 
     def empirical_boundary(dt):
         for x_a in [24.0 + 0.25 * i for i in range(24)]:
@@ -262,7 +263,7 @@ def test_criterion_6_progress_determinacy_regression(restart_geometry):
     nda = non_determinate_accel(profile, {5.0: a_nominal, 6.3: 1.0})
     nda_orig = verdict(simulate(nda, original, cfg)).kind is VerdictKind.PROGRESS_PASS
     nda_restart_out = simulate(nda, restart, cfg)
-    nda_collides = nda_restart_out.has(EventKind.COLLISION_ARRIVING)
+    nda_collides = has(nda_restart_out, EventKind.COLLISION_ARRIVING)
 
     ok = ref_orig and ref_restart and nda_orig and nda_collides
     _line(

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import critlab.autopilots
 from _oracles import OraclePilot, reply_decision, scene_line
+from conftest import frames
 from external_pilot import STDERR_LAST
 from critlab.autopilots import (
     FACTORIES,
@@ -45,7 +46,7 @@ from critlab.scenario import (
     TestCase,
     env_at,
 )
-from critlab.simulator import SimConfig, VerdictKind, simulate, verdict
+from critlab.simulator import SimConfig, VerdictKind, event_list, simulate, verdict
 from test_lockstep import PROFILES, _pilot, _static as _lockstep_static
 
 EXTERNAL = f"{sys.executable} {Path(__file__).parent / 'external_pilot.py'}"
@@ -140,7 +141,7 @@ def _ego_trace(spec, tc, dt=0.1):
     """The ego states ``simulate`` records for ``spec`` on ``tc``, one per
     frame, with the run's step count."""
     out = simulate(spec, tc, SimConfig(dt=dt))
-    return [f.ego for f in out.frames], out.steps
+    return [f.ego for f in frames(out)], out.steps[0]
 
 
 class TestRunPolicy:
@@ -307,7 +308,7 @@ def test_a_wrapper_on_the_step_attribute_sees_every_step(external, monkeypatch):
     tc = TestCase(static=_MERGE, x_e=20.0, v_e=5.0, x_a=30.0, x_f=14.0)
     with contextlib.closing(pilot) if external else contextlib.nullcontext():
         out = simulate(pilot, tc, SimConfig())
-    assert len(calls) == out.steps > 0
+    assert len(calls) == out.steps[0] > 0
 
 
 class TestNonDeterminateVariants:
@@ -367,8 +368,10 @@ class TestExternalAutopilot:
             with ExternalAutopilot(f"{EXTERNAL} {mode}", std_profile) as pilot:
                 outs.append(simulate(pilot, tc, SimConfig()))
         whole, split = outs
-        assert whole.steps > 10
-        assert (split.events, split.final, split.steps) == (whole.events, whole.final, whole.steps)
+        assert whole.steps[0] > 10
+        split_run, whole_run = ((event_list(out), out.final_p.tolist(), out.final_v.tolist(),
+                                 out.steps.tolist()) for out in (split, whole))
+        assert split_run == whole_run
 
     def test_protocol_violation_raises(self, std_profile, merge_static):
         tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=30.0, x_f=14.0)
@@ -617,9 +620,10 @@ def test_scene_lines_match_the_json_oracle(case):
     tc, dt, replies = case
     pilot = _Replies(itertools.cycle(replies), ADProfile(2.0, 4.0, 15.0))
     out = simulate(pilot, tc, SimConfig(dt=dt))
-    assert len(pilot.sent) == out.steps
+    assert len(pilot.sent) == out.steps[0]
+    scenes = frames(out)
     for k, line in enumerate(pilot.sent):
-        assert line == scene_line(out.frames[k], tc.static, dt)
+        assert line == scene_line(scenes[k], tc.static, dt)
 
 
 _COORD = st.one_of(
@@ -678,7 +682,7 @@ def test_a_python_pilot_is_given_the_trace(variant, tc, dt):
     pilot = _Recorder(FACTORIES[variant](ADProfile(2.0, 4.0, 15.0)))
     out = simulate(pilot, tc, SimConfig(dt=dt))
     assert pilot.cases == [(out.tc, dt)]
-    assert pilot.seen == [(k * dt, x, v) for k, (x, v) in enumerate(out.states[:out.steps])]
+    assert pilot.seen == [(k * dt, x, v) for k, (x, v) in enumerate(out.states[0][:out.steps[0]])]
 
 
 # -- reply lines against the json.loads oracle -------------------------------------
@@ -795,7 +799,7 @@ def test_a_case_renders_its_template_once(monkeypatch, std_profile, merge_static
     monkeypatch.setattr(critlab.autopilots, "json", types.SimpleNamespace(
         dumps=lambda obj: dumped.append(obj) or json.dumps(obj)))
     pilot = _Replies(itertools.repeat(b'{"mode": "cautious", "accel": -4.0}\n'), std_profile)
-    steps = [simulate(pilot, TestCase(merge_static, 20.0, 5.0, x_a, x_f), SimConfig()).steps
+    steps = [simulate(pilot, TestCase(merge_static, 20.0, 5.0, x_a, x_f), SimConfig()).steps[0]
              for x_a, x_f in ((30.0, 14.0), (31.0, 15.0))]
     assert min(steps) > 10
     rendered = [(p["dt"], p["arriving"]["v"], p["front"]["x"]) for p in dumped]

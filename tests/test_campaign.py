@@ -751,7 +751,8 @@ class TestRunMetrics:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Calls of ``simulate`` and ``verdict`` and ``SimOutcome``s built."""
+        """Calls of ``simulate``, which builds a one-cell record, and
+        ``verdict``, wherever a caller looks them up."""
         calls = Counter()
 
         def counting(name, fn):
@@ -760,15 +761,9 @@ class TestRunMetrics:
                 return fn(*args, **kwargs)
             return wrapper
 
-        class CountedOutcome(critlab.simulator.SimOutcome):
-            def __init__(self, *args, **kwargs):
-                calls["SimOutcome"] += 1
-                super().__init__(*args, **kwargs)
-
-        for name in ("simulate", "verdict"):
-            monkeypatch.setattr(critlab.classify, name,
-                                counting(name, getattr(critlab.classify, name)))
-        monkeypatch.setattr(critlab.simulator, "SimOutcome", CountedOutcome)
+        for module in (critlab.classify, critlab.simulator):
+            for name in ("simulate", "verdict"):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         return calls
 
     def test_default_config_at_6x6(self, calls, monkeypatch):
@@ -799,7 +794,8 @@ class TestRunMetrics:
 
     def test_lockstep_grids_build_no_outcome_and_call_no_verdict(self, calls):
         """A campaign of built-in pilots, its determinacy checks included,
-        calls no ``simulate`` and no ``verdict`` and builds no outcome."""
+        calls no ``simulate`` and no ``verdict``: it builds no one-cell
+        record."""
         report = run_campaign(four_type_config(static=with_light([2.0, 2.0])))
         assert report.metrics["grids"]["cells"] == 2 * 2 * 4 * 25
         assert report.metrics["determinacy"]["scalar_simulate_calls"] == 0

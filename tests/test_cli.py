@@ -172,8 +172,9 @@ class TestCampaignCommand:
         assert 0 < grids["lockstep_steps"] <= grids["cell_steps"]
         assert grids["early_exit_frac"] == grids["early_exits"] / 25
         assert set(metrics["stage_s"]) == {
-            "builtin_grids", "external_grids", "raw_files", "determinacy", "coverage"
+            "load", "builtin_grids", "external_grids", "raw_files", "determinacy"
         }
+        assert metrics["stage_s"]["load"] > 0
         for name in ("report.json", "report.md", "summary.csv"):
             assert "stage_s" not in (out / name).read_text()
 

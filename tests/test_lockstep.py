@@ -2,7 +2,6 @@
 
 import sys
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -28,15 +27,13 @@ from critlab.classify import (
 )
 from critlab.criticality import most_critical
 from critlab.kinematics import ADProfile
-from critlab.scenario import EgoState, ExtraVehicle, ScenarioType, StaticPart, TestCase
+from critlab.scenario import ExtraVehicle, ScenarioType, StaticPart, TestCase
 from critlab.simulator import (
-    _STEP_EVENTS,
     VERDICTS,
-    Event,
-    EventKind,
+    Runs,
     SimConfig,
-    SimOutcome,
     VerdictKind,
+    event_list,
     lockstep_applies,
     simulate,
     simulate_lockstep,
@@ -153,53 +150,24 @@ def lockstep(pilots, cases, cfg=SimConfig(), states=False):
         [run_of[key] for key in keys], *cells, cfg, states)
 
 
-def outcome(runs, tc, i):
-    """Cell ``i`` of a lockstep batch, the case ``tc``, as the ``SimOutcome``
-    that ``simulate`` gives, its case with the cell's horizon, and its states
-    if the batch kept them.
-    ``simulate`` sorts its events stably by time: by (time, step, order in
-    step)."""
-    dt = runs.cfg.dt
-    keyed = [((s + 1) * dt, s, k, kind)
-             for k, (s, kind) in enumerate(zip(runs.event_step[:, i].tolist(), _STEP_EVENTS), 1)
-             if s >= 0]
-    crossed = runs.cross_step[i] >= 0
-    if crossed:
-        keyed.append((float(runs.t_cross[i]), int(runs.cross_step[i]), 0,
-                      EventKind.CROSSED_CONFLICT))
-    keyed.sort()
-    return SimOutcome(
-        tc=replace(tc, horizon=int(runs.horizon[i])),
-        states=[] if runs.states is None else runs.states[i],
-        events=[Event(kind, t) for t, _, _, kind in keyed],
-        final=EgoState(float(runs.final_p[i]), float(runs.final_v[i])),
-        steps=int(runs.steps[i]), t_cross=float(runs.t_cross[i]) if crossed else None,
-        v_cross=float(runs.v_cross[i]) if crossed else None,
-        t_arrive=tc.x_a / tc.static.vl, race_won=bool(runs.race_won[i]),
-        zone_epsilon=runs.cfg.zone_epsilon, dt=dt,
-    )
-
-
-def _observed(out):
-    """What a run shows: its case as run, horizon included, and the rest,
-    the crossing speed and the states bit for bit (None: no crossing)."""
-    vd = verdict(out)
-    return (out.tc, [(e.kind, e.t) for e in out.events], out.final, out.steps, out.t_cross,
-            _bits(out.v_cross), out.t_arrive, out.race_won, vd.kind, vd.reason,
-            [(_bits(x), _bits(v)) for x, v in out.states])
+def _observed(runs, i=0):
+    """What cell ``i`` of a record shows: its horizon, events, final state,
+    steps, crossing, race, verdict and states, the numbers bit for bit."""
+    return (runs.horizon[i].item(), [(kind, _bits(t)) for kind, t in event_list(runs, i)],
+            _bits(runs.final_p[i].item()), _bits(runs.final_v[i].item()), runs.steps[i].item(),
+            runs.cross_step[i].item(), _bits(runs.t_cross[i].item()),
+            _bits(runs.v_cross[i].item()), runs.race_won[i].item(),
+            VERDICTS[verdict_arrays(runs)[i]],
+            None if runs.states is None else [(_bits(x), _bits(v)) for x, v in runs.states[i]])
 
 
 def _check_batch(pilots, cases, cfg):
-    """Every cell of one engine call, its states and its array verdict
-    included, equals its ``simulate`` run of the oracle policy."""
+    """Every cell of one engine call, its states and its verdict included,
+    equals its ``simulate`` run of the oracle policy."""
     runs = lockstep(pilots, cases, cfg, states=True)
-    codes = verdict_arrays(runs).tolist()
     assert runs.steps.size == len(cases)
-    for i, (pilot, tc, code) in enumerate(zip(pilots, cases, codes, strict=True)):
-        out = outcome(runs, tc, i)
-        scalar = simulate(OraclePilot(pilot), tc, cfg)
-        assert _observed(out) == _observed(scalar)
-        assert VERDICTS[code] == verdict(scalar)
+    for i, (pilot, tc) in enumerate(zip(pilots, cases, strict=True)):
+        assert _observed(runs, i) == _observed(simulate(OraclePilot(pilot), tc, cfg))
 
 
 def _check_every_cell(grid):
@@ -286,10 +254,10 @@ def test_every_cell_of_a_mixed_batch_equals_scalar_simulate(batch):
 def test_a_cautious_stop_brakes_off_its_residual_speed():
     tc = TestCase(static=MERGE, x_e=35.0, v_e=12.001, x_a=60.0, x_f=20.0)
     pilot = always_cautious(STD)
-    for out in (simulate(pilot, tc), outcome(lockstep([pilot], [tc]), tc, 0)):
-        assert out.steps == 66
-        assert out.final.v == 0.0
-        assert out.final.x == pytest.approx(-5.516, abs=1e-3)
+    for out in (simulate(pilot, tc), lockstep([pilot], [tc])):
+        assert out.steps[0] == 66
+        assert out.final_v[0] == 0.0
+        assert out.final_p[0] == pytest.approx(-5.516, abs=1e-3)
         assert verdict(out).kind is VerdictKind.CAUTIOUS_PASS
 
 
@@ -366,6 +334,32 @@ class TestRouting:
         with ExternalAutopilot(EXTERNAL + " hold", STD) as pilot:
             run_grid(pilot, 20.0, 5.0, MERGE, [40.0, 30.0], [15.0])
         assert scalar_calls == [pilot] * 2
+
+    @pytest.mark.parametrize("kind", ["built-in", "python", "external"])
+    def test_a_grid_is_graded_in_one_call(self, monkeypatch, kind):
+        """Both paths give one record of all the grid's cells, and one
+        ``verdict_arrays`` call grades it."""
+        graded = []
+        real = critlab.classify.verdict_arrays
+
+        def counting(runs):
+            graded.append(type(runs))
+            return real(runs)
+
+        monkeypatch.setattr(critlab.classify, "verdict_arrays", counting)
+        if kind == "external":
+            with ExternalAutopilot(EXTERNAL + " hold", STD) as pilot:
+                grid = run_grid(pilot, 20.0, 5.0, MERGE, [40.0, 30.0], [15.0, 25.0])
+        else:
+            pilot = reference(STD) if kind == "built-in" else OraclePilot(reference(STD))
+            grid = run_grid(pilot, 20.0, 5.0, MERGE, [40.0, 30.0], [15.0, 25.0])
+        assert graded == [Runs]
+        assert grid.verdicts.shape == (2, 2)
+
+
+def test_both_loops_return_one_record_type():
+    tc = _case(20.0, 5.0, 30.0, 20.0)
+    assert type(simulate(reference(STD), tc)) is type(lockstep([reference(STD)], [tc])) is Runs
 
 
 @st.composite

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import speed_at_conflict
+from conftest import frames, has
 from critlab.autopilots import (
     FACTORIES,
     always_cautious,
@@ -27,10 +28,10 @@ from critlab.scenario import (
     scenario_to_json,
 )
 from critlab.simulator import (
-    Event,
     EventKind,
     SimConfig,
     VerdictKind,
+    event_list,
     simulate,
     verdict,
 )
@@ -40,16 +41,16 @@ class TestEvents:
     def test_always_cautious_stops_cleanly(self, std_profile, merge_static):
         tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=30.0, x_f=14.0)
         out = simulate(always_cautious(std_profile), tc, SimConfig())
-        assert out.has(EventKind.STOPPED_BEFORE_ZONE)
-        assert not out.has(EventKind.COLLISION_ARRIVING)
-        assert not out.has(EventKind.COLLISION_FRONT)
-        assert out.final.x < -merge_static.d
+        assert has(out, EventKind.STOPPED_BEFORE_ZONE)
+        assert not has(out, EventKind.COLLISION_ARRIVING)
+        assert not has(out, EventKind.COLLISION_FRONT)
+        assert out.final_p[0] < -merge_static.d
 
     def test_careless_ego_losing_the_race_collides(self, std_profile, merge_static):
         # equal speeds, |x_e - x_a| = 5 and the arriving vehicle gets there first
         tc = TestCase(static=merge_static, x_e=45.0, v_e=10.0, x_a=40.0, x_f=200.0)
         out = simulate(constant_speed(std_profile), tc, SimConfig())
-        assert out.has(EventKind.COLLISION_ARRIVING)
+        assert has(out, EventKind.COLLISION_ARRIVING)
 
     def test_careless_ego_crossing_first_shares_the_zone(self, std_profile, merge_static):
         # same offset with the order flipped: the ego clears the point first,
@@ -57,8 +58,8 @@ class TestEvents:
         # the run fails for never stopping past the point
         tc = TestCase(static=merge_static, x_e=40.0, v_e=10.0, x_a=45.0, x_f=200.0)
         out = simulate(constant_speed(std_profile), tc, SimConfig())
-        assert not out.has(EventKind.COLLISION_ARRIVING)
-        assert out.has(EventKind.ZONE_COOCCUPANCY)
+        assert not has(out, EventKind.COLLISION_ARRIVING)
+        assert has(out, EventKind.ZONE_COOCCUPANCY)
         assert verdict(out).reason == "no_stable_state_after_crossing"
 
     def test_reference_crosses_and_stops_before_front(
@@ -69,20 +70,21 @@ class TestEvents:
             x_a=std_boundary.x_hat_a + 0.5, x_f=std_boundary.x_hat_f + 0.5,
         )
         out = simulate(reference(std_profile), tc, SimConfig())
-        assert out.has(EventKind.CROSSED_CONFLICT)
-        assert not out.has(EventKind.COLLISION_ARRIVING)
-        assert not out.has(EventKind.COLLISION_FRONT)
-        assert out.final.v == 0.0
-        assert 0.0 < out.final.x < tc.x_f
+        assert has(out, EventKind.CROSSED_CONFLICT)
+        assert not has(out, EventKind.COLLISION_ARRIVING)
+        assert not has(out, EventKind.COLLISION_FRONT)
+        assert out.final_v[0] == 0.0
+        assert 0.0 < out.final_p[0] < tc.x_f
         # it shared the zone with the arriving vehicle, and that fails nothing
-        assert out.has(EventKind.ZONE_COOCCUPANCY)
+        assert has(out, EventKind.ZONE_COOCCUPANCY)
         assert verdict(out).kind is VerdictKind.PROGRESS_PASS
 
     def test_no_event_after_collision(self, std_profile, merge_static):
         tc = TestCase(static=merge_static, x_e=45.0, v_e=10.0, x_a=40.0, x_f=200.0)
         out = simulate(constant_speed(std_profile), tc, SimConfig())
-        collision_t = next(e.t for e in out.events if e.kind is EventKind.COLLISION_ARRIVING)
-        assert all(e.t <= collision_t + 1e-9 for e in out.events)
+        events = event_list(out)
+        collision_t = next(t for kind, t in events if kind is EventKind.COLLISION_ARRIVING)
+        assert all(t <= collision_t + 1e-9 for _, t in events)
 
     def test_events_time_ordered(self, std_profile, merge_static, std_boundary):
         tc = TestCase(
@@ -90,7 +92,7 @@ class TestEvents:
             x_a=std_boundary.x_hat_a + 2.0, x_f=std_boundary.x_hat_f + 2.0,
         )
         out = simulate(reference(std_profile), tc, SimConfig())
-        times = [e.t for e in out.events]
+        times = [t for _, t in event_list(out)]
         assert times == sorted(times)
 
     def test_red_light_entry(self, std_profile):
@@ -99,7 +101,7 @@ class TestEvents:
         )
         tc = TestCase(static=static, x_e=20.0, v_e=5.0, x_a=500.0, x_f=500.0, horizon=600)
         out = simulate(constant_speed(std_profile), tc, SimConfig())
-        assert out.has(EventKind.RED_LIGHT_ENTRY)
+        assert has(out, EventKind.RED_LIGHT_ENTRY)
         assert verdict(out).kind is VerdictKind.FAIL
         assert verdict(out).reason == Property.NO_RED_LIGHT_ENTRY.value
 
@@ -107,9 +109,9 @@ class TestEvents:
         tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=500.0, x_f=10.0,
                       horizon=600)
         out = simulate(constant_speed(std_profile), tc, SimConfig())
-        assert out.has(EventKind.COLLISION_FRONT)
+        assert has(out, EventKind.COLLISION_FRONT)
         out2 = simulate(reference(std_profile), tc, SimConfig())
-        assert not out2.has(EventKind.COLLISION_FRONT)
+        assert not has(out2, EventKind.COLLISION_FRONT)
 
     def test_non_finite_command_aborts(self, std_profile, merge_static):
         class BrokenPilot:
@@ -120,8 +122,48 @@ class TestEvents:
 
         tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=30.0, x_f=14.0)
         out = simulate(BrokenPilot(), tc, SimConfig())
-        assert out.has(EventKind.ABORTED)
+        assert has(out, EventKind.ABORTED)
         assert verdict(out).kind is VerdictKind.FAIL
+
+
+def _nan_after(profile, accel, x_stop):
+    """A Python pilot that commands ``accel`` until the ego reaches
+    ``x_stop``, and NaN from then on."""
+
+    class NanAfter:
+        def start_case(self, tc, dt):
+            return lambda t, x, v: accel if x < x_stop else math.nan
+
+    pilot = NanAfter()
+    pilot.profile = profile
+    return pilot
+
+
+class TestAborted:
+    """A decision that is not finite ends the run at the start of its step,
+    and ``aborted`` ranks below the properties and above the rest."""
+
+    def test_a_run_aborted_after_crossing_fails_as_aborted(self, std_profile, merge_static):
+        tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=200.0, x_f=100.0)
+        out = simulate(_nan_after(std_profile, 2.0, 0.0), tc, SimConfig())
+        i = out.cross_step[0]
+        assert i >= 0 and out.race_won[0]
+        assert verdict(out).reason == "aborted"
+        assert event_list(out) == [(EventKind.CROSSED_CONFLICT, out.t_cross[0]),
+                                   (EventKind.ABORTED, (i + 1) * 0.1)]
+
+    def test_a_red_light_entry_outranks_the_abort(self, std_profile):
+        static = StaticPart(
+            ScenarioType.INTERSECTION_LIGHT, vl=10.0, d=5.0, light_schedule=(0.5, 600.0)
+        )
+        tc = TestCase(static=static, x_e=20.0, v_e=5.0, x_a=500.0, x_f=500.0)
+        out = simulate(_nan_after(std_profile, 0.0, -static.d), tc, SimConfig())
+        assert verdict(out).reason == Property.NO_RED_LIGHT_ENTRY.value
+        # The entry ends step 29 at 30 * dt; the abort starts step 30 then,
+        # and comes after it.
+        assert out.steps[0] == 30
+        assert event_list(out) == [(EventKind.RED_LIGHT_ENTRY, 30 * 0.1),
+                                   (EventKind.ABORTED, 30 * 0.1)]
 
 
 @pytest.mark.parametrize("field", ["dt", "zone_epsilon"])
@@ -139,15 +181,15 @@ class TestDeterminismAndConsistency:
         )
         a = simulate(reference(std_profile), tc, SimConfig())
         b = simulate(reference(std_profile), tc, SimConfig())
-        assert scenario_to_json(tc.static, a.frames) == scenario_to_json(tc.static, b.frames)
-        assert a.events == b.events
+        assert scenario_to_json(tc.static, frames(a)) == scenario_to_json(tc.static, frames(b))
+        assert event_list(a) == event_list(b)
 
     def test_kinematic_consistency(self, std_profile, merge_static):
         tc = TestCase(static=merge_static, x_e=20.0, v_e=5.0, x_a=30.0, x_f=14.0)
         out = simulate(reference(std_profile), tc, SimConfig())
-        frames = out.frames
+        scenes = frames(out)
         max_rate = max(std_profile.a_max, std_profile.b_max)
-        for f0, f1 in zip(frames, frames[1:]):
+        for f0, f1 in zip(scenes, scenes[1:]):
             assert abs(f1.ego.v - f0.ego.v) <= max_rate * 0.1 + 1e-9
             assert f1.ego.x - f0.ego.x == pytest.approx(
                 0.5 * (f0.ego.v + f1.ego.v) * 0.1, abs=1e-9
@@ -180,7 +222,7 @@ class TestDeterminismAndConsistency:
         # realised collision matches the possibility window
         tc = TestCase(static=merge_static, x_e=45.0, v_e=10.0, x_a=40.0, x_f=300.0)
         out = simulate(constant_speed(std_profile), tc, SimConfig())
-        assert out.has(EventKind.COLLISION_ARRIVING)
+        assert has(out, EventKind.COLLISION_ARRIVING)
 
 
 class TestVerdicts:
@@ -212,7 +254,7 @@ class TestVerdicts:
             x_a=std_boundary.x_hat_a - 1.0, x_f=std_boundary.x_hat_f,
         )
         out = simulate(transition_flawed(std_profile, 1.2), tc, SimConfig())
-        assert out.has(EventKind.COLLISION_ARRIVING)
+        assert has(out, EventKind.COLLISION_ARRIVING)
 
 
 class TestPerStepEnvironments:
@@ -230,11 +272,11 @@ class TestPerStepEnvironments:
         for tc in [base, *equivalence_mutations(base, headway=10.0)]:
             out = simulate(pilot(std_profile), tc, SimConfig(dt=dt))
             envs = expand(tc, dt)
-            frames = out.frames
+            scenes = frames(out)
             assert out.tc == replace(tc, horizon=len(envs) - 1)
-            assert len(frames) == out.steps + 1
-            assert [f.env for f in frames] == envs[: len(frames)]
-            saw_red = saw_red or any(f.env.light is Light.RED for f in frames)
+            assert len(scenes) == out.steps[0] + 1
+            assert [f.env for f in scenes] == envs[: len(scenes)]
+            saw_red = saw_red or any(f.env.light is Light.RED for f in scenes)
         assert saw_red
 
     def test_simulate_rechecks_horizon_for_dt(self, std_profile, merge_static):
@@ -292,7 +334,10 @@ ROUNDING_CASE = (
 @example(ROUNDING_CASE)
 def test_crossing_speed_is_the_trace_oracles(case):
     """``v_cross`` is the speed interpolated from the recorded trace at the
-    conflict point, bit for bit, and None exactly when the run never crossed."""
+    conflict point, bit for bit, where the run crossed, and 0.0 with
+    ``t_cross`` where it never did."""
     out = simulate(*case)
-    assert _bits(out.v_cross) == _bits(speed_at_conflict(out.frames))
-    assert (out.v_cross is None) == (out.t_cross is None)
+    crossed = out.cross_step[0] >= 0
+    assert _bits(out.v_cross[0].item() if crossed else None) == _bits(
+        speed_at_conflict(frames(out)))
+    assert crossed or out.v_cross[0] == out.t_cross[0] == 0.0
